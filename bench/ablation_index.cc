@@ -51,7 +51,7 @@ int Run() {
     StoredRelation out(&disk, layout->output, "out.idx");
     out.SetCharged(false).ok();
     disk.accountant().Reset();
-    VtJoinOptions options;
+    ExecOptions options;
     options.buffer_pages = memory_pages;
     options.cost_model = model;
     auto idx = IndexedVtJoin(r, s, &out, options);

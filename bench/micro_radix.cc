@@ -133,7 +133,7 @@ int Run() {
 
     // What the planner would pick at the fixed budget — the cutover the
     // sweep exists to exercise.
-    VtJoinOptions plan_options;
+    ExecOptions plan_options;
     plan_options.buffer_pages = kBudgetPages;
     plan_options.cost_model = model;
     const JoinPlan plan = PlanVtJoin(r, s, plan_options);

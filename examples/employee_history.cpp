@@ -12,8 +12,7 @@
 #include <cstdio>
 
 #include "algebra/operators.h"
-#include "algebra/temporal_joins.h"
-#include "core/partition_join.h"
+#include "service/join_request.h"
 #include "storage/disk.h"
 #include "storage/stored_relation.h"
 
@@ -68,9 +67,11 @@ int main() {
   auto layout = DeriveNaturalJoinLayout(salary_schema, position_schema);
   TEMPO_CHECK(layout.ok());
   StoredRelation combined(&disk, layout->output, "combined");
-  PartitionJoinOptions options;
-  options.buffer_pages = 64;
-  auto stats = PartitionVtJoin(&salaries, &positions, &combined, options);
+  JoinRequest req;
+  req.From(&salaries, &positions)
+      .Using(JoinExecutor::kPartition)
+      .BufferPages(64);
+  auto stats = RunJoin(req, &combined);
   TEMPO_CHECK(stats.ok());
   auto combined_tuples = combined.ReadAll();
   TEMPO_CHECK(combined_tuples.ok());
@@ -84,14 +85,15 @@ int main() {
   TEMPO_CHECK(salary_tuples.ok());
   Print("salary history, coalesced:", Coalesce(*salary_tuples));
 
-  // --- TE-outerjoin: salaried time without a position. -----------------
-  auto position_tuples = positions.ReadAll();
-  TEMPO_CHECK(position_tuples.ok());
-  auto outer = TEOuterJoin(salary_schema, *salary_tuples, position_schema,
-                           *position_tuples);
-  TEMPO_CHECK(outer.ok());
+  // --- TE-outerjoin (sequenced left outer): salaried time without a
+  // position. ------------------------------------------------------------
+  StoredRelation outer(&disk, layout->output, "salaried");
+  req.Kind(JoinKind::kLeftOuter);
+  TEMPO_CHECK(RunJoin(req, &outer).ok());
+  auto outer_tuples = outer.ReadAll();
+  TEMPO_CHECK(outer_tuples.ok());
   std::vector<Tuple> unassigned;
-  for (const Tuple& t : outer->second) {
+  for (const Tuple& t : *outer_tuples) {
     if (t.value(2).is_null()) unassigned.push_back(t);
   }
   Print("salaried but unassigned (title NULL):", unassigned);

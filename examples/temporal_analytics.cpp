@@ -14,6 +14,7 @@
 
 #include "algebra/operators.h"
 #include "algebra/temporal_joins.h"
+#include "service/join_request.h"
 #include "storage/disk.h"
 #include "storage/stored_relation.h"
 
@@ -64,15 +65,16 @@ int main() {
   auto layout = DeriveNaturalJoinLayout(booking_schema, maint_schema);
   TEMPO_CHECK(layout.ok());
 
-  PartitionJoinOptions options;
-  options.buffer_pages = 32;
+  JoinRequest req;
+  req.From(&bookings, &maintenance)
+      .Using(JoinExecutor::kPartition)
+      .BufferPages(32);
 
   // --- Overlap join: every clash, stamped with the clash interval. -----
   {
     StoredRelation out(&disk, layout->output, "clashes");
-    auto stats = PartitionTemporalJoin(&bookings, &maintenance, &out,
-                                       IntervalJoinPredicate::kOverlap,
-                                       options);
+    req.Predicate(TemporalPredicate::Overlap());
+    auto stats = RunJoin(req, &out);
     TEMPO_CHECK(stats.ok());
     auto tuples = out.ReadAll();
     TEMPO_CHECK(tuples.ok());
@@ -82,9 +84,8 @@ int main() {
   // --- Contain join: maintenance wholly inside one reservation. --------
   {
     StoredRelation out(&disk, layout->output, "contained");
-    auto stats = PartitionTemporalJoin(&bookings, &maintenance, &out,
-                                       IntervalJoinPredicate::kContains,
-                                       options);
+    req.Predicate(TemporalPredicate::ContainJoin());
+    auto stats = RunJoin(req, &out);
     TEMPO_CHECK(stats.ok());
     auto tuples = out.ReadAll();
     TEMPO_CHECK(tuples.ok());

@@ -1,20 +1,8 @@
 #include "algebra/temporal_joins.h"
 
-#include <unordered_map>
-
 #include "join/join_common.h"
-#include "temporal/interval_set.h"
 
 namespace tempo {
-
-StatusOr<JoinRunStats> PartitionTemporalJoin(StoredRelation* r,
-                                             StoredRelation* s,
-                                             StoredRelation* out,
-                                             IntervalJoinPredicate predicate,
-                                             PartitionJoinOptions options) {
-  options.predicate = TemporalPredicate::FromJoinPredicate(predicate);
-  return PartitionVtJoin(r, s, out, options);
-}
 
 StatusOr<std::vector<Tuple>> ContainSemiJoin(const Schema& r_schema,
                                              const std::vector<Tuple>& r,
@@ -32,82 +20,6 @@ StatusOr<std::vector<Tuple>> ContainSemiJoin(const Schema& r_schema,
     if (matched) out.push_back(x);
   }
   return out;
-}
-
-namespace {
-
-/// Emits, for each left tuple, the natural-join matches against the
-/// indexed right side plus NULL-padded tuples over uncovered subintervals.
-/// `left_is_r` selects attribute placement in the output layout.
-void OuterJoinSide(const NaturalJoinLayout& layout,
-                   const std::vector<Tuple>& left,
-                   const HashedTupleIndex& right_index, bool left_is_r,
-                   bool emit_matches, std::vector<Tuple>* out) {
-  const std::vector<size_t>& left_keys =
-      left_is_r ? layout.r_join_attrs : layout.s_join_attrs;
-  for (const Tuple& x : left) {
-    std::vector<Interval> covered;
-    right_index.ForEachMatch(x, left_keys, [&](const Tuple& y) {
-      auto common = Overlap(x.interval(), y.interval());
-      if (!common) return;
-      covered.push_back(*common);
-      if (emit_matches) {
-        out->push_back(left_is_r ? MakeJoinTuple(layout, x, y, *common)
-                                 : MakeJoinTuple(layout, y, x, *common));
-      }
-    });
-    // Pad the uncovered stretches of x's validity with NULLs.
-    IntervalSet holes = SubtractAll(x.interval(), covered);
-    for (const Interval& hole : holes.intervals()) {
-      std::vector<Value> values;
-      values.reserve(layout.output.num_attributes());
-      if (left_is_r) {
-        for (size_t pos : layout.r_join_attrs) values.push_back(x.value(pos));
-        for (size_t pos : layout.r_rest) values.push_back(x.value(pos));
-        for (size_t i = 0; i < layout.s_rest.size(); ++i) {
-          values.push_back(Value::Null());
-        }
-      } else {
-        for (size_t pos : layout.s_join_attrs) values.push_back(x.value(pos));
-        for (size_t i = 0; i < layout.r_rest.size(); ++i) {
-          values.push_back(Value::Null());
-        }
-        for (size_t pos : layout.s_rest) values.push_back(x.value(pos));
-      }
-      out->push_back(Tuple(std::move(values), hole));
-    }
-  }
-}
-
-}  // namespace
-
-StatusOr<std::pair<Schema, std::vector<Tuple>>> TEOuterJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
-                         DeriveNaturalJoinLayout(r_schema, s_schema));
-  HashedTupleIndex s_index(&s, &layout.s_join_attrs);
-  std::vector<Tuple> out;
-  OuterJoinSide(layout, r, s_index, /*left_is_r=*/true,
-                /*emit_matches=*/true, &out);
-  return std::make_pair(layout.output, std::move(out));
-}
-
-StatusOr<std::pair<Schema, std::vector<Tuple>>> EventJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
-                         DeriveNaturalJoinLayout(r_schema, s_schema));
-  HashedTupleIndex s_index(&s, &layout.s_join_attrs);
-  HashedTupleIndex r_index(&r, &layout.r_join_attrs);
-  std::vector<Tuple> out;
-  OuterJoinSide(layout, r, s_index, /*left_is_r=*/true,
-                /*emit_matches=*/true, &out);
-  // The s side only contributes its unmatched padding; the matches were
-  // already emitted above.
-  OuterJoinSide(layout, s, r_index, /*left_is_r=*/false,
-                /*emit_matches=*/false, &out);
-  return std::make_pair(layout.output, std::move(out));
 }
 
 }  // namespace tempo

@@ -4,27 +4,10 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "core/partition_join.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
 
 namespace tempo {
-
-/// Evaluates a member of the valid-time join family (Section 4.1) through
-/// the partition framework: the intersect-/overlap-join, contain-join and
-/// interval-equality join all imply interval overlap, so the same
-/// partitioning, migration and de-duplication machinery applies verbatim;
-/// only the in-memory pair predicate changes. The equi-condition is the
-/// natural one: the attributes the two schemas share by name (none shared
-/// = the pure time-join T-join, a timestamp-filtered cross product).
-///
-/// The result tuple carries overlap(x[V], y[V]), which for kContains /
-/// kContainedIn / kEqual equals the contained interval.
-StatusOr<JoinRunStats> PartitionTemporalJoin(StoredRelation* r,
-                                             StoredRelation* s,
-                                             StoredRelation* out,
-                                             IntervalJoinPredicate predicate,
-                                             PartitionJoinOptions options);
 
 /// Contain-semijoin [LM92]: the r tuples whose interval contains the
 /// interval of at least one key-matching s tuple. In-memory operator;
@@ -33,22 +16,6 @@ StatusOr<std::vector<Tuple>> ContainSemiJoin(const Schema& r_schema,
                                              const std::vector<Tuple>& r,
                                              const Schema& s_schema,
                                              const std::vector<Tuple>& s);
-
-/// The event join / TE-outerjoin family [SG89]. The result schema is the
-/// natural-join output schema; unmatched stretches are padded with NULLs.
-///
-/// TE-outerjoin (left outer): every natural-join result tuple, plus — for
-/// each r tuple — the maximal subintervals of its validity not covered by
-/// any key-matching, overlapping s tuple, with the s-side attributes NULL.
-StatusOr<std::pair<Schema, std::vector<Tuple>>> TEOuterJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s);
-
-/// Event join (full outer): TE-outerjoin plus the symmetric s-side
-/// padding (r-side attributes NULL over s's uncovered subintervals).
-StatusOr<std::pair<Schema, std::vector<Tuple>>> EventJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s);
 
 }  // namespace tempo
 

@@ -147,11 +147,15 @@ StatusOr<std::unique_ptr<StoredRelation>> BitemporalRelation::MaterializeAsOf(
   // Streams the snapshot straight into the output relation: one page of
   // the store in memory at a time, never the whole snapshot vector.
   auto rel = std::make_unique<StoredRelation>(disk_, user_schema_, name);
-  TEMPO_RETURN_IF_ERROR(
-      ForEachCurrentVersion(as_of, [&](const TupleView& v) -> Status {
-        return rel->Append(UserTupleOf(v));
-      }));
-  TEMPO_RETURN_IF_ERROR(rel->Flush());
+  Status st = ForEachCurrentVersion(as_of, [&](const TupleView& v) {
+    return rel->Append(UserTupleOf(v));
+  });
+  if (st.ok()) st = rel->Flush();
+  if (!st.ok()) {
+    // A failed materialization leaves no partial snapshot on the disk.
+    disk_->DeleteFile(rel->file_id()).ok();
+    return st;
+  }
   return rel;
 }
 
@@ -178,15 +182,22 @@ StatusOr<std::vector<Tuple>> BitemporalRelation::ReadAllVersions() {
 StatusOr<JoinRunStats> BitemporalJoinAsOf(BitemporalRelation* r,
                                           BitemporalRelation* s, TxTime as_of,
                                           StoredRelation* out,
-                                          const PartitionJoinOptions& options) {
-  TEMPO_ASSIGN_OR_RETURN(auto r_snap,
+                                          const ExecOptions& options) {
+  TEMPO_ASSIGN_OR_RETURN(std::unique_ptr<StoredRelation> r_snap,
                          r->MaterializeAsOf(as_of, "bt.r.asof"));
-  TEMPO_ASSIGN_OR_RETURN(auto s_snap,
-                         s->MaterializeAsOf(as_of, "bt.s.asof"));
-  auto stats = PartitionVtJoin(r_snap.get(), s_snap.get(), out, options);
   Disk* disk = r_snap->disk();
+  StatusOr<std::unique_ptr<StoredRelation>> s_snap =
+      s->MaterializeAsOf(as_of, "bt.s.asof");
+  if (!s_snap.ok()) {
+    disk->DeleteFile(r_snap->file_id()).ok();
+    return s_snap.status();
+  }
+  JoinRequest req;
+  req.From(r_snap.get(), s_snap->get()).Using(JoinExecutor::kPartition);
+  req.options = options;
+  StatusOr<JoinRunStats> stats = RunJoin(req, out);
+  disk->DeleteFile((*s_snap)->file_id()).ok();
   disk->DeleteFile(r_snap->file_id()).ok();
-  disk->DeleteFile(s_snap->file_id()).ok();
   return stats;
 }
 

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "core/partition_join.h"
 #include "relation/tuple_view.h"
+#include "service/join_request.h"
 #include "storage/stored_relation.h"
 
 namespace tempo {
@@ -77,7 +77,8 @@ class BitemporalRelation {
 
   /// Materializes SnapshotAsOf into a StoredRelation (user schema) so
   /// disk-based operators — the partition join above all — can run on
-  /// it. The output is created on the same disk.
+  /// it. The output is created on the same disk; a failed call deletes
+  /// the partly written file.
   StatusOr<std::unique_ptr<StoredRelation>> MaterializeAsOf(
       TxTime as_of, const std::string& name);
 
@@ -118,12 +119,14 @@ class BitemporalRelation {
 
 /// Joins two bitemporal relations as of one transaction instant: both
 /// sides' snapshots are materialized and evaluated with the partition
-/// valid-time natural join. Output is an ordinary valid-time relation
-/// (user schemas joined). The materialization I/O is charged.
+/// valid-time natural join (RunJoin, JoinExecutor::kPartition). Output is
+/// an ordinary valid-time relation (user schemas joined). The
+/// materialization I/O is charged; the snapshot files are deleted on
+/// every path, failed calls included.
 StatusOr<JoinRunStats> BitemporalJoinAsOf(BitemporalRelation* r,
                                           BitemporalRelation* s, TxTime as_of,
                                           StoredRelation* out,
-                                          const PartitionJoinOptions& options);
+                                          const ExecOptions& options);
 
 }  // namespace tempo
 

@@ -7,6 +7,7 @@
 
 #include "core/choose_intervals.h"
 #include "core/estimate_cache.h"
+#include "sampling/kolmogorov.h"
 #include "sampling/relation_sampler.h"
 
 namespace tempo {
@@ -78,7 +79,7 @@ class CandidateSweep {
     uint32_t max_ps = candidates.back();
     uint32_t error_size = area > max_ps ? area - max_ps : 1;
     uint64_t m = RequiredKolmogorovSamples(pages_, error_size,
-                                           options_.kolmogorov_critical);
+                                           KolmogorovCritical::k99);
     m = std::min<uint64_t>(m, sampler_.population());
     if (static_cast<double>(m) * options_.cost_model.random_weight >
         scan_cost_) {
@@ -95,7 +96,7 @@ class CandidateSweep {
     const uint32_t area = options_.buffer_pages - 3;
     uint32_t error_size = area > part_size ? area - part_size : 1;
     uint64_t m = RequiredKolmogorovSamples(pages_, error_size,
-                                           options_.kolmogorov_critical);
+                                           KolmogorovCritical::k99);
     m = std::min<uint64_t>(m, sampler_.population());
     double est = static_cast<double>(m) * options_.cost_model.random_weight;
     if (options_.in_scan_sampling && est > scan_cost_) {

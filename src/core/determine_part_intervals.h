@@ -8,7 +8,6 @@
 #include "common/statusor.h"
 #include "core/partition_spec.h"
 #include "obs/exec_context.h"
-#include "sampling/kolmogorov.h"
 #include "storage/io_accountant.h"
 #include "storage/stored_relation.h"
 
@@ -22,9 +21,6 @@ struct PartitionPlanOptions {
   uint32_t buffer_pages = 2048;
 
   CostModel cost_model = CostModel::Ratio(5.0);
-
-  /// Kolmogorov critical value; 1.63 = the paper's 99% confidence.
-  double kolmogorov_critical = KolmogorovCritical::k99;
 
   /// Section 4.2 optimization: when the Kolmogorov bound asks for more
   /// random samples than a sequential scan costs, scan instead. Disabling

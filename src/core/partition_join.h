@@ -12,12 +12,11 @@ namespace tempo {
 /// knobs (buffer_pages — Figure 3's buffSize pages of outer partition
 /// area plus one page each for the inner buffer, tuple cache and result —
 /// cost_model, seed) live in the ExecOptions base; callers
-/// holding a VtJoinOptions transfer them with one slice-assignment:
+/// holding an ExecOptions transfer them with one slice-assignment:
 ///   PartitionJoinOptions part;
 ///   static_cast<ExecOptions&>(part) = options;
 struct PartitionJoinOptions : ExecOptions {
   /// See PartitionPlanOptions.
-  double kolmogorov_critical = KolmogorovCritical::k99;
   bool in_scan_sampling = true;
   uint32_t forced_num_partitions = 0;
 

@@ -6,8 +6,6 @@
 
 #include "core/radix_join.h"
 #include "join/nested_loop_join.h"
-#include "join/sort_merge_join.h"
-#include "join/sweep_join.h"
 
 namespace tempo {
 
@@ -109,7 +107,7 @@ double EstimateSweepJoinCost(uint32_t pages_r, uint32_t pages_s,
 }
 
 JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
-                    const VtJoinOptions& options) {
+                    const ExecOptions& options) {
   const uint32_t pr = r->num_pages();
   const uint32_t ps = s->num_pages();
   const uint32_t b = options.buffer_pages;
@@ -188,118 +186,6 @@ JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
                    });
   plan.algorithm = plan.candidates.front().algorithm;
   return plan;
-}
-
-StatusOr<JoinRunStats> ExecuteVtJoin(StoredRelation* r, StoredRelation* s,
-                                     StoredRelation* out,
-                                     const VtJoinOptions& options,
-                                     ExecContext* ctx) {
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&r->disk()->accountant());
-  }
-  if (options.predicate.HasDisjointNonAdjacent()) {
-    return Status::InvalidArgument(
-        "no plannable executor evaluates predicate '" +
-        options.predicate.Name() +
-        "': before/after match unboundedly separated tuples (use the "
-        "reference oracle, JoinExecutor::kReference)");
-  }
-  if (options.join_kind != JoinKind::kInner) {
-    // The sequenced outer/anti variants are implemented only by the
-    // partition executor (coverage tracking rides on its dedup rule), so
-    // the plan is forced rather than costed.
-    SetMetric(ctx, Metric::kPlannedAlgorithm,
-              static_cast<double>(static_cast<int>(JoinAlgorithm::kPartition)));
-    PartitionJoinOptions pj;
-    static_cast<ExecOptions&>(pj) = options;
-    StatusOr<JoinRunStats> stats = PartitionVtJoin(r, s, out, pj, ctx);
-    if (stats.ok()) {
-      stats->Set(Metric::kPlannedAlgorithm,
-                 static_cast<double>(static_cast<int>(
-                     JoinAlgorithm::kPartition)));
-      ExportMetrics(*stats, ctx);
-    }
-    return stats;
-  }
-  JoinPlan plan;
-  {
-    TraceSpan plan_span = SpanIf(ctx, Phase::kPlan);
-    plan = PlanVtJoin(r, s, options);
-  }
-  if (ctx != nullptr) {
-    // Pre-annotate the chosen executor's root span so ExplainAnalyze
-    // prints the planner's estimate next to the phase's actual cost.
-    const double est = plan.candidates.front().estimated_cost;
-    switch (plan.algorithm) {
-      case JoinAlgorithm::kNestedLoop:
-        ctx->AnnotateEstimate(Phase::kNestedLoop, est);
-        break;
-      case JoinAlgorithm::kSortMerge:
-        ctx->AnnotateEstimate(Phase::kSortMerge, est);
-        break;
-      case JoinAlgorithm::kPartition:
-        ctx->AnnotateEstimate(Phase::kPartitionJoin, est);
-        break;
-      case JoinAlgorithm::kInMemoryRadix:
-        ctx->AnnotateEstimate(Phase::kRadixJoin, est);
-        break;
-      case JoinAlgorithm::kSweep:
-        ctx->AnnotateEstimate(Phase::kSweepJoin, est);
-        break;
-    }
-    // Record the footprint-vs-budget decision inputs whichever path was
-    // chosen, so EXPLAIN ANALYZE can show why the radix path was (not)
-    // taken.
-    SetMetric(ctx, Metric::kRadixEstFootprintBytes,
-              static_cast<double>(
-                  EstimateRadixFootprintBytes(r->num_pages(), s->num_pages())));
-    SetMetric(ctx, Metric::kRadixBudgetBytes,
-              static_cast<double>(ResolveRadixBudgetBytes(options)));
-  }
-  StatusOr<JoinRunStats> stats = Status::Internal("unreachable");
-  bool radix_fallback = false;
-  switch (plan.algorithm) {
-    case JoinAlgorithm::kNestedLoop:
-      stats = NestedLoopVtJoin(r, s, out, options, ctx);
-      break;
-    case JoinAlgorithm::kSortMerge:
-      stats = SortMergeVtJoin(r, s, out, options, ctx);
-      break;
-    case JoinAlgorithm::kPartition: {
-      PartitionJoinOptions pj;
-      static_cast<ExecOptions&>(pj) = options;
-      stats = PartitionVtJoin(r, s, out, pj, ctx);
-      break;
-    }
-    case JoinAlgorithm::kInMemoryRadix: {
-      RadixJoinOptions rj;
-      static_cast<ExecOptions&>(rj) = options;
-      stats = RadixVtJoin(r, s, out, rj, ctx);
-      if (!stats.ok() &&
-          stats.status().code() == StatusCode::kResourceExhausted) {
-        // The optimistic plan-time footprint was wrong: extraction hit the
-        // budget. Nothing was emitted yet, so clear and rerun on the paged
-        // Grace path.
-        radix_fallback = true;
-        TEMPO_RETURN_IF_ERROR(out->Clear());
-        PartitionJoinOptions pj;
-        static_cast<ExecOptions&>(pj) = options;
-        stats = PartitionVtJoin(r, s, out, pj, ctx);
-      }
-      break;
-    }
-    case JoinAlgorithm::kSweep:
-      stats = SweepVtJoin(r, s, out, options, ctx);
-      break;
-  }
-  if (stats.ok()) {
-    if (radix_fallback) stats->Set(Metric::kRadixFallback, 1.0);
-    stats->Set(Metric::kPlannedAlgorithm,
-               static_cast<double>(static_cast<int>(plan.algorithm)));
-    stats->Set(Metric::kPlannedCost, plan.candidates.front().estimated_cost);
-    ExportMetrics(*stats, ctx);
-  }
-  return stats;
 }
 
 }  // namespace tempo

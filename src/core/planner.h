@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "core/partition_join.h"
 #include "join/join_common.h"
 
 namespace tempo {
@@ -83,25 +82,11 @@ double EstimateSweepJoinCost(uint32_t pages_r, uint32_t pages_s,
 /// aware: predicates whose relations all imply a shared chronon admit
 /// every executor; adjacency predicates (meets/met-by) rank every
 /// non-sweep executor ineligible at infinite cost; predicates containing
-/// before/after are not plannable at all (ExecuteVtJoin rejects them —
-/// only the reference oracle evaluates those).
+/// before/after are not plannable at all (RunJoin rejects them — only
+/// the reference oracle evaluates those). RunJoin's kAuto branch runs
+/// the chosen algorithm.
 JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
-                    const VtJoinOptions& options);
-
-/// Plans, then executes the chosen algorithm. The returned stats carry
-/// the usual executor metrics plus kPlannedAlgorithm (0=NL, 1=SM, 2=PJ,
-/// 3=radix) and kPlannedCost. If the radix path was chosen but exceeded
-/// its memory budget mid-extract, execution transparently falls back to
-/// the paged Grace join and sets kRadixFallback=1.
-///
-/// With a non-null `ctx`, planning runs under a kPlan span, the planner's
-/// estimate is annotated onto the chosen executor's root span (so
-/// ExplainAnalyze prints estimated vs. actual cost side by side), and the
-/// executor's phases are traced as usual.
-StatusOr<JoinRunStats> ExecuteVtJoin(StoredRelation* r, StoredRelation* s,
-                                     StoredRelation* out,
-                                     const VtJoinOptions& options,
-                                     ExecContext* ctx = nullptr);
+                    const ExecOptions& options);
 
 }  // namespace tempo
 

@@ -32,8 +32,8 @@ uint64_t ResolveRadixBudgetBytes(const ExecOptions& options);
 /// deliberately optimistic — the exact per-row column/view overhead
 /// (kColumnRowBytes) is only known once extraction counts rows — so the
 /// estimate errs toward trying the fast path, and RadixVtJoin enforces the
-/// budget exactly, page by page, during extraction; ExecuteVtJoin falls
-/// back to the paged Grace join on kResourceExhausted.
+/// budget exactly, page by page, during extraction; RunJoin's planned
+/// (kAuto) path falls back to the paged Grace join on kResourceExhausted.
 uint64_t EstimateRadixFootprintBytes(uint32_t pages_r, uint32_t pages_s);
 
 /// In-memory columnar radix evaluation of r |X|_v s.

@@ -8,7 +8,7 @@ namespace tempo {
 
 StatusOr<JoinRunStats> IndexedVtJoin(StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
-                                     const VtJoinOptions& options,
+                                     const ExecOptions& options,
                                      ExecContext* ctx) {
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
   if (options.buffer_pages < 8) {

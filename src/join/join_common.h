@@ -20,13 +20,6 @@
 
 namespace tempo {
 
-/// Options shared by all valid-time join executors. The four common knobs
-/// — buffer_pages (the paper's buffSize: all working state that scales
-/// with the input is charged against it), cost_model, seed, parallel —
-/// live in the shared ExecOptions core, so planner and executor option
-/// structs can exchange them by slicing instead of field-by-field copies.
-struct VtJoinOptions : ExecOptions {};
-
 /// Execution report of one join run. Executor-specific counters are typed:
 /// a MetricsRegistry over the declared Metric enum, so every counter a run
 /// can report is declared in obs/metrics.h with unit, owner and doc string.

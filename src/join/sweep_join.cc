@@ -198,7 +198,7 @@ class GaplessActiveMap {
 
 StatusOr<JoinRunStats> SweepVtJoin(StoredRelation* r, StoredRelation* s,
                                    StoredRelation* out,
-                                   const VtJoinOptions& options,
+                                   const ExecOptions& options,
                                    ExecContext* ctx) {
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
   if (options.buffer_pages < 4) {

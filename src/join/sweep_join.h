@@ -50,7 +50,7 @@ namespace tempo {
 /// sort r / sort s / sweep pass spans.
 StatusOr<JoinRunStats> SweepVtJoin(StoredRelation* r, StoredRelation* s,
                                    StoredRelation* out,
-                                   const VtJoinOptions& options,
+                                   const ExecOptions& options,
                                    ExecContext* ctx = nullptr);
 
 }  // namespace tempo

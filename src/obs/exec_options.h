@@ -47,12 +47,13 @@ inline const char* JoinKindName(JoinKind k) {
   return "?";
 }
 
-/// The options every join executor shares, factored out so VtJoinOptions
-/// and PartitionJoinOptions no longer duplicate (and silently fork) the
-/// same four knobs. Executor option structs inherit from this, so a
-/// partition-specific options value can be sliced down to the common core
-/// (`static_cast<ExecOptions&>(part_opts) = opts;`) instead of copying
-/// field by field.
+/// The options every join executor shares: the planner, the
+/// nested-loop, sort-merge, indexed and sweep executors and
+/// JoinRequest::options take it as is. The partition and radix executors
+/// extend it with their tuning knobs (PartitionJoinOptions,
+/// RadixJoinOptions); a caller holding an ExecOptions fills their common
+/// core with one slice-assignment
+/// (`static_cast<ExecOptions&>(part_opts) = opts;`).
 struct ExecOptions {
   /// Buffer pages available to the algorithm (the paper's M).
   uint32_t buffer_pages = 2048;

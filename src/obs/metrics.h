@@ -75,10 +75,10 @@ namespace tempo {
     "Morsels dispatched to the worker pool (parallel mode only).")            \
   M(ParallelEfficiency, "parallel_efficiency", "ratio", "parallel layer",     \
     "Worker busy time / (wall time x threads) over the parallel regions.")    \
-  M(PlannedAlgorithm, "planned_algorithm", "enum", "ExecuteVtJoin",           \
+  M(PlannedAlgorithm, "planned_algorithm", "enum", "RunJoin",                 \
     "Algorithm the planner chose: 0 = nested-loops, 1 = sort-merge, 2 = "     \
     "partition, 3 = in-memory radix, 4 = endpoint sweep.")                    \
-  M(PlannedCost, "planned_cost", "cost", "ExecuteVtJoin",                     \
+  M(PlannedCost, "planned_cost", "cost", "RunJoin",                           \
     "Planner-estimated I/O cost of the chosen algorithm.")                    \
   M(RadixPasses, "radix_passes", "count", "RadixVtJoin",                      \
     "8-bit radix passes run over each side's columns (0 = single bucket; "    \
@@ -103,7 +103,7 @@ namespace tempo {
   M(RadixBudgetBytes, "radix_budget_bytes", "bytes", "RadixVtJoin",           \
     "Resolved in-memory budget the radix path was charged against "           \
     "(options field, TEMPO_RADIX_THRESHOLD_MB, or buffer_pages-derived).")    \
-  M(RadixFallback, "radix_fallback", "flag", "ExecuteVtJoin",                 \
+  M(RadixFallback, "radix_fallback", "flag", "RunJoin",                       \
     "1 when the planner chose the radix path but extraction exceeded the "    \
     "memory budget and the run fell back to the paged Grace join.")           \
   M(AdmissionQueuePeak, "admission_queue_peak", "count", "QueryService",      \

@@ -25,7 +25,7 @@ class IoAccountant;
 /// directly onto the paper's cost formulas (sampling, chooseIntervals,
 /// partitioning, joinPartitions, ...).
 enum class Phase : uint8_t {
-  kExecute,          ///< ExecuteVtJoin root (plan + chosen algorithm)
+  kExecute,          ///< the tracer root: one whole query
   kPlan,             ///< planner cost comparison
   kNestedLoop,       ///< block nested-loops executor root
   kSortMerge,        ///< sort-merge executor root

@@ -17,7 +17,7 @@ namespace tempo {
 /// executor options (buffer pages, cost model, seed); each node's
 /// JoinKind comes from the plan, overriding `join.join_kind`.
 struct QueryOptions {
-  VtJoinOptions join;
+  ExecOptions join;
   /// Executor for join nodes: kAuto defers to the planner (which forces
   /// the partition executor for non-inner kinds).
   JoinExecutor executor = JoinExecutor::kAuto;

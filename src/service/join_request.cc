@@ -94,7 +94,7 @@ namespace {
 /// default overlap predicate, which ValidateExecOptions guarantees here.
 StatusOr<JoinRunStats> RunReferenceJoin(StoredRelation* r, StoredRelation* s,
                                         StoredRelation* out,
-                                        const VtJoinOptions& options,
+                                        const ExecOptions& options,
                                         ExecContext* ctx) {
   JoinKind kind = options.join_kind;
   TEMPO_RETURN_IF_ERROR(PrepareJoinForKind(r, s, out, kind).status());
@@ -164,6 +164,123 @@ Status ValidateJoinAttrs(const JoinRequest& req) {
   return Status::OK();
 }
 
+/// Runs the named executor `executor` (never kAuto) on `req`: the one
+/// switch that calls executor functions, for named requests and for the
+/// planner's pick alike.
+StatusOr<JoinRunStats> RunExecutor(JoinExecutor executor,
+                                   const JoinRequest& req,
+                                   StoredRelation* out, ExecContext* ctx) {
+  switch (executor) {
+    case JoinExecutor::kAuto:
+      break;
+    case JoinExecutor::kNestedLoop:
+      return NestedLoopVtJoin(req.r, req.s, out, req.options, ctx);
+    case JoinExecutor::kSortMerge:
+      return SortMergeVtJoin(req.r, req.s, out, req.options, ctx);
+    case JoinExecutor::kIndexed:
+      return IndexedVtJoin(req.r, req.s, out, req.options, ctx);
+    case JoinExecutor::kPartition: {
+      PartitionJoinOptions part;
+      static_cast<ExecOptions&>(part) = req.options;
+      return PartitionVtJoin(req.r, req.s, out, part, ctx);
+    }
+    case JoinExecutor::kReference:
+      return RunReferenceJoin(req.r, req.s, out, req.options, ctx);
+    case JoinExecutor::kInMemoryRadix: {
+      RadixJoinOptions radix;
+      static_cast<ExecOptions&>(radix) = req.options;
+      return RadixVtJoin(req.r, req.s, out, radix, ctx);
+    }
+    case JoinExecutor::kSweep:
+      return SweepVtJoin(req.r, req.s, out, req.options, ctx);
+  }
+  return Status::InvalidArgument("unknown executor");
+}
+
+/// The executor that runs a planned algorithm, and the root phase its
+/// span opens.
+struct PlannedRoute {
+  JoinExecutor executor;
+  Phase root;
+};
+
+PlannedRoute RouteOf(JoinAlgorithm a) {
+  switch (a) {
+    case JoinAlgorithm::kNestedLoop:
+      return {JoinExecutor::kNestedLoop, Phase::kNestedLoop};
+    case JoinAlgorithm::kSortMerge:
+      return {JoinExecutor::kSortMerge, Phase::kSortMerge};
+    case JoinAlgorithm::kPartition:
+      return {JoinExecutor::kPartition, Phase::kPartitionJoin};
+    case JoinAlgorithm::kInMemoryRadix:
+      return {JoinExecutor::kInMemoryRadix, Phase::kRadixJoin};
+    case JoinAlgorithm::kSweep:
+      return {JoinExecutor::kSweep, Phase::kSweepJoin};
+  }
+  return {JoinExecutor::kPartition, Phase::kPartitionJoin};
+}
+
+/// RunJoin's kAuto branch: plans with PlanVtJoin, then runs the pick
+/// through RunExecutor (the contract is documented on RunJoin).
+StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
+                                  ExecContext* ctx) {
+  if (ctx != nullptr && ctx->accountant() == nullptr) {
+    ctx->BindAccountant(&req.r->disk()->accountant());
+  }
+  if (req.options.join_kind != JoinKind::kInner) {
+    // The sequenced outer/anti variants are implemented only by the
+    // partition executor (coverage tracking rides on its dedup rule), so
+    // the plan is forced rather than costed.
+    const double partition =
+        static_cast<double>(static_cast<int>(JoinAlgorithm::kPartition));
+    SetMetric(ctx, Metric::kPlannedAlgorithm, partition);
+    StatusOr<JoinRunStats> stats =
+        RunExecutor(JoinExecutor::kPartition, req, out, ctx);
+    if (stats.ok()) {
+      stats->Set(Metric::kPlannedAlgorithm, partition);
+      ExportMetrics(*stats, ctx);
+    }
+    return stats;
+  }
+  JoinPlan plan;
+  {
+    TraceSpan plan_span = SpanIf(ctx, Phase::kPlan);
+    plan = PlanVtJoin(req.r, req.s, req.options);
+  }
+  const PlannedRoute route = RouteOf(plan.algorithm);
+  const double est = plan.candidates.front().estimated_cost;
+  if (ctx != nullptr) {
+    // Pre-annotate the chosen executor's root span, and record the
+    // footprint-vs-budget decision inputs whichever path was chosen, so
+    // EXPLAIN ANALYZE can show why the radix path was (not) taken.
+    ctx->AnnotateEstimate(route.root, est);
+    SetMetric(ctx, Metric::kRadixEstFootprintBytes,
+              static_cast<double>(EstimateRadixFootprintBytes(
+                  req.r->num_pages(), req.s->num_pages())));
+    SetMetric(ctx, Metric::kRadixBudgetBytes,
+              static_cast<double>(ResolveRadixBudgetBytes(req.options)));
+  }
+  StatusOr<JoinRunStats> stats = RunExecutor(route.executor, req, out, ctx);
+  const bool radix_fallback =
+      route.executor == JoinExecutor::kInMemoryRadix && !stats.ok() &&
+      stats.status().code() == StatusCode::kResourceExhausted;
+  if (radix_fallback) {
+    // The optimistic plan-time footprint was wrong: extraction hit the
+    // budget. Nothing was emitted yet, so clear and rerun on the paged
+    // Grace path.
+    TEMPO_RETURN_IF_ERROR(out->Clear());
+    stats = RunExecutor(JoinExecutor::kPartition, req, out, ctx);
+  }
+  if (stats.ok()) {
+    if (radix_fallback) stats->Set(Metric::kRadixFallback, 1.0);
+    stats->Set(Metric::kPlannedAlgorithm,
+               static_cast<double>(static_cast<int>(plan.algorithm)));
+    stats->Set(Metric::kPlannedCost, est);
+    ExportMetrics(*stats, ctx);
+  }
+  return stats;
+}
+
 }  // namespace
 
 StatusOr<JoinRunStats> RunJoin(const JoinRequest& req, StoredRelation* out,
@@ -182,33 +299,10 @@ StatusOr<JoinRunStats> RunJoin(const JoinRequest& req, StoredRelation* out,
   TEMPO_RETURN_IF_ERROR(ValidateJoinAttrs(req));
   TEMPO_RETURN_IF_ERROR(ValidateExecOptions(req.executor, req.options));
 
-  StatusOr<JoinRunStats> result = [&]() -> StatusOr<JoinRunStats> {
-    switch (req.executor) {
-      case JoinExecutor::kAuto:
-        return ExecuteVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kNestedLoop:
-        return NestedLoopVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kSortMerge:
-        return SortMergeVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kIndexed:
-        return IndexedVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kPartition: {
-        PartitionJoinOptions part;
-        static_cast<ExecOptions&>(part) = req.options;
-        return PartitionVtJoin(req.r, req.s, out, part, ctx);
-      }
-      case JoinExecutor::kReference:
-        return RunReferenceJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kInMemoryRadix: {
-        RadixJoinOptions radix;
-        static_cast<ExecOptions&>(radix) = req.options;
-        return RadixVtJoin(req.r, req.s, out, radix, ctx);
-      }
-      case JoinExecutor::kSweep:
-        return SweepVtJoin(req.r, req.s, out, req.options, ctx);
-    }
-    return Status::InvalidArgument("unknown executor");
-  }();
+  StatusOr<JoinRunStats> result =
+      req.executor == JoinExecutor::kAuto
+          ? RunPlanned(req, out, ctx)
+          : RunExecutor(req.executor, req, out, ctx);
   if (result.ok() && !req.options.predicate.IsOverlapDefault()) {
     result->Set(Metric::kJoinPredicateMask,
                 static_cast<double>(req.options.predicate.mask()));

@@ -60,11 +60,6 @@ Status ValidateExecOptions(JoinExecutor executor, const ExecOptions& options);
 ///   JoinRequest req;
 ///   req.From(&r, &s).Using(JoinExecutor::kPartition).BufferPages(32);
 ///   TEMPO_ASSIGN_OR_RETURN(JoinRunStats stats, RunJoin(req, &out, &ctx));
-///
-/// The legacy free functions (NestedLoopVtJoin, SortMergeVtJoin,
-/// IndexedVtJoin, PartitionVtJoin, RadixVtJoin, ExecuteVtJoin) remain as
-/// thin deprecated entry points for one release; new code goes through
-/// RunJoin.
 struct JoinRequest {
   StoredRelation* r = nullptr;
   StoredRelation* s = nullptr;
@@ -72,7 +67,7 @@ struct JoinRequest {
 
   /// Shared budget knobs (buffer_pages is the paper's buffSize — also the
   /// page reservation the service's admission control charges).
-  VtJoinOptions options;
+  ExecOptions options;
 
   /// When non-empty, RunJoin validates that the natural join's shared
   /// attributes are exactly these names (order-insensitive) and fails
@@ -134,10 +129,16 @@ struct JoinRequest {
   }
 };
 
-/// Executes `req` into `out`. Dispatches to the named executor (kAuto
-/// plans first), after validating the request: relations present, out
-/// distinct from the inputs, and — when expected_join_attrs is set — the
-/// derived shared attributes match.
+/// Executes `req` into `out` after validating the request: relations
+/// present, out distinct from the inputs, and — when expected_join_attrs
+/// is set — the derived shared attributes match. RunJoin is the single
+/// point that picks and runs an executor: a named executor runs as is;
+/// kAuto plans with PlanVtJoin and runs the chosen algorithm, forcing the
+/// partition executor for non-inner kinds and falling back from radix to
+/// partition when extraction exceeds the radix budget. A planned run
+/// reports kPlannedAlgorithm (JoinAlgorithm's encoding), kPlannedCost and
+/// kRadixFallback, opens a kPlan span, and annotates the planner's
+/// estimate onto the chosen executor's root span.
 ///
 /// Parallelism comes from the Scheduler handle on `ctx` (serial when the
 /// context or handle is null), and all charged I/O lands on the

@@ -9,7 +9,6 @@
 
 #include "temporal/allen.h"
 #include "temporal/interval.h"
-#include "temporal/interval_predicate.h"
 
 namespace tempo {
 
@@ -24,8 +23,8 @@ namespace tempo {
 ///
 /// The default-constructed predicate is `overlap`: the disjunction of
 /// the nine chronon-sharing relations, i.e. the valid-time natural
-/// join's matching condition. The legacy IntervalJoinPredicate enum maps
-/// losslessly onto this type via FromJoinPredicate.
+/// join's matching condition. The Section 4.1 family members are the
+/// named constructors Overlap, ContainJoin, ContainedJoin and EqualJoin.
 ///
 /// Taxonomy used by executors and the planner:
 ///   - ImpliesSharedChronon(): every relation in the set shares a
@@ -77,24 +76,6 @@ class TemporalPredicate {
   /// x[V] = y[V]: {equals}.
   static constexpr TemporalPredicate EqualJoin() {
     return Exactly(AllenRelation::kEquals);
-  }
-
-  /// Lossless embedding of the legacy leaf enum. Verified equivalent to
-  /// EvalIntervalPredicate over exhaustive interval grids in
-  /// temporal_test.cc.
-  static constexpr TemporalPredicate FromJoinPredicate(
-      IntervalJoinPredicate pred) {
-    switch (pred) {
-      case IntervalJoinPredicate::kOverlap:
-        return Overlap();
-      case IntervalJoinPredicate::kContains:
-        return ContainJoin();
-      case IntervalJoinPredicate::kContainedIn:
-        return ContainedJoin();
-      case IntervalJoinPredicate::kEqual:
-        return EqualJoin();
-    }
-    return Overlap();
   }
 
   /// Reconstructs a predicate from a raw mask (e.g. a metric value).

@@ -6,6 +6,7 @@
 #include "algebra/operators.h"
 #include "algebra/temporal_joins.h"
 #include "join/reference_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -155,11 +156,27 @@ TEST(VtDifferenceTest, DifferentValuesUntouched) {
 // Temporal join family through the partition framework
 // ---------------------------------------------------------------------
 
-class PredicateJoinTest
-    : public ::testing::TestWithParam<IntervalJoinPredicate> {};
+// The four family members Section 4.1 names, as the test parameter.
+enum class FamilyJoin { kOverlap, kContains, kContainedIn, kEqual };
+
+struct FamilyMember {
+  TemporalPredicate predicate;
+  const char* name;
+};
+
+FamilyMember MemberOf(FamilyJoin j) {
+  static const FamilyMember kMembers[] = {
+      {TemporalPredicate::Overlap(), "overlap"},
+      {TemporalPredicate::ContainJoin(), "contains"},
+      {TemporalPredicate::ContainedJoin(), "contained_in"},
+      {TemporalPredicate::EqualJoin(), "equal"}};
+  return kMembers[static_cast<int>(j)];
+}
+
+class PredicateJoinTest : public ::testing::TestWithParam<FamilyJoin> {};
 
 TEST_P(PredicateJoinTest, MatchesInMemoryOracle) {
-  IntervalJoinPredicate pred = GetParam();
+  const TemporalPredicate pred = MemberOf(GetParam()).predicate;
   Random rng(55);
   std::vector<Tuple> r_tuples = RandomTuples(rng, 300, 20, 400, 0.3);
   std::vector<Tuple> s_tuples;
@@ -174,40 +191,29 @@ TEST_P(PredicateJoinTest, MatchesInMemoryOracle) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  PartitionJoinOptions options;
-  options.buffer_pages = 12;
-  TEMPO_ASSERT_OK(
-      PartitionTemporalJoin(r.get(), s.get(), &out, pred, options).status());
+  JoinRequest req;
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kPartition)
+      .BufferPages(12)
+      .Predicate(pred);
+  TEMPO_ASSERT_OK(RunJoin(req, &out).status());
 
-  // Oracle: nested loops with the predicate.
-  std::vector<Tuple> expected;
-  for (const Tuple& x : r_tuples) {
-    for (const Tuple& y : s_tuples) {
-      if (!x.EqualOnAttrs(layout.r_join_attrs, layout.s_join_attrs, y)) {
-        continue;
-      }
-      if (!EvalIntervalPredicate(pred, x.interval(), y.interval())) continue;
-      auto common = Overlap(x.interval(), y.interval());
-      ASSERT_TRUE(common.has_value());
-      expected.push_back(MakeJoinTuple(layout, x, y, *common));
-    }
-  }
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> expected,
+      ReferenceTemporalJoin(TestSchema(), r_tuples, SSchema(), s_tuples,
+                            pred));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_TRUE(SameTupleMultiset(actual, expected))
-      << IntervalJoinPredicateName(pred) << ": got " << actual.size()
-      << ", want " << expected.size();
+      << pred.Name() << ": got " << actual.size() << ", want "
+      << expected.size();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Predicates, PredicateJoinTest,
-    ::testing::Values(IntervalJoinPredicate::kOverlap,
-                      IntervalJoinPredicate::kContains,
-                      IntervalJoinPredicate::kContainedIn,
-                      IntervalJoinPredicate::kEqual),
-    [](const ::testing::TestParamInfo<IntervalJoinPredicate>& info) {
-      std::string name = IntervalJoinPredicateName(info.param);
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
+    ::testing::Values(FamilyJoin::kOverlap, FamilyJoin::kContains,
+                      FamilyJoin::kContainedIn, FamilyJoin::kEqual),
+    [](const ::testing::TestParamInfo<FamilyJoin>& info) {
+      return std::string(MemberOf(info.param).name);
     });
 
 TEST(ContainSemiJoinTest, KeepsContainingTuples) {
@@ -223,16 +229,18 @@ TEST(ContainSemiJoinTest, KeepsContainingTuples) {
 }
 
 // ---------------------------------------------------------------------
-// TE-outerjoin / event join
+// TE-outerjoin / event join [SG89]: the sequenced left- and full-outer
+// joins, checked through the reference oracle
 // ---------------------------------------------------------------------
 
 TEST(TEOuterJoinTest, PadsUnmatchedStretchesWithNulls) {
   std::vector<Tuple> r{T(1, "a", 0, 10)};
   std::vector<Tuple> s{S(1, "x", 3, 5)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             TEOuterJoin(TestSchema(), r, SSchema(), s));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kLeftOuter));
   // One match on [3,5], NULL-padded stretches [0,2] and [6,10].
-  std::vector<Tuple>& out = result.second;
   ASSERT_EQ(out.size(), 3u);
   int matches = 0, nulls = 0;
   for (const Tuple& t : out) {
@@ -256,20 +264,24 @@ TEST(TEOuterJoinTest, PadsUnmatchedStretchesWithNulls) {
 TEST(TEOuterJoinTest, FullyCoveredTupleHasNoPadding) {
   std::vector<Tuple> r{T(1, "a", 3, 5)};
   std::vector<Tuple> s{S(1, "x", 0, 10)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             TEOuterJoin(TestSchema(), r, SSchema(), s));
-  ASSERT_EQ(result.second.size(), 1u);
-  EXPECT_FALSE(result.second[0].value(2).is_null());
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kLeftOuter));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].value(2).is_null());
 }
 
 TEST(TEOuterJoinTest, NoMatchMeansFullPadding) {
   std::vector<Tuple> r{T(1, "a", 0, 10)};
   std::vector<Tuple> s{S(2, "x", 0, 10)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             TEOuterJoin(TestSchema(), r, SSchema(), s));
-  ASSERT_EQ(result.second.size(), 1u);
-  EXPECT_TRUE(result.second[0].value(2).is_null());
-  EXPECT_EQ(result.second[0].interval(), Interval(0, 10));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kLeftOuter));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].value(2).is_null());
+  EXPECT_EQ(out[0].interval(), Interval(0, 10));
 }
 
 TEST(TEOuterJoinTest, CoverageInvariant) {
@@ -283,7 +295,9 @@ TEST(TEOuterJoinTest, CoverageInvariant) {
                          t.interval().start(), t.interval().end()));
   }
   TEMPO_ASSERT_OK_AND_ASSIGN(
-      auto result, TEOuterJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r_tuples, SSchema(), s_tuples,
+                             JoinKind::kLeftOuter));
   // Coverage check per r tuple via chronon counting.
   for (const Tuple& x : r_tuples) {
     for (Chronon t = x.interval().start(); t <= x.interval().end(); ++t) {
@@ -291,7 +305,7 @@ TEST(TEOuterJoinTest, CoverageInvariant) {
       // exactly where no s tuple overlaps; matches elsewhere. Either way
       // at least one output tuple must cover chronon t.
       bool covered = false;
-      for (const Tuple& z : result.second) {
+      for (const Tuple& z : out) {
         if (z.value(0) == x.value(0) && z.value(1) == x.value(1) &&
             z.interval().Contains(t)) {
           covered = true;
@@ -306,12 +320,14 @@ TEST(TEOuterJoinTest, CoverageInvariant) {
 TEST(EventJoinTest, PadsBothSides) {
   std::vector<Tuple> r{T(1, "a", 0, 4)};
   std::vector<Tuple> s{S(1, "x", 3, 8)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             EventJoin(TestSchema(), r, SSchema(), s));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kFullOuter));
   // Match [3,4]; r-padding [0,2]; s-padding [5,8] with NULL name.
-  ASSERT_EQ(result.second.size(), 3u);
+  ASSERT_EQ(out.size(), 3u);
   int r_pads = 0, s_pads = 0, matches = 0;
-  for (const Tuple& t : result.second) {
+  for (const Tuple& t : out) {
     if (t.value(2).is_null()) {
       ++r_pads;
       EXPECT_EQ(t.interval(), Interval(0, 2));

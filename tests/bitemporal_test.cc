@@ -169,7 +169,7 @@ TEST(BitemporalJoinTest, AsOfJoinMatchesSnapshotOracle) {
   TEMPO_ASSERT_OK_AND_ASSIGN(auto layout,
                              DeriveNaturalJoinLayout(r_schema, s_schema));
   StoredRelation out(&disk, layout.output, "out");
-  PartitionJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 16;
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              BitemporalJoinAsOf(&r, &s, as_of, &out, options));
@@ -198,7 +198,7 @@ TEST(BitemporalJoinTest, DifferentAsOfInstantsSeeDifferentStates) {
 
   TEMPO_ASSERT_OK_AND_ASSIGN(auto layout,
                              DeriveNaturalJoinLayout(schema, schema2));
-  PartitionJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 8;
 
   StoredRelation out1(&disk, layout.output, "out1");
@@ -210,6 +210,61 @@ TEST(BitemporalJoinTest, DifferentAsOfInstantsSeeDifferentStates) {
   TEMPO_ASSERT_OK_AND_ASSIGN(auto at45,
                              BitemporalJoinAsOf(&r, &s, 45, &out2, options));
   EXPECT_EQ(at45.output_tuples, 0u);
+}
+
+// A fault during either side's snapshot materialization fails the call
+// and leaves the disk exactly as it was: neither a partly written
+// snapshot nor the other side's finished one stays behind.
+TEST(BitemporalJoinTest, FailedMaterializationLeavesNoSnapshotPages) {
+  Disk disk;
+  Schema r_schema({{"key", ValueType::kInt64}, {"name", ValueType::kString}});
+  Schema s_schema({{"key", ValueType::kInt64}, {"dept", ValueType::kString}});
+  BitemporalRelation r(&disk, r_schema, "r");
+  BitemporalRelation s(&disk, s_schema, "s");
+  Random rng(9);
+  for (TxTime clock = 1; clock <= 300; ++clock) {
+    Chronon vs = rng.UniformRange(0, 400);
+    TEMPO_ASSERT_OK(
+        r.Insert(Tuple({Value(static_cast<int64_t>(rng.Uniform(20))),
+                        Value("n" + std::to_string(clock))},
+                       Interval(vs, vs + rng.UniformRange(0, 60))),
+                 clock));
+    TEMPO_ASSERT_OK(
+        s.Insert(Tuple({Value(static_cast<int64_t>(rng.Uniform(20))),
+                        Value("d" + std::to_string(clock))},
+                       Interval(vs, vs + rng.UniformRange(0, 60))),
+                 clock));
+  }
+  const TxTime as_of = 200;
+
+  // The page accesses both materializations make, counted on a clean run.
+  const IoStats before = disk.accountant().stats();
+  {
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto r_snap, r.MaterializeAsOf(as_of, "r"));
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto s_snap, s.MaterializeAsOf(as_of, "s"));
+    TEMPO_ASSERT_OK(disk.DeleteFile(r_snap->file_id()));
+    TEMPO_ASSERT_OK(disk.DeleteFile(s_snap->file_id()));
+  }
+  const uint64_t materialize_ops =
+      (disk.accountant().stats() - before).total_ops();
+  ASSERT_GT(materialize_ops, 4u);
+
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto layout,
+                             DeriveNaturalJoinLayout(r_schema, s_schema));
+  ExecOptions options;
+  options.buffer_pages = 8;
+  const uint64_t pages_before = disk.TotalPages();
+  for (uint64_t k = 0; k < materialize_ops; ++k) {
+    StoredRelation out(&disk, layout.output, "out");
+    disk.InjectFaultAfter(k);
+    StatusOr<JoinRunStats> stats =
+        BitemporalJoinAsOf(&r, &s, as_of, &out, options);
+    disk.ClearFault();
+    EXPECT_FALSE(stats.ok()) << "fault after " << k << " ops";
+    EXPECT_EQ(disk.TotalPages(), pages_before) << "fault after " << k
+                                               << " ops";
+    TEMPO_ASSERT_OK(disk.DeleteFile(out.file_id()));
+  }
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ TEST(SingleHeadModelTest, NestedLoopMatchesAnalyticUnderSingleHead) {
   disk.accountant().Reset();
   // Reset clears the head; keep the single-head model.
   disk.accountant().set_head_model(HeadModel::kSingleHead);
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 10;
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              NestedLoopVtJoin(r.get(), s.get(), &out, options));

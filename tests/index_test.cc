@@ -137,7 +137,7 @@ TEST_P(IndexedJoinOracleTest, MatchesReferenceJoin) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = c.buffer_pages;
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              IndexedVtJoin(r.get(), s.get(), &out, options));
@@ -176,7 +176,7 @@ TEST(IndexedJoinTest, LongLivedTuplesWidenScans) {
     auto layout = DeriveNaturalJoinLayout(TestSchema(), SSchema());
     StoredRelation out(&disk, layout->output, "out");
     out.SetCharged(false).ok();
-    VtJoinOptions options;
+    ExecOptions options;
     options.buffer_pages = 16;
     auto stats = IndexedVtJoin(r.get(), s.get(), &out, options);
     EXPECT_TRUE(stats.ok());

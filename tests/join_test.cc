@@ -102,7 +102,7 @@ TEST(SameTupleMultisetTest, DetectsEqualityAndDifference) {
 struct ExecutorCase {
   const char* name;
   StatusOr<JoinRunStats> (*run)(StoredRelation*, StoredRelation*,
-                                StoredRelation*, const VtJoinOptions&,
+                                StoredRelation*, const ExecOptions&,
                                 ExecContext*);
   uint32_t buffer_pages;
   double long_lived_prob;
@@ -131,7 +131,7 @@ TEST_P(ExecutorOracleTest, MatchesReferenceJoin) {
       DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
 
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = c.buffer_pages;
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              c.run(r.get(), s.get(), &out, options, nullptr));
@@ -193,7 +193,7 @@ TEST(NestedLoopTest, CostMatchesAnalyticPerFile) {
 
   for (uint32_t pages : {4u, 8u, 32u}) {
     disk.accountant().Reset();
-    VtJoinOptions options;
+    ExecOptions options;
     options.buffer_pages = pages;
     TEMPO_ASSERT_OK(out.Clear());
     TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
@@ -229,7 +229,7 @@ TEST(NestedLoopTest, RejectsTinyBuffer) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(r->schema(), s->schema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 2;
   EXPECT_FALSE(NestedLoopVtJoin(r.get(), s.get(), &out, options).ok());
 }
@@ -337,7 +337,7 @@ TEST(SortMergeTest, NoBackupWithoutLongLivedTuples) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(r->schema(), s->schema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 64;
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              SortMergeVtJoin(r.get(), s.get(), &out, options));
@@ -359,7 +359,7 @@ TEST(SortMergeTest, LongLivedTuplesCauseBackupWhenMemoryTight) {
                              DeriveNaturalJoinLayout(r->schema(), s->schema()));
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 6;  // tiny window
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              SortMergeVtJoin(r.get(), s.get(), &out, options));
@@ -380,7 +380,7 @@ TEST(SortMergeTest, AmpleMemorySuppressesBackup) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(r->schema(), s->schema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 4096;  // everything fits
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              SortMergeVtJoin(r.get(), s.get(), &out, options));
@@ -394,7 +394,7 @@ TEST(SortMergeTest, EmptyInputs) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(r->schema(), s->schema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 8;
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              SortMergeVtJoin(r.get(), s.get(), &out, options));

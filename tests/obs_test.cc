@@ -12,13 +12,13 @@
 
 #include "core/partition_coalesce.h"
 #include "core/partition_join.h"
-#include "core/planner.h"
 #include "incremental/materialized_view.h"
 #include "join/indexed_join.h"
 #include "join/nested_loop_join.h"
 #include "join/sort_merge_join.h"
 #include "obs/explain.h"
 #include "parallel/scheduler.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -224,7 +224,7 @@ TEST(ExplainTest, MatchesGoldenSpanTree) {
   EXPECT_EQ(TableOnly(ExplainAnalyze(ctx, opts)), expected);
 }
 
-TEST(ExplainTest, ExecuteVtJoinShowsPlanPhaseAndPlannedCost) {
+TEST(ExplainTest, AutoJoinShowsPlanPhaseAndPlannedCost) {
   JoinInputs in = PaddedInputs();
   Disk disk;
   auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
@@ -234,9 +234,9 @@ TEST(ExplainTest, ExecuteVtJoinShowsPlanPhaseAndPlannedCost) {
   StoredRelation out(&disk, layout_or.value().output, "out");
 
   ExecContext ctx;
-  VtJoinOptions options;
-  options.buffer_pages = 4;
-  auto stats_or = ExecuteVtJoin(r.get(), s.get(), &out, options, &ctx);
+  JoinRequest req;
+  req.From(r.get(), s.get()).BufferPages(4);
+  auto stats_or = RunJoin(req, &out, &ctx);
   ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
 
   EXPECT_NE(ctx.tracer().root().FindPhase(Phase::kPlan), nullptr);
@@ -319,19 +319,26 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
   struct Case {
     const char* name;
     StatusOr<JoinRunStats> (*run)(StoredRelation*, StoredRelation*,
-                                  StoredRelation*, const VtJoinOptions&,
+                                  StoredRelation*, const ExecOptions&,
                                   ExecContext*);
   };
   for (const Case& c :
        {Case{"nested_loop", &NestedLoopVtJoin},
         Case{"sort_merge", &SortMergeVtJoin},
         Case{"indexed", &IndexedVtJoin},
-        Case{"planner", &ExecuteVtJoin}}) {
+        Case{"planner",
+             [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
+                const ExecOptions& options, ExecContext* ctx) {
+               JoinRequest req;
+               req.From(r, s);
+               req.options = options;
+               return RunJoin(req, out, ctx);
+             }}}) {
     Disk disk;
     auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
     auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
     StoredRelation out(&disk, out_schema, "out");
-    VtJoinOptions options;
+    ExecOptions options;
     options.buffer_pages = 8;  // the indexed join's minimum
     auto stats_or = c.run(r.get(), s.get(), &out, options, nullptr);
     ASSERT_TRUE(stats_or.ok()) << c.name << ": "

@@ -299,7 +299,7 @@ TEST(ParallelJoinTest, SortMergeAgreesAcrossThreadCounts) {
         NaturalJoinLayout layout,
         DeriveNaturalJoinLayout(TestSchema(), SSchema()));
     StoredRelation out(&disk, layout.output, "out");
-    VtJoinOptions options;
+    ExecOptions options;
     options.buffer_pages = 8;  // forces real run formation + merges
     ScopedScheduler sched(threads);
     TEMPO_ASSERT_OK_AND_ASSIGN(
@@ -368,7 +368,7 @@ TEST(ZeroCopyLockTest, AllExecutorsByteIdenticalAcrossThreadCounts) {
       {"nested_loop",
        [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
           uint32_t threads) {
-         VtJoinOptions o;
+         ExecOptions o;
          o.buffer_pages = 8;
          ScopedScheduler sched(threads);
          return NestedLoopVtJoin(r, s, out, o, &sched.ctx);
@@ -376,7 +376,7 @@ TEST(ZeroCopyLockTest, AllExecutorsByteIdenticalAcrossThreadCounts) {
       {"sort_merge",
        [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
           uint32_t threads) {
-         VtJoinOptions o;
+         ExecOptions o;
          o.buffer_pages = 8;
          ScopedScheduler sched(threads);
          return SortMergeVtJoin(r, s, out, o, &sched.ctx);
@@ -384,7 +384,7 @@ TEST(ZeroCopyLockTest, AllExecutorsByteIdenticalAcrossThreadCounts) {
       {"indexed",
        [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
           uint32_t threads) {
-         VtJoinOptions o;
+         ExecOptions o;
          o.buffer_pages = 12;
          ScopedScheduler sched(threads);
          return IndexedVtJoin(r, s, out, o, &sched.ctx);

@@ -5,6 +5,7 @@
 #include "core/planner.h"
 #include "join/nested_loop_join.h"
 #include "join/reference_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -55,7 +56,7 @@ TEST(PlannerTest, PicksNestedLoopWhenOuterFitsInMemory) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 1024;  // everything fits
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   // With the outer resident, nested-loops is a single pass over each
@@ -75,7 +76,7 @@ TEST(PlannerTest, PicksPartitionInPaperRegime) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = r->num_pages() / 16;
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   EXPECT_EQ(plan.algorithm, JoinAlgorithm::kPartition);
@@ -101,7 +102,7 @@ TEST(PlannerTest, PicksRadixWhenBothInputsFitTheBudget) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 1024;  // budget 1024 pages >> both inputs
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   // The radix path ties nested-loops on estimated I/O (one pass over each
@@ -123,10 +124,9 @@ TEST(PlannerTest, ExecuteProducesCorrectResultAndAnnotations) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
-  options.buffer_pages = 16;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             ExecuteVtJoin(r.get(), s.get(), &out, options));
+  JoinRequest req;
+  req.From(r.get(), s.get()).BufferPages(16);
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
   EXPECT_TRUE(stats.Has(Metric::kPlannedAlgorithm));
   EXPECT_TRUE(stats.Has(Metric::kPlannedCost));
 
@@ -148,7 +148,7 @@ TEST(PlannerTest, AlgorithmNames) {
 }
 
 // The predicate-aware ranking: adjacency predicates leave the sweep as
-// the only finite-cost candidate, and ExecuteVtJoin routes to it.
+// the only finite-cost candidate, and RunJoin's kAuto branch routes to it.
 TEST(PlannerTest, AdjacencyPredicateRoutesToSweep) {
   Disk disk;
   Random rng(11);
@@ -158,7 +158,7 @@ TEST(PlannerTest, AdjacencyPredicateRoutesToSweep) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 16;
   options.predicate = TemporalPredicate::Exactly(AllenRelation::kMeets);
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
@@ -183,10 +183,9 @@ TEST(PlannerTest, DisjointPredicateIsNotPlannable) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
-  options.buffer_pages = 16;
-  options.predicate = TemporalPredicate::Exactly(AllenRelation::kBefore);
-  Status st = ExecuteVtJoin(r.get(), s.get(), &out, options).status();
+  JoinRequest req;
+  req.From(r.get(), s.get()).BufferPages(16).Predicate(AllenRelation::kBefore);
+  Status st = RunJoin(req, &out).status();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("before"), std::string::npos);
 }
@@ -205,14 +204,16 @@ TEST(PlannerTest, EstimatesTrackMeasuredCosts) {
   auto s = MakeRelation(&disk, SSchema(), s_tuples, "s");
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = r->num_pages() / 8;
 
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             ExecuteVtJoin(r.get(), s.get(), &out, options));
+  JoinRequest req;
+  req.From(r.get(), s.get());
+  req.options = options;
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
   double measured = stats.Cost(options.cost_model);
   double estimated = plan.candidates.front().estimated_cost;
   EXPECT_GT(estimated, measured / 10.0);

@@ -13,6 +13,7 @@
 #include "join/reference_join.h"
 #include "obs/explain.h"
 #include "parallel/scheduler.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -268,7 +269,7 @@ TEST(RadixJoinTest, ExecuteFallsBackToPagedGraceWhenBudgetExceeded) {
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
 
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 256;
   options.radix_budget_bytes =
       EstimateRadixFootprintBytes(r->num_pages(), s->num_pages()) + 8;
@@ -276,10 +277,11 @@ TEST(RadixJoinTest, ExecuteFallsBackToPagedGraceWhenBudgetExceeded) {
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   EXPECT_EQ(plan.algorithm, JoinAlgorithm::kInMemoryRadix);
 
+  JoinRequest req;
+  req.From(r.get(), s.get());
+  req.options = options;
   ExecContext ctx;
-  TEMPO_ASSERT_OK_AND_ASSIGN(
-      JoinRunStats stats,
-      ExecuteVtJoin(r.get(), s.get(), &out, options, &ctx));
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
   EXPECT_EQ(stats.Get(Metric::kPlannedAlgorithm), 3.0);
   EXPECT_EQ(stats.Get(Metric::kRadixFallback), 1.0);
 
@@ -303,12 +305,10 @@ TEST(RadixJoinTest, ExplainRendersPhysicalPathAndRadixSpans) {
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
-  VtJoinOptions options;
-  options.buffer_pages = 2048;
+  JoinRequest req;
+  req.From(r.get(), s.get()).BufferPages(2048);
   ExecContext ctx;
-  TEMPO_ASSERT_OK_AND_ASSIGN(
-      JoinRunStats stats,
-      ExecuteVtJoin(r.get(), s.get(), &out, options, &ctx));
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
   EXPECT_EQ(stats.Get(Metric::kPlannedAlgorithm), 3.0);
   const std::string explain = ExplainAnalyze(ctx, ExplainOptions{});
   EXPECT_NE(explain.find("physical path: in-memory-radix"), std::string::npos)

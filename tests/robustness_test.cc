@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "core/partition_join.h"
-#include "core/planner.h"
 #include "incremental/materialized_view.h"
 #include "join/external_sort.h"
 #include "join/nested_loop_join.h"
 #include "join/sort_merge_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -54,7 +54,7 @@ TEST_P(ExecutorFaultTest, AllExecutorsPropagateInjectedFaults) {
   for (int algo = 0; algo < 3; ++algo) {
     FaultFixture f;
     StoredRelation out(&f.disk, f.layout.output, "out");
-    VtJoinOptions base;
+    ExecOptions base;
     base.buffer_pages = 8;
     PartitionJoinOptions pj;
     pj.buffer_pages = 8;
@@ -90,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(FaultPoints, ExecutorFaultTest,
 TEST(FaultTest, FaultAfterCompletionIsHarmless) {
   FaultFixture f;
   StoredRelation out(&f.disk, f.layout.output, "out");
-  VtJoinOptions base;
+  ExecOptions base;
   base.buffer_pages = 16;
   f.disk.InjectFaultAfter(100000000);  // far beyond any I/O this run does
   TEMPO_EXPECT_OK(
@@ -117,10 +117,10 @@ TEST(FaultTest, ViewBuildPropagates) {
 TEST(FaultTest, PlannerExecutePropagates) {
   FaultFixture f;
   StoredRelation out(&f.disk, f.layout.output, "out");
-  VtJoinOptions base;
-  base.buffer_pages = 8;
+  JoinRequest req;
+  req.From(f.r.get(), f.s.get()).BufferPages(8);
   f.disk.InjectFaultAfter(3);
-  EXPECT_FALSE(ExecuteVtJoin(f.r.get(), f.s.get(), &out, base).ok());
+  EXPECT_FALSE(RunJoin(req, &out).ok());
   f.disk.ClearFault();
 }
 
