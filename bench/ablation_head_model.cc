@@ -33,12 +33,13 @@ int Run() {
   TextTable table({"head model", "algorithm", "ran/seq", "cost 5:1"});
   for (HeadModel head : {HeadModel::kPerFile, HeadModel::kSingleHead}) {
     disk.accountant().set_head_model(head);
-    for (Algo algo :
-         {Algo::kSortMerge, Algo::kPartition, Algo::kNestedLoop}) {
+    for (JoinExecutor algo : {JoinExecutor::kSortMerge,
+                              JoinExecutor::kPartition,
+                              JoinExecutor::kNestedLoop}) {
       const std::string label =
           std::string("head=") +
           (head == HeadModel::kPerFile ? "per-file" : "single-head") +
-          " algo=" + AlgoName(algo);
+          " algo=" + JoinExecutorName(algo);
       auto stats = RunJoin(algo, r_or->get(), s_or->get(), memory_pages,
                            model, /*seed=*/42, &out, label);
       if (!stats.ok()) {
@@ -48,7 +49,7 @@ int Run() {
       }
       table.AddRow({head == HeadModel::kPerFile ? "per-file (paper)"
                                                 : "single-head",
-                    AlgoName(algo),
+                    JoinExecutorName(algo),
                     FormatWithCommas(stats->io.total_random()) + "/" +
                         FormatWithCommas(stats->io.total_sequential()),
                     Fmt(stats->Cost(model))});

@@ -33,7 +33,7 @@ int Run() {
   StoredRelation* s = s_or->get();
 
   // Full recompute baseline.
-  auto full = RunJoin(Algo::kPartition, r, s, memory_pages, model,
+  auto full = RunJoin(JoinExecutor::kPartition, r, s, memory_pages, model,
                       /*seed=*/42, &out, "full recompute");
   if (!full.ok()) return 1;
   double recompute_cost = full->Cost(model);

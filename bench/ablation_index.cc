@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "join/indexed_join.h"
 
 namespace tempo::bench {
 namespace {
@@ -43,25 +42,18 @@ int Run() {
     StoredRelation* s = s_or->get();
 
     const std::string ll = "long_lived=" + std::to_string(long_lived);
-    auto pj = RunJoin(Algo::kPartition, r, s, memory_pages, model,
+    auto pj = RunJoin(JoinExecutor::kPartition, r, s, memory_pages, model,
                       /*seed=*/42, &out_report, ll + " algo=partition");
     if (!pj.ok()) return 1;
 
-    auto layout = DeriveNaturalJoinLayout(r->schema(), s->schema());
-    StoredRelation out(&disk, layout->output, "out.idx");
-    out.SetCharged(false).ok();
-    disk.accountant().Reset();
-    ExecOptions options;
-    options.buffer_pages = memory_pages;
-    options.cost_model = model;
-    auto idx = IndexedVtJoin(r, s, &out, options);
+    const std::string idx_label = ll + " algo=indexed";
+    auto idx = RunJoin(JoinExecutor::kIndexed, r, s, memory_pages, model,
+                       /*seed=*/42, &out_report, idx_label);
     if (!idx.ok()) {
       std::fprintf(stderr, "indexed join failed: %s\n",
                    idx.status().ToString().c_str());
       return 1;
     }
-    const std::string idx_label = ll + " algo=indexed";
-    out_report.AddRun(idx_label, *idx, model);
     out_report.Add(idx_label, "index_build_io_ops",
                    idx->Get(Metric::kIndexBuildIoOps));
     out_report.Add(idx_label, "inner_pages_scanned",
@@ -71,7 +63,6 @@ int Run() {
          Fmt(pj->Cost(model)), Fmt(idx->Cost(model)),
          Fmt(idx->Get(Metric::kIndexBuildIoOps)),
          Fmt(idx->Get(Metric::kInnerPagesScanned))});
-    disk.DeleteFile(out.file_id()).ok();
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(

@@ -53,8 +53,8 @@ int Run() {
     for (uint64_t m : plan->est_cache_pages) est_cache += m;
 
     const std::string label = "shift=" + std::to_string(shift);
-    auto stats = RunJoin(Algo::kPartition, r, s, memory_pages, model,
-                         /*seed=*/42, &out, label);
+    auto stats = RunJoin(JoinExecutor::kPartition, r, s, memory_pages,
+                         model, /*seed=*/42, &out, label);
     if (!stats.ok()) return 1;
     out.Add(label, "est_cache_pages", static_cast<double>(est_cache));
     out.Add(label, "cache_pages_spilled",

@@ -162,20 +162,6 @@ inline WorkloadSpec PaperWorkload(uint32_t scale, uint64_t long_lived,
   return spec;
 }
 
-enum class Algo { kNestedLoop, kSortMerge, kPartition };
-
-inline const char* AlgoName(Algo a) {
-  switch (a) {
-    case Algo::kNestedLoop:
-      return "nested-loops";
-    case Algo::kSortMerge:
-      return "sort-merge";
-    case Algo::kPartition:
-      return "partition";
-  }
-  return "?";
-}
-
 /// Runs one join. The output relation is uncharged (the paper omits result
 /// I/O, which every algorithm pays identically) and deleted afterwards.
 /// Generation I/O is invisible: the accountant is reset before the run.
@@ -185,8 +171,9 @@ inline const char* AlgoName(Algo a) {
 /// run's Perfetto trace is written there (each traced run overwrites the
 /// file, so the last RunJoin of a sweep wins — point a single-join smoke
 /// at it, e.g. fig4's traced end-to-end join).
-inline StatusOr<JoinRunStats> RunJoin(Algo algo, StoredRelation* r,
-                                      StoredRelation* s, uint32_t buffer_pages,
+inline StatusOr<JoinRunStats> RunJoin(JoinExecutor executor,
+                                      StoredRelation* r, StoredRelation* s,
+                                      uint32_t buffer_pages,
                                       const CostModel& model,
                                       uint64_t seed = 42,
                                       BenchOutput* report = nullptr,
@@ -204,18 +191,11 @@ inline StatusOr<JoinRunStats> RunJoin(Algo algo, StoredRelation* r,
   ExecContext ctx;
   ctx.SetScheduler(BenchScheduler());
   JoinRequest request;
-  request.From(r, s).BufferPages(buffer_pages).Model(model).Seed(seed);
-  switch (algo) {
-    case Algo::kNestedLoop:
-      request.Using(JoinExecutor::kNestedLoop);
-      break;
-    case Algo::kSortMerge:
-      request.Using(JoinExecutor::kSortMerge);
-      break;
-    case Algo::kPartition:
-      request.Using(JoinExecutor::kPartition);
-      break;
-  }
+  request.From(r, s)
+      .Using(executor)
+      .BufferPages(buffer_pages)
+      .Model(model)
+      .Seed(seed);
   const auto wall_start = std::chrono::steady_clock::now();
   StatusOr<JoinRunStats> stats = tempo::RunJoin(request, &out, &ctx);
   const double wall_seconds =
@@ -226,8 +206,9 @@ inline StatusOr<JoinRunStats> RunJoin(Algo algo, StoredRelation* r,
     if (BenchTrace()) {
       ExplainOptions eopts;
       eopts.cost_model = model;
-      std::printf("\nEXPLAIN ANALYZE (%s, buffSize=%u)\n%s\n", AlgoName(algo),
-                  buffer_pages, ExplainAnalyze(ctx, eopts).c_str());
+      std::printf("\nEXPLAIN ANALYZE (%s, buffSize=%u)\n%s\n",
+                  JoinExecutorName(executor), buffer_pages,
+                  ExplainAnalyze(ctx, eopts).c_str());
     }
     TraceExportOptions topts;
     topts.cost_model = model;

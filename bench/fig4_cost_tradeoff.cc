@@ -105,7 +105,7 @@ int Run() {
       std::fprintf(stderr, "workload generation failed\n");
       return 1;
     }
-    auto stats = RunJoin(Algo::kPartition, r, s_or->get(),
+    auto stats = RunJoin(JoinExecutor::kPartition, r, s_or->get(),
                          options.buffer_pages, options.cost_model,
                          /*seed=*/42, &out, "end-to-end partition join");
     if (!stats.ok()) {

@@ -47,14 +47,16 @@ int Run() {
   for (uint32_t mib : memory_mib) {
     uint32_t pages = mib * 256 / scale;  // 256 pages per MiB at 4 KiB
     if (pages < 8) pages = 8;
-    for (Algo algo :
-         {Algo::kSortMerge, Algo::kPartition, Algo::kNestedLoop}) {
+    for (JoinExecutor algo : {JoinExecutor::kSortMerge,
+                              JoinExecutor::kPartition,
+                              JoinExecutor::kNestedLoop}) {
       std::vector<std::string> row{std::to_string(mib) + " MiB",
-                                   AlgoName(algo)};
+                                   JoinExecutorName(algo)};
       IoStats io;
       const std::string base_label =
-          "mem=" + std::to_string(mib) + "MiB algo=" + AlgoName(algo);
-      if (algo == Algo::kPartition) {
+          "mem=" + std::to_string(mib) + "MiB algo=" +
+          JoinExecutorName(algo);
+      if (algo == JoinExecutor::kPartition) {
         // The optimizer consults the ratio, so run per ratio.
         for (double ratio : paper::kRatios) {
           const std::string label =
@@ -62,7 +64,7 @@ int Run() {
           auto stats = RunJoin(algo, r, s, pages, CostModel::Ratio(ratio),
                                /*seed=*/42, &out, label);
           if (!stats.ok()) {
-            std::fprintf(stderr, "%s failed: %s\n", AlgoName(algo),
+            std::fprintf(stderr, "%s failed: %s\n", JoinExecutorName(algo),
                          stats.status().ToString().c_str());
             return 1;
           }
@@ -75,7 +77,7 @@ int Run() {
         auto stats = RunJoin(algo, r, s, pages, CostModel::Ratio(5.0),
                              /*seed=*/42, &out, base_label);
         if (!stats.ok()) {
-          std::fprintf(stderr, "%s failed: %s\n", AlgoName(algo),
+          std::fprintf(stderr, "%s failed: %s\n", JoinExecutorName(algo),
                        stats.status().ToString().c_str());
           return 1;
         }

@@ -45,12 +45,12 @@ int Run() {
     StoredRelation* s = s_or->get();
 
     const std::string ll = "long_lived=" + std::to_string(long_lived);
-    auto sm = RunJoin(Algo::kSortMerge, r, s, memory_pages, model,
+    auto sm = RunJoin(JoinExecutor::kSortMerge, r, s, memory_pages, model,
                       /*seed=*/42, &out, ll + " algo=sort-merge");
-    auto pj = RunJoin(Algo::kPartition, r, s, memory_pages, model,
+    auto pj = RunJoin(JoinExecutor::kPartition, r, s, memory_pages, model,
                       /*seed=*/42, &out, ll + " algo=partition");
-    auto nl = RunJoin(Algo::kNestedLoop, r, s, memory_pages, model,
-                      /*seed=*/42, &out, ll + " algo=nested-loops");
+    auto nl = RunJoin(JoinExecutor::kNestedLoop, r, s, memory_pages, model,
+                      /*seed=*/42, &out, ll + " algo=nested-loop");
     if (!sm.ok() || !pj.ok() || !nl.ok()) {
       std::fprintf(stderr, "join failed\n");
       return 1;

@@ -52,8 +52,8 @@ int Run() {
       uint32_t pages = std::max<uint32_t>(8, mib * 256 / scale);
       const std::string label = "long_lived=" + std::to_string(long_lived) +
                                 " mem=" + std::to_string(mib) + "MiB";
-      auto pj = RunJoin(Algo::kPartition, r_or->get(), s_or->get(), pages,
-                        model, /*seed=*/42, &out, label);
+      auto pj = RunJoin(JoinExecutor::kPartition, r_or->get(), s_or->get(),
+                        pages, model, /*seed=*/42, &out, label);
       if (!pj.ok()) {
         std::fprintf(stderr, "partition join failed: %s\n",
                      pj.status().ToString().c_str());

@@ -16,6 +16,7 @@
 #include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
 #include "parallel/thread_pool.h"
+#include "service/join_request.h"
 #include "workload/generator.h"
 
 namespace tempo {
@@ -92,7 +93,7 @@ struct JoinFixture {
   }
 };
 
-/// End-to-end PartitionVtJoin (partitioning + probe) at a fixed memory
+/// End-to-end partition join (partitioning + probe) at a fixed memory
 /// budget that forces several partitions; the thread count is the axis.
 void BM_PartitionJoinThreads(benchmark::State& state) {
   static JoinFixture* fixture = JoinFixture::Make();
@@ -106,12 +107,13 @@ void BM_PartitionJoinThreads(benchmark::State& state) {
   double efficiency = 0.0;
   for (auto _ : state) {
     StoredRelation out(&fixture->disk, fixture->out_schema, "out");
-    PartitionJoinOptions options;
-    options.buffer_pages = 64;
+    JoinRequest req;
+    req.From(fixture->r.get(), fixture->s.get())
+        .Using(JoinExecutor::kPartition)
+        .BufferPages(64);
     ExecContext ctx;
     ctx.SetScheduler(&scheduler);
-    auto stats = PartitionVtJoin(fixture->r.get(), fixture->s.get(), &out,
-                                 options, &ctx);
+    auto stats = RunJoin(req, &out, &ctx);
     if (!stats.ok()) {
       state.SkipWithError(stats.status().ToString().c_str());
       return;

@@ -16,7 +16,6 @@
 #include <limits>
 
 #include "bench_util.h"
-#include "core/partition_join.h"
 #include "core/planner.h"
 #include "core/radix_join.h"
 
@@ -62,21 +61,19 @@ StatusOr<PathTiming> TimePath(bool radix, StoredRelation* r, StoredRelation* s,
     ExecContext ctx;
     ctx.SetScheduler(BenchScheduler());
     const auto wall_start = std::chrono::steady_clock::now();
-    StatusOr<JoinRunStats> stats = Status::Internal("unreachable");
+    JoinRequest req;
+    req.From(r, s).Model(model);
     if (radix) {
-      RadixJoinOptions options;
-      options.buffer_pages = kBudgetPages;
-      options.cost_model = model;
       // The sweep measures the path itself past the planner's cutover, so
       // lift the budget out of the way instead of falling back.
-      options.radix_budget_bytes = uint64_t{1} << 40;
-      stats = RadixVtJoin(r, s, &out, options, &ctx);
+      req.Using(JoinExecutor::kInMemoryRadix)
+          .BufferPages(kBudgetPages)
+          .RadixBudgetBytes(uint64_t{1} << 40);
     } else {
-      PartitionJoinOptions options;
-      options.buffer_pages = std::max<uint32_t>(8, r->num_pages() / 4);
-      options.cost_model = model;
-      stats = PartitionVtJoin(r, s, &out, options, &ctx);
+      req.Using(JoinExecutor::kPartition)
+          .BufferPages(std::max<uint32_t>(8, r->num_pages() / 4));
     }
+    StatusOr<JoinRunStats> stats = tempo::RunJoin(req, &out, &ctx);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)

@@ -66,7 +66,6 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
   PartitionPlanOptions plan_options;
   plan_options.buffer_pages = options.buffer_pages;
   plan_options.cost_model = options.cost_model;
-  plan_options.in_scan_sampling = options.in_scan_sampling;
   plan_options.forced_num_partitions = options.forced_num_partitions;
   StatusOr<PartitionPlan> plan_or = Status::Internal("unset");
   {

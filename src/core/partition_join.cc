@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/tuple_cache.h"
+#include "join/join_executor.h"
 #include "temporal/interval_set.h"
 
 namespace tempo {
@@ -589,7 +590,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   join_span.AddMorsels(probe_stats);
   MergeHistogram(ctx, Hist::kMorselDurationUs, probe_stats.duration_hist);
   if (morsel_stats != nullptr) morsel_stats->Merge(probe_stats);
-  ExportMetrics(stats, ctx);
   return stats;
 }
 
@@ -598,24 +598,14 @@ namespace {
 /// One full partition-executor pass — plan, (maybe) Grace partition, join —
 /// over (r, s) with r as the build/outer side. `layout` is the natural-join
 /// layout of (r, s) *as passed*: the swapped full-outer pass hands in the
-/// (s, r) layout. Output-schema validation is the caller's job.
+/// (s, r) layout. Validation is RunJoinContract's job.
 StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
                                         StoredRelation* out,
                                         const NaturalJoinLayout& layout,
                                         const PartitionJoinOptions& options,
                                         ExecContext* ctx,
                                         JoinVariant* variant) {
-  if (options.buffer_pages < 4) {
-    return Status::InvalidArgument(
-        "partition join needs at least 4 buffer pages");
-  }
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "partition"));
   Disk* disk = r->disk();
-  IoAccountant& acct = disk->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
-  IoStats before = acct.stats();
   TraceSpan root_span = SpanIf(ctx, Phase::kPartitionJoin);
   Random rng(options.seed);
 
@@ -628,7 +618,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
   PartitionPlanOptions plan_options;
   plan_options.buffer_pages = options.buffer_pages;
   plan_options.cost_model = options.cost_model;
-  plan_options.in_scan_sampling = options.in_scan_sampling;
   plan_options.forced_num_partitions = options.forced_num_partitions;
   StatusOr<PartitionPlan> plan_or = Status::Internal("unset");
   {
@@ -769,7 +758,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     ps.Drop();
   }
 
-  stats.io = acct.stats() - before;
   stats.Set(Metric::kPartitions, static_cast<double>(plan.num_partitions));
   stats.Set(Metric::kPartSizePages,
             static_cast<double>(plan.part_size_pages));
@@ -783,41 +771,29 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     stats.Set(Metric::kParallelEfficiency,
               total_morsels.Efficiency(parallel.num_threads));
   }
-  ExportMetrics(stats, ctx);
   return stats;
 }
 
 }  // namespace
 
-StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
-                                       StoredRelation* out,
-                                       const PartitionJoinOptions& options,
-                                       ExecContext* ctx) {
+// Declared in service/executor_bodies.h; runs under RunJoinContract.
+StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
+                                     StoredRelation* r, StoredRelation* s,
+                                     StoredRelation* out,
+                                     const PartitionJoinOptions& options,
+                                     ExecContext* ctx) {
   if (options.join_kind == JoinKind::kInner) {
-    TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
     return RunPartitionPass(r, s, out, layout, options, ctx, nullptr);
   }
 
   // Sequenced outer/anti variant. The uncovered-subinterval arithmetic
   // assumes every key-matching overlap is observed exactly once, which the
-  // dedup rule guarantees only under last-overlap placement and the plain
-  // overlap predicate.
-  if (!options.predicate.IsOverlapDefault()) {
-    return Status::InvalidArgument(
-        "outer/anti join variants require the overlap predicate");
-  }
+  // dedup rule guarantees only under last-overlap placement (and the
+  // overlap predicate, which ValidateExecOptions requires).
   if (options.placement != PlacementPolicy::kLastOverlap) {
     return Status::InvalidArgument(
         "outer/anti join variants require last-overlap placement");
   }
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
-                         PrepareJoinForKind(r, s, out, options.join_kind));
-  Disk* disk = r->disk();
-  IoAccountant& acct = disk->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
-  IoStats before = acct.stats();
 
   // One canonical writer across all passes: emission is buffered and
   // sorted at Finish, so output bytes are a pure function of the result
@@ -857,7 +833,6 @@ StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
   }
 
   TEMPO_RETURN_IF_ERROR(writer.Finish());
-  stats.io = acct.stats() - before;
   stats.output_tuples = writer.count();
   stats.Set(Metric::kSequencedJoinKind,
             static_cast<double>(static_cast<uint8_t>(options.join_kind)));
@@ -867,8 +842,18 @@ StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
   if (options.join_kind == JoinKind::kAnti) {
     stats.Set(Metric::kAntiEmittedIntervals, static_cast<double>(uncovered));
   }
-  ExportMetrics(stats, ctx);
   return stats;
+}
+
+StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
+                                       StoredRelation* out,
+                                       const PartitionJoinOptions& options,
+                                       ExecContext* ctx) {
+  return RunJoinContract(JoinExecutor::kPartition, r, s, out, options, ctx,
+                         [&](const NaturalJoinLayout& layout) {
+                           return PartitionBody(layout, r, s, out, options,
+                                                ctx);
+                         });
 }
 
 }  // namespace tempo

@@ -8,27 +8,25 @@
 
 namespace tempo {
 
-/// Options for the partition-based valid-time natural join. The shared
-/// knobs (buffer_pages — Figure 3's buffSize pages of outer partition
-/// area plus one page each for the inner buffer, tuple cache and result —
-/// cost_model, seed) live in the ExecOptions base; callers
-/// holding an ExecOptions transfer them with one slice-assignment:
-///   PartitionJoinOptions part;
-///   static_cast<ExecOptions&>(part) = options;
+/// Options for the partition-based valid-time natural join: the shared
+/// ExecOptions (buffer_pages is Figure 3's buffSize — pages of outer
+/// partition area plus one page each for the inner buffer, tuple cache
+/// and result) plus the three knobs only this executor has. RunJoin runs
+/// the partition executor with the defaults; callers that set a knob call
+/// PartitionVtJoin directly.
+///
+/// The partition machinery serves any predicate whose relations all imply
+/// a shared chronon — matching pairs necessarily meet in the partition
+/// holding their overlap's end (Section 4.1); ValidateExecOptions rejects
+/// the rest.
 struct PartitionJoinOptions : ExecOptions {
-  /// See PartitionPlanOptions.
-  bool in_scan_sampling = true;
+  /// Fixes the number of partitions instead of optimizing it (see
+  /// PartitionPlanOptions). PartitionCoalesce and tests use it.
   uint32_t forced_num_partitions = 0;
 
   /// kLastOverlap is the paper's algorithm; kReplicate is the
-  /// Leung-Muntz ablation baseline.
+  /// Leung-Muntz ablation baseline (bench/ablation_replication).
   PlacementPolicy placement = PlacementPolicy::kLastOverlap;
-
-  // The timestamp predicate lives in the ExecOptions base (`predicate`, a
-  // TemporalPredicate). The partition machinery serves any predicate whose
-  // relations all imply a shared chronon — matching pairs necessarily meet
-  // in the partition holding their overlap's end (Section 4.1) — and
-  // rejects the rest (RequireSharedChrononPredicate).
 
   /// In-memory pages reserved for the tuple cache (Figure 3 reserves one).
   /// Raising this trades outer-partition area for cache space, the
@@ -36,8 +34,8 @@ struct PartitionJoinOptions : ExecOptions {
   uint32_t tuple_cache_memory_pages = 1;
 };
 
-/// Mutable state of one sequenced outer/anti pass, shared between
-/// PartitionVtJoin and JoinPartitions (null = plain inner join). The pass
+/// Mutable state of one sequenced outer/anti pass, shared between the
+/// partition executor and JoinPartitions (null = plain inner join). The pass
 /// accumulates, per outer-area tuple, the union of its overlap intervals
 /// with key-matching partners (an IntervalSet); when a tuple retires from
 /// the area its uncovered subintervals are emitted through `writer`. The
@@ -92,7 +90,9 @@ struct JoinVariant {
 ///
 /// Metrics in JoinRunStats: kCachePagesSpilled, kCacheTuples,
 /// kOverflowChunks; with a multi-threaded scheduler additionally
-/// kMorselsDispatched and kParallelEfficiency.
+/// kMorselsDispatched and kParallelEfficiency. The metrics are returned,
+/// not exported into `ctx`: the executor run that calls this exports once
+/// (RunJoinContract).
 ///
 /// Parallelism comes from the Scheduler handle on `ctx` (serial when the
 /// context or its handle is null): probe work inside each partition fans
@@ -126,7 +126,13 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
 /// A relation that fits in memory short-circuits to a single in-memory
 /// pass (no partitioning I/O at all). All sampling, partitioning and join
 /// I/O is charged to the disk's accountant and reported in the returned
-/// stats.
+/// stats. Non-inner kinds (options.join_kind) run the sequenced
+/// outer/anti variants, which require last-overlap placement.
+///
+/// This is JoinRequest's kPartition executor with its knobs exposed: it
+/// runs under the same contract as every RunJoin executor run
+/// (RunJoinContract — input and option validation, charged IoStats,
+/// kJoinPredicateMask, one metrics export into `ctx`).
 ///
 /// Metrics (in addition to JoinPartitions'): kPartitions, kPartSizePages,
 /// kSamples, kSampledByScan, kEstSampleCost, kEstJoinCost,
@@ -134,9 +140,8 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
 ///
 /// With a non-null `ctx`, execution is traced as a span tree
 /// (chooseIntervals with nested sampling, partitioning r, partitioning s,
-/// joinPartitions) and the typed metrics are exported into the context;
-/// with a null `ctx`, charged I/O and output bytes are bit-identical to a
-/// run without observability.
+/// joinPartitions); with a null `ctx`, charged I/O and output bytes are
+/// bit-identical to a run without observability.
 StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
                                        StoredRelation* out,
                                        const PartitionJoinOptions& options,

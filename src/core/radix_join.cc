@@ -65,14 +65,18 @@ Status ExtractSide(StoredRelation* rel, ColumnExtractor* extractor,
   return Status::OK();
 }
 
+/// Target bytes of build-side column state per final radix bucket: small
+/// enough that each bucket's working set stays L2-resident.
+constexpr uint64_t kBucketTargetBytes = 256 * 1024;
+
 /// Number of 8-bit passes so the smaller side's per-bucket column state
-/// fits `bucket_target_bytes` (assuming even spread; skewed keys simply
+/// fits kBucketTargetBytes (assuming even spread; skewed keys simply
 /// overflow their bucket, which the probe handles — correctness never
-/// depends on the split).
-uint32_t ChoosePasses(size_t build_rows, uint32_t bucket_target_bytes) {
+/// depends on the split). Clamped to 4 passes.
+uint32_t ChoosePasses(size_t build_rows) {
   const uint64_t bytes = static_cast<uint64_t>(build_rows) * kColumnRowBytes;
   uint32_t passes = 0;
-  while (passes < 4 && (bytes >> (8 * passes)) > bucket_target_bytes) {
+  while (passes < 4 && (bytes >> (8 * passes)) > kBucketTargetBytes) {
     ++passes;
   }
   return passes;
@@ -211,18 +215,11 @@ void BucketJoin(const BucketTask& t, const JoinColumns& rc,
 
 }  // namespace
 
-StatusOr<JoinRunStats> RadixVtJoin(StoredRelation* r, StoredRelation* s,
-                                   StoredRelation* out,
-                                   const RadixJoinOptions& options,
-                                   ExecContext* ctx) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "radix"));
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&r->disk()->accountant());
-  }
-  IoAccountant& accountant = r->disk()->accountant();
-  const IoStats io_before = accountant.stats();
-
+// Declared in service/executor_bodies.h; runs under RunJoinContract.
+StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
+                                 StoredRelation* r, StoredRelation* s,
+                                 StoredRelation* out,
+                                 const ExecOptions& options, ExecContext* ctx) {
   JoinRunStats stats;
   const uint64_t budget = ResolveRadixBudgetBytes(options);
   const uint64_t est =
@@ -260,7 +257,7 @@ StatusOr<JoinRunStats> RadixVtJoin(StoredRelation* r, StoredRelation* s,
   JoinColumns& rc = r_extract.columns();
   JoinColumns& sc = s_extract.columns();
   const size_t build_rows = std::min(rc.num_rows(), sc.num_rows());
-  const uint32_t passes = ChoosePasses(build_rows, options.bucket_target_bytes);
+  const uint32_t passes = ChoosePasses(build_rows);
   const uint64_t mask = passes == 0 ? 0 : (uint64_t{1} << (8 * passes)) - 1;
   stats.Set(Metric::kRadixPasses, passes);
   stats.Set(Metric::kRadixFanout,
@@ -337,9 +334,6 @@ StatusOr<JoinRunStats> RadixVtJoin(StoredRelation* r, StoredRelation* s,
     stats.output_tuples = writer.count();
   }
 
-  root.End();
-  stats.io = accountant.stats() - io_before;
-  ExportMetrics(stats, ctx);
   return stats;
 }
 

@@ -1,26 +1,19 @@
-#include "join/indexed_join.h"
-
 #include <algorithm>
 
+#include "join/append_only_tree.h"
 #include "join/external_sort.h"
+#include "join/join_common.h"
 
 namespace tempo {
 
-StatusOr<JoinRunStats> IndexedVtJoin(StoredRelation* r, StoredRelation* s,
-                                     StoredRelation* out,
-                                     const ExecOptions& options,
-                                     ExecContext* ctx) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
-  if (options.buffer_pages < 8) {
-    return Status::InvalidArgument(
-        "indexed join needs at least 8 buffer pages");
-  }
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "indexed"));
+// Declared in service/executor_bodies.h; runs under RunJoinContract.
+StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
+                                   StoredRelation* r, StoredRelation* s,
+                                   StoredRelation* out,
+                                   const ExecOptions& options,
+                                   ExecContext* ctx) {
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
   IoStats before = acct.stats();
   TraceSpan exec_span = SpanIf(ctx, Phase::kIndexed);
 
@@ -129,7 +122,6 @@ StatusOr<JoinRunStats> IndexedVtJoin(StoredRelation* r, StoredRelation* s,
   TEMPO_RETURN_IF_ERROR(writer.Finish());
 
   JoinRunStats stats;
-  stats.io = acct.stats() - before;
   stats.output_tuples = writer.count();
   stats.Set(Metric::kIndexNodePages,
             static_cast<double>(tree->num_node_pages()));
@@ -146,7 +138,6 @@ StatusOr<JoinRunStats> IndexedVtJoin(StoredRelation* r, StoredRelation* s,
   tree->Drop().ok();
   disk->DeleteFile(sr.relation->file_id()).ok();
   disk->DeleteFile(ss.relation->file_id()).ok();
-  ExportMetrics(stats, ctx);
   return stats;
 }
 

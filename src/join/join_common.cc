@@ -84,39 +84,26 @@ void HashedTupleIndex::Rebuild(const std::vector<Tuple>* tuples) {
   }
 }
 
-StatusOr<NaturalJoinLayout> PrepareJoin(StoredRelation* r, StoredRelation* s,
-                                        StoredRelation* out) {
-  if (r == nullptr || s == nullptr || out == nullptr) {
-    return Status::InvalidArgument("join inputs must be non-null");
-  }
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
-                         DeriveNaturalJoinLayout(r->schema(), s->schema()));
-  if (!(out->schema() == layout.output)) {
-    return Status::InvalidArgument(
-        "output relation schema " + out->schema().ToString() +
-        " does not match derived join schema " + layout.output.ToString());
-  }
-  if (r->HasUnflushedAppends() || s->HasUnflushedAppends()) {
-    return Status::FailedPrecondition(
-        "input relations must be flushed before joining");
-  }
-  return layout;
-}
-
 StatusOr<NaturalJoinLayout> PrepareJoinForKind(StoredRelation* r,
                                                StoredRelation* s,
                                                StoredRelation* out,
                                                JoinKind kind) {
-  if (kind != JoinKind::kAnti) return PrepareJoin(r, s, out);
   if (r == nullptr || s == nullptr || out == nullptr) {
     return Status::InvalidArgument("join inputs must be non-null");
   }
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
                          DeriveNaturalJoinLayout(r->schema(), s->schema()));
-  if (!(out->schema() == r->schema())) {
+  if (kind == JoinKind::kAnti) {
+    if (!(out->schema() == r->schema())) {
+      return Status::InvalidArgument(
+          "anti join output schema " + out->schema().ToString() +
+          " must match the preserved side's schema " +
+          r->schema().ToString());
+    }
+  } else if (!(out->schema() == layout.output)) {
     return Status::InvalidArgument(
-        "anti join output schema " + out->schema().ToString() +
-        " must match the preserved side's schema " + r->schema().ToString());
+        "output relation schema " + out->schema().ToString() +
+        " does not match derived join schema " + layout.output.ToString());
   }
   if (r->HasUnflushedAppends() || s->HasUnflushedAppends()) {
     return Status::FailedPrecondition(

@@ -44,26 +44,11 @@ struct JoinRunStats {
 };
 
 /// Copies a run's typed metrics into the run's ExecContext (no-op on a
-/// null context). Executors call this once before returning so EXPLAIN
-/// ANALYZE can print the registry next to the span tree.
+/// null context), so EXPLAIN ANALYZE can print the registry next to the
+/// span tree. Join runs export exactly once, in RunJoinContract
+/// (join/join_executor.h).
 inline void ExportMetrics(const JoinRunStats& stats, ExecContext* ctx) {
   if (ctx != nullptr) ctx->metrics().Merge(stats.metrics);
-}
-
-/// Direct-call guard for the overlap-driven executors (nested-loop,
-/// sort-merge, indexed, partition, radix): every relation in the
-/// predicate's disjunction must imply a shared chronon, because these
-/// executors only ever consider tuple pairs that meet in a partition /
-/// active window. Facade requests hit the same rule earlier through
-/// ValidateExecOptions; this keeps direct executor calls safe too.
-inline Status RequireSharedChrononPredicate(const ExecOptions& options,
-                                            const char* executor) {
-  if (options.predicate.ImpliesSharedChronon()) return Status::OK();
-  return Status::InvalidArgument(
-      std::string(executor) + " executor cannot evaluate predicate '" +
-      options.predicate.Name() +
-      "': it contains relations without a shared chronon (use the sweep "
-      "executor for meets/met-by, the reference oracle for before/after)");
 }
 
 /// Emission-site filter for pairs already known to share a chronon: the
@@ -246,14 +231,11 @@ class HashedTupleIndex {
   std::unordered_multimap<size_t, size_t> buckets_;
 };
 
-/// Derives the natural-join layout and validates that `out` has the
-/// expected output schema. Shared prologue of every executor.
-StatusOr<NaturalJoinLayout> PrepareJoin(StoredRelation* r, StoredRelation* s,
-                                        StoredRelation* out);
-
-/// Kind-aware prologue: for kAnti the output carries r's own schema (the
-/// anti join pads nothing), for every other kind the join output schema.
-/// The returned layout is always the natural-join layout of (r, s).
+/// Checks the inputs of one join run — all three relations present,
+/// inputs flushed, and `out` carrying the schema `kind` produces: r's own
+/// schema for kAnti (the anti join pads nothing), the natural-join output
+/// schema for every other kind — and returns the natural-join layout of
+/// (r, s). The first step of RunJoinContract.
 StatusOr<NaturalJoinLayout> PrepareJoinForKind(StoredRelation* r,
                                                StoredRelation* s,
                                                StoredRelation* out,

@@ -2,22 +2,12 @@
 
 namespace tempo {
 
-StatusOr<JoinRunStats> NestedLoopVtJoin(StoredRelation* r, StoredRelation* s,
-                                        StoredRelation* out,
-                                        const ExecOptions& options,
-                                        ExecContext* ctx) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
-  if (options.buffer_pages < 3) {
-    return Status::InvalidArgument(
-        "nested-loop join needs at least 3 buffer pages");
-  }
-  TEMPO_RETURN_IF_ERROR(
-      RequireSharedChrononPredicate(options, "nested-loop"));
-  IoAccountant& acct = r->disk()->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
-  IoStats before = acct.stats();
+// Declared in service/executor_bodies.h; runs under RunJoinContract.
+StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
+                                      StoredRelation* r, StoredRelation* s,
+                                      StoredRelation* out,
+                                      const ExecOptions& options,
+                                      ExecContext* ctx) {
   TraceSpan span = SpanIf(ctx, Phase::kNestedLoop);
 
   const uint32_t block_pages = options.buffer_pages - 2;
@@ -75,12 +65,10 @@ StatusOr<JoinRunStats> NestedLoopVtJoin(StoredRelation* r, StoredRelation* s,
   TEMPO_RETURN_IF_ERROR(writer.Finish());
 
   JoinRunStats stats;
-  stats.io = acct.stats() - before;
   stats.output_tuples = writer.count();
   stats.Set(Metric::kOuterBlocks, static_cast<double>(blocks));
   stats.Set(Metric::kDecodeMaterializationsAvoided,
             static_cast<double>(views_probed));
-  ExportMetrics(stats, ctx);
   return stats;
 }
 

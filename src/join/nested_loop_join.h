@@ -5,25 +5,9 @@
 
 namespace tempo {
 
-/// Block nested-loop evaluation of the valid-time natural join: the outer
-/// relation r is read once in blocks of (buffSize - 2) pages; for each
-/// block the inner relation s is scanned in full through a single page
-/// buffer (the remaining page holds result tuples).
-///
-/// This is the paper's brute-force comparator (Section 4.1 computed its
-/// cost analytically; NestedLoopAnalyticCost reproduces that closed form,
-/// and the executor is validated against it). Long-lived tuples do not
-/// affect its cost; memory size affects it dramatically — few outer pages
-/// in memory means many scans of the inner relation (Section 4.2).
-///
-/// Metrics in JoinRunStats: kOuterBlocks. With a non-null `ctx`, the run
-/// is traced as one kNestedLoop span.
-StatusOr<JoinRunStats> NestedLoopVtJoin(StoredRelation* r, StoredRelation* s,
-                                        StoredRelation* out,
-                                        const ExecOptions& options,
-                                        ExecContext* ctx = nullptr);
-
-/// Closed-form I/O cost of NestedLoopVtJoin, excluding result output.
+/// Closed-form I/O cost of the nested-loop executor (a block nested loop:
+/// r read once in blocks of buffSize - 2 pages, s scanned in full per
+/// block), excluding result output.
 /// Under HeadModel::kPerFile, the outer is one sequential pass (1 random +
 /// (pages_r - 1) sequential) and each of the `blocks` inner scans costs
 /// 1 random + (pages_s - 1) sequential. Under kSingleHead each outer block

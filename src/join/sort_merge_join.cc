@@ -1,5 +1,3 @@
-#include "join/sort_merge_join.h"
-
 #include <algorithm>
 #include <deque>
 #include <memory>
@@ -8,6 +6,7 @@
 #include <unordered_set>
 
 #include "join/external_sort.h"
+#include "join/join_common.h"
 
 namespace tempo {
 
@@ -225,21 +224,14 @@ class RetentionBudget {
 
 }  // namespace
 
-StatusOr<JoinRunStats> SortMergeVtJoin(StoredRelation* r, StoredRelation* s,
-                                       StoredRelation* out,
-                                       const ExecOptions& options,
-                                       ExecContext* ctx) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
-  if (options.buffer_pages < 4) {
-    return Status::InvalidArgument(
-        "sort-merge join needs at least 4 buffer pages");
-  }
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "sort-merge"));
+// Declared in service/executor_bodies.h; runs under RunJoinContract.
+StatusOr<JoinRunStats> SortMergeBody(const NaturalJoinLayout& layout,
+                                     StoredRelation* r, StoredRelation* s,
+                                     StoredRelation* out,
+                                     const ExecOptions& options,
+                                     ExecContext* ctx) {
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
   IoStats before = acct.stats();
   TraceSpan exec_span = SpanIf(ctx, Phase::kSortMerge);
 
@@ -379,7 +371,6 @@ StatusOr<JoinRunStats> SortMergeVtJoin(StoredRelation* r, StoredRelation* s,
   disk->DeleteFile(ss.relation->file_id()).ok();
 
   JoinRunStats stats;
-  stats.io = acct.stats() - before;
   stats.output_tuples = writer.count();
   stats.Set(Metric::kSortIoOps, static_cast<double>(sort_io.total_ops()));
   stats.Set(Metric::kDecodeMaterializationsAvoided,
@@ -394,7 +385,6 @@ StatusOr<JoinRunStats> SortMergeVtJoin(StoredRelation* r, StoredRelation* s,
     stats.Set(Metric::kParallelEfficiency,
               sort_morsels.Efficiency(parallel.num_threads));
   }
-  ExportMetrics(stats, ctx);
   return stats;
 }
 

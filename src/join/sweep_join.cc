@@ -1,5 +1,3 @@
-#include "join/sweep_join.h"
-
 #include <algorithm>
 #include <queue>
 #include <unordered_map>
@@ -7,6 +5,7 @@
 #include <vector>
 
 #include "join/external_sort.h"
+#include "join/join_common.h"
 
 namespace tempo {
 
@@ -196,33 +195,14 @@ class GaplessActiveMap {
 
 }  // namespace
 
-StatusOr<JoinRunStats> SweepVtJoin(StoredRelation* r, StoredRelation* s,
-                                   StoredRelation* out,
-                                   const ExecOptions& options,
-                                   ExecContext* ctx) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
-  if (options.buffer_pages < 4) {
-    return Status::InvalidArgument(
-        "sweep join needs at least 4 buffer pages");
-  }
-  if (options.join_kind != JoinKind::kInner) {
-    return Status::InvalidArgument(
-        "sweep executor evaluates inner joins only (kind " +
-        std::string(JoinKindName(options.join_kind)) +
-        " runs on the partition executor or the reference oracle)");
-  }
+// Declared in service/executor_bodies.h; runs under RunJoinContract.
+StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
+                                 StoredRelation* r, StoredRelation* s,
+                                 StoredRelation* out,
+                                 const ExecOptions& options, ExecContext* ctx) {
   const TemporalPredicate pred = options.predicate;
-  if (pred.HasDisjointNonAdjacent()) {
-    return Status::InvalidArgument(
-        "sweep executor cannot evaluate predicate '" + pred.Name() +
-        "': before/after match unboundedly separated tuples (use the "
-        "reference oracle)");
-  }
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
   IoStats before = acct.stats();
   TraceSpan exec_span = SpanIf(ctx, Phase::kSweepJoin);
 
@@ -347,7 +327,6 @@ StatusOr<JoinRunStats> SweepVtJoin(StoredRelation* r, StoredRelation* s,
   disk->DeleteFile(ss.relation->file_id()).ok();
 
   JoinRunStats stats;
-  stats.io = acct.stats() - before;
   stats.output_tuples = writer.count();
   stats.Set(Metric::kSortIoOps, static_cast<double>(sort_io.total_ops()));
   stats.Set(Metric::kJoinPredicateMask, static_cast<double>(pred.mask()));
@@ -368,7 +347,6 @@ StatusOr<JoinRunStats> SweepVtJoin(StoredRelation* r, StoredRelation* s,
     stats.Set(Metric::kParallelEfficiency,
               sort_morsels.Efficiency(parallel.num_threads));
   }
-  ExportMetrics(stats, ctx);
   return stats;
 }
 

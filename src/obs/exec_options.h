@@ -47,13 +47,10 @@ inline const char* JoinKindName(JoinKind k) {
   return "?";
 }
 
-/// The options every join executor shares: the planner, the
-/// nested-loop, sort-merge, indexed and sweep executors and
-/// JoinRequest::options take it as is. The partition and radix executors
-/// extend it with their tuning knobs (PartitionJoinOptions,
-/// RadixJoinOptions); a caller holding an ExecOptions fills their common
-/// core with one slice-assignment
-/// (`static_cast<ExecOptions&>(part_opts) = opts;`).
+/// The options every join executor shares: JoinRequest::options, the
+/// planner and every executor take it as is. Only the partition executor
+/// has knobs beyond it (PartitionJoinOptions, set by callers of the public
+/// PartitionVtJoin).
 struct ExecOptions {
   /// Buffer pages available to the algorithm (the paper's M).
   uint32_t buffer_pages = 2048;

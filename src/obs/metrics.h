@@ -21,41 +21,41 @@ namespace tempo {
 /// only way to emit one — the typed Set/Add API cannot name an undeclared
 /// metric, which is the point of the registry.
 #define TEMPO_METRIC_LIST(M)                                                  \
-  M(OuterBlocks, "outer_blocks", "count", "NestedLoopVtJoin",                 \
+  M(OuterBlocks, "outer_blocks", "count", "nested-loop",                      \
     "Outer blocks loaded; each block triggers one full scan of the inner "    \
     "relation.")                                                              \
-  M(SortIoOps, "sort_io_ops", "ops", "SortMergeVtJoin / IndexedVtJoin",       \
+  M(SortIoOps, "sort_io_ops", "ops", "sort-merge / indexed / sweep",          \
     "Unweighted I/O operations spent externally sorting the inputs by Vs.")   \
-  M(BackupPageReads, "backup_page_reads", "pages", "SortMergeVtJoin",         \
+  M(BackupPageReads, "backup_page_reads", "pages", "sort-merge",              \
     "Sorted-file pages physically re-read because a match hit a long-lived "  \
     "tuple evicted from the merge window (the paper's back-up cost).")        \
-  M(MaxActiveTuples, "max_active_tuples", "tuples", "SortMergeVtJoin",        \
+  M(MaxActiveTuples, "max_active_tuples", "tuples", "sort-merge",             \
     "Peak combined size of the two active (not-yet-expired) sweep sets.")     \
-  M(IndexNodePages, "index_node_pages", "pages", "IndexedVtJoin",             \
+  M(IndexNodePages, "index_node_pages", "pages", "indexed",                   \
     "Node pages of the append-only tree built over the inner relation.")      \
-  M(IndexBuildIoOps, "index_build_io_ops", "ops", "IndexedVtJoin",            \
+  M(IndexBuildIoOps, "index_build_io_ops", "ops", "indexed",                  \
     "Unweighted I/O operations of the index build (node writes).")            \
-  M(InnerPagesScanned, "inner_pages_scanned", "pages", "IndexedVtJoin",       \
+  M(InnerPagesScanned, "inner_pages_scanned", "pages", "indexed",             \
     "Inner data pages scanned across all probes (after index range "          \
     "pruning, through the LRU data pool).")                                   \
-  M(Partitions, "partitions", "count", "PartitionVtJoin / PartitionCoalesce", \
+  M(Partitions, "partitions", "count", "partition / PartitionCoalesce",       \
     "Partitioning intervals chosen by the optimizer.")                        \
-  M(PartSizePages, "part_size_pages", "pages", "PartitionVtJoin",             \
+  M(PartSizePages, "part_size_pages", "pages", "partition",                   \
     "Estimated pages per outer partition of the chosen plan.")                \
-  M(Samples, "samples", "count", "PartitionVtJoin",                           \
+  M(Samples, "samples", "count", "partition",                                 \
     "Interval samples drawn by the Kolmogorov-bounded sampler.")              \
-  M(SampledByScan, "sampled_by_scan", "flag", "PartitionVtJoin",              \
+  M(SampledByScan, "sampled_by_scan", "flag", "partition",                    \
     "1 when the sampler switched to one sequential scan (Section 4.2), 0 "    \
     "for per-sample random reads.")                                           \
-  M(EstSampleCost, "est_sample_cost", "cost", "PartitionVtJoin",              \
+  M(EstSampleCost, "est_sample_cost", "cost", "partition",                    \
     "Planner-estimated C_sample of the chosen partitioning.")                 \
-  M(EstJoinCost, "est_join_cost", "cost", "PartitionVtJoin",                  \
+  M(EstJoinCost, "est_join_cost", "cost", "partition",                        \
     "Planner-estimated C_join (partition write+read plus tuple-cache "        \
     "paging) of the chosen partitioning.")                                    \
   M(PartitionPagesWritten, "partition_pages_written", "pages",                \
-    "PartitionVtJoin",                                                        \
+    "partition",                                                              \
     "Pages written by Grace partitioning across both inputs.")                \
-  M(TuplesWritten, "tuples_written", "tuples", "PartitionVtJoin",             \
+  M(TuplesWritten, "tuples_written", "tuples", "partition",                   \
     "Tuples written by Grace partitioning; exceeds the input cardinality "    \
     "only under the replication ablation policy.")                            \
   M(CachePagesSpilled, "cache_pages_spilled", "pages", "JoinPartitions",      \
@@ -80,27 +80,27 @@ namespace tempo {
     "partition, 3 = in-memory radix, 4 = endpoint sweep.")                    \
   M(PlannedCost, "planned_cost", "cost", "RunJoin",                           \
     "Planner-estimated I/O cost of the chosen algorithm.")                    \
-  M(RadixPasses, "radix_passes", "count", "RadixVtJoin",                      \
+  M(RadixPasses, "radix_passes", "count", "in-memory-radix",                  \
     "8-bit radix passes run over each side's columns (0 = single bucket; "    \
     "fan-out is 256^passes).")                                                \
-  M(RadixFanout, "radix_fanout", "count", "RadixVtJoin",                      \
+  M(RadixFanout, "radix_fanout", "count", "in-memory-radix",                  \
     "Total bucket fan-out of the multi-pass partitioning (256^passes).")      \
-  M(RadixBuckets, "radix_buckets", "count", "RadixVtJoin",                    \
+  M(RadixBuckets, "radix_buckets", "count", "in-memory-radix",                \
     "Aligned bucket pairs that were non-empty on both sides — the unit of "   \
     "parallel build/probe work.")                                             \
-  M(RadixRowsRouted, "radix_rows_routed", "tuples", "RadixVtJoin",            \
+  M(RadixRowsRouted, "radix_rows_routed", "tuples", "in-memory-radix",        \
     "Column entries moved by the radix passes, summed over both sides and "   \
     "all passes (each row moves once per pass).")                             \
   M(RadixEstFootprintBytes, "radix_est_footprint_bytes", "bytes",             \
-    "PlanVtJoin / RadixVtJoin",                                               \
+    "PlanVtJoin / in-memory-radix",                                           \
     "Planner-estimated in-memory footprint of the radix path: page bytes "    \
     "of both inputs (deliberately optimistic; the exact per-row overhead "    \
     "is only known at extraction).")                                          \
   M(RadixActFootprintBytes, "radix_act_footprint_bytes", "bytes",             \
-    "RadixVtJoin",                                                            \
+    "in-memory-radix",                                                        \
     "Exact pinned-page plus column/view bytes reached during extraction; "    \
     "on a budget abort, the footprint at the point extraction stopped.")      \
-  M(RadixBudgetBytes, "radix_budget_bytes", "bytes", "RadixVtJoin",           \
+  M(RadixBudgetBytes, "radix_budget_bytes", "bytes", "in-memory-radix",       \
     "Resolved in-memory budget the radix path was charged against "           \
     "(options field, TEMPO_RADIX_THRESHOLD_MB, or buffer_pages-derived).")    \
   M(RadixFallback, "radix_fallback", "flag", "RunJoin",                       \
@@ -115,7 +115,7 @@ namespace tempo {
   M(QueriesCancelled, "queries_cancelled", "count", "QueryService",           \
     "Queries cancelled while still waiting in the admission queue; their "    \
     "reservations were never granted.")                                       \
-  M(SequencedJoinKind, "join_kind", "enum", "PartitionVtJoin / RunJoin",      \
+  M(SequencedJoinKind, "join_kind", "enum", "partition / reference",          \
     "Sequenced join variant evaluated: 0 = inner, 1 = left-outer, 2 = "       \
     "full-outer, 3 = anti. Set only by variant-capable runs.")                \
   M(OuterUnmatchedTuples, "outer_unmatched_tuples", "tuples",                 \
@@ -133,20 +133,21 @@ namespace tempo {
     "Total uncovered subintervals computed by IntervalSet difference and "    \
     "emitted as NULL-padded (outer) or bare (anti) result rows, summed "      \
     "over both preserved sides.")                                             \
-  M(JoinPredicateMask, "join_predicate_mask", "bitmask", "RunJoin",           \
+  M(JoinPredicateMask, "join_predicate_mask", "bitmask",                       \
+    "RunJoinContract / sweep",                                                \
     "TemporalPredicate evaluated by the run, as its 13-bit Allen-relation "   \
     "mask (bit i = relation i in enum order, before..after). Set by every "   \
     "sweep run and by any run whose predicate is not the default overlap "    \
     "disjunction (0x7fc).")                                                   \
-  M(SweepActivePeak, "sweep_active_peak", "tuples", "SweepVtJoin",            \
+  M(SweepActivePeak, "sweep_active_peak", "tuples", "sweep",                  \
     "Peak combined live-tuple count of the two gapless active maps during "   \
     "the sweep pass.")                                                        \
-  M(SweepAppends, "sweep_appends", "tuples", "SweepVtJoin",                   \
+  M(SweepAppends, "sweep_appends", "tuples", "sweep",                         \
     "Tuples appended to the active maps (every input tuple, once).")          \
-  M(SweepCompactions, "sweep_compactions", "count", "SweepVtJoin",            \
+  M(SweepCompactions, "sweep_compactions", "count", "sweep",                  \
     "Global compactions of the gapless active maps, triggered when expired "  \
     "entries exceed half of a map's append log.")                             \
-  M(SweepProbeHits, "sweep_probe_hits", "tuples", "SweepVtJoin",              \
+  M(SweepProbeHits, "sweep_probe_hits", "tuples", "sweep",                    \
     "Active-map candidates visited across all probes (bucket walk length "    \
     "after the liveness filter).")
 

@@ -5,84 +5,14 @@
 #include "core/partition_join.h"
 #include "core/planner.h"
 #include "core/radix_join.h"
-#include "join/indexed_join.h"
-#include "join/nested_loop_join.h"
 #include "join/reference_join.h"
-#include "join/sort_merge_join.h"
-#include "join/sweep_join.h"
+#include "service/executor_bodies.h"
 
 namespace tempo {
 
-const char* JoinExecutorName(JoinExecutor e) {
-  switch (e) {
-    case JoinExecutor::kAuto:
-      return "auto";
-    case JoinExecutor::kNestedLoop:
-      return "nested-loop";
-    case JoinExecutor::kSortMerge:
-      return "sort-merge";
-    case JoinExecutor::kIndexed:
-      return "indexed";
-    case JoinExecutor::kPartition:
-      return "partition";
-    case JoinExecutor::kReference:
-      return "reference";
-    case JoinExecutor::kInMemoryRadix:
-      return "in-memory-radix";
-    case JoinExecutor::kSweep:
-      return "sweep";
-  }
-  return "unknown";
-}
-
-Status ValidateExecOptions(JoinExecutor executor, const ExecOptions& options) {
-  const TemporalPredicate& pred = options.predicate;
-  if (options.join_kind != JoinKind::kInner) {
-    if (executor != JoinExecutor::kAuto &&
-        executor != JoinExecutor::kPartition &&
-        executor != JoinExecutor::kReference) {
-      return Status::InvalidArgument(
-          std::string("executor ") + JoinExecutorName(executor) +
-          " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-          " under predicate '" + pred.Name() +
-          "': sequenced outer/anti joins run on the partition executor "
-          "(or auto, which routes there) or the reference oracle");
-    }
-    if (!pred.IsOverlapDefault()) {
-      return Status::InvalidArgument(
-          std::string("executor ") + JoinExecutorName(executor) +
-          " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-          " under predicate '" + pred.Name() +
-          "': sequenced outer/anti semantics are defined over the default "
-          "overlap predicate only");
-    }
-    return Status::OK();
-  }
-  if (pred.ImpliesSharedChronon()) return Status::OK();
-  if (!pred.HasDisjointNonAdjacent()) {
-    if (executor == JoinExecutor::kAuto || executor == JoinExecutor::kSweep ||
-        executor == JoinExecutor::kReference) {
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        std::string("executor ") + JoinExecutorName(executor) +
-        " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-        " under predicate '" + pred.Name() +
-        "': adjacency relations (meets/met-by) need the sweep executor, "
-        "auto planning, or the reference oracle");
-  }
-  if (executor == JoinExecutor::kReference) return Status::OK();
-  return Status::InvalidArgument(
-      std::string("executor ") + JoinExecutorName(executor) +
-      " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-      " under predicate '" + pred.Name() +
-      "': before/after match unboundedly separated tuples, which only the "
-      "reference oracle evaluates");
-}
-
 namespace {
 
-/// The oracle as an executor: both inputs read fully (charged as
+/// The oracle as an executor body: both inputs read fully (charged as
 /// sequential scans), joined in memory, results appended through the
 /// canonical writer (sorted serialized records). Canonical order makes an
 /// oracle run byte-identical to any executor run of the same request —
@@ -92,18 +22,10 @@ namespace {
 /// ReferenceTemporalJoin (the single ground truth for every executor x
 /// predicate pair); the sequenced outer/anti kinds are defined over the
 /// default overlap predicate, which ValidateExecOptions guarantees here.
-StatusOr<JoinRunStats> RunReferenceJoin(StoredRelation* r, StoredRelation* s,
-                                        StoredRelation* out,
-                                        const ExecOptions& options,
-                                        ExecContext* ctx) {
+StatusOr<JoinRunStats> ReferenceBody(StoredRelation* r, StoredRelation* s,
+                                     StoredRelation* out,
+                                     const ExecOptions& options) {
   JoinKind kind = options.join_kind;
-  TEMPO_RETURN_IF_ERROR(PrepareJoinForKind(r, s, out, kind).status());
-  Disk* disk = r->disk();
-  IoAccountant& acct = disk->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
-  IoStats before = acct.stats();
   TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples, r->ReadAll());
   TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> s_tuples, s->ReadAll());
   std::vector<Tuple> result;
@@ -122,13 +44,11 @@ StatusOr<JoinRunStats> RunReferenceJoin(StoredRelation* r, StoredRelation* s,
   }
   TEMPO_RETURN_IF_ERROR(writer.Finish());
   JoinRunStats stats;
-  stats.io = acct.stats() - before;
   stats.output_tuples = result.size();
   if (kind != JoinKind::kInner) {
     stats.Set(Metric::kSequencedJoinKind,
               static_cast<double>(static_cast<uint8_t>(kind)));
   }
-  ExportMetrics(stats, ctx);
   return stats;
 }
 
@@ -164,37 +84,53 @@ Status ValidateJoinAttrs(const JoinRequest& req) {
   return Status::OK();
 }
 
-/// Runs the named executor `executor` (never kAuto) on `req`: the one
-/// switch that calls executor functions, for named requests and for the
-/// planner's pick alike.
-StatusOr<JoinRunStats> RunExecutor(JoinExecutor executor,
-                                   const JoinRequest& req,
-                                   StoredRelation* out, ExecContext* ctx) {
+/// Runs the body of `executor` (never kAuto): the one switch over the
+/// executor bodies, for named requests and for the planner's pick alike.
+StatusOr<JoinRunStats> RunBody(JoinExecutor executor, const JoinRequest& req,
+                               const NaturalJoinLayout& layout,
+                               StoredRelation* out, ExecContext* ctx) {
+  StoredRelation* r = req.r;
+  StoredRelation* s = req.s;
+  const ExecOptions& options = req.options;
   switch (executor) {
     case JoinExecutor::kAuto:
       break;
     case JoinExecutor::kNestedLoop:
-      return NestedLoopVtJoin(req.r, req.s, out, req.options, ctx);
+      return NestedLoopBody(layout, r, s, out, options, ctx);
     case JoinExecutor::kSortMerge:
-      return SortMergeVtJoin(req.r, req.s, out, req.options, ctx);
+      return SortMergeBody(layout, r, s, out, options, ctx);
     case JoinExecutor::kIndexed:
-      return IndexedVtJoin(req.r, req.s, out, req.options, ctx);
+      return IndexedBody(layout, r, s, out, options, ctx);
     case JoinExecutor::kPartition: {
       PartitionJoinOptions part;
-      static_cast<ExecOptions&>(part) = req.options;
-      return PartitionVtJoin(req.r, req.s, out, part, ctx);
+      static_cast<ExecOptions&>(part) = options;
+      return PartitionBody(layout, r, s, out, part, ctx);
     }
     case JoinExecutor::kReference:
-      return RunReferenceJoin(req.r, req.s, out, req.options, ctx);
-    case JoinExecutor::kInMemoryRadix: {
-      RadixJoinOptions radix;
-      static_cast<ExecOptions&>(radix) = req.options;
-      return RadixVtJoin(req.r, req.s, out, radix, ctx);
-    }
+      return ReferenceBody(r, s, out, options);
+    case JoinExecutor::kInMemoryRadix:
+      return RadixBody(layout, r, s, out, options, ctx);
     case JoinExecutor::kSweep:
-      return SweepVtJoin(req.r, req.s, out, req.options, ctx);
+      return SweepBody(layout, r, s, out, options, ctx);
   }
   return Status::InvalidArgument("unknown executor");
+}
+
+/// Runs `executor` on `req` under the run contract. `planned` — the
+/// planner's metrics of a kAuto run, or null — joins the run's metrics
+/// before the contract exports them.
+StatusOr<JoinRunStats> RunExecutor(JoinExecutor executor,
+                                   const JoinRequest& req, StoredRelation* out,
+                                   ExecContext* ctx,
+                                   const MetricsRegistry* planned = nullptr) {
+  return RunJoinContract(
+      executor, req.r, req.s, out, req.options, ctx,
+      [&](const NaturalJoinLayout& layout) -> StatusOr<JoinRunStats> {
+        TEMPO_ASSIGN_OR_RETURN(JoinRunStats stats,
+                               RunBody(executor, req, layout, out, ctx));
+        if (planned != nullptr) stats.metrics.Merge(*planned);
+        return stats;
+      });
 }
 
 /// The executor that runs a planned algorithm, and the root phase its
@@ -224,9 +160,11 @@ PlannedRoute RouteOf(JoinAlgorithm a) {
 /// through RunExecutor (the contract is documented on RunJoin).
 StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
                                   ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(JoinExecutor::kAuto, req.options));
   if (ctx != nullptr && ctx->accountant() == nullptr) {
     ctx->BindAccountant(&req.r->disk()->accountant());
   }
+  MetricsRegistry planned;
   if (req.options.join_kind != JoinKind::kInner) {
     // The sequenced outer/anti variants are implemented only by the
     // partition executor (coverage tracking rides on its dedup rule), so
@@ -234,13 +172,8 @@ StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
     const double partition =
         static_cast<double>(static_cast<int>(JoinAlgorithm::kPartition));
     SetMetric(ctx, Metric::kPlannedAlgorithm, partition);
-    StatusOr<JoinRunStats> stats =
-        RunExecutor(JoinExecutor::kPartition, req, out, ctx);
-    if (stats.ok()) {
-      stats->Set(Metric::kPlannedAlgorithm, partition);
-      ExportMetrics(*stats, ctx);
-    }
-    return stats;
+    planned.Set(Metric::kPlannedAlgorithm, partition);
+    return RunExecutor(JoinExecutor::kPartition, req, out, ctx, &planned);
   }
   JoinPlan plan;
   {
@@ -260,23 +193,19 @@ StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
     SetMetric(ctx, Metric::kRadixBudgetBytes,
               static_cast<double>(ResolveRadixBudgetBytes(req.options)));
   }
-  StatusOr<JoinRunStats> stats = RunExecutor(route.executor, req, out, ctx);
-  const bool radix_fallback =
-      route.executor == JoinExecutor::kInMemoryRadix && !stats.ok() &&
-      stats.status().code() == StatusCode::kResourceExhausted;
-  if (radix_fallback) {
+  planned.Set(Metric::kPlannedAlgorithm,
+              static_cast<double>(static_cast<int>(plan.algorithm)));
+  planned.Set(Metric::kPlannedCost, est);
+  StatusOr<JoinRunStats> stats =
+      RunExecutor(route.executor, req, out, ctx, &planned);
+  if (route.executor == JoinExecutor::kInMemoryRadix && !stats.ok() &&
+      stats.status().code() == StatusCode::kResourceExhausted) {
     // The optimistic plan-time footprint was wrong: extraction hit the
     // budget. Nothing was emitted yet, so clear and rerun on the paged
     // Grace path.
     TEMPO_RETURN_IF_ERROR(out->Clear());
-    stats = RunExecutor(JoinExecutor::kPartition, req, out, ctx);
-  }
-  if (stats.ok()) {
-    if (radix_fallback) stats->Set(Metric::kRadixFallback, 1.0);
-    stats->Set(Metric::kPlannedAlgorithm,
-               static_cast<double>(static_cast<int>(plan.algorithm)));
-    stats->Set(Metric::kPlannedCost, est);
-    ExportMetrics(*stats, ctx);
+    planned.Set(Metric::kRadixFallback, 1.0);
+    stats = RunExecutor(JoinExecutor::kPartition, req, out, ctx, &planned);
   }
   return stats;
 }
@@ -297,17 +226,8 @@ StatusOr<JoinRunStats> RunJoin(const JoinRequest& req, StoredRelation* out,
         "output relation must be distinct from the inputs");
   }
   TEMPO_RETURN_IF_ERROR(ValidateJoinAttrs(req));
-  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(req.executor, req.options));
-
-  StatusOr<JoinRunStats> result =
-      req.executor == JoinExecutor::kAuto
-          ? RunPlanned(req, out, ctx)
-          : RunExecutor(req.executor, req, out, ctx);
-  if (result.ok() && !req.options.predicate.IsOverlapDefault()) {
-    result->Set(Metric::kJoinPredicateMask,
-                static_cast<double>(req.options.predicate.mask()));
-  }
-  return result;
+  if (req.executor == JoinExecutor::kAuto) return RunPlanned(req, out, ctx);
+  return RunExecutor(req.executor, req, out, ctx);
 }
 
 }  // namespace tempo

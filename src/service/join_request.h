@@ -6,50 +6,10 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "join/join_common.h"
+#include "join/join_executor.h"
 #include "storage/stored_relation.h"
 
 namespace tempo {
-
-/// The evaluation strategies a JoinRequest may name. kAuto defers to the
-/// cost-based planner; the rest force one executor. kReference is the
-/// in-memory oracle (O(|r|*|s|)), kept addressable for verification runs
-/// and the only executor that evaluates predicates containing
-/// before/after. kSweep is the endpoint-sorted sweep, the only planned
-/// executor for adjacency predicates (meets/met-by).
-enum class JoinExecutor {
-  kAuto,
-  kNestedLoop,
-  kSortMerge,
-  kIndexed,
-  kPartition,
-  kReference,
-  kInMemoryRadix,
-  kSweep,
-};
-
-const char* JoinExecutorName(JoinExecutor e);
-
-/// The single gatekeeper for executor x join-kind x predicate: returns OK
-/// when the named executor can evaluate `options`, and InvalidArgument
-/// naming all three otherwise. The rules it encodes:
-///
-///  - non-inner kinds (outer/anti) run on the partition executor (kAuto
-///    routes there) or the reference oracle, and only under the default
-///    overlap predicate — the sequenced semantics are defined over
-///    overlapping valid time;
-///  - predicates whose relations all imply a shared chronon (subsets of
-///    the overlap disjunction) are accepted by every executor;
-///  - adjacency predicates (containing meets/met-by but not before/after)
-///    need the sweep executor, the planner (which routes to it), or the
-///    oracle;
-///  - predicates containing before/after match unboundedly separated
-///    tuples and are accepted by the reference oracle only.
-///
-/// RunJoin calls this before dispatch; executors also self-check (their
-/// guards make standalone calls safe), but this is the layer that can
-/// name the requested executor in the error.
-Status ValidateExecOptions(JoinExecutor executor, const ExecOptions& options);
 
 /// One valid-time natural join, described declaratively: which relations,
 /// which executor, and the budget knobs — the single entry point that
@@ -135,10 +95,12 @@ struct JoinRequest {
 /// point that picks and runs an executor: a named executor runs as is;
 /// kAuto plans with PlanVtJoin and runs the chosen algorithm, forcing the
 /// partition executor for non-inner kinds and falling back from radix to
-/// partition when extraction exceeds the radix budget. A planned run
-/// reports kPlannedAlgorithm (JoinAlgorithm's encoding), kPlannedCost and
-/// kRadixFallback, opens a kPlan span, and annotates the planner's
-/// estimate onto the chosen executor's root span.
+/// partition when extraction exceeds the radix budget. Every executor run
+/// goes through RunJoinContract (join/join_executor.h), which validates,
+/// measures the charged IoStats and exports the metrics once. A planned
+/// run additionally reports kPlannedAlgorithm (JoinAlgorithm's encoding),
+/// kPlannedCost and kRadixFallback, opens a kPlan span, and annotates the
+/// planner's estimate onto the chosen executor's root span.
 ///
 /// Parallelism comes from the Scheduler handle on `ctx` (serial when the
 /// context or handle is null), and all charged I/O lands on the

@@ -12,6 +12,7 @@
 #include "core/partition_spec.h"
 #include "core/tuple_cache.h"
 #include "join/reference_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -576,9 +577,9 @@ TEST(PartitionJoinTest, CacheTrafficGrowsWithLongLivedTuples) {
     auto layout = DeriveNaturalJoinLayout(r->schema(), s->schema());
     StoredRelation out(&disk, layout->output, "out");
     out.SetCharged(false).ok();
-    PartitionJoinOptions options;
-    options.buffer_pages = 16;
-    auto stats = PartitionVtJoin(r.get(), s.get(), &out, options);
+    JoinRequest req;
+    req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(16);
+    auto stats = RunJoin(req, &out);
     return stats->Get(Metric::kCacheTuples);
   };
   EXPECT_GT(run(0.5), run(0.0));
@@ -625,10 +626,9 @@ TEST(PartitionJoinTest, FitsInMemorySkipsPartitioning) {
   StoredRelation out(&disk, layout->output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
   disk.accountant().Reset();
-  PartitionJoinOptions options;
-  options.buffer_pages = 4096;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             PartitionVtJoin(r.get(), s.get(), &out, options));
+  JoinRequest req;
+  req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(4096);
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
   EXPECT_EQ(stats.Get(Metric::kPartitions), 1.0);
   // Exactly one sequential pass over each input, nothing else.
   EXPECT_EQ(stats.io.total_ops(), r->num_pages() + s->num_pages());
@@ -678,9 +678,9 @@ TEST(PartitionJoinTest, PartitionFilesAreDroppedAfterJoin) {
   auto layout = DeriveNaturalJoinLayout(r->schema(), s->schema());
   StoredRelation out(&disk, layout->output, "out");
   uint64_t base_pages = disk.TotalPages();
-  PartitionJoinOptions options;
-  options.buffer_pages = 8;
-  TEMPO_ASSERT_OK(PartitionVtJoin(r.get(), s.get(), &out, options).status());
+  JoinRequest req;
+  req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(8);
+  TEMPO_ASSERT_OK(RunJoin(req, &out).status());
   // Only the output remains beyond the inputs.
   EXPECT_EQ(disk.TotalPages(), base_pages + out.num_pages());
 }

@@ -7,6 +7,7 @@
 #include "core/partition_join.h"
 #include "join/nested_loop_join.h"
 #include "core/partition_spec.h"
+#include "service/join_request.h"
 #include "storage/buffer_manager.h"
 #include "test_util.h"
 
@@ -176,10 +177,12 @@ TEST(DeterminismTest, PartitionJoinIsReproducibleFromSeed) {
     auto s = tempo::testing::MakeRelation(&disk, s_schema, s_tuples, "s");
     auto layout = DeriveNaturalJoinLayout(r->schema(), s->schema());
     StoredRelation out(&disk, layout->output, "out");
-    PartitionJoinOptions options;
-    options.buffer_pages = 12;
-    options.seed = 7;
-    auto stats = PartitionVtJoin(r.get(), s.get(), &out, options);
+    JoinRequest req;
+    req.From(r.get(), s.get())
+        .Using(JoinExecutor::kPartition)
+        .BufferPages(12)
+        .Seed(7);
+    auto stats = RunJoin(req, &out);
     EXPECT_TRUE(stats.ok());
     return std::make_tuple(stats->io, stats->output_tuples,
                            stats->Get(Metric::kPartitions),
@@ -209,10 +212,9 @@ TEST(SingleHeadModelTest, NestedLoopMatchesAnalyticUnderSingleHead) {
   disk.accountant().Reset();
   // Reset clears the head; keep the single-head model.
   disk.accountant().set_head_model(HeadModel::kSingleHead);
-  ExecOptions options;
-  options.buffer_pages = 10;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             NestedLoopVtJoin(r.get(), s.get(), &out, options));
+  JoinRequest req;
+  req.From(r.get(), s.get()).Using(JoinExecutor::kNestedLoop).BufferPages(10);
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
   CostModel m = CostModel::Ratio(5.0);
   EXPECT_DOUBLE_EQ(stats.Cost(m),
                    NestedLoopAnalyticCost(r->num_pages(), s->num_pages(), 10,

@@ -2,8 +2,8 @@
 
 #include "join/append_only_tree.h"
 #include "join/external_sort.h"
-#include "join/indexed_join.h"
 #include "join/reference_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -137,10 +137,11 @@ TEST_P(IndexedJoinOracleTest, MatchesReferenceJoin) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  ExecOptions options;
-  options.buffer_pages = c.buffer_pages;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             IndexedVtJoin(r.get(), s.get(), &out, options));
+  JoinRequest req;
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kIndexed)
+      .BufferPages(c.buffer_pages);
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
       ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
@@ -176,9 +177,9 @@ TEST(IndexedJoinTest, LongLivedTuplesWidenScans) {
     auto layout = DeriveNaturalJoinLayout(TestSchema(), SSchema());
     StoredRelation out(&disk, layout->output, "out");
     out.SetCharged(false).ok();
-    ExecOptions options;
-    options.buffer_pages = 16;
-    auto stats = IndexedVtJoin(r.get(), s.get(), &out, options);
+    JoinRequest req;
+    req.From(r.get(), s.get()).Using(JoinExecutor::kIndexed).BufferPages(16);
+    auto stats = RunJoin(req, &out);
     EXPECT_TRUE(stats.ok());
     return stats->Get(Metric::kInnerPagesScanned);
   };

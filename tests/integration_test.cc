@@ -4,10 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/partition_join.h"
-#include "join/nested_loop_join.h"
 #include "join/reference_join.h"
-#include "join/sort_merge_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -54,6 +52,15 @@ std::unique_ptr<Setup> MakeSetup(uint64_t tuples, uint64_t long_lived,
   return setup;
 }
 
+/// Runs `executor` on the setup's (r, s) into `out` through RunJoin.
+StatusOr<JoinRunStats> RunOn(Setup* setup, JoinExecutor executor,
+                             StoredRelation* out, const ExecOptions& options) {
+  JoinRequest req;
+  req.From(setup->r.get(), setup->s.get()).Using(executor);
+  req.options = options;
+  return RunJoin(req, out);
+}
+
 class AllExecutorsTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AllExecutorsTest, AgreeOnGeneratedWorkload) {
@@ -62,22 +69,17 @@ TEST_P(AllExecutorsTest, AgreeOnGeneratedWorkload) {
 
   ExecOptions base;
   base.buffer_pages = 16;
-  PartitionJoinOptions pj_options;
-  pj_options.buffer_pages = 16;
 
   StoredRelation out_nl(&setup->disk, setup->layout.output, "out_nl");
   StoredRelation out_sm(&setup->disk, setup->layout.output, "out_sm");
   StoredRelation out_pj(&setup->disk, setup->layout.output, "out_pj");
 
   TEMPO_ASSERT_OK(
-      NestedLoopVtJoin(setup->r.get(), setup->s.get(), &out_nl, base)
-          .status());
+      RunOn(setup.get(), JoinExecutor::kNestedLoop, &out_nl, base).status());
   TEMPO_ASSERT_OK(
-      SortMergeVtJoin(setup->r.get(), setup->s.get(), &out_sm, base)
-          .status());
+      RunOn(setup.get(), JoinExecutor::kSortMerge, &out_sm, base).status());
   TEMPO_ASSERT_OK(
-      PartitionVtJoin(setup->r.get(), setup->s.get(), &out_pj, pj_options)
-          .status());
+      RunOn(setup.get(), JoinExecutor::kPartition, &out_pj, base).status());
 
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> nl, out_nl.ReadAll());
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> sm, out_sm.ReadAll());
@@ -109,35 +111,22 @@ TEST(CostShapeTest, PartitionBeatsSortMergeAndSmallMemoryNestedLoop) {
   // (at 1 MiB : 32 MiB the paper's ratio is 1:32).
   uint32_t pages = setup->r->num_pages() / 20;
 
-  auto run = [&](char algo) -> double {
+  auto run = [&](JoinExecutor executor) -> double {
     StoredRelation out(&setup->disk, setup->layout.output, "out");
     out.SetCharged(false).ok();
     setup->disk.accountant().Reset();
-    StatusOr<JoinRunStats> stats = Status::Internal("");
     ExecOptions base;
     base.buffer_pages = pages;
     base.cost_model = model;
-    PartitionJoinOptions pj;
-    pj.buffer_pages = pages;
-    pj.cost_model = model;
-    switch (algo) {
-      case 'n':
-        stats = NestedLoopVtJoin(setup->r.get(), setup->s.get(), &out, base);
-        break;
-      case 's':
-        stats = SortMergeVtJoin(setup->r.get(), setup->s.get(), &out, base);
-        break;
-      default:
-        stats = PartitionVtJoin(setup->r.get(), setup->s.get(), &out, pj);
-    }
+    StatusOr<JoinRunStats> stats = RunOn(setup.get(), executor, &out, base);
     EXPECT_TRUE(stats.ok());
     setup->disk.DeleteFile(out.file_id()).ok();
     return stats.ok() ? stats->Cost(model) : 0.0;
   };
 
-  double nl = run('n');
-  double sm = run('s');
-  double pj = run('p');
+  double nl = run(JoinExecutor::kNestedLoop);
+  double sm = run(JoinExecutor::kSortMerge);
+  double pj = run(JoinExecutor::kPartition);
   // Section 4.5: "with adequate main memory our algorithm exhibits almost
   // uniformly better performance".
   EXPECT_LT(pj, sm);
@@ -153,8 +142,7 @@ TEST(CostShapeTest, NestedLoopInsensitiveToLongLivedTuples) {
     out.SetCharged(false).ok();
     ExecOptions base;
     base.buffer_pages = setup->r->num_pages() / 4;
-    auto stats =
-        NestedLoopVtJoin(setup->r.get(), setup->s.get(), &out, base);
+    auto stats = RunOn(setup.get(), JoinExecutor::kNestedLoop, &out, base);
     EXPECT_TRUE(stats.ok());
     return stats->Cost(model);
   };
@@ -171,7 +159,7 @@ TEST(CostShapeTest, SortMergeGrowsWithLongLivedDensityUnderTightMemory) {
     ExecOptions base;
     base.buffer_pages = 12;
     base.cost_model = model;
-    auto stats = SortMergeVtJoin(setup->r.get(), setup->s.get(), &out, base);
+    auto stats = RunOn(setup.get(), JoinExecutor::kSortMerge, &out, base);
     EXPECT_TRUE(stats.ok());
     return stats->Cost(model);
   };
@@ -185,10 +173,10 @@ TEST(CostShapeTest, PartitionJoinImprovesWithMemory) {
   auto run_at = [&](uint32_t pages) -> double {
     StoredRelation out(&setup->disk, setup->layout.output, "out");
     out.SetCharged(false).ok();
-    PartitionJoinOptions pj;
-    pj.buffer_pages = pages;
-    pj.cost_model = model;
-    auto stats = PartitionVtJoin(setup->r.get(), setup->s.get(), &out, pj);
+    ExecOptions base;
+    base.buffer_pages = pages;
+    base.cost_model = model;
+    auto stats = RunOn(setup.get(), JoinExecutor::kPartition, &out, base);
     EXPECT_TRUE(stats.ok());
     setup->disk.DeleteFile(out.file_id()).ok();
     return stats->Cost(model);

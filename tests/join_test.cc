@@ -8,7 +8,7 @@
 #include "join/join_common.h"
 #include "join/nested_loop_join.h"
 #include "join/reference_join.h"
-#include "join/sort_merge_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -25,6 +25,16 @@ Schema SSchema() {
 
 Tuple S(int64_t key, const std::string& dept, Chronon vs, Chronon ve) {
   return Tuple({Value(key), Value(dept)}, Interval(vs, ve));
+}
+
+/// Runs `executor` on (r, s) into `out` through RunJoin.
+StatusOr<JoinRunStats> RunNamed(JoinExecutor executor, StoredRelation* r,
+                                StoredRelation* s, StoredRelation* out,
+                                const ExecOptions& options) {
+  JoinRequest req;
+  req.From(r, s).Using(executor);
+  req.options = options;
+  return RunJoin(req, out);
 }
 
 // ---------------------------------------------------------------------
@@ -100,14 +110,18 @@ TEST(SameTupleMultisetTest, DetectsEqualityAndDifference) {
 // ---------------------------------------------------------------------
 
 struct ExecutorCase {
-  const char* name;
-  StatusOr<JoinRunStats> (*run)(StoredRelation*, StoredRelation*,
-                                StoredRelation*, const ExecOptions&,
-                                ExecContext*);
+  JoinExecutor executor;
   uint32_t buffer_pages;
   double long_lived_prob;
   uint64_t seed;
 };
+
+// Names the parameter in the listed test name by its executor alone (the
+// buffer, long-lived share and seed are in the name suffix), instead of
+// GTest's default dump of the struct's bytes.
+void PrintTo(const ExecutorCase& c, std::ostream* os) {
+  *os << JoinExecutorName(c.executor);
+}
 
 class ExecutorOracleTest : public ::testing::TestWithParam<ExecutorCase> {};
 
@@ -131,10 +145,9 @@ TEST_P(ExecutorOracleTest, MatchesReferenceJoin) {
       DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
 
-  ExecOptions options;
-  options.buffer_pages = c.buffer_pages;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             c.run(r.get(), s.get(), &out, options, nullptr));
+  JoinRequest req;
+  req.From(r.get(), s.get()).Using(c.executor).BufferPages(c.buffer_pages);
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
 
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
@@ -142,8 +155,8 @@ TEST_P(ExecutorOracleTest, MatchesReferenceJoin) {
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_EQ(stats.output_tuples, expected.size());
   EXPECT_TRUE(SameTupleMultiset(actual, expected))
-      << c.name << ": got " << actual.size() << " tuples, want "
-      << expected.size();
+      << JoinExecutorName(c.executor) << ": got " << actual.size()
+      << " tuples, want " << expected.size();
 }
 
 std::vector<ExecutorCase> MakeExecutorCases() {
@@ -151,9 +164,8 @@ std::vector<ExecutorCase> MakeExecutorCases() {
   for (uint32_t pages : {4u, 6u, 16u, 64u}) {
     for (double llp : {0.0, 0.2, 0.8}) {
       for (uint64_t seed : {1ull, 2ull}) {
-        cases.push_back(
-            {"nested_loop", &NestedLoopVtJoin, pages, llp, seed});
-        cases.push_back({"sort_merge", &SortMergeVtJoin, pages, llp, seed});
+        cases.push_back({JoinExecutor::kNestedLoop, pages, llp, seed});
+        cases.push_back({JoinExecutor::kSortMerge, pages, llp, seed});
       }
     }
   }
@@ -164,7 +176,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ExecutorOracleTest, ::testing::ValuesIn(MakeExecutorCases()),
     [](const ::testing::TestParamInfo<ExecutorCase>& info) {
       const ExecutorCase& c = info.param;
-      return std::string(c.name) + "_b" + std::to_string(c.buffer_pages) +
+      const char* name =
+          c.executor == JoinExecutor::kNestedLoop ? "nested_loop"
+                                                  : "sort_merge";
+      return std::string(name) + "_b" + std::to_string(c.buffer_pages) +
              "_ll" + std::to_string(static_cast<int>(c.long_lived_prob * 10)) +
              "_s" + std::to_string(c.seed);
     });
@@ -196,8 +211,9 @@ TEST(NestedLoopTest, CostMatchesAnalyticPerFile) {
     ExecOptions options;
     options.buffer_pages = pages;
     TEMPO_ASSERT_OK(out.Clear());
-    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                               NestedLoopVtJoin(r.get(), s.get(), &out, options));
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        JoinRunStats stats,
+        RunNamed(JoinExecutor::kNestedLoop, r.get(), s.get(), &out, options));
     CostModel model = CostModel::Ratio(5.0);
     EXPECT_DOUBLE_EQ(
         stats.Cost(model),
@@ -231,7 +247,9 @@ TEST(NestedLoopTest, RejectsTinyBuffer) {
   StoredRelation out(&disk, layout.output, "out");
   ExecOptions options;
   options.buffer_pages = 2;
-  EXPECT_FALSE(NestedLoopVtJoin(r.get(), s.get(), &out, options).ok());
+  EXPECT_FALSE(
+      RunNamed(JoinExecutor::kNestedLoop, r.get(), s.get(), &out, options)
+          .ok());
 }
 
 // ---------------------------------------------------------------------
@@ -339,8 +357,9 @@ TEST(SortMergeTest, NoBackupWithoutLongLivedTuples) {
   StoredRelation out(&disk, layout.output, "out");
   ExecOptions options;
   options.buffer_pages = 64;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             SortMergeVtJoin(r.get(), s.get(), &out, options));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats,
+      RunNamed(JoinExecutor::kSortMerge, r.get(), s.get(), &out, options));
   EXPECT_EQ(stats.Get(Metric::kBackupPageReads), 0.0);
 }
 
@@ -361,8 +380,9 @@ TEST(SortMergeTest, LongLivedTuplesCauseBackupWhenMemoryTight) {
   TEMPO_ASSERT_OK(out.SetCharged(false));
   ExecOptions options;
   options.buffer_pages = 6;  // tiny window
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             SortMergeVtJoin(r.get(), s.get(), &out, options));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats,
+      RunNamed(JoinExecutor::kSortMerge, r.get(), s.get(), &out, options));
   EXPECT_GT(stats.Get(Metric::kBackupPageReads), 0.0);
 }
 
@@ -382,8 +402,9 @@ TEST(SortMergeTest, AmpleMemorySuppressesBackup) {
   StoredRelation out(&disk, layout.output, "out");
   ExecOptions options;
   options.buffer_pages = 4096;  // everything fits
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             SortMergeVtJoin(r.get(), s.get(), &out, options));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats,
+      RunNamed(JoinExecutor::kSortMerge, r.get(), s.get(), &out, options));
   EXPECT_EQ(stats.Get(Metric::kBackupPageReads), 0.0);
 }
 
@@ -396,8 +417,9 @@ TEST(SortMergeTest, EmptyInputs) {
   StoredRelation out(&disk, layout.output, "out");
   ExecOptions options;
   options.buffer_pages = 8;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             SortMergeVtJoin(r.get(), s.get(), &out, options));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats,
+      RunNamed(JoinExecutor::kSortMerge, r.get(), s.get(), &out, options));
   EXPECT_EQ(stats.output_tuples, 0u);
 }
 
@@ -430,7 +452,7 @@ TEST(HashedTupleIndexTest, RebuildRebinds) {
 }
 
 // ---------------------------------------------------------------------
-// PrepareJoin validation
+// PrepareJoinForKind validation
 // ---------------------------------------------------------------------
 
 TEST(PrepareJoinTest, RejectsWrongOutputSchema) {
@@ -438,7 +460,8 @@ TEST(PrepareJoinTest, RejectsWrongOutputSchema) {
   auto r = MakeRelation(&disk, TestSchema(), {}, "r");
   auto s = MakeRelation(&disk, SSchema(), {}, "s");
   StoredRelation out(&disk, TestSchema(), "out");  // wrong schema
-  EXPECT_FALSE(PrepareJoin(r.get(), s.get(), &out).ok());
+  EXPECT_FALSE(
+      PrepareJoinForKind(r.get(), s.get(), &out, JoinKind::kInner).ok());
 }
 
 TEST(PrepareJoinTest, RejectsUnflushedInput) {
@@ -449,7 +472,9 @@ TEST(PrepareJoinTest, RejectsUnflushedInput) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(r->schema(), s->schema()));
   StoredRelation out(&disk, layout.output, "out");
-  EXPECT_EQ(PrepareJoin(r.get(), s.get(), &out).status().code(),
+  EXPECT_EQ(PrepareJoinForKind(r.get(), s.get(), &out, JoinKind::kInner)
+                .status()
+                .code(),
             StatusCode::kFailedPrecondition);
 }
 

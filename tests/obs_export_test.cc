@@ -13,10 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
-#include "core/partition_join.h"
 #include "obs/bench_compare.h"
 #include "obs/bench_report.h"
 #include "obs/export.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -71,9 +71,9 @@ TracedRun RunSerialPartitionJoin(const JoinInputs& in) {
   StoredRelation out(&disk, layout_or.value().output, "out");
 
   ExecContext ctx;
-  PartitionJoinOptions options;
-  options.buffer_pages = 4;
-  auto stats_or = PartitionVtJoin(r.get(), s.get(), &out, options, &ctx);
+  JoinRequest req;
+  req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(4);
+  auto stats_or = RunJoin(req, &out, &ctx);
   EXPECT_TRUE(stats_or.ok()) << stats_or.status().ToString();
   if (!stats_or.ok()) return run;
   run.stats = std::move(stats_or).value();
@@ -194,9 +194,9 @@ TEST(TraceExportTest, WriteTraceFileRoundTrips) {
   ASSERT_TRUE(layout_or.ok());
   StoredRelation out(&disk, layout_or.value().output, "out");
   ExecContext ctx;
-  PartitionJoinOptions options;
-  options.buffer_pages = 4;
-  ASSERT_TRUE(PartitionVtJoin(r.get(), s.get(), &out, options, &ctx).ok());
+  JoinRequest req;
+  req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(4);
+  ASSERT_TRUE(RunJoin(req, &out, &ctx).ok());
 
   const std::string path = ::testing::TempDir() + "/tempo_trace_test.json";
   TraceExportOptions topts;

@@ -13,9 +13,6 @@
 #include "core/partition_coalesce.h"
 #include "core/partition_join.h"
 #include "incremental/materialized_view.h"
-#include "join/indexed_join.h"
-#include "join/nested_loop_join.h"
-#include "join/sort_merge_join.h"
 #include "obs/explain.h"
 #include "parallel/scheduler.h"
 #include "service/join_request.h"
@@ -75,13 +72,13 @@ PartitionRun RunPartitionJoin(const JoinInputs& in, ExecContext* ctx,
   EXPECT_TRUE(layout_or.ok());
   StoredRelation out(&disk, layout_or.value().output, "out");
 
-  PartitionJoinOptions options;
-  options.buffer_pages = 4;
+  JoinRequest req;
+  req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(4);
   // Thread count rides on the context's scheduler handle now; the handle
   // is cleared again before the local scheduler dies.
   Scheduler scheduler(SchedulerConfig{num_threads, /*morsel_pages=*/4});
   if (ctx != nullptr) ctx->SetScheduler(&scheduler);
-  auto stats_or = PartitionVtJoin(r.get(), s.get(), &out, options, ctx);
+  auto stats_or = RunJoin(req, &out, ctx);
   if (ctx != nullptr) ctx->SetScheduler(nullptr);
   EXPECT_TRUE(stats_or.ok()) << stats_or.status().ToString();
   if (!stats_or.ok()) return run;
@@ -316,34 +313,21 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
   ASSERT_TRUE(layout_or.ok());
   const Schema out_schema = layout_or.value().output;
 
-  struct Case {
-    const char* name;
-    StatusOr<JoinRunStats> (*run)(StoredRelation*, StoredRelation*,
-                                  StoredRelation*, const ExecOptions&,
-                                  ExecContext*);
-  };
-  for (const Case& c :
-       {Case{"nested_loop", &NestedLoopVtJoin},
-        Case{"sort_merge", &SortMergeVtJoin},
-        Case{"indexed", &IndexedVtJoin},
-        Case{"planner",
-             [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
-                const ExecOptions& options, ExecContext* ctx) {
-               JoinRequest req;
-               req.From(r, s);
-               req.options = options;
-               return RunJoin(req, out, ctx);
-             }}}) {
+  for (JoinExecutor executor :
+       {JoinExecutor::kNestedLoop, JoinExecutor::kSortMerge,
+        JoinExecutor::kIndexed, JoinExecutor::kAuto}) {
     Disk disk;
     auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
     auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
     StoredRelation out(&disk, out_schema, "out");
-    ExecOptions options;
-    options.buffer_pages = 8;  // the indexed join's minimum
-    auto stats_or = c.run(r.get(), s.get(), &out, options, nullptr);
-    ASSERT_TRUE(stats_or.ok()) << c.name << ": "
+    JoinRequest req;
+    // 8 pages: the indexed join's minimum.
+    req.From(r.get(), s.get()).Using(executor).BufferPages(8);
+    auto stats_or = RunJoin(req, &out);
+    const char* name = JoinExecutorName(executor);
+    ASSERT_TRUE(stats_or.ok()) << name << ": "
                                << stats_or.status().ToString();
-    ExpectAllDeclared(stats_or.value(), c.name);
+    ExpectAllDeclared(stats_or.value(), name);
   }
 
   {
@@ -352,12 +336,12 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
     auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
     auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
     StoredRelation out(&disk, out_schema, "out");
-    PartitionJoinOptions options;
-    options.buffer_pages = 4;
+    JoinRequest req;
+    req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(4);
     Scheduler scheduler(SchedulerConfig{4, /*morsel_pages=*/4});
     ExecContext pctx;
     pctx.SetScheduler(&scheduler);
-    auto stats_or = PartitionVtJoin(r.get(), s.get(), &out, options, &pctx);
+    auto stats_or = RunJoin(req, &out, &pctx);
     ASSERT_TRUE(stats_or.ok());
     ExpectAllDeclared(stats_or.value(), "partition");
   }

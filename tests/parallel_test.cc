@@ -5,21 +5,18 @@
 
 #include <atomic>
 #include <cstring>
-#include <functional>
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "core/partition_coalesce.h"
 #include "core/partition_join.h"
-#include "join/indexed_join.h"
-#include "join/nested_loop_join.h"
 #include "join/reference_join.h"
-#include "join/sort_merge_join.h"
 #include "obs/exec_context.h"
 #include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
 #include "parallel/thread_pool.h"
+#include "service/join_request.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -239,10 +236,11 @@ RunResult RunSkewedPartitionJoin(uint32_t num_threads) {
   }
   StoredRelation out(&disk, layout->output, "out");
 
-  PartitionJoinOptions options;
-  options.buffer_pages = 16;  // small memory => several partitions
+  JoinRequest req;
+  // Small memory => several partitions.
+  req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(16);
   ScopedScheduler sched(num_threads);
-  auto stats = PartitionVtJoin(r.get(), s.get(), &out, options, &sched.ctx);
+  auto stats = RunJoin(req, &out, &sched.ctx);
   if (!stats.ok()) {
     ADD_FAILURE() << stats.status().ToString();
     return result;
@@ -299,12 +297,12 @@ TEST(ParallelJoinTest, SortMergeAgreesAcrossThreadCounts) {
         NaturalJoinLayout layout,
         DeriveNaturalJoinLayout(TestSchema(), SSchema()));
     StoredRelation out(&disk, layout.output, "out");
-    ExecOptions options;
-    options.buffer_pages = 8;  // forces real run formation + merges
+    JoinRequest req;
+    // 8 pages force real run formation + merges.
+    req.From(r.get(), s.get()).Using(JoinExecutor::kSortMerge).BufferPages(8);
     ScopedScheduler sched(threads);
-    TEMPO_ASSERT_OK_AND_ASSIGN(
-        JoinRunStats stats,
-        SortMergeVtJoin(r.get(), s.get(), &out, options, &sched.ctx));
+    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
+                               RunJoin(req, &out, &sched.ctx));
     TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
     EXPECT_TRUE(SameTupleMultiset(actual, expected)) << "threads=" << threads;
     if (threads == 1) {
@@ -358,45 +356,15 @@ TEST(ZeroCopyLockTest, AllExecutorsByteIdenticalAcrossThreadCounts) {
                          t.interval().start(), t.interval().end()));
   }
 
-  using Runner = std::function<StatusOr<JoinRunStats>(
-      StoredRelation*, StoredRelation*, StoredRelation*, uint32_t)>;
   struct Executor {
-    const char* name;
-    Runner run;
+    JoinExecutor executor;
+    uint32_t buffer_pages;
   };
   const std::vector<Executor> executors = {
-      {"nested_loop",
-       [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
-          uint32_t threads) {
-         ExecOptions o;
-         o.buffer_pages = 8;
-         ScopedScheduler sched(threads);
-         return NestedLoopVtJoin(r, s, out, o, &sched.ctx);
-       }},
-      {"sort_merge",
-       [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
-          uint32_t threads) {
-         ExecOptions o;
-         o.buffer_pages = 8;
-         ScopedScheduler sched(threads);
-         return SortMergeVtJoin(r, s, out, o, &sched.ctx);
-       }},
-      {"indexed",
-       [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
-          uint32_t threads) {
-         ExecOptions o;
-         o.buffer_pages = 12;
-         ScopedScheduler sched(threads);
-         return IndexedVtJoin(r, s, out, o, &sched.ctx);
-       }},
-      {"partition",
-       [](StoredRelation* r, StoredRelation* s, StoredRelation* out,
-          uint32_t threads) {
-         PartitionJoinOptions o;
-         o.buffer_pages = 8;  // forces several partitions + spill paths
-         ScopedScheduler sched(threads);
-         return PartitionVtJoin(r, s, out, o, &sched.ctx);
-       }},
+      {JoinExecutor::kNestedLoop, 8},
+      {JoinExecutor::kSortMerge, 8},
+      {JoinExecutor::kIndexed, 12},
+      {JoinExecutor::kPartition, 8},  // several partitions + spill paths
   };
 
   for (const Executor& exec : executors) {
@@ -409,21 +377,27 @@ TEST(ZeroCopyLockTest, AllExecutorsByteIdenticalAcrossThreadCounts) {
           NaturalJoinLayout layout,
           DeriveNaturalJoinLayout(TestSchema(), SSchema()));
       StoredRelation out(&disk, layout.output, "out");
-      auto stats_or = exec.run(r.get(), s.get(), &out, threads);
+      JoinRequest req;
+      req.From(r.get(), s.get())
+          .Using(exec.executor)
+          .BufferPages(exec.buffer_pages);
+      ScopedScheduler sched(threads);
+      auto stats_or = RunJoin(req, &out, &sched.ctx);
+      const char* name = JoinExecutorName(exec.executor);
       ASSERT_TRUE(stats_or.ok())
-          << exec.name << ": " << stats_or.status().ToString();
+          << name << ": " << stats_or.status().ToString();
       ExecRun run;
       run.io = stats_or->io;
       run.output_tuples = stats_or->output_tuples;
       run.views = stats_or->Get(Metric::kDecodeMaterializationsAvoided);
       CapturePages(&out, &run);
       EXPECT_GT(run.views, 0.0)
-          << exec.name << " must stream views through its hot loop";
-      EXPECT_GT(run.output_tuples, 0u) << exec.name;
+          << name << " must stream views through its hot loop";
+      EXPECT_GT(run.output_tuples, 0u) << name;
       if (threads == 1) {
         reference = std::move(run);
       } else {
-        ExpectSameRun(reference, run, exec.name);
+        ExpectSameRun(reference, run, name);
       }
     }
   }

@@ -105,13 +105,15 @@ TEST(RadixJoinTest, ByteIdenticalAndIoIdenticalToReferenceAcrossThreads) {
                        "radix.out.t" + std::to_string(threads));
     TEMPO_ASSERT_OK(out.SetCharged(false));
     disk.accountant().Reset();
-    RadixJoinOptions options;
-    options.buffer_pages = 4096;  // 16 MiB budget: everything fits
+    JoinRequest req;
+    // 4096 pages = a 16 MiB budget: everything fits.
+    req.From(r.get(), s.get())
+        .Using(JoinExecutor::kInMemoryRadix)
+        .BufferPages(4096);
     Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
     ExecContext ctx;
     ctx.SetScheduler(&scheduler);
-    TEMPO_ASSERT_OK_AND_ASSIGN(
-        JoinRunStats stats, RadixVtJoin(r.get(), s.get(), &out, options, &ctx));
+    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
     ExecRun run;
     run.io = stats.io;
     run.output_tuples = stats.output_tuples;
@@ -126,14 +128,17 @@ TEST(RadixJoinTest, ByteIdenticalAndIoIdenticalToReferenceAcrossThreads) {
 TEST(RadixJoinTest, SkewedKeysOverflowOneBucket) {
   // Every tuple carries the same key: all rows land in one radix bucket no
   // matter how many passes run, far past the per-bucket target — the probe
-  // must stay correct (and byte-identical) on the overflowing bucket.
+  // must stay correct (and byte-identical) on the overflowing bucket. Each
+  // side has just over 256 KiB (the executor's bucket target) of column
+  // state, which forces at least one radix pass.
+  const int rows = static_cast<int>((256 * 1024) / kColumnRowBytes) + 1;
   Disk disk;
   Random rng(13);
   std::vector<Tuple> r_tuples, s_tuples;
-  for (int i = 0; i < 1500; ++i) {
-    Chronon a = rng.UniformRange(0, 297);
+  for (int i = 0; i < rows; ++i) {
+    Chronon a = rng.UniformRange(0, rows);
     r_tuples.push_back(T(7, "r" + std::to_string(i), a, a + 2));
-    Chronon b = rng.UniformRange(0, 297);
+    Chronon b = rng.UniformRange(0, rows);
     s_tuples.push_back(S(7, "s" + std::to_string(i), b, b + 2));
   }
   auto r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
@@ -148,14 +153,14 @@ TEST(RadixJoinTest, SkewedKeysOverflowOneBucket) {
                        "skew.out.t" + std::to_string(threads));
     TEMPO_ASSERT_OK(out.SetCharged(false));
     disk.accountant().Reset();
-    RadixJoinOptions options;
-    options.buffer_pages = 4096;
-    options.bucket_target_bytes = 1024;  // forces at least one radix pass
+    JoinRequest req;
+    req.From(r.get(), s.get())
+        .Using(JoinExecutor::kInMemoryRadix)
+        .BufferPages(4096);
     Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
     ExecContext ctx;
     ctx.SetScheduler(&scheduler);
-    TEMPO_ASSERT_OK_AND_ASSIGN(
-        JoinRunStats stats, RadixVtJoin(r.get(), s.get(), &out, options, &ctx));
+    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
     EXPECT_GE(stats.Get(Metric::kRadixPasses), 1.0);
     EXPECT_EQ(stats.Get(Metric::kRadixBuckets), 1.0);  // all keys collide
     ExecRun run;
@@ -175,13 +180,16 @@ TEST(RadixJoinTest, EmptySidesProduceEmptyOutput) {
   auto r_empty = MakeRelation(&disk, TestSchema(), {}, "r_empty");
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
-  RadixJoinOptions options;
-  options.buffer_pages = 1024;
+  auto radix = [](StoredRelation* r, StoredRelation* s, StoredRelation* out) {
+    JoinRequest req;
+    req.From(r, s).Using(JoinExecutor::kInMemoryRadix).BufferPages(1024);
+    return RunJoin(req, out);
+  };
   {
     StoredRelation out(&disk, layout.output, "out1");
     TEMPO_ASSERT_OK(out.SetCharged(false));
-    TEMPO_ASSERT_OK_AND_ASSIGN(
-        JoinRunStats stats, RadixVtJoin(r.get(), s_empty.get(), &out, options));
+    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
+                               radix(r.get(), s_empty.get(), &out));
     EXPECT_EQ(stats.output_tuples, 0u);
     EXPECT_EQ(out.num_tuples(), 0u);
   }
@@ -190,15 +198,14 @@ TEST(RadixJoinTest, EmptySidesProduceEmptyOutput) {
     TEMPO_ASSERT_OK(out.SetCharged(false));
     auto s = MakeRelation(&disk, SSchema(), ToS(RandomTuples(rng, 50, 5, 100, 0.0)), "s");
     TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                               RadixVtJoin(r_empty.get(), s.get(), &out, options));
+                               radix(r_empty.get(), s.get(), &out));
     EXPECT_EQ(stats.output_tuples, 0u);
   }
   {
     StoredRelation out(&disk, layout.output, "out3");
     TEMPO_ASSERT_OK(out.SetCharged(false));
-    TEMPO_ASSERT_OK_AND_ASSIGN(
-        JoinRunStats stats,
-        RadixVtJoin(r_empty.get(), s_empty.get(), &out, options));
+    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
+                               radix(r_empty.get(), s_empty.get(), &out));
     EXPECT_EQ(stats.output_tuples, 0u);
   }
 }
@@ -225,10 +232,11 @@ TEST(RadixJoinTest, AllNullKeysJoinUnderNullEqualsNull) {
   StoredRelation out(&disk, layout.output, "null.out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
   disk.accountant().Reset();
-  RadixJoinOptions options;
-  options.buffer_pages = 1024;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             RadixVtJoin(r.get(), s.get(), &out, options));
+  JoinRequest req;
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kInMemoryRadix)
+      .BufferPages(1024);
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
   ExecRun run;
   run.io = stats.io;
   run.output_tuples = stats.output_tuples;
@@ -246,9 +254,12 @@ TEST(RadixJoinTest, BudgetExceededMidExtractReturnsResourceExhausted) {
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
-  RadixJoinOptions options;
-  options.radix_budget_bytes = kPageSize;  // one page: dies mid-extract
-  StatusOr<JoinRunStats> stats = RadixVtJoin(r.get(), s.get(), &out, options);
+  JoinRequest req;
+  // A one-page budget dies mid-extract.
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kInMemoryRadix)
+      .RadixBudgetBytes(kPageSize);
+  StatusOr<JoinRunStats> stats = RunJoin(req, &out);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(out.num_tuples(), 0u);  // nothing was emitted before the abort

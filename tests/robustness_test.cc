@@ -5,11 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/partition_join.h"
 #include "incremental/materialized_view.h"
 #include "join/external_sort.h"
-#include "join/nested_loop_join.h"
-#include "join/sort_merge_join.h"
 #include "service/join_request.h"
 #include "test_util.h"
 
@@ -51,36 +48,26 @@ class ExecutorFaultTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExecutorFaultTest, AllExecutorsPropagateInjectedFaults) {
   const uint64_t fail_after = GetParam();
-  for (int algo = 0; algo < 3; ++algo) {
+  for (JoinExecutor executor :
+       {JoinExecutor::kNestedLoop, JoinExecutor::kSortMerge,
+        JoinExecutor::kPartition}) {
     FaultFixture f;
     StoredRelation out(&f.disk, f.layout.output, "out");
-    ExecOptions base;
-    base.buffer_pages = 8;
-    PartitionJoinOptions pj;
-    pj.buffer_pages = 8;
+    JoinRequest req;
+    req.From(f.r.get(), f.s.get()).Using(executor).BufferPages(8);
     f.disk.InjectFaultAfter(fail_after);
-    StatusOr<JoinRunStats> stats = Status::Internal("");
-    switch (algo) {
-      case 0:
-        stats = NestedLoopVtJoin(f.r.get(), f.s.get(), &out, base);
-        break;
-      case 1:
-        stats = SortMergeVtJoin(f.r.get(), f.s.get(), &out, base);
-        break;
-      default:
-        stats = PartitionVtJoin(f.r.get(), f.s.get(), &out, pj);
-    }
+    StatusOr<JoinRunStats> stats = RunJoin(req, &out);
     f.disk.ClearFault();
     if (!stats.ok()) {
       EXPECT_EQ(stats.status().code(), StatusCode::kInternal)
-          << "algo " << algo << ": " << stats.status().ToString();
+          << JoinExecutorName(executor) << ": " << stats.status().ToString();
       EXPECT_NE(stats.status().message().find("injected"),
                 std::string_view::npos);
     }
     // Either way the disk must stay usable afterwards.
     StoredRelation out2(&f.disk, f.layout.output, "out2");
     TEMPO_EXPECT_OK(
-        NestedLoopVtJoin(f.r.get(), f.s.get(), &out2, base).status());
+        RunJoin(req.Using(JoinExecutor::kNestedLoop), &out2).status());
   }
 }
 
@@ -90,11 +77,12 @@ INSTANTIATE_TEST_SUITE_P(FaultPoints, ExecutorFaultTest,
 TEST(FaultTest, FaultAfterCompletionIsHarmless) {
   FaultFixture f;
   StoredRelation out(&f.disk, f.layout.output, "out");
-  ExecOptions base;
-  base.buffer_pages = 16;
+  JoinRequest req;
+  req.From(f.r.get(), f.s.get())
+      .Using(JoinExecutor::kNestedLoop)
+      .BufferPages(16);
   f.disk.InjectFaultAfter(100000000);  // far beyond any I/O this run does
-  TEMPO_EXPECT_OK(
-      NestedLoopVtJoin(f.r.get(), f.s.get(), &out, base).status());
+  TEMPO_EXPECT_OK(RunJoin(req, &out).status());
   f.disk.ClearFault();
 }
 

@@ -264,6 +264,82 @@ TEST(JoinRequestTest, RejectsMalformedRequests) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(JoinRequestTest, EachExecutorEnforcesItsMinimumBufferPages) {
+  struct MinBuffer {
+    JoinExecutor executor;
+    uint32_t pages;
+  };
+  FacadeInputs in = MakeFacadeInputs();
+  ASSERT_FALSE(in.expected.empty());
+  for (const MinBuffer& min : {MinBuffer{JoinExecutor::kNestedLoop, 3},
+                               MinBuffer{JoinExecutor::kSortMerge, 4},
+                               MinBuffer{JoinExecutor::kIndexed, 8},
+                               MinBuffer{JoinExecutor::kPartition, 4},
+                               MinBuffer{JoinExecutor::kSweep, 4}}) {
+    const std::string name = JoinExecutorName(min.executor);
+    Disk disk;
+    auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
+    auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        NaturalJoinLayout layout,
+        DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+    StoredRelation out(&disk, layout.output, "out");
+    JoinRequest request;
+    request.From(r.get(), s.get())
+        .Using(min.executor)
+        .BufferPages(min.pages - 1);
+    auto below = RunJoin(request, &out);
+    ASSERT_FALSE(below.ok()) << name << " ran at " << min.pages - 1
+                             << " buffer pages";
+    EXPECT_EQ(below.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(below.status().message().find(name), std::string::npos)
+        << below.status().ToString();
+
+    auto at = RunJoin(request.BufferPages(min.pages), &out);
+    ASSERT_TRUE(at.ok()) << name << ": " << at.status().ToString();
+    EXPECT_EQ(at->output_tuples, in.expected.size()) << name;
+  }
+}
+
+TEST(JoinRequestTest, PredicateMaskReachesTheContextRegistry) {
+  // EXPLAIN ANALYZE, the slow-query log and the Prometheus output read the
+  // context's registry, so a non-default predicate must be recorded there
+  // by every executor, not only in the returned stats.
+  FacadeInputs in = MakeFacadeInputs();
+  const TemporalPredicate contains =
+      TemporalPredicate::Exactly(AllenRelation::kContains);
+  for (JoinExecutor executor :
+       {JoinExecutor::kAuto, JoinExecutor::kNestedLoop,
+        JoinExecutor::kSortMerge, JoinExecutor::kIndexed,
+        JoinExecutor::kPartition, JoinExecutor::kReference,
+        JoinExecutor::kInMemoryRadix, JoinExecutor::kSweep}) {
+    const std::string name = JoinExecutorName(executor);
+    Disk disk;
+    auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
+    auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        NaturalJoinLayout layout,
+        DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+    StoredRelation out(&disk, layout.output, "out");
+    JoinRequest request;
+    request.From(r.get(), s.get())
+        .Using(executor)
+        .BufferPages(8)
+        .RadixBudgetBytes(uint64_t{1} << 20)  // radix inputs must fit
+        .Predicate(AllenRelation::kContains);
+    ExecContext ctx;
+    auto stats = RunJoin(request, &out, &ctx);
+    ASSERT_TRUE(stats.ok()) << name << ": " << stats.status().ToString();
+    EXPECT_EQ(stats->Get(Metric::kJoinPredicateMask),
+              static_cast<double>(contains.mask()))
+        << name;
+    ASSERT_TRUE(ctx.metrics().Has(Metric::kJoinPredicateMask)) << name;
+    EXPECT_EQ(ctx.metrics().Get(Metric::kJoinPredicateMask),
+              static_cast<double>(contains.mask()))
+        << name;
+  }
+}
+
 // ---------------------------------------------------------------------
 // QueryService
 // ---------------------------------------------------------------------

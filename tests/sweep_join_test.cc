@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "join/reference_join.h"
-#include "join/sweep_join.h"
 #include "parallel/scheduler.h"
 #include "service/join_request.h"
 #include "test_util.h"
