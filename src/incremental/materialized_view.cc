@@ -142,7 +142,8 @@ Status MaterializedVtJoinView::RecomputePartitionResult(size_t i) {
       [&](const TupleView& y) -> Status {
         Status status = Status::OK();
         const Interval y_iv = y.interval();
-        index.ForEachMatch(y, layout_.s_join_attrs, [&](const Tuple& x) {
+        index.ForEachMatchIndexed(y, layout_.s_join_attrs,
+                                  [&](const Tuple& x, size_t) {
           if (!status.ok()) return;
           auto common = Overlap(x.interval(), y_iv);
           if (!common) return;

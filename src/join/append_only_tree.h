@@ -35,6 +35,13 @@ class AppendOnlyTree {
   static StatusOr<std::unique_ptr<AppendOnlyTree>> Build(
       StoredRelation* rel, const std::string& name);
 
+  /// Drops the node file, so a tree abandoned on an error path leaves no
+  /// pages behind.
+  ~AppendOnlyTree() { Drop().ok(); }
+
+  AppendOnlyTree(const AppendOnlyTree&) = delete;
+  AppendOnlyTree& operator=(const AppendOnlyTree&) = delete;
+
   /// Registers one appended data page (its first Vs must be >= every key
   /// already present — the append-only contract). Charges the rightmost-
   /// spine node writes.
@@ -60,7 +67,7 @@ class AppendOnlyTree {
     if (d > max_duration_) max_duration_ = d;
   }
 
-  /// Drops the node file.
+  /// Drops the node file (idempotent).
   Status Drop();
 
  private:

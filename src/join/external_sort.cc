@@ -49,37 +49,6 @@ struct ViewChunk {
   }
 };
 
-/// Appends sorted views to `out`, recording per-page metadata by mirroring
-/// the relation's pagination (the view twin of AppendWithMeta below).
-Status AppendViewsWithMeta(StoredRelation* out,
-                           const std::vector<TupleView>& views,
-                           std::vector<SortedPageMeta>* meta) {
-  uint32_t pages_before = out->num_pages();
-  SortedPageMeta current{0, 0, 0};
-  bool have_current = false;
-  for (const TupleView& v : views) {
-    TEMPO_RETURN_IF_ERROR(out->AppendRecord(v.record()));
-    uint32_t pages_now = out->num_pages();
-    if (pages_now != pages_before) {
-      if (have_current) meta->push_back(current);
-      have_current = false;
-      pages_before = pages_now;
-    }
-    const Interval iv = v.interval();
-    if (!have_current) {
-      current = SortedPageMeta{iv.start(), iv.start(), iv.end()};
-      have_current = true;
-    } else {
-      current.min_vs = std::min(current.min_vs, iv.start());
-      current.max_vs = std::max(current.max_vs, iv.start());
-      current.max_ve = std::max(current.max_ve, iv.end());
-    }
-  }
-  TEMPO_RETURN_IF_ERROR(out->Flush());
-  if (have_current) meta->push_back(current);
-  return Status::OK();
-}
-
 /// Reads one run (a Vs-sorted relation) through a multi-page input buffer:
 /// each refill fetches `buffer_pages` consecutive pages (1 random +
 /// (c-1) sequential I/Os).
@@ -120,17 +89,15 @@ class RunReader {
   size_t pos_ = 0;
 };
 
-/// Merges `runs` into `out`, optionally collecting page metadata. Buffer
-/// budget: each input run and the output each get
-/// buffer_pages / (runs + 1) pages (at least 1).
-Status MergeRuns(std::vector<std::unique_ptr<StoredRelation>>& runs,
-                 uint32_t buffer_pages, StoredRelation* out,
-                 std::vector<SortedPageMeta>* meta) {
+/// Merges `runs` into `out`. Buffer budget: each input run and the output
+/// each get buffer_pages / (runs + 1) pages (at least 1).
+Status MergeRuns(const std::vector<TempRelation>& runs, uint32_t buffer_pages,
+                 StoredRelation* out) {
   uint32_t per_stream =
       std::max<uint32_t>(1, buffer_pages / (static_cast<uint32_t>(runs.size()) + 1));
   std::vector<RunReader> readers;
   readers.reserve(runs.size());
-  for (auto& run : runs) readers.emplace_back(run.get(), per_stream);
+  for (const auto& run : runs) readers.emplace_back(run.get(), per_stream);
 
   struct HeapEntry {
     Tuple tuple;
@@ -149,48 +116,23 @@ Status MergeRuns(std::vector<std::unique_ptr<StoredRelation>>& runs,
     if (more) heap.push(HeapEntry{std::move(t), i});
   }
 
-  // Track metadata per output page. StoredRelation flushes a page whenever
-  // the next tuple does not fit, so we mirror its pagination by watching
-  // num_pages() grow.
-  uint32_t pages_before = out->num_pages();
-  SortedPageMeta current{0, 0, 0};
-  bool have_current = false;
-
-  auto close_page = [&]() {
-    if (meta != nullptr && have_current) meta->push_back(current);
-    have_current = false;
-  };
-
   while (!heap.empty()) {
     HeapEntry top = heap.top();
     heap.pop();
     TEMPO_RETURN_IF_ERROR(out->Append(top.tuple));
-    uint32_t pages_now = out->num_pages();
-    if (pages_now != pages_before) {
-      // The append buffer was flushed before this tuple was added; the
-      // finished page's metadata is complete.
-      close_page();
-      pages_before = pages_now;
-    }
-    const Interval& iv = top.tuple.interval();
-    if (!have_current) {
-      current = SortedPageMeta{iv.start(), iv.start(), iv.end()};
-      have_current = true;
-    } else {
-      current.max_vs = std::max(current.max_vs, iv.start());
-      current.min_vs = std::min(current.min_vs, iv.start());
-      current.max_ve = std::max(current.max_ve, iv.end());
-    }
     Tuple next;
     TEMPO_ASSIGN_OR_RETURN(bool more, readers[top.stream].Next(&next));
     if (more) heap.push(HeapEntry{std::move(next), top.stream});
   }
-  TEMPO_RETURN_IF_ERROR(out->Flush());
-  close_page();
-  return Status::OK();
+  return out->Flush();
 }
 
 }  // namespace
+
+void DropRelationFile::operator()(StoredRelation* rel) const {
+  rel->disk()->DeleteFile(rel->file_id()).ok();
+  delete rel;
+}
 
 StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
                                           uint32_t buffer_pages,
@@ -206,6 +148,9 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
     return Status::FailedPrecondition("input must be flushed before sorting");
   }
   Disk* disk = input->disk();
+  auto temp_relation = [&](const std::string& name) {
+    return TempRelation(new StoredRelation(disk, input->schema(), name));
+  };
 
   uint32_t pages = input->num_pages();
 
@@ -216,17 +161,17 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
     TEMPO_RETURN_IF_ERROR(all.Load(input, 0, pages));
     std::stable_sort(all.views.begin(), all.views.end(), ViewVsLess);
     SortedRelation result;
-    result.relation =
-        std::make_unique<StoredRelation>(disk, input->schema(), output_name);
-    TEMPO_RETURN_IF_ERROR(AppendViewsWithMeta(result.relation.get(),
-                                              all.views, &result.page_meta));
+    result.relation = temp_relation(output_name);
+    TEMPO_RETURN_IF_ERROR(all.WriteRun(result.relation.get()));
     result.records_sorted_zero_copy = all.views.size();
-    TEMPO_CHECK(result.page_meta.size() == result.relation->num_pages());
     return result;
   }
 
   // --- Run formation: memory-sized sorted runs. -----------------------
-  std::vector<std::unique_ptr<StoredRelation>> runs;
+  std::vector<TempRelation> runs;
+  auto next_run = [&]() {
+    return temp_relation(output_name + ".run" + std::to_string(runs.size()));
+  };
   uint64_t run_records = 0;
   if (parallel.enabled() && pool != nullptr) {
     // The coordinator reads a wave of chunks (input pages in scan order),
@@ -260,12 +205,9 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
           },
           morsel_stats));
       for (uint32_t c = 0; c < in_wave; ++c) {
-        auto run = std::make_unique<StoredRelation>(
-            disk, input->schema(),
-            output_name + ".run" + std::to_string(runs.size()));
-        TEMPO_RETURN_IF_ERROR(chunks[c]->WriteRun(run.get()));
+        runs.push_back(next_run());
+        TEMPO_RETURN_IF_ERROR(chunks[c]->WriteRun(runs.back().get()));
         run_records += chunks[c]->views.size();
-        runs.push_back(std::move(run));
       }
     }
   } else {
@@ -274,56 +216,67 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
       uint32_t end = std::min(pages, start + buffer_pages);
       TEMPO_RETURN_IF_ERROR(chunk.Load(input, start, end));
       std::stable_sort(chunk.views.begin(), chunk.views.end(), ViewVsLess);
-      auto run = std::make_unique<StoredRelation>(
-          disk, input->schema(),
-          output_name + ".run" + std::to_string(runs.size()));
-      TEMPO_RETURN_IF_ERROR(chunk.WriteRun(run.get()));
+      runs.push_back(next_run());
+      TEMPO_RETURN_IF_ERROR(chunk.WriteRun(runs.back().get()));
       run_records += chunk.views.size();
-      runs.push_back(std::move(run));
     }
   }
 
-  auto drop_runs = [&](std::vector<std::unique_ptr<StoredRelation>>& v) {
-    for (auto& run : v) disk->DeleteFile(run->file_id()).ok();
-    v.clear();
-  };
-
   SortedRelation result;
-  result.relation = std::make_unique<StoredRelation>(disk, input->schema(),
-                                                     output_name);
+  result.relation = temp_relation(output_name);
   result.records_sorted_zero_copy = run_records;
   if (runs.empty()) return result;
 
   // --- Merge passes until one fan-in suffices. -------------------------
   // Fan-in: with F input streams plus one output stream each getting at
-  // least one page, F <= buffer_pages - 1.
+  // least one page, F <= buffer_pages - 1. Each group's run files are
+  // deleted as soon as it is merged.
   const uint32_t max_fanin = buffer_pages - 1;
   uint32_t pass = 0;
   while (runs.size() > max_fanin) {
-    std::vector<std::unique_ptr<StoredRelation>> next_runs;
+    std::vector<TempRelation> next_runs;
     for (size_t i = 0; i < runs.size(); i += max_fanin) {
       size_t end = std::min(runs.size(), i + max_fanin);
-      std::vector<std::unique_ptr<StoredRelation>> group;
+      std::vector<TempRelation> group;
       for (size_t j = i; j < end; ++j) group.push_back(std::move(runs[j]));
-      auto merged = std::make_unique<StoredRelation>(
-          disk, input->schema(),
+      next_runs.push_back(temp_relation(
           output_name + ".pass" + std::to_string(pass) + "." +
-              std::to_string(next_runs.size()));
+          std::to_string(next_runs.size())));
       TEMPO_RETURN_IF_ERROR(
-          MergeRuns(group, buffer_pages, merged.get(), nullptr));
-      drop_runs(group);
-      next_runs.push_back(std::move(merged));
+          MergeRuns(group, buffer_pages, next_runs.back().get()));
     }
     runs = std::move(next_runs);
     ++pass;
   }
 
-  // --- Final merge produces the output and its page metadata. ----------
-  TEMPO_RETURN_IF_ERROR(MergeRuns(runs, buffer_pages, result.relation.get(),
-                                  &result.page_meta));
-  drop_runs(runs);
-  TEMPO_CHECK(result.page_meta.size() == result.relation->num_pages());
+  // --- Final merge produces the output. --------------------------------
+  TEMPO_RETURN_IF_ERROR(MergeRuns(runs, buffer_pages, result.relation.get()));
   return result;
+}
+
+StatusOr<SortedInputs> SortInputsByVs(StoredRelation* r, StoredRelation* s,
+                                      uint32_t buffer_pages, ExecContext* ctx,
+                                      TraceSpan* root) {
+  IoAccountant& acct = r->disk()->accountant();
+  const IoStats before = acct.stats();
+  Scheduler* scheduler = SchedulerOf(ctx);
+  SortedInputs sorted;
+  {
+    TraceSpan sort_span = SpanIf(ctx, Phase::kSortR);
+    TEMPO_ASSIGN_OR_RETURN(
+        sorted.r, ExternalSortByVs(r, buffer_pages, r->name() + ".sorted",
+                                   scheduler, &sorted.morsels));
+  }
+  {
+    TraceSpan sort_span = SpanIf(ctx, Phase::kSortS);
+    TEMPO_ASSIGN_OR_RETURN(
+        sorted.s, ExternalSortByVs(s, buffer_pages, s->name() + ".sorted",
+                                   scheduler, &sorted.morsels));
+  }
+  root->AddMorsels(sorted.morsels);
+  MergeHistogram(ctx, Hist::kMorselDurationUs, sorted.morsels.duration_hist);
+  sorted.io = acct.stats() - before;
+  return sorted;
 }
 
 }  // namespace tempo

@@ -6,27 +6,25 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "obs/exec_context.h"
 #include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
 #include "storage/stored_relation.h"
 
 namespace tempo {
 
-/// Per-page summary of a sorted relation, collected for free while the
-/// final merge pass writes its output. The sort-merge join's back-up logic
-/// consults this instead of an auxiliary index (which the paper's setting
-/// disallows — "we do not assume ... the presence of additional data
-/// structures or access paths").
-struct SortedPageMeta {
-  Chronon min_vs;  ///< smallest Vs on the page (pages are Vs-ordered)
-  Chronon max_vs;  ///< largest Vs on the page
-  Chronon max_ve;  ///< largest Ve on the page (NOT monotone across pages)
+/// Deletes a temporary relation's file together with the relation object.
+struct DropRelationFile {
+  void operator()(StoredRelation* rel) const;
 };
 
-/// A relation sorted by (Vs, Ve) plus its per-page summaries.
+/// A temporary relation whose file is deleted when it is destroyed, so an
+/// early error return cannot leave its pages on the disk.
+using TempRelation = std::unique_ptr<StoredRelation, DropRelationFile>;
+
+/// A relation sorted by (Vs, Ve). Its file is deleted with it.
 struct SortedRelation {
-  std::unique_ptr<StoredRelation> relation;
-  std::vector<SortedPageMeta> page_meta;
+  TempRelation relation;
   /// Input records sorted and written back as zero-copy views during run
   /// formation (no owning Tuple decode); feeds the
   /// decode_materializations_avoided metric.
@@ -40,8 +38,8 @@ struct SortedRelation {
 /// sensitivity the paper attributes to sort-merge (Section 4.2).
 ///
 /// Temporary run files live on `input`'s disk and are deleted before
-/// returning; all their I/O is charged. The returned relation's file is
-/// named `output_name`.
+/// returning, on error paths too; all their I/O is charged. The returned
+/// relation's file is named `output_name`.
 ///
 /// With a multi-threaded `scheduler`, run formation overlaps sorting with
 /// reading: the calling thread reads a wave of up to num_threads memory-
@@ -58,6 +56,27 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
                                           const std::string& output_name,
                                           Scheduler* scheduler = nullptr,
                                           MorselStats* morsel_stats = nullptr);
+
+/// Both inputs of a sort-based join, sorted by (Vs, Ve); the sorted files
+/// are deleted when this is destroyed.
+struct SortedInputs {
+  SortedRelation r;
+  SortedRelation s;
+  MorselStats morsels;  ///< run-formation morsels of both sorts
+  IoStats io;           ///< charged I/O of both sorts
+
+  uint64_t records_sorted_zero_copy() const {
+    return r.records_sorted_zero_copy + s.records_sorted_zero_copy;
+  }
+};
+
+/// The sort prologue of the sort-merge, sweep and indexed executors: sorts
+/// r, then s, with ExternalSortByVs over `buffer_pages` on the run's
+/// scheduler, each under its kSortR / kSortS span, and attributes the sort
+/// morsels to `root` and to the context's morsel-duration histogram.
+StatusOr<SortedInputs> SortInputsByVs(StoredRelation* r, StoredRelation* s,
+                                      uint32_t buffer_pages, ExecContext* ctx,
+                                      TraceSpan* root);
 
 }  // namespace tempo
 

@@ -14,32 +14,18 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
                                    ExecContext* ctx) {
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
-  IoStats before = acct.stats();
   TraceSpan exec_span = SpanIf(ctx, Phase::kIndexed);
 
   // Sort both inputs by Vs; build the append-only tree over the inner.
-  SortedRelation sr;
-  SortedRelation ss;
-  {
-    TraceSpan sort_span = SpanIf(ctx, Phase::kSortR);
-    TEMPO_ASSIGN_OR_RETURN(
-        SortedRelation sorted,
-        ExternalSortByVs(r, options.buffer_pages, r->name() + ".isorted"));
-    sr = std::move(sorted);
-  }
-  {
-    TraceSpan sort_span = SpanIf(ctx, Phase::kSortS);
-    TEMPO_ASSIGN_OR_RETURN(
-        SortedRelation sorted,
-        ExternalSortByVs(s, options.buffer_pages, s->name() + ".isorted"));
-    ss = std::move(sorted);
-  }
+  TEMPO_ASSIGN_OR_RETURN(
+      SortedInputs sorted,
+      SortInputsByVs(r, s, options.buffer_pages, ctx, &exec_span));
   IoStats sort_end = acct.stats();
   StatusOr<std::unique_ptr<AppendOnlyTree>> tree_or =
       Status::Internal("unset");
   {
     TraceSpan build_span = SpanIf(ctx, Phase::kIndexBuild);
-    tree_or = AppendOnlyTree::Build(ss.relation.get(), s->name());
+    tree_or = AppendOnlyTree::Build(sorted.s.relation.get(), s->name());
   }
   TEMPO_RETURN_IF_ERROR(tree_or.status());
   std::unique_ptr<AppendOnlyTree> tree = std::move(tree_or).value();
@@ -60,14 +46,14 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   ResultWriter writer(out);
   uint64_t inner_pages_scanned = 0;
   uint64_t views_probed = 0;
-  const RecordLayout& s_view_layout = ss.relation->schema().layout();
+  const RecordLayout& s_view_layout = sorted.s.relation->schema().layout();
   const int64_t widen = tree->max_duration();
 
-  const uint32_t r_pages = sr.relation->num_pages();
-  const uint32_t s_pages = ss.relation->num_pages();
+  const uint32_t r_pages = sorted.r.relation->num_pages();
+  const uint32_t s_pages = sorted.s.relation->num_pages();
   for (uint32_t rp = 0; rp < r_pages; ++rp) {
     TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> outer,
-                           sr.relation->ReadPageTuples(rp));
+                           sorted.r.relation->ReadPageTuples(rp));
     if (outer.empty()) continue;
     HashedTupleIndex probe(&outer, &layout.r_join_attrs);
     // The inner range this outer page can match: tuples with
@@ -87,7 +73,7 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
     if (last >= s_pages) last = s_pages - 1;
     for (uint32_t sp = first; sp <= last && sp < s_pages; ++sp) {
       TEMPO_ASSIGN_OR_RETURN(Page * page,
-                             data_pool.Pin(ss.relation->file_id(), sp));
+                             data_pool.Pin(sorted.s.relation->file_id(), sp));
       ++inner_pages_scanned;
       // Probe records in place off the pinned frame; the page stays
       // pinned until the probe loop is done with its views.
@@ -102,7 +88,8 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
         const TupleView& y = *y_or;
         ++views_probed;
         const Interval y_iv = y.interval();
-        probe.ForEachMatch(y, layout.s_join_attrs, [&](const Tuple& x) {
+        probe.ForEachMatchIndexed(y, layout.s_join_attrs,
+                                  [&](const Tuple& x, size_t) {
           if (!status.ok()) return;
           auto common = Overlap(x.interval(), y_iv);
           if (!common) return;
@@ -115,7 +102,7 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
         if (!status.ok()) break;
       }
       TEMPO_RETURN_IF_ERROR(
-          data_pool.Unpin(ss.relation->file_id(), sp, false));
+          data_pool.Unpin(sorted.s.relation->file_id(), sp, false));
       TEMPO_RETURN_IF_ERROR(status);
     }
   }
@@ -127,17 +114,12 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
             static_cast<double>(tree->num_node_pages()));
   stats.Set(Metric::kIndexBuildIoOps,
             static_cast<double>((build_end - sort_end).total_ops()));
-  stats.Set(Metric::kSortIoOps,
-            static_cast<double>((sort_end - before).total_ops()));
+  stats.Set(Metric::kSortIoOps, static_cast<double>(sorted.io.total_ops()));
   stats.Set(Metric::kInnerPagesScanned,
             static_cast<double>(inner_pages_scanned));
   stats.Set(Metric::kDecodeMaterializationsAvoided,
-            static_cast<double>(views_probed + sr.records_sorted_zero_copy +
-                                ss.records_sorted_zero_copy));
-
-  tree->Drop().ok();
-  disk->DeleteFile(sr.relation->file_id()).ok();
-  disk->DeleteFile(ss.relation->file_id()).ok();
+            static_cast<double>(views_probed +
+                                sorted.records_sorted_zero_copy()));
   return stats;
 }
 

@@ -192,25 +192,12 @@ class HashedTupleIndex {
   }
 
   /// Zero-copy probe: hashes and compares the key directly on the probe
-  /// record's bytes. TupleView's hash is bit-compatible with
-  /// Tuple::HashAttrs, so the bucket walk — and hence match order — is
-  /// identical to probing with the materialized tuple.
-  template <typename Fn>
-  void ForEachMatch(const TupleView& probe,
-                    const std::vector<size_t>& probe_attrs, Fn&& fn) const {
-    size_t h = probe.HashAttrs(probe_attrs);
-    auto [lo, hi] = buckets_.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& candidate = (*tuples_)[it->second];
-      if (probe.EqualOnAttrs(probe_attrs, *key_attrs_, candidate)) {
-        fn(candidate);
-      }
-    }
-  }
-
-  /// Like ForEachMatch, but also passes the candidate's index into the
-  /// bound tuple vector, `fn(const Tuple&, size_t)`. The outer/anti join
-  /// variants use the index to accumulate per-build-tuple coverage.
+  /// record's bytes, and passes each match with its index into the bound
+  /// tuple vector, `fn(const Tuple&, size_t)` (the outer/anti join
+  /// variants use the index to accumulate per-build-tuple coverage).
+  /// TupleView's hash is bit-compatible with Tuple::HashAttrs, so the
+  /// bucket walk — and hence match order — is identical to probing with
+  /// the materialized tuple.
   template <typename Fn>
   void ForEachMatchIndexed(const TupleView& probe,
                            const std::vector<size_t>& probe_attrs,

@@ -49,7 +49,8 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
         ++views_probed;
         Status status = Status::OK();
         const Interval y_iv = y.interval();
-        index.ForEachMatch(y, layout.s_join_attrs, [&](const Tuple& x) {
+        index.ForEachMatchIndexed(y, layout.s_join_attrs,
+                                  [&](const Tuple& x, size_t) {
           if (!status.ok()) return;
           auto common = Overlap(x.interval(), y_iv);
           if (common &&

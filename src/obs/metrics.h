@@ -149,7 +149,12 @@ namespace tempo {
     "entries exceed half of a map's append log.")                             \
   M(SweepProbeHits, "sweep_probe_hits", "tuples", "sweep",                    \
     "Active-map candidates visited across all probes (bucket walk length "    \
-    "after the liveness filter).")
+    "after the liveness filter).")                                            \
+  M(ActiveBucketEntriesPeak, "active_bucket_entries_peak", "entries",         \
+    "sort-merge / sweep",                                                     \
+    "Peak combined hash-bucket index entries of the co-sweep's two active "   \
+    "maps, expired entries not yet removed included. Compaction keeps each "  \
+    "map's entries within max(64, twice its live count).")
 
 /// The declaration point for every histogram-kind metric, parallel to
 /// TEMPO_METRIC_LIST:

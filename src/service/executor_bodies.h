@@ -40,7 +40,8 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
 
 /// Sort-merge evaluation of the valid-time natural join [SG89, LM90 style]:
 /// both relations are externally sorted on interval start, then co-swept in
-/// Vs order.
+/// Vs order — the same sorted co-sweep as the sweep executor
+/// (join/co_sweep.cc), run with a retention budget.
 ///
 /// The sweep keeps the not-yet-expired ("active") tuples of both sides; an
 /// arriving tuple joins against the opposite active set. Long-lived tuples
@@ -49,21 +50,23 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
 /// physically re-reads that tuple's page (paper Section 4.3: a long-lived
 /// tuple "must be joined with all tuples that overlap it, some of these
 /// tuples may, unfortunately, have already been read, requiring the
-/// algorithm to re-read these pages"). Re-reads are batched per (arrival
-/// page, old page) pair — one back-up read serves every match between the
-/// two pages — and are unnecessary while the old page is still in the
-/// window, which is why ample memory suppresses the effect and one-chronon
-/// workloads never back up.
+/// algorithm to re-read these pages"). Each evicted page is re-read at
+/// most once over the whole merge — its long-lived tuples are retained
+/// from then on — and a page still in the window is never re-read, which
+/// is why ample memory suppresses the effect and one-chronon workloads
+/// never back up.
 ///
 /// Buffer budget (buffer_pages total): the sort phases use all of it; the
 /// merge phase allocates a multi-page read buffer per sorted stream, one
-/// result page, and leaves the rest as the window. Memory held by active
-/// tuples is charged against the window, shrinking it — long-lived tuples
-/// squeeze the window and increase back-ups, compounding their cost.
+/// result page, and leaves the rest as the window. The window's bytes
+/// bound the retained active tuples (each counted at its record length);
+/// over budget the tuples with the latest end are evicted first — long-
+/// lived tuples squeeze the window and increase back-ups, compounding
+/// their cost.
 ///
 /// Metrics: kSortIoOps (unweighted I/O count of the two sorts),
-/// kBackupPageReads, kMaxActiveTuples. Traced as kSortMerge with nested
-/// sort r / sort s / merge sweep spans.
+/// kBackupPageReads, kMaxActiveTuples, kActiveBucketEntriesPeak. Traced
+/// as kSortMerge with nested sort r / sort s / merge sweep spans.
 StatusOr<JoinRunStats> SortMergeBody(const NaturalJoinLayout& layout,
                                      StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
@@ -97,17 +100,20 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 
 /// Endpoint-sorted sweep evaluation of the generalized temporal join,
 /// after Piatov, Helmer, Dignös and Persia (arXiv 2008.12665): both
-/// relations are externally sorted by (Vs, Ve) — reusing ExternalSortByVs's
-/// run formation, so the sort I/O is charged identically to sort-merge and
-/// is thread-invariant — then joined in ONE forward sweep over the merged
-/// arrival order.
+/// relations are externally sorted by (Vs, Ve) — the same sort prologue as
+/// sort-merge, so the sort I/O is charged identically and is
+/// thread-invariant — then joined in ONE forward sweep over the merged
+/// arrival order. The sweep is sort-merge's co-sweep (join/co_sweep.cc)
+/// without a retention budget: every active tuple stays in memory, so it
+/// never backs up.
 ///
 /// Each side keeps a *gapless append-only active map*: flat parallel
-/// arrays (interval ends, key hashes, tuples) plus hash buckets of indices
-/// into them. Expired entries are skipped lazily during probes and
-/// reclaimed by a global compaction only when more than half of the append
-/// log is dead. An arriving tuple probes the opposite map as a zero-copy
-/// TupleView and is materialized exactly once, for its own insertion.
+/// arrays (interval ends, tuples, pages, arrival numbers) plus hash
+/// buckets of indices into them. Expired entries are swap-removed lazily
+/// during probes and reclaimed from the arrays and the buckets by a global
+/// compaction only when more than half of the append log is dead. An
+/// arriving tuple probes the opposite map as a zero-copy TupleView and is
+/// materialized exactly once, for emission and its own insertion.
 ///
 /// Predicate support — the reason this executor exists — is the full
 /// shared-chronon-or-adjacent family: any TemporalPredicate not containing
@@ -124,9 +130,9 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 /// from PredicateResultInterval (intersection, else span).
 ///
 /// Metrics: kSortIoOps, kSweepActivePeak, kSweepAppends,
-/// kSweepCompactions, kSweepProbeHits, kJoinPredicateMask (always set),
-/// kDecodeMaterializationsAvoided. Traced as kSweepJoin with nested
-/// sort r / sort s / sweep pass spans.
+/// kSweepCompactions, kSweepProbeHits, kActiveBucketEntriesPeak,
+/// kJoinPredicateMask (always set), kDecodeMaterializationsAvoided.
+/// Traced as kSweepJoin with nested sort r / sort s / sweep pass spans.
 StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
                                  StoredRelation* r, StoredRelation* s,
                                  StoredRelation* out,

@@ -275,24 +275,6 @@ TEST_P(ExternalSortTest, SortsAndPreservesMultiset) {
   }
   EXPECT_TRUE(SameTupleMultiset(out, tuples));
 
-  // Page metadata describes each page correctly.
-  ASSERT_EQ(sorted.page_meta.size(), sorted.relation->num_pages());
-  for (uint32_t p = 0; p < sorted.relation->num_pages(); ++p) {
-    TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> page,
-                               sorted.relation->ReadPageTuples(p));
-    ASSERT_FALSE(page.empty());
-    Chronon min_vs = page[0].interval().start();
-    Chronon max_vs = page[0].interval().start();
-    Chronon max_ve = page[0].interval().end();
-    for (const Tuple& t : page) {
-      min_vs = std::min(min_vs, t.interval().start());
-      max_vs = std::max(max_vs, t.interval().start());
-      max_ve = std::max(max_ve, t.interval().end());
-    }
-    EXPECT_EQ(sorted.page_meta[p].min_vs, min_vs);
-    EXPECT_EQ(sorted.page_meta[p].max_vs, max_vs);
-    EXPECT_EQ(sorted.page_meta[p].max_ve, max_ve);
-  }
   disk.DeleteFile(sorted.relation->file_id()).ok();
 }
 
@@ -305,7 +287,6 @@ TEST(ExternalSortTest2, EmptyRelation) {
   TEMPO_ASSERT_OK_AND_ASSIGN(SortedRelation sorted,
                              ExternalSortByVs(rel.get(), 8, "r.s"));
   EXPECT_EQ(sorted.relation->num_tuples(), 0u);
-  EXPECT_TRUE(sorted.page_meta.empty());
 }
 
 TEST(ExternalSortTest2, CleansUpTempRuns) {
@@ -406,6 +387,56 @@ TEST(SortMergeTest, AmpleMemorySuppressesBackup) {
       JoinRunStats stats,
       RunNamed(JoinExecutor::kSortMerge, r.get(), s.get(), &out, options));
   EXPECT_EQ(stats.Get(Metric::kBackupPageReads), 0.0);
+
+  // Without back-ups sort-merge is the sweep: one sorted co-sweep, so the
+  // same charged I/O, the same active-set peak and the same result.
+  StoredRelation sweep_out(&disk, layout.output, "sweep_out");
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats sweep,
+      RunNamed(JoinExecutor::kSweep, r.get(), s.get(), &sweep_out, options));
+  EXPECT_EQ(stats.io, sweep.io);
+  EXPECT_EQ(stats.Get(Metric::kMaxActiveTuples),
+            sweep.Get(Metric::kSweepActivePeak));
+  TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> merged, out.ReadAll());
+  TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> swept, sweep_out.ReadAll());
+  EXPECT_FALSE(merged.empty());
+  EXPECT_TRUE(SameTupleMultiset(merged, swept));
+}
+
+// Keys that the other side never probes must not pin expired entries in
+// the active maps' buckets: with r's and s's key domains disjoint, every
+// bucket is one-sided, and r's few keys each keep a long-lived tuple live
+// beside thousands of short ones that expire.
+TEST(CoSweepTest, DisjointKeyDomainsKeepActiveBucketsBoundedByLiveTuples) {
+  Random rng(31);
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(),
+                        RandomTuples(rng, 6000, 4, 60000, 0.001), "r");
+  std::vector<Tuple> s_tuples;
+  for (const Tuple& t : RandomTuples(rng, 6000, 400, 60000, 0.001)) {
+    s_tuples.push_back(S(t.value(0).AsInt64() + 100, "d", t.interval().start(),
+                         t.interval().end()));
+  }
+  auto s = MakeRelation(&disk, SSchema(), s_tuples, "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(r->schema(), s->schema()));
+  ExecOptions options;
+  options.buffer_pages = 8;
+  for (auto [executor, peak_metric] :
+       {std::pair{JoinExecutor::kSortMerge, Metric::kMaxActiveTuples},
+        std::pair{JoinExecutor::kSweep, Metric::kSweepActivePeak}}) {
+    SCOPED_TRACE(JoinExecutorName(executor));
+    StoredRelation out(&disk, layout.output, "out");
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        JoinRunStats stats,
+        RunNamed(executor, r.get(), s.get(), &out, options));
+    EXPECT_EQ(stats.output_tuples, 0u);
+    const double live_peak = stats.Get(peak_metric);
+    EXPECT_LT(live_peak, 100.0);
+    // Each map holds at most max(64, 2 x live) bucket entries.
+    EXPECT_LE(stats.Get(Metric::kActiveBucketEntriesPeak),
+              2 * live_peak + 2 * 64);
+  }
 }
 
 TEST(SortMergeTest, EmptyInputs) {

@@ -43,16 +43,21 @@ struct FaultFixture {
 
 // Every executor, with a fault at several points in its execution: the
 // call must return a non-OK status mentioning the injected fault (or
-// complete successfully if the fault lands after its last I/O).
+// complete successfully if the fault lands after its last I/O). A failed
+// call must also leave no temporary file behind: the disk holds the inputs
+// and whatever reached `out`. (The partition executor is not held to that
+// yet: its Grace partitions and tuple-cache spills can still leak.)
 class ExecutorFaultTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExecutorFaultTest, AllExecutorsPropagateInjectedFaults) {
   const uint64_t fail_after = GetParam();
   for (JoinExecutor executor :
        {JoinExecutor::kNestedLoop, JoinExecutor::kSortMerge,
+        JoinExecutor::kSweep, JoinExecutor::kIndexed,
         JoinExecutor::kPartition}) {
     FaultFixture f;
     StoredRelation out(&f.disk, f.layout.output, "out");
+    const uint64_t input_pages = f.disk.TotalPages();
     JoinRequest req;
     req.From(f.r.get(), f.s.get()).Using(executor).BufferPages(8);
     f.disk.InjectFaultAfter(fail_after);
@@ -63,6 +68,10 @@ TEST_P(ExecutorFaultTest, AllExecutorsPropagateInjectedFaults) {
           << JoinExecutorName(executor) << ": " << stats.status().ToString();
       EXPECT_NE(stats.status().message().find("injected"),
                 std::string_view::npos);
+      if (executor != JoinExecutor::kPartition) {
+        EXPECT_EQ(f.disk.TotalPages(), input_pages + out.num_pages())
+            << JoinExecutorName(executor) << " leaked temp pages";
+      }
     }
     // Either way the disk must stay usable afterwards.
     StoredRelation out2(&f.disk, f.layout.output, "out2");
