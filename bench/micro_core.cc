@@ -74,7 +74,6 @@ void BM_GracePartition(benchmark::State& state) {
     auto parts = GracePartition(rel->get(), pspec, 64,
                                 PlacementPolicy::kLastOverlap, "p");
     benchmark::DoNotOptimize(parts.ok());
-    if (parts.ok()) parts->Drop();
   }
   state.SetItemsProcessed(state.iterations() * spec.num_tuples);
 }

@@ -163,7 +163,6 @@ void BM_GracePartitionThreads(benchmark::State& state) {
       state.SkipWithError(parts.status().ToString().c_str());
       return;
     }
-    parts->Drop();
   }
   state.SetItemsProcessed(state.iterations() * 16384);
 }

@@ -13,8 +13,8 @@ BitemporalRelation::BitemporalRelation(Disk* disk, Schema user_schema,
   std::vector<Attribute> attrs = user_schema_.attributes();
   attrs.push_back(Attribute{kTxStartAttr, ValueType::kInt64});
   attrs.push_back(Attribute{kTxEndAttr, ValueType::kInt64});
-  store_ = std::make_unique<StoredRelation>(disk, Schema(std::move(attrs)),
-                                            std::move(name));
+  store_.reset(
+      new StoredRelation(disk, Schema(std::move(attrs)), std::move(name)));
 }
 
 Tuple BitemporalRelation::ToStored(const Tuple& t, TxTime tx_start,
@@ -142,20 +142,16 @@ StatusOr<std::vector<Tuple>> BitemporalRelation::SnapshotAsOf(TxTime as_of) {
   return out;
 }
 
-StatusOr<std::unique_ptr<StoredRelation>> BitemporalRelation::MaterializeAsOf(
+StatusOr<TempRelation> BitemporalRelation::MaterializeAsOf(
     TxTime as_of, const std::string& name) {
   // Streams the snapshot straight into the output relation: one page of
   // the store in memory at a time, never the whole snapshot vector.
-  auto rel = std::make_unique<StoredRelation>(disk_, user_schema_, name);
-  Status st = ForEachCurrentVersion(as_of, [&](const TupleView& v) {
-    return rel->Append(UserTupleOf(v));
-  });
-  if (st.ok()) st = rel->Flush();
-  if (!st.ok()) {
-    // A failed materialization leaves no partial snapshot on the disk.
-    disk_->DeleteFile(rel->file_id()).ok();
-    return st;
-  }
+  TempRelation rel(new StoredRelation(disk_, user_schema_, name));
+  TEMPO_RETURN_IF_ERROR(
+      ForEachCurrentVersion(as_of, [&](const TupleView& v) {
+        return rel->Append(UserTupleOf(v));
+      }));
+  TEMPO_RETURN_IF_ERROR(rel->Flush());
   return rel;
 }
 
@@ -183,22 +179,14 @@ StatusOr<JoinRunStats> BitemporalJoinAsOf(BitemporalRelation* r,
                                           BitemporalRelation* s, TxTime as_of,
                                           StoredRelation* out,
                                           const ExecOptions& options) {
-  TEMPO_ASSIGN_OR_RETURN(std::unique_ptr<StoredRelation> r_snap,
+  TEMPO_ASSIGN_OR_RETURN(TempRelation r_snap,
                          r->MaterializeAsOf(as_of, "bt.r.asof"));
-  Disk* disk = r_snap->disk();
-  StatusOr<std::unique_ptr<StoredRelation>> s_snap =
-      s->MaterializeAsOf(as_of, "bt.s.asof");
-  if (!s_snap.ok()) {
-    disk->DeleteFile(r_snap->file_id()).ok();
-    return s_snap.status();
-  }
+  TEMPO_ASSIGN_OR_RETURN(TempRelation s_snap,
+                         s->MaterializeAsOf(as_of, "bt.s.asof"));
   JoinRequest req;
-  req.From(r_snap.get(), s_snap->get()).Using(JoinExecutor::kPartition);
+  req.From(r_snap.get(), s_snap.get()).Using(JoinExecutor::kPartition);
   req.options = options;
-  StatusOr<JoinRunStats> stats = RunJoin(req, out);
-  disk->DeleteFile((*s_snap)->file_id()).ok();
-  disk->DeleteFile(r_snap->file_id()).ok();
-  return stats;
+  return RunJoin(req, out);
 }
 
 }  // namespace tempo

@@ -2,7 +2,6 @@
 #define TEMPO_BITEMPORAL_BITEMPORAL_RELATION_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,8 @@ inline constexpr TxTime kTxUntilChanged = INT64_MAX;
 /// operator of the library runs on it unchanged.
 ///
 /// Storage: the user schema is augmented with two int64 attributes
-/// `__tx_start` / `__tx_end` and stored in an ordinary heap file.
+/// `__tx_start` / `__tx_end` and stored in an ordinary heap file, which
+/// is deleted with this object.
 /// Transaction semantics:
 ///  - Insert(t, now) appends a version with tx = [now, until-changed);
 ///  - Delete(t, now) *closes* the current version's tx interval in place
@@ -77,9 +77,9 @@ class BitemporalRelation {
 
   /// Materializes SnapshotAsOf into a StoredRelation (user schema) so
   /// disk-based operators — the partition join above all — can run on
-  /// it. The output is created on the same disk; a failed call deletes
-  /// the partly written file.
-  StatusOr<std::unique_ptr<StoredRelation>> MaterializeAsOf(
+  /// it. The output is created on the same disk and deleted with the
+  /// returned owner; a failed call leaves no partly written file.
+  StatusOr<TempRelation> MaterializeAsOf(
       TxTime as_of, const std::string& name);
 
   /// Bitemporal timeslice: the user tuples current at transaction time
@@ -113,7 +113,7 @@ class BitemporalRelation {
 
   Disk* disk_;
   Schema user_schema_;
-  std::unique_ptr<StoredRelation> store_;
+  TempRelation store_;
   TxTime last_tx_ = INT64_MIN;
 };
 

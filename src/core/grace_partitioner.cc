@@ -21,13 +21,6 @@ struct RoutedMorsel {
 
 }  // namespace
 
-void PartitionedRelation::Drop() {
-  for (auto& p : parts) {
-    if (p != nullptr) p->disk()->DeleteFile(p->file_id()).ok();
-  }
-  parts.clear();
-}
-
 StatusOr<PartitionedRelation> GracePartition(StoredRelation* input,
                                              const PartitionSpec& spec,
                                              uint32_t buffer_pages,
@@ -51,7 +44,7 @@ StatusOr<PartitionedRelation> GracePartition(StoredRelation* input,
   PartitionedRelation result;
   result.parts.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    result.parts.push_back(std::make_unique<StoredRelation>(
+    result.parts.emplace_back(new StoredRelation(
         input->disk(), input->schema(),
         name_prefix + ".part" + std::to_string(i)));
   }

@@ -1,7 +1,6 @@
 #ifndef TEMPO_CORE_GRACE_PARTITIONER_H_
 #define TEMPO_CORE_GRACE_PARTITIONER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,9 +25,9 @@ enum class PlacementPolicy {
 };
 
 /// A relation split into per-partition heap files, aligned with a
-/// PartitionSpec.
+/// PartitionSpec. The partition files are deleted with it.
 struct PartitionedRelation {
-  std::vector<std::unique_ptr<StoredRelation>> parts;
+  std::vector<TempRelation> parts;
   /// Tuples written across all partitions (> input cardinality only under
   /// kReplicate — the replication overhead the paper avoids).
   uint64_t tuples_written = 0;
@@ -44,8 +43,8 @@ struct PartitionedRelation {
     return total;
   }
 
-  /// Deletes the partition files from disk.
-  void Drop();
+  /// Deletes the partition files from disk before this is destroyed.
+  void Drop() { parts.clear(); }
 };
 
 /// Grace partitioning (Section 3.2, [KTMo83]): scans `input` once through
@@ -61,7 +60,8 @@ struct PartitionedRelation {
 /// partitions computed — on the scheduler's shared workers; the appends
 /// are then replayed in page order, so partition files are byte-identical
 /// to the serial run. A null scheduler is the serial mode.
-/// `morsel_stats`, when non-null, accumulates dispatch counters.
+/// `morsel_stats`, when non-null, accumulates dispatch counters. A failed
+/// call leaves no partition file behind.
 StatusOr<PartitionedRelation> GracePartition(StoredRelation* input,
                                              const PartitionSpec& spec,
                                              uint32_t buffer_pages,

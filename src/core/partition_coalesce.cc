@@ -159,7 +159,6 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
             process_group(group, p_i, last_step, &carry, key));
       }
     }
-    parts.Drop();
   }
   TEMPO_RETURN_IF_ERROR(out->Flush());
 

@@ -563,10 +563,8 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
     cache_tuples += next_gen.num_tuples();
     RecordHistogram(ctx, Hist::kCacheOccupancyTuples,
                     static_cast<double>(next_gen.num_tuples()));
-    TEMPO_RETURN_IF_ERROR(cache.Discard());
-    cache = std::move(next_gen);
+    cache = std::move(next_gen);  // drops the consumed generation's spill
   }
-  TEMPO_RETURN_IF_ERROR(cache.Discard());
   // Tuples still in the area saw every partition they overlap; retire
   // them (unmatched emission) before the caller finishes the writer.
   TEMPO_RETURN_IF_ERROR(outer.RetireAll());
@@ -754,8 +752,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     stats.Add(Metric::kDecodeMaterializationsAvoided,
               static_cast<double>(pr.records_routed_zero_copy +
                                   ps.records_routed_zero_copy));
-    pr.Drop();
-    ps.Drop();
   }
 
   stats.Set(Metric::kPartitions, static_cast<double>(plan.num_partitions));

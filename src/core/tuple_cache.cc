@@ -30,8 +30,7 @@ Status TupleCache::AddRecord(std::string_view record) {
     // only happen while a generation is being *built*; the consumption
     // pass never adds to the generation it probes.
     if (spill_ == nullptr) {
-      spill_ = std::make_unique<StoredRelation>(disk_, schema_,
-                                                name_ + ".cache");
+      spill_.reset(new StoredRelation(disk_, schema_, name_ + ".cache"));
     }
     for (const std::string& cached : memory_records_) {
       TEMPO_RETURN_IF_ERROR(spill_->AppendRecord(cached));
@@ -65,18 +64,6 @@ StatusOr<std::vector<Tuple>> TupleCache::ReadSpilledPage(uint32_t page_no) {
 Status TupleCache::ReadSpilledPageRaw(uint32_t page_no, Page* out) {
   TEMPO_CHECK(spill_ != nullptr);
   return spill_->ReadPage(page_no, out);
-}
-
-Status TupleCache::Discard() {
-  if (spill_ != nullptr) {
-    TEMPO_RETURN_IF_ERROR(disk_->DeleteFile(spill_->file_id()));
-    spill_.reset();
-  }
-  memory_records_.clear();
-  memory_views_.clear();
-  memory_bytes_ = 0;
-  total_tuples_ = 0;
-  return Status::OK();
 }
 
 }  // namespace tempo

@@ -2,7 +2,6 @@
 #define TEMPO_CORE_TUPLE_CACHE_H_
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,8 @@ class TupleCache {
   /// tuples in memory before spilling (the paper's default is one page;
   /// Section 5 suggests trading outer-partition area for cache space to
   /// cut cache paging — the cache-reserve ablation exercises this).
-  /// The spill file is created lazily on first overflow.
+  /// The spill file is created lazily on first overflow and deleted when
+  /// the generation is destroyed or replaced by move-assignment.
   TupleCache(Disk* disk, const Schema& schema, std::string name,
              uint32_t memory_pages = 1);
 
@@ -52,8 +52,8 @@ class TupleCache {
   Status AddRecord(std::string_view record);
 
   /// Views over the records still in the in-memory area (never spilled),
-  /// in retention order. Valid until the cache spills, is discarded, or is
-  /// destroyed; moving the cache preserves them.
+  /// in retention order. Valid until the cache spills or is destroyed;
+  /// moving the cache preserves them.
   const std::vector<TupleView>& memory_views() const { return memory_views_; }
 
   /// Materialized copies of the in-memory records (tests and diagnostics;
@@ -75,20 +75,17 @@ class TupleCache {
   /// Total tuples in this generation.
   uint64_t num_tuples() const { return total_tuples_; }
 
-  /// Drops the spill file (generation fully consumed).
-  Status Discard();
-
  private:
   Disk* disk_;
   Schema schema_;
   std::string name_;
   uint32_t memory_pages_;
   // Serialized records; deque growth never moves existing elements, so
-  // views into them stay valid until the next spill or Discard().
+  // views into them stay valid until the next spill.
   std::deque<std::string> memory_records_;
   std::vector<TupleView> memory_views_;
   size_t memory_bytes_ = 0;
-  std::unique_ptr<StoredRelation> spill_;
+  TempRelation spill_;
   uint64_t total_tuples_ = 0;
 };
 

@@ -38,19 +38,6 @@ MaterializedVtJoinView::MaterializedVtJoinView(Disk* disk, std::string name)
   TEMPO_CHECK(disk != nullptr);
 }
 
-MaterializedVtJoinView::~MaterializedVtJoinView() {
-  auto drop = [&](std::vector<std::unique_ptr<StoredRelation>>& v) {
-    for (auto& rel : v) {
-      if (rel != nullptr) disk_->DeleteFile(rel->file_id()).ok();
-    }
-  };
-  drop(r_side_.parts);
-  drop(r_side_.caches);
-  drop(s_side_.parts);
-  drop(s_side_.caches);
-  drop(results_);
-}
-
 Status MaterializedVtJoinView::Build(StoredRelation* r, StoredRelation* s,
                                      uint32_t buffer_pages, uint64_t seed,
                                      ExecContext* ctx) {
@@ -76,16 +63,16 @@ Status MaterializedVtJoinView::Build(StoredRelation* r, StoredRelation* s,
     side.schema = schema;
     side.keys = keys;
     for (size_t i = 0; i < n; ++i) {
-      side.parts.push_back(std::make_unique<StoredRelation>(
+      side.parts.emplace_back(new StoredRelation(
           disk_, schema, name_ + "." + tag + ".part" + std::to_string(i)));
-      side.caches.push_back(std::make_unique<StoredRelation>(
+      side.caches.emplace_back(new StoredRelation(
           disk_, schema, name_ + "." + tag + ".cache" + std::to_string(i)));
     }
   };
   init_side(r_side_, r->schema(), &layout_.r_join_attrs, "r");
   init_side(s_side_, s->schema(), &layout_.s_join_attrs, "s");
   for (size_t i = 0; i < n; ++i) {
-    results_.push_back(std::make_unique<StoredRelation>(
+    results_.emplace_back(new StoredRelation(
         disk_, layout_.output, name_ + ".result" + std::to_string(i)));
   }
 

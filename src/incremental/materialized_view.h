@@ -1,7 +1,6 @@
 #ifndef TEMPO_INCREMENTAL_MATERIALIZED_VIEW_H_
 #define TEMPO_INCREMENTAL_MATERIALIZED_VIEW_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,8 +51,9 @@ class MaterializedVtJoinView {
     uint64_t result_delta = 0;  ///< tuples added (insert) or rebuilt (delete)
   };
 
+  /// The view's partition, cache and result files live on `disk` and are
+  /// deleted with the view.
   MaterializedVtJoinView(Disk* disk, std::string name);
-  ~MaterializedVtJoinView();
 
   MaterializedVtJoinView(const MaterializedVtJoinView&) = delete;
   MaterializedVtJoinView& operator=(const MaterializedVtJoinView&) = delete;
@@ -90,8 +90,8 @@ class MaterializedVtJoinView {
   struct Side {
     Schema schema;
     std::vector<size_t>* keys;  // into layout_
-    std::vector<std::unique_ptr<StoredRelation>> parts;
-    std::vector<std::unique_ptr<StoredRelation>> caches;
+    std::vector<TempRelation> parts;
+    std::vector<TempRelation> caches;
   };
 
   Status InsertInto(Side& side, Side& other, bool side_is_r, const Tuple& t,
@@ -116,7 +116,7 @@ class MaterializedVtJoinView {
   PartitionSpec spec_;
   Side r_side_;
   Side s_side_;
-  std::vector<std::unique_ptr<StoredRelation>> results_;
+  std::vector<TempRelation> results_;
   uint64_t result_tuples_ = 0;
 };
 

@@ -129,11 +129,6 @@ Status MergeRuns(const std::vector<TempRelation>& runs, uint32_t buffer_pages,
 
 }  // namespace
 
-void DropRelationFile::operator()(StoredRelation* rel) const {
-  rel->disk()->DeleteFile(rel->file_id()).ok();
-  delete rel;
-}
-
 StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
                                           uint32_t buffer_pages,
                                           const std::string& output_name,

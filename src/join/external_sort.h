@@ -1,7 +1,6 @@
 #ifndef TEMPO_JOIN_EXTERNAL_SORT_H_
 #define TEMPO_JOIN_EXTERNAL_SORT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,15 +11,6 @@
 #include "storage/stored_relation.h"
 
 namespace tempo {
-
-/// Deletes a temporary relation's file together with the relation object.
-struct DropRelationFile {
-  void operator()(StoredRelation* rel) const;
-};
-
-/// A temporary relation whose file is deleted when it is destroyed, so an
-/// early error return cannot leave its pages on the disk.
-using TempRelation = std::unique_ptr<StoredRelation, DropRelationFile>;
 
 /// A relation sorted by (Vs, Ve). Its file is deleted with it.
 struct SortedRelation {

@@ -11,10 +11,10 @@ namespace tempo {
 namespace {
 
 /// A node's materialized output: either a borrowed base relation (scan)
-/// or an owned temporary the parent must delete after consuming.
+/// or an owned temporary, deleted when the parent is done consuming it.
 struct Materialized {
   StoredRelation* rel = nullptr;
-  std::unique_ptr<StoredRelation> owned;  // null when borrowed
+  TempRelation owned;  // null when borrowed
 };
 
 class SequencedExecutor {
@@ -40,18 +40,13 @@ class SequencedExecutor {
   }
 
  private:
-  std::string TempName() {
-    return prefix_ + ".n" + std::to_string(counter_++);
-  }
-
-  /// Deletes a consumed intermediate's backing file (no-op for borrowed
-  /// base relations).
-  Status Release(Materialized* m) {
-    if (m->owned == nullptr) return Status::OK();
-    Status st = disk_->DeleteFile(m->owned->file_id());
-    m->owned.reset();
-    m->rel = nullptr;
-    return st;
+  /// A fresh temporary ("<prefix>.n<k>") for a node's output.
+  Materialized NewTemp(const Schema& schema) {
+    Materialized m;
+    m.owned.reset(new StoredRelation(
+        disk_, schema, prefix_ + ".n" + std::to_string(counter_++)));
+    m.rel = m.owned.get();
+    return m;
   }
 
   StatusOr<Materialized> RunScan(const QueryNode& node) {
@@ -81,10 +76,7 @@ class SequencedExecutor {
                                      node.predicate.attr + "' in " +
                                      schema.ToString());
     }
-    Materialized out;
-    out.owned =
-        std::make_unique<StoredRelation>(disk_, schema, TempName());
-    out.rel = out.owned.get();
+    Materialized out = NewTemp(schema);
     PageTupleArena arena;
     const uint32_t pages = in.rel->num_pages();
     for (uint32_t p = 0; p < pages; ++p) {
@@ -99,7 +91,6 @@ class SequencedExecutor {
       }
     }
     TEMPO_RETURN_IF_ERROR(out.rel->Flush());
-    TEMPO_RETURN_IF_ERROR(Release(&in));
     return out;
   }
 
@@ -124,10 +115,7 @@ class SequencedExecutor {
       attrs.push_back(schema.attribute(*pos));
     }
     TEMPO_ASSIGN_OR_RETURN(Schema out_schema, Schema::Make(std::move(attrs)));
-    Materialized out;
-    out.owned =
-        std::make_unique<StoredRelation>(disk_, out_schema, TempName());
-    out.rel = out.owned.get();
+    Materialized out = NewTemp(out_schema);
     auto scan = in.rel->Scan();
     Tuple t;
     while (true) {
@@ -140,7 +128,6 @@ class SequencedExecutor {
           out.rel->Append(Tuple(std::move(values), t.interval())));
     }
     TEMPO_RETURN_IF_ERROR(out.rel->Flush());
-    TEMPO_RETURN_IF_ERROR(Release(&in));
     return out;
   }
 
@@ -157,18 +144,13 @@ class SequencedExecutor {
                                                      right.rel->schema()));
       out_schema = layout.output;
     }
-    Materialized out;
-    out.owned =
-        std::make_unique<StoredRelation>(disk_, out_schema, TempName());
-    out.rel = out.owned.get();
+    Materialized out = NewTemp(out_schema);
     JoinRequest req;
     req.From(left.rel, right.rel).Using(options_.executor);
     req.options = options_.join;
     req.options.join_kind = node.join_kind;
     req.options.predicate = node.join_predicate;
     TEMPO_RETURN_IF_ERROR(RunJoin(req, out.rel, ctx_).status());
-    TEMPO_RETURN_IF_ERROR(Release(&left));
-    TEMPO_RETURN_IF_ERROR(Release(&right));
     return out;
   }
 
@@ -196,10 +178,7 @@ class SequencedExecutor {
     TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples,
                            right.rel->ReadAll());
     HashedTupleIndex index(&r_tuples, &all_attrs);
-    Materialized out;
-    out.owned =
-        std::make_unique<StoredRelation>(disk_, schema, TempName());
-    out.rel = out.owned.get();
+    Materialized out = NewTemp(schema);
     auto scan = left.rel->Scan();
     Tuple x;
     while (true) {
@@ -216,8 +195,6 @@ class SequencedExecutor {
       }
     }
     TEMPO_RETURN_IF_ERROR(out.rel->Flush());
-    TEMPO_RETURN_IF_ERROR(Release(&left));
-    TEMPO_RETURN_IF_ERROR(Release(&right));
     return out;
   }
 
@@ -248,8 +225,8 @@ StatusOr<QueryResult> RunSequencedQuery(const QueryPlan& plan, Disk* disk,
     result.relation = std::move(m.owned);
   } else {
     // Bare scan: materialize a copy so the caller always owns the result.
-    auto copy = std::make_unique<StoredRelation>(disk, m.rel->schema(),
-                                                 name_prefix + ".n.root");
+    TempRelation copy(
+        new StoredRelation(disk, m.rel->schema(), name_prefix + ".n.root"));
     PageTupleArena arena;
     const uint32_t pages = m.rel->num_pages();
     for (uint32_t p = 0; p < pages; ++p) {

@@ -1,7 +1,6 @@
 #ifndef TEMPO_QUERY_SEQUENCED_EXEC_H_
 #define TEMPO_QUERY_SEQUENCED_EXEC_H_
 
-#include <memory>
 #include <string>
 
 #include "common/statusor.h"
@@ -23,19 +22,20 @@ struct QueryOptions {
   JoinExecutor executor = JoinExecutor::kAuto;
 };
 
-/// Result of one sequenced query: the materialized output relation (owned,
-/// living on the Disk the query ran against) plus summary counters.
+/// Result of one sequenced query: the materialized output relation (living
+/// on the Disk the query ran against; destroying the result deletes its
+/// file) plus summary counters.
 struct QueryResult {
-  std::unique_ptr<StoredRelation> relation;
+  TempRelation relation;
   uint64_t output_tuples = 0;
 };
 
 /// Evaluates a sequenced query plan bottom-up, materializing every
 /// non-scan node as a temporary relation on `disk` (intermediates are
-/// deleted as soon as their parent consumed them; the root's relation is
-/// returned). All I/O is charged to the disk's accountant; with a non-null
-/// `ctx` the run is traced as a span tree (sequenced query > one span per
-/// operator node) for EXPLAIN ANALYZE.
+/// deleted as soon as their parent consumed them, and on every error path;
+/// the root's relation is returned). All I/O is charged to the disk's
+/// accountant; with a non-null `ctx` the run is traced as a span tree
+/// (sequenced query > one span per operator node) for EXPLAIN ANALYZE.
 ///
 /// Operator semantics (all change preserving — no coalescing anywhere, so
 /// the pipeline is snapshot reducible; snapshot_oracle.h checks this):

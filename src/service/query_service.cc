@@ -53,8 +53,7 @@ Json QueryProgress::ToJson() const {
 // --- QueryHandle -----------------------------------------------------------
 
 QueryHandle::QueryHandle(QueryService* service, JoinRequest request,
-                         std::unique_ptr<StoredRelation> output,
-                         uint64_t query_id)
+                         TempRelation output, uint64_t query_id)
     : service_(service),
       request_(std::move(request)),
       output_(std::move(output)),
@@ -180,8 +179,8 @@ StatusOr<std::unique_ptr<QueryHandle>> Session::Submit(
            ".out";
   }
   ++next_query_;
-  auto output = std::make_unique<StoredRelation>(service_->disk(),
-                                                 layout.output, name);
+  TempRelation output(
+      new StoredRelation(service_->disk(), layout.output, name));
   std::unique_ptr<QueryHandle> handle(
       new QueryHandle(service_, request, std::move(output), query_id));
   handle->ticket_ = std::move(ticket);

@@ -76,7 +76,8 @@ struct QueryProgress {
 /// until the query finishes; Cancel() aborts a query still waiting in the
 /// admission queue (a running query is past cancellation — the paper's
 /// algorithms have no safe preemption points). Destroying the handle
-/// cancels-if-queued and joins.
+/// cancels-if-queued, joins, and deletes the output file: read or copy
+/// the rows before letting the handle go.
 class QueryHandle {
  public:
   ~QueryHandle();
@@ -93,7 +94,8 @@ class QueryHandle {
   /// run. No effect once admitted.
   void Cancel();
 
-  /// The result relation; rows are valid only after Wait() returned OK.
+  /// The result relation; rows are valid only after Wait() returned OK,
+  /// and the relation (file included) lives as long as the handle.
   StoredRelation* output() { return output_.get(); }
 
   /// The run's stats; valid only after Wait() returned OK.
@@ -124,13 +126,13 @@ class QueryHandle {
   };
 
   QueryHandle(QueryService* service, JoinRequest request,
-              std::unique_ptr<StoredRelation> output, uint64_t query_id);
+              TempRelation output, uint64_t query_id);
 
   void Run();  // thread body
 
   QueryService* service_;
   JoinRequest request_;
-  std::unique_ptr<StoredRelation> output_;
+  TempRelation output_;
   std::unique_ptr<AdmissionTicket> ticket_;  // written before thread start
   const uint64_t query_id_;
 

@@ -147,7 +147,9 @@ StatusOr<std::unique_ptr<StoredRelation>> LoadRelation(
   TEMPO_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
   TEMPO_ASSIGN_OR_RETURN(uint64_t tuple_count, reader.Read64());
 
-  auto rel = std::make_unique<StoredRelation>(disk, schema, name);
+  // Held as a temporary until the last record parses, so a corrupt image
+  // leaves no partial relation on the disk.
+  TempRelation rel(new StoredRelation(disk, schema, name));
   for (uint64_t i = 0; i < tuple_count; ++i) {
     TEMPO_ASSIGN_OR_RETURN(uint32_t len, reader.Read32());
     TEMPO_ASSIGN_OR_RETURN(std::string_view record, reader.ReadBytes(len));
@@ -160,7 +162,7 @@ StatusOr<std::unique_ptr<StoredRelation>> LoadRelation(
     return Status::Corruption("trailing bytes in relation image");
   }
   TEMPO_RETURN_IF_ERROR(rel->Flush());
-  return rel;
+  return std::unique_ptr<StoredRelation>(rel.release());
 }
 
 }  // namespace tempo

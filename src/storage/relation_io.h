@@ -26,7 +26,8 @@ namespace tempo {
 Status SaveRelation(StoredRelation* rel, const std::string& path);
 
 /// Reads a relation image from `path` into a fresh StoredRelation named
-/// `name` on `disk`.
+/// `name` on `disk`. The returned relation belongs to the caller; a failed
+/// load leaves no pages on `disk`.
 StatusOr<std::unique_ptr<StoredRelation>> LoadRelation(
     Disk* disk, const std::string& path, const std::string& name);
 

@@ -11,6 +11,11 @@ StoredRelation::StoredRelation(Disk* disk, Schema schema, std::string name)
   cum_tuples_.push_back(0);
 }
 
+void DropRelationFile::operator()(StoredRelation* rel) const {
+  rel->disk()->DeleteFile(rel->file_id()).ok();
+  delete rel;
+}
+
 Status StoredRelation::Append(const Tuple& tuple) {
   std::string record;
   tuple.SerializeTo(schema_, &record);

@@ -2,6 +2,7 @@
 #define TEMPO_STORAGE_STORED_RELATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,18 @@ class StoredRelation {
   // entry equals the flushed-tuple total.
   std::vector<uint64_t> cum_tuples_;
 };
+
+/// Deletes a relation's file together with the relation object. A file
+/// that is already gone is not an error.
+struct DropRelationFile {
+  void operator()(StoredRelation* rel) const;
+};
+
+/// A relation the library creates: its file is deleted when its owner
+/// dies, on error paths too, so no early return can leave its pages on the
+/// disk. Inputs and catalog relations belong to the caller and are held
+/// as plain unique_ptr<StoredRelation>.
+using TempRelation = std::unique_ptr<StoredRelation, DropRelationFile>;
 
 }  // namespace tempo
 

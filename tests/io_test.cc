@@ -178,38 +178,50 @@ TEST(RelationIoTest, SaveRequiresFlush) {
 }
 
 TEST(RelationIoTest, LoadRejectsCorruptImages) {
+  // A one-tuple image, and one whose load flushes pages before the cut is
+  // reached: a failed load must leave neither on the target disk.
   Disk disk;
-  auto rel = MakeRelation(&disk, TestSchema(), {T(1, "a", 0, 1)}, "r");
+  Random rng(5);
+  auto small = MakeRelation(&disk, TestSchema(), {T(1, "a", 0, 1)}, "r");
+  auto multi_page = MakeRelation(
+      &disk, TestSchema(), RandomTuples(rng, 1900, 50, 1000, 0.1), "big");
+  ASSERT_GT(multi_page->num_pages(), 10u);
   std::string path = ::testing::TempDir() + "/tempo_rel_corrupt.bin";
-  TEMPO_ASSERT_OK(SaveRelation(rel.get(), path));
+  for (StoredRelation* rel : {small.get(), multi_page.get()}) {
+    TEMPO_ASSERT_OK(SaveRelation(rel, path));
 
-  // Truncate the image at various points.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string data;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, got);
-  std::fclose(f);
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string data;
+    char buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      data.append(buf, got);
+    }
+    std::fclose(f);
 
-  Disk other;
-  for (size_t cut : {size_t{0}, size_t{5}, data.size() / 2,
-                     data.size() - 1}) {
-    std::FILE* w = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(w, nullptr);
-    std::fwrite(data.data(), 1, cut, w);
-    std::fclose(w);
-    auto result = LoadRelation(&other, path, "broken");
-    EXPECT_FALSE(result.ok()) << "cut " << cut;
-  }
-  // Bad magic.
-  {
-    std::string bad = data;
-    bad[0] = 'X';
-    std::FILE* w = std::fopen(path.c_str(), "wb");
-    std::fwrite(bad.data(), 1, bad.size(), w);
-    std::fclose(w);
-    EXPECT_FALSE(LoadRelation(&other, path, "broken").ok());
+    // Truncate the image at various points.
+    Disk other;
+    for (size_t cut : {size_t{0}, size_t{5}, data.size() / 2,
+                       data.size() - 1}) {
+      std::FILE* w = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(w, nullptr);
+      std::fwrite(data.data(), 1, cut, w);
+      std::fclose(w);
+      auto result = LoadRelation(&other, path, "broken");
+      EXPECT_FALSE(result.ok()) << rel->name() << " cut " << cut;
+      EXPECT_EQ(other.TotalPages(), 0u) << rel->name() << " cut " << cut;
+    }
+    // Bad magic.
+    {
+      std::string bad = data;
+      bad[0] = 'X';
+      std::FILE* w = std::fopen(path.c_str(), "wb");
+      std::fwrite(bad.data(), 1, bad.size(), w);
+      std::fclose(w);
+      EXPECT_FALSE(LoadRelation(&other, path, "broken").ok());
+      EXPECT_EQ(other.TotalPages(), 0u) << rel->name();
+    }
   }
   std::remove(path.c_str());
 }

@@ -274,8 +274,6 @@ TEST_P(ExternalSortTest, SortsAndPreservesMultiset) {
         << "out of order at " << i;
   }
   EXPECT_TRUE(SameTupleMultiset(out, tuples));
-
-  disk.DeleteFile(sorted.relation->file_id()).ok();
 }
 
 INSTANTIATE_TEST_SUITE_P(BufferSizes, ExternalSortTest,

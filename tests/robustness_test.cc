@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/partition_coalesce.h"
 #include "incremental/materialized_view.h"
 #include "join/external_sort.h"
+#include "query/sequenced_exec.h"
 #include "service/join_request.h"
 #include "test_util.h"
 
@@ -45,43 +49,112 @@ struct FaultFixture {
 // call must return a non-OK status mentioning the injected fault (or
 // complete successfully if the fault lands after its last I/O). A failed
 // call must also leave no temporary file behind: the disk holds the inputs
-// and whatever reached `out`. (The partition executor is not held to that
-// yet: its Grace partitions and tuple-cache spills can still leak.)
+// and whatever reached `out`.
 class ExecutorFaultTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExecutorFaultTest, AllExecutorsPropagateInjectedFaults) {
   const uint64_t fail_after = GetParam();
-  for (JoinExecutor executor :
-       {JoinExecutor::kNestedLoop, JoinExecutor::kSortMerge,
-        JoinExecutor::kSweep, JoinExecutor::kIndexed,
-        JoinExecutor::kPartition}) {
+  struct Run {
+    JoinExecutor executor;
+    JoinKind kind;
+  };
+  for (const Run& run : {Run{JoinExecutor::kNestedLoop, JoinKind::kInner},
+                         Run{JoinExecutor::kSortMerge, JoinKind::kInner},
+                         Run{JoinExecutor::kSweep, JoinKind::kInner},
+                         Run{JoinExecutor::kIndexed, JoinKind::kInner},
+                         Run{JoinExecutor::kPartition, JoinKind::kInner},
+                         Run{JoinExecutor::kPartition, JoinKind::kLeftOuter}}) {
+    const std::string label = std::string(JoinExecutorName(run.executor)) +
+                              "/" + JoinKindName(run.kind);
     FaultFixture f;
     StoredRelation out(&f.disk, f.layout.output, "out");
     const uint64_t input_pages = f.disk.TotalPages();
     JoinRequest req;
-    req.From(f.r.get(), f.s.get()).Using(executor).BufferPages(8);
+    req.From(f.r.get(), f.s.get())
+        .Using(run.executor)
+        .Kind(run.kind)
+        .BufferPages(8);
     f.disk.InjectFaultAfter(fail_after);
     StatusOr<JoinRunStats> stats = RunJoin(req, &out);
     f.disk.ClearFault();
     if (!stats.ok()) {
       EXPECT_EQ(stats.status().code(), StatusCode::kInternal)
-          << JoinExecutorName(executor) << ": " << stats.status().ToString();
+          << label << ": " << stats.status().ToString();
       EXPECT_NE(stats.status().message().find("injected"),
                 std::string_view::npos);
-      if (executor != JoinExecutor::kPartition) {
-        EXPECT_EQ(f.disk.TotalPages(), input_pages + out.num_pages())
-            << JoinExecutorName(executor) << " leaked temp pages";
-      }
+      EXPECT_EQ(f.disk.TotalPages(), input_pages + out.num_pages())
+          << label << " leaked temp pages";
     }
     // Either way the disk must stay usable afterwards.
     StoredRelation out2(&f.disk, f.layout.output, "out2");
-    TEMPO_EXPECT_OK(
-        RunJoin(req.Using(JoinExecutor::kNestedLoop), &out2).status());
+    TEMPO_EXPECT_OK(RunJoin(req.Using(JoinExecutor::kNestedLoop)
+                                .Kind(JoinKind::kInner),
+                            &out2)
+                        .status());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(FaultPoints, ExecutorFaultTest,
                          ::testing::Values(0, 1, 7, 50, 300, 2000));
+
+// Injects a fault after every 7th page access, from the first access until
+// `call` gets through. Whatever `call` creates must be gone when it
+// returns, failed or not: the disk then holds exactly the pages it held
+// before the sweep. Returns the number of failed calls.
+int SweepFaults(Disk* disk, const std::function<Status()>& call) {
+  const uint64_t input_pages = disk->TotalPages();
+  int failures = 0;
+  for (uint64_t fail_after = 0;; fail_after += 7) {
+    disk->InjectFaultAfter(fail_after);
+    Status st = call();
+    disk->ClearFault();
+    EXPECT_EQ(disk->TotalPages(), input_pages)
+        << "fault after " << fail_after << ": " << st.ToString();
+    if (st.ok()) return failures;
+    EXPECT_NE(st.message().find("injected"), std::string_view::npos)
+        << st.ToString();
+    if (++failures > 1000) {
+      ADD_FAILURE() << "call never succeeded";
+      return failures;
+    }
+  }
+}
+
+// A sequenced select -> join pipeline materializes the selection as an
+// intermediate, and the partition join writes Grace partitions and cache
+// spills; a failure at any point must delete all of them. The call drops
+// a successful result on return, so it leaves nothing behind either.
+TEST(FaultSweepTest, SequencedQueryLeavesNoTempFiles) {
+  FaultFixture f;
+  QueryPlan plan = QueryPlan::Join(
+      QueryPlan::Scan(f.r.get())
+          .Select({"key", CompareOp::kLt, Value(int64_t{20})}),
+      QueryPlan::Scan(f.s.get()));
+  QueryOptions options;
+  options.executor = JoinExecutor::kPartition;
+  options.join.buffer_pages = 12;
+  auto query = [&] {
+    return RunSequencedQuery(plan, &f.disk, options).status();
+  };
+  EXPECT_GT(SweepFaults(&f.disk, query), 10);
+}
+
+TEST(FaultSweepTest, PartitionCoalesceLeavesNoTempFiles) {
+  FaultFixture f;
+  const uint64_t input_pages = f.disk.TotalPages();
+  PartitionJoinOptions options;
+  options.buffer_pages = 12;
+  auto coalesce = [&]() -> Status {
+    TempRelation out(new StoredRelation(&f.disk, TestSchema(), "out"));
+    Status st = PartitionCoalesce(f.r.get(), out.get(), options).status();
+    if (!st.ok()) {
+      EXPECT_EQ(f.disk.TotalPages(), input_pages + out->num_pages())
+          << st.ToString();
+    }
+    return st;
+  };
+  EXPECT_GT(SweepFaults(&f.disk, coalesce), 3);
+}
 
 TEST(FaultTest, FaultAfterCompletionIsHarmless) {
   FaultFixture f;

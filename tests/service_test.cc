@@ -421,6 +421,44 @@ TEST(QueryServiceTest, CancellingQueuedQueryReleasesItsSlot) {
   EXPECT_EQ(metrics.Get(Metric::kQueriesCompleted), 1.0);
 }
 
+// A handle owns its output relation: once the handle is destroyed — after
+// a successful run, after a run that failed under an injected storage
+// fault, or after cancellation in the admission queue — the disk holds the
+// inputs only.
+TEST(QueryServiceTest, DestroyedHandlesLeaveNoOutputBehind) {
+  ServiceFixture f;
+  const uint64_t input_pages = f.disk.TotalPages();
+  QueryServiceOptions options;
+  options.pool_pages = 8;
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto service,
+                             QueryService::Create(&f.disk, options));
+  Session session = service->OpenSession();
+  JoinRequest request;
+  request.From(f.r.get(), f.s.get()).BufferPages(8);
+  {
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto finished, session.Submit(request));
+    TEMPO_ASSERT_OK(finished->Wait());
+    ASSERT_GT(finished->output()->num_pages(), 0u);
+    EXPECT_EQ(f.disk.TotalPages(),
+              input_pages + finished->output()->num_pages());
+  }
+  EXPECT_EQ(f.disk.TotalPages(), input_pages) << "finished handle";
+  {
+    f.disk.InjectFaultAfter(10);
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto failed, session.Submit(request));
+    EXPECT_EQ(failed->Wait().code(), StatusCode::kInternal);
+    f.disk.ClearFault();
+  }
+  EXPECT_EQ(f.disk.TotalPages(), input_pages) << "failed handle";
+  {
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto blocker, service->pool()->Request(8));
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto queued, session.Submit(request));
+    queued->Cancel();
+    EXPECT_EQ(queued->Wait().code(), StatusCode::kCancelled);
+  }
+  EXPECT_EQ(f.disk.TotalPages(), input_pages) << "cancelled handle";
+}
+
 TEST(QueryServiceTest, EightQueuedQueriesAllCompleteFifo) {
   ServiceFixture f;
   QueryServiceOptions options;
