@@ -24,16 +24,6 @@ Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
   return Tuple(std::move(values), overlap);
 }
 
-Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const TupleView& x,
-                    const TupleView& y, const Interval& overlap) {
-  std::vector<Value> values;
-  values.reserve(layout.output.num_attributes());
-  for (size_t pos : layout.r_join_attrs) values.push_back(x.ValueAt(pos));
-  for (size_t pos : layout.r_rest) values.push_back(x.ValueAt(pos));
-  for (size_t pos : layout.s_rest) values.push_back(y.ValueAt(pos));
-  return Tuple(std::move(values), overlap);
-}
-
 Tuple MakeUnmatchedTuple(const NaturalJoinLayout& layout, bool preserved_is_r,
                          const Tuple& x, const Interval& uncovered) {
   std::vector<Value> values;
@@ -56,6 +46,41 @@ Tuple MakeUnmatchedTuple(const NaturalJoinLayout& layout, bool preserved_is_r,
 
 Tuple MakeAntiTuple(const Tuple& x, const Interval& uncovered) {
   return Tuple(x.values(), uncovered);
+}
+
+Status ResultWriter::Emit(const NaturalJoinLayout& layout, const TupleView& x,
+                          const TupleView& y, const Interval& overlap) {
+  // The wire format of Tuple::SerializeTo: interval, NULL bitmap, then
+  // the non-NULL payloads in output-attribute order (A, B, C).
+  record_.clear();
+  const uint64_t bounds[2] = {static_cast<uint64_t>(overlap.start()),
+                              static_cast<uint64_t>(overlap.end())};
+  record_.append(reinterpret_cast<const char*>(bounds), sizeof(bounds));
+  const size_t bitmap_pos = record_.size();
+  record_.append((layout.output.num_attributes() + 7) / 8, '\0');
+  size_t i = 0;
+  auto copy = [&](const TupleView& v, size_t pos) {
+    if (v.is_null(pos)) {
+      record_[bitmap_pos + i / 8] |= static_cast<char>(1u << (i % 8));
+    } else {
+      record_.append(v.PayloadBytesAt(pos));
+    }
+    ++i;
+  };
+  for (size_t pos : layout.r_join_attrs) copy(x, pos);
+  for (size_t pos : layout.r_rest) copy(x, pos);
+  for (size_t pos : layout.s_rest) copy(y, pos);
+  return EmitRecord(record_);
+}
+
+Status ResultWriter::EmitRecord(std::string_view record) {
+  if (canonical_) {
+    buffered_.emplace_back(record);
+  } else {
+    TEMPO_RETURN_IF_ERROR(out_->AppendRecord(record));
+  }
+  ++count_;
+  return Status::OK();
 }
 
 Status ResultWriter::Finish() {

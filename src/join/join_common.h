@@ -73,13 +73,6 @@ Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
 Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
                     const TupleView& y, const Interval& overlap);
 
-/// Same, with both sides zero-copy: every output value is materialized
-/// straight from the two page-backed records. The radix join emits through
-/// this — its match pairs are row ordinals into pinned page arenas, so
-/// neither side ever exists as an owning Tuple.
-Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const TupleView& x,
-                    const TupleView& y, const Interval& overlap);
-
 /// Assembles a NULL-padded unmatched row of a sequenced *outer* join in
 /// the join output schema (A, B, C): when `preserved_is_r`, A and B come
 /// from the r-side tuple `x` and every C attribute is NULL; otherwise A
@@ -126,25 +119,21 @@ class ResultWriter {
     return EmitAssembled(MakeJoinTuple(layout, x, y, overlap));
   }
 
+  /// Both sides zero-copy, as the radix join emits (its match pairs are
+  /// row ordinals into pinned pages): the result record is assembled
+  /// directly — overlap interval, a fresh NULL bitmap, then each output
+  /// attribute's payload bytes copied from x or y — so no Tuple or Value
+  /// is built. The bytes equal MakeJoinTuple(...).SerializeTo.
   Status Emit(const NaturalJoinLayout& layout, const TupleView& x,
-              const TupleView& y, const Interval& overlap) {
-    return EmitAssembled(MakeJoinTuple(layout, x, y, overlap));
-  }
+              const TupleView& y, const Interval& overlap);
 
   /// Appends an already-assembled result tuple. The parallel probe builds
   /// result tuples on workers and the coordinator appends the per-morsel
   /// buffers in page order, so output bytes match the serial run.
   Status EmitAssembled(const Tuple& t) {
-    if (canonical_) {
-      std::string record;
-      t.SerializeTo(out_->schema(), &record);
-      buffered_.push_back(std::move(record));
-      ++count_;
-      return Status::OK();
-    }
-    Status st = out_->Append(t);
-    if (st.ok()) ++count_;
-    return st;
+    record_.clear();
+    t.SerializeTo(out_->schema(), &record_);
+    return EmitRecord(record_);
   }
 
   /// Streaming mode: flushes the partial output page. Canonical mode:
@@ -156,10 +145,14 @@ class ResultWriter {
   uint64_t count() const { return count_; }
 
  private:
+  /// Appends (streaming) or buffers (canonical) one serialized record.
+  Status EmitRecord(std::string_view record);
+
   StoredRelation* out_;
   uint64_t count_ = 0;
   bool canonical_ = false;
   std::vector<std::string> buffered_;
+  std::string record_;  // assembly scratch, reused across emits
 };
 
 /// An in-memory equi-hash index over tuples, keyed on a subset of attribute

@@ -7,9 +7,6 @@ StatusOr<size_t> ColumnExtractor::AddPage(const Page& page) {
   const Page& pinned = pages_.back();
   const RecordLayout& layout = schema_->layout();
   const size_t before = views_.size();
-  const size_t after = before + pinned.num_records();
-  views_.reserve(after);
-  cols_.Reserve(after);
   for (uint16_t slot = 0; slot < pinned.num_records(); ++slot) {
     std::string_view rec = pinned.GetRecord(slot);
     auto view = TupleView::Make(layout, rec.data(), rec.size());

@@ -31,13 +31,6 @@ struct JoinColumns {
 
   size_t num_rows() const { return rows.size(); }
 
-  void Reserve(size_t n) {
-    key_hashes.reserve(n);
-    starts.reserve(n);
-    ends.reserve(n);
-    rows.reserve(n);
-  }
-
   void Resize(size_t n) {
     key_hashes.resize(n);
     starts.resize(n);
@@ -77,6 +70,8 @@ class ColumnExtractor {
   /// Pins `page` and appends one column entry + view per record. Returns
   /// the number of records appended, or the first record-corruption error
   /// (the page is dropped again, leaving the extractor consistent).
+  /// The arrays grow geometrically, so a whole extraction is amortised
+  /// O(rows); reserving per page would reallocate every array each time.
   StatusOr<size_t> AddPage(const Page& page);
 
   /// The extracted columns; rows[i] == i until a partitioner permutes a

@@ -147,6 +147,15 @@ std::string_view TupleView::StringAt(size_t i) const {
   return std::string_view(data_ + e.offset, e.length);
 }
 
+std::string_view TupleView::PayloadBytesAt(size_t i) const {
+  Extent e = ExtentOf(i);
+  if (e.null) return {};
+  if (layout_->types[i] == ValueType::kString) {
+    return std::string_view(data_ + e.offset - 4, e.length + 4);
+  }
+  return std::string_view(data_ + e.offset, e.length);
+}
+
 Value TupleView::ValueAt(size_t i) const {
   if (is_null(i)) return Value::Null();
   switch (layout_->types[i]) {

@@ -69,6 +69,12 @@ class TupleView {
   double DoubleAt(size_t i) const;
   std::string_view StringAt(size_t i) const;
 
+  /// Attribute `i`'s serialized payload exactly as it sits in the record:
+  /// 8 bytes for int64/double, the u32 length prefix plus the characters
+  /// for a string, empty for NULL. Serialization is canonical, so copying
+  /// these bytes into another record reproduces the attribute there.
+  std::string_view PayloadBytesAt(size_t i) const;
+
   /// Materializes attribute `i` as an owning Value (allocates for
   /// strings). Result-append and API boundaries only.
   Value ValueAt(size_t i) const;

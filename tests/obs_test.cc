@@ -4,6 +4,7 @@
 // a serial and a 4-thread run render identical I/O columns, and a null
 // ExecContext leaves execution byte-identical.
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -376,6 +377,124 @@ TEST(ResultWriterTest, FailedAppendIsNotCounted) {
   EXPECT_EQ(writer.count(), 0u);
 
   TEMPO_EXPECT_OK(writer.EmitAssembled(T(2, "ok", 0, 1)));
+  EXPECT_EQ(writer.count(), 1u);
+  TEMPO_EXPECT_OK(writer.Finish());
+  EXPECT_EQ(out.num_tuples(), 1u);
+}
+
+/// Serializes `t` under `schema` into `*bytes` and returns a validated
+/// view over them.
+TupleView ViewOf(const Schema& schema, const Tuple& t, std::string* bytes) {
+  bytes->clear();
+  t.SerializeTo(schema, bytes);
+  auto view = TupleView::Make(schema.layout(), bytes->data(), bytes->size());
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  return *view;
+}
+
+TEST(ResultWriterTest, ViewEmitIsByteIdenticalToOwningTuplePath) {
+  // Ten output attributes (a 2-byte NULL bitmap). The shared keys sit at
+  // different positions in r and s, and each side mixes all three types.
+  const Schema r_schema({{"k1", ValueType::kInt64},
+                         {"b1", ValueType::kDouble},
+                         {"k2", ValueType::kString},
+                         {"b2", ValueType::kString},
+                         {"b3", ValueType::kInt64},
+                         {"b4", ValueType::kString}});
+  const Schema s_schema({{"c1", ValueType::kString},
+                         {"k2", ValueType::kString},
+                         {"c2", ValueType::kDouble},
+                         {"k1", ValueType::kInt64},
+                         {"c3", ValueType::kInt64},
+                         {"c4", ValueType::kString}});
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(r_schema, s_schema));
+  ASSERT_GE(layout.output.num_attributes(), 9u);
+
+  const Value kNull = Value::Null();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Tuple> rs = {
+      Tuple({Value(int64_t{1}), Value(-0.0), Value("key"), Value(""),
+             Value(int64_t{-7}), Value("tail")},
+            Interval(0, 10)),
+      // NULL key; every later string is reached by a walk.
+      Tuple({kNull, Value(nan), Value("k"), Value("after-null"),
+             Value(int64_t{3}), Value("")},
+            Interval(2, 12)),
+      // NULL in an r-rest position before a string.
+      Tuple({Value(int64_t{2}), kNull, Value(""), kNull, Value(int64_t{0}),
+             Value("last")},
+            Interval(5, 5)),
+  };
+  const std::vector<Tuple> ss = {
+      Tuple({Value("c"), Value("key"), Value(1.5), Value(int64_t{1}),
+             Value(int64_t{9}), Value("s-tail")},
+            Interval(0, 20)),
+      // NULLs in s-rest positions, with strings after them.
+      Tuple({kNull, Value("k"), kNull, Value(int64_t{2}), kNull,
+             Value("after-nulls")},
+            Interval(4, 8)),
+      Tuple({Value(""), kNull, Value(-0.0), kNull, Value(int64_t{-1}),
+             Value("")},
+            Interval(5, 6)),
+  };
+
+  Disk disk;
+  StoredRelation out(&disk, layout.output, "out");
+  ResultWriter writer(&out);
+  std::vector<std::string> expected;
+  std::string r_bytes;
+  std::string s_bytes;
+  for (const Tuple& x : rs) {
+    for (const Tuple& y : ss) {
+      const Interval overlap = *Overlap(x.interval(), y.interval());
+      const TupleView xv = ViewOf(r_schema, x, &r_bytes);
+      const TupleView yv = ViewOf(s_schema, y, &s_bytes);
+      TEMPO_ASSERT_OK(writer.Emit(layout, xv, yv, overlap));
+      expected.emplace_back();
+      MakeJoinTuple(layout, x, y, overlap)
+          .SerializeTo(layout.output, &expected.back());
+    }
+  }
+  TEMPO_ASSERT_OK(writer.Finish());
+  EXPECT_EQ(writer.count(), expected.size());
+
+  std::vector<std::string> written;
+  Page page;
+  for (uint32_t p = 0; p < out.num_pages(); ++p) {
+    TEMPO_ASSERT_OK(out.ReadPage(p, &page));
+    for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
+      written.emplace_back(page.GetRecord(slot));
+    }
+  }
+  ASSERT_EQ(written.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(written[i], expected[i]) << "result " << i;
+  }
+}
+
+TEST(ResultWriterTest, FailedViewEmitIsNotCounted) {
+  // The views borrow their schemas' layouts, so the schemas outlive them.
+  const Schema r_schema = TestSchema();
+  const Schema s_schema = SSchema();
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(r_schema, s_schema));
+  Disk disk;
+  StoredRelation out(&disk, layout.output, "out");
+  ResultWriter writer(&out);
+
+  // Each input record fits a page; their join result does not.
+  std::string r_bytes;
+  std::string s_bytes;
+  const std::string half(kMaxRecordSize / 2 + 8, 'x');
+  TupleView xv = ViewOf(r_schema, T(1, half, 0, 1), &r_bytes);
+  TupleView yv = ViewOf(s_schema, S(1, half, 0, 1), &s_bytes);
+  EXPECT_FALSE(writer.Emit(layout, xv, yv, Interval(0, 1)).ok());
+  EXPECT_EQ(writer.count(), 0u);
+
+  xv = ViewOf(r_schema, T(2, "ok", 0, 1), &r_bytes);
+  yv = ViewOf(s_schema, S(2, "ok", 0, 1), &s_bytes);
+  TEMPO_EXPECT_OK(writer.Emit(layout, xv, yv, Interval(0, 1)));
   EXPECT_EQ(writer.count(), 1u);
   TEMPO_EXPECT_OK(writer.Finish());
   EXPECT_EQ(out.num_tuples(), 1u);

@@ -1,8 +1,10 @@
 // Tests for the in-memory columnar radix fast path: byte-identical output
 // pages and identical charged IoStats vs the reference join at every
 // thread count, skewed-key bucket overflow, degenerate inputs, the
-// budget-driven fallback, and the TEMPO_RADIX_THRESHOLD_MB knob.
+// budget-driven fallback, and the TEMPO_RADIX_THRESHOLD_MB knob; plus the
+// ColumnExtractor that feeds it (amortised growth, corrupt-page rollback).
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -13,6 +15,7 @@
 #include "join/reference_join.h"
 #include "obs/explain.h"
 #include "parallel/scheduler.h"
+#include "relation/column_extract.h"
 #include "service/join_request.h"
 #include "test_util.h"
 
@@ -354,6 +357,100 @@ TEST(RadixJoinTest, BudgetKnobPrecedenceAndStrictParsing) {
         << "value: \"" << bad << "\"";
   }
   unsetenv("TEMPO_RADIX_THRESHOLD_MB");
+}
+
+// ---------------------------------------------------------------------
+// ColumnExtractor
+// ---------------------------------------------------------------------
+
+/// A page of TestSchema records with keys first_key, first_key + 1, ...,
+/// filled until the next record would not fit.
+Page FullPage(int64_t first_key) {
+  const Schema schema = TestSchema();
+  Page page;
+  for (int64_t key = first_key;; ++key) {
+    std::string record;
+    T(key, "x", key, key + 1).SerializeTo(schema, &record);
+    if (!page.AddRecord(record).has_value()) return page;
+  }
+}
+
+TEST(ColumnExtractorTest, ArraysGrowGeometricallyAcrossPages) {
+  const Schema schema = TestSchema();
+  const std::vector<size_t> key_attrs = {0};
+  ColumnExtractor extractor(&schema, &key_attrs);
+  const Page page = FullPage(0);
+  constexpr int kPages = 1000;
+  int view_growths = 0;
+  int hash_growths = 0;
+  for (int p = 0; p < kPages; ++p) {
+    const size_t view_cap = extractor.views().capacity();
+    const size_t hash_cap = extractor.columns().key_hashes.capacity();
+    TEMPO_ASSERT_OK_AND_ASSIGN(size_t added, extractor.AddPage(page));
+    ASSERT_EQ(added, page.num_records());
+    view_growths += extractor.views().capacity() != view_cap;
+    hash_growths += extractor.columns().key_hashes.capacity() != hash_cap;
+  }
+  const size_t rows = extractor.num_rows();
+  ASSERT_EQ(rows, static_cast<size_t>(kPages) * page.num_records());
+  // Reserving exactly per page would reallocate on every one of the 1,000
+  // pages; geometric growth reallocates O(log rows) times.
+  const double bound = 2 * std::log2(static_cast<double>(rows)) + 4;
+  EXPECT_LE(view_growths, bound);
+  EXPECT_LE(hash_growths, bound);
+  EXPECT_EQ(extractor.footprint_bytes(),
+            uint64_t{kPages} * kPageSize + rows * kColumnRowBytes);
+}
+
+TEST(ColumnExtractorTest, CorruptRecordRollsBackThePage) {
+  const Schema schema = TestSchema();
+  const std::vector<size_t> key_attrs = {0};
+  ColumnExtractor extractor(&schema, &key_attrs);
+  constexpr int kGoodPages = 3;
+  for (int p = 0; p < kGoodPages; ++p) {
+    TEMPO_ASSERT_OK(extractor.AddPage(FullPage(1000 * p)).status());
+  }
+  const size_t rows_before = extractor.num_rows();
+  const size_t pages_before = extractor.num_pages();
+
+  // Page k: good records around one record with an inverted interval.
+  Page bad;
+  for (int64_t key = 0; key < 10; ++key) {
+    std::string record;
+    T(key, "x", key, key + 1).SerializeTo(schema, &record);
+    if (key == 5) {
+      const uint64_t late_start = 1000;  // start > end: invalid interval
+      std::memcpy(record.data(), &late_start, 8);
+    }
+    ASSERT_TRUE(bad.AddRecord(record).has_value());
+  }
+  auto added = extractor.AddPage(bad);
+  ASSERT_FALSE(added.ok());
+  EXPECT_EQ(added.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(extractor.num_rows(), rows_before);
+  EXPECT_EQ(extractor.num_pages(), pages_before);
+  EXPECT_EQ(extractor.views().size(), rows_before);
+  const JoinColumns& cols = extractor.columns();
+  EXPECT_EQ(cols.key_hashes.size(), rows_before);
+  EXPECT_EQ(cols.starts.size(), rows_before);
+  EXPECT_EQ(cols.ends.size(), rows_before);
+  EXPECT_EQ(cols.rows.size(), rows_before);
+
+  // The next good page continues at row ordinal rows_before.
+  const Page next = FullPage(5000);
+  TEMPO_ASSERT_OK_AND_ASSIGN(size_t n, extractor.AddPage(next));
+  ASSERT_EQ(n, next.num_records());
+  ASSERT_EQ(extractor.num_rows(), rows_before + n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t row = rows_before + i;
+    const int64_t key = 5000 + static_cast<int64_t>(i);
+    EXPECT_EQ(cols.rows[row], row);
+    EXPECT_EQ(cols.starts[row], key);
+    EXPECT_EQ(cols.ends[row], key + 1);
+    EXPECT_EQ(extractor.views()[row].Int64At(0), key);
+    EXPECT_EQ(cols.key_hashes[row],
+              T(key, "x", key, key + 1).HashAttrs(key_attrs));
+  }
 }
 
 }  // namespace
