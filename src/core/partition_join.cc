@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/tuple_cache.h"
+#include "join/build_area.h"
 #include "join/join_executor.h"
 #include "temporal/interval_set.h"
 
@@ -13,129 +14,118 @@ namespace tempo {
 
 namespace {
 
-// Conservative per-record page overhead used to convert the outer-area
-// page budget into bytes.
-constexpr size_t kSlotOverhead = 4;
 constexpr size_t kPagePayload = kPageSize - 4;
 
-/// Emits the uncovered subintervals of a retiring outer-area tuple:
-/// SubtractAll of the accumulated coverage from the tuple's validity,
-/// one output row per uncovered subinterval. Anti rows carry x itself
-/// (r's own schema); outer rows are NULL-padded into the join schema.
-Status EmitUncovered(JoinVariant* v, const Tuple& x,
+/// Emits the uncovered subintervals of a retiring outer-area row:
+/// SubtractAll of the accumulated coverage from the row's validity, one
+/// output row per uncovered subinterval. Anti rows carry x itself (r's own
+/// schema); outer rows are NULL-padded into the join schema. A Tuple is
+/// materialised only for a row that has something uncovered.
+Status EmitUncovered(JoinVariant* v, const TupleView& x,
                      const std::vector<Interval>& covered) {
   const IntervalSet uncovered = SubtractAll(x.interval(), covered);
   if (uncovered.empty()) return Status::OK();
   ++v->unmatched_tuples;
+  const Tuple owned = x.Materialize();
   for (const Interval& iv : uncovered.intervals()) {
     ++v->uncovered_subintervals;
     Tuple t = v->kind == JoinKind::kAnti
-                  ? MakeAntiTuple(x, iv)
-                  : MakeUnmatchedTuple(*v->emit_layout, v->preserved_is_r, x,
-                                       iv);
+                  ? MakeAntiTuple(owned, iv)
+                  : MakeUnmatchedTuple(*v->emit_layout, v->preserved_is_r,
+                                       owned, iv);
     TEMPO_RETURN_IF_ERROR(v->writer->EmitAssembled(t));
   }
   return Status::OK();
 }
 
-/// The outer partition area: decoded tuples plus byte accounting, with a
-/// probe index over the current contents. The index tracks a dirty flag so
-/// a partition that neither purged nor added tuples (an empty r_i under
-/// migration) skips the full rebuild.
+/// The outer partition area: a BuildArea (records plus byte accounting)
+/// with a FlatIndex over its current contents. The index tracks a dirty
+/// flag so a partition that neither purged nor added rows (an empty r_i
+/// under migration) skips the rebuild.
 ///
 /// Under a sequenced outer/anti variant the area additionally carries, per
-/// tuple, the intervals its key-matching partners covered; a tuple leaving
-/// the area (purge, or RetireAll at the end of the run) passes through
+/// row, the intervals its key-matching partners covered; a row leaving the
+/// area (purge, or RetireAll at the end of the run) passes through
 /// EmitUncovered before being dropped.
 class OuterArea {
  public:
-  explicit OuterArea(const std::vector<size_t>* key_attrs)
-      : index_(&tuples_, key_attrs) {}
+  OuterArea(const Schema* schema, const std::vector<size_t>* key_attrs)
+      : area_(schema, key_attrs) {}
 
-  /// Turns on per-tuple coverage tracking and unmatched emission.
+  /// Turns on per-row coverage tracking and unmatched emission.
   void TrackCoverage(JoinVariant* variant) { variant_ = variant; }
 
   Status Clear() {
     if (variant_ != nullptr) TEMPO_RETURN_IF_ERROR(RetireAll());
-    if (!tuples_.empty()) dirty_ = true;
-    tuples_.clear();
+    if (!area_.empty()) dirty_ = true;
+    area_.Clear();
     coverage_.clear();
-    bytes_ = 0;
     return Status::OK();
   }
 
   Status PurgeNotOverlapping(const Interval& p) {
     size_t kept = 0;
-    for (size_t i = 0; i < tuples_.size(); ++i) {
-      if (tuples_[i].interval().Overlaps(p)) {
-        if (kept != i) {
-          tuples_[kept] = std::move(tuples_[i]);
-          if (variant_ != nullptr) coverage_[kept] = std::move(coverage_[i]);
-        }
-        ++kept;
-      } else if (variant_ != nullptr) {
-        TEMPO_RETURN_IF_ERROR(
-            EmitUncovered(variant_, tuples_[i], coverage_[i]));
-      }
-    }
-    if (kept != tuples_.size()) dirty_ = true;
-    tuples_.resize(kept);
+    TEMPO_RETURN_IF_ERROR(area_.PurgeNotOverlapping(
+        p, [&](size_t row, bool keep) -> Status {
+          if (keep) {
+            if (variant_ != nullptr && kept != row) {
+              coverage_[kept] = std::move(coverage_[row]);
+            }
+            ++kept;
+            return Status::OK();
+          }
+          dirty_ = true;
+          if (variant_ == nullptr) return Status::OK();
+          return EmitUncovered(variant_, area_.view(row), coverage_[row]);
+        }));
     if (variant_ != nullptr) coverage_.resize(kept);
     return Status::OK();
   }
 
-  /// Retires every remaining tuple (end of the partition loop / fast
-  /// path): emits each one's uncovered subintervals.
+  /// Retires every remaining row (end of the partition loop / fast path):
+  /// emits each one's uncovered subintervals.
   Status RetireAll() {
     if (variant_ == nullptr) return Status::OK();
-    for (size_t i = 0; i < tuples_.size(); ++i) {
-      TEMPO_RETURN_IF_ERROR(EmitUncovered(variant_, tuples_[i], coverage_[i]));
+    for (size_t row = 0; row < area_.size(); ++row) {
+      TEMPO_RETURN_IF_ERROR(
+          EmitUncovered(variant_, area_.view(row), coverage_[row]));
     }
-    coverage_.assign(tuples_.size(), {});
+    coverage_.assign(area_.size(), {});
     return Status::OK();
   }
 
-  void Add(Tuple t, const Schema& schema) {
-    bytes_ += t.SerializedSize(schema) + kSlotOverhead;
-    tuples_.push_back(std::move(t));
-    if (variant_ != nullptr) coverage_.emplace_back();
-    dirty_ = true;
+  Status AddPage(const Page& page) {
+    const size_t before = area_.size();
+    TEMPO_RETURN_IF_ERROR(area_.AddPage(page));
+    if (area_.size() != before) dirty_ = true;
+    if (variant_ != nullptr) coverage_.resize(area_.size());
+    return Status::OK();
   }
 
-  /// Folds one key-matching overlap into tuple `i`'s coverage. Called only
-  /// by the coordinating thread (serial probes inline; parallel probes
-  /// buffer per batch and fold at wave flush).
-  void AddCoverage(size_t i, const Interval& overlap) {
-    coverage_[i].push_back(overlap);
-  }
-
-  void RecomputeBytes(const Schema& schema) {
-    bytes_ = 0;
-    for (const Tuple& t : tuples_) {
-      bytes_ += t.SerializedSize(schema) + kSlotOverhead;
-    }
+  /// Folds one key-matching overlap into area row `row`'s coverage. Called
+  /// only by the coordinating thread (serial probes inline; parallel
+  /// probes buffer per batch and fold at wave flush).
+  void AddCoverage(size_t row, const Interval& overlap) {
+    coverage_[row].push_back(overlap);
   }
 
   /// Rebuilds the probe index if the area changed since the last rebuild.
   void RebuildIndex() {
     if (!dirty_) return;
-    index_.Rebuild(&tuples_);
+    index_.Build(area_, 0, area_.size());
     dirty_ = false;
   }
 
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  size_t bytes() const { return bytes_; }
-  HashedTupleIndex& index() { return index_; }
+  const BuildArea& area() const { return area_; }
+  const FlatIndex& index() const { return index_; }
 
  private:
-  std::vector<Tuple> tuples_;
-  size_t bytes_ = 0;
-  HashedTupleIndex index_;
-  // The index is built over an empty area at construction, so it starts
-  // clean.
+  BuildArea area_;
+  FlatIndex index_;
+  // The index starts empty over an empty area, so it starts clean.
   bool dirty_ = false;
   // Non-null while a sequenced outer/anti variant is running; coverage_
-  // then parallels tuples_ (the raw overlap intervals seen so far).
+  // then parallels the area's rows (the raw overlap intervals seen so far).
   JoinVariant* variant_ = nullptr;
   std::vector<std::vector<Interval>> coverage_;
 };
@@ -144,6 +134,8 @@ class OuterArea {
 struct ProbeContext {
   const NaturalJoinLayout* layout = nullptr;
   const Schema* inner_schema = nullptr;
+  /// The build rows the index points into.
+  const BuildArea* area = nullptr;
   TemporalPredicate predicate;
   /// De-duplication partition p_i: emit only pairs whose overlap ends in
   /// it. Null in the single-partition fast path (no duplicates possible).
@@ -155,44 +147,29 @@ struct ProbeContext {
   TupleCache* retain_cache = nullptr;
   /// Sequenced outer/anti variant of this run (null = inner join). When
   /// set, every dedup-accepted overlap is folded into `coverage_area`'s
-  /// per-tuple coverage at index `coverage_base + build_index`, and match
-  /// emission is gated on variant->emit_matches.
+  /// coverage of the matched area row, and match emission is gated on
+  /// variant->emit_matches.
   JoinVariant* variant = nullptr;
   OuterArea* coverage_area = nullptr;
-  size_t coverage_base = 0;  ///< chunk offset into the outer area
 };
 
-/// Invokes `fn(x, build_index, overlap)` for every pair the probe record
-/// view `y` must emit, in index iteration order (deterministic for a fixed
-/// index build — the view hashes bit-compatibly with the tuple it would
-/// decode into, so the bucket walk matches the owning-tuple probe
-/// exactly). `build_index` is x's position in the indexed tuple vector;
-/// the outer/anti variants use it to attribute coverage.
+/// Invokes `fn(row, overlap)` for every area row the probe record view
+/// `y` must emit with, in FlatIndex order (deterministic for a fixed index
+/// build). `row` is x's area row; the outer/anti variants use it to
+/// attribute coverage.
 template <typename Fn>
-void ForEachEmission(const ProbeContext& ctx, const HashedTupleIndex& index,
+void ForEachEmission(const ProbeContext& ctx, const FlatIndex& index,
                      const TupleView& y, Fn&& fn) {
-  const Interval y_iv = y.interval();
-  index.ForEachMatchIndexed(
-      y, ctx.layout->s_join_attrs, [&](const Tuple& x, size_t idx) {
-        auto common = Overlap(x.interval(), y_iv);
-        if (!common) return;
-        if (ctx.dedup_interval != nullptr &&
-            !ctx.dedup_interval->Contains(common->end())) {
-          return;
-        }
-        if (!PredicateAdmitsOverlapping(ctx.predicate, x.interval(), y_iv)) {
-          return;
-        }
-        fn(x, idx, *common);
-      });
+  ForEachFlatMatch(*ctx.area, index, y, ctx.layout->s_join_attrs,
+                   ctx.predicate, ctx.dedup_interval, fn);
 }
 
 /// Streams probe-side input — raw inner pages and tuple-cache views —
-/// against a read-only hash index. Every probe runs on a zero-copy
-/// TupleView: pages are pinned in a PageTupleArena and their records
-/// hashed/compared in place; cache records are probed as views over the
-/// cache's own memory. Owning Tuples are materialized only for emitted
-/// results (and as serialized bytes for retained records).
+/// against a read-only flat index over the build area. Every probe runs on
+/// a zero-copy TupleView: pages are pinned in a PageTupleArena and their
+/// records hashed/compared in place; cache records are probed as views
+/// over the cache's own memory. Result records are assembled straight
+/// from the build and probe record bytes.
 ///
 /// Serial mode (no pool): each batch is viewed and probed inline, in
 /// arrival order, emitting directly — byte-for-byte the original
@@ -201,13 +178,13 @@ void ForEachEmission(const ProbeContext& ctx, const HashedTupleIndex& index,
 /// Parallel mode: the coordinator keeps reading pages (all charged I/O
 /// stays on the calling thread, in stream order) while accumulated batches
 /// fan out to pool workers, which pin pages into a per-worker arena, probe
-/// views, and buffer assembled result tuples. After each wave the
+/// views, and buffer assembled result bytes. After each wave the
 /// coordinator appends the per-batch buffers in batch order, so the output
 /// relation and the next cache generation receive tuples in exactly the
 /// serial order.
 class ProbeStream {
  public:
-  ProbeStream(const ProbeContext& ctx, const HashedTupleIndex* index,
+  ProbeStream(const ProbeContext& ctx, const FlatIndex* index,
               ThreadPool* pool, const ParallelOptions& parallel,
               MorselStats* stats)
       : ctx_(ctx), index_(index), pool_(pool), stats_(stats) {
@@ -276,11 +253,14 @@ class ProbeStream {
     bool allow_retain = false;
   };
   struct BatchResult {
-    std::vector<Tuple> results;  // assembled output tuples, emission order
+    // Assembled result records back to back, in emission order; record k
+    // ends at result_ends[k].
+    std::string results;
+    std::vector<size_t> result_ends;
     // Raw record bytes for the next cache generation (views into the
     // worker's arena die with the wave, so the bytes are copied out).
     std::vector<std::string> retained;
-    // Variant runs: (build index, overlap) per dedup-accepted pair. The
+    // Variant runs: (area row, overlap) per dedup-accepted pair. The
     // coordinator folds these into the outer area's coverage at wave
     // flush — workers never touch shared coverage state.
     std::vector<std::pair<size_t, Interval>> covered;
@@ -299,14 +279,14 @@ class ProbeStream {
   Status ProbeOneSerial(const TupleView& y, bool allow_retain) {
     Status status = Status::OK();
     ForEachEmission(ctx_, *index_, y,
-                    [&](const Tuple& x, size_t idx, const Interval& common) {
+                    [&](size_t row, const Interval& common) {
                       if (!status.ok()) return;
                       if (ctx_.coverage_area != nullptr) {
-                        ctx_.coverage_area->AddCoverage(
-                            ctx_.coverage_base + idx, common);
+                        ctx_.coverage_area->AddCoverage(row, common);
                       }
                       if (!EmitsMatches()) return;
-                      status = ctx_.writer->Emit(*ctx_.layout, x, y, common);
+                      status = ctx_.writer->Emit(
+                          *ctx_.layout, ctx_.area->view(row), y, common);
                     });
     TEMPO_RETURN_IF_ERROR(status);
     if (WantsRetention(y, allow_retain)) {
@@ -336,13 +316,14 @@ class ProbeStream {
     }
     for (const TupleView& y : *src) {
       ForEachEmission(ctx_, *index_, y,
-                      [&](const Tuple& x, size_t idx, const Interval& common) {
+                      [&](size_t row, const Interval& common) {
                         if (ctx_.coverage_area != nullptr) {
-                          out->covered.emplace_back(idx, common);
+                          out->covered.emplace_back(row, common);
                         }
                         if (!EmitsMatches()) return;
-                        out->results.push_back(
-                            MakeJoinTuple(*ctx_.layout, x, y, common));
+                        AppendJoinRecord(*ctx_.layout, ctx_.area->view(row),
+                                         y, common, &out->results);
+                        out->result_ends.push_back(out->results.size());
                       });
       if (WantsRetention(y, b.allow_retain)) {
         out->retained.emplace_back(y.record());
@@ -364,11 +345,15 @@ class ProbeStream {
         stats_);
     TEMPO_RETURN_IF_ERROR(st);
     for (BatchResult& r : results) {
-      for (const auto& [idx, overlap] : r.covered) {
-        ctx_.coverage_area->AddCoverage(ctx_.coverage_base + idx, overlap);
+      for (const auto& [row, overlap] : r.covered) {
+        ctx_.coverage_area->AddCoverage(row, overlap);
       }
-      for (const Tuple& t : r.results) {
-        TEMPO_RETURN_IF_ERROR(ctx_.writer->EmitAssembled(t));
+      const std::string_view bytes = r.results;
+      size_t begin = 0;
+      for (size_t end : r.result_ends) {
+        TEMPO_RETURN_IF_ERROR(
+            ctx_.writer->EmitSerialized(bytes.substr(begin, end - begin)));
+        begin = end;
       }
       for (const std::string& rec : r.retained) {
         TEMPO_RETURN_IF_ERROR(ctx_.retain_cache->AddRecord(rec));
@@ -379,7 +364,7 @@ class ProbeStream {
   }
 
   ProbeContext ctx_;
-  const HashedTupleIndex* index_;
+  const FlatIndex* index_;
   ThreadPool* pool_;
   MorselStats* stats_;
   uint32_t batch_pages_ = 1;
@@ -438,7 +423,7 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   // feeds two passes into one writer); the caller finishes it.
   ResultWriter local_writer(out);
   ResultWriter* writer = variant != nullptr ? variant->writer : &local_writer;
-  OuterArea outer(&layout.r_join_attrs);
+  OuterArea outer(&r_schema, &layout.r_join_attrs);
   if (variant != nullptr) outer.TrackCoverage(variant);
   TupleCache cache(disk, s_schema, out->name() + ".gen",
                    cache_memory_pages);  // consumed generation
@@ -462,7 +447,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
     //    the physical partition r_i into the area.
     if (migrate) {
       TEMPO_RETURN_IF_ERROR(outer.PurgeNotOverlapping(p_i));
-      outer.RecomputeBytes(r_schema);
     } else {
       // Replicated partitions are self-contained (variants require
       // last-overlap placement, so no coverage retires here).
@@ -471,24 +455,19 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
     {
       StoredRelation* part = pr->parts[ii].get();
       const uint32_t pages = part->num_pages();
-      std::vector<Tuple> decoded;
       for (uint32_t p = 0; p < pages; ++p) {
         Page page;
         TEMPO_RETURN_IF_ERROR(part->ReadPage(p, &page));
-        decoded.clear();
-        TEMPO_RETURN_IF_ERROR(
-            StoredRelation::DecodePageAppend(r_schema, page, &decoded)
-                .status());
-        for (Tuple& t : decoded) outer.Add(std::move(t), r_schema);
+        TEMPO_RETURN_IF_ERROR(outer.AddPage(page));
       }
     }
 
     // Overflow handling: process the outer area in memory-sized chunks;
     // each chunk beyond the first re-reads the inner inputs (thrashing).
-    const size_t total = outer.tuples().size();
+    const size_t total = outer.area().size();
     size_t chunk_tuples = total;
-    if (outer.bytes() > area_bytes && total > 0) {
-      double avg = static_cast<double>(outer.bytes()) / total;
+    if (outer.area().bytes() > area_bytes && total > 0) {
+      double avg = static_cast<double>(outer.area().bytes()) / total;
       chunk_tuples = std::max<size_t>(
           1, static_cast<size_t>(static_cast<double>(area_bytes) / avg));
     }
@@ -501,15 +480,12 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
          chunk_start += std::max<size_t>(chunk_tuples, 1)) {
       const bool first_chunk = chunk_start == 0;
       if (!first_chunk) ++overflow_chunks;
-      // Chunk view: rebuild the index over [chunk_start, chunk_end).
-      std::vector<Tuple> chunk_vec;
-      HashedTupleIndex* index = &outer.index();
-      HashedTupleIndex chunk_index(&chunk_vec, &layout.r_join_attrs);
+      // Chunk view: index the area rows [chunk_start, chunk_end) in place.
+      const FlatIndex* index = &outer.index();
+      FlatIndex chunk_index;
       if (chunk_tuples < total) {
         size_t chunk_end = std::min(total, chunk_start + chunk_tuples);
-        chunk_vec.assign(outer.tuples().begin() + chunk_start,
-                         outer.tuples().begin() + chunk_end);
-        chunk_index.Rebuild(&chunk_vec);
+        chunk_index.Build(outer.area(), chunk_start, chunk_end);
         index = &chunk_index;
       } else {
         outer.RebuildIndex();  // no-op when the area is unchanged
@@ -518,6 +494,7 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
       ProbeContext probe_ctx;
       probe_ctx.layout = &layout;
       probe_ctx.inner_schema = &s_schema;
+      probe_ctx.area = &outer.area();
       probe_ctx.predicate = predicate;
       probe_ctx.dedup_interval = &p_i;
       probe_ctx.retain_interval = p_prev;
@@ -526,7 +503,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
       if (variant != nullptr) {
         probe_ctx.variant = variant;
         probe_ctx.coverage_area = &outer;
-        probe_ctx.coverage_base = chunk_start;
       }
       ProbeStream stream(probe_ctx, index, pool, parallel, &probe_stats);
 
@@ -638,18 +614,13 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     // The outer relation fits in the partition area: no partitioning I/O;
     // read r into memory and stream s past it.
     TraceSpan fast_span = SpanIf(ctx, Phase::kJoinPartitions);
-    OuterArea outer(&layout.r_join_attrs);
+    OuterArea outer(&r->schema(), &layout.r_join_attrs);
     if (variant != nullptr) outer.TrackCoverage(variant);
     const uint32_t pages = r->num_pages();
-    std::vector<Tuple> decoded;
     for (uint32_t p = 0; p < pages; ++p) {
       Page page;
       TEMPO_RETURN_IF_ERROR(r->ReadPage(p, &page));
-      decoded.clear();
-      TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePageAppend(r->schema(), page, &decoded)
-              .status());
-      for (Tuple& t : decoded) outer.Add(std::move(t), r->schema());
+      TEMPO_RETURN_IF_ERROR(outer.AddPage(page));
     }
     outer.RebuildIndex();
     ResultWriter local_writer(out);
@@ -659,6 +630,7 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     ProbeContext probe_ctx;
     probe_ctx.layout = &layout;
     probe_ctx.inner_schema = &s->schema();
+    probe_ctx.area = &outer.area();
     probe_ctx.predicate = options.predicate;
     probe_ctx.writer = writer;
     if (variant != nullptr) {

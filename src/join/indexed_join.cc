@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "join/append_only_tree.h"
+#include "join/build_area.h"
 #include "join/external_sort.h"
 #include "join/join_common.h"
 
@@ -49,20 +50,24 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   const RecordLayout& s_view_layout = sorted.s.relation->schema().layout();
   const int64_t widen = tree->max_duration();
 
+  BuildArea outer(&sorted.r.relation->schema(), &layout.r_join_attrs);
+  FlatIndex probe;
   const uint32_t r_pages = sorted.r.relation->num_pages();
   const uint32_t s_pages = sorted.s.relation->num_pages();
   for (uint32_t rp = 0; rp < r_pages; ++rp) {
-    TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> outer,
-                           sorted.r.relation->ReadPageTuples(rp));
+    Page r_page;
+    TEMPO_RETURN_IF_ERROR(sorted.r.relation->ReadPage(rp, &r_page));
+    outer.Clear();
+    TEMPO_RETURN_IF_ERROR(outer.AddPage(r_page));
     if (outer.empty()) continue;
-    HashedTupleIndex probe(&outer, &layout.r_join_attrs);
+    probe.Build(outer, 0, outer.size());
     // The inner range this outer page can match: tuples with
     // Vs in [min Vs - maxDuration, max Ve].
-    Chronon lo = outer.front().interval().start();
-    Chronon hi = outer.front().interval().end();
-    for (const Tuple& x : outer) {
-      lo = std::min(lo, x.interval().start());
-      hi = std::max(hi, x.interval().end());
+    Chronon lo = outer.start(0);
+    Chronon hi = outer.end(0);
+    for (size_t row = 1; row < outer.size(); ++row) {
+      lo = std::min(lo, outer.start(row));
+      hi = std::max(hi, outer.end(row));
     }
     Chronon lo_bound =
         lo > kChrononMin + widen ? lo - widen : kChrononMin;
@@ -87,18 +92,13 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
         }
         const TupleView& y = *y_or;
         ++views_probed;
-        const Interval y_iv = y.interval();
-        probe.ForEachMatchIndexed(y, layout.s_join_attrs,
-                                  [&](const Tuple& x, size_t) {
-          if (!status.ok()) return;
-          auto common = Overlap(x.interval(), y_iv);
-          if (!common) return;
-          if (!PredicateAdmitsOverlapping(options.predicate, x.interval(),
-                                          y_iv)) {
-            return;
-          }
-          status = writer.Emit(layout, x, y, *common);
-        });
+        ForEachFlatMatch(outer, probe, y, layout.s_join_attrs,
+                         options.predicate, /*dedup=*/nullptr,
+                         [&](size_t row, const Interval& common) {
+                           if (!status.ok()) return;
+                           status = writer.Emit(layout, outer.view(row), y,
+                                                common);
+                         });
         if (!status.ok()) break;
       }
       TEMPO_RETURN_IF_ERROR(

@@ -48,32 +48,38 @@ Tuple MakeAntiTuple(const Tuple& x, const Interval& uncovered) {
   return Tuple(x.values(), uncovered);
 }
 
-Status ResultWriter::Emit(const NaturalJoinLayout& layout, const TupleView& x,
-                          const TupleView& y, const Interval& overlap) {
+void AppendJoinRecord(const NaturalJoinLayout& layout, const TupleView& x,
+                      const TupleView& y, const Interval& overlap,
+                      std::string* out) {
   // The wire format of Tuple::SerializeTo: interval, NULL bitmap, then
   // the non-NULL payloads in output-attribute order (A, B, C).
-  record_.clear();
   const uint64_t bounds[2] = {static_cast<uint64_t>(overlap.start()),
                               static_cast<uint64_t>(overlap.end())};
-  record_.append(reinterpret_cast<const char*>(bounds), sizeof(bounds));
-  const size_t bitmap_pos = record_.size();
-  record_.append((layout.output.num_attributes() + 7) / 8, '\0');
+  out->append(reinterpret_cast<const char*>(bounds), sizeof(bounds));
+  const size_t bitmap_pos = out->size();
+  out->append((layout.output.num_attributes() + 7) / 8, '\0');
   size_t i = 0;
   auto copy = [&](const TupleView& v, size_t pos) {
     if (v.is_null(pos)) {
-      record_[bitmap_pos + i / 8] |= static_cast<char>(1u << (i % 8));
+      (*out)[bitmap_pos + i / 8] |= static_cast<char>(1u << (i % 8));
     } else {
-      record_.append(v.PayloadBytesAt(pos));
+      out->append(v.PayloadBytesAt(pos));
     }
     ++i;
   };
   for (size_t pos : layout.r_join_attrs) copy(x, pos);
   for (size_t pos : layout.r_rest) copy(x, pos);
   for (size_t pos : layout.s_rest) copy(y, pos);
-  return EmitRecord(record_);
 }
 
-Status ResultWriter::EmitRecord(std::string_view record) {
+Status ResultWriter::Emit(const NaturalJoinLayout& layout, const TupleView& x,
+                          const TupleView& y, const Interval& overlap) {
+  record_.clear();
+  AppendJoinRecord(layout, x, y, overlap, &record_);
+  return EmitSerialized(record_);
+}
+
+Status ResultWriter::EmitSerialized(std::string_view record) {
   if (canonical_) {
     buffered_.emplace_back(record);
   } else {

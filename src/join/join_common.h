@@ -73,6 +73,14 @@ Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
 Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
                     const TupleView& y, const Interval& overlap);
 
+/// Appends the serialized result record of the valid-time natural join of
+/// two zero-copy records to `*out`: the overlap interval, a fresh NULL
+/// bitmap, then each output attribute's payload bytes copied from x or y.
+/// The bytes equal MakeJoinTuple(...).SerializeTo.
+void AppendJoinRecord(const NaturalJoinLayout& layout, const TupleView& x,
+                      const TupleView& y, const Interval& overlap,
+                      std::string* out);
+
 /// Assembles a NULL-padded unmatched row of a sequenced *outer* join in
 /// the join output schema (A, B, C): when `preserved_is_r`, A and B come
 /// from the r-side tuple `x` and every C attribute is NULL; otherwise A
@@ -114,27 +122,24 @@ class ResultWriter {
     return EmitAssembled(MakeJoinTuple(layout, x, y, overlap));
   }
 
-  Status Emit(const NaturalJoinLayout& layout, const Tuple& x,
-              const TupleView& y, const Interval& overlap) {
-    return EmitAssembled(MakeJoinTuple(layout, x, y, overlap));
-  }
-
-  /// Both sides zero-copy, as the radix join emits (its match pairs are
-  /// row ordinals into pinned pages): the result record is assembled
-  /// directly — overlap interval, a fresh NULL bitmap, then each output
-  /// attribute's payload bytes copied from x or y — so no Tuple or Value
-  /// is built. The bytes equal MakeJoinTuple(...).SerializeTo.
+  /// Both sides zero-copy, as the radix join and every build-area
+  /// executor emit: the result record is assembled by AppendJoinRecord, so
+  /// no Tuple or Value is built.
   Status Emit(const NaturalJoinLayout& layout, const TupleView& x,
               const TupleView& y, const Interval& overlap);
 
-  /// Appends an already-assembled result tuple. The parallel probe builds
-  /// result tuples on workers and the coordinator appends the per-morsel
-  /// buffers in page order, so output bytes match the serial run.
+  /// Appends an already-assembled result tuple.
   Status EmitAssembled(const Tuple& t) {
     record_.clear();
     t.SerializeTo(out_->schema(), &record_);
-    return EmitRecord(record_);
+    return EmitSerialized(record_);
   }
+
+  /// Appends (streaming) or buffers (canonical) one serialized result
+  /// record. The parallel probe assembles result bytes on workers and the
+  /// coordinator appends the per-morsel buffers in page order, so output
+  /// bytes match the serial run.
+  Status EmitSerialized(std::string_view record);
 
   /// Streaming mode: flushes the partial output page. Canonical mode:
   /// sorts the buffered records, appends them all, then flushes.
@@ -145,9 +150,6 @@ class ResultWriter {
   uint64_t count() const { return count_; }
 
  private:
-  /// Appends (streaming) or buffers (canonical) one serialized record.
-  Status EmitRecord(std::string_view record);
-
   StoredRelation* out_;
   uint64_t count_ = 0;
   bool canonical_ = false;
@@ -155,10 +157,11 @@ class ResultWriter {
   std::string record_;  // assembly scratch, reused across emits
 };
 
-/// An in-memory equi-hash index over tuples, keyed on a subset of attribute
-/// positions. This is the "any simple evaluation algorithm ... once in
-/// memory" of Section 3.1: executors build it over the memory-resident side
-/// and probe with each tuple of the streamed side.
+/// An in-memory equi-hash index over owning tuples, keyed on a subset of
+/// attribute positions, for callers that already hold decoded tuples (the
+/// sequenced query layer, the algebra operators, the materialized view).
+/// The paged executors build over records instead (join/build_area.h),
+/// with the same match order.
 class HashedTupleIndex {
  public:
   /// Builds over `tuples` (kept by pointer; caller owns) using key
@@ -186,8 +189,7 @@ class HashedTupleIndex {
 
   /// Zero-copy probe: hashes and compares the key directly on the probe
   /// record's bytes, and passes each match with its index into the bound
-  /// tuple vector, `fn(const Tuple&, size_t)` (the outer/anti join
-  /// variants use the index to accumulate per-build-tuple coverage).
+  /// tuple vector, `fn(const Tuple&, size_t)`.
   /// TupleView's hash is bit-compatible with Tuple::HashAttrs, so the
   /// bucket walk — and hence match order — is identical to probing with
   /// the materialized tuple.

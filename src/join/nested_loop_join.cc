@@ -1,5 +1,7 @@
 #include "join/nested_loop_join.h"
 
+#include "join/build_area.h"
+
 namespace tempo {
 
 // Declared in service/executor_bodies.h; runs under RunJoinContract.
@@ -19,7 +21,8 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
   uint64_t views_probed = 0;
   const RecordLayout& s_layout = s->schema().layout();
 
-  std::vector<Tuple> block;
+  BuildArea block(&r->schema(), &layout.r_join_attrs);
+  FlatIndex index;
   for (uint32_t block_start = 0; block_start < pages_r;
        block_start += block_pages) {
     ++blocks;
@@ -27,18 +30,17 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
     if (block_end > pages_r) block_end = pages_r;
 
     // Load the outer block (1 random + (k-1) sequential reads).
-    block.clear();
+    block.Clear();
     for (uint32_t p = block_start; p < block_end; ++p) {
       Page page;
       TEMPO_RETURN_IF_ERROR(r->ReadPage(p, &page));
-      TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePage(r->schema(), page, &block));
+      TEMPO_RETURN_IF_ERROR(block.AddPage(page));
     }
-    HashedTupleIndex index(&block, &layout.r_join_attrs);
+    index.Build(block, 0, block.size());
 
     // Scan the inner relation through one page buffer, probing each
-    // record in place off the page — no inner tuple is materialized
-    // unless it joins.
+    // record in place off the page; results are assembled from the two
+    // records' bytes.
     for (uint32_t p = 0; p < pages_s; ++p) {
       Page page;
       TEMPO_RETURN_IF_ERROR(s->ReadPage(p, &page));
@@ -48,17 +50,13 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
             TupleView y, TupleView::Make(s_layout, rec.data(), rec.size()));
         ++views_probed;
         Status status = Status::OK();
-        const Interval y_iv = y.interval();
-        index.ForEachMatchIndexed(y, layout.s_join_attrs,
-                                  [&](const Tuple& x, size_t) {
-          if (!status.ok()) return;
-          auto common = Overlap(x.interval(), y_iv);
-          if (common &&
-              PredicateAdmitsOverlapping(options.predicate, x.interval(),
-                                         y_iv)) {
-            status = writer.Emit(layout, x, y, *common);
-          }
-        });
+        ForEachFlatMatch(block, index, y, layout.s_join_attrs,
+                         options.predicate, /*dedup=*/nullptr,
+                         [&](size_t row, const Interval& common) {
+                           if (!status.ok()) return;
+                           status = writer.Emit(layout, block.view(row), y,
+                                                common);
+                         });
         TEMPO_RETURN_IF_ERROR(status);
       }
     }

@@ -94,7 +94,6 @@ StatusOr<size_t> StoredRelation::DecodePageAppend(const Schema& schema,
                                                   const Page& page,
                                                   std::vector<Tuple>* arena) {
   const size_t before = arena->size();
-  arena->reserve(before + page.num_records());
   TEMPO_RETURN_IF_ERROR(DecodePage(schema, page, arena));
   return arena->size() - before;
 }

@@ -443,6 +443,151 @@ TEST(ZeroCopyLockTest, CoalesceByteIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------
+// Golden output digests: the build side of partition, nested-loop and
+// indexed may change representation, but never the bytes it writes. Each
+// case pins an order-dependent digest over every output page, the output
+// cardinality and the charged I/O, at 1, 2 and 4 threads.
+// ---------------------------------------------------------------------
+
+Schema GoldenRSchema() {
+  return Schema({{"key", ValueType::kInt64},
+                 {"tag", ValueType::kString},
+                 {"pad", ValueType::kString}});
+}
+
+Schema GoldenSSchema() {
+  return Schema({{"key", ValueType::kInt64},
+                 {"tag", ValueType::kString},
+                 {"w", ValueType::kDouble}});
+}
+
+/// Heavily duplicated int64+string keys (a NULL tag joins a NULL tag),
+/// 20% long-lived tuples, and s-side doubles including -0.0 and NULL.
+void GoldenInputs(std::vector<Tuple>* r, std::vector<Tuple>* s) {
+  Random rng(1994);
+  auto tag = [&rng]() -> Value {
+    switch (rng.Uniform(3)) {
+      case 0:
+        return Value(std::string("a"));
+      case 1:
+        return Value(std::string("bb"));
+      default:
+        return Value::Null();
+    }
+  };
+  auto interval = [&rng]() {
+    Chronon start = rng.UniformRange(0, 1999);
+    int64_t dur = rng.Bernoulli(0.2) ? rng.UniformRange(300, 900)
+                                     : rng.UniformRange(0, 3);
+    return Interval(start, start + dur);
+  };
+  for (int i = 0; i < 2400; ++i) {
+    Value key(static_cast<int64_t>(rng.Uniform(25)));
+    Value t = tag();
+    r->push_back(Tuple({key, t, Value(std::string(20 + i % 23, 'p'))},
+                       interval()));
+  }
+  for (int i = 0; i < 2200; ++i) {
+    Value key(static_cast<int64_t>(rng.Uniform(25)));
+    Value t = tag();
+    Value w = i % 7 == 0   ? Value(-0.0)
+              : i % 11 == 0 ? Value::Null()
+                            : Value(static_cast<double>(i) / 4);
+    s->push_back(Tuple({key, t, w}, interval()));
+  }
+}
+
+/// FNV-1a over the output pages in page order.
+uint64_t PageDigest(StoredRelation* out) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint32_t p = 0; p < out->num_pages(); ++p) {
+    Page page;
+    EXPECT_TRUE(out->ReadPage(p, &page).ok());
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&page);
+    for (size_t i = 0; i < sizeof(Page); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
+  std::vector<Tuple> r_tuples;
+  std::vector<Tuple> s_tuples;
+  GoldenInputs(&r_tuples, &s_tuples);
+  // The single-partition fast path gets the first 300 r tuples only.
+  const std::vector<Tuple> r_small(r_tuples.begin(), r_tuples.begin() + 300);
+
+  struct Case {
+    const char* name;
+    JoinExecutor executor;
+    JoinKind kind;
+    uint32_t buffer_pages;
+    bool small_r;  // single-partition fast path
+    uint64_t digest;
+    uint64_t output_tuples;
+    uint64_t io_ops;
+  };
+  // A 16-page buffer makes the partition runs overflow the partition area
+  // and spill the tuple cache (asserted below); a 64-page buffer over the
+  // small r takes the single-partition fast path.
+  const std::vector<Case> cases = {
+      {"partition", JoinExecutor::kPartition, JoinKind::kInner, 16, false,
+       0x157c8d7198249851ull, 6946, 388},
+      {"partition-fast", JoinExecutor::kPartition, JoinKind::kInner, 64,
+       true, 0x402a893c895a3260ull, 896, 44},
+      {"partition-left-outer", JoinExecutor::kPartition,
+       JoinKind::kLeftOuter, 16, false, 0xf8a18673b0a26c40ull, 8073, 407},
+      {"partition-full-outer", JoinExecutor::kPartition,
+       JoinKind::kFullOuter, 16, false, 0x2955a1d4dcf78cc1ull, 9290, 665},
+      {"partition-anti", JoinExecutor::kPartition, JoinKind::kAnti, 16,
+       false, 0x2c11069bc5cfd822ull, 1127, 278},
+      {"partition-fast-left-outer", JoinExecutor::kPartition,
+       JoinKind::kLeftOuter, 64, true, 0x1c63925ef05b8a4cull, 1041, 47},
+      {"nested-loop", JoinExecutor::kNestedLoop, JoinKind::kInner, 16, false,
+       0xad210c6d23a6ea7dull, 6946, 235},
+      {"indexed", JoinExecutor::kIndexed, JoinKind::kInner, 16, false,
+       0x2fc059c0fd55347eull, 6946, 1057},
+  };
+  for (const Case& c : cases) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      Disk disk;
+      auto r = MakeRelation(&disk, GoldenRSchema(),
+                            c.small_r ? r_small : r_tuples, "r");
+      auto s = MakeRelation(&disk, GoldenSSchema(), s_tuples, "s");
+      TEMPO_ASSERT_OK_AND_ASSIGN(
+          NaturalJoinLayout layout,
+          DeriveNaturalJoinLayout(GoldenRSchema(), GoldenSSchema()));
+      StoredRelation out(&disk,
+                         c.kind == JoinKind::kAnti ? GoldenRSchema()
+                                                   : layout.output,
+                         "out");
+      JoinRequest req;
+      req.From(r.get(), s.get())
+          .Using(c.executor)
+          .Kind(c.kind)
+          .BufferPages(c.buffer_pages);
+      ScopedScheduler sched(threads);
+      auto stats = RunJoin(req, &out, &sched.ctx);
+      ASSERT_TRUE(stats.ok()) << c.name << ": " << stats.status().ToString();
+      const std::string what =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      if (c.executor == JoinExecutor::kPartition) {
+        if (c.small_r) {
+          EXPECT_EQ(stats->Get(Metric::kPartitions), 1.0) << what;
+        } else {
+          EXPECT_GT(stats->Get(Metric::kOverflowChunks), 0.0) << what;
+          EXPECT_GT(stats->Get(Metric::kCachePagesSpilled), 0.0) << what;
+        }
+      }
+      EXPECT_EQ(PageDigest(&out), c.digest) << what;
+      EXPECT_EQ(stats->output_tuples, c.output_tuples) << what;
+      EXPECT_EQ(stats->io.total_ops(), c.io_ops) << what;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // DecodePageAppend (satellite: arena-reuse decode variant)
 // ---------------------------------------------------------------------
 

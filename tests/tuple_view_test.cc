@@ -1,6 +1,7 @@
 // Zero-copy TupleView: validation parity with Tuple::Deserialize,
 // value/hash/equality parity with owning tuples, and arena stability.
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -230,6 +231,53 @@ TEST(PageTupleArenaTest, DecodePageViewsMatchesDecodePage) {
   for (size_t i = 0; i < decoded.size(); ++i) {
     EXPECT_EQ(arena.views()[i].Materialize(), decoded[i]);
   }
+}
+
+/// One page filled with small TestSchema records.
+Page FullPage() {
+  const Schema schema = TestSchema();
+  Page page;
+  for (int64_t key = 0;; ++key) {
+    std::string record;
+    T(key, "x", key, key + 1).SerializeTo(schema, &record);
+    if (!page.AddRecord(record).has_value()) return page;
+  }
+}
+
+// Reserving exactly per page would reallocate on every one of the 1,000
+// pages (libstdc++'s reserve is exact) and copy every earlier element each
+// time; geometric growth reallocates O(log rows) times.
+TEST(PageTupleArenaTest, ViewsGrowGeometricallyAcrossPages) {
+  const Schema schema = TestSchema();
+  const Page page = FullPage();
+  constexpr int kPages = 1000;
+  PageTupleArena arena;
+  int growths = 0;
+  for (int p = 0; p < kPages; ++p) {
+    const size_t cap = arena.views().capacity();
+    TEMPO_ASSERT_OK_AND_ASSIGN(size_t added, arena.AddPage(schema, page));
+    ASSERT_EQ(added, page.num_records());
+    growths += arena.views().capacity() != cap;
+  }
+  const size_t rows = arena.views().size();
+  ASSERT_EQ(rows, static_cast<size_t>(kPages) * page.num_records());
+  EXPECT_LE(growths, 2 * std::log2(static_cast<double>(rows)) + 4);
+}
+
+TEST(DecodePageAppendTest, ArenaGrowsGeometricallyAcrossPages) {
+  const Schema schema = TestSchema();
+  const Page page = FullPage();
+  constexpr int kPages = 1000;
+  std::vector<Tuple> arena;
+  int growths = 0;
+  for (int p = 0; p < kPages; ++p) {
+    const size_t cap = arena.capacity();
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        size_t added, StoredRelation::DecodePageAppend(schema, page, &arena));
+    ASSERT_EQ(added, page.num_records());
+    growths += arena.capacity() != cap;
+  }
+  EXPECT_LE(growths, 2 * std::log2(static_cast<double>(arena.size())) + 4);
 }
 
 }  // namespace
