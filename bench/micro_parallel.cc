@@ -95,6 +95,9 @@ struct JoinFixture {
 
 /// End-to-end partition join (partitioning + probe) at a fixed memory
 /// budget that forces several partitions; the thread count is the axis.
+/// Only Grace partitioning runs on the pool: the joinPartitions probe runs
+/// inline on the calling thread at every thread count, so the axis times
+/// parallel partitioning plus a serial probe.
 void BM_PartitionJoinThreads(benchmark::State& state) {
   static JoinFixture* fixture = JoinFixture::Make();
   if (fixture == nullptr) {

@@ -1,30 +1,36 @@
 #include "core/choose_intervals.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 namespace tempo {
 
 CoverageIndex::CoverageIndex(const std::vector<Interval>& samples) {
   if (samples.empty()) return;
 
-  // Coverage deltas at interval endpoints: +1 at start, -1 past end.
-  std::map<Chronon, int64_t> deltas;
+  // Coverage deltas at interval endpoints: +1 at start, -1 past end, in
+  // one array sorted by chronon. Each distinct chronon starts a segment,
+  // including one whose deltas net to zero.
+  std::vector<std::pair<Chronon, int64_t>> deltas;
+  deltas.reserve(2 * samples.size());
   for (const Interval& iv : samples) {
-    deltas[iv.start()] += 1;
-    if (iv.end() != kChrononMax) deltas[iv.end() + 1] -= 1;
+    deltas.emplace_back(iv.start(), 1);
+    if (iv.end() != kChrononMax) deltas.emplace_back(iv.end() + 1, -1);
   }
+  std::sort(deltas.begin(), deltas.end());
 
   // Piecewise-constant coverage segments [b_k, b_{k+1} - 1]; the total is
   // the size of the covered-chronon multiset the paper's pseudocode
   // materializes.
   int64_t coverage = 0;
-  auto it = deltas.begin();
-  while (it != deltas.end()) {
-    Chronon seg_start = it->first;
-    coverage += it->second;
-    ++it;
-    Chronon seg_end = (it == deltas.end()) ? seg_start : it->first - 1;
+  size_t i = 0;
+  while (i < deltas.size()) {
+    const Chronon seg_start = deltas[i].first;
+    for (; i < deltas.size() && deltas[i].first == seg_start; ++i) {
+      coverage += deltas[i].second;
+    }
+    const Chronon seg_end =
+        i == deltas.size() ? seg_start : deltas[i].first - 1;
     if (coverage > 0 && seg_end >= seg_start) {
       Segment seg;
       seg.start = seg_start;

@@ -112,19 +112,14 @@ class CandidateSweep {
     return est;
   }
 
-  /// Cost-model view of one candidate. Rebuilds the coverage index only
-  /// when the sample set has grown since the last call.
+  /// Cost-model view of one candidate.
   StatusOr<PartitionCostPoint> Evaluate(uint32_t part_size) {
     PartitionCostPoint point;
     point.part_size_pages = part_size;
     TEMPO_ASSIGN_OR_RETURN(point.c_sample, EnsureSamples(part_size));
     point.required_samples = sampler_.num_drawn();
-    if (index_ == nullptr || indexed_samples_ != sampler_.num_drawn()) {
-      index_ = std::make_unique<CoverageIndex>(sampler_.samples());
-      indexed_samples_ = sampler_.num_drawn();
-    }
     uint32_t k = (pages_ + part_size - 1) / part_size;
-    PartitionSpec spec = index_->Choose(k);
+    PartitionSpec spec = Choose(k);
     std::vector<uint64_t> cache = EstimateCacheSizes(
         sampler_.samples(), tuples_, tuples_per_page_, spec);
     // The paper's formula uses the *nominal* partition count
@@ -137,6 +132,16 @@ class CandidateSweep {
         PartitionComponent(k, part_size, options_.cost_model);
     point.c_cache = CacheComponent(cache, options_.cost_model);
     return point;
+  }
+
+  /// ChooseIntervals over the samples drawn so far, from the coverage
+  /// index, which is rebuilt only when the sample set has grown.
+  PartitionSpec Choose(uint32_t num_partitions) {
+    if (index_ == nullptr || indexed_samples_ != sampler_.num_drawn()) {
+      index_ = std::make_unique<CoverageIndex>(sampler_.samples());
+      indexed_samples_ = sampler_.num_drawn();
+    }
+    return index_->Choose(num_partitions);
   }
 
   RelationSampler& sampler() { return sampler_; }
@@ -197,7 +202,7 @@ StatusOr<PartitionPlan> DeterminePartIntervals(
     uint32_t part_size = (sweep.pages() + k - 1) / k;
     TEMPO_ASSIGN_OR_RETURN(PartitionCostPoint point, sweep.Evaluate(part_size));
     PartitionPlan plan;
-    plan.spec = ChooseIntervals(sweep.sampler().samples(), k);
+    plan.spec = sweep.Choose(k);
     plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
     plan.part_size_pages = part_size;
     plan.samples_drawn = sweep.sampler().num_drawn();
@@ -222,12 +227,13 @@ StatusOr<PartitionPlan> DeterminePartIntervals(
     }
   }
 
-  // Rebuild the winning spec from the full sample set (a free refinement:
-  // every sample has been paid for by now).
+  // Re-choose the winning spec from the full sample set (a free
+  // refinement: every sample has been paid for by now, and the index
+  // already covers them).
   uint32_t k = (sweep.pages() + best.part_size_pages - 1) /
                best.part_size_pages;
   PartitionPlan plan;
-  plan.spec = ChooseIntervals(sweep.sampler().samples(), k);
+  plan.spec = sweep.Choose(k);
   plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
   plan.part_size_pages = best.part_size_pages;
   plan.samples_drawn = sweep.sampler().num_drawn();

@@ -102,9 +102,7 @@ class OuterArea {
     return Status::OK();
   }
 
-  /// Folds one key-matching overlap into area row `row`'s coverage. Called
-  /// only by the coordinating thread (serial probes inline; parallel
-  /// probes buffer per batch and fold at wave flush).
+  /// Folds one key-matching overlap into area row `row`'s coverage.
   void AddCoverage(size_t row, const Interval& overlap) {
     coverage_[row].push_back(overlap);
   }
@@ -153,224 +151,79 @@ struct ProbeContext {
   OuterArea* coverage_area = nullptr;
 };
 
-/// Invokes `fn(row, overlap)` for every area row the probe record view
-/// `y` must emit with, in FlatIndex order (deterministic for a fixed index
-/// build). `row` is x's area row; the outer/anti variants use it to
-/// attribute coverage.
-template <typename Fn>
-void ForEachEmission(const ProbeContext& ctx, const FlatIndex& index,
-                     const TupleView& y, Fn&& fn) {
-  ForEachFlatMatch(*ctx.area, index, y, ctx.layout->s_join_attrs,
-                   ctx.predicate, ctx.dedup_interval, fn);
-}
-
 /// Streams probe-side input — raw inner pages and tuple-cache views —
-/// against a read-only flat index over the build area. Every probe runs on
-/// a zero-copy TupleView: pages are pinned in a PageTupleArena and their
-/// records hashed/compared in place; cache records are probed as views
-/// over the cache's own memory. Result records are assembled straight
-/// from the build and probe record bytes.
-///
-/// Serial mode (no pool): each batch is viewed and probed inline, in
-/// arrival order, emitting directly — byte-for-byte the original
-/// tuple-at-a-time loop.
-///
-/// Parallel mode: the coordinator keeps reading pages (all charged I/O
-/// stays on the calling thread, in stream order) while accumulated batches
-/// fan out to pool workers, which pin pages into a per-worker arena, probe
-/// views, and buffer assembled result bytes. After each wave the
-/// coordinator appends the per-batch buffers in batch order, so the output
-/// relation and the next cache generation receive tuples in exactly the
-/// serial order.
+/// against a read-only flat index over the build area, inline on the
+/// calling thread in arrival order. Every probe runs on a zero-copy
+/// TupleView: pages are pinned in a PageTupleArena and their records
+/// hashed/compared in place; cache records are probed as views over the
+/// cache's own memory. Result records are assembled straight from the
+/// build and probe record bytes.
 class ProbeStream {
  public:
-  ProbeStream(const ProbeContext& ctx, const FlatIndex* index,
-              ThreadPool* pool, const ParallelOptions& parallel,
-              MorselStats* stats)
-      : ctx_(ctx), index_(index), pool_(pool), stats_(stats) {
-    if (pool_ != nullptr && parallel.enabled()) {
-      batch_pages_ = std::max<uint32_t>(1, parallel.morsel_pages);
-      wave_limit_ = std::max<size_t>(1, 4 * parallel.num_threads);
-    }
-  }
+  ProbeStream(const ProbeContext& ctx, const FlatIndex* index)
+      : ctx_(ctx), index_(index) {}
 
   ProbeStream(const ProbeStream&) = delete;
   ProbeStream& operator=(const ProbeStream&) = delete;
 
-  /// Streams one raw inner page (pinned and viewed on a worker in parallel
-  /// mode).
+  /// Streams one raw inner page.
   Status AddPage(const Page& page, bool allow_retain) {
     views_probed_ += page.num_records();
-    if (wave_limit_ == 0) {
-      arena_.Clear();
-      TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePageViews(*ctx_.inner_schema, page, &arena_)
-              .status());
-      for (const TupleView& y : arena_.views()) {
-        TEMPO_RETURN_IF_ERROR(ProbeOneSerial(y, allow_retain));
-      }
-      return Status::OK();
+    arena_.Clear();
+    TEMPO_RETURN_IF_ERROR(
+        StoredRelation::DecodePageViews(*ctx_.inner_schema, page, &arena_)
+            .status());
+    for (const TupleView& y : arena_.views()) {
+      TEMPO_RETURN_IF_ERROR(Probe(y, allow_retain));
     }
-    if (!wave_.empty() && wave_.back().views.empty() &&
-        wave_.back().allow_retain == allow_retain &&
-        wave_.back().pages.size() < batch_pages_) {
-      wave_.back().pages.push_back(page);
-      return Status::OK();
-    }
-    Batch b;
-    b.pages.push_back(page);
-    b.allow_retain = allow_retain;
-    return PushBatch(std::move(b));
+    return Status::OK();
   }
 
   /// Streams probe views over storage that outlives the stream (the tuple
   /// cache's in-memory records).
   Status AddViews(const std::vector<TupleView>& views, bool allow_retain) {
     views_probed_ += views.size();
-    if (wave_limit_ == 0) {
-      for (const TupleView& y : views) {
-        TEMPO_RETURN_IF_ERROR(ProbeOneSerial(y, allow_retain));
-      }
-      return Status::OK();
+    for (const TupleView& y : views) {
+      TEMPO_RETURN_IF_ERROR(Probe(y, allow_retain));
     }
-    Batch b;
-    b.views = views;
-    b.allow_retain = allow_retain;
-    return PushBatch(std::move(b));
+    return Status::OK();
   }
-
-  /// Drains any pending parallel wave. Must be called before destruction.
-  Status Finish() { return FlushWave(); }
 
   /// Records probed as views (no owning decode); feeds the
   /// decode_materializations_avoided metric.
   uint64_t views_probed() const { return views_probed_; }
 
  private:
-  struct Batch {
-    std::vector<Page> pages;      // raw pages, pinned+viewed on the worker…
-    std::vector<TupleView> views;  // …or views into stable cache memory
-    bool allow_retain = false;
-  };
-  struct BatchResult {
-    // Assembled result records back to back, in emission order; record k
-    // ends at result_ends[k].
-    std::string results;
-    std::vector<size_t> result_ends;
-    // Raw record bytes for the next cache generation (views into the
-    // worker's arena die with the wave, so the bytes are copied out).
-    std::vector<std::string> retained;
-    // Variant runs: (area row, overlap) per dedup-accepted pair. The
-    // coordinator folds these into the outer area's coverage at wave
-    // flush — workers never touch shared coverage state.
-    std::vector<std::pair<size_t, Interval>> covered;
-  };
-
-  bool WantsRetention(const TupleView& y, bool allow_retain) const {
-    return allow_retain && ctx_.retain_cache != nullptr &&
-           ctx_.retain_interval != nullptr &&
-           y.interval().Overlaps(*ctx_.retain_interval);
-  }
-
-  bool EmitsMatches() const {
-    return ctx_.variant == nullptr || ctx_.variant->emit_matches;
-  }
-
-  Status ProbeOneSerial(const TupleView& y, bool allow_retain) {
+  /// Emits every area row probe record `y` joins, in FlatIndex order
+  /// (deterministic for a fixed index build), folding each dedup-accepted
+  /// overlap into the matched row's coverage under a variant; then
+  /// retains `y` into the next cache generation if it overlaps p_{i-1}.
+  Status Probe(const TupleView& y, bool allow_retain) {
+    const bool emit = ctx_.variant == nullptr || ctx_.variant->emit_matches;
     Status status = Status::OK();
-    ForEachEmission(ctx_, *index_, y,
-                    [&](size_t row, const Interval& common) {
-                      if (!status.ok()) return;
-                      if (ctx_.coverage_area != nullptr) {
-                        ctx_.coverage_area->AddCoverage(row, common);
-                      }
-                      if (!EmitsMatches()) return;
-                      status = ctx_.writer->Emit(
-                          *ctx_.layout, ctx_.area->view(row), y, common);
-                    });
+    ForEachFlatMatch(*ctx_.area, *index_, y, ctx_.layout->s_join_attrs,
+                     ctx_.predicate, ctx_.dedup_interval,
+                     [&](size_t row, const Interval& common) {
+                       if (!status.ok()) return;
+                       if (ctx_.coverage_area != nullptr) {
+                         ctx_.coverage_area->AddCoverage(row, common);
+                       }
+                       if (!emit) return;
+                       status = ctx_.writer->Emit(
+                           *ctx_.layout, ctx_.area->view(row), y, common);
+                     });
     TEMPO_RETURN_IF_ERROR(status);
-    if (WantsRetention(y, allow_retain)) {
+    if (allow_retain && ctx_.retain_cache != nullptr &&
+        ctx_.retain_interval != nullptr &&
+        y.interval().Overlaps(*ctx_.retain_interval)) {
       TEMPO_RETURN_IF_ERROR(ctx_.retain_cache->AddRecord(y.record()));
     }
     return Status::OK();
   }
 
-  Status PushBatch(Batch b) {
-    wave_.push_back(std::move(b));
-    if (wave_.size() >= wave_limit_) return FlushWave();
-    return Status::OK();
-  }
-
-  /// Worker side: pin+view (if needed) and probe one batch into `out`.
-  Status ProbeBatchWorker(const Batch& b, BatchResult* out) const {
-    thread_local PageTupleArena arena;
-    const std::vector<TupleView>* src = &b.views;
-    if (!b.pages.empty()) {
-      arena.Clear();
-      for (const Page& p : b.pages) {
-        TEMPO_RETURN_IF_ERROR(
-            StoredRelation::DecodePageViews(*ctx_.inner_schema, p, &arena)
-                .status());
-      }
-      src = &arena.views();
-    }
-    for (const TupleView& y : *src) {
-      ForEachEmission(ctx_, *index_, y,
-                      [&](size_t row, const Interval& common) {
-                        if (ctx_.coverage_area != nullptr) {
-                          out->covered.emplace_back(row, common);
-                        }
-                        if (!EmitsMatches()) return;
-                        AppendJoinRecord(*ctx_.layout, ctx_.area->view(row),
-                                         y, common, &out->results);
-                        out->result_ends.push_back(out->results.size());
-                      });
-      if (WantsRetention(y, b.allow_retain)) {
-        out->retained.emplace_back(y.record());
-      }
-    }
-    return Status::OK();
-  }
-
-  Status FlushWave() {
-    if (wave_.empty()) return Status::OK();
-    std::vector<BatchResult> results(wave_.size());
-    Status st = ParallelFor(
-        pool_, wave_.size(), 1,
-        [&](size_t m, size_t begin, size_t end) -> Status {
-          (void)end;
-          (void)m;
-          return ProbeBatchWorker(wave_[begin], &results[begin]);
-        },
-        stats_);
-    TEMPO_RETURN_IF_ERROR(st);
-    for (BatchResult& r : results) {
-      for (const auto& [row, overlap] : r.covered) {
-        ctx_.coverage_area->AddCoverage(row, overlap);
-      }
-      const std::string_view bytes = r.results;
-      size_t begin = 0;
-      for (size_t end : r.result_ends) {
-        TEMPO_RETURN_IF_ERROR(
-            ctx_.writer->EmitSerialized(bytes.substr(begin, end - begin)));
-        begin = end;
-      }
-      for (const std::string& rec : r.retained) {
-        TEMPO_RETURN_IF_ERROR(ctx_.retain_cache->AddRecord(rec));
-      }
-    }
-    wave_.clear();
-    return Status::OK();
-  }
-
   ProbeContext ctx_;
   const FlatIndex* index_;
-  ThreadPool* pool_;
-  MorselStats* stats_;
-  uint32_t batch_pages_ = 1;
-  size_t wave_limit_ = 0;  // 0 = serial
-  std::vector<Batch> wave_;
-  PageTupleArena arena_;  // serial pin+view arena, cleared per page
+  PageTupleArena arena_;  // pin+view arena, cleared per page
   uint64_t views_probed_ = 0;
 };
 
@@ -386,7 +239,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
                                       TemporalPredicate predicate,
                                       uint32_t cache_memory_pages,
                                       ExecContext* ctx,
-                                      MorselStats* morsel_stats,
                                       JoinVariant* variant) {
   const size_t n = spec.num_partitions();
   if (pr->parts.size() != n || ps->parts.size() != n) {
@@ -397,9 +249,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
     return Status::InvalidArgument(
         "joinPartitions needs at least 4 buffer pages");
   }
-  Scheduler* scheduler = SchedulerOf(ctx);
-  const ParallelOptions parallel = SchedulerParallel(scheduler);
-  ThreadPool* pool = SchedulerPool(scheduler);
   Disk* disk = out->disk();
   IoAccountant& acct = disk->accountant();
   IoStats before = acct.stats();
@@ -431,13 +280,11 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   uint64_t cache_tuples = 0;
   uint64_t overflow_chunks = 0;
   uint64_t views_probed = 0;
-  MorselStats probe_stats;
 
-  // Computation proceeds from r_n |X| s_n down to r_1 |X| s_1. The
-  // generation loop is inherently sequential — partition i's cache
-  // generation feeds partition i-1 — so parallelism lives *inside* each
-  // partition: page decode and hash probe fan out across the pool while
-  // this coordinator performs all I/O in the paper's order.
+  // Computation proceeds from r_n |X| s_n down to r_1 |X| s_1, serially:
+  // partition i's cache generation feeds partition i-1, and each
+  // partition's probe runs inline with its page reads, in the paper's
+  // order.
   for (size_t ii = n; ii-- > 0;) {
     const Interval& p_i = spec.partition(ii);
     const bool has_prev = ii > 0;
@@ -504,7 +351,7 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
         probe_ctx.variant = variant;
         probe_ctx.coverage_area = &outer;
       }
-      ProbeStream stream(probe_ctx, index, pool, parallel, &probe_stats);
+      ProbeStream stream(probe_ctx, index);
 
       // 2. Join with the in-memory cache page of the consumed generation,
       //    probing its records in place.
@@ -530,7 +377,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
           TEMPO_RETURN_IF_ERROR(stream.AddPage(page, migrate && retain));
         }
       }
-      TEMPO_RETURN_IF_ERROR(stream.Finish());
       views_probed += stream.views_probed();
       if (total == 0) break;
     }
@@ -555,15 +401,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   stats.Set(Metric::kOverflowChunks, static_cast<double>(overflow_chunks));
   stats.Set(Metric::kDecodeMaterializationsAvoided,
             static_cast<double>(views_probed));
-  if (parallel.enabled()) {
-    stats.Set(Metric::kMorselsDispatched,
-              static_cast<double>(probe_stats.morsels_dispatched));
-    stats.Set(Metric::kParallelEfficiency,
-              probe_stats.Efficiency(parallel.num_threads));
-  }
-  join_span.AddMorsels(probe_stats);
-  MergeHistogram(ctx, Hist::kMorselDurationUs, probe_stats.duration_hist);
-  if (morsel_stats != nullptr) morsel_stats->Merge(probe_stats);
   return stats;
 }
 
@@ -586,7 +423,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
   Scheduler* scheduler = SchedulerOf(ctx);
   const ParallelOptions parallel = SchedulerParallel(scheduler);
   ThreadPool* pool = SchedulerPool(scheduler);
-  MorselStats total_morsels;
 
   // Phase 1: determine the partitioning intervals (samples are charged).
   PartitionPlanOptions plan_options;
@@ -637,18 +473,15 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
       probe_ctx.variant = variant;
       probe_ctx.coverage_area = &outer;
     }
-    ProbeStream stream(probe_ctx, &outer.index(), pool, parallel,
-                       &total_morsels);
+    ProbeStream stream(probe_ctx, &outer.index());
     const uint32_t s_pages = s->num_pages();
     for (uint32_t p = 0; p < s_pages; ++p) {
       Page page;
       TEMPO_RETURN_IF_ERROR(s->ReadPage(p, &page));
       TEMPO_RETURN_IF_ERROR(stream.AddPage(page, /*allow_retain=*/false));
     }
-    TEMPO_RETURN_IF_ERROR(stream.Finish());
     TEMPO_RETURN_IF_ERROR(outer.RetireAll());
     if (variant == nullptr) TEMPO_RETURN_IF_ERROR(writer->Finish());
-    fast_span.AddMorsels(total_morsels);
     stats.output_tuples = writer->count();
     stats.Set(Metric::kDecodeMaterializationsAvoided,
               static_cast<double>(stream.views_probed()));
@@ -705,8 +538,16 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     TEMPO_RETURN_IF_ERROR(ps_or.status());
     PartitionedRelation pr = std::move(pr_or).value();
     PartitionedRelation ps = std::move(ps_or).value();
-    total_morsels.Merge(r_morsels);
-    total_morsels.Merge(s_morsels);
+    // The probe runs inline, so Grace routing is the pass's only morsel
+    // work.
+    if (parallel.enabled()) {
+      MorselStats grace = r_morsels;
+      grace.Merge(s_morsels);
+      stats.Set(Metric::kMorselsDispatched,
+                static_cast<double>(grace.morsels_dispatched));
+      stats.Set(Metric::kParallelEfficiency,
+                grace.Efficiency(parallel.num_threads));
+    }
     stats.Set(Metric::kPartitionPagesWritten,
               static_cast<double>(pr.TotalPages() + ps.TotalPages()));
     stats.Set(Metric::kTuplesWritten,
@@ -717,8 +558,7 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
         JoinRunStats join_stats,
         JoinPartitions(layout, plan.spec, &pr, &ps, out, options.buffer_pages,
                        options.placement, options.predicate,
-                       options.tuple_cache_memory_pages, ctx,
-                       &total_morsels, variant));
+                       options.tuple_cache_memory_pages, ctx, variant));
     stats.output_tuples = join_stats.output_tuples;
     stats.metrics.Merge(join_stats.metrics);
     stats.Add(Metric::kDecodeMaterializationsAvoided,
@@ -733,12 +573,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
   stats.Set(Metric::kSampledByScan, plan.sampled_by_scan ? 1.0 : 0.0);
   stats.Set(Metric::kEstSampleCost, plan.est_sample_cost);
   stats.Set(Metric::kEstJoinCost, plan.est_join_cost);
-  if (parallel.enabled()) {
-    stats.Set(Metric::kMorselsDispatched,
-              static_cast<double>(total_morsels.morsels_dispatched));
-    stats.Set(Metric::kParallelEfficiency,
-              total_morsels.Efficiency(parallel.num_threads));
-  }
   return stats;
 }
 

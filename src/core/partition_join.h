@@ -89,19 +89,14 @@ struct JoinVariant {
 /// extra chunk: that re-reading is precisely the thrashing cost.
 ///
 /// Metrics in JoinRunStats: kCachePagesSpilled, kCacheTuples,
-/// kOverflowChunks; with a multi-threaded scheduler additionally
-/// kMorselsDispatched and kParallelEfficiency. The metrics are returned,
-/// not exported into `ctx`: the executor run that calls this exports once
-/// (RunJoinContract).
+/// kOverflowChunks, kDecodeMaterializationsAvoided. The metrics are
+/// returned, not exported into `ctx`: the executor run that calls this
+/// exports once (RunJoinContract).
 ///
-/// Parallelism comes from the Scheduler handle on `ctx` (serial when the
-/// context or its handle is null): probe work inside each partition fans
-/// out over the scheduler's shared workers — the coordinator still
-/// performs every page read in the paper's order; workers decode and probe
-/// batches, and their buffered results are appended in batch order, so the
-/// output and charged I/O match the serial run exactly. The partition loop
-/// itself stays sequential — generation i's tuple cache feeds generation
-/// i-1.
+/// The run is serial on the calling thread whatever the scheduler on
+/// `ctx`: generation i's tuple cache feeds generation i-1, and each
+/// partition's probe runs inline with its page reads, in the paper's
+/// order.
 StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
                                       const PartitionSpec& spec,
                                       PartitionedRelation* pr,
@@ -113,7 +108,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
                                           TemporalPredicate::Overlap(),
                                       uint32_t cache_memory_pages = 1,
                                       ExecContext* ctx = nullptr,
-                                      MorselStats* morsel_stats = nullptr,
                                       JoinVariant* variant = nullptr);
 
 /// The paper's contribution, end to end (Figure 2):

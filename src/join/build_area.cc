@@ -4,7 +4,7 @@
 
 namespace tempo {
 
-const char* BuildArea::RecordArena::Copy(std::string_view record) {
+const char* RecordArena::Copy(std::string_view record) {
   TEMPO_DCHECK(record.size() <= kBlockBytes);
   if (blocks_.empty() || used_ + record.size() > kBlockBytes) {
     if (!blocks_.empty()) {

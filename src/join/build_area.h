@@ -17,6 +17,41 @@
 
 namespace tempo {
 
+/// Append-only record storage in fixed-size blocks, shared by the flat
+/// build side (BuildArea) and the co-sweep's active maps. A block never
+/// reallocates, so a pointer returned by Copy stays valid until Clear().
+/// Clear() keeps the blocks for reuse; a holder that drops rows re-packs
+/// the survivors into a second arena and swaps the two.
+class RecordArena {
+ public:
+  /// Block size; a record never exceeds a page, so one always fits.
+  static constexpr size_t kBlockBytes = 16 * kPageSize;
+
+  /// Position marker for Rewind().
+  struct Mark {
+    size_t block = 0;
+    size_t used = 0;
+  };
+
+  /// Copies `record` into the arena and returns the copy's address.
+  const char* Copy(std::string_view record);
+
+  Mark mark() const { return {block_, used_}; }
+
+  /// Drops everything copied since `m` was taken.
+  void Rewind(Mark m) {
+    block_ = m.block;
+    used_ = m.used;
+  }
+
+  void Clear() { Rewind(Mark{}); }
+
+ private:
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  size_t block_ = 0;  // index of the block being filled
+  size_t used_ = 0;   // bytes used in blocks_[block_]
+};
+
 /// The memory-resident build side of a join — the partition area of
 /// Figure 3, or a nested-loop / indexed outer block — as flat rows:
 /// validated records copied into a block arena, a TupleView per row over
@@ -81,39 +116,6 @@ class BuildArea {
 
   /// Moves the rows overlapping `p` into spare_ and swaps the arenas.
   void Repack(const Interval& p);
-
-  /// Append-only record storage in fixed-size blocks. A block never
-  /// reallocates, so a pointer returned by Copy stays valid until Clear().
-  /// Clear() keeps the blocks for reuse.
-  class RecordArena {
-   public:
-    /// Block size; a record never exceeds a page, so one always fits.
-    static constexpr size_t kBlockBytes = 16 * kPageSize;
-
-    /// Position marker for Rewind().
-    struct Mark {
-      size_t block = 0;
-      size_t used = 0;
-    };
-
-    /// Copies `record` into the arena and returns the copy's address.
-    const char* Copy(std::string_view record);
-
-    Mark mark() const { return {block_, used_}; }
-
-    /// Drops everything copied since `m` was taken.
-    void Rewind(Mark m) {
-      block_ = m.block;
-      used_ = m.used;
-    }
-
-    void Clear() { Rewind(Mark{}); }
-
-   private:
-    std::vector<std::unique_ptr<char[]>> blocks_;
-    size_t block_ = 0;  // index of the block being filled
-    size_t used_ = 0;   // bytes used in blocks_[block_]
-  };
 
   const Schema* schema_;
   const std::vector<size_t>* key_attrs_;

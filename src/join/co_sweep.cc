@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <queue>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "join/build_area.h"
 #include "join/external_sort.h"
 #include "join/join_common.h"
 
@@ -24,7 +26,8 @@ namespace {
 /// sequential I/Os), pins them, and exposes each record as a TupleView
 /// into the pinned page bytes, with the page it came from. Views stay
 /// valid until the next refill — exactly the window the co-sweep needs,
-/// since an arrival is probed and materialized before its stream advances.
+/// since an arrival is probed, emitted and copied into its active map
+/// before its stream advances.
 class SortedStream {
  public:
   SortedStream(StoredRelation* rel, uint32_t chunk_pages)
@@ -90,32 +93,42 @@ class SortedStream {
 };
 
 /// One side's active tuples as a gapless append log in structure-of-arrays
-/// layout: `ends_[i]`, `tuples_[i]`, `pages_[i]` and `seqs_[i]` describe
-/// the i-th arrival that has not been compacted away. Hash buckets
+/// layout: `ends_[i]`, `rows_[i]`, `pages_[i]` and `seqs_[i]` describe
+/// the i-th arrival that has not been compacted away. `rows_[i]` is a
+/// TupleView over a copy of the arrival's record bytes in a RecordArena
+/// (SortedStream already validated them with TupleView::Make), so no
+/// Tuple is built for an active entry. Hash buckets
 /// (`unordered_map<size_t, vector<uint32_t>>`) hold indices into the log;
 /// a probe consults the flat end array first, so the common miss (expired
 /// entry) costs one contiguous load, and swap-removes the expired indices
 /// it passes over. A global compaction rebuilds the log (preserving append
-/// order) only when more than half of it is dead, keeping it gapless
-/// without per-expiry bookkeeping. Compaction applies to every bucket the
-/// swap-removal a probe at the same bound would do, renumbering the
-/// survivors and erasing emptied buckets, so bucket entries never outnumber
-/// the log: both stay O(live) even for keys the other side never probes.
+/// order, and re-packing the survivors' bytes into a spare arena that then
+/// swaps with the first) only when more than half of it is dead, keeping
+/// it gapless without per-expiry bookkeeping. Compaction applies to every
+/// bucket the swap-removal a probe at the same bound would do, renumbering
+/// the survivors and erasing emptied buckets, so bucket entries never
+/// outnumber the log: both stay O(live) even for keys the other side never
+/// probes.
 /// Removing dead entries early makes a bucket's order — and with it the
 /// order sort-merge emits matches and re-reads evicted pages in — depend on
 /// when compactions ran; which partners match does not.
 class GaplessActiveMap {
  public:
-  explicit GaplessActiveMap(const std::vector<size_t>* key_attrs)
-      : key_attrs_(key_attrs) {}
+  /// `layout` and `key_attrs` are borrowed and must outlive the map.
+  GaplessActiveMap(const RecordLayout* layout,
+                   const std::vector<size_t>* key_attrs)
+      : layout_(layout), key_attrs_(key_attrs) {}
 
-  /// Appends an arrival. `hash` must be the tuple's HashAttrs over this
-  /// side's key positions (computed on the zero-copy view by the caller);
-  /// `page` is its sorted-file page and `seq` its arrival number.
-  void Insert(Tuple&& t, size_t hash, uint32_t page, uint64_t seq) {
-    const uint32_t idx = static_cast<uint32_t>(tuples_.size());
-    ends_.push_back(t.interval().end());
-    tuples_.push_back(std::move(t));
+  /// Appends an arrival, copying its record bytes. `hash` must be the
+  /// arrival's HashAttrs over this side's key positions; `page` is its
+  /// sorted-file page and `seq` its arrival number.
+  void Insert(const TupleView& arrival, size_t hash, uint32_t page,
+              uint64_t seq) {
+    const uint32_t idx = static_cast<uint32_t>(rows_.size());
+    const std::string_view rec = arrival.record();
+    ends_.push_back(arrival.interval().end());
+    rows_.push_back(
+        TupleView::Trusted(*layout_, arena_.Copy(rec), rec.size()));
     pages_.push_back(page);
     seqs_.push_back(seq);
     buckets_[hash].push_back(idx);
@@ -135,12 +148,12 @@ class GaplessActiveMap {
       expiry_.pop();
       ++dead_;
     }
-    if (tuples_.size() >= 64 && dead_ * 2 > tuples_.size()) {
+    if (rows_.size() >= 64 && dead_ * 2 > rows_.size()) {
       Compact(expire_bound);
     }
   }
 
-  /// Calls fn(const Tuple&, page, seq) for every live entry
+  /// Calls fn(const TupleView&, page, seq) for every live entry
   /// (end >= `expire_bound`) matching `probe` on the aligned key
   /// positions. `visited` counts the live candidates inspected.
   template <typename Fn>
@@ -160,15 +173,15 @@ class GaplessActiveMap {
         continue;
       }
       ++*visited;
-      if (probe.EqualOnAttrs(probe_attrs, *key_attrs_, tuples_[idx])) {
-        fn(tuples_[idx], pages_[idx], seqs_[idx]);
+      if (probe.EqualOnAttrs(probe_attrs, *key_attrs_, rows_[idx])) {
+        fn(rows_[idx], pages_[idx], seqs_[idx]);
       }
       ++i;
     }
     if (vec.empty()) buckets_.erase(it);
   }
 
-  uint64_t Live() const { return tuples_.size() - dead_; }
+  uint64_t Live() const { return rows_.size() - dead_; }
   uint64_t peak() const { return peak_; }
   uint64_t bucket_entries_peak() const { return bucket_entries_peak_; }
   uint64_t appends() const { return appends_; }
@@ -178,24 +191,26 @@ class GaplessActiveMap {
   static constexpr uint32_t kDead = UINT32_MAX;
 
   void Compact(Chronon expire_bound) {
-    std::vector<uint32_t> renumber(tuples_.size(), kDead);
+    std::vector<uint32_t> renumber(rows_.size(), kDead);
     std::vector<std::pair<Chronon, uint32_t>> heap;
     heap.reserve(Live());
+    spare_.Clear();
     size_t kept = 0;
-    for (size_t i = 0; i < tuples_.size(); ++i) {
+    for (size_t i = 0; i < rows_.size(); ++i) {
       if (ends_[i] < expire_bound) continue;
       renumber[i] = static_cast<uint32_t>(kept);
       heap.emplace_back(ends_[i], static_cast<uint32_t>(kept));
-      if (kept != i) {  // a self-move would empty the tuple
-        ends_[kept] = ends_[i];
-        tuples_[kept] = std::move(tuples_[i]);
-        pages_[kept] = pages_[i];
-        seqs_[kept] = seqs_[i];
-      }
+      const std::string_view rec = rows_[i].record();
+      ends_[kept] = ends_[i];
+      rows_[kept] =
+          TupleView::Trusted(*layout_, spare_.Copy(rec), rec.size());
+      pages_[kept] = pages_[i];
+      seqs_[kept] = seqs_[i];
       ++kept;
     }
+    std::swap(arena_, spare_);
     ends_.resize(kept);
-    tuples_.resize(kept);
+    rows_.resize(kept);
     pages_.resize(kept);
     seqs_.resize(kept);
     for (auto it = buckets_.begin(); it != buckets_.end();) {
@@ -222,9 +237,12 @@ class GaplessActiveMap {
                           std::vector<std::pair<Chronon, uint32_t>>,
                           std::greater<>>;
 
+  const RecordLayout* layout_;
   const std::vector<size_t>* key_attrs_;
+  RecordArena arena_;  // record bytes of rows_
+  RecordArena spare_;  // re-pack target of Compact
   std::vector<Chronon> ends_;
-  std::vector<Tuple> tuples_;
+  std::vector<TupleView> rows_;
   std::vector<uint32_t> pages_;
   std::vector<uint64_t> seqs_;
   std::unordered_map<size_t, std::vector<uint32_t>> buckets_;
@@ -358,10 +376,14 @@ StatusOr<CoSweepStats> CoSweep(const NaturalJoinLayout& layout,
     const std::vector<size_t>* keys;
   };
   const uint32_t chunk = StreamChunkPages(buffer_pages);
-  Side r{SortedStream(inputs.r.relation.get(), chunk),
-         GaplessActiveMap(&layout.r_join_attrs), &layout.r_join_attrs};
-  Side s{SortedStream(inputs.s.relation.get(), chunk),
-         GaplessActiveMap(&layout.s_join_attrs), &layout.s_join_attrs};
+  StoredRelation* r_rel = inputs.r.relation.get();
+  StoredRelation* s_rel = inputs.s.relation.get();
+  Side r{SortedStream(r_rel, chunk),
+         GaplessActiveMap(&r_rel->schema().layout(), &layout.r_join_attrs),
+         &layout.r_join_attrs};
+  Side s{SortedStream(s_rel, chunk),
+         GaplessActiveMap(&s_rel->schema().layout(), &layout.s_join_attrs),
+         &layout.s_join_attrs};
   TEMPO_RETURN_IF_ERROR(r.stream.Prime());
   TEMPO_RETURN_IF_ERROR(s.stream.Prime());
 
@@ -391,17 +413,16 @@ StatusOr<CoSweepStats> CoSweep(const NaturalJoinLayout& layout,
     r.active.ExpireTo(expire_bound, expired);
     s.active.ExpireTo(expire_bound, expired);
 
-    // The arrival is materialized exactly once — for emission and its own
-    // insertion; hashing and key equality run on the view.
+    // The arrival is probed and emitted as a view into its stream page;
+    // its record bytes are copied once, into its own side's active map.
     const uint64_t seq = stats.arrivals++;
-    Tuple arrival_tuple = arrival.Materialize();
     Status status = Status::OK();
     opposite.active.ForEachCandidate(
         arrival, *in.keys, expire_bound, &stats.probe_visits,
-        [&](const Tuple& entry, uint32_t page, uint64_t entry_seq) {
+        [&](const TupleView& entry, uint32_t page, uint64_t entry_seq) {
           if (!status.ok()) return;
-          const Tuple& x = take_r ? arrival_tuple : entry;
-          const Tuple& y = take_r ? entry : arrival_tuple;
+          const TupleView& x = take_r ? arrival : entry;
+          const TupleView& y = take_r ? entry : arrival;
           const Interval x_iv = x.interval();
           const Interval y_iv = y.interval();
           if (!emit_all && !pred.Test(ClassifyAllen(x_iv, y_iv))) return;
@@ -417,7 +438,7 @@ StatusOr<CoSweepStats> CoSweep(const NaturalJoinLayout& layout,
     if (budget != nullptr) {
       budget->Add(seq, arrival.record().size(), arrival.interval().end());
     }
-    in.active.Insert(std::move(arrival_tuple), arrival.HashAttrs(*in.keys),
+    in.active.Insert(arrival, arrival.HashAttrs(*in.keys),
                      in.stream.HeadPage(), seq);
     TEMPO_RETURN_IF_ERROR(in.stream.Pop());
   }

@@ -117,14 +117,9 @@ class ResultWriter {
     return w;
   }
 
-  Status Emit(const NaturalJoinLayout& layout, const Tuple& x, const Tuple& y,
-              const Interval& overlap) {
-    return EmitAssembled(MakeJoinTuple(layout, x, y, overlap));
-  }
-
-  /// Both sides zero-copy, as the radix join and every build-area
-  /// executor emit: the result record is assembled by AppendJoinRecord, so
-  /// no Tuple or Value is built.
+  /// Both sides zero-copy, as every executor emits a match: the result
+  /// record is assembled by AppendJoinRecord, so no Tuple or Value is
+  /// built.
   Status Emit(const NaturalJoinLayout& layout, const TupleView& x,
               const TupleView& y, const Interval& overlap);
 
@@ -135,12 +130,6 @@ class ResultWriter {
     return EmitSerialized(record_);
   }
 
-  /// Appends (streaming) or buffers (canonical) one serialized result
-  /// record. The parallel probe assembles result bytes on workers and the
-  /// coordinator appends the per-morsel buffers in page order, so output
-  /// bytes match the serial run.
-  Status EmitSerialized(std::string_view record);
-
   /// Streaming mode: flushes the partial output page. Canonical mode:
   /// sorts the buffered records, appends them all, then flushes.
   Status Finish();
@@ -150,6 +139,10 @@ class ResultWriter {
   uint64_t count() const { return count_; }
 
  private:
+  /// Appends (streaming) or buffers (canonical) one serialized result
+  /// record.
+  Status EmitSerialized(std::string_view record);
+
   StoredRelation* out_;
   uint64_t count_ = 0;
   bool canonical_ = false;

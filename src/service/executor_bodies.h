@@ -177,6 +177,11 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
 /// contract): the paper's Figure 2 pipeline for inner joins, and the one-
 /// or two-pass coverage-tracking variant for the sequenced outer/anti
 /// kinds, which require last-overlap placement.
+///
+/// The joinPartitions probe runs inline on the calling thread, so with a
+/// multi-threaded scheduler kMorselsDispatched and kParallelEfficiency
+/// describe Grace routing only (set when the plan partitions; the
+/// single-partition fast path dispatches no morsels).
 StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
                                      StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,

@@ -13,7 +13,7 @@ namespace tempo {
 
 /// Pins decoded page bytes so TupleViews over them stay valid for the
 /// lifetime of a processing phase (one morsel, one partition pass, one
-/// probe batch).
+/// probed page).
 ///
 /// AddPage copies the page into a deque — deque growth never moves
 /// existing elements, so views handed out earlier keep pointing at live

@@ -184,6 +184,101 @@ TEST(ChooseIntervalsTest, LongLivedSamplesPullBoundaries) {
   EXPECT_GT(spec.partition(0).end(), 9);
 }
 
+// Reference: the node-based construction CoverageIndex used before it
+// moved to one sorted delta array — a std::map keyed on every endpoint
+// chronon (zero-net keys included), walked into segments, with the same
+// equi-depth boundary walk.
+std::vector<Chronon> MapCoverageBoundaries(const std::vector<Interval>& samples,
+                                           uint32_t n) {
+  struct Segment {
+    Chronon start;
+    Chronon end;
+    int64_t coverage;
+    unsigned __int128 cum_before;
+  };
+  std::map<Chronon, int64_t> deltas;
+  for (const Interval& iv : samples) {
+    deltas[iv.start()] += 1;
+    if (iv.end() != kChrononMax) deltas[iv.end() + 1] -= 1;
+  }
+  std::vector<Segment> segments;
+  unsigned __int128 total = 0;
+  int64_t coverage = 0;
+  for (auto it = deltas.begin(); it != deltas.end();) {
+    const Chronon start = it->first;
+    coverage += it->second;
+    ++it;
+    const Chronon end = it == deltas.end() ? start : it->first - 1;
+    if (coverage > 0 && end >= start) {
+      segments.push_back({start, end, coverage, total});
+      total += (static_cast<unsigned __int128>(end - start) + 1) *
+               static_cast<unsigned __int128>(coverage);
+    }
+  }
+  std::vector<Chronon> bounds;
+  if (segments.empty()) return bounds;
+  size_t seg = 0;
+  for (uint32_t q = 1; q < n; ++q) {
+    unsigned __int128 target = (total * q + n - 1) / n;
+    if (target == 0) target = 1;
+    while (seg + 1 < segments.size() &&
+           segments[seg + 1].cum_before < target) {
+      ++seg;
+    }
+    const Segment& s = segments[seg];
+    const Chronon b =
+        s.start + static_cast<Chronon>((target - s.cum_before - 1) /
+                                       static_cast<unsigned __int128>(
+                                           s.coverage));
+    if (b >= segments.back().end) continue;
+    if (!bounds.empty() && b <= bounds.back()) continue;
+    bounds.push_back(b);
+  }
+  return bounds;
+}
+
+TEST(CoverageIndexTest, ChooseMatchesMapConstruction) {
+  Random rng(2008);
+  for (int round = 0; round < 60; ++round) {
+    std::vector<Interval> samples;
+    const size_t count = 1 + rng.Uniform(400);
+    for (size_t i = 0; i < count; ++i) {
+      // A narrow start range forces duplicate endpoints; one-chronon
+      // intervals, kChrononMax ends and adjacent pairs (one ending where
+      // the next starts, so +1 and -1 net to zero at a chronon) ride along.
+      const Chronon start = rng.UniformRange(0, 120);
+      switch (rng.Uniform(5)) {
+        case 0:
+          samples.push_back(Interval::At(start));
+          break;
+        case 1:
+          samples.push_back(Interval(start, kChrononMax));
+          break;
+        case 2: {
+          const Chronon mid = start + rng.UniformRange(0, 10);
+          samples.push_back(Interval(start, mid));
+          samples.push_back(Interval(mid + 1, mid + 1 + rng.UniformRange(0, 10)));
+          break;
+        }
+        default:
+          samples.push_back(
+              Interval(start, start + rng.UniformRange(0, 300)));
+      }
+    }
+    const CoverageIndex index(samples);
+    for (uint32_t k = 2; k <= 64; ++k) {
+      const PartitionSpec spec = index.Choose(k);
+      const std::vector<Chronon> expected = MapCoverageBoundaries(samples, k);
+      ASSERT_EQ(spec.num_partitions(), expected.size() + 1)
+          << "round " << round << " k " << k;
+      for (size_t b = 0; b < expected.size(); ++b) {
+        EXPECT_EQ(spec.partition(b).end(), expected[b])
+            << "round " << round << " k " << k << " boundary " << b;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // EstimateCacheSizes
 // ---------------------------------------------------------------------

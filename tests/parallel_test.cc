@@ -444,9 +444,10 @@ TEST(ZeroCopyLockTest, CoalesceByteIdenticalAcrossThreadCounts) {
 
 // ---------------------------------------------------------------------
 // Golden output digests: the build side of partition, nested-loop and
-// indexed may change representation, but never the bytes it writes. Each
-// case pins an order-dependent digest over every output page, the output
-// cardinality and the charged I/O, at 1, 2 and 4 threads.
+// indexed, and the co-sweep's active map behind sort-merge and sweep, may
+// change representation, but never the bytes they write. Each case pins an
+// order-dependent digest over every output page, the output cardinality
+// and the charged I/O, at 1, 2 and 4 threads.
 // ---------------------------------------------------------------------
 
 Schema GoldenRSchema() {
@@ -527,10 +528,13 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
     uint64_t digest;
     uint64_t output_tuples;
     uint64_t io_ops;
+    TemporalPredicate predicate = TemporalPredicate::Overlap();
   };
   // A 16-page buffer makes the partition runs overflow the partition area
   // and spill the tuple cache (asserted below); a 64-page buffer over the
-  // small r takes the single-partition fast path.
+  // small r takes the single-partition fast path. Sort-merge's 6-page
+  // buffer evicts long-lived active tuples, so it backs up; the sweep under
+  // meets takes the adjacency path and compacts its active maps.
   const std::vector<Case> cases = {
       {"partition", JoinExecutor::kPartition, JoinKind::kInner, 16, false,
        0x157c8d7198249851ull, 6946, 388},
@@ -548,6 +552,13 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
        0xad210c6d23a6ea7dull, 6946, 235},
       {"indexed", JoinExecutor::kIndexed, JoinKind::kInner, 16, false,
        0x2fc059c0fd55347eull, 6946, 1057},
+      {"sort-merge", JoinExecutor::kSortMerge, JoinKind::kInner, 6, false,
+       0x6e47e2fceb61a0abull, 6946, 559},
+      {"sweep", JoinExecutor::kSweep, JoinKind::kInner, 16, false,
+       0xa216c4463445725aull, 6946, 445},
+      {"sweep-meets", JoinExecutor::kSweep, JoinKind::kInner, 16, false,
+       0x4cd6ab84c1da8f31ull, 42, 317,
+       TemporalPredicate::Exactly(AllenRelation::kMeets)},
   };
   for (const Case& c : cases) {
     for (uint32_t threads : {1u, 2u, 4u}) {
@@ -566,7 +577,8 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
       req.From(r.get(), s.get())
           .Using(c.executor)
           .Kind(c.kind)
-          .BufferPages(c.buffer_pages);
+          .BufferPages(c.buffer_pages)
+          .Predicate(c.predicate);
       ScopedScheduler sched(threads);
       auto stats = RunJoin(req, &out, &sched.ctx);
       ASSERT_TRUE(stats.ok()) << c.name << ": " << stats.status().ToString();
@@ -579,6 +591,12 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
           EXPECT_GT(stats->Get(Metric::kOverflowChunks), 0.0) << what;
           EXPECT_GT(stats->Get(Metric::kCachePagesSpilled), 0.0) << what;
         }
+      }
+      if (c.executor == JoinExecutor::kSortMerge) {
+        EXPECT_GT(stats->Get(Metric::kBackupPageReads), 0.0) << what;
+      }
+      if (c.predicate.NeedsAdjacency()) {
+        EXPECT_GE(stats->Get(Metric::kSweepCompactions), 2.0) << what;
       }
       EXPECT_EQ(PageDigest(&out), c.digest) << what;
       EXPECT_EQ(stats->output_tuples, c.output_tuples) << what;
