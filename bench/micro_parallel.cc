@@ -1,6 +1,6 @@
 // Microbenchmarks: wall-clock scaling of the morsel-driven parallel layer
-// — the thread-pool primitives, Grace partitioning, and the partition-join
-// probe phase at 1/2/4/8 threads.
+// — the thread-pool primitives at 1/2/4/8 threads, and the radix bucket
+// probe, the one executor phase left on the pool, at 1/2/4 threads.
 //
 // Threading is result-neutral (same output bytes, same charged I/O), so
 // the *only* signal here is wall time. Speedups require physical cores:
@@ -11,7 +11,6 @@
 
 #include "micro_util.h"
 
-#include "core/partition_join.h"
 #include "obs/exec_context.h"
 #include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
@@ -93,12 +92,12 @@ struct JoinFixture {
   }
 };
 
-/// End-to-end partition join (partitioning + probe) at a fixed memory
-/// budget that forces several partitions; the thread count is the axis.
-/// Only Grace partitioning runs on the pool: the joinPartitions probe runs
-/// inline on the calling thread at every thread count, so the axis times
-/// parallel partitioning plus a serial probe.
-void BM_PartitionJoinThreads(benchmark::State& state) {
+/// The in-memory radix executor end to end, on inputs whose pages fit the
+/// buffer-derived radix budget; the thread count is the axis. Only the
+/// bucket probe runs on the pool — extraction, radix partitioning and
+/// emission are serial — so `radix_probe_ms` (the probe span's wall time
+/// in the last iteration) isolates the parallel phase.
+void BM_RadixJoinThreads(benchmark::State& state) {
   static JoinFixture* fixture = JoinFixture::Make();
   if (fixture == nullptr) {
     state.SkipWithError("workload generation failed");
@@ -106,14 +105,19 @@ void BM_PartitionJoinThreads(benchmark::State& state) {
   }
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
+  // Column state runs slightly past the input pages, so give the budget
+  // twice the inputs' pages.
+  const uint32_t buffer_pages =
+      2 * (fixture->r->num_pages() + fixture->s->num_pages());
   uint64_t tuples = 0;
   double efficiency = 0.0;
+  double probe_ms = 0.0;
   for (auto _ : state) {
     StoredRelation out(&fixture->disk, fixture->out_schema, "out");
     JoinRequest req;
     req.From(fixture->r.get(), fixture->s.get())
-        .Using(JoinExecutor::kPartition)
-        .BufferPages(64);
+        .Using(JoinExecutor::kInMemoryRadix)
+        .BufferPages(buffer_pages);
     ExecContext ctx;
     ctx.SetScheduler(&scheduler);
     auto stats = RunJoin(req, &out, &ctx);
@@ -122,58 +126,24 @@ void BM_PartitionJoinThreads(benchmark::State& state) {
       return;
     }
     tuples = stats->output_tuples;
+    benchmark::DoNotOptimize(tuples);
     if (stats->Has(Metric::kParallelEfficiency)) {
       efficiency = stats->Get(Metric::kParallelEfficiency);
     }
+    const SpanNode* probe =
+        ctx.tracer().root().FindPhase(Phase::kRadixProbe);
+    if (probe != nullptr) probe_ms = probe->stats.wall_seconds * 1e3;
     fixture->disk.DeleteFile(out.file_id()).ok();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(tuples));
   state.counters["output_tuples"] = static_cast<double>(tuples);
+  state.counters["radix_probe_ms"] = probe_ms;
   if (threads > 1) state.counters["parallel_efficiency"] = efficiency;
 }
-BENCHMARK(BM_PartitionJoinThreads)
+BENCHMARK(BM_RadixJoinThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-/// Grace partitioning alone (decode + route on workers).
-void BM_GracePartitionThreads(benchmark::State& state) {
-  static JoinFixture* fixture = JoinFixture::Make();
-  if (fixture == nullptr) {
-    state.SkipWithError("workload generation failed");
-    return;
-  }
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
-  std::vector<Chronon> boundaries;
-  const Chronon span = 1500000;
-  for (int i = 1; i < 8; ++i) boundaries.push_back(i * span / 8);
-  auto spec_or = PartitionSpec::FromBoundaries(boundaries);
-  if (!spec_or.ok()) {
-    state.SkipWithError("bad partition spec");
-    return;
-  }
-  PartitionSpec spec = *std::move(spec_or);
-  for (auto _ : state) {
-    auto parts = GracePartition(fixture->r.get(), spec, 64,
-                                PlacementPolicy::kLastOverlap, "bench.part",
-                                &scheduler, nullptr);
-    if (!parts.ok()) {
-      state.SkipWithError(parts.status().ToString().c_str());
-      return;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 16384);
-}
-BENCHMARK(BM_GracePartitionThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

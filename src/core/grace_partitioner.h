@@ -6,8 +6,6 @@
 
 #include "common/statusor.h"
 #include "core/partition_spec.h"
-#include "parallel/parallel_for.h"
-#include "parallel/scheduler.h"
 #include "storage/stored_relation.h"
 
 namespace tempo {
@@ -54,22 +52,16 @@ struct PartitionedRelation {
 /// ("We assume that the number of partitions is small, and therefore, that
 /// sufficient main memory is available to perform the partitioning").
 ///
-/// With a multi-threaded `scheduler`, input pages are read by the calling
-/// thread in scan order (charged I/O unchanged under the per-file head
-/// model) while morsels of pages are decoded and routed — destination
-/// partitions computed — on the scheduler's shared workers; the appends
-/// are then replayed in page order, so partition files are byte-identical
-/// to the serial run. A null scheduler is the serial mode.
-/// `morsel_stats`, when non-null, accumulates dispatch counters. A failed
-/// call leaves no partition file behind.
+/// Takes no scheduler and runs on the calling thread, as the paper costs
+/// it: one input page and one output page per partition, so
+/// `buffer_pages` bounds its memory and its charged I/O is the serial
+/// sequence under either head model (DESIGN §4c). A failed call leaves no
+/// partition file behind.
 StatusOr<PartitionedRelation> GracePartition(StoredRelation* input,
                                              const PartitionSpec& spec,
                                              uint32_t buffer_pages,
                                              PlacementPolicy policy,
-                                             const std::string& name_prefix,
-                                             Scheduler* scheduler = nullptr,
-                                             MorselStats* morsel_stats =
-                                                 nullptr);
+                                             const std::string& name_prefix);
 
 }  // namespace tempo
 

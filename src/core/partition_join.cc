@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "core/tuple_cache.h"
@@ -416,13 +415,8 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
                                         const PartitionJoinOptions& options,
                                         ExecContext* ctx,
                                         JoinVariant* variant) {
-  Disk* disk = r->disk();
   TraceSpan root_span = SpanIf(ctx, Phase::kPartitionJoin);
   Random rng(options.seed);
-
-  Scheduler* scheduler = SchedulerOf(ctx);
-  const ParallelOptions parallel = SchedulerParallel(scheduler);
-  ThreadPool* pool = SchedulerPool(scheduler);
 
   // Phase 1: determine the partitioning intervals (samples are charged).
   PartitionPlanOptions plan_options;
@@ -486,68 +480,24 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     stats.Set(Metric::kDecodeMaterializationsAvoided,
               static_cast<double>(stream.views_probed()));
   } else {
-    // Phase 2: Grace-partition both inputs with the same intervals. With a
-    // pool, r and s are partitioned concurrently — each input has its own
-    // coordinating thread reading its pages in scan order and its own
-    // output files, so charged per-file I/O is unchanged — and each
-    // coordinator fans decode/route morsels across the shared workers.
+    // Phase 2: Grace-partition both inputs with the same intervals, r then
+    // s, on this thread.
     StatusOr<PartitionedRelation> pr_or = Status::Internal("unset");
+    {
+      TraceSpan r_span = SpanIf(ctx, Phase::kPartitionR);
+      pr_or = GracePartition(r, plan.spec, options.buffer_pages,
+                             options.placement, r->name());
+    }
+    TEMPO_RETURN_IF_ERROR(pr_or.status());
+    PartitionedRelation pr = std::move(pr_or).value();
     StatusOr<PartitionedRelation> ps_or = Status::Internal("unset");
-    MorselStats r_morsels, s_morsels;
-    if (pool != nullptr) {
-      // The r coordinator runs on a spawned thread whose span stack is
-      // empty, so its span names the partition-join root as parent
-      // explicitly; the tree shape matches the serial run. The thread also
-      // re-binds this query's per-thread accountant (if one is bound):
-      // r's charged I/O must land on the same per-query ledger as the
-      // coordinator's, not on the disk's base accountant.
-      IoAccountant* bound = disk->BoundAccountant();
-      MorselProgress* progress = ScopedMorselProgress::Current();
-      std::thread r_thread([&, bound, progress] {
-        ScopedAccountantBinding rebind(disk, bound);
-        // Like the accountant, the query's live morsel counter is a
-        // per-thread binding: rebind it so r's regions count toward the
-        // same query's Progress().
-        ScopedMorselProgress reprogress(progress);
-        TraceSpan r_span =
-            SpanUnderIf(ctx, root_span, Phase::kPartitionR);
-        pr_or = GracePartition(r, plan.spec, options.buffer_pages,
-                               options.placement, r->name(), scheduler,
-                               &r_morsels);
-        r_span.AddMorsels(r_morsels);
-      });
-      {
-        TraceSpan s_span = SpanIf(ctx, Phase::kPartitionS);
-        ps_or = GracePartition(s, plan.spec, options.buffer_pages,
-                               options.placement, s->name(), scheduler,
-                               &s_morsels);
-        s_span.AddMorsels(s_morsels);
-      }
-      r_thread.join();
-    } else {
-      {
-        TraceSpan r_span = SpanIf(ctx, Phase::kPartitionR);
-        pr_or = GracePartition(r, plan.spec, options.buffer_pages,
-                               options.placement, r->name());
-      }
+    {
       TraceSpan s_span = SpanIf(ctx, Phase::kPartitionS);
       ps_or = GracePartition(s, plan.spec, options.buffer_pages,
                              options.placement, s->name());
     }
-    TEMPO_RETURN_IF_ERROR(pr_or.status());
     TEMPO_RETURN_IF_ERROR(ps_or.status());
-    PartitionedRelation pr = std::move(pr_or).value();
     PartitionedRelation ps = std::move(ps_or).value();
-    // The probe runs inline, so Grace routing is the pass's only morsel
-    // work.
-    if (parallel.enabled()) {
-      MorselStats grace = r_morsels;
-      grace.Merge(s_morsels);
-      stats.Set(Metric::kMorselsDispatched,
-                static_cast<double>(grace.morsels_dispatched));
-      stats.Set(Metric::kParallelEfficiency,
-                grace.Efficiency(parallel.num_threads));
-    }
     stats.Set(Metric::kPartitionPagesWritten,
               static_cast<double>(pr.TotalPages() + ps.TotalPages()));
     stats.Set(Metric::kTuplesWritten,

@@ -279,7 +279,8 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
   {
     TraceSpan probe_span = SpanUnderIf(ctx, root, Phase::kRadixProbe);
     Scheduler* scheduler = SchedulerOf(ctx);
-    const ParallelOptions parallel = SchedulerParallel(scheduler);
+    const uint32_t threads =
+        scheduler == nullptr ? 1 : scheduler->num_threads();
     const uint32_t shift = 8 * passes;
     std::vector<std::vector<MatchPair>> per_task(tasks.size());
     MorselStats morsels;
@@ -294,12 +295,12 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
         },
         &morsels);
     TEMPO_RETURN_IF_ERROR(st);
-    if (parallel.enabled()) {
+    if (threads > 1) {
       probe_span.AddMorsels(morsels);
+      MergeHistogram(ctx, Hist::kMorselDurationUs, morsels.duration_hist);
       stats.Set(Metric::kMorselsDispatched,
                 static_cast<double>(morsels.morsels_dispatched));
-      stats.Set(Metric::kParallelEfficiency,
-                morsels.Efficiency(parallel.num_threads));
+      stats.Set(Metric::kParallelEfficiency, morsels.Efficiency(threads));
     }
 
     // Deterministic output: merge the per-bucket matches and sort globally

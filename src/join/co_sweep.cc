@@ -450,17 +450,6 @@ StatusOr<CoSweepStats> CoSweep(const NaturalJoinLayout& layout,
   return stats;
 }
 
-/// Morsel metrics of the sort phase, set only in parallel mode.
-void SetSortMorselMetrics(const SortedInputs& sorted, ExecContext* ctx,
-                          JoinRunStats* stats) {
-  const ParallelOptions parallel = SchedulerParallel(SchedulerOf(ctx));
-  if (!parallel.enabled()) return;
-  stats->Set(Metric::kMorselsDispatched,
-             static_cast<double>(sorted.morsels.morsels_dispatched));
-  stats->Set(Metric::kParallelEfficiency,
-             sorted.morsels.Efficiency(parallel.num_threads));
-}
-
 }  // namespace
 
 // Declared in service/executor_bodies.h; runs under RunJoinContract.
@@ -472,7 +461,7 @@ StatusOr<JoinRunStats> SortMergeBody(const NaturalJoinLayout& layout,
   TraceSpan exec_span = SpanIf(ctx, Phase::kSortMerge);
   TEMPO_ASSIGN_OR_RETURN(
       SortedInputs sorted,
-      SortInputsByVs(r, s, options.buffer_pages, ctx, &exec_span));
+      SortInputsByVs(r, s, options.buffer_pages, ctx));
   TraceSpan sweep_span = SpanIf(ctx, Phase::kMergeSweep);
 
   // One result page and a stream buffer per input; the remainder is the
@@ -498,7 +487,6 @@ StatusOr<JoinRunStats> SortMergeBody(const NaturalJoinLayout& layout,
   stats.Set(Metric::kMaxActiveTuples, static_cast<double>(sweep.active_peak));
   stats.Set(Metric::kActiveBucketEntriesPeak,
             static_cast<double>(sweep.bucket_entries_peak));
-  SetSortMorselMetrics(sorted, ctx, &stats);
   return stats;
 }
 
@@ -510,7 +498,7 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
   TraceSpan exec_span = SpanIf(ctx, Phase::kSweepJoin);
   TEMPO_ASSIGN_OR_RETURN(
       SortedInputs sorted,
-      SortInputsByVs(r, s, options.buffer_pages, ctx, &exec_span));
+      SortInputsByVs(r, s, options.buffer_pages, ctx));
   TraceSpan sweep_span = SpanIf(ctx, Phase::kSweepPass);
 
   ResultWriter writer = ResultWriter::Canonical(out);
@@ -533,7 +521,6 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
   stats.Set(Metric::kDecodeMaterializationsAvoided,
             static_cast<double>(sorted.records_sorted_zero_copy() +
                                 sweep.arrivals));
-  SetSortMorselMetrics(sorted, ctx, &stats);
   return stats;
 }
 

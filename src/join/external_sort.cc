@@ -1,7 +1,6 @@
 #include "join/external_sort.h"
 
 #include <algorithm>
-#include <memory>
 #include <queue>
 
 namespace tempo {
@@ -132,10 +131,7 @@ Status MergeRuns(const std::vector<TempRelation>& runs, uint32_t buffer_pages,
 StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
                                           uint32_t buffer_pages,
                                           const std::string& output_name,
-                                          Scheduler* scheduler,
-                                          MorselStats* morsel_stats) {
-  const ParallelOptions parallel = SchedulerParallel(scheduler);
-  ThreadPool* pool = SchedulerPool(scheduler);
+                                          Scheduler* /*ignored*/) {
   if (buffer_pages < 3) {
     return Status::InvalidArgument("external sort needs at least 3 pages");
   }
@@ -164,57 +160,16 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
 
   // --- Run formation: memory-sized sorted runs. -----------------------
   std::vector<TempRelation> runs;
-  auto next_run = [&]() {
-    return temp_relation(output_name + ".run" + std::to_string(runs.size()));
-  };
   uint64_t run_records = 0;
-  if (parallel.enabled() && pool != nullptr) {
-    // The coordinator reads a wave of chunks (input pages in scan order),
-    // workers sort their views, and the runs are written back in chunk
-    // order — same run files and per-file I/O sequences as the serial
-    // pass. Each chunk's pages stay pinned in its arena until its run is
-    // written.
-    const uint32_t wave_chunks = std::max<uint32_t>(1, parallel.num_threads);
-    std::vector<std::unique_ptr<ViewChunk>> chunks;
-    chunks.reserve(wave_chunks);
-    for (uint32_t c = 0; c < wave_chunks; ++c) {
-      chunks.push_back(std::make_unique<ViewChunk>());
-    }
-    for (uint32_t start = 0; start < pages;
-         start += buffer_pages * wave_chunks) {
-      uint32_t in_wave = 0;
-      for (; in_wave < wave_chunks; ++in_wave) {
-        uint32_t cs = start + in_wave * buffer_pages;
-        if (cs >= pages) break;
-        uint32_t ce = std::min(pages, cs + buffer_pages);
-        TEMPO_RETURN_IF_ERROR(chunks[in_wave]->Load(input, cs, ce));
-      }
-      TEMPO_RETURN_IF_ERROR(ParallelFor(
-          pool, in_wave, 1,
-          [&](size_t m, size_t begin, size_t end) -> Status {
-            (void)m;
-            (void)end;
-            std::stable_sort(chunks[begin]->views.begin(),
-                             chunks[begin]->views.end(), ViewVsLess);
-            return Status::OK();
-          },
-          morsel_stats));
-      for (uint32_t c = 0; c < in_wave; ++c) {
-        runs.push_back(next_run());
-        TEMPO_RETURN_IF_ERROR(chunks[c]->WriteRun(runs.back().get()));
-        run_records += chunks[c]->views.size();
-      }
-    }
-  } else {
-    ViewChunk chunk;
-    for (uint32_t start = 0; start < pages; start += buffer_pages) {
-      uint32_t end = std::min(pages, start + buffer_pages);
-      TEMPO_RETURN_IF_ERROR(chunk.Load(input, start, end));
-      std::stable_sort(chunk.views.begin(), chunk.views.end(), ViewVsLess);
-      runs.push_back(next_run());
-      TEMPO_RETURN_IF_ERROR(chunk.WriteRun(runs.back().get()));
-      run_records += chunk.views.size();
-    }
+  ViewChunk chunk;
+  for (uint32_t start = 0; start < pages; start += buffer_pages) {
+    uint32_t end = std::min(pages, start + buffer_pages);
+    TEMPO_RETURN_IF_ERROR(chunk.Load(input, start, end));
+    std::stable_sort(chunk.views.begin(), chunk.views.end(), ViewVsLess);
+    runs.push_back(
+        temp_relation(output_name + ".run" + std::to_string(runs.size())));
+    TEMPO_RETURN_IF_ERROR(chunk.WriteRun(runs.back().get()));
+    run_records += chunk.views.size();
   }
 
   SortedRelation result;
@@ -250,26 +205,20 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
 }
 
 StatusOr<SortedInputs> SortInputsByVs(StoredRelation* r, StoredRelation* s,
-                                      uint32_t buffer_pages, ExecContext* ctx,
-                                      TraceSpan* root) {
+                                      uint32_t buffer_pages, ExecContext* ctx) {
   IoAccountant& acct = r->disk()->accountant();
   const IoStats before = acct.stats();
-  Scheduler* scheduler = SchedulerOf(ctx);
   SortedInputs sorted;
   {
     TraceSpan sort_span = SpanIf(ctx, Phase::kSortR);
     TEMPO_ASSIGN_OR_RETURN(
-        sorted.r, ExternalSortByVs(r, buffer_pages, r->name() + ".sorted",
-                                   scheduler, &sorted.morsels));
+        sorted.r, ExternalSortByVs(r, buffer_pages, r->name() + ".sorted"));
   }
   {
     TraceSpan sort_span = SpanIf(ctx, Phase::kSortS);
     TEMPO_ASSIGN_OR_RETURN(
-        sorted.s, ExternalSortByVs(s, buffer_pages, s->name() + ".sorted",
-                                   scheduler, &sorted.morsels));
+        sorted.s, ExternalSortByVs(s, buffer_pages, s->name() + ".sorted"));
   }
-  root->AddMorsels(sorted.morsels);
-  MergeHistogram(ctx, Hist::kMorselDurationUs, sorted.morsels.duration_hist);
   sorted.io = acct.stats() - before;
   return sorted;
 }

@@ -6,8 +6,6 @@
 
 #include "common/statusor.h"
 #include "obs/exec_context.h"
-#include "parallel/parallel_for.h"
-#include "parallel/scheduler.h"
 #include "storage/stored_relation.h"
 
 namespace tempo {
@@ -31,29 +29,22 @@ struct SortedRelation {
 /// returning, on error paths too; all their I/O is charged. The returned
 /// relation's file is named `output_name`.
 ///
-/// With a multi-threaded `scheduler`, run formation overlaps sorting with
-/// reading: the calling thread reads a wave of up to num_threads memory-
-/// sized chunks (input pages still read in scan order) and the scheduler's
-/// shared workers sort them while the coordinator writes finished runs
-/// back in chunk order, so run files and charged I/O are identical to the
-/// serial pass. Note the wave holds up to num_threads chunks of
-/// buffer_pages pages at once — parallel mode deliberately trades memory
-/// for CPU overlap. Merge passes stay serial (the heap is inherently
-/// sequential). A null scheduler is the serial mode; `morsel_stats`
-/// accumulates dispatch counters.
+/// Runs serially on the calling thread: run formation holds one chunk of
+/// `buffer_pages` pages at a time, so `buffer_pages` bounds its memory and
+/// its charged I/O is the serial sequence under either head model (DESIGN
+/// §4c). The trailing `Scheduler*` is ignored; it stays only so callers
+/// that pass one still compile.
 StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
                                           uint32_t buffer_pages,
                                           const std::string& output_name,
-                                          Scheduler* scheduler = nullptr,
-                                          MorselStats* morsel_stats = nullptr);
+                                          Scheduler* ignored = nullptr);
 
 /// Both inputs of a sort-based join, sorted by (Vs, Ve); the sorted files
 /// are deleted when this is destroyed.
 struct SortedInputs {
   SortedRelation r;
   SortedRelation s;
-  MorselStats morsels;  ///< run-formation morsels of both sorts
-  IoStats io;           ///< charged I/O of both sorts
+  IoStats io;  ///< charged I/O of both sorts
 
   uint64_t records_sorted_zero_copy() const {
     return r.records_sorted_zero_copy + s.records_sorted_zero_copy;
@@ -61,12 +52,10 @@ struct SortedInputs {
 };
 
 /// The sort prologue of the sort-merge, sweep and indexed executors: sorts
-/// r, then s, with ExternalSortByVs over `buffer_pages` on the run's
-/// scheduler, each under its kSortR / kSortS span, and attributes the sort
-/// morsels to `root` and to the context's morsel-duration histogram.
+/// r, then s, with ExternalSortByVs over `buffer_pages`, each under its
+/// kSortR / kSortS span.
 StatusOr<SortedInputs> SortInputsByVs(StoredRelation* r, StoredRelation* s,
-                                      uint32_t buffer_pages, ExecContext* ctx,
-                                      TraceSpan* root);
+                                      uint32_t buffer_pages, ExecContext* ctx);
 
 }  // namespace tempo
 

@@ -20,7 +20,7 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   // Sort both inputs by Vs; build the append-only tree over the inner.
   TEMPO_ASSIGN_OR_RETURN(
       SortedInputs sorted,
-      SortInputsByVs(r, s, options.buffer_pages, ctx, &exec_span));
+      SortInputsByVs(r, s, options.buffer_pages, ctx));
   IoStats sort_end = acct.stats();
   StatusOr<std::unique_ptr<AppendOnlyTree>> tree_or =
       Status::Internal("unset");

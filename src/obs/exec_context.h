@@ -87,9 +87,9 @@ class ExecContext {
   /// root). Prefer the null-safe free function SpanIf().
   TraceSpan Span(Phase phase, std::string label = "");
 
-  /// Opens a span with an explicit parent, for spans that begin on a
-  /// different thread than their logical parent (the r-partitioning
-  /// thread parents its span under the partition-join root explicitly).
+  /// Opens a span with an explicit parent rather than the innermost open
+  /// span on this thread (the radix executor nests its phases under its
+  /// root this way).
   TraceSpan SpanUnder(const TraceSpan& parent, Phase phase,
                       std::string label = "");
 
@@ -147,8 +147,8 @@ inline TraceSpan SpanUnderIf(ExecContext* ctx, const TraceSpan& parent,
 }
 
 /// Null-safe scheduler accessor: the serial fallback (null) when no
-/// context was passed. Pair with SchedulerParallel()/SchedulerPool()
-/// from parallel/scheduler.h to get concrete knobs.
+/// context was passed. Pair with SchedulerPool() from
+/// parallel/scheduler.h to get the pool.
 inline Scheduler* SchedulerOf(ExecContext* ctx) {
   return ctx == nullptr ? nullptr : ctx->scheduler();
 }

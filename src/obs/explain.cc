@@ -29,10 +29,8 @@ struct Row {
   std::vector<std::string> cells;
 };
 
-/// Stable render order for siblings: phase enum order, then label. Makes
-/// trees whose siblings were begun by concurrent threads (partitioning r
-/// on a spawned thread, s on the coordinator) render identically to the
-/// serial run.
+/// Stable render order for siblings: phase enum order, then label, so a
+/// tree renders the same whatever order its siblings were begun in.
 std::vector<const SpanNode*> SortedChildren(const SpanNode& node) {
   std::vector<const SpanNode*> out;
   out.reserve(node.children.size());

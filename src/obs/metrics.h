@@ -170,9 +170,9 @@ namespace tempo {
     "the Disk boundary while an ExecContext has the accountant bound. "       \
     "Simulated storage, so this measures copy + lock time, not seeks.")       \
   H(MorselDurationUs, "morsel_duration_us", "us", "parallel layer",           \
-    "Wall-clock duration of each morsel body dispatched by ParallelFor "      \
-    "(parallel regions only); the skew of this distribution is what the "     \
-    "morsel size knob trades against dispatch overhead.")                     \
+    "Wall-clock duration of each morsel body run on the scheduler's pool "    \
+    "(parallel regions only: the radix bucket probe, one bucket pair per "    \
+    "morsel); its skew shows uneven buckets.")                                \
   H(CacheOccupancyTuples, "cache_occupancy_tuples", "tuples",                 \
     "JoinPartitions",                                                         \
     "Tuples resident in the backwards tuple cache at the end of each "        \

@@ -107,11 +107,10 @@ struct SpanNode {
   }
 };
 
-/// Owns the span tree. Thread-safe: spans may begin and end on any thread
-/// (the partition executor partitions r and s on two threads at once).
-/// Parent resolution uses a per-thread span stack, so a span's parent is
-/// the innermost open span *on the same thread*; cross-thread spans pass
-/// their parent explicitly (ExecContext::SpanUnder).
+/// Owns the span tree. Thread-safe: spans may begin and end on any
+/// thread. Parent resolution uses a per-thread span stack, so a span's
+/// parent is the innermost open span *on the same thread*; cross-thread
+/// spans pass their parent explicitly (ExecContext::SpanUnder).
 class Tracer {
  public:
   Tracer();

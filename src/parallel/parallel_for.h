@@ -12,30 +12,6 @@
 
 namespace tempo {
 
-/// Threading knob for the CPU-bound executor phases. The default of one
-/// thread is the paper-faithful serial mode: identical output bytes,
-/// identical charged I/O, no pool ever created, so every existing figure
-/// and cost statement is unchanged.
-///
-/// With more threads, page decode / hash probe / partition routing / run
-/// sorting fan out to a pool while all disk traffic stays on the
-/// coordinator in the original page order. Results are merged back in
-/// input order, so the output relation is byte-identical to the serial
-/// run, and under the default per-file head model the charged I/O counts
-/// are identical too (see DESIGN.md "Threading model" for the single-head
-/// caveat).
-struct ParallelOptions {
-  /// Worker threads for CPU-bound phases; 1 = serial.
-  uint32_t num_threads = 1;
-
-  /// Pages grouped into one morsel (dispatch unit) in page-granular
-  /// loops. Larger morsels amortize dispatch overhead; smaller morsels
-  /// balance skew.
-  uint32_t morsel_pages = 4;
-
-  bool enabled() const { return num_threads > 1; }
-};
-
 /// Where the parallel wall-clock went: `busy_seconds` sums the time workers
 /// spent inside morsel bodies; `wall_seconds` is the coordinator-observed
 /// span of the parallel regions. Efficiency near 1.0 means the workers were
@@ -86,8 +62,8 @@ struct MorselProgress {
 /// ParallelFor it dispatches, for the lifetime of this object (null is a
 /// no-op). Per-thread and innermost-wins, mirroring
 /// ScopedAccountantBinding: a query's coordinator installs its handle's
-/// counter, and any helper coordinator thread an executor spawns rebinds
-/// Current() so its regions count toward the same query.
+/// counter, and ParallelFor captures it at dispatch so morsels run on pool
+/// workers count toward the same query.
 class ScopedMorselProgress {
  public:
   explicit ScopedMorselProgress(MorselProgress* progress);

@@ -22,7 +22,6 @@ StatusOr<SchedulerConfig> ResolveSchedulerConfig(SchedulerConfig requested) {
         std::to_string(requested.num_threads) +
         " threads; set exactly one of the two");
   }
-  if (resolved.morsel_pages == 0) resolved.morsel_pages = 1;
   return resolved;
 }
 

@@ -5,25 +5,23 @@
 #include <memory>
 
 #include "common/statusor.h"
-#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 
 namespace tempo {
 
 /// Threading configuration of a Scheduler. This is the *single* resolved
-/// source of truth for worker threads: executors no longer accept a
-/// ParallelOptions — they read the scheduler handle carried by their
-/// ExecContext (serial when absent), so one machine-wide setting governs
-/// every concurrent query instead of each call site guessing its own.
+/// source of truth for worker threads: executors take no thread count —
+/// they read the scheduler handle carried by their ExecContext (serial
+/// when absent), so one machine-wide setting governs every concurrent
+/// query instead of each call site guessing its own.
 struct SchedulerConfig {
   /// Worker threads for CPU-bound morsels. 1 = the paper-faithful serial
   /// mode; 0 = unspecified, deferring to TEMPO_BENCH_THREADS (see
   /// ResolveSchedulerConfig).
   uint32_t num_threads = 1;
 
-  /// Pages grouped into one morsel (dispatch unit) in page-granular
-  /// loops. Larger morsels amortize dispatch overhead; smaller morsels
-  /// balance skew.
+  /// Unread: the one parallel phase left, the radix bucket probe, dispatches
+  /// one bucket pair per morsel. Kept because existing callers name it.
   uint32_t morsel_pages = 4;
 };
 
@@ -51,6 +49,9 @@ StatusOr<SchedulerConfig> ResolveSchedulerConfig(SchedulerConfig requested);
 /// whole lifetime; tests and benches create one on the stack around
 /// their runs).
 ///
+/// Its one executor user is the radix bucket probe (core/radix_join.cc);
+/// every paged phase runs on the query's thread in the paper's order.
+///
 /// Determinism: the pool only ever runs CPU-side morsel bodies — all
 /// charged I/O stays on each query's coordinating thread in the paper's
 /// order, and ParallelFor callers merge per-morsel results by morsel
@@ -63,7 +64,6 @@ class Scheduler {
   explicit Scheduler(const SchedulerConfig& config)
       : config_(config) {
     if (config_.num_threads == 0) config_.num_threads = 1;
-    if (config_.morsel_pages == 0) config_.morsel_pages = 1;
     if (config_.num_threads > 1) {
       pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     }
@@ -80,26 +80,17 @@ class Scheduler {
   uint32_t num_threads() const { return config_.num_threads; }
   const SchedulerConfig& config() const { return config_; }
 
-  /// The shared work-stealing pool; null in serial mode (the executors'
-  /// ParallelFor call sites treat a null pool as "run inline").
+  /// The shared work-stealing pool; null in serial mode (ParallelFor
+  /// treats a null pool as "run inline").
   ThreadPool* pool() { return pool_.get(); }
-
-  /// The morsel knobs in the shape ParallelFor-era internals consume.
-  ParallelOptions parallel() const {
-    return ParallelOptions{config_.num_threads, config_.morsel_pages};
-  }
 
  private:
   SchedulerConfig config_;
   std::unique_ptr<ThreadPool> pool_;
 };
 
-/// Null-safe views of a possibly-absent scheduler handle — the serial
-/// fallback every executor takes when no ExecContext (or no scheduler on
-/// it) was supplied.
-inline ParallelOptions SchedulerParallel(const Scheduler* scheduler) {
-  return scheduler == nullptr ? ParallelOptions{} : scheduler->parallel();
-}
+/// Null-safe view of a possibly-absent scheduler handle — the serial
+/// fallback when no ExecContext (or no scheduler on it) was supplied.
 inline ThreadPool* SchedulerPool(Scheduler* scheduler) {
   return scheduler == nullptr ? nullptr : scheduler->pool();
 }

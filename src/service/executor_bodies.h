@@ -165,8 +165,9 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
 ///
 /// Metrics: kRadixPasses, kRadixFanout, kRadixBuckets, kRadixRowsRouted,
 /// kRadixEstFootprintBytes, kRadixActFootprintBytes, kRadixBudgetBytes;
-/// with parallel mode additionally kMorselsDispatched and
-/// kParallelEfficiency.
+/// with a multi-threaded scheduler additionally kMorselsDispatched,
+/// kParallelEfficiency and one kMorselDurationUs sample per bucket pair.
+/// The bucket probe is the only executor phase that dispatches morsels.
 StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
                                  StoredRelation* r, StoredRelation* s,
                                  StoredRelation* out,
@@ -178,10 +179,10 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
 /// or two-pass coverage-tracking variant for the sequenced outer/anti
 /// kinds, which require last-overlap placement.
 ///
-/// The joinPartitions probe runs inline on the calling thread, so with a
-/// multi-threaded scheduler kMorselsDispatched and kParallelEfficiency
-/// describe Grace routing only (set when the plan partitions; the
-/// single-partition fast path dispatches no morsels).
+/// Every phase (sampling, Grace partitioning, joinPartitions) runs on the
+/// calling thread in the paper's order at any scheduler thread count, so
+/// the executor dispatches no morsels and sets neither kMorselsDispatched
+/// nor kParallelEfficiency.
 StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
                                      StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,

@@ -110,12 +110,12 @@ void QueryHandle::Run() {
   service_->flight()->Append(FlightEventKind::kQueryAdmitted, query_id_,
                              ticket_->pages());
 
-  // A fresh accountant per query, bound to this coordinator thread (and
-  // propagated by the executors to any helper thread they spawn): the
-  // query's head positions evolve exactly as in a standalone run, so its
-  // charged IoStats are identical at any concurrency level. The telemetry
-  // layer only ever *reads* this accountant (Progress, DumpStats), so
-  // enabling it cannot perturb the charged counts.
+  // A fresh accountant per query, bound to this coordinator thread, where
+  // all of the query's charged I/O happens: the query's head positions
+  // evolve exactly as in a standalone run, so its charged IoStats are
+  // identical at any concurrency level. The telemetry layer only ever
+  // *reads* this accountant (Progress, DumpStats), so enabling it cannot
+  // perturb the charged counts.
   Disk* disk = service_->disk();
   accountant_.set_head_model(disk->base_accountant().head_model());
   StatusOr<JoinRunStats> result = Status::Internal("query did not run");

@@ -45,8 +45,6 @@ const IoAccountant& Disk::accountant() const {
   return bound != nullptr ? *bound : accountant_;
 }
 
-IoAccountant* Disk::BoundAccountant() const { return FindBinding(this); }
-
 FileId Disk::CreateFile(std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
   FileId id = next_id_++;

@@ -92,13 +92,6 @@ class Disk {
   IoAccountant& base_accountant() { return accountant_; }
   const IoAccountant& base_accountant() const { return accountant_; }
 
-  /// The accountant bound on the calling thread for this disk, or null
-  /// when unbound. Executors that move charged I/O onto a helper thread
-  /// (the partition join's R-partitioning thread) capture this before
-  /// spawning and re-bind it inside via ScopedAccountantBinding, so the
-  /// helper charges the same per-query ledger as its coordinator.
-  IoAccountant* BoundAccountant() const;
-
   /// Total pages across all files (simulated secondary-storage footprint;
   /// used by the replication-vs-migration ablation).
   uint64_t TotalPages() const;

@@ -91,11 +91,11 @@ enum class HeadModel {
 /// sequential accesses under either model; the models differ only in how
 /// interleaved streams interact (see HeadModel).
 ///
-/// Thread-safe: Record*/stats()/Reset may be called concurrently (the
-/// parallel executors issue I/O from a partitioning coordinator per input
-/// and from sort workers). Under the default kPerFile model the totals are
-/// order-independent — each file's accesses keep their per-stream order —
-/// so charged counts are deterministic across thread counts.
+/// Thread-safe: Record*/stats()/Reset may be called concurrently (queries
+/// that run at once on one disk share its base accountant unless each
+/// binds its own). Every executor issues a query's charged I/O from that
+/// query's thread in the paper's order, so charged counts are the same at
+/// any scheduler thread count under either head model.
 class IoAccountant {
  public:
   IoAccountant() = default;

@@ -332,7 +332,8 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
   }
 
   {
-    // Partition join in parallel mode (emits the morsel metrics too).
+    // Partition join under a 4-thread scheduler: Grace and joinPartitions
+    // run serially, so it emits no morsel metrics.
     Disk disk;
     auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
     auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
@@ -348,6 +349,28 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
   }
 
   {
+    // Radix join under a 4-thread scheduler: its bucket probe is the one
+    // phase that dispatches morsels, so it emits the morsel metrics too.
+    Disk disk;
+    auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
+    auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
+    StoredRelation out(&disk, out_schema, "out");
+    JoinRequest req;
+    req.From(r.get(), s.get())
+        .Using(JoinExecutor::kInMemoryRadix)
+        .BufferPages(4)
+        .RadixBudgetBytes(uint64_t{1} << 30);
+    Scheduler scheduler(SchedulerConfig{4, /*morsel_pages=*/4});
+    ExecContext rctx;
+    rctx.SetScheduler(&scheduler);
+    auto stats_or = RunJoin(req, &out, &rctx);
+    ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
+    EXPECT_TRUE(stats_or->Has(Metric::kMorselsDispatched));
+    EXPECT_TRUE(stats_or->Has(Metric::kParallelEfficiency));
+    ExpectAllDeclared(stats_or.value(), "in-memory-radix");
+  }
+
+  {
     // Coalesce (same registry, different operator family).
     Disk disk;
     auto in_rel = MakeRelation(&disk, TestSchema(), in.r_tuples, "cin");
@@ -357,6 +380,55 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
     auto stats_or = PartitionCoalesce(in_rel.get(), &out, options, nullptr);
     ASSERT_TRUE(stats_or.ok());
     ExpectAllDeclared(stats_or.value(), "coalesce");
+  }
+}
+
+// The radix bucket probe is the only phase that dispatches morsels, so at 4
+// threads the morsel-duration histogram holds one sample per radix morsel,
+// and the paged executors (sort-merge, the partition join's Grace path)
+// record neither morsel metrics nor a histogram sample.
+TEST(MetricsTest, MorselDurationHistogramDescribesTheRadixProbeOnly) {
+  JoinInputs in = PaddedInputs();
+  auto layout_or = DeriveNaturalJoinLayout(TestSchema(), SSchema());
+  ASSERT_TRUE(layout_or.ok());
+  const Schema out_schema = layout_or.value().output;
+
+  for (JoinExecutor executor :
+       {JoinExecutor::kInMemoryRadix, JoinExecutor::kSortMerge,
+        JoinExecutor::kPartition}) {
+    const char* name = JoinExecutorName(executor);
+    Disk disk;
+    auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
+    auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
+    StoredRelation out(&disk, out_schema, "out");
+    JoinRequest req;
+    req.From(r.get(), s.get())
+        .Using(executor)
+        .BufferPages(4)
+        .RadixBudgetBytes(uint64_t{1} << 30);
+    Scheduler scheduler(SchedulerConfig{4, /*morsel_pages=*/4});
+    ExecContext ctx;
+    ctx.SetScheduler(&scheduler);
+    auto stats_or = RunJoin(req, &out, &ctx);
+    ASSERT_TRUE(stats_or.ok()) << name << ": "
+                               << stats_or.status().ToString();
+    const JoinRunStats& stats = stats_or.value();
+    const uint64_t samples =
+        ctx.metrics().histogram(Hist::kMorselDurationUs).count();
+    if (executor == JoinExecutor::kInMemoryRadix) {
+      EXPECT_GT(stats.Get(Metric::kMorselsDispatched), 0.0) << name;
+      EXPECT_EQ(static_cast<double>(samples),
+                stats.Get(Metric::kMorselsDispatched))
+          << name;
+    } else {
+      if (executor == JoinExecutor::kPartition) {
+        EXPECT_GT(stats.Get(Metric::kPartitions), 1.0)
+            << "the run must take the Grace path";
+      }
+      EXPECT_FALSE(stats.Has(Metric::kMorselsDispatched)) << name;
+      EXPECT_FALSE(stats.Has(Metric::kParallelEfficiency)) << name;
+      EXPECT_EQ(samples, 0u) << name;
+    }
   }
 }
 

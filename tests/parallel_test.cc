@@ -1,7 +1,8 @@
 // Tests for the morsel-driven parallel execution layer: the thread pool
 // and ParallelFor primitives, the overflow-chunk path of the partition
-// join under threading, and the headline guarantee that num_threads is
-// invisible — byte-identical output and identical charged I/O.
+// join under a multi-threaded scheduler, and the headline guarantee that
+// num_threads is invisible — byte-identical output and identical charged
+// I/O, under either head model.
 
 #include <atomic>
 #include <cstring>
@@ -601,6 +602,62 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
       EXPECT_EQ(PageDigest(&out), c.digest) << what;
       EXPECT_EQ(stats->output_tuples, c.output_tuples) << what;
       EXPECT_EQ(stats->io.total_ops(), c.io_ops) << what;
+    }
+  }
+}
+
+// Under the single-head model an access is sequential only if it continues
+// the one head's last position, so charged I/O depends on the interleaving
+// across files. Grace partitioning and sort run formation run on the
+// query's thread in the paper's order at every thread count, so the counts
+// are thread-invariant under this model too.
+TEST(ParallelJoinTest, SingleHeadIoIsThreadInvariant) {
+  std::vector<Tuple> r_tuples;
+  std::vector<Tuple> s_tuples;
+  GoldenInputs(&r_tuples, &s_tuples);
+
+  struct Case {
+    const char* name;
+    JoinExecutor executor;
+    uint32_t buffer_pages;
+  };
+  const std::vector<Case> cases = {
+      {"partition", JoinExecutor::kPartition, 16},
+      {"sort-merge", JoinExecutor::kSortMerge, 6},
+  };
+  for (const Case& c : cases) {
+    IoStats serial_io;
+    uint64_t serial_digest = 0;
+    for (uint32_t threads : {1u, 4u}) {
+      Disk disk;
+      auto r = MakeRelation(&disk, GoldenRSchema(), r_tuples, "r");
+      auto s = MakeRelation(&disk, GoldenSSchema(), s_tuples, "s");
+      disk.accountant().set_head_model(HeadModel::kSingleHead);
+      TEMPO_ASSERT_OK_AND_ASSIGN(
+          NaturalJoinLayout layout,
+          DeriveNaturalJoinLayout(GoldenRSchema(), GoldenSSchema()));
+      StoredRelation out(&disk, layout.output, "out");
+      JoinRequest req;
+      req.From(r.get(), s.get())
+          .Using(c.executor)
+          .BufferPages(c.buffer_pages);
+      ScopedScheduler sched(threads);
+      auto stats = RunJoin(req, &out, &sched.ctx);
+      ASSERT_TRUE(stats.ok()) << c.name << ": " << stats.status().ToString();
+      if (c.executor == JoinExecutor::kPartition) {
+        EXPECT_GT(stats->Get(Metric::kPartitions), 1.0)
+            << "the run must take the Grace path";
+      }
+      const uint64_t digest = PageDigest(&out);
+      if (threads == 1) {
+        serial_io = stats->io;
+        serial_digest = digest;
+      } else {
+        EXPECT_TRUE(stats->io == serial_io)
+            << c.name << " threads=" << threads << ": "
+            << stats->io.ToString() << " vs serial " << serial_io.ToString();
+        EXPECT_EQ(digest, serial_digest) << c.name << " threads=" << threads;
+      }
     }
   }
 }
