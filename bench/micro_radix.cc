@@ -5,9 +5,10 @@
 // Per sweep point both executors run on the same generated inputs and the
 // probe-phase wall-clocks are compared: the Grace path's joinPartitions
 // span (partition reads + tuple-cache probe) vs the radix path's
-// radix_probe span (bucket build/probe + ordered emission). Outputs are
-// cross-checked for identical cardinality. Deterministic keys (I/O ops,
-// output size, bucket/pass counts, the planner's pick) go into the JSON
+// radix_probe span (the ordered r probe plus inline emission). Outputs
+// are cross-checked for identical cardinality. Deterministic keys (I/O
+// ops, output size, the grouping's occupied-slot and pass counts, the
+// planner's pick) go into the JSON
 // report for bench_compare; wall-clocks use *_wall_seconds / *_time_ratio
 // names so the regression gate skips them.
 

@@ -66,11 +66,10 @@ Status BitemporalRelation::Delete(const Tuple& t, TxTime now) {
   // back — the append-plus-close discipline of transaction time.
   const size_t n = user_schema_.num_attributes();
   for (uint32_t page_no = 0; page_no < store_->num_pages(); ++page_no) {
-    Page page;
-    TEMPO_RETURN_IF_ERROR(store_->ReadPage(page_no, &page));
+    TEMPO_ASSIGN_OR_RETURN(PagePin page, store_->PinPage(page_no));
     std::vector<Tuple> decoded;
     TEMPO_RETURN_IF_ERROR(
-        StoredRelation::DecodePage(store_->schema(), page, &decoded));
+        StoredRelation::DecodePage(store_->schema(), *page, &decoded));
     for (size_t slot = 0; slot < decoded.size(); ++slot) {
       const Tuple& stored = decoded[slot];
       if (stored.value(n + 1).AsInt64() != kTxUntilChanged) continue;
@@ -106,10 +105,9 @@ Status BitemporalRelation::ForEachCurrentVersion(
   const RecordLayout& layout = store_->schema().layout();
   const size_t n = user_schema_.num_attributes();
   for (uint32_t page_no = 0; page_no < store_->num_pages(); ++page_no) {
-    Page page;
-    TEMPO_RETURN_IF_ERROR(store_->ReadPage(page_no, &page));
-    for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-      std::string_view rec = page.GetRecord(slot);
+    TEMPO_ASSIGN_OR_RETURN(PagePin page, store_->PinPage(page_no));
+    for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
+      std::string_view rec = page->GetRecord(slot);
       TEMPO_ASSIGN_OR_RETURN(TupleView v,
                              TupleView::Make(layout, rec.data(), rec.size()));
       // The transaction bounds are read in place; most versions are

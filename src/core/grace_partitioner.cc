@@ -36,10 +36,9 @@ StatusOr<PartitionedRelation> GracePartition(StoredRelation* input,
   const RecordLayout& layout = input->schema().layout();
   const uint32_t pages = input->num_pages();
   for (uint32_t p = 0; p < pages; ++p) {
-    Page page;
-    TEMPO_RETURN_IF_ERROR(input->ReadPage(p, &page));
-    for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-      std::string_view rec = page.GetRecord(slot);
+    TEMPO_ASSIGN_OR_RETURN(PagePin page, input->PinPage(p));
+    for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
+      std::string_view rec = page->GetRecord(slot);
       TEMPO_ASSIGN_OR_RETURN(TupleView v,
                              TupleView::Make(layout, rec.data(), rec.size()));
       const Interval iv = v.interval();

@@ -125,9 +125,8 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
     // place (same page-read sequence as the scanner it replaces).
     std::map<std::string, Group> groups;
     for (uint32_t p = 0; p < in->num_pages(); ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(in->ReadPage(p, &page));
-      TEMPO_RETURN_IF_ERROR(fold_page(page, groups));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, in->PinPage(p));
+      TEMPO_RETURN_IF_ERROR(fold_page(*page, groups));
     }
     for (auto& [key, group] : groups) {
       TEMPO_RETURN_IF_ERROR(process_group(group, Interval::All(),
@@ -150,9 +149,8 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
       carry.clear();
       StoredRelation* part = parts.parts[ii].get();
       for (uint32_t p = 0; p < part->num_pages(); ++p) {
-        Page page;
-        TEMPO_RETURN_IF_ERROR(part->ReadPage(p, &page));
-        TEMPO_RETURN_IF_ERROR(fold_page(page, groups));
+        TEMPO_ASSIGN_OR_RETURN(PagePin page, part->PinPage(p));
+        TEMPO_RETURN_IF_ERROR(fold_page(*page, groups));
       }
       for (auto& [key, group] : groups) {
         TEMPO_RETURN_IF_ERROR(

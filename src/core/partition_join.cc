@@ -166,12 +166,11 @@ class ProbeStream {
   ProbeStream& operator=(const ProbeStream&) = delete;
 
   /// Streams one raw inner page.
-  Status AddPage(const Page& page, bool allow_retain) {
-    views_probed_ += page.num_records();
+  Status AddPage(PagePin page, bool allow_retain) {
+    views_probed_ += page->num_records();
     arena_.Clear();
     TEMPO_RETURN_IF_ERROR(
-        StoredRelation::DecodePageViews(*ctx_.inner_schema, page, &arena_)
-            .status());
+        arena_.AddPage(*ctx_.inner_schema, std::move(page)).status());
     for (const TupleView& y : arena_.views()) {
       TEMPO_RETURN_IF_ERROR(Probe(y, allow_retain));
     }
@@ -302,9 +301,8 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
       StoredRelation* part = pr->parts[ii].get();
       const uint32_t pages = part->num_pages();
       for (uint32_t p = 0; p < pages; ++p) {
-        Page page;
-        TEMPO_RETURN_IF_ERROR(part->ReadPage(p, &page));
-        TEMPO_RETURN_IF_ERROR(outer.AddPage(page));
+        TEMPO_ASSIGN_OR_RETURN(PagePin page, part->PinPage(p));
+        TEMPO_RETURN_IF_ERROR(outer.AddPage(*page));
       }
     }
 
@@ -360,9 +358,8 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
         // 3. Join with each spilled page of the consumed generation (read
         //    raw; records are viewed, never decoded).
         for (uint32_t c = 0; c < cache.spilled_pages(); ++c) {
-          Page cached;
-          TEMPO_RETURN_IF_ERROR(cache.ReadSpilledPageRaw(c, &cached));
-          TEMPO_RETURN_IF_ERROR(stream.AddPage(cached, retain));
+          TEMPO_ASSIGN_OR_RETURN(PagePin cached, cache.PinSpilledPage(c));
+          TEMPO_RETURN_IF_ERROR(stream.AddPage(std::move(cached), retain));
         }
       }
 
@@ -371,9 +368,9 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
         StoredRelation* part = ps->parts[ii].get();
         const uint32_t pages = part->num_pages();
         for (uint32_t p = 0; p < pages; ++p) {
-          Page page;
-          TEMPO_RETURN_IF_ERROR(part->ReadPage(p, &page));
-          TEMPO_RETURN_IF_ERROR(stream.AddPage(page, migrate && retain));
+          TEMPO_ASSIGN_OR_RETURN(PagePin page, part->PinPage(p));
+          TEMPO_RETURN_IF_ERROR(
+              stream.AddPage(std::move(page), migrate && retain));
         }
       }
       views_probed += stream.views_probed();
@@ -448,9 +445,8 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     if (variant != nullptr) outer.TrackCoverage(variant);
     const uint32_t pages = r->num_pages();
     for (uint32_t p = 0; p < pages; ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(r->ReadPage(p, &page));
-      TEMPO_RETURN_IF_ERROR(outer.AddPage(page));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, r->PinPage(p));
+      TEMPO_RETURN_IF_ERROR(outer.AddPage(*page));
     }
     outer.RebuildIndex();
     ResultWriter local_writer(out);
@@ -470,9 +466,9 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     ProbeStream stream(probe_ctx, &outer.index());
     const uint32_t s_pages = s->num_pages();
     for (uint32_t p = 0; p < s_pages; ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(s->ReadPage(p, &page));
-      TEMPO_RETURN_IF_ERROR(stream.AddPage(page, /*allow_retain=*/false));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, s->PinPage(p));
+      TEMPO_RETURN_IF_ERROR(
+          stream.AddPage(std::move(page), /*allow_retain=*/false));
     }
     TEMPO_RETURN_IF_ERROR(outer.RetireAll());
     if (variant == nullptr) TEMPO_RETURN_IF_ERROR(writer->Finish());

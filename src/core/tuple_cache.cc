@@ -61,9 +61,9 @@ StatusOr<std::vector<Tuple>> TupleCache::ReadSpilledPage(uint32_t page_no) {
   return spill_->ReadPageTuples(page_no);
 }
 
-Status TupleCache::ReadSpilledPageRaw(uint32_t page_no, Page* out) {
+StatusOr<PagePin> TupleCache::PinSpilledPage(uint32_t page_no) {
   TEMPO_CHECK(spill_ != nullptr);
-  return spill_->ReadPage(page_no, out);
+  return spill_->PinPage(page_no);
 }
 
 }  // namespace tempo

@@ -68,9 +68,9 @@ class TupleCache {
   /// Reads back one spilled page (charged I/O) and decodes it.
   StatusOr<std::vector<Tuple>> ReadSpilledPage(uint32_t page_no);
 
-  /// Reads back one spilled page (charged I/O) without decoding; callers
-  /// pin it in a PageTupleArena and probe views.
-  Status ReadSpilledPageRaw(uint32_t page_no, Page* out);
+  /// Pins one spilled page (charged I/O) without decoding; callers hold
+  /// the pin in a PageTupleArena and probe views.
+  StatusOr<PagePin> PinSpilledPage(uint32_t page_no);
 
   /// Total tuples in this generation.
   uint64_t num_tuples() const { return total_tuples_; }

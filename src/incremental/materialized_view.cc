@@ -18,10 +18,9 @@ Status ForEachVisibleView(StoredRelation* part, StoredRelation* cache,
   const RecordLayout& layout = part->schema().layout();
   for (StoredRelation* rel : {part, cache}) {
     for (uint32_t p = 0; p < rel->num_pages(); ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(rel->ReadPage(p, &page));
-      for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-        std::string_view rec = page.GetRecord(slot);
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, rel->PinPage(p));
+      for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
+        std::string_view rec = page->GetRecord(slot);
         TEMPO_ASSIGN_OR_RETURN(
             TupleView v, TupleView::Make(layout, rec.data(), rec.size()));
         TEMPO_RETURN_IF_ERROR(fn(v));

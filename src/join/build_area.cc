@@ -84,30 +84,4 @@ void BuildArea::Clear() {
   bytes_ = 0;
 }
 
-void FlatIndex::Build(const BuildArea& area, size_t begin, size_t end) {
-  TEMPO_DCHECK(begin <= end && end <= area.size());
-  TEMPO_DCHECK(end <= UINT32_MAX);
-  const size_t n = end - begin;
-  entries_.clear();
-  if (n == 0) return;
-  size_t slots = 1;
-  while (slots < n) slots <<= 1;
-  mask_ = slots - 1;
-  // Counting sort by slot: count, prefix-sum to each slot's end, then
-  // place the rows back to front so each slot's run keeps insertion order
-  // and offsets_[s] ends at slot s's first entry.
-  offsets_.assign(slots + 1, 0);
-  for (size_t row = begin; row < end; ++row) {
-    ++offsets_[area.key_hash(row) & mask_];
-  }
-  for (size_t s = 1; s < slots; ++s) offsets_[s] += offsets_[s - 1];
-  offsets_[slots] = static_cast<uint32_t>(n);
-  entries_.resize(n);
-  for (size_t row = end; row-- > begin;) {
-    const uint64_t h = area.key_hash(row);
-    entries_[--offsets_[h & mask_]] =
-        Entry{h, area.start(row), area.end(row), static_cast<uint32_t>(row)};
-  }
-}
-
 }  // namespace tempo

@@ -128,31 +128,71 @@ class BuildArea {
   size_t bytes_ = 0;
 };
 
-/// A flat equi-hash index over the rows [begin, end) of a BuildArea. One
-/// counting sort groups the rows by the low bits of their key hash into a
-/// power-of-two slot table; each entry carries the row's full hash and
-/// interval, so a probe filters on one contiguous run without touching
-/// record bytes.
+/// A flat equi-hash index over the rows [begin, end) of a row source — a
+/// BuildArea, or a ColumnExtractor's columns. One counting sort groups
+/// the rows by the low bits of their key hash into a power-of-two slot
+/// table; each entry carries the row's full hash and interval, so a probe
+/// filters on one contiguous run without touching record bytes.
 ///
-/// A probe walks its slot in reverse insertion order and skips entries
+/// By default a probe walks its slot newest row first and skips entries
 /// whose full hash differs. That is the order in which a
 /// std::unordered_multimap keyed on the hash returns equal_range (newest
 /// first among equal keys), so executors that moved here from
-/// HashedTupleIndex emit their matches in the same order.
+/// HashedTupleIndex emit their matches in the same order. An index built
+/// with Walk::kOldestFirst yields its candidates in ascending row order
+/// instead, which is the reference join's inner-loop order.
 class FlatIndex {
  public:
   struct Entry {
     uint64_t hash;
     Chronon start;
     Chronon end;
-    uint32_t row;  // area row
+    uint32_t row;  // source row
   };
 
-  /// Indexes `area`'s rows [begin, end), replacing any previous contents.
-  void Build(const BuildArea& area, size_t begin, size_t end);
+  /// The order in which ForEachCandidate visits a slot's rows.
+  enum class Walk { kNewestFirst, kOldestFirst };
+
+  /// Indexes `rows`' rows [begin, end), replacing any previous contents.
+  /// `Rows` provides key_hash(row), start(row) and end(row).
+  template <typename Rows>
+  void Build(const Rows& rows, size_t begin, size_t end,
+             Walk walk = Walk::kNewestFirst) {
+    TEMPO_DCHECK(begin <= end);
+    TEMPO_DCHECK(end <= UINT32_MAX);
+    const size_t n = end - begin;
+    entries_.clear();
+    if (n == 0) return;
+    size_t slots = 1;
+    while (slots < n) slots <<= 1;
+    mask_ = slots - 1;
+    // Counting sort by slot: count, prefix-sum to each slot's end, then
+    // place each row at its slot's next free position from the back, so
+    // offsets_[s] ends at slot s's first entry. Placing back to front
+    // keeps each run in insertion order (walked in reverse: newest
+    // first); placing front to back reverses it (walked: oldest first).
+    offsets_.assign(slots + 1, 0);
+    for (size_t row = begin; row < end; ++row) {
+      ++offsets_[rows.key_hash(row) & mask_];
+    }
+    for (size_t s = 1; s < slots; ++s) offsets_[s] += offsets_[s - 1];
+    offsets_[slots] = static_cast<uint32_t>(n);
+    entries_.resize(n);
+    auto place = [&](size_t row) {
+      const uint64_t h = rows.key_hash(row);
+      entries_[--offsets_[h & mask_]] = Entry{h, rows.start(row),
+                                              rows.end(row),
+                                              static_cast<uint32_t>(row)};
+    };
+    if (walk == Walk::kNewestFirst) {
+      for (size_t row = end; row-- > begin;) place(row);
+    } else {
+      for (size_t row = begin; row < end; ++row) place(row);
+    }
+  }
 
   /// Invokes `fn(const Entry&)` for every entry whose full hash is `hash`,
-  /// newest row first.
+  /// in the Walk order the index was built with.
   template <typename Fn>
   void ForEachCandidate(uint64_t hash, Fn&& fn) const {
     if (entries_.empty()) return;
@@ -164,40 +204,64 @@ class FlatIndex {
     }
   }
 
+  /// Slots in the table (0 when the index is empty).
+  size_t num_slots() const { return entries_.empty() ? 0 : mask_ + 1; }
+
+  /// Slots holding at least one row.
+  size_t occupied_slots() const {
+    size_t occupied = 0;
+    for (size_t s = 0; s < num_slots(); ++s) {
+      occupied += offsets_[s + 1] != offsets_[s];
+    }
+    return occupied;
+  }
+
  private:
   std::vector<uint32_t> offsets_;  // slot -> first entry; slots + 1 long
-  std::vector<Entry> entries_;     // grouped by slot, insertion order
+  std::vector<Entry> entries_;     // grouped by slot
   uint64_t mask_ = 0;
 };
 
-/// The probe step every build-side executor shares: for probe record `y`,
-/// invokes `fn(row, overlap)` for each area row x that joins it, in
-/// FlatIndex order. The filters run cheapest first — full key hash,
-/// interval overlap, the de-duplication rule (the overlap must end in
-/// `dedup`, when given), the temporal predicate — on the index columns;
-/// only rows that pass all four read record bytes, for the key check.
-template <typename Fn>
-void ForEachFlatMatch(const BuildArea& area, const FlatIndex& index,
+/// The probe step every build-side executor shares: for probe record `y`
+/// with key hash `y_hash` and interval `y_iv`, invokes `fn(row, overlap)`
+/// for each build row x that joins it, in FlatIndex order. `build`
+/// provides view(row) and key_attrs(). The filters run cheapest first —
+/// full key hash, interval overlap, the de-duplication rule (the overlap
+/// must end in `dedup`, when given), the temporal predicate — on the index
+/// columns; only rows that pass all four read record bytes, for the key
+/// check. The predicate is tested as predicate(x, y): build row first.
+template <typename Rows, typename Fn>
+void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
+                      const TupleView& y, uint64_t y_hash,
+                      const Interval& y_iv,
+                      const std::vector<size_t>& probe_keys,
+                      const TemporalPredicate& predicate,
+                      const Interval* dedup, Fn&& fn) {
+  index.ForEachCandidate(y_hash, [&](const FlatIndex::Entry& e) {
+    const Chronon lo = std::max(e.start, y_iv.start());
+    const Chronon hi = std::min(e.end, y_iv.end());
+    if (lo > hi) return;
+    if (dedup != nullptr && !dedup->Contains(hi)) return;
+    if (!PredicateAdmitsOverlapping(predicate, Interval(e.start, e.end),
+                                    y_iv)) {
+      return;
+    }
+    if (!y.EqualOnAttrs(probe_keys, build.key_attrs(), build.view(e.row))) {
+      return;
+    }
+    fn(static_cast<size_t>(e.row), Interval(lo, hi));
+  });
+}
+
+/// Same, hashing `y`'s key and reading its interval from the record.
+template <typename Rows, typename Fn>
+void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
                       const TupleView& y,
                       const std::vector<size_t>& probe_keys,
                       const TemporalPredicate& predicate,
                       const Interval* dedup, Fn&& fn) {
-  const Interval y_iv = y.interval();
-  index.ForEachCandidate(
-      y.HashAttrs(probe_keys), [&](const FlatIndex::Entry& e) {
-        const Chronon lo = std::max(e.start, y_iv.start());
-        const Chronon hi = std::min(e.end, y_iv.end());
-        if (lo > hi) return;
-        if (dedup != nullptr && !dedup->Contains(hi)) return;
-        if (!PredicateAdmitsOverlapping(predicate, Interval(e.start, e.end),
-                                        y_iv)) {
-          return;
-        }
-        if (!y.EqualOnAttrs(probe_keys, area.key_attrs(), area.view(e.row))) {
-          return;
-        }
-        fn(static_cast<size_t>(e.row), Interval(lo, hi));
-      });
+  ForEachFlatMatch(build, index, y, y.HashAttrs(probe_keys), y.interval(),
+                   probe_keys, predicate, dedup, std::forward<Fn>(fn));
 }
 
 }  // namespace tempo

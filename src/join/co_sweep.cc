@@ -65,11 +65,11 @@ class SortedStream {
       return Status::OK();
     }
     for (; next_page_ < end; ++next_page_) {
-      pages_.emplace_back();
-      TEMPO_RETURN_IF_ERROR(rel_->ReadPage(next_page_, &pages_.back()));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, rel_->PinPage(next_page_));
+      pages_.push_back(std::move(page));
     }
     for (uint32_t i = 0; i < pages_.size(); ++i) {
-      const Page& page = pages_[i];
+      const Page& page = *pages_[i];
       for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
         std::string_view rec = page.GetRecord(slot);
         TEMPO_ASSIGN_OR_RETURN(
@@ -86,7 +86,7 @@ class SortedStream {
   uint32_t chunk_pages_;
   uint32_t next_page_ = 0;
   bool exhausted_ = false;
-  std::vector<Page> pages_;  // never reallocates: reserved to chunk size
+  std::vector<PagePin> pages_;  // the current chunk
   std::vector<TupleView> views_;
   std::vector<uint32_t> view_pages_;
   size_t pos_ = 0;
@@ -308,7 +308,7 @@ class RetentionBudget {
     if (retained_.count(seq) != 0) return Status::OK();
     const uint64_t key = (static_cast<uint64_t>(rel->file_id()) << 32) | page;
     if (!backed_up_pages_.insert(key).second) return Status::OK();
-    TEMPO_RETURN_IF_ERROR(rel->ReadPage(page, &scratch_));
+    TEMPO_RETURN_IF_ERROR(rel->PinPage(page).status());
     ++backup_page_reads_;
     return Status::OK();
   }
@@ -337,7 +337,6 @@ class RetentionBudget {
   std::unordered_map<uint64_t, size_t> retained_;  // seq -> record bytes
   std::vector<Entry> by_ve_desc_;  // max-heap on VeLess: eviction victims
   std::unordered_set<uint64_t> backed_up_pages_;
-  Page scratch_;
   uint64_t backup_page_reads_ = 0;
 };
 

@@ -30,11 +30,9 @@ struct ViewChunk {
   Status Load(StoredRelation* input, uint32_t first_page, uint32_t end_page) {
     Clear();
     for (uint32_t p = first_page; p < end_page; ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(input->ReadPage(p, &page));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, input->PinPage(p));
       TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePageViews(input->schema(), page, &arena)
-              .status());
+          arena.AddPage(input->schema(), std::move(page)).status());
     }
     views = arena.views();
     return Status::OK();
@@ -73,10 +71,9 @@ class RunReader {
     uint32_t end = next_page_ + buffer_pages_;
     if (end > run_->num_pages()) end = run_->num_pages();
     for (; next_page_ < end; ++next_page_) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(run_->ReadPage(next_page_, &page));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, run_->PinPage(next_page_));
       TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePage(run_->schema(), page, &buffered_));
+          StoredRelation::DecodePage(run_->schema(), *page, &buffered_));
     }
     return Status::OK();
   }

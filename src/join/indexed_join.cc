@@ -55,10 +55,9 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   const uint32_t r_pages = sorted.r.relation->num_pages();
   const uint32_t s_pages = sorted.s.relation->num_pages();
   for (uint32_t rp = 0; rp < r_pages; ++rp) {
-    Page r_page;
-    TEMPO_RETURN_IF_ERROR(sorted.r.relation->ReadPage(rp, &r_page));
+    TEMPO_ASSIGN_OR_RETURN(PagePin r_page, sorted.r.relation->PinPage(rp));
     outer.Clear();
-    TEMPO_RETURN_IF_ERROR(outer.AddPage(r_page));
+    TEMPO_RETURN_IF_ERROR(outer.AddPage(*r_page));
     if (outer.empty()) continue;
     probe.Build(outer, 0, outer.size());
     // The inner range this outer page can match: tuples with

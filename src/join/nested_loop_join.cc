@@ -32,9 +32,8 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
     // Load the outer block (1 random + (k-1) sequential reads).
     block.Clear();
     for (uint32_t p = block_start; p < block_end; ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(r->ReadPage(p, &page));
-      TEMPO_RETURN_IF_ERROR(block.AddPage(page));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, r->PinPage(p));
+      TEMPO_RETURN_IF_ERROR(block.AddPage(*page));
     }
     index.Build(block, 0, block.size());
 
@@ -42,10 +41,9 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
     // record in place off the page; results are assembled from the two
     // records' bytes.
     for (uint32_t p = 0; p < pages_s; ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(s->ReadPage(p, &page));
-      for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-        std::string_view rec = page.GetRecord(slot);
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, s->PinPage(p));
+      for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
+        std::string_view rec = page->GetRecord(slot);
         TEMPO_ASSIGN_OR_RETURN(
             TupleView y, TupleView::Make(s_layout, rec.data(), rec.size()));
         ++views_probed;

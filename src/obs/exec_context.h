@@ -146,13 +146,6 @@ inline TraceSpan SpanUnderIf(ExecContext* ctx, const TraceSpan& parent,
   return ctx->SpanUnder(parent, phase, std::move(label));
 }
 
-/// Null-safe scheduler accessor: the serial fallback (null) when no
-/// context was passed. Pair with SchedulerPool() from
-/// parallel/scheduler.h to get the pool.
-inline Scheduler* SchedulerOf(ExecContext* ctx) {
-  return ctx == nullptr ? nullptr : ctx->scheduler();
-}
-
 /// Null-safe metric write helpers.
 inline void SetMetric(ExecContext* ctx, Metric m, double value) {
   if (ctx != nullptr) ctx->metrics().Set(m, value);
@@ -162,9 +155,6 @@ inline void AddMetric(ExecContext* ctx, Metric m, double delta) {
 }
 inline void RecordHistogram(ExecContext* ctx, Hist h, double value) {
   if (ctx != nullptr) ctx->metrics().Record(h, value);
-}
-inline void MergeHistogram(ExecContext* ctx, Hist h, const LogHistogram& src) {
-  if (ctx != nullptr) ctx->metrics().histogram(h).Merge(src);
 }
 
 }  // namespace tempo

@@ -81,16 +81,15 @@ namespace tempo {
   M(PlannedCost, "planned_cost", "cost", "RunJoin",                           \
     "Planner-estimated I/O cost of the chosen algorithm.")                    \
   M(RadixPasses, "radix_passes", "count", "in-memory-radix",                  \
-    "8-bit radix passes run over each side's columns (0 = single bucket; "    \
-    "fan-out is 256^passes).")                                                \
+    "Counting-sort passes that group s's columns by key-hash slot: 1, or 0 "  \
+    "when s is empty. r is streamed in input order, never grouped.")          \
   M(RadixFanout, "radix_fanout", "count", "in-memory-radix",                  \
-    "Total bucket fan-out of the multi-pass partitioning (256^passes).")      \
+    "Slots in s's key-hash grouping: the smallest power of two >= s's rows "  \
+    "(0 when s is empty).")                                                   \
   M(RadixBuckets, "radix_buckets", "count", "in-memory-radix",                \
-    "Aligned bucket pairs that were non-empty on both sides — the unit of "   \
-    "parallel build/probe work.")                                             \
+    "Slots of s's key-hash grouping that hold at least one row.")             \
   M(RadixRowsRouted, "radix_rows_routed", "tuples", "in-memory-radix",        \
-    "Column entries moved by the radix passes, summed over both sides and "   \
-    "all passes (each row moves once per pass).")                             \
+    "Column entries placed by the grouping: one per s row.")                  \
   M(RadixEstFootprintBytes, "radix_est_footprint_bytes", "bytes",             \
     "PlanVtJoin / in-memory-radix",                                           \
     "Planner-estimated in-memory footprint of the radix path: page bytes "    \
@@ -171,8 +170,8 @@ namespace tempo {
     "Simulated storage, so this measures copy + lock time, not seeks.")       \
   H(MorselDurationUs, "morsel_duration_us", "us", "parallel layer",           \
     "Wall-clock duration of each morsel body run on the scheduler's pool "    \
-    "(parallel regions only: the radix bucket probe, one bucket pair per "    \
-    "morsel); its skew shows uneven buckets.")                                \
+    "(parallel regions only; no executor phase runs on the pool, so join "    \
+    "runs record no sample).")                                                \
   H(CacheOccupancyTuples, "cache_occupancy_tuples", "tuples",                 \
     "JoinPartitions",                                                         \
     "Tuples resident in the backwards tuple cache at the end of each "        \

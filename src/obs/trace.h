@@ -47,8 +47,8 @@ enum class Phase : uint8_t {
   kViewDelete,       ///< incremental view maintenance, deletion
   kRadixJoin,        ///< in-memory columnar radix executor root
   kRadixExtract,     ///< page scan + column extraction of both inputs
-  kRadixPartition,   ///< multi-pass 8-bit radix partitioning
-  kRadixProbe,       ///< per-bucket build/probe plus ordered emission
+  kRadixPartition,   ///< grouping of s's rows by key-hash slot
+  kRadixProbe,       ///< ordered r-row probe plus inline emission
   kQuery,            ///< sequenced query root (src/query executor)
   kQuerySelect,      ///< sequenced selection over a materialized input
   kQueryProject,     ///< sequenced projection (change-preserving)

@@ -20,8 +20,8 @@ struct SchedulerConfig {
   /// ResolveSchedulerConfig).
   uint32_t num_threads = 1;
 
-  /// Unread: the one parallel phase left, the radix bucket probe, dispatches
-  /// one bucket pair per morsel. Kept because existing callers name it.
+  /// Unread: no executor phase dispatches morsels. Kept because existing
+  /// callers name it.
   uint32_t morsel_pages = 4;
 };
 
@@ -49,8 +49,8 @@ StatusOr<SchedulerConfig> ResolveSchedulerConfig(SchedulerConfig requested);
 /// whole lifetime; tests and benches create one on the stack around
 /// their runs).
 ///
-/// Its one executor user is the radix bucket probe (core/radix_join.cc);
-/// every paged phase runs on the query's thread in the paper's order.
+/// No executor phase runs on it: every phase runs on the query's thread
+/// in the paper's order, and the scheduler only carries the thread count.
 ///
 /// Determinism: the pool only ever runs CPU-side morsel bodies — all
 /// charged I/O stays on each query's coordinating thread in the paper's
@@ -88,12 +88,6 @@ class Scheduler {
   SchedulerConfig config_;
   std::unique_ptr<ThreadPool> pool_;
 };
-
-/// Null-safe view of a possibly-absent scheduler handle — the serial
-/// fallback when no ExecContext (or no scheduler on it) was supplied.
-inline ThreadPool* SchedulerPool(Scheduler* scheduler) {
-  return scheduler == nullptr ? nullptr : scheduler->pool();
-}
 
 }  // namespace tempo
 

@@ -80,11 +80,9 @@ class SequencedExecutor {
     PageTupleArena arena;
     const uint32_t pages = in.rel->num_pages();
     for (uint32_t p = 0; p < pages; ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(in.rel->ReadPage(p, &page));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, in.rel->PinPage(p));
       arena.Clear();
-      TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePageViews(schema, page, &arena).status());
+      TEMPO_RETURN_IF_ERROR(arena.AddPage(schema, std::move(page)).status());
       for (const TupleView& v : arena.views()) {
         if (!EvalAttrPredicate(node.predicate, v.ValueAt(*pos))) continue;
         TEMPO_RETURN_IF_ERROR(out.rel->AppendRecord(v.record()));
@@ -230,12 +228,10 @@ StatusOr<QueryResult> RunSequencedQuery(const QueryPlan& plan, Disk* disk,
     PageTupleArena arena;
     const uint32_t pages = m.rel->num_pages();
     for (uint32_t p = 0; p < pages; ++p) {
-      Page page;
-      TEMPO_RETURN_IF_ERROR(m.rel->ReadPage(p, &page));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, m.rel->PinPage(p));
       arena.Clear();
       TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePageViews(m.rel->schema(), page, &arena)
-              .status());
+          arena.AddPage(m.rel->schema(), std::move(page)).status());
       for (const TupleView& v : arena.views()) {
         TEMPO_RETURN_IF_ERROR(copy->AppendRecord(v.record()));
       }

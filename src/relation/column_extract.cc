@@ -1,10 +1,11 @@
 #include "relation/column_extract.h"
 
+#include <utility>
+
 namespace tempo {
 
-StatusOr<size_t> ColumnExtractor::AddPage(const Page& page) {
-  pages_.push_back(page);
-  const Page& pinned = pages_.back();
+StatusOr<size_t> ColumnExtractor::AddPage(PagePin page) {
+  const Page& pinned = *page;
   const RecordLayout& layout = schema_->layout();
   const size_t before = views_.size();
   for (uint16_t slot = 0; slot < pinned.num_records(); ++slot) {
@@ -15,16 +16,15 @@ StatusOr<size_t> ColumnExtractor::AddPage(const Page& page) {
       // consistent.
       views_.resize(before);
       cols_.Resize(before);
-      pages_.pop_back();
       return view.status();
     }
     const Interval iv = view->interval();
     cols_.key_hashes.push_back(view->HashAttrs(*key_attrs_));
     cols_.starts.push_back(iv.start());
     cols_.ends.push_back(iv.end());
-    cols_.rows.push_back(static_cast<uint32_t>(views_.size()));
     views_.push_back(*view);
   }
+  pages_.push_back(std::move(page));
   return views_.size() - before;
 }
 

@@ -2,7 +2,7 @@
 #define TEMPO_RELATION_COLUMN_EXTRACT_H_
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/statusor.h"
@@ -19,41 +19,41 @@ namespace tempo {
 ///
 /// `key_hashes` is TupleView::HashAttrs over the join attributes —
 /// bit-compatible with Tuple::HashAttrs, NULL == NULL included, and
-/// finish-mixed, so any bit window of it is usable as a radix digit.
-/// `starts`/`ends` are the record's valid-time interval, and `rows` the
-/// original row ordinal (identity after extraction; the radix passes
-/// permute all four arrays together).
+/// finish-mixed, so its low bits are usable as a hash-table slot.
+/// `starts`/`ends` are the record's valid-time interval.
 struct JoinColumns {
   std::vector<uint64_t> key_hashes;
   std::vector<Chronon> starts;
   std::vector<Chronon> ends;
-  std::vector<uint32_t> rows;
 
-  size_t num_rows() const { return rows.size(); }
+  size_t num_rows() const { return key_hashes.size(); }
 
   void Resize(size_t n) {
     key_hashes.resize(n);
     starts.resize(n);
     ends.resize(n);
-    rows.resize(n);
   }
 };
 
 /// Per-row footprint the extractor charges against the in-memory budget:
-/// the four column entries plus the pinned TupleView.
+/// the three column entries, a 4-byte row ordinal (the entry that places
+/// the row in the build side's hash grouping) and the pinned TupleView.
 inline constexpr uint64_t kColumnRowBytes =
     sizeof(uint64_t) + 2 * sizeof(Chronon) + sizeof(uint32_t) +
     sizeof(TupleView);
 
-/// Extracts join-key hash, valid-time interval and row-position columns
-/// from a stream of pages, pinning each page so the per-row TupleViews
-/// stay valid for the consuming join phase (the emit step re-reads record
-/// bytes through them).
+/// Extracts join-key hash and valid-time interval columns from a stream of
+/// pages, holding a pin on each page so the per-row TupleViews stay valid
+/// for the consuming join phase (the emit step re-reads record bytes
+/// through them).
 ///
-/// Pages are pinned in a deque — growth never moves existing elements —
-/// exactly like PageTupleArena, but extraction also fills the flat
-/// JoinColumns arrays in the same walk, so the radix partitioner never
-/// touches record bytes again until result emission.
+/// Pages are held as PagePins, exactly like PageTupleArena — the disk's
+/// stored bytes, not copies — but extraction also fills the flat
+/// JoinColumns arrays in the same walk, so the radix join filters on the
+/// columns and touches record bytes only to confirm a key and to emit.
+///
+/// The extractor is the row source FlatIndex::Build and ForEachFlatMatch
+/// read (key_hash/start/end/view/key_attrs per row), as BuildArea is.
 ///
 /// The schema passed to the constructor must outlive the extractor (its
 /// cached RecordLayout backs every view).
@@ -67,20 +67,30 @@ class ColumnExtractor {
   ColumnExtractor(const ColumnExtractor&) = delete;
   ColumnExtractor& operator=(const ColumnExtractor&) = delete;
 
-  /// Pins `page` and appends one column entry + view per record. Returns
+  /// Holds `page` and appends one column entry + view per record. Returns
   /// the number of records appended, or the first record-corruption error
   /// (the page is dropped again, leaving the extractor consistent).
   /// The arrays grow geometrically, so a whole extraction is amortised
   /// O(rows); reserving per page would reallocate every array each time.
-  StatusOr<size_t> AddPage(const Page& page);
+  StatusOr<size_t> AddPage(PagePin page);
 
-  /// The extracted columns; rows[i] == i until a partitioner permutes a
-  /// copy.
+  /// Same, for a page held by value: copies it into a new pin first.
+  StatusOr<size_t> AddPage(const Page& page) {
+    return AddPage(std::make_shared<const Page>(page));
+  }
+
+  /// The extracted columns, indexed by row ordinal.
   const JoinColumns& columns() const { return cols_; }
-  JoinColumns& columns() { return cols_; }
 
   /// Row ordinal -> validated view over the pinned record bytes.
   const std::vector<TupleView>& views() const { return views_; }
+
+  // Per-row access in the shape FlatIndex and ForEachFlatMatch read.
+  const TupleView& view(size_t row) const { return views_[row]; }
+  uint64_t key_hash(size_t row) const { return cols_.key_hashes[row]; }
+  Chronon start(size_t row) const { return cols_.starts[row]; }
+  Chronon end(size_t row) const { return cols_.ends[row]; }
+  const std::vector<size_t>& key_attrs() const { return *key_attrs_; }
 
   size_t num_rows() const { return views_.size(); }
   size_t num_pages() const { return pages_.size(); }
@@ -105,7 +115,7 @@ class ColumnExtractor {
  private:
   const Schema* schema_;
   const std::vector<size_t>* key_attrs_;
-  std::deque<Page> pages_;
+  std::vector<PagePin> pages_;
   std::vector<TupleView> views_;
   JoinColumns cols_;
 };

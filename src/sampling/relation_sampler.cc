@@ -22,8 +22,9 @@ StatusOr<uint64_t> RelationSampler::DrawRandom(uint64_t count) {
     if (scanned_) {
       drawn_.push_back(all_intervals_[ordinal]);
     } else {
-      TEMPO_ASSIGN_OR_RETURN(Tuple t, relation_->ReadTupleRandom(ordinal));
-      drawn_.push_back(t.interval());
+      TEMPO_ASSIGN_OR_RETURN(Interval iv,
+                             relation_->ReadIntervalRandom(ordinal));
+      drawn_.push_back(iv);
     }
   }
   return to_draw;
@@ -33,12 +34,18 @@ Status RelationSampler::SwitchToScan() {
   if (scanned_) return Status::OK();
   all_intervals_.clear();
   all_intervals_.reserve(population_);
-  auto scan = relation_->Scan();
-  Tuple t;
-  while (true) {
-    TEMPO_ASSIGN_OR_RETURN(bool more, scan.Next(&t));
-    if (!more) break;
-    all_intervals_.push_back(t.interval());
+  // The pages Scanner would read, in the same order, with the same record
+  // checks; only the interval is read off each record.
+  const RecordLayout& layout = relation_->schema().layout();
+  const uint32_t pages = relation_->num_pages();
+  for (uint32_t p = 0; p < pages; ++p) {
+    TEMPO_ASSIGN_OR_RETURN(PagePin page, relation_->PinPage(p));
+    for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
+      const std::string_view rec = page->GetRecord(slot);
+      TEMPO_ASSIGN_OR_RETURN(TupleView view,
+                             TupleView::Make(layout, rec.data(), rec.size()));
+      all_intervals_.push_back(view.interval());
+    }
   }
   TEMPO_CHECK(all_intervals_.size() == population_);
   scanned_ = true;

@@ -144,30 +144,25 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
 ///   - radix_extract: one sequential page scan of each input (all charged
 ///     I/O of the run: 1 random + (pages-1) sequential per input, the same
 ///     charge as two ReadAll scans), pinning pages and extracting
-///     join-key-hash / Vs / Ve / row-ordinal columns into flat arrays
+///     join-key-hash / Vs / Ve columns into flat arrays
 ///     (relation/column_extract.h). The budget (ResolveRadixBudgetBytes)
 ///     is enforced incrementally; exceeding it aborts with
 ///     kResourceExhausted before anything is emitted.
-///   - radix_partition: multi-pass LSD 8-bit counting sort of both sides'
-///     columns on the low hash bits, down to buckets of about 256 KiB of
-///     build-side column state (L2-resident). Both sides use the same pass
-///     count, so equal keys land in aligned buckets.
-///   - radix_probe: per aligned bucket pair, a dense 256-way position
-///     table on the next 8 hash bits over the smaller side, probed with
-///     the larger side under the interval-overlap quick test straight on
-///     the columns; survivors are verified on the record bytes. Bucket
-///     pairs fan out over the morsel ThreadPool.
+///   - radix_partition: one stable counting sort groups s's rows by the
+///     low bits of their key hash (a FlatIndex walked oldest first, so a
+///     slot's rows stay in ascending s order).
+///   - radix_probe: r's rows stream in input order, each probing its slot
+///     with the shared cheap-first filters (ForEachFlatMatch: full hash,
+///     interval overlap, predicate, then key equality on the record
+///     bytes); every match is emitted at once.
 ///
-/// Match pairs are globally sorted by (r_row, s_row) before emission, so
-/// the output is the reference join's r-outer/s-inner order —
+/// Matches therefore come out in (r row, s row) order, the reference
+/// join's r-outer/s-inner order, with no buffer and no sort —
 /// byte-identical pages at any thread count, with identical charged
-/// IoStats.
+/// IoStats. Every phase runs on the calling thread.
 ///
 /// Metrics: kRadixPasses, kRadixFanout, kRadixBuckets, kRadixRowsRouted,
-/// kRadixEstFootprintBytes, kRadixActFootprintBytes, kRadixBudgetBytes;
-/// with a multi-threaded scheduler additionally kMorselsDispatched,
-/// kParallelEfficiency and one kMorselDurationUs sample per bucket pair.
-/// The bucket probe is the only executor phase that dispatches morsels.
+/// kRadixEstFootprintBytes, kRadixActFootprintBytes, kRadixBudgetBytes.
 StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
                                  StoredRelation* r, StoredRelation* s,
                                  StoredRelation* out,

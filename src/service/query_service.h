@@ -69,8 +69,7 @@ struct QueryProgress {
 
 /// One submitted join: a future over the join's result. Submit returns
 /// immediately; the query runs on its own coordinator thread (admission
-/// wait included), fanning CPU-bound morsels onto the service's shared
-/// work-stealing pool.
+/// wait included), every phase of it serially on that thread.
 ///
 /// The handle owns the output relation and the final stats. Wait() blocks
 /// until the query finishes; Cancel() aborts a query still waiting in the

@@ -109,14 +109,15 @@ Status Disk::CheckFault() {
   return Status::OK();
 }
 
-Status Disk::ReadPage(FileId id, uint32_t page_no, Page* out) {
+StatusOr<PagePin> Disk::PinPage(FileId id, uint32_t page_no) {
   // Latency capture at the Disk/IoAccountant boundary: only when an
   // ExecContext installed a sink. The timed window includes lock wait, so
-  // contention between the parallel coordinators shows up in the tail.
+  // contention between concurrent queries shows up in the tail.
   IoAccountant& acct = accountant();
   LogHistogram* latency = acct.latency_sink();
   std::chrono::steady_clock::time_point t0;
   if (latency != nullptr) t0 = std::chrono::steady_clock::now();
+  PagePin pin;
   {
     std::lock_guard<std::mutex> lock(mu_);
     TEMPO_ASSIGN_OR_RETURN(File * f, Find(id));
@@ -126,17 +127,24 @@ Status Disk::ReadPage(FileId id, uint32_t page_no, Page* out) {
     }
     TEMPO_RETURN_IF_ERROR(CheckFault());
     acct.RecordRead(id, page_no, f->charged);
-    *out = *f->pages[page_no];
+    pin = f->pages[page_no];
   }
   if (latency != nullptr) {
     latency->Record(std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - t0)
                         .count());
   }
+  return pin;
+}
+
+Status Disk::ReadPage(FileId id, uint32_t page_no, Page* out) {
+  TEMPO_ASSIGN_OR_RETURN(PagePin pin, PinPage(id, page_no));
+  *out = *pin;
   return Status::OK();
 }
 
 Status Disk::WritePage(FileId id, uint32_t page_no, const Page& page) {
+  auto copy = std::make_shared<const Page>(page);
   std::lock_guard<std::mutex> lock(mu_);
   TEMPO_ASSIGN_OR_RETURN(File * f, Find(id));
   if (page_no >= f->pages.size()) {
@@ -145,17 +153,23 @@ Status Disk::WritePage(FileId id, uint32_t page_no, const Page& page) {
   }
   TEMPO_RETURN_IF_ERROR(CheckFault());
   accountant().RecordWrite(id, page_no, f->charged);
-  *f->pages[page_no] = page;
+  f->pages[page_no] = std::move(copy);
   return Status::OK();
 }
 
 StatusOr<uint32_t> Disk::AppendPage(FileId id, const Page& page) {
+  auto copy = std::make_shared<Page>(page);
+  return AppendPage(id, &copy);
+}
+
+StatusOr<uint32_t> Disk::AppendPage(FileId id, std::shared_ptr<Page>* page) {
+  TEMPO_DCHECK(page != nullptr && page->use_count() == 1);
   std::lock_guard<std::mutex> lock(mu_);
   TEMPO_ASSIGN_OR_RETURN(File * f, Find(id));
   TEMPO_RETURN_IF_ERROR(CheckFault());
   uint32_t page_no = static_cast<uint32_t>(f->pages.size());
   accountant().RecordWrite(id, page_no, f->charged);
-  f->pages.push_back(std::make_unique<Page>(page));
+  f->pages.push_back(std::move(*page));
   return page_no;
 }
 

@@ -34,10 +34,12 @@ using FileId = uint64_t;
 /// writing the result relation is omitted since this cost is incurred by
 /// all evaluation algorithms" (Appendix A.2).
 ///
-/// All operations are internally synchronized: the parallel executors
-/// issue traffic from a coordinator per input stream and from sort
-/// workers, each touching disjoint files. Page contents are copied in and
-/// out under the lock, so callers never observe torn pages.
+/// All operations are internally synchronized, so concurrent queries may
+/// share one Disk. A stored page is immutable once on the disk: readers pin
+/// it (PinPage) and share its bytes without copying them, and writes are
+/// copy-on-write — WritePage installs a fresh page and Truncate/DeleteFile
+/// drop the disk's reference — so a held pin never sees a torn or changed
+/// page, and its bytes live until the last pin is released.
 class Disk {
  public:
   Disk() = default;
@@ -67,14 +69,29 @@ class Disk {
 
   const std::string& FileName(FileId id) const;
 
-  /// Reads page `page_no` into `*out`. OutOfRange if past EOF.
+  /// Pins page `page_no`: the one accounted read path. Charges one read
+  /// exactly as ReadPage does and shares the stored bytes instead of
+  /// copying them. OutOfRange if past EOF.
+  StatusOr<PagePin> PinPage(FileId id, uint32_t page_no);
+
+  /// Reads page `page_no` into `*out`: PinPage plus one copy. OutOfRange
+  /// if past EOF.
   Status ReadPage(FileId id, uint32_t page_no, Page* out);
 
-  /// Overwrites an existing page.
+  /// Overwrites an existing page. Copy-on-write: the file gets a fresh
+  /// copy of `page`, and pins of the old page keep reading the old bytes.
   Status WritePage(FileId id, uint32_t page_no, const Page& page);
 
-  /// Appends a page; returns its page number.
+  /// Appends a copy of `page`; returns its page number.
   StatusOr<uint32_t> AppendPage(FileId id, const Page& page);
+
+  /// Appends `*page` without copying it. The caller must hold the only
+  /// reference: on success the disk takes it and `*page` is left null, so
+  /// nothing can write the stored page; on failure `*page` is untouched,
+  /// so the caller still holds its contents. (A shared_ptr rather than a
+  /// unique_ptr so the page and its reference count share one
+  /// allocation.)
+  StatusOr<uint32_t> AppendPage(FileId id, std::shared_ptr<Page>* page);
 
   /// The accountant charged by page traffic *from the calling thread*: the
   /// innermost ScopedAccountantBinding installed on this thread for this
@@ -114,7 +131,7 @@ class Disk {
   struct File {
     std::string name;
     bool charged = true;
-    std::vector<std::unique_ptr<Page>> pages;
+    std::vector<PagePin> pages;
   };
 
   StatusOr<File*> Find(FileId id);

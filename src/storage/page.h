@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -25,8 +26,9 @@ inline constexpr size_t kPageSize = 4096;
 ///   [4,..) slot array: per record {uint16 offset, uint16 length}
 ///
 /// Records are appended from the back; slots grow from the front. Pages are
-/// value types — copying one is a memcpy — which is what the simulated disk
-/// does on reads and writes.
+/// value types — copying one is a memcpy. The simulated disk keeps each
+/// stored page behind a PagePin, so readers that pin a page share its bytes
+/// instead of copying them.
 class Page {
  public:
   using SlotId = uint16_t;
@@ -108,6 +110,13 @@ class Page {
 
   char data_[kPageSize];
 };
+
+/// A shared, read-only reference to a page as the disk stored it. A pin
+/// keeps those bytes alive and unchanged for as long as it is held: the
+/// disk never writes a page in place (see Disk::WritePage), so a later
+/// write, truncate or delete only replaces or drops the disk's own
+/// reference.
+using PagePin = std::shared_ptr<const Page>;
 
 /// Largest record AddRecord can ever accept on an empty page.
 inline constexpr size_t kMaxRecordSize = kPageSize - 4 /*header*/ - 4 /*slot*/;

@@ -1,11 +1,11 @@
 #include "storage/page_arena.h"
 
+#include <utility>
+
 namespace tempo {
 
-StatusOr<size_t> PageTupleArena::AddPage(const Schema& schema,
-                                         const Page& page) {
-  pages_.push_back(page);
-  const Page& pinned = pages_.back();
+StatusOr<size_t> PageTupleArena::AddPage(const Schema& schema, PagePin page) {
+  const Page& pinned = *page;
   const RecordLayout& layout = schema.layout();
   const size_t before = views_.size();
   for (uint16_t slot = 0; slot < pinned.num_records(); ++slot) {
@@ -14,11 +14,11 @@ StatusOr<size_t> PageTupleArena::AddPage(const Schema& schema,
     if (!view.ok()) {
       // Drop the partially decoded page so the arena stays consistent.
       views_.resize(before);
-      pages_.pop_back();
       return view.status();
     }
     views_.push_back(*view);
   }
+  pages_.push_back(std::move(page));
   return views_.size() - before;
 }
 

@@ -1,7 +1,6 @@
 #ifndef TEMPO_STORAGE_PAGE_ARENA_H_
 #define TEMPO_STORAGE_PAGE_ARENA_H_
 
-#include <deque>
 #include <vector>
 
 #include "common/statusor.h"
@@ -11,16 +10,17 @@
 
 namespace tempo {
 
-/// Pins decoded page bytes so TupleViews over them stay valid for the
-/// lifetime of a processing phase (one morsel, one partition pass, one
-/// probed page).
+/// Holds pinned pages so TupleViews over them stay valid for the lifetime
+/// of a processing phase (one morsel, one partition pass, one probed
+/// page).
 ///
-/// AddPage copies the page into a deque — deque growth never moves
-/// existing elements, so views handed out earlier keep pointing at live
-/// bytes — and appends one validated TupleView per record to views().
-/// Clear() drops everything at a phase boundary; reusing one arena per
-/// worker across pages keeps the capacity of views() warm the same way
-/// the owning DecodePageAppend arena does.
+/// AddPage keeps a PagePin — the disk's own stored bytes, which no later
+/// write changes (Disk::WritePage is copy-on-write) — and appends one
+/// validated TupleView per record to views(). Nothing is copied; a page
+/// held only as a Page is copied once into a new pin. Clear() drops
+/// everything at a phase boundary; reusing one arena per worker across
+/// pages keeps the capacity of views() warm the same way the owning
+/// DecodePageAppend arena does.
 ///
 /// The arena borrows the RecordLayout cached on the Schema passed to
 /// AddPage; that Schema (or a copy sharing its layout) must outlive the
@@ -31,10 +31,15 @@ class PageTupleArena {
   PageTupleArena(const PageTupleArena&) = delete;
   PageTupleArena& operator=(const PageTupleArena&) = delete;
 
-  /// Copies `page` into the arena and appends one view per record.
-  /// Returns the number of views appended, or the first record-corruption
-  /// error.
-  StatusOr<size_t> AddPage(const Schema& schema, const Page& page);
+  /// Holds `page` and appends one view per record. Returns the number of
+  /// views appended, or the first record-corruption error (the page is
+  /// dropped again).
+  StatusOr<size_t> AddPage(const Schema& schema, PagePin page);
+
+  /// Same, for a page held by value: copies it into a new pin first.
+  StatusOr<size_t> AddPage(const Schema& schema, const Page& page) {
+    return AddPage(schema, std::make_shared<const Page>(page));
+  }
 
   /// Views over every record added since the last Clear(), in page order
   /// then slot order.
@@ -49,7 +54,7 @@ class PageTupleArena {
   }
 
  private:
-  std::deque<Page> pages_;
+  std::vector<PagePin> pages_;
   std::vector<TupleView> views_;
 };
 

@@ -23,10 +23,10 @@ Status StoredRelation::Append(const Tuple& tuple) {
     return Status::InvalidArgument("tuple record exceeds page capacity (" +
                                    std::to_string(record.size()) + " bytes)");
   }
-  if (!append_buffer_.Fits(record.size())) {
+  if (!append_buffer_->Fits(record.size())) {
     TEMPO_RETURN_IF_ERROR(Flush());
   }
-  auto slot = append_buffer_.AddRecord(record);
+  auto slot = append_buffer_->AddRecord(record);
   TEMPO_CHECK(slot.has_value());
   ++append_buffer_count_;
   ++num_tuples_;
@@ -38,10 +38,10 @@ Status StoredRelation::AppendRecord(std::string_view record) {
     return Status::InvalidArgument("record exceeds page capacity (" +
                                    std::to_string(record.size()) + " bytes)");
   }
-  if (!append_buffer_.Fits(record.size())) {
+  if (!append_buffer_->Fits(record.size())) {
     TEMPO_RETURN_IF_ERROR(Flush());
   }
-  auto slot = append_buffer_.AddRecord(record);
+  auto slot = append_buffer_->AddRecord(record);
   TEMPO_CHECK(slot.has_value());
   ++append_buffer_count_;
   ++num_tuples_;
@@ -57,18 +57,18 @@ Status StoredRelation::AppendAll(const std::vector<Tuple>& tuples) {
 
 Status StoredRelation::Flush() {
   if (append_buffer_count_ == 0) return Status::OK();
-  TEMPO_ASSIGN_OR_RETURN(uint32_t page_no,
-                         disk_->AppendPage(file_, append_buffer_));
-  (void)page_no;
+  // The full page goes to the disk as is; on failure it stays here, so a
+  // retried Flush writes the same records.
+  TEMPO_RETURN_IF_ERROR(disk_->AppendPage(file_, &append_buffer_).status());
   cum_tuples_.push_back(cum_tuples_.back() + append_buffer_count_);
-  append_buffer_.Reset();
+  append_buffer_ = std::make_shared<Page>();
   append_buffer_count_ = 0;
   return Status::OK();
 }
 
 Status StoredRelation::Clear() {
   TEMPO_RETURN_IF_ERROR(disk_->Truncate(file_));
-  append_buffer_.Reset();
+  append_buffer_->Reset();
   append_buffer_count_ = 0;
   num_tuples_ = 0;
   cum_tuples_.assign(1, 0);
@@ -105,11 +105,10 @@ StatusOr<size_t> StoredRelation::DecodePageViews(const Schema& schema,
 }
 
 StatusOr<std::vector<Tuple>> StoredRelation::ReadPageTuples(uint32_t page_no) {
-  Page page;
-  TEMPO_RETURN_IF_ERROR(ReadPage(page_no, &page));
+  TEMPO_ASSIGN_OR_RETURN(PagePin page, PinPage(page_no));
   std::vector<Tuple> out;
-  out.reserve(page.num_records());
-  TEMPO_RETURN_IF_ERROR(DecodePage(schema_, page, &out));
+  out.reserve(page->num_records());
+  TEMPO_RETURN_IF_ERROR(DecodePage(schema_, *page, &out));
   return out;
 }
 
@@ -127,17 +126,32 @@ uint32_t StoredRelation::PageOfTuple(uint64_t tuple_index) const {
   return static_cast<uint32_t>((it - cum_tuples_.begin()) - 1);
 }
 
-StatusOr<Tuple> StoredRelation::ReadTupleRandom(uint64_t tuple_index) {
+StatusOr<PagePin> StoredRelation::PinTupleRecord(uint64_t tuple_index,
+                                                 std::string_view* record) {
   if (tuple_index >= cum_tuples_.back()) {
     return Status::OutOfRange("tuple index " + std::to_string(tuple_index) +
                               " not flushed to disk");
   }
   uint32_t page_no = PageOfTuple(tuple_index);
-  Page page;
-  TEMPO_RETURN_IF_ERROR(ReadPage(page_no, &page));
+  TEMPO_ASSIGN_OR_RETURN(PagePin page, PinPage(page_no));
   uint16_t slot = static_cast<uint16_t>(tuple_index - cum_tuples_[page_no]);
-  std::string_view rec = page.GetRecord(slot);
+  *record = page->GetRecord(slot);
+  return page;
+}
+
+StatusOr<Tuple> StoredRelation::ReadTupleRandom(uint64_t tuple_index) {
+  std::string_view rec;
+  TEMPO_ASSIGN_OR_RETURN(PagePin page, PinTupleRecord(tuple_index, &rec));
   return Tuple::Deserialize(schema_, rec.data(), rec.size());
+}
+
+StatusOr<Interval> StoredRelation::ReadIntervalRandom(uint64_t tuple_index) {
+  std::string_view rec;
+  TEMPO_ASSIGN_OR_RETURN(PagePin page, PinTupleRecord(tuple_index, &rec));
+  TEMPO_ASSIGN_OR_RETURN(
+      TupleView view,
+      TupleView::Make(schema_.layout(), rec.data(), rec.size()));
+  return view.interval();
 }
 
 StatusOr<bool> StoredRelation::Scanner::Next(Tuple* out) {
@@ -145,10 +159,8 @@ StatusOr<bool> StoredRelation::Scanner::Next(Tuple* out) {
     if (!page_loaded_) {
       if (page_no_ >= rel_->num_pages()) return false;
       current_.clear();
-      Page page;
-      TEMPO_RETURN_IF_ERROR(rel_->ReadPage(page_no_, &page));
-      TEMPO_RETURN_IF_ERROR(
-          DecodePage(rel_->schema(), page, &current_));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, rel_->PinPage(page_no_));
+      TEMPO_RETURN_IF_ERROR(DecodePage(rel_->schema(), *page, &current_));
       slot_ = 0;
       page_loaded_ = true;
     }

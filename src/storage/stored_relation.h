@@ -12,6 +12,7 @@
 #include "storage/disk.h"
 #include "storage/page.h"
 #include "storage/page_arena.h"
+#include "temporal/interval.h"
 
 namespace tempo {
 
@@ -71,7 +72,13 @@ class StoredRelation {
   /// Removes all tuples (disk file truncated, directory cleared).
   Status Clear();
 
-  /// Reads a page (charged I/O).
+  /// Pins a page (charged I/O; see Disk::PinPage): the page's stored
+  /// bytes, shared rather than copied.
+  StatusOr<PagePin> PinPage(uint32_t page_no) {
+    return disk_->PinPage(file_, page_no);
+  }
+
+  /// Reads a copy of a page (charged I/O, exactly as PinPage).
   Status ReadPage(uint32_t page_no, Page* out);
 
   /// Reads a page and decodes all its tuples (charged I/O).
@@ -90,10 +97,11 @@ class StoredRelation {
                                            const Page& page,
                                            std::vector<Tuple>* arena);
 
-  /// Zero-copy variant: pins `page` in `*arena` (see PageTupleArena) and
+  /// View variant: copies `page` into `*arena` (see PageTupleArena) and
   /// appends one validated TupleView per record instead of materializing
   /// owning Tuples. Returns the number of views appended. The views stay
-  /// valid until the arena is cleared.
+  /// valid until the arena is cleared. A pinned page goes to
+  /// PageTupleArena::AddPage directly, without the copy.
   static StatusOr<size_t> DecodePageViews(const Schema& schema,
                                           const Page& page,
                                           PageTupleArena* arena);
@@ -106,8 +114,14 @@ class StoredRelation {
   uint32_t PageOfTuple(uint64_t tuple_index) const;
 
   /// Reads the tuple with ordinal `tuple_index` by fetching its page —
-  /// the random-access path used by sampling.
+  /// one random page read. OutOfRange if the tuple is not flushed.
   StatusOr<Tuple> ReadTupleRandom(uint64_t tuple_index);
+
+  /// The valid-time interval of tuple `tuple_index`: the same page read
+  /// and record checks as ReadTupleRandom, read off the pinned record
+  /// without decoding an owning Tuple — the random-access path sampling
+  /// uses.
+  StatusOr<Interval> ReadIntervalRandom(uint64_t tuple_index);
 
   /// Sequential full-scan cursor. Reads pages in order (1 random +
   /// (n-1) sequential I/Os if uninterrupted).
@@ -134,12 +148,19 @@ class StoredRelation {
   StatusOr<std::vector<Tuple>> ReadAll();
 
  private:
+  /// Pins the page holding flushed tuple `tuple_index` and returns the
+  /// tuple's record bytes in `*record` (valid while the pin is held).
+  StatusOr<PagePin> PinTupleRecord(uint64_t tuple_index,
+                                   std::string_view* record);
+
   Disk* disk_;
   Schema schema_;
   std::string name_;
   FileId file_;
 
-  Page append_buffer_;
+  // The page being filled, never shared; Flush hands it to the disk and
+  // starts a new one.
+  std::shared_ptr<Page> append_buffer_ = std::make_shared<Page>();
   uint32_t append_buffer_count_ = 0;
 
   uint64_t num_tuples_ = 0;

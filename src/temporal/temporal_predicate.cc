@@ -32,6 +32,15 @@ std::string TemporalPredicate::Name() const {
   return out;
 }
 
+TemporalPredicate TemporalPredicate::Converse() const {
+  uint16_t mask = 0;
+  for (int i = 0; i <= static_cast<int>(AllenRelation::kAfter); ++i) {
+    const AllenRelation r = static_cast<AllenRelation>(i);
+    if (Test(r)) mask |= Bit(InvertAllen(r));
+  }
+  return TemporalPredicate(mask);
+}
+
 std::optional<TemporalPredicate> TemporalPredicate::Parse(
     std::string_view name) {
   for (const NamedMask& nm : kNamedMasks) {

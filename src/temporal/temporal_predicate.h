@@ -100,6 +100,10 @@ class TemporalPredicate {
 
   constexpr bool IsOverlapDefault() const { return mask_ == kOverlapMask; }
 
+  /// The predicate with its operands swapped: Converse().Matches(y, x) ==
+  /// Matches(x, y). The overlap default is its own converse.
+  TemporalPredicate Converse() const;
+
   /// Every relation in the set implies a shared chronon (set ⊆ the nine
   /// overlap relations). Such predicates can be served by any executor.
   constexpr bool ImpliesSharedChronon() const {

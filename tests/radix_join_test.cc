@@ -1,7 +1,8 @@
 // Tests for the in-memory columnar radix fast path: byte-identical output
 // pages and identical charged IoStats vs the reference join at every
-// thread count, skewed-key bucket overflow, degenerate inputs, the
-// budget-driven fallback, and the TEMPO_RADIX_THRESHOLD_MB knob; plus the
+// thread count, one hash shared by many rows, NULL keys, long-lived rows
+// and non-default predicates, degenerate inputs, the budget-driven
+// fallback, and the TEMPO_RADIX_THRESHOLD_MB knob; plus the
 // ColumnExtractor that feeds it (amortised growth, corrupt-page rollback).
 
 #include <cmath>
@@ -129,11 +130,10 @@ TEST(RadixJoinTest, ByteIdenticalAndIoIdenticalToReferenceAcrossThreads) {
 }
 
 TEST(RadixJoinTest, SkewedKeysOverflowOneBucket) {
-  // Every tuple carries the same key: all rows land in one radix bucket no
-  // matter how many passes run, far past the per-bucket target — the probe
-  // must stay correct (and byte-identical) on the overflowing bucket. Each
-  // side has just over 256 KiB (the executor's bucket target) of column
-  // state, which forces at least one radix pass.
+  // Every tuple carries the same key: all s rows land in one slot of the
+  // grouping (one occupied bucket), and every r row walks all of them —
+  // the probe must stay correct (and byte-identical) on that one long
+  // slot. Each side has just over 256 KiB of column state.
   const int rows = static_cast<int>((256 * 1024) / kColumnRowBytes) + 1;
   Disk disk;
   Random rng(13);
@@ -245,6 +245,91 @@ TEST(RadixJoinTest, AllNullKeysJoinUnderNullEqualsNull) {
   run.output_tuples = stats.output_tuples;
   CapturePages(&out, &run);
   ExpectSameRun(reference, run, "all-null keys");
+}
+
+/// Rows that stress the ordered pass: half share key 7 (one hash, so one
+/// slot of the grouping holds them all), a quarter carry a NULL key, the
+/// rest spread over 40 keys; every fifth row is long-lived (it spans
+/// almost the whole lifespan), the others last at most 50 chronons.
+std::vector<Tuple> StressTuples(Random& rng, int n, const std::string& tag) {
+  std::vector<Tuple> out;
+  for (int i = 0; i < n; ++i) {
+    const int64_t pick = rng.UniformRange(0, 3);
+    Value key = pick <= 1 ? Value(int64_t{7})
+                : pick == 2 ? Value::Null()
+                            : Value(rng.UniformRange(0, 39));
+    Chronon vs, ve;
+    if (i % 5 == 0) {
+      vs = rng.UniformRange(0, 100);
+      ve = 10000 - rng.UniformRange(0, 100);
+    } else {
+      vs = rng.UniformRange(0, 10000);
+      ve = vs + rng.UniformRange(0, 50);
+    }
+    out.push_back(Tuple({std::move(key), Value(tag + std::to_string(i))},
+                        Interval(vs, ve)));
+  }
+  return out;
+}
+
+TEST(RadixJoinTest, OrderedPassMatchesReferenceOnSharedHashNullKeysLongLived) {
+  // The ordered pass emits r rows in input order and each one's s matches
+  // in ascending s order, with no sort: its pages must equal the oracle's
+  // byte for byte at 1 and 4 threads, under the default predicate and
+  // under asymmetric shared-chronon predicates (tested on (s, r) through
+  // the converse, so a wrong operand order would show).
+  Disk disk;
+  Random rng(23);
+  auto r = MakeRelation(&disk, TestSchema(), StressTuples(rng, 600, "r"), "r");
+  auto s = MakeRelation(&disk, SSchema(), StressTuples(rng, 500, "s"), "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+  for (const TemporalPredicate& predicate :
+       {TemporalPredicate::Overlap(), TemporalPredicate::ContainJoin(),
+        TemporalPredicate::ContainedJoin(),
+        TemporalPredicate::Exactly(AllenRelation::kOverlaps)}) {
+    ExecRun reference;
+    disk.accountant().Reset();
+    auto r_tuples = r->ReadAll();
+    auto s_tuples = s->ReadAll();
+    ASSERT_TRUE(r_tuples.ok() && s_tuples.ok());
+    reference.io = disk.accountant().stats();
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        std::vector<Tuple> expected,
+        ReferenceTemporalJoin(r->schema(), *r_tuples, s->schema(), *s_tuples,
+                              predicate));
+    reference.output_tuples = expected.size();
+    ASSERT_GT(reference.output_tuples, 0u) << predicate.Name();
+    StoredRelation ref_out(&disk, layout.output, "ref.out");
+    TEMPO_ASSERT_OK(ref_out.SetCharged(false));
+    TEMPO_ASSERT_OK(ref_out.AppendAll(expected));
+    CapturePages(&ref_out, &reference);
+
+    for (uint32_t threads : {1u, 4u}) {
+      const std::string what =
+          predicate.Name() + " threads=" + std::to_string(threads);
+      StoredRelation out(&disk, layout.output, "radix.out");
+      TEMPO_ASSERT_OK(out.SetCharged(false));
+      disk.accountant().Reset();
+      JoinRequest req;
+      req.From(r.get(), s.get())
+          .Using(JoinExecutor::kInMemoryRadix)
+          .Predicate(predicate)
+          .BufferPages(4096);
+      Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
+      ExecContext ctx;
+      ctx.SetScheduler(&scheduler);
+      TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
+      ExecRun run;
+      run.io = stats.io;
+      run.output_tuples = stats.output_tuples;
+      CapturePages(&out, &run);
+      ExpectSameRun(reference, run, what.c_str());
+      EXPECT_EQ(stats.Get(Metric::kRadixPasses), 1.0) << what;
+      EXPECT_EQ(stats.Get(Metric::kRadixRowsRouted), 500.0) << what;
+      EXPECT_FALSE(stats.Has(Metric::kMorselsDispatched)) << what;
+    }
+  }
 }
 
 TEST(RadixJoinTest, BudgetExceededMidExtractReturnsResourceExhausted) {
@@ -434,7 +519,7 @@ TEST(ColumnExtractorTest, CorruptRecordRollsBackThePage) {
   EXPECT_EQ(cols.key_hashes.size(), rows_before);
   EXPECT_EQ(cols.starts.size(), rows_before);
   EXPECT_EQ(cols.ends.size(), rows_before);
-  EXPECT_EQ(cols.rows.size(), rows_before);
+  EXPECT_EQ(cols.num_rows(), rows_before);
 
   // The next good page continues at row ordinal rows_before.
   const Page next = FullPage(5000);
@@ -444,7 +529,6 @@ TEST(ColumnExtractorTest, CorruptRecordRollsBackThePage) {
   for (size_t i = 0; i < n; ++i) {
     const size_t row = rows_before + i;
     const int64_t key = 5000 + static_cast<int64_t>(i);
-    EXPECT_EQ(cols.rows[row], row);
     EXPECT_EQ(cols.starts[row], key);
     EXPECT_EQ(cols.ends[row], key + 1);
     EXPECT_EQ(extractor.views()[row].Int64At(0), key);

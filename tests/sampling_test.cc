@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +141,69 @@ TEST_F(RelationSamplerTest, SamplesRoughlyUniformOverTime) {
   }
   EXPECT_GT(below, 100);
   EXPECT_LT(below, 200);
+}
+
+TEST_F(RelationSamplerTest, IntervalReadsMatchDecodedTuplesAndTheirIo) {
+  // ReadIntervalRandom, the sampler's random path, is ReadTupleRandom
+  // without the owning decode: the same interval from the same page read.
+  for (uint64_t idx : {uint64_t{0}, uint64_t{1}, uint64_t{299}, uint64_t{17},
+                       uint64_t{599}}) {
+    disk_.accountant().Reset();
+    TEMPO_ASSERT_OK_AND_ASSIGN(Tuple t, rel_->ReadTupleRandom(idx));
+    const IoStats tuple_io = disk_.accountant().stats();
+    disk_.accountant().Reset();
+    TEMPO_ASSERT_OK_AND_ASSIGN(Interval iv, rel_->ReadIntervalRandom(idx));
+    EXPECT_EQ(iv, t.interval()) << idx;
+    EXPECT_TRUE(disk_.accountant().stats() == tuple_io) << idx;
+  }
+  EXPECT_EQ(rel_->ReadIntervalRandom(600).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST_F(RelationSamplerTest, ScanChargesWhatAFullScanChargesAndSeesEveryTuple) {
+  Random rng(6);
+  RelationSampler sampler(rel_.get(), &rng);
+  TEMPO_ASSERT_OK(sampler.SwitchToScan());
+  const IoStats scan_io = disk_.accountant().stats();
+  disk_.accountant().Reset();
+  TEMPO_ASSERT_OK(rel_->ReadAll().status());
+  EXPECT_TRUE(scan_io == disk_.accountant().stats())
+      << scan_io.ToString() << " vs " << disk_.accountant().stats().ToString();
+
+  TEMPO_ASSERT_OK(sampler.DrawRandom(600).status());
+  std::set<Chronon> starts;
+  for (const Interval& iv : sampler.samples()) {
+    EXPECT_EQ(iv.end(), iv.start() + 5);
+    starts.insert(iv.start());
+  }
+  EXPECT_EQ(starts.size(), 600u);
+}
+
+TEST(RelationSamplerChecksTest, CorruptAndUnflushedRecordsFailTheDraw) {
+  Disk disk;
+  StoredRelation rel(&disk, TestSchema(), "r");
+  std::string record;
+  T(1, "x", 1, 2).SerializeTo(TestSchema(), &record);
+  const uint64_t late_start = 1000;  // start > end: invalid interval
+  std::memcpy(record.data(), &late_start, 8);
+  TEMPO_ASSERT_OK(rel.AppendRecord(record));
+  TEMPO_ASSERT_OK(rel.Flush());
+  Random rng(7);
+  {
+    RelationSampler sampler(&rel, &rng);
+    EXPECT_EQ(sampler.DrawRandom(1).status().code(), StatusCode::kCorruption);
+  }
+  {
+    RelationSampler sampler(&rel, &rng);
+    EXPECT_EQ(sampler.SwitchToScan().code(), StatusCode::kCorruption);
+  }
+
+  // A tuple still in the append buffer counts in the population but has
+  // no page to read.
+  StoredRelation pending(&disk, TestSchema(), "pending");
+  TEMPO_ASSERT_OK(pending.Append(T(1, "x", 1, 2)));
+  RelationSampler sampler(&pending, &rng);
+  EXPECT_EQ(sampler.DrawRandom(1).status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace
