@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "common/env.h"
@@ -14,7 +13,6 @@
 #include "obs/bench_report.h"
 #include "obs/explain.h"
 #include "obs/export.h"
-#include "parallel/scheduler.h"
 #include "service/join_request.h"
 #include "workload/generator.h"
 #include "workload/paper_params.h"
@@ -37,36 +35,6 @@ inline uint32_t EnvUint(const char* name, uint32_t fallback) {
 /// "we are concerned more with ratios of certain parameters as opposed to
 /// their absolute values"). 1 = the paper's full 32 MiB configuration.
 inline uint32_t BenchScale() { return EnvUint("TEMPO_BENCH_SCALE", 1); }
-
-/// The process-wide bench scheduler, resolved exactly once from
-/// TEMPO_BENCH_THREADS through ResolveSchedulerConfig (the strict env
-/// parser). Every bench join runs its CPU-bound morsels on this one
-/// work-stealing pool — there is no other thread knob, so per-bench
-/// thread requests and the env variable can no longer disagree silently.
-inline Scheduler* BenchScheduler() {
-  static std::unique_ptr<Scheduler> scheduler = [] {
-    SchedulerConfig config;
-    config.num_threads = 0;  // defer entirely to TEMPO_BENCH_THREADS
-    StatusOr<std::unique_ptr<Scheduler>> made = Scheduler::Create(config);
-    if (!made.ok()) {
-      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-      return std::unique_ptr<Scheduler>();  // serial fallback
-    }
-    return std::move(*made);
-  }();
-  return scheduler.get();
-}
-
-/// Worker threads for the executors' CPU-bound phases (the --threads knob,
-/// set via TEMPO_BENCH_THREADS). Defaults to 1, the paper-faithful serial
-/// mode. Any value is result- and IoStats-neutral — threading only shifts
-/// wall-clock — so every figure bench may be run at any thread count
-/// without perturbing the reproduced numbers. bench/micro_parallel is the
-/// wall-clock scaling study.
-inline uint32_t BenchThreads() {
-  Scheduler* scheduler = BenchScheduler();
-  return scheduler == nullptr ? 1 : scheduler->num_threads();
-}
 
 /// TEMPO_BENCH_TRACE=1 runs every RunJoin under an ExecContext and prints
 /// the EXPLAIN ANALYZE span tree after the join. Tracing never perturbs
@@ -92,7 +60,9 @@ class BenchOutput {
  public:
   explicit BenchOutput(const std::string& name) : report_(name) {
     report_.SetConfig("scale", static_cast<double>(BenchScale()));
-    report_.SetConfig("threads", static_cast<double>(BenchThreads()));
+    // Every join runs on one thread; the key stays so reports compare
+    // against baselines that carry it.
+    report_.SetConfig("threads", 1.0);
   }
 
   BenchReport& report() { return report_; }
@@ -185,11 +155,9 @@ inline StatusOr<JoinRunStats> RunJoin(JoinExecutor executor,
   TEMPO_RETURN_IF_ERROR(out.SetCharged(false));
   disk->accountant().Reset();
 
-  // The context always carries the shared bench scheduler (serial unless
-  // TEMPO_BENCH_THREADS says otherwise); span collection stays bounded,
-  // and printing/export only happens when tracing was requested.
+  // Span collection stays bounded; printing/export only happens when
+  // tracing was requested.
   ExecContext ctx;
-  ctx.SetScheduler(BenchScheduler());
   JoinRequest request;
   request.From(r, s)
       .Using(executor)

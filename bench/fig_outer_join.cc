@@ -108,7 +108,6 @@ int Run() {
       disk.accountant().Reset();
 
       ExecContext ctx;
-      ctx.SetScheduler(BenchScheduler());
       JoinRequest request;
       request.From(&r, &s)
           .Using(JoinExecutor::kPartition)

@@ -119,7 +119,6 @@ int Run() {
         disk.accountant().Reset();
 
         ExecContext ctx;
-        ctx.SetScheduler(BenchScheduler());
         JoinRequest request;
         request.From(&r, &s)
             .Using(ec.executor)
@@ -194,7 +193,6 @@ int Run() {
       if (!join_out.SetCharged(false).ok()) return 1;
       disk.accountant().Reset();
       ExecContext ctx;
-      ctx.SetScheduler(BenchScheduler());
       JoinRequest request;
       request.From(&r, &s)
           .Using(JoinExecutor::kSweep)

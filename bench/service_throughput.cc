@@ -1,8 +1,8 @@
 // Bench: concurrent query service throughput. N mixed joins (partition,
 // sort-merge, nested-loop, planner-picked) are submitted at once through
 // one QueryService whose shared buffer pool admits two reservations at a
-// time — the rest wait in the FIFO admission queue — and whose scheduler
-// multiplexes every query's morsels onto one work-stealing pool.
+// time — the rest wait in the FIFO admission queue. Each query runs on
+// its own thread.
 //
 // Reported per executor class: summed output cardinality and charged I/O
 // ops, which are deterministic (each query runs against a private
@@ -65,7 +65,6 @@ int Run() {
   // Two reservations fit; the other queries queue — the admission path is
   // part of what this bench exercises.
   service_options.pool_pages = 2 * kQueryBufferPages;
-  service_options.scheduler.num_threads = 0;  // defer to TEMPO_BENCH_THREADS
   auto service_or = QueryService::Create(&disk, service_options);
   if (!service_or.ok()) {
     std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());

@@ -1,9 +1,8 @@
 // Concurrent query service: several sessions submit valid-time joins at
 // once against shared relations. Each admitted query reserves its whole
 // buffer budget in the shared pool (excess queries wait in FIFO order),
-// and all queries multiplex their CPU-bound morsels onto one
-// work-stealing scheduler — yet every query's output and charged I/O are
-// identical to running it alone.
+// and each admitted query runs on its own thread — yet every query's
+// output and charged I/O are identical to running it alone.
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/concurrent_service
@@ -40,12 +39,10 @@ int main() {
   TEMPO_CHECK(s.AppendAll(*s_tuples).ok());
   TEMPO_CHECK(s.Flush().ok());
 
-  // One service: a shared buffer pool with admission control and a shared
-  // scheduler. A pool of 96 pages admits three 32-page queries at once;
-  // the rest queue FIFO.
+  // One service: a shared buffer pool with admission control. A pool of
+  // 96 pages admits three 32-page queries at once; the rest queue FIFO.
   QueryServiceOptions options;
   options.pool_pages = 96;
-  options.scheduler.num_threads = 4;
   auto service = QueryService::Create(&disk, options);
   TEMPO_CHECK(service.ok());
   TEMPO_CHECK((*service)->Register(r->get()).ok());

@@ -13,7 +13,7 @@
 namespace tempo {
 
 /// Strict positive-integer env parser, shared by the bench knobs
-/// (TEMPO_BENCH_SCALE, TEMPO_BENCH_THREADS) and the runtime knobs
+/// (TEMPO_BENCH_SCALE) and the runtime knobs
 /// (TEMPO_RADIX_THRESHOLD_MB). The whole value must be a decimal integer
 /// in [1, max] (strtoll endptr check): trailing garbage ("16x", "8 "),
 /// overflow and non-numeric values are *rejected* with a stderr warning

@@ -10,7 +10,7 @@
 namespace tempo {
 
 /// A log-bucketed histogram of non-negative samples (latencies in
-/// microseconds, cache occupancies in tuples, morsel durations).
+/// microseconds, cache occupancies in tuples, admission waits).
 ///
 /// Bucket 0 holds samples < 1; bucket i (1 <= i < kNumBuckets-1) holds
 /// samples in [2^(i-1), 2^i); the last bucket absorbs everything larger.
@@ -19,14 +19,14 @@ namespace tempo {
 /// needs to spot a latency distribution shifting.
 ///
 /// Thread-safe: Record and Merge may race with each other and with
-/// readers (the morsel workers record concurrently into one histogram).
+/// readers (a snapshot may be taken while the owner still records).
 /// All counters are relaxed atomics — per-bucket counts are exact under
 /// concurrency; count/sum/min/max are folded with CAS loops. Readers see
 /// a possibly-torn-but-monotonic snapshot, which is fine for export
 /// (exports happen after the run quiesces).
 ///
 /// Copying takes a relaxed snapshot, so the histogram can live inside
-/// freely-copied stat structs (MorselStats, MetricsRegistry).
+/// freely-copied stat structs (MetricsRegistry).
 class LogHistogram {
  public:
   static constexpr size_t kNumBuckets = 32;

@@ -52,8 +52,7 @@ struct PartitionedRelation {
 /// ("We assume that the number of partitions is small, and therefore, that
 /// sufficient main memory is available to perform the partitioning").
 ///
-/// Takes no scheduler and runs on the calling thread, as the paper costs
-/// it: one input page and one output page per partition, so
+/// Runs on the calling thread, as the paper costs it: one input page and one output page per partition, so
 /// `buffer_pages` bounds its memory and its charged I/O is the serial
 /// sequence under either head model (DESIGN §4c). A failed call leaves no
 /// partition file behind.

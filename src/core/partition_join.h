@@ -93,10 +93,9 @@ struct JoinVariant {
 /// returned, not exported into `ctx`: the executor run that calls this
 /// exports once (RunJoinContract).
 ///
-/// The run is serial on the calling thread whatever the scheduler on
-/// `ctx`: generation i's tuple cache feeds generation i-1, and each
-/// partition's probe runs inline with its page reads, in the paper's
-/// order.
+/// The run is serial on the calling thread: generation i's tuple cache
+/// feeds generation i-1, and each partition's probe runs inline with its
+/// page reads, in the paper's order.
 StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
                                       const PartitionSpec& spec,
                                       PartitionedRelation* pr,

@@ -32,8 +32,8 @@ struct SortedRelation {
 /// Runs serially on the calling thread: run formation holds one chunk of
 /// `buffer_pages` pages at a time, so `buffer_pages` bounds its memory and
 /// its charged I/O is the serial sequence under either head model (DESIGN
-/// §4c). The trailing `Scheduler*` is ignored; it stays only so callers
-/// that pass one still compile.
+/// §4c). The trailing `Scheduler*` is ignored; it stays only so perfbench,
+/// which passes one, still compiles.
 StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
                                           uint32_t buffer_pages,
                                           const std::string& output_name,

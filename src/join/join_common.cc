@@ -124,17 +124,12 @@ StatusOr<NaturalJoinLayout> PrepareJoinForKind(StoredRelation* r,
   }
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
                          DeriveNaturalJoinLayout(r->schema(), s->schema()));
-  if (kind == JoinKind::kAnti) {
-    if (!(out->schema() == r->schema())) {
-      return Status::InvalidArgument(
-          "anti join output schema " + out->schema().ToString() +
-          " must match the preserved side's schema " +
-          r->schema().ToString());
-    }
-  } else if (!(out->schema() == layout.output)) {
+  const Schema& expected = JoinOutputSchema(r->schema(), layout, kind);
+  if (!(out->schema() == expected)) {
     return Status::InvalidArgument(
-        "output relation schema " + out->schema().ToString() +
-        " does not match derived join schema " + layout.output.ToString());
+        std::string(JoinKindName(kind)) + " join output schema " +
+        out->schema().ToString() + " does not match the schema it produces " +
+        expected.ToString());
   }
   if (r->HasUnflushedAppends() || s->HasUnflushedAppends()) {
     return Status::FailedPrecondition(

@@ -10,7 +10,6 @@
 #include "obs/exec_context.h"
 #include "obs/exec_options.h"
 #include "obs/metrics.h"
-#include "parallel/parallel_for.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
 #include "relation/tuple_view.h"
@@ -206,11 +205,17 @@ class HashedTupleIndex {
   std::unordered_multimap<size_t, size_t> buckets_;
 };
 
+/// The schema a join of kind `kind` writes: r's own schema for kAnti (the
+/// anti join pads nothing), the natural-join output schema otherwise.
+inline const Schema& JoinOutputSchema(const Schema& r_schema,
+                                      const NaturalJoinLayout& layout,
+                                      JoinKind kind) {
+  return kind == JoinKind::kAnti ? r_schema : layout.output;
+}
+
 /// Checks the inputs of one join run — all three relations present,
-/// inputs flushed, and `out` carrying the schema `kind` produces: r's own
-/// schema for kAnti (the anti join pads nothing), the natural-join output
-/// schema for every other kind — and returns the natural-join layout of
-/// (r, s). The first step of RunJoinContract.
+/// inputs flushed, and `out` carrying JoinOutputSchema — and returns the
+/// natural-join layout of (r, s). The first step of RunJoinContract.
 StatusOr<NaturalJoinLayout> PrepareJoinForKind(StoredRelation* r,
                                                StoredRelation* s,
                                                StoredRelation* out,

@@ -22,8 +22,7 @@ class Scheduler;
 ///
 /// The context carries
 ///   - a Tracer of phase-scoped spans (wall-clock, exclusive charged I/O
-///     split random/sequential, buffer hit/miss deltas, per-worker morsel
-///     timings),
+///     split random/sequential, buffer hit/miss deltas),
 ///   - a MetricsRegistry of typed counters and log-bucketed histograms,
 /// and feeds the ExplainAnalyze renderer.
 class ExecContext {
@@ -66,13 +65,9 @@ class ExecContext {
   }
   IoAccountant* accountant() const { return accountant_; }
 
-  /// Attaches the (non-owning) scheduler handle executors draw their
-  /// parallelism from. Null — the default — is the paper-faithful serial
-  /// mode. The Scheduler must outlive this context; the concurrent query
-  /// service sets its shared scheduler on every per-query context it
-  /// creates.
-  void SetScheduler(Scheduler* scheduler) { scheduler_ = scheduler; }
-  Scheduler* scheduler() const { return scheduler_; }
+  /// Does nothing: every executor phase runs on the calling thread. Kept
+  /// so callers that still build a Scheduler (perfbench) compile.
+  void SetScheduler(Scheduler* /*ignored*/) {}
 
   /// Registers a buffer pool so spans can report hit/miss deltas.
   /// Unregister before destroying the pool; its final counters are folded
@@ -105,7 +100,6 @@ class ExecContext {
   Tracer tracer_;
   MetricsRegistry metrics_;
   IoAccountant* accountant_ = nullptr;
-  Scheduler* scheduler_ = nullptr;
 
   mutable std::mutex pools_mu_;
   std::vector<const BufferManager*> pools_;

@@ -62,10 +62,8 @@ struct ExecOptions {
   /// Seed for sampling and any randomized placement decisions.
   uint64_t seed = 42;
 
-  // Threading deliberately has no knob here: executors read the Scheduler
-  // handle on their ExecContext (serial when absent), so one resolved
-  // scheduler config governs every concurrent query instead of each
-  // options value carrying its own thread count.
+  // Threading has no knob: every phase of a run executes on the calling
+  // thread in the paper's order (DESIGN.md §4c).
 
   /// Which sequenced join variant to evaluate. Which (executor, kind,
   /// predicate) combinations are admissible is enforced centrally by

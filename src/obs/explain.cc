@@ -75,9 +75,6 @@ void RenderNode(const SpanNode& node, int depth, const ExplainOptions& options,
   }
   if (options.include_timing) {
     row.cells.push_back(FormatDouble(node.stats.wall_seconds * 1e3, 2));
-    const MorselStats morsels = node.InclusiveMorsels();
-    row.cells.push_back(FormatDouble(morsels.morsels_dispatched, 0));
-    row.cells.push_back(FormatDouble(morsels.per_worker_busy.size(), 0));
   }
   rows->push_back(std::move(row));
 
@@ -184,8 +181,6 @@ std::string ExplainAnalyze(const ExecContext& ctx,
   }
   if (options.include_timing) {
     header.cells.push_back("wall ms");
-    header.cells.push_back("morsels");
-    header.cells.push_back("workers");
   }
   rows.push_back(std::move(header));
 
@@ -210,10 +205,7 @@ std::string ExplainAnalyze(const ExecContext& ctx,
     for (const auto& child : root.children) {
       wall += child->stats.wall_seconds;
     }
-    const MorselStats morsels = root.InclusiveMorsels();
     total_row.cells.push_back(FormatDouble(wall * 1e3, 2));
-    total_row.cells.push_back(FormatDouble(morsels.morsels_dispatched, 0));
-    total_row.cells.push_back(FormatDouble(morsels.per_worker_busy.size(), 0));
   }
   rows.push_back(std::move(total_row));
 

@@ -14,7 +14,7 @@ struct ExplainOptions {
   /// like the planner prices it, so est and act are comparable).
   CostModel cost_model = CostModel::Ratio(5.0);
 
-  /// When false, the wall-clock / morsel / worker columns are omitted.
+  /// When false, the wall-clock column is omitted.
   /// I/O columns are deterministic across thread counts (per-file head
   /// model), timing is not — golden tests set this to false so a serial
   /// and a 4-thread run render identical text.
@@ -25,7 +25,7 @@ struct ExplainOptions {
 /// indented by nesting, with planner-estimated cost next to the actual
 /// (inclusive) charged-I/O cost, the random/sequential split, buffer
 /// hit/miss deltas (omitted when no pool was registered), and — unless
-/// include_timing is off — wall-clock and morsel/worker columns. Sibling
+/// include_timing is off — a wall-clock column. Sibling
 /// rows are ordered by (phase, label), not begin order, so trees built by
 /// concurrent threads render deterministically. Ends with a TOTAL row
 /// whose I/O equals the tree's inclusive I/O (== the run's charged

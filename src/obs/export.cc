@@ -14,11 +14,9 @@ namespace tempo {
 namespace {
 
 // Synthetic-timeline process/thread ids: all span events live on one
-// "thread" so viewers nest them by duration; counter events get their own
-// track.
+// "thread" so viewers nest them by duration.
 constexpr int kPid = 1;
 constexpr int kSpanTid = 1;
-constexpr int kCounterTid = 0;
 
 Json MetadataEvent(const char* name, int tid, const char* value) {
   Json e = Json::Object();
@@ -62,9 +60,6 @@ struct Exporter {
                            ? std::max(self_us, children_us)
                            : self_us + children_us;
     events.Append(SpanEvent(node, ts, dur));
-    if (options.include_timing && !node.stats.morsels.per_worker_busy.empty()) {
-      events.Append(WorkerCounterEvent(node, ts));
-    }
     return dur;
   }
 
@@ -93,29 +88,6 @@ struct Exporter {
       buffers.Set("hits", node.stats.buffers.hits);
       buffers.Set("misses", node.stats.buffers.misses);
       args.Set("buffers", std::move(buffers));
-    }
-    if (node.stats.morsels.morsels_dispatched != 0) {
-      args.Set("morsels_dispatched", node.stats.morsels.morsels_dispatched);
-      if (options.include_timing) {
-        args.Set("morsel_busy_seconds", node.stats.morsels.busy_seconds);
-        args.Set("morsel_wall_seconds", node.stats.morsels.wall_seconds);
-      }
-    }
-    e.Set("args", std::move(args));
-    return e;
-  }
-
-  Json WorkerCounterEvent(const SpanNode& node, double ts) const {
-    Json e = Json::Object();
-    e.Set("name", std::string("worker busy s [") + PhaseName(node.phase) + "]");
-    e.Set("ph", "C");
-    e.Set("ts", ts);
-    e.Set("pid", kPid);
-    e.Set("tid", kCounterTid);
-    Json args = Json::Object();
-    const auto& busy = node.stats.morsels.per_worker_busy;
-    for (size_t w = 0; w < busy.size(); ++w) {
-      args.Set("w" + std::to_string(w), busy[w]);
     }
     e.Set("args", std::move(args));
     return e;
@@ -188,8 +160,6 @@ Json TraceToJson(const ExecContext& ctx, const TraceExportOptions& options) {
   Exporter exporter{options};
   exporter.events.Append(MetadataEvent("process_name", kSpanTid, "tempo"));
   exporter.events.Append(MetadataEvent("thread_name", kSpanTid, "span tree"));
-  exporter.events.Append(
-      MetadataEvent("thread_name", kCounterTid, "worker counters"));
 
   // Top-level spans (the executor roots) laid out back to back from t=0;
   // the synthetic root itself is not an event.

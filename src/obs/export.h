@@ -33,10 +33,8 @@ struct TraceExportOptions {
 ///   - one "X" (complete) event per span node, nested via the synthetic
 ///     timeline, with args carrying phase, label, entry count, exclusive
 ///     charged I/O split random/sequential, priced exclusive+inclusive
-///     cost, planner estimate, buffer hit/miss deltas, and morsel counts;
-///   - "C" (counter) events per parallel span exposing per-worker busy
-///     seconds (include_timing mode only);
-///   - "M" metadata naming the process/threads;
+///     cost, planner estimate and buffer hit/miss deltas;
+///   - "M" metadata naming the process and the span-tree thread;
 ///   - non-event top-level keys (ignored by trace viewers): the schema
 ///     version, export config, the run's metrics snapshot
 ///     (MetricsToJson), and the tree's total inclusive I/O.

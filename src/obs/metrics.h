@@ -72,9 +72,11 @@ namespace tempo {
     "Records processed as page-backed TupleViews instead of decoded into "    \
     "owning Tuples (partition routing plus hash-probe streaming).")           \
   M(MorselsDispatched, "morsels_dispatched", "count", "parallel layer",       \
-    "Morsels dispatched to the worker pool (parallel mode only).")            \
+    "Never set: every phase runs on the query's thread. Declared only "       \
+    "because perfbench still reads it.")                                      \
   M(ParallelEfficiency, "parallel_efficiency", "ratio", "parallel layer",     \
-    "Worker busy time / (wall time x threads) over the parallel regions.")    \
+    "Never set: every phase runs on the query's thread. Declared only "       \
+    "because perfbench still reads it.")                                      \
   M(PlannedAlgorithm, "planned_algorithm", "enum", "RunJoin",                 \
     "Algorithm the planner chose: 0 = nested-loops, 1 = sort-merge, 2 = "     \
     "partition, 3 = in-memory radix, 4 = endpoint sweep.")                    \
@@ -160,18 +162,14 @@ namespace tempo {
 ///   TEMPO_HISTOGRAM(enumerator, "name", "unit", "owner", "doc")
 ///
 /// Histograms are log-bucketed sample distributions (LogHistogram) rather
-/// than single values: a run records many page-read latencies or morsel
-/// durations, and the export layer snapshots the full distribution.
+/// than single values: a run records many page-read latencies or cache
+/// occupancies, and the export layer snapshots the full distribution.
 /// Like scalar metrics, the typed API cannot name an undeclared one.
 #define TEMPO_HISTOGRAM_LIST(H)                                               \
   H(PageReadLatencyUs, "page_read_latency_us", "us", "Disk / IoAccountant",   \
     "Wall-clock latency of each charged or uncharged page read, captured at " \
     "the Disk boundary while an ExecContext has the accountant bound. "       \
     "Simulated storage, so this measures copy + lock time, not seeks.")       \
-  H(MorselDurationUs, "morsel_duration_us", "us", "parallel layer",           \
-    "Wall-clock duration of each morsel body run on the scheduler's pool "    \
-    "(parallel regions only; no executor phase runs on the pool, so join "    \
-    "runs record no sample).")                                                \
   H(CacheOccupancyTuples, "cache_occupancy_tuples", "tuples",                 \
     "JoinPartitions",                                                         \
     "Tuples resident in the backwards tuple cache at the end of each "        \

@@ -39,7 +39,7 @@ namespace tempo {
 ///
 /// None of it touches charged I/O or output bytes: telemetry reads
 /// snapshots, so enabling every piece leaves a query's output pages and
-/// IoStats byte-identical to a telemetry-off run at any thread count.
+/// IoStats byte-identical to a telemetry-off run at any concurrency.
 
 // ---------------------------------------------------------------------
 // Service gauges
@@ -59,11 +59,6 @@ namespace tempo {
   G(AdmissionQueueDepth, "admission_queue_depth", "count",                    \
     "SharedBufferPool",                                                       \
     "Queries waiting in the FIFO admission queue at the sample instant.")     \
-  G(SchedulerRunQueue, "scheduler_run_queue", "count", "Scheduler",           \
-    "Morsel tasks queued on the work-stealing pool's deques, not yet "        \
-    "picked up by a worker, at the sample instant.")                          \
-  G(SchedulerThreads, "scheduler_threads", "count", "Scheduler",              \
-    "Worker threads of the service's shared scheduler (constant).")           \
   G(QueriesQueued, "queries_queued", "count", "QueryService",                 \
     "Submitted queries still waiting for their buffer-pool reservation.")     \
   G(QueriesRunning, "queries_running", "count", "QueryService",               \

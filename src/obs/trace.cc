@@ -97,12 +97,6 @@ IoStats SpanNode::InclusiveIo() const {
   return total;
 }
 
-MorselStats SpanNode::InclusiveMorsels() const {
-  MorselStats total = stats.morsels;
-  for (const auto& child : children) total.Merge(child->InclusiveMorsels());
-  return total;
-}
-
 const SpanNode* SpanNode::FindPhase(Phase p) const {
   if (phase == p) return this;
   for (const auto& child : children) {
@@ -185,11 +179,6 @@ void Tracer::End(SpanNode* node, double wall_seconds, const IoStats& io,
   node->stats.buffers = node->stats.buffers + buffers;
 }
 
-void Tracer::AddMorsels(SpanNode* node, const MorselStats& morsels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  node->stats.morsels.Merge(morsels);
-}
-
 void Tracer::SetEstimate(SpanNode* node, double cost) {
   std::lock_guard<std::mutex> lock(mu_);
   node->estimated_cost = cost;
@@ -258,10 +247,6 @@ TraceSpan& TraceSpan::operator=(TraceSpan&& other) noexcept {
     other.accountant_ = nullptr;
   }
   return *this;
-}
-
-void TraceSpan::AddMorsels(const MorselStats& morsels) {
-  if (tracer_ != nullptr) tracer_->AddMorsels(node_, morsels);
 }
 
 void TraceSpan::SetEstimate(double cost) {

@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "parallel/parallel_for.h"
 #include "storage/buffer_manager.h"
 #include "storage/io_accountant.h"
 
@@ -69,8 +68,7 @@ struct SpanStats {
   /// Number of spans merged into this node (siblings with the same phase
   /// and label aggregate, e.g. one sampling node across all draws).
   uint64_t entered = 0;
-  /// Summed wall-clock of the merged spans. Concurrent sibling spans (the
-  /// r and s partitioning threads) therefore sum, not overlap.
+  /// Summed wall-clock of the merged spans.
   double wall_seconds = 0.0;
   /// Charged I/O issued by the span's own thread while it was innermost.
   IoStats io;
@@ -78,9 +76,6 @@ struct SpanStats {
   /// pools registered with the ExecContext. Duration-based, so unlike
   /// `io` it is inclusive of nested spans.
   BufferCounters buffers;
-  /// Morsel dispatch counts and per-worker busy time attributed to this
-  /// span via TraceSpan::AddMorsels.
-  MorselStats morsels;
 };
 
 /// One node of the span tree. Nodes are created by Tracer::Begin and are
@@ -96,8 +91,6 @@ struct SpanNode {
 
   /// Exclusive I/O of this node plus all descendants.
   IoStats InclusiveIo() const;
-  /// Morsel stats of this node plus all descendants.
-  MorselStats InclusiveMorsels() const;
   /// Depth-first search for the first node (including this one) with the
   /// given phase; null when absent.
   const SpanNode* FindPhase(Phase p) const;
@@ -129,9 +122,6 @@ class Tracer {
   /// folds the measured deltas into it.
   void End(SpanNode* node, double wall_seconds, const IoStats& io,
            const BufferCounters& buffers);
-
-  /// Adds morsel stats to `node` (thread-safe).
-  void AddMorsels(SpanNode* node, const MorselStats& morsels);
 
   /// Sets the planner estimate on `node` (thread-safe).
   void SetEstimate(SpanNode* node, double cost);
@@ -206,10 +196,6 @@ class TraceSpan {
   /// The node this span writes to; null when inert. Used to parent
   /// cross-thread child spans explicitly.
   SpanNode* node() const { return node_; }
-
-  /// Attributes morsel stats (dispatch counts, per-worker busy time) from
-  /// a parallel region to this span. No-op when inert.
-  void AddMorsels(const MorselStats& morsels);
 
   /// Sets the planner-estimated cost on this span's node. No-op when inert.
   void SetEstimate(double cost);

@@ -175,9 +175,7 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
 /// kinds, which require last-overlap placement.
 ///
 /// Every phase (sampling, Grace partitioning, joinPartitions) runs on the
-/// calling thread in the paper's order at any scheduler thread count, so
-/// the executor dispatches no morsels and sets neither kMorselsDispatched
-/// nor kParallelEfficiency.
+/// calling thread in the paper's order.
 StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
                                      StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,

@@ -102,9 +102,8 @@ struct JoinRequest {
 /// kPlannedCost and kRadixFallback, opens a kPlan span, and annotates the
 /// planner's estimate onto the chosen executor's root span.
 ///
-/// Parallelism comes from the Scheduler handle on `ctx` (serial when the
-/// context or handle is null), and all charged I/O lands on the
-/// accountant `Disk::accountant()` resolves for the calling thread — so
+/// Every phase runs on the calling thread, and all charged I/O lands on
+/// the accountant `Disk::accountant()` resolves for that thread — so
 /// the same request run through the concurrent service produces the same
 /// output pages and the same charged IoStats as a standalone call.
 StatusOr<JoinRunStats> RunJoin(const JoinRequest& req, StoredRelation* out,

@@ -41,8 +41,6 @@ Json QueryProgress::ToJson() const {
   j.Set("query_id", query_id);
   j.Set("state", state);
   j.Set("phase", phase);
-  j.Set("morsels_completed", morsels_completed);
-  j.Set("morsels_total", morsels_total);
   j.Set("io", IoStatsToJson(io));
   j.Set("pages_reserved", static_cast<uint64_t>(pages_reserved));
   j.Set("pages_held", pages_held);
@@ -85,8 +83,6 @@ QueryProgress QueryHandle::Progress() const {
   p.phase = phase == Tracer::kNoLivePhase
                 ? ""
                 : PhaseName(static_cast<Phase>(phase));
-  p.morsels_completed = progress_.completed.load(std::memory_order_relaxed);
-  p.morsels_total = progress_.total.load(std::memory_order_relaxed);
   p.io = accountant_.stats();  // mutex-guarded snapshot
   p.pages_reserved = ticket_->pages();
   p.pages_held = ticket_->granted();
@@ -110,8 +106,8 @@ void QueryHandle::Run() {
   service_->flight()->Append(FlightEventKind::kQueryAdmitted, query_id_,
                              ticket_->pages());
 
-  // A fresh accountant per query, bound to this coordinator thread, where
-  // all of the query's charged I/O happens: the query's head positions
+  // A fresh accountant per query, bound to this thread, where all of the
+  // query's charged I/O happens: the query's head positions
   // evolve exactly as in a standalone run, so its charged IoStats are
   // identical at any concurrency level. The telemetry layer only ever
   // *reads* this accountant (Progress, DumpStats), so enabling it cannot
@@ -121,8 +117,6 @@ void QueryHandle::Run() {
   StatusOr<JoinRunStats> result = Status::Internal("query did not run");
   {
     ScopedAccountantBinding binding(disk, &accountant_);
-    ScopedMorselProgress morsel_binding(&progress_);
-    ctx_.SetScheduler(service_->scheduler());
     ctx_.BindAccountant(&accountant_);
     ctx_.tracer().SetFlightRecorder(service_->flight(), query_id_);
     ScopedPoolRegistration pool_reg(&ctx_,
@@ -153,6 +147,11 @@ StatusOr<std::unique_ptr<QueryHandle>> Session::Submit(
     return Status::InvalidArgument(
         "JoinRequest has no input relations (call From)");
   }
+  // A malformed request fails here, before it can reserve pages or wait
+  // in the admission queue.
+  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
+                         DeriveNaturalJoinLayout(request.r->schema(),
+                                                 request.s->schema()));
   const uint64_t query_id = service_->NextQueryId();
   // The submit event lands before the admission request: a fail-fast
   // rejection below leaves a submit/reject pair in the flight recorder,
@@ -170,9 +169,6 @@ StatusOr<std::unique_ptr<QueryHandle>> Session::Submit(
   }
   std::unique_ptr<AdmissionTicket> ticket = std::move(ticket_or).value();
 
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
-                         DeriveNaturalJoinLayout(request.r->schema(),
-                                                 request.s->schema()));
   std::string name = output_name;
   if (name.empty()) {
     name = "s" + std::to_string(id_) + ".q" + std::to_string(next_query_) +
@@ -180,7 +176,11 @@ StatusOr<std::unique_ptr<QueryHandle>> Session::Submit(
   }
   ++next_query_;
   TempRelation output(
-      new StoredRelation(service_->disk(), layout.output, name));
+      new StoredRelation(
+          service_->disk(),
+          JoinOutputSchema(request.r->schema(), layout,
+                           request.options.join_kind),
+          name));
   std::unique_ptr<QueryHandle> handle(
       new QueryHandle(service_, request, std::move(output), query_id));
   handle->ticket_ = std::move(ticket);
@@ -204,14 +204,12 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::Create(
     return Status::InvalidArgument(
         "QueryService needs a non-empty buffer pool");
   }
-  TEMPO_ASSIGN_OR_RETURN(std::unique_ptr<Scheduler> scheduler,
-                         Scheduler::Create(options.scheduler));
   TelemetryConfig telemetry = options.telemetry;
   if (!telemetry.enabled()) {
     TEMPO_ASSIGN_OR_RETURN(telemetry, TelemetryConfig::FromEnv());
   }
-  std::unique_ptr<QueryService> service(new QueryService(
-      disk, std::move(scheduler), options.pool_pages, telemetry));
+  std::unique_ptr<QueryService> service(
+      new QueryService(disk, options.pool_pages, telemetry));
   if (!telemetry.jsonl_path.empty()) {
     TEMPO_ASSIGN_OR_RETURN(service->sink_,
                            TelemetrySink::Open(telemetry.jsonl_path));
@@ -227,11 +225,9 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::Create(
   return service;
 }
 
-QueryService::QueryService(Disk* disk, std::unique_ptr<Scheduler> scheduler,
-                           uint32_t pool_pages,
+QueryService::QueryService(Disk* disk, uint32_t pool_pages,
                            const TelemetryConfig& telemetry)
     : disk_(disk),
-      scheduler_(std::move(scheduler)),
       pool_(disk, pool_pages),
       telemetry_(telemetry),
       flight_(telemetry.flight_events) {
@@ -292,12 +288,6 @@ GaugeSnapshot QueryService::SampleGauges() const {
         static_cast<double>(pool_.available_pages()));
   g.Set(Gauge::kAdmissionQueueDepth,
         static_cast<double>(pool_.queue_depth()));
-  ThreadPool* workers = scheduler_->pool();
-  g.Set(Gauge::kSchedulerRunQueue,
-        workers == nullptr ? 0.0
-                           : static_cast<double>(workers->queue_depth()));
-  g.Set(Gauge::kSchedulerThreads,
-        static_cast<double>(scheduler_->num_threads()));
   uint64_t queued = 0;
   uint64_t running = 0;
   {

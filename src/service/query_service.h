@@ -29,8 +29,8 @@ struct QueryServiceOptions {
   /// query reserves its whole buffer_pages budget against this.
   uint32_t pool_pages = 4096;
 
-  /// Worker-thread configuration, resolved against TEMPO_BENCH_THREADS by
-  /// Scheduler::Create (conflicting settings are an error).
+  /// Unread: each query runs every phase on its own thread, so there is
+  /// no worker pool to size. Kept because perfbench still sets it.
   SchedulerConfig scheduler;
 
   /// Telemetry knobs. Left default-constructed (nothing enabled), Create
@@ -51,11 +51,6 @@ struct QueryProgress {
   const char* state = "queued";
   /// Most recently entered executor phase ("" before the first span).
   const char* phase = "";
-  /// Live morsel counters: completed bodies / dispatched-so-far total
-  /// across every parallel region the query has entered. The total grows
-  /// as the query reaches new regions.
-  uint64_t morsels_completed = 0;
-  uint64_t morsels_total = 0;
   /// Charged I/O on the query's private accountant so far.
   IoStats io;
   /// The admission reservation: its size, whether it is currently held,
@@ -68,7 +63,7 @@ struct QueryProgress {
 };
 
 /// One submitted join: a future over the join's result. Submit returns
-/// immediately; the query runs on its own coordinator thread (admission
+/// immediately; the query runs on its own thread (admission
 /// wait included), every phase of it serially on that thread.
 ///
 /// The handle owns the output relation and the final stats. Wait() blocks
@@ -138,11 +133,10 @@ class QueryHandle {
   /// Live-progress state, readable while Run() executes. The accountant
   /// and context are members (not Run() locals) so Progress() can read
   /// charged I/O and the live phase mid-flight; both are only *written*
-  /// by the query's own threads.
+  /// by the query's own thread.
   std::atomic<RunState> state_{RunState::kQueued};
   IoAccountant accountant_;
   ExecContext ctx_;
-  MorselProgress progress_;
 
   std::mutex mu_;
   bool joined_ = false;
@@ -158,7 +152,8 @@ class QueryHandle {
 class Session {
  public:
   /// Submits a join for concurrent execution. The output relation is
-  /// created on the service's disk with the derived natural-join schema,
+  /// created on the service's disk with the schema the join kind produces
+  /// (r's own schema for an anti join, the natural-join schema otherwise),
   /// named after the session and a per-session query counter (override
   /// with `output_name`). Fails fast (without queueing) when the request
   /// is malformed or its reservation exceeds the whole pool.
@@ -180,16 +175,16 @@ class Session {
   uint64_t next_query_ = 0;
 };
 
-/// The concurrent query service: one shared scheduler (work-stealing
-/// thread pool), one shared buffer pool with strict-FIFO admission
-/// control, and a catalog of shared immutable input relations. Sessions
-/// submit JoinRequests; each query runs with a private IoAccountant bound
-/// to its coordinator thread, so its output pages and charged IoStats are
-/// byte-identical to running the same request alone (see DESIGN.md §4h).
+/// The concurrent query service: one shared buffer pool with strict-FIFO
+/// admission control and a catalog of shared immutable input relations.
+/// Sessions submit JoinRequests; each query runs on its own thread with a
+/// private IoAccountant bound to it, so its output pages and charged
+/// IoStats are byte-identical to running the same request alone (see
+/// DESIGN.md §4h). The service starts no other thread than the optional
+/// telemetry sampler.
 class QueryService {
  public:
-  /// Resolves the scheduler config (TEMPO_BENCH_THREADS conflicts are an
-  /// error) and builds the service.
+  /// Resolves the telemetry config and builds the service.
   static StatusOr<std::unique_ptr<QueryService>> Create(
       Disk* disk, const QueryServiceOptions& options);
 
@@ -207,7 +202,6 @@ class QueryService {
   Session OpenSession();
 
   Disk* disk() { return disk_; }
-  Scheduler* scheduler() { return scheduler_.get(); }
   SharedBufferPool* pool() { return &pool_; }
 
   /// The always-on flight recorder of lifecycle events.
@@ -248,8 +242,8 @@ class QueryService {
   friend class QueryHandle;
   friend class Session;
 
-  QueryService(Disk* disk, std::unique_ptr<Scheduler> scheduler,
-               uint32_t pool_pages, const TelemetryConfig& telemetry);
+  QueryService(Disk* disk, uint32_t pool_pages,
+               const TelemetryConfig& telemetry);
 
   /// Called by each query's thread as it finishes (MetricsRegistry
   /// scalars are not thread-safe; the service serializes them here).
@@ -275,7 +269,6 @@ class QueryService {
   Json SampleTelemetry() const;
 
   Disk* disk_;
-  std::unique_ptr<Scheduler> scheduler_;
   SharedBufferPool pool_;
 
   TelemetryConfig telemetry_;

@@ -70,8 +70,9 @@ StatusOr<std::unique_ptr<AdmissionTicket>> SharedBufferPool::Request(
       new AdmissionTicket(this, pages, tag));
   std::lock_guard<std::mutex> lock(mu_);
   queue_.push_back(ticket.get());
-  queue_peak_ = std::max<uint64_t>(queue_peak_, queue_.size());
   GrantFromFront();
+  // Counted after granting: a request admitted at once never waited.
+  queue_peak_ = std::max<uint64_t>(queue_peak_, queue_.size());
   if (ticket->state_ == AdmissionTicket::State::kGranted) cv_.notify_all();
   return ticket;
 }

@@ -117,7 +117,7 @@ class SharedBufferPool {
   }
 
   /// Peak queue depth over the pool's lifetime (the admission_queue_peak
-  /// metric).
+  /// metric); a request granted on arrival does not count.
   uint64_t queue_peak() const {
     std::lock_guard<std::mutex> lock(mu_);
     return queue_peak_;

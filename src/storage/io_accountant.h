@@ -94,8 +94,8 @@ enum class HeadModel {
 /// Thread-safe: Record*/stats()/Reset may be called concurrently (queries
 /// that run at once on one disk share its base accountant unless each
 /// binds its own). Every executor issues a query's charged I/O from that
-/// query's thread in the paper's order, so charged counts are the same at
-/// any scheduler thread count under either head model.
+/// query's thread in the paper's order, so charged counts are the same
+/// however many queries run at once, under either head model.
 class IoAccountant {
  public:
   IoAccountant() = default;

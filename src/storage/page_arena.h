@@ -11,15 +11,14 @@
 namespace tempo {
 
 /// Holds pinned pages so TupleViews over them stay valid for the lifetime
-/// of a processing phase (one morsel, one partition pass, one probed
-/// page).
+/// of a processing phase (one partition pass, one probed page).
 ///
 /// AddPage keeps a PagePin — the disk's own stored bytes, which no later
 /// write changes (Disk::WritePage is copy-on-write) — and appends one
 /// validated TupleView per record to views(). Nothing is copied; a page
 /// held only as a Page is copied once into a new pin. Clear() drops
-/// everything at a phase boundary; reusing one arena per worker across
-/// pages keeps the capacity of views() warm the same way the owning
+/// everything at a phase boundary; reusing one arena across pages
+/// keeps the capacity of views() warm the same way the owning
 /// DecodePageAppend arena does.
 ///
 /// The arena borrows the RecordLayout cached on the Schema passed to

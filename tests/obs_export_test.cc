@@ -142,7 +142,7 @@ TEST(TraceExportTest, TraceIsWellFormedChromeTraceJson) {
     prev_end = e.NumberOr("ts", 0) + e.NumberOr("dur", 0);
     EXPECT_GT(prev_end, 0.0);
   }
-  EXPECT_EQ(metadata, 3u);  // process_name + two thread_names
+  EXPECT_EQ(metadata, 2u);  // process_name + the span tree's thread_name
   EXPECT_GT(spans, 3u);     // plan/partition/join at minimum
   EXPECT_TRUE(saw_partition_phase);
 
@@ -257,8 +257,8 @@ TEST(HistogramTest, RecordAndStats) {
 /// Merge correctness under 1 thread and 4 threads: the merged totals are
 /// exact regardless of how samples were spread over recorders. The
 /// 4-thread variant records concurrently into one shared histogram AND
-/// merges per-thread histograms concurrently into another — both paths
-/// the morsel workers exercise (this is the TSan target).
+/// merges per-thread histograms concurrently into another (this is the
+/// TSan target).
 TEST(HistogramTest, MergeMatchesAcrossThreadCounts) {
   const int kSamplesPerThread = 5000;
   auto expected_total = [&](int threads) {

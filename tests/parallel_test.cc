@@ -1,10 +1,8 @@
-// Tests for the morsel-driven parallel execution layer: the thread pool
-// and ParallelFor primitives, the overflow-chunk path of the partition
-// join under a multi-threaded scheduler, and the headline guarantee that
-// num_threads is invisible — byte-identical output and identical charged
-// I/O, under either head model.
+// Thread-count sweeps over the executors: the overflow-chunk path of the
+// partition join with a multi-threaded Scheduler on the context, and the
+// headline guarantee that num_threads is invisible — byte-identical output
+// and identical charged I/O, under either head model.
 
-#include <atomic>
 #include <cstring>
 #include <memory>
 
@@ -14,9 +12,7 @@
 #include "core/partition_join.h"
 #include "join/reference_join.h"
 #include "obs/exec_context.h"
-#include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
-#include "parallel/thread_pool.h"
 #include "service/join_request.h"
 #include "test_util.h"
 #include "workload/generator.h"
@@ -39,96 +35,6 @@ struct ScopedScheduler {
   Scheduler scheduler;
   ExecContext ctx;
 };
-
-// ---------------------------------------------------------------------
-// ThreadPool / TaskGroup
-// ---------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> counter{0};
-  {
-    TaskGroup group(&pool);
-    for (int i = 0; i < 100; ++i) {
-      group.Run([&counter] { counter.fetch_add(1); });
-    }
-    group.Wait();
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    TaskGroup group(&pool);
-    for (int i = 0; i < 50; ++i) {
-      group.Run([&counter] { counter.fetch_add(1); });
-    }
-    // TaskGroup's destructor waits; the pool's destructor then joins.
-  }
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(TaskGroupTest, NullPoolRunsInline) {
-  std::atomic<int> counter{0};
-  TaskGroup group(nullptr);
-  group.Run([&counter] { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 1);  // already ran, before Wait()
-  group.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-// ---------------------------------------------------------------------
-// ParallelFor
-// ---------------------------------------------------------------------
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  for (bool use_pool : {false, true}) {
-    std::vector<std::atomic<int>> hits(97);
-    for (auto& h : hits) h.store(0);
-    MorselStats stats;
-    Status st = ParallelFor(
-        use_pool ? &pool : nullptr, hits.size(), 7,
-        [&](size_t m, size_t begin, size_t end) -> Status {
-          EXPECT_EQ(begin, m * 7);
-          for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-          return Status::OK();
-        },
-        &stats);
-    TEMPO_ASSERT_OK(st);
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-    EXPECT_EQ(stats.morsels_dispatched, (97 + 6) / 7);
-    stats = MorselStats{};
-  }
-}
-
-TEST(ParallelForTest, EmptyRangeIsOk) {
-  TEMPO_ASSERT_OK(ParallelFor(nullptr, 0, 4,
-                              [](size_t, size_t, size_t) -> Status {
-                                ADD_FAILURE() << "must not be called";
-                                return Status::OK();
-                              }));
-}
-
-TEST(ParallelForTest, ReportsLowestIndexedError) {
-  ThreadPool pool(4);
-  Status st = ParallelFor(&pool, 20, 1,
-                          [](size_t m, size_t, size_t) -> Status {
-                            if (m == 7 || m == 13) {
-                              return Status::Internal(
-                                  "morsel " + std::to_string(m));
-                            }
-                            return Status::OK();
-                          });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("morsel 7"), std::string::npos)
-      << st.ToString();
-}
 
 // ---------------------------------------------------------------------
 // Overflow-chunk path under threading (satellite: overflow coverage)

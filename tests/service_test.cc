@@ -1,12 +1,13 @@
 // Tests for the concurrent query service: strict-FIFO admission control
 // on the shared buffer pool, queued-query cancellation, the JoinRequest
-// facade, the thread-count conflict rule, and the headline guarantee that
-// a query's output pages and charged IoStats are byte-identical to a
-// standalone run at any concurrency level.
+// facade, and the headline guarantee that a query's output pages and
+// charged IoStats are byte-identical to a standalone run at any
+// concurrency level.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -132,55 +133,6 @@ TEST(SharedBufferPoolTest, CancellingQueuedTicketUnblocksThoseBehindIt) {
   holder->Release();
   EXPECT_TRUE(c->granted());
   TEMPO_ASSERT_OK(c->Wait());
-}
-
-// ---------------------------------------------------------------------
-// Scheduler config resolution (the one thread knob)
-// ---------------------------------------------------------------------
-
-struct ScopedEnv {
-  explicit ScopedEnv(const char* value) {
-    if (value == nullptr) {
-      unsetenv("TEMPO_BENCH_THREADS");
-    } else {
-      setenv("TEMPO_BENCH_THREADS", value, 1);
-    }
-  }
-  ~ScopedEnv() { unsetenv("TEMPO_BENCH_THREADS"); }
-};
-
-TEST(SchedulerConfigTest, UnsetEnvDefersToRequestOrSerial) {
-  ScopedEnv env(nullptr);
-  TEMPO_ASSERT_OK_AND_ASSIGN(SchedulerConfig c0,
-                             ResolveSchedulerConfig(SchedulerConfig{0, 4}));
-  EXPECT_EQ(c0.num_threads, 1u);
-  TEMPO_ASSERT_OK_AND_ASSIGN(SchedulerConfig c5,
-                             ResolveSchedulerConfig(SchedulerConfig{5, 4}));
-  EXPECT_EQ(c5.num_threads, 5u);
-}
-
-TEST(SchedulerConfigTest, EnvDecidesWhenCallerLeavesItOpen) {
-  ScopedEnv env("3");
-  TEMPO_ASSERT_OK_AND_ASSIGN(SchedulerConfig c,
-                             ResolveSchedulerConfig(SchedulerConfig{0, 4}));
-  EXPECT_EQ(c.num_threads, 3u);
-}
-
-TEST(SchedulerConfigTest, AgreeingKnobsAreFine) {
-  ScopedEnv env("3");
-  TEMPO_ASSERT_OK_AND_ASSIGN(SchedulerConfig c,
-                             ResolveSchedulerConfig(SchedulerConfig{3, 4}));
-  EXPECT_EQ(c.num_threads, 3u);
-}
-
-TEST(SchedulerConfigTest, ConflictingKnobsAreAnError) {
-  ScopedEnv env("3");
-  auto c = ResolveSchedulerConfig(SchedulerConfig{2, 4});
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(c.status().message().find("TEMPO_BENCH_THREADS"),
-            std::string::npos)
-      << c.status().ToString();
 }
 
 // ---------------------------------------------------------------------
@@ -493,6 +445,59 @@ TEST(QueryServiceTest, EightQueuedQueriesAllCompleteFifo) {
   EXPECT_EQ(metrics.Get(Metric::kAdmissionQueuePeak), 8.0);
 }
 
+// A request whose shared attribute has mismatched types is rejected by
+// Submit before it reserves pages, so it never waits in the admission
+// queue even when the pool is fully held.
+TEST(QueryServiceTest, MalformedSubmitFailsWithoutQueueing) {
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), {T(1, "a", 0, 5)}, "r");
+  const Schema string_key(
+      {{"key", ValueType::kString}, {"sval", ValueType::kString}});
+  auto s = MakeRelation(
+      &disk, string_key,
+      {Tuple({Value(std::string("1")), Value(std::string("b"))},
+             Interval(0, 5))},
+      "s");
+  QueryServiceOptions options;
+  options.pool_pages = 8;
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto service,
+                             QueryService::Create(&disk, options));
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto blocker,
+                             service->pool()->Request(options.pool_pages));
+  ASSERT_TRUE(blocker->granted());
+
+  Session session = service->OpenSession();
+  JoinRequest request;
+  request.From(r.get(), s.get()).BufferPages(8);
+  auto handle = session.Submit(request);
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument)
+      << handle.status().ToString();
+  EXPECT_EQ(service->pool()->queue_depth(), 0u);
+  EXPECT_EQ(service->SnapshotMetrics().Get(Metric::kAdmissionQueuePeak), 0.0);
+}
+
+// Each query runs on its own thread; the service itself starts none (the
+// telemetry sampler is off here), whatever the unread thread count says.
+TEST(QueryServiceTest, CreateStartsNoWorkerThreads) {
+  const auto thread_count = [] {
+    size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  Disk disk;
+  QueryServiceOptions options;
+  options.scheduler.num_threads = 4;
+  ASSERT_FALSE(options.telemetry.enabled());
+  const size_t before = thread_count();
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto service, QueryService::Create(&disk, options));
+  ASSERT_EQ(service->sampler(), nullptr);
+  EXPECT_EQ(thread_count(), before);
+}
+
 // ---------------------------------------------------------------------
 // Determinism: concurrent service runs must be byte-identical to a
 // standalone run — same output pages, same charged IoStats — at every
@@ -505,17 +510,20 @@ struct RunImage {
   uint64_t output_tuples = 0;
 };
 
-RunImage ImageOf(QueryHandle* handle) {
+RunImage ImageOf(const JoinRunStats& stats, StoredRelation* out) {
   RunImage image;
-  image.io = handle->stats().io;
-  image.output_tuples = handle->stats().output_tuples;
-  StoredRelation* out = handle->output();
+  image.io = stats.io;
+  image.output_tuples = stats.output_tuples;
   image.pages.resize(out->num_pages());
   for (uint32_t p = 0; p < out->num_pages(); ++p) {
     auto st = out->ReadPage(p, &image.pages[p]);
     if (!st.ok()) ADD_FAILURE() << st.ToString();
   }
   return image;
+}
+
+RunImage ImageOf(QueryHandle* handle) {
+  return ImageOf(handle->stats(), handle->output());
 }
 
 void ExpectSameImage(const RunImage& a, const RunImage& b, const char* what) {
@@ -555,7 +563,7 @@ TEST(QueryServiceTest, ConcurrentRunsByteIdenticalToSerialAtAnyThreadCount) {
   }
 
   // Concurrent runs: all three executors in flight at once (the pool
-  // admits them all), on shared worker pools of 2/4/8 threads.
+  // admits them all), at every (unread) thread count.
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     QueryServiceOptions options;
     options.pool_pages = 64;
@@ -579,6 +587,33 @@ TEST(QueryServiceTest, ConcurrentRunsByteIdenticalToSerialAtAnyThreadCount) {
                           .c_str());
     }
   }
+}
+
+// An anti join emits r's own rows, so the service must create its output
+// with r's schema; the result must match a direct RunJoin byte for byte.
+TEST(QueryServiceTest, AntiJoinSubmitMatchesRunJoin) {
+  ServiceFixture f;
+  JoinRequest request;
+  request.From(f.r.get(), f.s.get())
+      .Using(JoinExecutor::kPartition)
+      .Kind(JoinKind::kAnti)
+      .BufferPages(8);
+
+  StoredRelation direct_out(&f.disk, f.r->schema(), "anti.direct");
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats direct_stats,
+                             RunJoin(request, &direct_out));
+  ASSERT_GT(direct_stats.output_tuples, 0u);
+  const RunImage direct = ImageOf(direct_stats, &direct_out);
+
+  QueryServiceOptions options;
+  options.pool_pages = 8;
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto service,
+                             QueryService::Create(&f.disk, options));
+  Session session = service->OpenSession();
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto handle, session.Submit(request));
+  TEMPO_ASSERT_OK(handle->Wait());
+  EXPECT_TRUE(handle->output()->schema() == f.r->schema());
+  ExpectSameImage(direct, ImageOf(handle.get()), "anti join");
 }
 
 // ---------------------------------------------------------------------
@@ -804,7 +839,6 @@ TEST(QueryServiceTest, ProgressTracksQueuedRunningAndFinishedStates) {
   EXPECT_EQ(queued.queue_position, 1u);
   EXPECT_FALSE(queued.pages_held);
   EXPECT_EQ(queued.pages_reserved, 8u);
-  EXPECT_EQ(queued.morsels_total, 0u);
 
   // DumpStats sees the same query, and the gauges agree.
   Json stats = service->DumpStats();
