@@ -545,7 +545,8 @@ StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
 
   // One canonical writer across all passes: emission is buffered and
   // sorted at Finish, so output bytes are a pure function of the result
-  // multiset — identical for any thread count and for the oracle.
+  // multiset — identical to the oracle's, and to a standalone run at any
+  // number of concurrent queries.
   ResultWriter writer = ResultWriter::Canonical(out);
   JoinVariant pass1;
   pass1.kind = options.join_kind;

@@ -41,8 +41,8 @@ struct PartitionJoinOptions : ExecOptions {
 /// the area its uncovered subintervals are emitted through `writer`. The
 /// dedup rule already guarantees each (x, y) overlap is observed in
 /// exactly one partition, and IntervalSet union is order-independent, so
-/// coverage — and hence the emitted unmatched rows — is deterministic at
-/// any thread count.
+/// coverage — and hence the emitted unmatched rows — matches the oracle's,
+/// at any number of concurrent queries.
 struct JoinVariant {
   JoinKind kind = JoinKind::kInner;
   /// When false, matched pairs feed coverage only and are not emitted

@@ -67,7 +67,7 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
   ColumnExtractor r_extract(&r->schema(), &layout.r_join_attrs);
   ColumnExtractor s_extract(&s->schema(), &layout.s_join_attrs);
   {
-    TraceSpan extract_span = SpanUnderIf(ctx, root, Phase::kRadixExtract);
+    TraceSpan extract_span = SpanIf(ctx, Phase::kRadixExtract);
     Status st = ExtractSide(r, &r_extract, budget, 0);
     if (st.ok()) {
       st = ExtractSide(s, &s_extract, budget, r_extract.footprint_bytes());
@@ -93,7 +93,7 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
   // ascending order.
   FlatIndex s_index;
   {
-    TraceSpan part_span = SpanUnderIf(ctx, root, Phase::kRadixPartition);
+    TraceSpan part_span = SpanIf(ctx, Phase::kRadixPartition);
     s_index.Build(s_extract, 0, s_extract.num_rows(),
                   FlatIndex::Walk::kOldestFirst);
   }
@@ -110,7 +110,7 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
   // buffered or sorted. The index holds s, so the predicate is tested on
   // (s, r) through its converse.
   {
-    TraceSpan probe_span = SpanUnderIf(ctx, root, Phase::kRadixProbe);
+    TraceSpan probe_span = SpanIf(ctx, Phase::kRadixProbe);
     const TemporalPredicate predicate = options.predicate.Converse();
     ResultWriter writer(out);
     Status status = Status::OK();

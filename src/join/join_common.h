@@ -99,10 +99,10 @@ Tuple MakeAntiTuple(const Tuple& x, const Interval& uncovered);
 /// Canonical mode (the sequenced outer/anti variants): emitted tuples are
 /// buffered as serialized records and appended in lexicographic byte order
 /// at Finish(). Serialization is canonical, so two runs producing the same
-/// result *multiset* — the partition variant at any thread count and the
-/// brute-force oracle — write byte-identical output pages, which is what
-/// the parity tests assert. The buffering trades the streaming result page
-/// for exact verifiability; all output I/O is still charged identically
+/// result *multiset* — the partition variant, alone or beside other
+/// queries, and the brute-force oracle — write byte-identical output
+/// pages, which is what the parity tests assert. The buffering trades the
+/// streaming result page for exact verifiability; all output I/O is still charged identically
 /// (same bytes, same page count) regardless of emission order.
 class ResultWriter {
  public:

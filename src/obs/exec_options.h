@@ -24,8 +24,9 @@ namespace tempo {
 ///
 /// Only the partition executor and the reference oracle evaluate the
 /// non-inner kinds; their output is emitted in the canonical sequenced
-/// result order (sorted serialized records) so executor and oracle runs
-/// are byte-identical at any thread count.
+/// result order (sorted serialized records) so an executor run is
+/// byte-identical to the oracle's, and to a standalone run at any number
+/// of concurrent queries.
 enum class JoinKind : uint8_t {
   kInner = 0,
   kLeftOuter = 1,

@@ -196,7 +196,7 @@ std::string ExplainAnalyze(const ExecContext& ctx,
                      FormatDouble(total.total_random(), 0),
                      FormatDouble(total.total_sequential(), 0)};
   if (with_buffers) {
-    const BufferCounters buffers = ctx.TotalBufferCounters();
+    const BufferCounters buffers = ctx.tracer().TotalBufferCounters();
     total_row.cells.push_back(FormatDouble(buffers.hits, 0));
     total_row.cells.push_back(FormatDouble(buffers.misses, 0));
   }

@@ -15,9 +15,9 @@ struct ExplainOptions {
   CostModel cost_model = CostModel::Ratio(5.0);
 
   /// When false, the wall-clock column is omitted.
-  /// I/O columns are deterministic across thread counts (per-file head
-  /// model), timing is not — golden tests set this to false so a serial
-  /// and a 4-thread run render identical text.
+  /// I/O columns are deterministic from run to run, timing is not —
+  /// golden tests set this to false so two runs of the same join render
+  /// identical text.
   bool include_timing = true;
 };
 

@@ -1,25 +1,11 @@
 #include "obs/trace.h"
 
-#include <utility>
+#include <algorithm>
 
+#include "common/assert.h"
 #include "obs/telemetry.h"
 
 namespace tempo {
-
-namespace {
-
-/// Per-thread stack of open spans, keyed by tracer so independent tracers
-/// (nested tests) never see each other's spans.
-thread_local std::vector<std::pair<const Tracer*, SpanNode*>> t_span_stack;
-
-SpanNode* InnermostOnThread(const Tracer* tracer) {
-  for (auto it = t_span_stack.rbegin(); it != t_span_stack.rend(); ++it) {
-    if (it->first == tracer) return it->second;
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 const char* PhaseName(Phase p) {
   switch (p) {
@@ -87,6 +73,8 @@ const char* PhaseName(Phase p) {
       return "sweep join";
     case Phase::kSweepPass:
       return "sweep pass";
+    case Phase::kReferenceJoin:
+      return "reference join";
   }
   return "?";
 }
@@ -139,17 +127,19 @@ SpanNode* Tracer::FindPhaseLocked(SpanNode* node, Phase phase) {
 }
 
 SpanNode* Tracer::Begin(Phase phase, std::string label,
-                        SpanNode* explicit_parent) {
+                        IoAccountant* accountant) {
+  const IoStats io_at_begin =
+      accountant != nullptr ? accountant->stats() : IoStats{};
   SpanNode* node;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SpanNode* parent = explicit_parent;
-    if (parent == nullptr) parent = InnermostOnThread(this);
-    if (parent == nullptr) parent = root_.get();
+    SpanNode* parent = open_.empty() ? root_.get() : open_.back().node;
     node = FindOrCreateChildLocked(parent, phase, label);
     ++node->stats.entered;
+    open_.push_back(Frame{node, accountant, io_at_begin,
+                          TotalBufferCountersLocked(),
+                          std::chrono::steady_clock::now(), IoStats{}});
   }
-  t_span_stack.emplace_back(this, node);
   live_phase_.store(static_cast<uint8_t>(phase), std::memory_order_relaxed);
   if (FlightRecorder* flight = flight_.load(std::memory_order_acquire)) {
     flight->Append(FlightEventKind::kPhaseEntered, flight_query_, 0,
@@ -163,20 +153,24 @@ void Tracer::SetFlightRecorder(FlightRecorder* recorder, uint64_t query_id) {
   flight_.store(recorder, std::memory_order_release);
 }
 
-void Tracer::End(SpanNode* node, double wall_seconds, const IoStats& io,
-                 const BufferCounters& buffers) {
-  // Pop this tracer's innermost entry; spans are scoped objects, so the
-  // calling thread closes them in LIFO order.
-  for (auto it = t_span_stack.rbegin(); it != t_span_stack.rend(); ++it) {
-    if (it->first == this) {
-      t_span_stack.erase(std::next(it).base());
-      break;
-    }
-  }
+void Tracer::End(SpanNode* node) {
+  const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
-  node->stats.wall_seconds += wall_seconds;
-  node->stats.io = node->stats.io + io;
-  node->stats.buffers = node->stats.buffers + buffers;
+  TEMPO_DCHECK(!open_.empty() && open_.back().node == node);
+  const Frame frame = open_.back();
+  open_.pop_back();
+  const IoStats inclusive = frame.accountant != nullptr
+                                ? frame.accountant->stats() - frame.io_at_begin
+                                : IoStats{};
+  node->stats.wall_seconds +=
+      std::chrono::duration<double>(now - frame.start).count();
+  node->stats.io = node->stats.io + (inclusive - frame.children_io);
+  node->stats.buffers = node->stats.buffers +
+                        (TotalBufferCountersLocked() - frame.buffers_at_begin);
+  // A parent counting a different ledger (or none) does not see this I/O.
+  if (!open_.empty() && open_.back().accountant == frame.accountant) {
+    open_.back().children_io = open_.back().children_io + inclusive;
+  }
 }
 
 void Tracer::SetEstimate(SpanNode* node, double cost) {
@@ -193,82 +187,33 @@ void Tracer::AnnotateEstimate(Phase phase, double cost) {
   pending_estimates_[static_cast<uint8_t>(phase)] = cost;
 }
 
+void Tracer::RegisterBufferPool(const BufferManager* pool) {
+  std::lock_guard<std::mutex> lock(mu_);
+  pools_.push_back(pool);
+}
+
+void Tracer::UnregisterBufferPool(const BufferManager* pool) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = std::find(pools_.begin(), pools_.end(), pool);
+  if (it == pools_.end()) return;
+  retired_ = retired_ + pool->counters();
+  pools_.erase(it);
+}
+
+BufferCounters Tracer::TotalBufferCounters() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return TotalBufferCountersLocked();
+}
+
+BufferCounters Tracer::TotalBufferCountersLocked() const {
+  BufferCounters total = retired_;
+  for (const BufferManager* pool : pools_) total = total + pool->counters();
+  return total;
+}
+
 IoStats Tracer::TotalIo() const {
   std::lock_guard<std::mutex> lock(mu_);
   return root_->InclusiveIo();
-}
-
-TraceSpan::TraceSpan(Tracer* tracer, SpanNode* node, IoAccountant* accountant,
-                     BufferCounters buffers_at_begin)
-    : tracer_(tracer),
-      node_(node),
-      accountant_(accountant),
-      buffers_at_begin_(buffers_at_begin),
-      start_(std::chrono::steady_clock::now()) {
-  if (accountant_ != nullptr) accountant_->PushThreadCollector(&io_sink_);
-}
-
-TraceSpan::TraceSpan(TraceSpan&& other) noexcept
-    : tracer_(other.tracer_),
-      node_(other.node_),
-      accountant_(other.accountant_),
-      io_sink_(other.io_sink_),
-      buffers_at_begin_(other.buffers_at_begin_),
-      buffers_at_end_fn_(std::move(other.buffers_at_end_fn_)),
-      start_(other.start_) {
-  // The collector stack holds a pointer to the sink; repoint it at the
-  // new home. Moves happen on the owning thread (returning SpanIf), so
-  // the stack entry being repointed belongs to this thread.
-  if (accountant_ != nullptr) {
-    accountant_->PopThreadCollector(&other.io_sink_);
-    accountant_->PushThreadCollector(&io_sink_);
-  }
-  other.tracer_ = nullptr;
-  other.node_ = nullptr;
-  other.accountant_ = nullptr;
-}
-
-TraceSpan& TraceSpan::operator=(TraceSpan&& other) noexcept {
-  if (this != &other) {
-    End();
-    tracer_ = other.tracer_;
-    node_ = other.node_;
-    accountant_ = other.accountant_;
-    io_sink_ = other.io_sink_;
-    buffers_at_begin_ = other.buffers_at_begin_;
-    buffers_at_end_fn_ = std::move(other.buffers_at_end_fn_);
-    start_ = other.start_;
-    if (accountant_ != nullptr) {
-      accountant_->PopThreadCollector(&other.io_sink_);
-      accountant_->PushThreadCollector(&io_sink_);
-    }
-    other.tracer_ = nullptr;
-    other.node_ = nullptr;
-    other.accountant_ = nullptr;
-  }
-  return *this;
-}
-
-void TraceSpan::SetEstimate(double cost) {
-  if (tracer_ != nullptr) tracer_->SetEstimate(node_, cost);
-}
-
-void TraceSpan::End() {
-  if (tracer_ == nullptr) return;
-  if (accountant_ != nullptr) accountant_->PopThreadCollector(&io_sink_);
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-  BufferCounters delta;
-  if (buffers_at_end_fn_) {
-    delta = buffers_at_end_fn_() - buffers_at_begin_;
-  }
-  tracer_->End(node_, wall, io_sink_, delta);
-  tracer_ = nullptr;
-  node_ = nullptr;
-  accountant_ = nullptr;
-  io_sink_ = IoStats{};
-  buffers_at_end_fn_ = nullptr;
 }
 
 }  // namespace tempo

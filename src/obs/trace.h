@@ -4,11 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/buffer_manager.h"
@@ -56,25 +56,27 @@ enum class Phase : uint8_t {
   kOuterPass,        ///< swapped anti pass of the full-outer partition join
   kSweepJoin,        ///< endpoint-sweep executor root
   kSweepPass,        ///< the single forward sweep over both sorted inputs
+  kReferenceJoin,    ///< reference-oracle executor root
 };
 
 /// Stable lowercase display name ("partitioning r", "joinPartitions", ...).
 const char* PhaseName(Phase p);
 
-/// What one span measured. I/O and buffer traffic are *exclusive* — a
-/// nested span's traffic is not repeated in its parent (the renderer sums
-/// subtrees for inclusive columns).
+/// What one span measured. I/O is *exclusive* — a nested span's I/O is
+/// not repeated in its parent (the renderer sums subtrees for inclusive
+/// columns).
 struct SpanStats {
   /// Number of spans merged into this node (siblings with the same phase
   /// and label aggregate, e.g. one sampling node across all draws).
   uint64_t entered = 0;
   /// Summed wall-clock of the merged spans.
   double wall_seconds = 0.0;
-  /// Charged I/O issued by the span's own thread while it was innermost.
+  /// Charged I/O of the span's accountant while the span was open, less
+  /// the I/O of its nested spans.
   IoStats io;
   /// Buffer-pool hit/miss delta over the span's duration, across the
-  /// pools registered with the ExecContext. Duration-based, so unlike
-  /// `io` it is inclusive of nested spans.
+  /// pools registered with the tracer. Duration-based, so unlike `io` it
+  /// is inclusive of nested spans.
   BufferCounters buffers;
 };
 
@@ -100,10 +102,18 @@ struct SpanNode {
   }
 };
 
-/// Owns the span tree. Thread-safe: spans may begin and end on any
-/// thread. Parent resolution uses a per-thread span stack, so a span's
-/// parent is the innermost open span *on the same thread*; cross-thread
-/// spans pass their parent explicitly (ExecContext::SpanUnder).
+/// Owns the span tree and the stack of open spans. A query opens and
+/// closes its spans on the one thread that runs it, so the innermost open
+/// span is the parent of the next one. The tree, the estimates and the
+/// registered pools are guarded by a mutex, so other threads may read
+/// them (QueryHandle::Progress, DumpStats) while the query runs.
+///
+/// A span's I/O is a delta of the accountant it opened against: on close,
+/// the accountant's counters minus their value at begin is the span's
+/// inclusive I/O; less the inclusive I/O of its closed children it is the
+/// span's exclusive I/O, and the inclusive figure is handed up to the
+/// parent. Buffer hit/miss deltas are taken the same way over the
+/// registered pools.
 class Tracer {
  public:
   Tracer();
@@ -112,16 +122,15 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Opens a span: resolves the parent (explicit > innermost-on-thread >
-  /// root), finds or creates the (phase, label) child, pushes it on the
-  /// calling thread's stack, and returns the node.
-  SpanNode* Begin(Phase phase, std::string label,
-                  SpanNode* explicit_parent = nullptr);
+  /// Opens a span under the innermost open span (or the root): finds or
+  /// creates the (phase, label) child, pushes its frame, and returns the
+  /// node. `accountant` is the ledger whose delta the span reports; with
+  /// none, the span reports zero I/O.
+  SpanNode* Begin(Phase phase, std::string label, IoAccountant* accountant);
 
-  /// Closes the innermost span on the calling thread (must be `node`) and
-  /// folds the measured deltas into it.
-  void End(SpanNode* node, double wall_seconds, const IoStats& io,
-           const BufferCounters& buffers);
+  /// Closes the innermost open span, which must be `node`, and folds its
+  /// wall-clock, I/O and buffer deltas into the node.
+  void End(SpanNode* node);
 
   /// Sets the planner estimate on `node` (thread-safe).
   void SetEstimate(SpanNode* node, double cost);
@@ -131,6 +140,15 @@ class Tracer {
   /// when that phase first begins. Lets the planner annotate phases that
   /// have not started yet (est_sample_cost before sampling runs).
   void AnnotateEstimate(Phase phase, double cost);
+
+  /// Registers a buffer pool so spans can report hit/miss deltas.
+  /// Unregister before destroying the pool; its final counters are folded
+  /// into a retired total so deltas stay monotonic.
+  void RegisterBufferPool(const BufferManager* pool);
+  void UnregisterBufferPool(const BufferManager* pool);
+
+  /// Combined counters of all pools ever registered (live + retired).
+  BufferCounters TotalBufferCounters() const;
 
   /// The synthetic root. Its children are the executor root spans.
   const SpanNode& root() const { return *root_; }
@@ -154,69 +172,73 @@ class Tracer {
   }
 
  private:
+  /// One open span: its node and the counters at its begin.
+  struct Frame {
+    SpanNode* node;
+    IoAccountant* accountant;  ///< null: the span reports zero I/O
+    IoStats io_at_begin;
+    BufferCounters buffers_at_begin;
+    std::chrono::steady_clock::time_point start;
+    /// Inclusive I/O of the closed children charged to `accountant`.
+    IoStats children_io;
+  };
+
   SpanNode* FindOrCreateChildLocked(SpanNode* parent, Phase phase,
                                     const std::string& label);
   SpanNode* FindPhaseLocked(SpanNode* node, Phase phase);
+  BufferCounters TotalBufferCountersLocked() const;
 
   mutable std::mutex mu_;
   std::unique_ptr<SpanNode> root_;
   std::unordered_map<uint8_t, double> pending_estimates_;
+  std::vector<Frame> open_;
+  std::vector<const BufferManager*> pools_;
+  BufferCounters retired_;
 
-  /// Flight hook: set once before execution, read by Begin on any thread.
+  /// Flight hook: set once before execution, read by Begin.
   std::atomic<FlightRecorder*> flight_{nullptr};
   uint64_t flight_query_ = 0;  // written before the recorder is attached
   std::atomic<uint8_t> live_phase_{kNoLivePhase};
 };
 
-/// RAII handle for one span. Move-only; inert when default-constructed or
-/// created through a null ExecContext, so executors write
+/// RAII handle for one open span. Move-only; inert when default-constructed
+/// or created through a null ExecContext, so executors write
 ///   TraceSpan span = SpanIf(ctx, Phase::kSampling);
-/// unconditionally and pay nothing when tracing is off.
-///
-/// While open, the span registers an I/O collector for the calling thread
-/// on the bound accountant: charged accesses this thread issues are
-/// attributed to this span (and not to any enclosing span — exclusive
-/// attribution). End() (or destruction) stops the clock, pops the
-/// collector, and folds everything into the tracer's node.
+/// unconditionally and pay nothing when tracing is off. End() (or
+/// destruction) closes the span; spans close in the reverse of the order
+/// they opened, which scoped handles guarantee.
 class TraceSpan {
  public:
   TraceSpan() = default;
-  TraceSpan(Tracer* tracer, SpanNode* node, IoAccountant* accountant,
-            BufferCounters buffers_at_begin);
+  TraceSpan(Tracer* tracer, SpanNode* node) : tracer_(tracer), node_(node) {}
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
-  TraceSpan(TraceSpan&& other) noexcept;
-  TraceSpan& operator=(TraceSpan&& other) noexcept;
+  TraceSpan(TraceSpan&& other) noexcept
+      : tracer_(std::exchange(other.tracer_, nullptr)),
+        node_(std::exchange(other.node_, nullptr)) {}
+  /// Assigning over an open span would close it after the span replacing
+  /// it had opened, out of stack order.
+  TraceSpan& operator=(TraceSpan&&) = delete;
 
   ~TraceSpan() { End(); }
 
-  bool active() const { return tracer_ != nullptr; }
-
-  /// The node this span writes to; null when inert. Used to parent
-  /// cross-thread child spans explicitly.
-  SpanNode* node() const { return node_; }
-
   /// Sets the planner-estimated cost on this span's node. No-op when inert.
-  void SetEstimate(double cost);
+  void SetEstimate(double cost) {
+    if (tracer_ != nullptr) tracer_->SetEstimate(node_, cost);
+  }
 
   /// Closes the span early (idempotent).
-  void End();
-
-  /// Buffer-pool totals at span begin; consumed by End(). Exposed for
-  /// ExecContext, which snapshots the registered pools.
-  void set_buffers_at_end_fn(std::function<BufferCounters()> fn) {
-    buffers_at_end_fn_ = std::move(fn);
+  void End() {
+    if (tracer_ == nullptr) return;
+    tracer_->End(node_);
+    tracer_ = nullptr;
+    node_ = nullptr;
   }
 
  private:
   Tracer* tracer_ = nullptr;
   SpanNode* node_ = nullptr;
-  IoAccountant* accountant_ = nullptr;
-  IoStats io_sink_;
-  BufferCounters buffers_at_begin_;
-  std::function<BufferCounters()> buffers_at_end_fn_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace tempo

@@ -125,8 +125,9 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 /// partner.
 ///
 /// Output is written in canonical order (ResultWriter::Canonical), so a
-/// sweep run is byte-identical to the reference oracle — and to itself at
-/// any thread count — for every supported predicate. Result stamps come
+/// sweep run is byte-identical to the reference oracle — and to a
+/// standalone run at any number of concurrent queries — for every
+/// supported predicate. Result stamps come
 /// from PredicateResultInterval (intersection, else span).
 ///
 /// Metrics: kSortIoOps, kSweepActivePeak, kSweepAppends,
@@ -157,9 +158,10 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
 ///     bytes); every match is emitted at once.
 ///
 /// Matches therefore come out in (r row, s row) order, the reference
-/// join's r-outer/s-inner order, with no buffer and no sort —
-/// byte-identical pages at any thread count, with identical charged
-/// IoStats. Every phase runs on the calling thread.
+/// join's r-outer/s-inner order, with no buffer and no sort — pages
+/// byte-identical to the oracle's, and to a standalone run at any number
+/// of concurrent queries, with identical charged IoStats. Every phase
+/// runs on the calling thread.
 ///
 /// Metrics: kRadixPasses, kRadixFanout, kRadixBuckets, kRadixRowsRouted,
 /// kRadixEstFootprintBytes, kRadixActFootprintBytes, kRadixBudgetBytes.

@@ -22,9 +22,12 @@ namespace {
 /// ReferenceTemporalJoin (the single ground truth for every executor x
 /// predicate pair); the sequenced outer/anti kinds are defined over the
 /// default overlap predicate, which ValidateExecOptions guarantees here.
+/// Traced as one kReferenceJoin span.
 StatusOr<JoinRunStats> ReferenceBody(StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
-                                     const ExecOptions& options) {
+                                     const ExecOptions& options,
+                                     ExecContext* ctx) {
+  TraceSpan span = SpanIf(ctx, Phase::kReferenceJoin);
   JoinKind kind = options.join_kind;
   TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples, r->ReadAll());
   TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> s_tuples, s->ReadAll());
@@ -107,7 +110,7 @@ StatusOr<JoinRunStats> RunBody(JoinExecutor executor, const JoinRequest& req,
       return PartitionBody(layout, r, s, out, part, ctx);
     }
     case JoinExecutor::kReference:
-      return ReferenceBody(r, s, out, options);
+      return ReferenceBody(r, s, out, options, ctx);
     case JoinExecutor::kInMemoryRadix:
       return RadixBody(layout, r, s, out, options, ctx);
     case JoinExecutor::kSweep:

@@ -119,8 +119,6 @@ void QueryHandle::Run() {
     ScopedAccountantBinding binding(disk, &accountant_);
     ctx_.BindAccountant(&accountant_);
     ctx_.tracer().SetFlightRecorder(service_->flight(), query_id_);
-    ScopedPoolRegistration pool_reg(&ctx_,
-                                    service_->pool()->buffer_manager());
     result = RunJoin(request_, output_.get(), &ctx_);
   }
   // Return the reservation before bookkeeping so queued queries start
@@ -228,7 +226,7 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::Create(
 QueryService::QueryService(Disk* disk, uint32_t pool_pages,
                            const TelemetryConfig& telemetry)
     : disk_(disk),
-      pool_(disk, pool_pages),
+      pool_(pool_pages),
       telemetry_(telemetry),
       flight_(telemetry.flight_events) {
   pool_.SetFlightRecorder(&flight_);

@@ -9,8 +9,6 @@
 #include <mutex>
 
 #include "common/statusor.h"
-#include "storage/buffer_manager.h"
-#include "storage/disk.h"
 
 namespace tempo {
 
@@ -69,8 +67,7 @@ class AdmissionTicket {
 };
 
 /// The concurrent query service's shared buffer memory: a logical ledger
-/// of `capacity_pages` pages with strict-FIFO admission control, plus one
-/// shared BufferManager for cached page access.
+/// of `capacity_pages` pages with strict-FIFO admission control.
 ///
 /// Each query reserves its whole buffer budget (the paper's buffSize) up
 /// front: Request(pages) returns a ticket that is granted immediately
@@ -88,10 +85,8 @@ class AdmissionTicket {
 /// buffer manager's reservation API would enforce.
 class SharedBufferPool {
  public:
-  SharedBufferPool(Disk* disk, uint32_t capacity_pages)
-      : capacity_(capacity_pages),
-        available_(capacity_pages),
-        buffers_(disk, capacity_pages) {}
+  explicit SharedBufferPool(uint32_t capacity_pages)
+      : capacity_(capacity_pages), available_(capacity_pages) {}
 
   SharedBufferPool(const SharedBufferPool&) = delete;
   SharedBufferPool& operator=(const SharedBufferPool&) = delete;
@@ -123,10 +118,6 @@ class SharedBufferPool {
     return queue_peak_;
   }
 
-  /// The shared page cache over the same disk, sized to the pool. Query
-  /// contexts register it for hit/miss observability.
-  BufferManager* buffer_manager() { return &buffers_; }
-
   /// 1-based FIFO position of a still-queued ticket (1 = next to be
   /// granted); 0 when the ticket is not queued (granted, cancelled,
   /// released, or foreign). The "queue position" of
@@ -157,7 +148,6 @@ class SharedBufferPool {
   std::deque<AdmissionTicket*> queue_;
   uint64_t queue_peak_ = 0;
   std::atomic<FlightRecorder*> flight_{nullptr};
-  BufferManager buffers_;
 };
 
 }  // namespace tempo

@@ -1,21 +1,6 @@
 #include "storage/io_accountant.h"
 
-#include <utility>
-#include <vector>
-
 namespace tempo {
-
-namespace {
-
-/// Per-thread collector stack. Entries are tagged with their accountant so
-/// independent Disks (common in tests) never cross-collect. The stack is
-/// only ever touched by its own thread; Record* reads it under the
-/// accountant's mutex, which is fine because pushes/pops on other threads
-/// affect only those threads' stacks.
-thread_local std::vector<std::pair<const IoAccountant*, IoStats*>>
-    t_collectors;
-
-}  // namespace
 
 std::string IoStats::ToString() const {
   return "reads{ran=" + std::to_string(random_reads) +
@@ -41,37 +26,14 @@ void IoAccountant::Advance(uint64_t file_id, uint64_t page_no) {
   file_positions_[file_id] = page_no;
 }
 
-IoStats* IoAccountant::ThreadCollector() const {
-  for (auto it = t_collectors.rbegin(); it != t_collectors.rend(); ++it) {
-    if (it->first == this) return it->second;
-  }
-  return nullptr;
-}
-
-void IoAccountant::PushThreadCollector(IoStats* sink) {
-  t_collectors.emplace_back(this, sink);
-}
-
-void IoAccountant::PopThreadCollector(IoStats* sink) {
-  for (auto it = t_collectors.rbegin(); it != t_collectors.rend(); ++it) {
-    if (it->first == this && it->second == sink) {
-      t_collectors.erase(std::next(it).base());
-      return;
-    }
-  }
-}
-
 void IoAccountant::RecordRead(uint64_t file_id, uint64_t page_no,
                               bool charged) {
   if (!charged) return;
-  IoStats* sink = t_collectors.empty() ? nullptr : ThreadCollector();
   std::lock_guard<std::mutex> lock(mu_);
   if (IsSequential(file_id, page_no)) {
     ++stats_.sequential_reads;
-    if (sink != nullptr) ++sink->sequential_reads;
   } else {
     ++stats_.random_reads;
-    if (sink != nullptr) ++sink->random_reads;
   }
   Advance(file_id, page_no);
 }
@@ -79,14 +41,11 @@ void IoAccountant::RecordRead(uint64_t file_id, uint64_t page_no,
 void IoAccountant::RecordWrite(uint64_t file_id, uint64_t page_no,
                                bool charged) {
   if (!charged) return;
-  IoStats* sink = t_collectors.empty() ? nullptr : ThreadCollector();
   std::lock_guard<std::mutex> lock(mu_);
   if (IsSequential(file_id, page_no)) {
     ++stats_.sequential_writes;
-    if (sink != nullptr) ++sink->sequential_writes;
   } else {
     ++stats_.random_writes;
-    if (sink != nullptr) ++sink->random_writes;
   }
   Advance(file_id, page_no);
 }

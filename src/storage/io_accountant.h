@@ -96,6 +96,10 @@ enum class HeadModel {
 /// binds its own). Every executor issues a query's charged I/O from that
 /// query's thread in the paper's order, so charged counts are the same
 /// however many queries run at once, under either head model.
+///
+/// The accountant keeps no per-phase state: a phase's I/O is the delta of
+/// stats() over the phase, which is how the run contract measures a run
+/// and how tracer spans measure theirs (obs/trace.h).
 class IoAccountant {
  public:
   IoAccountant() = default;
@@ -114,19 +118,6 @@ class IoAccountant {
   /// allowed to move the head.
   void RecordRead(uint64_t file_id, uint64_t page_no, bool charged);
   void RecordWrite(uint64_t file_id, uint64_t page_no, bool charged);
-
-  /// Scoped per-thread attribution, used by the tracing layer to charge a
-  /// phase for the I/O it issues. While registered, every charged access
-  /// recorded *by the registering thread* is additionally accumulated into
-  /// `*sink` (classification is identical to the global counters, so sinks
-  /// nest and sum exactly). Collectors form a per-thread stack and only the
-  /// innermost one receives the traffic — a nested phase's I/O is excluded
-  /// from its parent's sink, giving exclusive per-span attribution. The
-  /// registering thread must Pop in LIFO order; `*sink` may be read only
-  /// after the Pop. Accesses from threads with no registered collector
-  /// update just the global counters (free: one thread-local empty check).
-  void PushThreadCollector(IoStats* sink);
-  void PopThreadCollector(IoStats* sink);
 
   /// Optional page-read latency sink, installed by an ExecContext when it
   /// binds this accountant. While set, Disk times each page read and
@@ -163,10 +154,6 @@ class IoAccountant {
  private:
   bool IsSequential(uint64_t file_id, uint64_t page_no) const;
   void Advance(uint64_t file_id, uint64_t page_no);
-
-  /// Innermost collector registered by the calling thread for this
-  /// accountant, or null.
-  IoStats* ThreadCollector() const;
 
   mutable std::mutex mu_;
   IoStats stats_;

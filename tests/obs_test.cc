@@ -1,7 +1,7 @@
 // Tests for the observability layer: the typed metrics registry, the
 // phase-scoped tracer, the ExplainAnalyze renderer, and the guarantees
-// the layer makes — span-tree I/O totals equal the run's charged IoStats,
-// a serial and a 4-thread run render identical I/O columns, and a null
+// the layer makes — span-tree I/O totals equal the run's charged IoStats
+// for every executor, two runs render identical I/O columns, and a null
 // ExecContext leaves execution byte-identical.
 
 #include <limits>
@@ -15,7 +15,7 @@
 #include "core/partition_join.h"
 #include "incremental/materialized_view.h"
 #include "obs/explain.h"
-#include "parallel/scheduler.h"
+#include "query/sequenced_exec.h"
 #include "service/join_request.h"
 #include "test_util.h"
 
@@ -63,8 +63,8 @@ struct PartitionRun {
   uint32_t out_pages = 0;
 };
 
-PartitionRun RunPartitionJoin(const JoinInputs& in, ExecContext* ctx,
-                              uint32_t num_threads) {
+PartitionRun RunPaddedJoin(const JoinInputs& in, ExecContext* ctx,
+                           JoinExecutor executor = JoinExecutor::kPartition) {
   PartitionRun run;
   Disk disk;
   auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
@@ -74,12 +74,12 @@ PartitionRun RunPartitionJoin(const JoinInputs& in, ExecContext* ctx,
   StoredRelation out(&disk, layout_or.value().output, "out");
 
   JoinRequest req;
-  req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(4);
-  // The thread count set here is unread: every phase runs on this thread.
-  Scheduler scheduler(SchedulerConfig{num_threads, /*morsel_pages=*/4});
-  if (ctx != nullptr) ctx->SetScheduler(&scheduler);
+  // 8 pages: the indexed join's minimum; every other executor runs at 4.
+  req.From(r.get(), s.get())
+      .Using(executor)
+      .BufferPages(executor == JoinExecutor::kIndexed ? 8 : 4)
+      .RadixBudgetBytes(uint64_t{1} << 30);
   auto stats_or = RunJoin(req, &out, ctx);
-  if (ctx != nullptr) ctx->SetScheduler(nullptr);
   EXPECT_TRUE(stats_or.ok()) << stats_or.status().ToString();
   if (!stats_or.ok()) return run;
   run.stats = std::move(stats_or).value();
@@ -91,7 +91,7 @@ PartitionRun RunPartitionJoin(const JoinInputs& in, ExecContext* ctx,
 }
 
 /// The span-tree table only — ExplainAnalyze output up to the metrics
-/// section, which is left out of the serial-vs-threaded comparison.
+/// section, which is left out of the run-vs-run comparison.
 std::string TableOnly(const std::string& rendered) {
   size_t pos = rendered.find("\nmetrics:");
   return pos == std::string::npos ? rendered : rendered.substr(0, pos);
@@ -103,12 +103,25 @@ std::string TableOnly(const std::string& rendered) {
 
 TEST(SpanTreeTest, InclusiveIoEqualsRunIoStats) {
   JoinInputs in = PaddedInputs();
-  ExecContext ctx;
-  PartitionRun run = RunPartitionJoin(in, &ctx, 1);
+  // Every phase of every executor's run executes under a span, so the
+  // tree's exclusive I/O sums exactly to the run's charged IoStats — the
+  // renderer's TOTAL row is the run, not an approximation of it.
+  for (JoinExecutor executor :
+       {JoinExecutor::kAuto, JoinExecutor::kNestedLoop,
+        JoinExecutor::kSortMerge, JoinExecutor::kIndexed,
+        JoinExecutor::kReference, JoinExecutor::kInMemoryRadix,
+        JoinExecutor::kSweep}) {
+    ExecContext ctx;
+    PartitionRun run = RunPaddedJoin(in, &ctx, executor);
+    EXPECT_GT(run.stats.io.total_ops(), 0u) << JoinExecutorName(executor);
+    EXPECT_TRUE(ctx.tracer().TotalIo() == run.stats.io)
+        << JoinExecutorName(executor)
+        << ": tree: " << ctx.tracer().TotalIo().ToString()
+        << " run: " << run.stats.io.ToString();
+  }
 
-  // Every phase of the run executed under a span, so the tree's exclusive
-  // I/O sums exactly to the run's charged IoStats — the renderer's TOTAL
-  // row is the run, not an approximation of it.
+  ExecContext ctx;
+  PartitionRun run = RunPaddedJoin(in, &ctx);
   EXPECT_TRUE(ctx.tracer().TotalIo() == run.stats.io)
       << "tree: " << ctx.tracer().TotalIo().ToString()
       << " run: " << run.stats.io.ToString();
@@ -136,16 +149,16 @@ TEST(SpanTreeTest, InclusiveIoEqualsRunIoStats) {
 TEST(SpanTreeTest, ParallelRunAttributesSameIoToSamePhases) {
   JoinInputs in = PaddedInputs();
   ExecContext serial_ctx;
-  PartitionRun serial = RunPartitionJoin(in, &serial_ctx, 1);
+  PartitionRun serial = RunPaddedJoin(in, &serial_ctx);
   ExecContext parallel_ctx;
-  PartitionRun parallel = RunPartitionJoin(in, &parallel_ctx, 4);
+  PartitionRun parallel = RunPaddedJoin(in, &parallel_ctx);
 
   EXPECT_TRUE(serial.stats.io == parallel.stats.io);
   EXPECT_TRUE(serial_ctx.tracer().TotalIo() == parallel_ctx.tracer().TotalIo());
 
-  // Per-phase inclusive I/O is also thread-count-invariant, not just the
-  // total: the per-file head model classifies each stream independently
-  // of interleaving, and each phase's I/O is issued by its own thread.
+  // Per-phase inclusive I/O repeats too, not just the total: every phase
+  // runs on the query's thread in the paper's order, and each span's I/O
+  // is a delta of the run's accountant.
   const SpanNode& sroot = serial_ctx.tracer().root();
   const SpanNode& proot = parallel_ctx.tracer().root();
   for (Phase p : {Phase::kChooseIntervals, Phase::kSampling,
@@ -163,9 +176,9 @@ TEST(SpanTreeTest, ParallelRunAttributesSameIoToSamePhases) {
 
 TEST(SpanTreeTest, NullContextIsByteIdentical) {
   JoinInputs in = PaddedInputs();
-  PartitionRun plain = RunPartitionJoin(in, nullptr, 1);
+  PartitionRun plain = RunPaddedJoin(in, nullptr);
   ExecContext ctx;
-  PartitionRun traced = RunPartitionJoin(in, &ctx, 1);
+  PartitionRun traced = RunPaddedJoin(in, &ctx);
 
   EXPECT_TRUE(plain.stats.io == traced.stats.io)
       << "plain: " << plain.stats.io.ToString()
@@ -178,16 +191,52 @@ TEST(SpanTreeTest, NullContextIsByteIdentical) {
   }
 }
 
+// A sequenced pipeline (select, two joins, a difference) charges all of
+// its I/O inside its span tree: the tree's total equals the accountant's
+// delta around the whole run.
+TEST(SpanTreeTest, SequencedPipelineTotalIoEqualsAccountantDelta) {
+  JoinInputs in = PaddedInputs();
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
+  auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
+  const AttrPredicate low_keys{"key", CompareOp::kLt, Value(int64_t{10})};
+  QueryPlan plan = QueryPlan::Difference(
+      QueryPlan::Join(QueryPlan::Scan(r.get()), QueryPlan::Scan(s.get())),
+      QueryPlan::Join(QueryPlan::Scan(r.get()).Select(low_keys),
+                      QueryPlan::Scan(s.get())));
+  QueryOptions options;
+  options.join.buffer_pages = 4;
+
+  ExecContext ctx;
+  const IoStats before = disk.accountant().stats();
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      QueryResult result,
+      RunSequencedQuery(plan, &disk, options, &ctx, "pipe"));
+  const IoStats charged = disk.accountant().stats() - before;
+
+  EXPECT_GT(result.output_tuples, 0u);
+  EXPECT_GT(charged.total_ops(), 0u);
+  EXPECT_TRUE(ctx.tracer().TotalIo() == charged)
+      << "tree: " << ctx.tracer().TotalIo().ToString()
+      << " accountant: " << charged.ToString();
+  for (Phase p : {Phase::kQuery, Phase::kQuerySelect, Phase::kQueryJoin,
+                  Phase::kQueryDifference}) {
+    EXPECT_NE(ctx.tracer().root().FindPhase(p), nullptr) << PhaseName(p);
+  }
+}
+
 // ---------------------------------------------------------------------
 // ExplainAnalyze rendering
 // ---------------------------------------------------------------------
 
+// Two runs of the same join render the same I/O columns: every phase
+// runs on the query's thread, and each span's I/O is an accountant delta.
 TEST(ExplainTest, SerialAndFourThreadRunsRenderIdenticalIoColumns) {
   JoinInputs in = PaddedInputs();
   ExecContext serial_ctx;
-  RunPartitionJoin(in, &serial_ctx, 1);
+  RunPaddedJoin(in, &serial_ctx);
   ExecContext parallel_ctx;
-  RunPartitionJoin(in, &parallel_ctx, 4);
+  RunPaddedJoin(in, &parallel_ctx);
 
   ExplainOptions opts;
   opts.include_timing = false;  // wall-clock is the one nondeterministic axis
@@ -199,7 +248,7 @@ TEST(ExplainTest, SerialAndFourThreadRunsRenderIdenticalIoColumns) {
 TEST(ExplainTest, MatchesGoldenSpanTree) {
   JoinInputs in = PaddedInputs();
   ExecContext ctx;
-  RunPartitionJoin(in, &ctx, 1);
+  RunPaddedJoin(in, &ctx);
 
   ExplainOptions opts;
   opts.include_timing = false;
@@ -329,25 +378,23 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
   }
 
   {
-    // Partition join under a 4-thread scheduler: Grace and joinPartitions
-    // run serially, so it emits no morsel metrics.
+    // Partition join: Grace and joinPartitions run on the query's thread,
+    // so it emits no morsel metrics.
     Disk disk;
     auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
     auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
     StoredRelation out(&disk, out_schema, "out");
     JoinRequest req;
     req.From(r.get(), s.get()).Using(JoinExecutor::kPartition).BufferPages(4);
-    Scheduler scheduler(SchedulerConfig{4, /*morsel_pages=*/4});
     ExecContext pctx;
-    pctx.SetScheduler(&scheduler);
     auto stats_or = RunJoin(req, &out, &pctx);
     ASSERT_TRUE(stats_or.ok());
     ExpectAllDeclared(stats_or.value(), "partition");
   }
 
   {
-    // Radix join under a 4-thread scheduler: its probe is one serial
-    // ordered pass, so like every executor it emits no morsel metrics.
+    // Radix join: its probe is one serial ordered pass, so like every
+    // executor it emits no morsel metrics.
     Disk disk;
     auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
     auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
@@ -357,9 +404,7 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
         .Using(JoinExecutor::kInMemoryRadix)
         .BufferPages(4)
         .RadixBudgetBytes(uint64_t{1} << 30);
-    Scheduler scheduler(SchedulerConfig{4, /*morsel_pages=*/4});
     ExecContext rctx;
-    rctx.SetScheduler(&scheduler);
     auto stats_or = RunJoin(req, &out, &rctx);
     ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
     EXPECT_FALSE(stats_or->Has(Metric::kMorselsDispatched));
@@ -380,9 +425,9 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
   }
 }
 
-// No executor phase dispatches morsels: at 4 threads the radix join (one
-// serial ordered pass) and the paged executors (sort-merge, the partition
-// join's Grace path) record no morsel metric.
+// No executor phase dispatches morsels: the radix join (one serial
+// ordered pass) and the paged executors (sort-merge, the partition join's
+// Grace path) record no morsel metric.
 TEST(MetricsTest, MorselDurationHistogramDescribesTheRadixProbeOnly) {
   JoinInputs in = PaddedInputs();
   auto layout_or = DeriveNaturalJoinLayout(TestSchema(), SSchema());
@@ -402,9 +447,7 @@ TEST(MetricsTest, MorselDurationHistogramDescribesTheRadixProbeOnly) {
         .Using(executor)
         .BufferPages(4)
         .RadixBudgetBytes(uint64_t{1} << 30);
-    Scheduler scheduler(SchedulerConfig{4, /*morsel_pages=*/4});
     ExecContext ctx;
-    ctx.SetScheduler(&scheduler);
     auto stats_or = RunJoin(req, &out, &ctx);
     ASSERT_TRUE(stats_or.ok()) << name << ": "
                                << stats_or.status().ToString();

@@ -1,8 +1,8 @@
 // Tests for the sequenced join variants — valid-time left-outer,
 // full-outer and anti joins: hand-derived golden outputs, byte identity
 // between the partition executor and the brute-force oracle in the
-// canonical sequenced result order, thread-count invariance of output
-// pages and charged IoStats at 1/2/4 threads, edge inputs (empty sides,
+// canonical sequenced result order, identical output pages and charged
+// IoStats traced or untraced, edge inputs (empty sides,
 // all-NULL keys, meets-adjacent intervals, multi-partner full coverage),
 // and request validation.
 
@@ -16,7 +16,6 @@
 
 #include "core/partition_join.h"
 #include "join/reference_join.h"
-#include "parallel/scheduler.h"
 #include "service/join_request.h"
 #include "test_util.h"
 
@@ -45,15 +44,6 @@ Tuple J(int64_t key, const char* name, const char* sval, Chronon vs,
         Chronon ve) {
   return Tuple({Value(key), VN(name), VN(sval)}, Interval(vs, ve));
 }
-
-struct ScopedScheduler {
-  explicit ScopedScheduler(uint32_t threads)
-      : scheduler(SchedulerConfig{threads, /*morsel_pages=*/4}) {
-    ctx.SetScheduler(&scheduler);
-  }
-  Scheduler scheduler;
-  ExecContext ctx;
-};
 
 Schema OutputSchemaFor(JoinKind kind) {
   if (kind == JoinKind::kAnti) return TestSchema();
@@ -189,7 +179,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, GoldenOuterJoinTest,
                          });
 
 // ---------------------------------------------------------------------
-// Byte identity: partition executor vs oracle, 1/2/4 threads
+// Byte identity: partition executor vs oracle, traced and untraced
 // ---------------------------------------------------------------------
 
 struct RunImage {
@@ -247,7 +237,7 @@ VariantInputs MakeVariantInputs(uint64_t seed) {
 }
 
 RunImage RunPartitionVariant(const VariantInputs& in, JoinKind kind,
-                             uint32_t threads, uint32_t buffer_pages) {
+                             bool traced, uint32_t buffer_pages) {
   Disk disk;
   auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
   auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
@@ -257,10 +247,10 @@ RunImage RunPartitionVariant(const VariantInputs& in, JoinKind kind,
       .Using(JoinExecutor::kPartition)
       .Kind(kind)
       .BufferPages(buffer_pages);
-  ScopedScheduler sched(threads);
-  auto stats = RunJoin(req, &out, &sched.ctx);
+  ExecContext ctx;
+  auto stats = RunJoin(req, &out, traced ? &ctx : nullptr);
   if (!stats.ok()) {
-    ADD_FAILURE() << JoinKindName(kind) << " threads=" << threads << ": "
+    ADD_FAILURE() << JoinKindName(kind) << " traced=" << traced << ": "
                   << stats.status().ToString();
     return {};
   }
@@ -287,10 +277,11 @@ class VariantParityTest : public ::testing::TestWithParam<JoinKind> {};
 
 // The acceptance bar: for every non-inner kind, the partition executor's
 // output pages are byte-identical to the brute-force oracle's (both emit
-// the canonical sequenced result order), at 1, 2 and 4 threads, and the
-// charged IoStats are identical at every thread count. Checked on both
-// the multi-partition Grace path (small buffer) and the in-memory fast
-// path (large buffer).
+// the canonical sequenced result order), and a traced run writes the same
+// pages and charges the same IoStats as an untraced one. (Every phase runs
+// on the query's thread, so there is no thread count left to vary.)
+// Checked on both the multi-partition Grace path (small buffer) and the
+// in-memory fast path (large buffer).
 TEST_P(VariantParityTest, ExecutorMatchesOracleByteIdenticalAt124Threads) {
   const JoinKind kind = GetParam();
   const VariantInputs in = MakeVariantInputs(41);
@@ -298,22 +289,19 @@ TEST_P(VariantParityTest, ExecutorMatchesOracleByteIdenticalAt124Threads) {
   ASSERT_GT(oracle.output_tuples, 0u);
 
   for (uint32_t buffer_pages : {8u, 256u}) {
-    const RunImage serial = RunPartitionVariant(in, kind, 1, buffer_pages);
+    const RunImage serial =
+        RunPartitionVariant(in, kind, /*traced=*/false, buffer_pages);
     ExpectSamePages(oracle, serial,
                     std::string(JoinKindName(kind)) + " serial vs oracle @buf=" +
                         std::to_string(buffer_pages));
-    for (uint32_t threads : {2u, 4u}) {
-      const RunImage parallel =
-          RunPartitionVariant(in, kind, threads, buffer_pages);
-      ExpectSamePages(serial, parallel,
-                      std::string(JoinKindName(kind)) + " @threads=" +
-                          std::to_string(threads) + " buf=" +
-                          std::to_string(buffer_pages));
-      EXPECT_TRUE(parallel.io == serial.io)
-          << JoinKindName(kind) << " @threads=" << threads
-          << " buf=" << buffer_pages << ": " << parallel.io.ToString()
-          << " vs " << serial.io.ToString();
-    }
+    const RunImage traced =
+        RunPartitionVariant(in, kind, /*traced=*/true, buffer_pages);
+    ExpectSamePages(serial, traced,
+                    std::string(JoinKindName(kind)) + " traced @buf=" +
+                        std::to_string(buffer_pages));
+    EXPECT_TRUE(traced.io == serial.io)
+        << JoinKindName(kind) << " traced buf=" << buffer_pages << ": "
+        << traced.io.ToString() << " vs " << serial.io.ToString();
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the in-memory columnar radix fast path: byte-identical output
-// pages and identical charged IoStats vs the reference join at every
-// thread count, one hash shared by many rows, NULL keys, long-lived rows
+// pages and identical charged IoStats vs the reference join, one hash
+// shared by many rows, NULL keys, long-lived rows
 // and non-default predicates, degenerate inputs, the budget-driven
 // fallback, and the TEMPO_RADIX_THRESHOLD_MB knob; plus the
 // ColumnExtractor that feeds it (amortised growth, corrupt-page rollback).
@@ -15,7 +15,6 @@
 #include "core/radix_join.h"
 #include "join/reference_join.h"
 #include "obs/explain.h"
-#include "parallel/scheduler.h"
 #include "relation/column_extract.h"
 #include "service/join_request.h"
 #include "test_util.h"
@@ -104,29 +103,23 @@ TEST(RadixJoinTest, ByteIdenticalAndIoIdenticalToReferenceAcrossThreads) {
   ExecRun reference = ReferenceRun(&disk, r.get(), s.get(), layout.output);
   ASSERT_GT(reference.output_tuples, 0u);
 
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    StoredRelation out(&disk, layout.output,
-                       "radix.out.t" + std::to_string(threads));
-    TEMPO_ASSERT_OK(out.SetCharged(false));
-    disk.accountant().Reset();
-    JoinRequest req;
-    // 4096 pages = a 16 MiB budget: everything fits.
-    req.From(r.get(), s.get())
-        .Using(JoinExecutor::kInMemoryRadix)
-        .BufferPages(4096);
-    Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
-    ExecContext ctx;
-    ctx.SetScheduler(&scheduler);
-    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
-    ExecRun run;
-    run.io = stats.io;
-    run.output_tuples = stats.output_tuples;
-    CapturePages(&out, &run);
-    ExpectSameRun(reference, run,
-                  ("radix threads=" + std::to_string(threads)).c_str());
-    EXPECT_GT(stats.Get(Metric::kRadixActFootprintBytes),
-              stats.Get(Metric::kRadixEstFootprintBytes));
-  }
+  StoredRelation out(&disk, layout.output, "radix.out");
+  TEMPO_ASSERT_OK(out.SetCharged(false));
+  disk.accountant().Reset();
+  JoinRequest req;
+  // 4096 pages = a 16 MiB budget: everything fits.
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kInMemoryRadix)
+      .BufferPages(4096);
+  ExecContext ctx;
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
+  ExecRun run;
+  run.io = stats.io;
+  run.output_tuples = stats.output_tuples;
+  CapturePages(&out, &run);
+  ExpectSameRun(reference, run, "radix");
+  EXPECT_GT(stats.Get(Metric::kRadixActFootprintBytes),
+            stats.Get(Metric::kRadixEstFootprintBytes));
 }
 
 TEST(RadixJoinTest, SkewedKeysOverflowOneBucket) {
@@ -151,28 +144,22 @@ TEST(RadixJoinTest, SkewedKeysOverflowOneBucket) {
   ExecRun reference = ReferenceRun(&disk, r.get(), s.get(), layout.output);
   ASSERT_GT(reference.output_tuples, 0u);
 
-  for (uint32_t threads : {1u, 2u}) {
-    StoredRelation out(&disk, layout.output,
-                       "skew.out.t" + std::to_string(threads));
-    TEMPO_ASSERT_OK(out.SetCharged(false));
-    disk.accountant().Reset();
-    JoinRequest req;
-    req.From(r.get(), s.get())
-        .Using(JoinExecutor::kInMemoryRadix)
-        .BufferPages(4096);
-    Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
-    ExecContext ctx;
-    ctx.SetScheduler(&scheduler);
-    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
-    EXPECT_GE(stats.Get(Metric::kRadixPasses), 1.0);
-    EXPECT_EQ(stats.Get(Metric::kRadixBuckets), 1.0);  // all keys collide
-    ExecRun run;
-    run.io = stats.io;
-    run.output_tuples = stats.output_tuples;
-    CapturePages(&out, &run);
-    ExpectSameRun(reference, run,
-                  ("skew threads=" + std::to_string(threads)).c_str());
-  }
+  StoredRelation out(&disk, layout.output, "skew.out");
+  TEMPO_ASSERT_OK(out.SetCharged(false));
+  disk.accountant().Reset();
+  JoinRequest req;
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kInMemoryRadix)
+      .BufferPages(4096);
+  ExecContext ctx;
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
+  EXPECT_GE(stats.Get(Metric::kRadixPasses), 1.0);
+  EXPECT_EQ(stats.Get(Metric::kRadixBuckets), 1.0);  // all keys collide
+  ExecRun run;
+  run.io = stats.io;
+  run.output_tuples = stats.output_tuples;
+  CapturePages(&out, &run);
+  ExpectSameRun(reference, run, "skew");
 }
 
 TEST(RadixJoinTest, EmptySidesProduceEmptyOutput) {
@@ -275,7 +262,7 @@ std::vector<Tuple> StressTuples(Random& rng, int n, const std::string& tag) {
 TEST(RadixJoinTest, OrderedPassMatchesReferenceOnSharedHashNullKeysLongLived) {
   // The ordered pass emits r rows in input order and each one's s matches
   // in ascending s order, with no sort: its pages must equal the oracle's
-  // byte for byte at 1 and 4 threads, under the default predicate and
+  // byte for byte, under the default predicate and
   // under asymmetric shared-chronon predicates (tested on (s, r) through
   // the converse, so a wrong operand order would show).
   Disk disk;
@@ -305,30 +292,25 @@ TEST(RadixJoinTest, OrderedPassMatchesReferenceOnSharedHashNullKeysLongLived) {
     TEMPO_ASSERT_OK(ref_out.AppendAll(expected));
     CapturePages(&ref_out, &reference);
 
-    for (uint32_t threads : {1u, 4u}) {
-      const std::string what =
-          predicate.Name() + " threads=" + std::to_string(threads);
-      StoredRelation out(&disk, layout.output, "radix.out");
-      TEMPO_ASSERT_OK(out.SetCharged(false));
-      disk.accountant().Reset();
-      JoinRequest req;
-      req.From(r.get(), s.get())
-          .Using(JoinExecutor::kInMemoryRadix)
-          .Predicate(predicate)
-          .BufferPages(4096);
-      Scheduler scheduler(SchedulerConfig{threads, /*morsel_pages=*/4});
-      ExecContext ctx;
-      ctx.SetScheduler(&scheduler);
-      TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
-      ExecRun run;
-      run.io = stats.io;
-      run.output_tuples = stats.output_tuples;
-      CapturePages(&out, &run);
-      ExpectSameRun(reference, run, what.c_str());
-      EXPECT_EQ(stats.Get(Metric::kRadixPasses), 1.0) << what;
-      EXPECT_EQ(stats.Get(Metric::kRadixRowsRouted), 500.0) << what;
-      EXPECT_FALSE(stats.Has(Metric::kMorselsDispatched)) << what;
-    }
+    const std::string what = predicate.Name();
+    StoredRelation out(&disk, layout.output, "radix.out");
+    TEMPO_ASSERT_OK(out.SetCharged(false));
+    disk.accountant().Reset();
+    JoinRequest req;
+    req.From(r.get(), s.get())
+        .Using(JoinExecutor::kInMemoryRadix)
+        .Predicate(predicate)
+        .BufferPages(4096);
+    ExecContext ctx;
+    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out, &ctx));
+    ExecRun run;
+    run.io = stats.io;
+    run.output_tuples = stats.output_tuples;
+    CapturePages(&out, &run);
+    ExpectSameRun(reference, run, what.c_str());
+    EXPECT_EQ(stats.Get(Metric::kRadixPasses), 1.0) << what;
+    EXPECT_EQ(stats.Get(Metric::kRadixRowsRouted), 500.0) << what;
+    EXPECT_FALSE(stats.Has(Metric::kMorselsDispatched)) << what;
   }
 }
 

@@ -19,7 +19,6 @@
 #include "common/json.h"
 #include "join/reference_join.h"
 #include "obs/export.h"
-#include "parallel/scheduler.h"
 #include "service/query_service.h"
 #include "test_util.h"
 #include "workload/generator.h"
@@ -45,8 +44,7 @@ Tuple S(int64_t key, const std::string& v, Chronon vs, Chronon ve) {
 // ---------------------------------------------------------------------
 
 TEST(SharedBufferPoolTest, OverCapacityRequestFailsFastNotDeadlocks) {
-  Disk disk;
-  SharedBufferPool pool(&disk, 8);
+  SharedBufferPool pool(8);
   auto ticket = pool.Request(9);
   ASSERT_FALSE(ticket.ok());
   EXPECT_EQ(ticket.status().code(), StatusCode::kResourceExhausted)
@@ -59,16 +57,14 @@ TEST(SharedBufferPoolTest, OverCapacityRequestFailsFastNotDeadlocks) {
 }
 
 TEST(SharedBufferPoolTest, ZeroPageRequestIsInvalid) {
-  Disk disk;
-  SharedBufferPool pool(&disk, 8);
+  SharedBufferPool pool(8);
   auto ticket = pool.Request(0);
   ASSERT_FALSE(ticket.ok());
   EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SharedBufferPoolTest, StrictFifoFrontBlocksSmallerLaterRequests) {
-  Disk disk;
-  SharedBufferPool pool(&disk, 10);
+  SharedBufferPool pool(10);
   TEMPO_ASSERT_OK_AND_ASSIGN(auto a, pool.Request(6));
   EXPECT_TRUE(a->granted());  // 4 pages left
   TEMPO_ASSERT_OK_AND_ASSIGN(auto b, pool.Request(6));
@@ -88,8 +84,7 @@ TEST(SharedBufferPoolTest, StrictFifoFrontBlocksSmallerLaterRequests) {
 }
 
 TEST(SharedBufferPoolTest, FifoFairnessUnderEightQueuedRequests) {
-  Disk disk;
-  SharedBufferPool pool(&disk, 4);
+  SharedBufferPool pool(4);
   TEMPO_ASSERT_OK_AND_ASSIGN(auto holder, pool.Request(4));
   EXPECT_TRUE(holder->granted());
 
@@ -117,8 +112,7 @@ TEST(SharedBufferPoolTest, FifoFairnessUnderEightQueuedRequests) {
 }
 
 TEST(SharedBufferPoolTest, CancellingQueuedTicketUnblocksThoseBehindIt) {
-  Disk disk;
-  SharedBufferPool pool(&disk, 4);
+  SharedBufferPool pool(4);
   TEMPO_ASSERT_OK_AND_ASSIGN(auto holder, pool.Request(4));
   TEMPO_ASSERT_OK_AND_ASSIGN(auto b, pool.Request(4));
   TEMPO_ASSERT_OK_AND_ASSIGN(auto c, pool.Request(2));
@@ -478,7 +472,7 @@ TEST(QueryServiceTest, MalformedSubmitFailsWithoutQueueing) {
 }
 
 // Each query runs on its own thread; the service itself starts none (the
-// telemetry sampler is off here), whatever the unread thread count says.
+// telemetry sampler is off here).
 TEST(QueryServiceTest, CreateStartsNoWorkerThreads) {
   const auto thread_count = [] {
     size_t n = 0;
@@ -490,7 +484,6 @@ TEST(QueryServiceTest, CreateStartsNoWorkerThreads) {
   };
   Disk disk;
   QueryServiceOptions options;
-  options.scheduler.num_threads = 4;
   ASSERT_FALSE(options.telemetry.enabled());
   const size_t before = thread_count();
   TEMPO_ASSERT_OK_AND_ASSIGN(auto service, QueryService::Create(&disk, options));
@@ -500,8 +493,8 @@ TEST(QueryServiceTest, CreateStartsNoWorkerThreads) {
 
 // ---------------------------------------------------------------------
 // Determinism: concurrent service runs must be byte-identical to a
-// standalone run — same output pages, same charged IoStats — at every
-// scheduler thread count. This is the test the TSan job hammers.
+// standalone run — same output pages, same charged IoStats — however many
+// queries are in flight. This is the test the TSan job hammers.
 // ---------------------------------------------------------------------
 
 struct RunImage {
@@ -543,12 +536,11 @@ TEST(QueryServiceTest, ConcurrentRunsByteIdenticalToSerialAtAnyThreadCount) {
                                     JoinExecutor::kSortMerge,
                                     JoinExecutor::kNestedLoop};
 
-  // Reference images: one query at a time, serial scheduler.
+  // Reference images: one query at a time.
   std::vector<RunImage> reference;
   {
     QueryServiceOptions options;
     options.pool_pages = 64;
-    options.scheduler.num_threads = 1;
     TEMPO_ASSERT_OK_AND_ASSIGN(auto service,
                                QueryService::Create(&f.disk, options));
     Session session = service->OpenSession();
@@ -563,29 +555,26 @@ TEST(QueryServiceTest, ConcurrentRunsByteIdenticalToSerialAtAnyThreadCount) {
   }
 
   // Concurrent runs: all three executors in flight at once (the pool
-  // admits them all), at every (unread) thread count.
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    QueryServiceOptions options;
-    options.pool_pages = 64;
-    options.scheduler.num_threads = threads;
-    TEMPO_ASSERT_OK_AND_ASSIGN(auto service,
-                               QueryService::Create(&f.disk, options));
-    Session session = service->OpenSession();
-    std::vector<std::unique_ptr<QueryHandle>> handles;
-    for (JoinExecutor executor : executors) {
-      JoinRequest request;
-      request.From(f.r.get(), f.s.get()).Using(executor).BufferPages(8);
-      TEMPO_ASSERT_OK_AND_ASSIGN(auto handle, session.Submit(request));
-      handles.push_back(std::move(handle));
-    }
-    for (size_t i = 0; i < handles.size(); ++i) {
-      TEMPO_ASSERT_OK(handles[i]->Wait());
-      RunImage image = ImageOf(handles[i].get());
-      ExpectSameImage(reference[i], image,
-                      (std::string(JoinExecutorName(executors[i])) +
-                       " @threads=" + std::to_string(threads))
-                          .c_str());
-    }
+  // admits them all).
+  QueryServiceOptions options;
+  options.pool_pages = 64;
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto service,
+                             QueryService::Create(&f.disk, options));
+  Session session = service->OpenSession();
+  std::vector<std::unique_ptr<QueryHandle>> handles;
+  for (JoinExecutor executor : executors) {
+    JoinRequest request;
+    request.From(f.r.get(), f.s.get()).Using(executor).BufferPages(8);
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto handle, session.Submit(request));
+    handles.push_back(std::move(handle));
+  }
+  for (size_t i = 0; i < handles.size(); ++i) {
+    TEMPO_ASSERT_OK(handles[i]->Wait());
+    RunImage image = ImageOf(handles[i].get());
+    ExpectSameImage(reference[i], image,
+                    (std::string(JoinExecutorName(executors[i])) +
+                     " concurrent")
+                        .c_str());
   }
 }
 
@@ -651,8 +640,8 @@ std::vector<Json> ReadJsonl(const std::string& path) {
 // The headline telemetry guarantee: turning *everything* on — sampler,
 // slow-query log (threshold 0 logs every query), flight dump — leaves
 // every query's output pages and charged IoStats byte-identical to a
-// telemetry-off run, at every scheduler thread count. Telemetry only
-// reads snapshots; nothing it does lands on the charged-I/O path.
+// telemetry-off run. Telemetry only reads snapshots; nothing it does
+// lands on the charged-I/O path.
 TEST(QueryServiceTest, TelemetryOnLeavesOutputAndIoStatsByteIdentical) {
   ServiceFixture f;
   const JoinExecutor executors[] = {JoinExecutor::kPartition,
@@ -661,11 +650,9 @@ TEST(QueryServiceTest, TelemetryOnLeavesOutputAndIoStatsByteIdentical) {
   const std::string jsonl = ServiceTempPath("full.jsonl");
   const std::string flight = ServiceTempPath("full_flight.json");
 
-  auto run_all = [&](uint32_t threads,
-                     bool telemetry) -> std::vector<RunImage> {
+  auto run_all = [&](bool telemetry) -> std::vector<RunImage> {
     QueryServiceOptions options;
     options.pool_pages = 64;
-    options.scheduler.num_threads = threads;
     if (telemetry) {
       options.telemetry.jsonl_path = jsonl;
       options.telemetry.sampler_period_ms = 1;
@@ -703,16 +690,14 @@ TEST(QueryServiceTest, TelemetryOnLeavesOutputAndIoStatsByteIdentical) {
     return images;
   };
 
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    std::vector<RunImage> off = run_all(threads, /*telemetry=*/false);
-    std::vector<RunImage> on = run_all(threads, /*telemetry=*/true);
-    ASSERT_EQ(off.size(), on.size());
-    for (size_t i = 0; i < off.size(); ++i) {
-      ExpectSameImage(off[i], on[i],
-                      (std::string(JoinExecutorName(executors[i])) +
-                       " telemetry on/off @threads=" + std::to_string(threads))
-                          .c_str());
-    }
+  std::vector<RunImage> off = run_all(/*telemetry=*/false);
+  std::vector<RunImage> on = run_all(/*telemetry=*/true);
+  ASSERT_EQ(off.size(), on.size());
+  for (size_t i = 0; i < off.size(); ++i) {
+    ExpectSameImage(off[i], on[i],
+                    (std::string(JoinExecutorName(executors[i])) +
+                     " telemetry on/off")
+                        .c_str());
   }
 
   // The fully-enabled runs also produced a parseable JSONL stream and a
@@ -727,7 +712,7 @@ TEST(QueryServiceTest, TelemetryOnLeavesOutputAndIoStatsByteIdentical) {
     if (type == "slow_query") ++slow;
   }
   EXPECT_GE(samples, 1u);
-  EXPECT_GE(slow, 12u);  // 3 queries x 4 thread counts, threshold 0
+  EXPECT_GE(slow, 3u);  // 3 queries, threshold 0
   auto flight_doc = Json::Parse(ReadWholeFile(flight));
   ASSERT_TRUE(flight_doc.ok()) << flight_doc.status().ToString();
   EXPECT_NE(flight_doc->Find("traceEvents"), nullptr);
@@ -792,7 +777,6 @@ TEST(QueryServiceTest, ConcurrentQueriesWriteSeparatePerQueryTraces) {
   {
     QueryServiceOptions options;
     options.pool_pages = 64;
-    options.scheduler.num_threads = 2;
     TEMPO_ASSERT_OK_AND_ASSIGN(auto service,
                                QueryService::Create(&f.disk, options));
     Session session = service->OpenSession();

@@ -1,7 +1,7 @@
 // Tests for the endpoint-sweep executor and the TemporalPredicate
 // taxonomy it serves: hand-derived golden rows for each predicate class
 // (overlap narrowing, endpoint equality, adjacency), byte identity of the
-// sweep's output pages and charged IoStats at 1/2/4 threads and against
+// sweep's output pages and charged IoStats traced and untraced and against
 // the extended reference oracle for every predicate in the taxonomy,
 // predicate parity of every shared-chronon executor against the oracle,
 // and ValidateExecOptions rejections naming executor, kind and predicate.
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "join/reference_join.h"
-#include "parallel/scheduler.h"
 #include "service/join_request.h"
 #include "test_util.h"
 
@@ -44,15 +43,6 @@ Schema OutSchema() {
   auto layout = DeriveNaturalJoinLayout(TestSchema(), SSchema());
   return layout->output;
 }
-
-struct ScopedScheduler {
-  explicit ScopedScheduler(uint32_t threads)
-      : scheduler(SchedulerConfig{threads, /*morsel_pages=*/4}) {
-    ctx.SetScheduler(&scheduler);
-  }
-  Scheduler scheduler;
-  ExecContext ctx;
-};
 
 // ---------------------------------------------------------------------
 // Golden hand-derived rows, one per predicate class
@@ -176,7 +166,7 @@ TEST(SweepGoldenTest, AdjacencyDisjunctionUnionsBothDirections) {
 }
 
 // ---------------------------------------------------------------------
-// Byte identity: sweep at 1/2/4 threads, and sweep vs reference oracle
+// Byte identity: sweep traced and untraced, and sweep vs reference oracle
 // ---------------------------------------------------------------------
 
 struct RunImage {
@@ -251,7 +241,7 @@ VariantInputs MakeVariantInputs(uint64_t seed) {
 }
 
 RunImage RunSweepVariant(const VariantInputs& in, TemporalPredicate pred,
-                         uint32_t threads, uint32_t buffer_pages) {
+                         bool traced, uint32_t buffer_pages) {
   Disk disk;
   auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
   auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
@@ -261,10 +251,10 @@ RunImage RunSweepVariant(const VariantInputs& in, TemporalPredicate pred,
       .Using(JoinExecutor::kSweep)
       .Predicate(pred)
       .BufferPages(buffer_pages);
-  ScopedScheduler sched(threads);
-  auto stats = RunJoin(req, &out, &sched.ctx);
+  ExecContext ctx;
+  auto stats = RunJoin(req, &out, traced ? &ctx : nullptr);
   if (!stats.ok()) {
-    ADD_FAILURE() << pred.Name() << " threads=" << threads << ": "
+    ADD_FAILURE() << pred.Name() << " traced=" << traced << ": "
                   << stats.status().ToString();
     return {};
   }
@@ -314,24 +304,22 @@ std::vector<std::pair<std::string, TemporalPredicate>> TaxonomyPredicates() {
 
 // The acceptance bar: for every predicate in the taxonomy, the sweep's
 // output pages are byte-identical to the extended reference oracle's
-// (both emit the canonical result order), its own runs are byte-identical
-// at 1, 2 and 4 threads, and the charged IoStats are identical at every
-// thread count.
+// (both emit the canonical result order), and a traced run writes the
+// same pages and charges the same IoStats as an untraced one. (Every
+// phase runs on the query's thread, so there is no thread count left to
+// vary.)
 TEST(SweepParityTest, ByteIdenticalToOracleAndAcrossThreadCounts) {
   const VariantInputs in = MakeVariantInputs(97);
   for (const auto& [name, pred] : TaxonomyPredicates()) {
     const RunImage oracle = RunOracleVariant(in, pred);
-    const RunImage serial = RunSweepVariant(in, pred, 1, 16);
+    const RunImage serial = RunSweepVariant(in, pred, /*traced=*/false, 16);
     EXPECT_GT(serial.output_tuples, 0u) << name << ": degenerate workload";
     ExpectSamePages(oracle, serial, name + " sweep vs oracle");
-    for (uint32_t threads : {2u, 4u}) {
-      const RunImage parallel = RunSweepVariant(in, pred, threads, 16);
-      ExpectSamePages(serial, parallel,
-                      name + " @threads=" + std::to_string(threads));
-      EXPECT_TRUE(parallel.io == serial.io)
-          << name << " @threads=" << threads << ": "
-          << parallel.io.ToString() << " vs " << serial.io.ToString();
-    }
+    const RunImage traced = RunSweepVariant(in, pred, /*traced=*/true, 16);
+    ExpectSamePages(serial, traced, name + " traced");
+    EXPECT_TRUE(traced.io == serial.io)
+        << name << " traced: " << traced.io.ToString() << " vs "
+        << serial.io.ToString();
   }
 }
 
@@ -342,11 +330,11 @@ TEST(SweepParityTest, SurvivesTightBufferByteIdentically) {
   const TemporalPredicate pred = TemporalPredicate::AnyOf(
       {AllenRelation::kMeets, AllenRelation::kMetBy, AllenRelation::kEquals});
   const RunImage oracle = RunOracleVariant(in, pred);
-  const RunImage tight = RunSweepVariant(in, pred, 1, 4);
+  const RunImage tight = RunSweepVariant(in, pred, /*traced=*/false, 4);
   ExpectSamePages(oracle, tight, "tight buffer sweep vs oracle");
-  const RunImage tight4 = RunSweepVariant(in, pred, 4, 4);
-  ExpectSamePages(tight, tight4, "tight buffer @threads=4");
-  EXPECT_TRUE(tight4.io == tight.io);
+  const RunImage tight_traced = RunSweepVariant(in, pred, /*traced=*/true, 4);
+  ExpectSamePages(tight, tight_traced, "tight buffer traced");
+  EXPECT_TRUE(tight_traced.io == tight.io);
 }
 
 // ---------------------------------------------------------------------
