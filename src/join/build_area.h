@@ -131,20 +131,27 @@ class BuildArea {
 /// A flat equi-hash index over the rows [begin, end) of a row source — a
 /// BuildArea, or a ColumnExtractor's columns. One counting sort groups
 /// the rows by the low bits of their key hash into a power-of-two slot
-/// table; each entry carries the row's full hash and interval, so a probe
+/// table; each entry carries a key word and the row's interval, so a probe
 /// filters on one contiguous run without touching record bytes.
 ///
-/// By default a probe walks its slot newest row first and skips entries
-/// whose full hash differs. That is the order in which a
-/// std::unordered_multimap keyed on the hash returns equal_range (newest
-/// first among equal keys), so executors that moved here from
-/// HashedTupleIndex emit their matches in the same order. An index built
-/// with Walk::kOldestFirst yields its candidates in ascending row order
-/// instead, which is the reference join's inner-loop order.
+/// The key word is the key itself when the key is a single int64
+/// attribute that no indexed row leaves NULL (key_words()): a probe then
+/// settles key equality on the entry alone, and a NULL probe key matches
+/// nothing. Any other key — composite, string or double, or with a NULL
+/// among the indexed rows — keeps the row's full key hash there, and the
+/// caller confirms the key on the records. Either way the slot comes from
+/// the hash, so slot contents and walk order do not depend on the mode.
+///
+/// By default a probe walks its slot newest row first. That is the order
+/// in which a std::unordered_multimap keyed on the hash returns
+/// equal_range (newest first among equal keys), so executors that moved
+/// here from HashedTupleIndex emit their matches in the same order. An
+/// index built with Walk::kOldestFirst yields its candidates in ascending
+/// row order instead, which is the reference join's inner-loop order.
 class FlatIndex {
  public:
   struct Entry {
-    uint64_t hash;
+    uint64_t word;  // the int64 key when key_words(), else the key hash
     Chronon start;
     Chronon end;
     uint32_t row;  // source row
@@ -154,7 +161,8 @@ class FlatIndex {
   enum class Walk { kNewestFirst, kOldestFirst };
 
   /// Indexes `rows`' rows [begin, end), replacing any previous contents.
-  /// `Rows` provides key_hash(row), start(row) and end(row).
+  /// `Rows` provides key_hash(row), start(row), end(row), view(row) and
+  /// key_attrs().
   template <typename Rows>
   void Build(const Rows& rows, size_t begin, size_t end,
              Walk walk = Walk::kNewestFirst) {
@@ -162,7 +170,13 @@ class FlatIndex {
     TEMPO_DCHECK(end <= UINT32_MAX);
     const size_t n = end - begin;
     entries_.clear();
+    key_words_ = false;
     if (n == 0) return;
+    const std::vector<size_t>& keys = rows.key_attrs();
+    const bool int64_key =
+        keys.size() == 1 &&
+        rows.view(begin).layout().types[keys[0]] == ValueType::kInt64;
+    key_words_ = int64_key;
     size_t slots = 1;
     while (slots < n) slots <<= 1;
     mask_ = slots - 1;
@@ -178,9 +192,20 @@ class FlatIndex {
     for (size_t s = 1; s < slots; ++s) offsets_[s] += offsets_[s - 1];
     offsets_[slots] = static_cast<uint32_t>(n);
     entries_.resize(n);
+    // Each row's record is read once, here, for its key; the first NULL
+    // key turns key words off.
     auto place = [&](size_t row) {
       const uint64_t h = rows.key_hash(row);
-      entries_[--offsets_[h & mask_]] = Entry{h, rows.start(row),
+      uint64_t word = h;
+      if (key_words_) {
+        const TupleView& v = rows.view(row);
+        if (v.is_null(keys[0])) {
+          key_words_ = false;
+        } else {
+          word = static_cast<uint64_t>(v.Int64At(keys[0]));
+        }
+      }
+      entries_[--offsets_[h & mask_]] = Entry{word, rows.start(row),
                                               rows.end(row),
                                               static_cast<uint32_t>(row)};
     };
@@ -189,18 +214,37 @@ class FlatIndex {
     } else {
       for (size_t row = begin; row < end; ++row) place(row);
     }
+    if (int64_key && !key_words_) {
+      // A NULL key came up part way: every entry carries its hash instead.
+      for (Entry& e : entries_) e.word = rows.key_hash(e.row);
+    }
   }
 
-  /// Invokes `fn(const Entry&)` for every entry whose full hash is `hash`,
-  /// in the Walk order the index was built with.
+  /// True when every entry's word is its row's int64 key, so a candidate
+  /// is a key match; false when it is the key hash, which the caller must
+  /// confirm on the records.
+  bool key_words() const { return key_words_; }
+
+  /// Invokes `fn(const Entry&)` for every entry of probe `y`'s slot whose
+  /// word equals y's — its key on `probe_keys` under key_words() (none if
+  /// that is NULL), else `y_hash`, y's key hash — in the Walk order the
+  /// index was built with.
   template <typename Fn>
-  void ForEachCandidate(uint64_t hash, Fn&& fn) const {
+  void ForEachCandidate(const TupleView& y,
+                        const std::vector<size_t>& probe_keys,
+                        uint64_t y_hash, Fn&& fn) const {
     if (entries_.empty()) return;
-    const size_t slot = hash & mask_;
+    uint64_t word = y_hash;
+    if (key_words_) {
+      TEMPO_DCHECK(probe_keys.size() == 1);
+      if (y.is_null(probe_keys[0])) return;
+      word = static_cast<uint64_t>(y.Int64At(probe_keys[0]));
+    }
+    const size_t slot = y_hash & mask_;
     const uint32_t first = offsets_[slot];
     for (uint32_t k = offsets_[slot + 1]; k-- > first;) {
       const Entry& e = entries_[k];
-      if (e.hash == hash) fn(e);
+      if (e.word == word) fn(e);
     }
   }
 
@@ -220,16 +264,22 @@ class FlatIndex {
   std::vector<uint32_t> offsets_;  // slot -> first entry; slots + 1 long
   std::vector<Entry> entries_;     // grouped by slot
   uint64_t mask_ = 0;
+  bool key_words_ = false;
 };
+
+static_assert(sizeof(FlatIndex::Entry) == 32);
 
 /// The probe step every build-side executor shares: for probe record `y`
 /// with key hash `y_hash` and interval `y_iv`, invokes `fn(row, overlap)`
 /// for each build row x that joins it, in FlatIndex order. `build`
 /// provides view(row) and key_attrs(). The filters run cheapest first —
-/// full key hash, interval overlap, the de-duplication rule (the overlap
+/// the key word (the key itself for a single non-NULL int64 key, else the
+/// full key hash), interval overlap, the de-duplication rule (the overlap
 /// must end in `dedup`, when given), the temporal predicate — on the index
-/// columns; only rows that pass all four read record bytes, for the key
-/// check. The predicate is tested as predicate(x, y): build row first.
+/// columns. Only an index of key hashes then reads record bytes, to
+/// confirm the key; under key words the first read of a matched build
+/// record is the caller's emission. The predicate is tested as
+/// predicate(x, y): build row first.
 template <typename Rows, typename Fn>
 void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
                       const TupleView& y, uint64_t y_hash,
@@ -237,7 +287,9 @@ void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
                       const std::vector<size_t>& probe_keys,
                       const TemporalPredicate& predicate,
                       const Interval* dedup, Fn&& fn) {
-  index.ForEachCandidate(y_hash, [&](const FlatIndex::Entry& e) {
+  const bool confirm_keys = !index.key_words();
+  index.ForEachCandidate(y, probe_keys, y_hash,
+                         [&](const FlatIndex::Entry& e) {
     const Chronon lo = std::max(e.start, y_iv.start());
     const Chronon hi = std::min(e.end, y_iv.end());
     if (lo > hi) return;
@@ -246,7 +298,8 @@ void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
                                     y_iv)) {
       return;
     }
-    if (!y.EqualOnAttrs(probe_keys, build.key_attrs(), build.view(e.row))) {
+    if (confirm_keys &&
+        !y.EqualOnAttrs(probe_keys, build.key_attrs(), build.view(e.row))) {
       return;
     }
     fn(static_cast<size_t>(e.row), Interval(lo, hi));

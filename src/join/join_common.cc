@@ -1,6 +1,7 @@
 #include "join/join_common.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace tempo {
 
@@ -48,43 +49,86 @@ Tuple MakeAntiTuple(const Tuple& x, const Interval& uncovered) {
   return Tuple(x.values(), uncovered);
 }
 
-void AppendJoinRecord(const NaturalJoinLayout& layout, const TupleView& x,
-                      const TupleView& y, const Interval& overlap,
-                      std::string* out) {
-  // The wire format of Tuple::SerializeTo: interval, NULL bitmap, then
-  // the non-NULL payloads in output-attribute order (A, B, C).
-  const uint64_t bounds[2] = {static_cast<uint64_t>(overlap.start()),
-                              static_cast<uint64_t>(overlap.end())};
-  out->append(reinterpret_cast<const char*>(bounds), sizeof(bounds));
-  const size_t bitmap_pos = out->size();
-  out->append((layout.output.num_attributes() + 7) / 8, '\0');
-  size_t i = 0;
-  auto copy = [&](const TupleView& v, size_t pos) {
-    if (v.is_null(pos)) {
-      (*out)[bitmap_pos + i / 8] |= static_cast<char>(1u << (i % 8));
+namespace {
+
+/// Appends to `*runs` the payloads of `v`'s attributes `positions`, in
+/// order: one piece per run of consecutive positions, merged into the
+/// previous piece when its bytes continue it. Returns the bytes added.
+size_t CollectRuns(const TupleView& v, const std::vector<size_t>& positions,
+                   std::vector<std::string_view>* runs) {
+  size_t bytes = 0;
+  for (size_t i = 0; i < positions.size();) {
+    size_t j = i + 1;
+    while (j < positions.size() && positions[j] == positions[j - 1] + 1) ++j;
+    const std::string_view run =
+        v.PayloadRun(positions[i], positions[j - 1] + 1);
+    i = j;
+    if (run.empty()) continue;
+    bytes += run.size();
+    if (!runs->empty() &&
+        runs->back().data() + runs->back().size() == run.data()) {
+      runs->back() = std::string_view(runs->back().data(),
+                                      runs->back().size() + run.size());
     } else {
-      out->append(v.PayloadBytesAt(pos));
+      runs->push_back(run);
     }
-    ++i;
-  };
-  for (size_t pos : layout.r_join_attrs) copy(x, pos);
-  for (size_t pos : layout.r_rest) copy(x, pos);
-  for (size_t pos : layout.s_rest) copy(y, pos);
+  }
+  return bytes;
 }
+
+/// Sets bit `out` + k of the NULL bitmap at `bitmap` for each NULL
+/// positions[k] of `v`; returns the output index after the last one.
+size_t MarkNulls(const TupleView& v, const std::vector<size_t>& positions,
+                 size_t out, char* bitmap) {
+  for (size_t pos : positions) {
+    if (v.is_null(pos)) bitmap[out / 8] |= static_cast<char>(1u << (out % 8));
+    ++out;
+  }
+  return out;
+}
+
+}  // namespace
 
 Status ResultWriter::Emit(const NaturalJoinLayout& layout, const TupleView& x,
                           const TupleView& y, const Interval& overlap) {
-  record_.clear();
-  AppendJoinRecord(layout, x, y, overlap, &record_);
-  return EmitSerialized(record_);
+  // The wire format of Tuple::SerializeTo: interval, NULL bitmap, then
+  // the non-NULL payloads in output-attribute order (A, B, C).
+  const RecordLayout& out_layout = layout.output.layout();
+  runs_.clear();
+  size_t size = out_layout.values_offset;
+  size += CollectRuns(x, layout.r_join_attrs, &runs_);
+  size += CollectRuns(x, layout.r_rest, &runs_);
+  size += CollectRuns(y, layout.s_rest, &runs_);
+  TEMPO_ASSIGN_OR_RETURN(char* const dst, Reserve(size));
+
+  const uint64_t bounds[2] = {static_cast<uint64_t>(overlap.start()),
+                              static_cast<uint64_t>(overlap.end())};
+  std::memcpy(dst, bounds, sizeof(bounds));
+  char* bitmap = dst + RecordLayout::kBitmapOffset;
+  std::memset(bitmap, 0, out_layout.bitmap_bytes);
+  size_t i = MarkNulls(x, layout.r_join_attrs, 0, bitmap);
+  i = MarkNulls(x, layout.r_rest, i, bitmap);
+  MarkNulls(y, layout.s_rest, i, bitmap);
+  char* p = dst + out_layout.values_offset;
+  for (std::string_view run : runs_) {
+    std::memcpy(p, run.data(), run.size());
+    p += run.size();
+  }
+  TEMPO_DCHECK(p == dst + size);
+  TEMPO_DCHECK(TupleView::Make(out_layout, dst, size).ok());
+  ++count_;
+  return Status::OK();
+}
+
+StatusOr<char*> ResultWriter::Reserve(size_t size) {
+  if (!canonical_) return out_->ReserveRecord(size);
+  buffered_.emplace_back(size, '\0');
+  return buffered_.back().data();
 }
 
 Status ResultWriter::EmitSerialized(std::string_view record) {
-  if (canonical_) {
-    buffered_.emplace_back(record);
-  } else {
-    TEMPO_RETURN_IF_ERROR(out_->AppendRecord(record));
-  }
+  TEMPO_ASSIGN_OR_RETURN(char* const dst, Reserve(record.size()));
+  if (!record.empty()) std::memcpy(dst, record.data(), record.size());
   ++count_;
   return Status::OK();
 }

@@ -72,14 +72,6 @@ Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
 Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
                     const TupleView& y, const Interval& overlap);
 
-/// Appends the serialized result record of the valid-time natural join of
-/// two zero-copy records to `*out`: the overlap interval, a fresh NULL
-/// bitmap, then each output attribute's payload bytes copied from x or y.
-/// The bytes equal MakeJoinTuple(...).SerializeTo.
-void AppendJoinRecord(const NaturalJoinLayout& layout, const TupleView& x,
-                      const TupleView& y, const Interval& overlap,
-                      std::string* out);
-
 /// Assembles a NULL-padded unmatched row of a sequenced *outer* join in
 /// the join output schema (A, B, C): when `preserved_is_r`, A and B come
 /// from the r-side tuple `x` and every C attribute is NULL; otherwise A
@@ -116,9 +108,15 @@ class ResultWriter {
     return w;
   }
 
-  /// Both sides zero-copy, as every executor emits a match: the result
-  /// record is assembled by AppendJoinRecord, so no Tuple or Value is
-  /// built.
+  /// Both sides zero-copy, as every executor emits a match. The result
+  /// record — the overlap interval, a fresh NULL bitmap, then the payloads
+  /// of A and B from x and of C from y — is sized from the two views and
+  /// written straight into its place in the output page (or, canonical,
+  /// into its buffered string), each run of consecutive source attributes
+  /// with one copy. No Tuple or Value is built, and the bytes equal
+  /// MakeJoinTuple(...).SerializeTo. Streaming, an oversize result fails
+  /// with InvalidArgument before anything is written (canonical: at
+  /// Finish(), as for EmitAssembled).
   Status Emit(const NaturalJoinLayout& layout, const TupleView& x,
               const TupleView& y, const Interval& overlap);
 
@@ -142,11 +140,17 @@ class ResultWriter {
   /// record.
   Status EmitSerialized(std::string_view record);
 
+  /// The bytes of one more result record of `size` bytes, for the caller
+  /// to write in full: a slot in the output page (streaming) or a new
+  /// buffered string (canonical).
+  StatusOr<char*> Reserve(size_t size);
+
   StoredRelation* out_;
   uint64_t count_ = 0;
   bool canonical_ = false;
   std::vector<std::string> buffered_;
-  std::string record_;  // assembly scratch, reused across emits
+  std::string record_;  // EmitAssembled's serialization scratch
+  std::vector<std::string_view> runs_;  // Emit's payload runs, reused
 };
 
 /// An in-memory equi-hash index over owning tuples, keyed on a subset of

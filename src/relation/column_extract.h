@@ -50,7 +50,8 @@ inline constexpr uint64_t kColumnRowBytes =
 /// Pages are held as PagePins, exactly like PageTupleArena — the disk's
 /// stored bytes, not copies — but extraction also fills the flat
 /// JoinColumns arrays in the same walk, so the radix join filters on the
-/// columns and touches record bytes only to confirm a key and to emit.
+/// columns and touches record bytes only to read or confirm a key and to
+/// emit.
 ///
 /// The extractor is the row source FlatIndex::Build and ForEachFlatMatch
 /// read (key_hash/start/end/view/key_attrs per row), as BuildArea is.

@@ -101,23 +101,11 @@ TupleView TupleView::Trusted(const RecordLayout& layout, const char* data,
 TupleView::Extent TupleView::ExtentOf(size_t i) const {
   TEMPO_DCHECK(i < layout_->num_attributes);
   if (is_null(i)) return Extent{0, 0, true};
-  if (no_nulls_ && i <= layout_->first_var_attr) {
-    uint32_t offset =
-        layout_->values_offset + 8 * static_cast<uint32_t>(i);
-    if (i < layout_->first_var_attr) return Extent{offset, 8, false};
-    // i == first_var_attr: the first string also sits at a fixed offset.
-    uint32_t slen;
-    std::memcpy(&slen, data_ + offset, 4);
-    return Extent{offset + 4, slen, false};
-  }
-  uint32_t pos = layout_->values_offset;
+  uint32_t pos = PayloadOffset(i);
   uint32_t len = 0;
-  for (size_t a = 0; a <= i; ++a) {
-    bool ok = WalkAttr(layout_->types[a], is_null(a), data_, size_, &pos,
-                       &len);
-    TEMPO_DCHECK(ok);
-    (void)ok;
-  }
+  bool ok = WalkAttr(layout_->types[i], false, data_, size_, &pos, &len);
+  TEMPO_DCHECK(ok);
+  (void)ok;
   // `pos` is now past attribute i's payload of `len` bytes.
   return Extent{pos - len, len, false};
 }
@@ -154,6 +142,41 @@ std::string_view TupleView::PayloadBytesAt(size_t i) const {
     return std::string_view(data_ + e.offset - 4, e.length + 4);
   }
   return std::string_view(data_ + e.offset, e.length);
+}
+
+uint32_t TupleView::PayloadOffset(size_t i) const {
+  TEMPO_DCHECK(i <= layout_->num_attributes);
+  if (i == layout_->num_attributes) return size_;
+  if (no_nulls_ && i <= layout_->first_var_attr) {
+    return layout_->values_offset + 8 * static_cast<uint32_t>(i);
+  }
+  uint32_t pos = layout_->values_offset;
+  uint32_t len = 0;
+  for (size_t a = 0; a < i; ++a) {
+    bool ok = WalkAttr(layout_->types[a], is_null(a), data_, size_, &pos,
+                       &len);
+    TEMPO_DCHECK(ok);
+    (void)ok;
+  }
+  return pos;
+}
+
+std::string_view TupleView::PayloadRun(size_t begin, size_t end) const {
+  TEMPO_DCHECK(begin <= end);
+  uint32_t pos = PayloadOffset(begin);
+  const uint32_t first = pos;
+  if (end == layout_->num_attributes) {
+    pos = size_;
+  } else {
+    uint32_t len = 0;
+    for (size_t a = begin; a < end; ++a) {
+      bool ok = WalkAttr(layout_->types[a], is_null(a), data_, size_, &pos,
+                         &len);
+      TEMPO_DCHECK(ok);
+      (void)ok;
+    }
+  }
+  return std::string_view(data_ + first, pos - first);
 }
 
 Value TupleView::ValueAt(size_t i) const {

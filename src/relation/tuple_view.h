@@ -75,6 +75,11 @@ class TupleView {
   /// these bytes into another record reproduces the attribute there.
   std::string_view PayloadBytesAt(size_t i) const;
 
+  /// The serialized payloads of attributes [begin, end), which sit back to
+  /// back in the record: the concatenation of PayloadBytesAt(i) over the
+  /// range, found with at most one walk.
+  std::string_view PayloadRun(size_t begin, size_t end) const;
+
   /// Materializes attribute `i` as an owning Value (allocates for
   /// strings). Result-append and API boundaries only.
   Value ValueAt(size_t i) const;
@@ -104,9 +109,14 @@ class TupleView {
     bool null = false;
   };
 
-  /// Locates attribute `i`. O(1) for fixed-width attributes in a no-NULL
-  /// record; otherwise one forward walk over the preceding attributes.
+  /// Locates attribute `i`, through PayloadOffset.
   Extent ExtentOf(size_t i) const;
+
+  /// Offset at which attribute `i`'s payload starts (the record size for
+  /// i == num_values()). O(1) for i == 0 and, in a no-NULL record, for
+  /// every attribute up to the first string; otherwise one forward walk
+  /// over the preceding attributes.
+  uint32_t PayloadOffset(size_t i) const;
 
   Chronon LoadChronon(size_t pos) const {
     uint64_t bits;

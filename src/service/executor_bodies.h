@@ -151,11 +151,13 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
 ///     kResourceExhausted before anything is emitted.
 ///   - radix_partition: one stable counting sort groups s's rows by the
 ///     low bits of their key hash (a FlatIndex walked oldest first, so a
-///     slot's rows stay in ascending s order).
+///     slot's rows stay in ascending s order). A single int64 key with no
+///     NULL in s is stored in the index entry itself.
 ///   - radix_probe: r's rows stream in input order, each probing its slot
-///     with the shared cheap-first filters (ForEachFlatMatch: full hash,
-///     interval overlap, predicate, then key equality on the record
-///     bytes); every match is emitted at once.
+///     with the shared cheap-first filters (ForEachFlatMatch: key word,
+///     interval overlap, predicate, then — only when the word is a hash —
+///     key equality on the record bytes); every match is emitted at once,
+///     straight into the output page.
 ///
 /// Matches therefore come out in (r row, s row) order, the reference
 /// join's r-outer/s-inner order, with no buffer and no sort — pages

@@ -59,17 +59,26 @@ class Page {
   /// Appends a record; returns its slot id, or nullopt if it does not fit.
   /// Zero-length records are allowed.
   std::optional<SlotId> AddRecord(std::string_view record) {
-    if (!Fits(record.size())) return std::nullopt;
+    const SlotId slot = num_records();
+    char* dst = ReserveRecord(record.size());
+    if (dst == nullptr) return std::nullopt;
+    if (!record.empty()) std::memcpy(dst, record.data(), record.size());
+    return slot;
+  }
+
+  /// Appends a slot for a record of `size` bytes and returns the address
+  /// of its bytes, which the caller writes before the page is read or
+  /// stored; nullptr if the record does not fit.
+  char* ReserveRecord(size_t size) {
+    if (!Fits(size)) return nullptr;
     uint16_t count = num_records();
-    uint16_t free_end = FreeEnd();
-    uint16_t offset = static_cast<uint16_t>(free_end - record.size());
-    std::memcpy(data_ + offset, record.data(), record.size());
+    uint16_t offset = static_cast<uint16_t>(FreeEnd() - size);
     size_t slot_pos = kHeaderSize + count * kSlotSize;
     Store16(slot_pos, offset);
-    Store16(slot_pos + 2, static_cast<uint16_t>(record.size()));
+    Store16(slot_pos + 2, static_cast<uint16_t>(size));
     SetFreeEnd(offset);
     SetSlotCount(static_cast<uint16_t>(count + 1));
-    return count;
+    return data_ + offset;
   }
 
   /// Returns the record stored in `slot`. The view is valid until the page

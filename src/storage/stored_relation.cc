@@ -1,6 +1,7 @@
 #include "storage/stored_relation.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace tempo {
 
@@ -19,33 +20,28 @@ void DropRelationFile::operator()(StoredRelation* rel) const {
 Status StoredRelation::Append(const Tuple& tuple) {
   std::string record;
   tuple.SerializeTo(schema_, &record);
-  if (record.size() > kMaxRecordSize) {
-    return Status::InvalidArgument("tuple record exceeds page capacity (" +
-                                   std::to_string(record.size()) + " bytes)");
-  }
-  if (!append_buffer_->Fits(record.size())) {
-    TEMPO_RETURN_IF_ERROR(Flush());
-  }
-  auto slot = append_buffer_->AddRecord(record);
-  TEMPO_CHECK(slot.has_value());
-  ++append_buffer_count_;
-  ++num_tuples_;
-  return Status::OK();
+  return AppendRecord(record);
 }
 
 Status StoredRelation::AppendRecord(std::string_view record) {
-  if (record.size() > kMaxRecordSize) {
+  TEMPO_ASSIGN_OR_RETURN(char* dst, ReserveRecord(record.size()));
+  if (!record.empty()) std::memcpy(dst, record.data(), record.size());
+  return Status::OK();
+}
+
+StatusOr<char*> StoredRelation::ReserveRecord(size_t size) {
+  if (size > kMaxRecordSize) {
     return Status::InvalidArgument("record exceeds page capacity (" +
-                                   std::to_string(record.size()) + " bytes)");
+                                   std::to_string(size) + " bytes)");
   }
-  if (!append_buffer_->Fits(record.size())) {
+  if (!append_buffer_->Fits(size)) {
     TEMPO_RETURN_IF_ERROR(Flush());
   }
-  auto slot = append_buffer_->AddRecord(record);
-  TEMPO_CHECK(slot.has_value());
+  char* dst = append_buffer_->ReserveRecord(size);
+  TEMPO_CHECK(dst != nullptr);
   ++append_buffer_count_;
   ++num_tuples_;
-  return Status::OK();
+  return dst;
 }
 
 Status StoredRelation::AppendAll(const std::vector<Tuple>& tuples) {

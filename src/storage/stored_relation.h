@@ -63,6 +63,13 @@ class StoredRelation {
   /// re-appending the Tuple, without the decode/encode round trip.
   Status AppendRecord(std::string_view record);
 
+  /// Appends a record of `size` bytes (buffered) and returns the address
+  /// of its bytes in the append buffer, for the caller to write in full
+  /// before the next call on this relation. Flushes first when the buffer
+  /// cannot take it. Fails with InvalidArgument, appending nothing, if the
+  /// record exceeds a page.
+  StatusOr<char*> ReserveRecord(size_t size);
+
   /// Appends every tuple, then flushes.
   Status AppendAll(const std::vector<Tuple>& tuples);
 

@@ -2,6 +2,7 @@
 // validated copy, purge and byte accounting, and FlatIndex's match order,
 // which must equal HashedTupleIndex's so executors keep their output bytes.
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "join/build_area.h"
+#include "join/reference_join.h"
 #include "service/join_request.h"
 #include "test_util.h"
 
@@ -70,6 +72,43 @@ std::vector<Tuple> KeyTuples(Random& rng, size_t n) {
   return out;
 }
 
+/// Indexes `area`'s rows [begin, end) and checks that the candidates of
+/// each probe — confirmed on the records unless the index holds key words
+/// — are HashedTupleIndex's matches over the same rows, in its order.
+/// Returns whether the index held key words.
+bool MatchesHashedTupleIndex(const Schema& schema, const BuildArea& area,
+                             const std::vector<size_t>& keys,
+                             const std::vector<Tuple>& probes, size_t begin,
+                             size_t end) {
+  FlatIndex flat;
+  flat.Build(area, begin, end);
+  std::vector<Tuple> range;
+  for (size_t row = begin; row < end; ++row) {
+    range.push_back(area.view(row).Materialize());
+  }
+  HashedTupleIndex hashed(&range, &keys);
+  for (const Tuple& p : probes) {
+    std::string rec;
+    p.SerializeTo(schema, &rec);
+    TupleView y = TupleView::Trusted(schema.layout(), rec.data(), rec.size());
+    std::vector<size_t> want;
+    hashed.ForEachMatchIndexed(
+        y, keys,
+        [&](const Tuple&, size_t idx) { want.push_back(begin + idx); });
+    std::vector<size_t> got;
+    flat.ForEachCandidate(
+        y, keys, y.HashAttrs(keys), [&](const FlatIndex::Entry& e) {
+          if (flat.key_words() ||
+              y.EqualOnAttrs(keys, keys, area.view(e.row))) {
+            got.push_back(e.row);
+          }
+        });
+    EXPECT_EQ(got, want) << "rows [" << begin << ", " << end << ") probe "
+                         << p.ToString();
+  }
+  return flat.key_words();
+}
+
 TEST(FlatIndexTest, MatchOrderEqualsHashedTupleIndex) {
   const Schema schema = KeySchema();
   const std::vector<std::vector<size_t>> key_sets = {{0}, {1}, {2}, {0, 1, 2}};
@@ -83,34 +122,135 @@ TEST(FlatIndexTest, MatchOrderEqualsHashedTupleIndex) {
       TEMPO_ASSERT_OK(FillArea(&area, pages));
       ASSERT_EQ(area.size(), build.size());
       // The whole area, and an overflow-chunk-style row range in place.
+      // Every key here is composite, not int64, or NULL in some row, so
+      // the index holds key hashes.
       for (auto [begin, end] : {std::pair<size_t, size_t>{0, build.size()},
                                 std::pair<size_t, size_t>{150, 420}}) {
-        FlatIndex flat;
-        flat.Build(area, begin, end);
-        std::vector<Tuple> range;
-        for (size_t row = begin; row < end; ++row) {
-          range.push_back(area.view(row).Materialize());
-        }
-        HashedTupleIndex hashed(&range, &keys);
-        for (const Tuple& p : probes) {
-          std::string rec;
-          p.SerializeTo(schema, &rec);
-          TupleView y = TupleView::Trusted(schema.layout(), rec.data(),
-                                           rec.size());
-          std::vector<size_t> want;
-          hashed.ForEachMatchIndexed(
-              y, keys,
-              [&](const Tuple&, size_t idx) { want.push_back(begin + idx); });
-          std::vector<size_t> got;
-          flat.ForEachCandidate(
-              y.HashAttrs(keys), [&](const FlatIndex::Entry& e) {
-                if (y.EqualOnAttrs(keys, keys, area.view(e.row))) {
-                  got.push_back(e.row);
-                }
-              });
-          ASSERT_EQ(got, want) << "seed " << seed << " probe " << p.ToString();
-        }
+        EXPECT_FALSE(
+            MatchesHashedTupleIndex(schema, area, keys, probes, begin, end))
+            << "seed " << seed;
       }
+    }
+  }
+
+  // A single int64 key that no indexed row leaves NULL: the index holds
+  // the keys themselves. The domain has the extremes, negative keys, and
+  // two distinct keys whose hashes share the low 10 bits, so they share a
+  // slot in the 1024-slot table of 700 rows and the 512-slot table of 270.
+  auto key_hash = [](int64_t k) {
+    return MixAttrHash(kAttrHashSeed, Value::HashInt64(k));
+  };
+  int64_t twin = 1001;
+  while (((key_hash(twin) ^ key_hash(1000)) & 1023) != 0) ++twin;
+  ASSERT_NE(key_hash(twin), key_hash(1000));
+  const std::vector<int64_t> domain = {INT64_MIN, INT64_MAX,         -1,
+                                       -(int64_t{1} << 40), 0, 1000, twin};
+  const std::vector<size_t> keys = {0};
+  auto tuples = [&](Random& rng, size_t n) {
+    std::vector<Tuple> out = KeyTuples(rng, n);
+    for (Tuple& t : out) {
+      std::vector<Value> values = t.values();
+      values[0] = Value(domain[rng.Uniform(domain.size())]);
+      t = Tuple(std::move(values), t.interval());
+    }
+    return out;
+  };
+  for (uint64_t seed : {4u, 5u}) {
+    Random rng(seed);
+    std::vector<Tuple> build = tuples(rng, 700);
+    std::vector<Tuple> probes = tuples(rng, 200);
+    // NULL probe keys, and a key no build row has.
+    for (size_t i = 0; i < probes.size(); i += 9) {
+      std::vector<Value> values = probes[i].values();
+      values[0] = i % 2 == 0 ? Value::Null() : Value(int64_t{7});
+      probes[i] = Tuple(std::move(values), probes[i].interval());
+    }
+    {
+      BuildArea area(&schema, &keys);
+      TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
+      EXPECT_TRUE(MatchesHashedTupleIndex(schema, area, keys, probes, 0,
+                                          build.size()));
+      EXPECT_TRUE(MatchesHashedTupleIndex(schema, area, keys, probes, 150,
+                                          420));
+    }
+    // One NULL build key turns key words off for every range holding it
+    // (a NULL probe key then matches it, NULL == NULL), and only there.
+    std::vector<Value> values = build[300].values();
+    values[0] = Value::Null();
+    build[300] = Tuple(std::move(values), build[300].interval());
+    BuildArea area(&schema, &keys);
+    TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
+    EXPECT_FALSE(
+        MatchesHashedTupleIndex(schema, area, keys, probes, 0, build.size()));
+    EXPECT_FALSE(
+        MatchesHashedTupleIndex(schema, area, keys, probes, 150, 420));
+    EXPECT_TRUE(MatchesHashedTupleIndex(schema, area, keys, probes, 0, 150));
+  }
+}
+
+TEST(FlatIndexTest, NullJoinKeysMatchTheReferenceInEveryUser) {
+  // Every executor that probes a FlatIndex, with NULL join keys on the
+  // build side, the probe side, or both: key words where the build side
+  // has none, key hashes (NULL == NULL) where it has some.
+  const Schema s_schema({{"key", ValueType::kInt64},
+                         {"sval", ValueType::kString}});
+  Random rng(21);
+  const std::vector<Tuple> r_base = RandomTuples(rng, 300, 10, 200, 0.2);
+  std::vector<Tuple> s_base;
+  for (const Tuple& t : RandomTuples(rng, 300, 10, 200, 0.2)) {
+    s_base.push_back(
+        Tuple({t.value(0), Value(std::string("s"))}, t.interval()));
+  }
+  // Every seventh key NULL.
+  auto with_nulls = [](std::vector<Tuple> ts) {
+    for (size_t i = 0; i < ts.size(); i += 7) {
+      std::vector<Value> values = ts[i].values();
+      values[0] = Value::Null();
+      ts[i] = Tuple(std::move(values), ts[i].interval());
+    }
+    return ts;
+  };
+  struct Sides {
+    bool r_nulls;
+    bool s_nulls;
+  };
+  for (const Sides sides : {Sides{true, false}, Sides{false, true},
+                            Sides{true, true}}) {
+    const std::vector<Tuple> r_tuples =
+        sides.r_nulls ? with_nulls(r_base) : r_base;
+    const std::vector<Tuple> s_tuples =
+        sides.s_nulls ? with_nulls(s_base) : s_base;
+    Disk disk;
+    auto r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
+    auto s = MakeRelation(&disk, s_schema, s_tuples, "s");
+    TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                               DeriveNaturalJoinLayout(TestSchema(), s_schema));
+    auto run = [&](JoinExecutor executor) -> StatusOr<std::vector<Tuple>> {
+      StoredRelation out(&disk, layout.output, "out");
+      JoinRequest req;
+      // 8 pages hold a fraction of r: the partition executor runs Grace
+      // partitions and the nested loop several outer blocks.
+      req.From(r.get(), s.get())
+          .Using(executor)
+          .BufferPages(8)
+          .RadixBudgetBytes(uint64_t{1} << 20);
+      TEMPO_RETURN_IF_ERROR(RunJoin(req, &out).status());
+      return out.ReadAll();
+    };
+    TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> expected,
+                               run(JoinExecutor::kReference));
+    ASSERT_FALSE(expected.empty());
+    for (JoinExecutor executor :
+         {JoinExecutor::kNestedLoop, JoinExecutor::kIndexed,
+          JoinExecutor::kPartition, JoinExecutor::kInMemoryRadix}) {
+      auto actual = run(executor);
+      const std::string what = std::string(JoinExecutorName(executor)) +
+                               " r_nulls=" + std::to_string(sides.r_nulls) +
+                               " s_nulls=" + std::to_string(sides.s_nulls);
+      ASSERT_TRUE(actual.ok()) << what << ": " << actual.status().ToString();
+      EXPECT_TRUE(SameTupleMultiset(*actual, expected))
+          << what << " actual=" << actual->size()
+          << " expected=" << expected.size();
     }
   }
 }
