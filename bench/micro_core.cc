@@ -1,6 +1,6 @@
 // Microbenchmarks: the partition join's building blocks — boundary
 // selection, cache estimation, Grace partitioning and the in-memory join
-// kernel.
+// kernel (the FlatIndex probe every build-side executor shares).
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,7 @@
 #include "core/choose_intervals.h"
 #include "core/estimate_cache.h"
 #include "core/grace_partitioner.h"
-#include "join/join_common.h"
+#include "join/build_area.h"
 #include "workload/generator.h"
 
 namespace tempo {
@@ -82,20 +82,34 @@ BENCHMARK(BM_GracePartition);
 void BM_HashProbeJoinKernel(benchmark::State& state) {
   Random rng(6);
   Schema schema = BenchSchema();
-  std::vector<Tuple> build;
+  std::vector<size_t> keys{0};
+  BuildArea area(&schema, &keys);
+  Page page;
+  std::string rec;
   for (int i = 0; i < 4096; ++i) {
     Chronon s = rng.UniformRange(0, 100000);
-    build.push_back(MakeBenchTuple(static_cast<int64_t>(rng.Uniform(512)),
-                                   Interval(s, s + 100), 64));
+    rec.clear();
+    MakeBenchTuple(static_cast<int64_t>(rng.Uniform(512)),
+                   Interval(s, s + 100), 64)
+        .SerializeTo(schema, &rec);
+    if (!page.AddRecord(rec).has_value()) {
+      TEMPO_CHECK(area.AddPage(page).ok());
+      page = Page();
+      TEMPO_CHECK(page.AddRecord(rec).has_value());
+    }
   }
-  std::vector<size_t> keys{0};
-  HashedTupleIndex index(&build, &keys);
-  Tuple probe = MakeBenchTuple(37, Interval(500, 700), 64);
+  TEMPO_CHECK(area.AddPage(page).ok());
+  FlatIndex index;
+  index.Build(area, 0, area.size());
+  std::string probe_rec;
+  MakeBenchTuple(37, Interval(500, 700), 64).SerializeTo(schema, &probe_rec);
+  const TupleView probe =
+      TupleView::Trusted(schema.layout(), probe_rec.data(), probe_rec.size());
+  const TemporalPredicate overlap;
   for (auto _ : state) {
     uint64_t matches = 0;
-    index.ForEachMatch(probe, keys, [&](const Tuple& t) {
-      matches += t.interval().Overlaps(probe.interval()) ? 1 : 0;
-    });
+    ForEachFlatMatch(area, index, probe, keys, overlap, nullptr,
+                     [&](size_t, const Interval&) { ++matches; });
     benchmark::DoNotOptimize(matches);
   }
 }

@@ -3,31 +3,39 @@
 #include <functional>
 
 #include "core/determine_part_intervals.h"
+#include "join/build_area.h"
 #include "relation/tuple_view.h"
 
 namespace tempo {
 
 namespace {
 
-/// Streams the visible records of one side of a partition — its
-/// partition file followed by its cache file, the same page order
-/// VisibleTuples materializes — as zero-copy views, one page in memory
-/// at a time.
-Status ForEachVisibleView(StoredRelation* part, StoredRelation* cache,
-                          const std::function<Status(const TupleView&)>& fn) {
-  const RecordLayout& layout = part->schema().layout();
+/// Pins the visible pages of one side of a partition — its partition
+/// file, then its cache file — one at a time, in that order.
+Status ForEachVisiblePage(StoredRelation* part, StoredRelation* cache,
+                          const std::function<Status(const Page&)>& fn) {
   for (StoredRelation* rel : {part, cache}) {
     for (uint32_t p = 0; p < rel->num_pages(); ++p) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, rel->PinPage(p));
-      for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
-        std::string_view rec = page->GetRecord(slot);
-        TEMPO_ASSIGN_OR_RETURN(
-            TupleView v, TupleView::Make(layout, rec.data(), rec.size()));
-        TEMPO_RETURN_IF_ERROR(fn(v));
-      }
+      TEMPO_RETURN_IF_ERROR(fn(*page));
     }
   }
   return Status::OK();
+}
+
+/// Streams the records of those pages as zero-copy views.
+Status ForEachVisibleView(StoredRelation* part, StoredRelation* cache,
+                          const std::function<Status(const TupleView&)>& fn) {
+  const RecordLayout& layout = part->schema().layout();
+  return ForEachVisiblePage(part, cache, [&](const Page& page) -> Status {
+    for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
+      std::string_view rec = page.GetRecord(slot);
+      TEMPO_ASSIGN_OR_RETURN(TupleView v,
+                             TupleView::Make(layout, rec.data(), rec.size()));
+      TEMPO_RETURN_IF_ERROR(fn(v));
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace
@@ -104,41 +112,33 @@ Status MaterializedVtJoinView::Build(StoredRelation* r, StoredRelation* s,
   return Status::OK();
 }
 
-StatusOr<std::vector<Tuple>> MaterializedVtJoinView::VisibleTuples(Side& side,
-                                                                   size_t i) {
-  TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                         side.parts[i]->ReadAll());
-  TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> cached,
-                         side.caches[i]->ReadAll());
-  tuples.insert(tuples.end(), cached.begin(), cached.end());
-  return tuples;
-}
-
 Status MaterializedVtJoinView::RecomputePartitionResult(size_t i) {
   result_tuples_ -= results_[i]->num_tuples();
   TEMPO_RETURN_IF_ERROR(results_[i]->Clear());
-  TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples,
-                         VisibleTuples(r_side_, i));
+  BuildArea area(&r_side_.schema, &layout_.r_join_attrs);
+  TEMPO_RETURN_IF_ERROR(ForEachVisiblePage(
+      r_side_.parts[i].get(), r_side_.caches[i].get(),
+      [&](const Page& page) { return area.AddPage(page); }));
+  FlatIndex index;
+  index.Build(area, 0, area.size());
   const Interval& p_i = spec_.partition(i);
-  HashedTupleIndex index(&r_tuples, &layout_.r_join_attrs);
-  // Probe side streams as page-backed views in the same order
-  // VisibleTuples would produce; only emitted results build tuples.
+  const TemporalPredicate overlap;
+  ResultWriter writer(results_[i].get());
+  // Probe: s streams as page-backed views; a pair is emitted only in the
+  // partition where its overlap ends (the exactly-once rule).
   TEMPO_RETURN_IF_ERROR(ForEachVisibleView(
       s_side_.parts[i].get(), s_side_.caches[i].get(),
       [&](const TupleView& y) -> Status {
         Status status = Status::OK();
-        const Interval y_iv = y.interval();
-        index.ForEachMatchIndexed(y, layout_.s_join_attrs,
-                                  [&](const Tuple& x, size_t) {
-          if (!status.ok()) return;
-          auto common = Overlap(x.interval(), y_iv);
-          if (!common) return;
-          if (!p_i.Contains(common->end())) return;  // exactly-once rule
-          status = results_[i]->Append(MakeJoinTuple(layout_, x, y, *common));
+        ForEachFlatMatch(area, index, y, layout_.s_join_attrs, overlap, &p_i,
+                         [&](size_t row, const Interval& common) {
+          if (status.ok()) {
+            status = writer.Emit(layout_, area.view(row), y, common);
+          }
         });
         return status;
       }));
-  TEMPO_RETURN_IF_ERROR(results_[i]->Flush());
+  TEMPO_RETURN_IF_ERROR(writer.Finish());
   result_tuples_ += results_[i]->num_tuples();
   return Status::OK();
 }
@@ -161,30 +161,28 @@ Status MaterializedVtJoinView::InsertInto(Side& side, Side& other,
 
   // Delta join: t against the opposite side of each overlapped partition;
   // the exactly-once rule localizes each new pair to one partition.
-  std::vector<Tuple> probe{t};
-  HashedTupleIndex probe_index(&probe, side.keys);
+  std::string record;
+  t.SerializeTo(side.schema, &record);
+  TEMPO_ASSIGN_OR_RETURN(
+      const TupleView x,
+      TupleView::Make(side.schema.layout(), record.data(), record.size()));
   for (size_t i = first; i <= last; ++i) {
     const Interval& p_i = spec_.partition(i);
-    TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> others,
-                           VisibleTuples(other, i));
-    Status status = Status::OK();
-    for (const Tuple& y : others) {
-      probe_index.ForEachMatch(y, *other.keys, [&](const Tuple& x) {
-        if (!status.ok()) return;
-        auto common = Overlap(x.interval(), y.interval());
-        if (!common) return;
-        if (!p_i.Contains(common->end())) return;
-        Tuple result = side_is_r ? MakeJoinTuple(layout_, x, y, *common)
-                                 : MakeJoinTuple(layout_, y, x, *common);
-        status = results_[i]->Append(result);
-        if (status.ok()) {
-          ++stats->result_delta;
-          ++result_tuples_;
-        }
-      });
-      TEMPO_RETURN_IF_ERROR(status);
-    }
-    TEMPO_RETURN_IF_ERROR(results_[i]->Flush());
+    ResultWriter writer(results_[i].get());
+    Status status = ForEachVisibleView(
+        other.parts[i].get(), other.caches[i].get(),
+        [&](const TupleView& y) -> Status {
+          if (!x.EqualOnAttrs(*side.keys, *other.keys, y)) return Status::OK();
+          auto common = Overlap(x.interval(), y.interval());
+          if (!common || !p_i.Contains(common->end())) return Status::OK();
+          return side_is_r ? writer.Emit(layout_, x, y, *common)
+                           : writer.Emit(layout_, y, x, *common);
+        });
+    // Results appended before a failure are in the view; count them.
+    stats->result_delta += writer.count();
+    result_tuples_ += writer.count();
+    TEMPO_RETURN_IF_ERROR(status);
+    TEMPO_RETURN_IF_ERROR(writer.Finish());
   }
   return Status::OK();
 }
@@ -208,11 +206,8 @@ StatusOr<bool> MaterializedVtJoinView::RemoveTuple(StoredRelation* rel,
   return true;
 }
 
-Status MaterializedVtJoinView::DeleteFrom(Side& side, Side& other,
-                                          bool side_is_r, const Tuple& t,
+Status MaterializedVtJoinView::DeleteFrom(Side& side, const Tuple& t,
                                           UpdateStats* stats) {
-  (void)other;
-  (void)side_is_r;
   if (!built_) return Status::FailedPrecondition("view not built");
   size_t first = spec_.FirstOverlapping(t.interval());
   size_t last = spec_.LastOverlapping(t.interval());
@@ -271,8 +266,7 @@ StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::DeleteR(
   UpdateStats stats;
   IoStats before = disk_->accountant().stats();
   TraceSpan span = SpanIf(ctx, Phase::kViewDelete, "r");
-  TEMPO_RETURN_IF_ERROR(
-      DeleteFrom(r_side_, s_side_, /*side_is_r=*/true, t, &stats));
+  TEMPO_RETURN_IF_ERROR(DeleteFrom(r_side_, t, &stats));
   stats.io = disk_->accountant().stats() - before;
   return stats;
 }
@@ -285,8 +279,7 @@ StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::DeleteS(
   UpdateStats stats;
   IoStats before = disk_->accountant().stats();
   TraceSpan span = SpanIf(ctx, Phase::kViewDelete, "s");
-  TEMPO_RETURN_IF_ERROR(
-      DeleteFrom(s_side_, r_side_, /*side_is_r=*/false, t, &stats));
+  TEMPO_RETURN_IF_ERROR(DeleteFrom(s_side_, t, &stats));
   stats.io = disk_->accountant().stats() - before;
   return stats;
 }

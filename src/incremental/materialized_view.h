@@ -96,14 +96,10 @@ class MaterializedVtJoinView {
 
   Status InsertInto(Side& side, Side& other, bool side_is_r, const Tuple& t,
                     UpdateStats* stats);
-  Status DeleteFrom(Side& side, Side& other, bool side_is_r, const Tuple& t,
-                    UpdateStats* stats);
+  Status DeleteFrom(Side& side, const Tuple& t, UpdateStats* stats);
 
   /// Recomputes result_[i] from the stored partitions and caches.
   Status RecomputePartitionResult(size_t i);
-
-  /// All tuples of `side` visible in partition i (partition + cache).
-  StatusOr<std::vector<Tuple>> VisibleTuples(Side& side, size_t i);
 
   /// Removes one tuple equal to `t` from a relation by rewriting it.
   /// Returns false if absent.

@@ -142,12 +142,10 @@ class BuildArea {
 /// caller confirms the key on the records. Either way the slot comes from
 /// the hash, so slot contents and walk order do not depend on the mode.
 ///
-/// By default a probe walks its slot newest row first. That is the order
-/// in which a std::unordered_multimap keyed on the hash returns
-/// equal_range (newest first among equal keys), so executors that moved
-/// here from HashedTupleIndex emit their matches in the same order. An
-/// index built with Walk::kOldestFirst yields its candidates in ascending
-/// row order instead, which is the reference join's inner-loop order.
+/// A probe's matches come in an order fixed by the index alone: by
+/// default (Walk::kNewestFirst) in descending row order, and under
+/// Walk::kOldestFirst in ascending row order, which is the reference
+/// join's inner-loop order. Executors' output bytes depend on it.
 class FlatIndex {
  public:
   struct Entry {

@@ -15,16 +15,6 @@ Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
   return Tuple(std::move(values), overlap);
 }
 
-Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
-                    const TupleView& y, const Interval& overlap) {
-  std::vector<Value> values;
-  values.reserve(layout.output.num_attributes());
-  for (size_t pos : layout.r_join_attrs) values.push_back(x.value(pos));
-  for (size_t pos : layout.r_rest) values.push_back(x.value(pos));
-  for (size_t pos : layout.s_rest) values.push_back(y.ValueAt(pos));
-  return Tuple(std::move(values), overlap);
-}
-
 Tuple MakeUnmatchedTuple(const NaturalJoinLayout& layout, bool preserved_is_r,
                          const Tuple& x, const Interval& uncovered) {
   std::vector<Value> values;
@@ -142,21 +132,6 @@ Status ResultWriter::Finish() {
     buffered_.clear();
   }
   return out_->Flush();
-}
-
-HashedTupleIndex::HashedTupleIndex(const std::vector<Tuple>* tuples,
-                                   const std::vector<size_t>* key_attrs)
-    : tuples_(tuples), key_attrs_(key_attrs) {
-  Rebuild(tuples);
-}
-
-void HashedTupleIndex::Rebuild(const std::vector<Tuple>* tuples) {
-  tuples_ = tuples;
-  buckets_.clear();
-  buckets_.reserve(tuples_->size());
-  for (size_t i = 0; i < tuples_->size(); ++i) {
-    buckets_.emplace((*tuples_)[i].HashAttrs(*key_attrs_), i);
-  }
 }
 
 StatusOr<NaturalJoinLayout> PrepareJoinForKind(StoredRelation* r,

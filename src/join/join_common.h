@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/statusor.h"
@@ -65,12 +64,6 @@ inline bool PredicateAdmitsOverlapping(const TemporalPredicate& pred,
 /// (non-empty) intersection of x and y's intervals.
 Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
                     const Tuple& y, const Interval& overlap);
-
-/// Same, with a zero-copy probe-side record: y's values are materialized
-/// straight from the record bytes into the result — the only point on the
-/// probe hot path where owning Values are created.
-Tuple MakeJoinTuple(const NaturalJoinLayout& layout, const Tuple& x,
-                    const TupleView& y, const Interval& overlap);
 
 /// Assembles a NULL-padded unmatched row of a sequenced *outer* join in
 /// the join output schema (A, B, C): when `preserved_is_r`, A and B come
@@ -151,62 +144,6 @@ class ResultWriter {
   std::vector<std::string> buffered_;
   std::string record_;  // EmitAssembled's serialization scratch
   std::vector<std::string_view> runs_;  // Emit's payload runs, reused
-};
-
-/// An in-memory equi-hash index over owning tuples, keyed on a subset of
-/// attribute positions, for callers that already hold decoded tuples (the
-/// sequenced query layer, the algebra operators, the materialized view).
-/// The paged executors build over records instead (join/build_area.h),
-/// with the same match order.
-class HashedTupleIndex {
- public:
-  /// Builds over `tuples` (kept by pointer; caller owns) using key
-  /// positions `key_attrs`.
-  HashedTupleIndex(const std::vector<Tuple>* tuples,
-                   const std::vector<size_t>* key_attrs);
-
-  /// Re-binds to a new tuple vector (same key positions) and rebuilds.
-  void Rebuild(const std::vector<Tuple>* tuples);
-
-  /// Invokes `fn(const Tuple&)` for each indexed tuple equal to `probe` on
-  /// the aligned key positions `probe_attrs`.
-  template <typename Fn>
-  void ForEachMatch(const Tuple& probe, const std::vector<size_t>& probe_attrs,
-                    Fn&& fn) const {
-    size_t h = probe.HashAttrs(probe_attrs);
-    auto [lo, hi] = buckets_.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& candidate = (*tuples_)[it->second];
-      if (candidate.EqualOnAttrs(*key_attrs_, probe_attrs, probe)) {
-        fn(candidate);
-      }
-    }
-  }
-
-  /// Zero-copy probe: hashes and compares the key directly on the probe
-  /// record's bytes, and passes each match with its index into the bound
-  /// tuple vector, `fn(const Tuple&, size_t)`.
-  /// TupleView's hash is bit-compatible with Tuple::HashAttrs, so the
-  /// bucket walk — and hence match order — is identical to probing with
-  /// the materialized tuple.
-  template <typename Fn>
-  void ForEachMatchIndexed(const TupleView& probe,
-                           const std::vector<size_t>& probe_attrs,
-                           Fn&& fn) const {
-    size_t h = probe.HashAttrs(probe_attrs);
-    auto [lo, hi] = buckets_.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& candidate = (*tuples_)[it->second];
-      if (probe.EqualOnAttrs(probe_attrs, *key_attrs_, candidate)) {
-        fn(candidate, it->second);
-      }
-    }
-  }
-
- private:
-  const std::vector<Tuple>* tuples_;
-  const std::vector<size_t>* key_attrs_;
-  std::unordered_multimap<size_t, size_t> buckets_;
 };
 
 /// The schema a join of kind `kind` writes: r's own schema for kAnti (the

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "storage/page_arena.h"
-#include "temporal/interval_set.h"
 
 namespace tempo {
 
@@ -152,12 +151,15 @@ class SequencedExecutor {
     return out;
   }
 
-  /// Union-compatible sequenced difference l -ᵗ r: for each l tuple,
-  /// subtract the intervals of every value-equivalent r tuple from its
-  /// validity and emit one row per uncovered subinterval. Per-tuple
-  /// arithmetic — duplicates in l each produce their own rows, and no two
+  /// Union-compatible sequenced difference l -ᵗ r: the anti join l ▷ᵗ r
+  /// with every attribute a join attribute. Each l tuple keeps the
+  /// subintervals of its validity that no value-equivalent r tuple covers,
+  /// one row each; duplicates in l each produce their own rows, and no two
   /// l tuples are ever merged (change preservation; contrast
-  /// algebra::VtDifference, which coalesces per value group).
+  /// algebra::VtDifference, which coalesces per value group). Always
+  /// planned with kAuto: QueryOptions::executor names the executor for
+  /// join nodes, and the planner sends the anti kind to the partition
+  /// executor.
   StatusOr<Materialized> RunDifference(const QueryNode& node) {
     TEMPO_ASSIGN_OR_RETURN(Materialized left, Run(*node.children[0]));
     TEMPO_ASSIGN_OR_RETURN(Materialized right, Run(*node.children[1]));
@@ -168,31 +170,13 @@ class SequencedExecutor {
           left.rel->schema().ToString() + " vs " +
           right.rel->schema().ToString());
     }
-    const Schema& schema = left.rel->schema();
-    std::vector<size_t> all_attrs;
-    for (size_t i = 0; i < schema.num_attributes(); ++i) {
-      all_attrs.push_back(i);
-    }
-    TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples,
-                           right.rel->ReadAll());
-    HashedTupleIndex index(&r_tuples, &all_attrs);
-    Materialized out = NewTemp(schema);
-    auto scan = left.rel->Scan();
-    Tuple x;
-    while (true) {
-      TEMPO_ASSIGN_OR_RETURN(bool more, scan.Next(&x));
-      if (!more) break;
-      std::vector<Interval> covered;
-      index.ForEachMatch(x, all_attrs, [&](const Tuple& y) {
-        auto common = Overlap(x.interval(), y.interval());
-        if (common) covered.push_back(*common);
-      });
-      const IntervalSet uncovered = SubtractAll(x.interval(), covered);
-      for (const Interval& iv : uncovered.intervals()) {
-        TEMPO_RETURN_IF_ERROR(out.rel->Append(Tuple(x.values(), iv)));
-      }
-    }
-    TEMPO_RETURN_IF_ERROR(out.rel->Flush());
+    Materialized out = NewTemp(left.rel->schema());
+    JoinRequest req;
+    req.From(left.rel, right.rel).Using(JoinExecutor::kAuto);
+    req.options = options_.join;
+    req.options.join_kind = JoinKind::kAnti;
+    req.options.predicate = TemporalPredicate();
+    TEMPO_RETURN_IF_ERROR(RunJoin(req, out.rel, ctx_).status());
     return out;
   }
 

@@ -48,11 +48,16 @@ struct QueryResult {
 ///   join        the sequenced join variants via RunJoin: inner, or the
 ///               partition executor's left-outer / full-outer / anti with
 ///               uncovered-subinterval emission.
-///   difference  union-compatible r -ᵗ s: per r-tuple, the subintervals
-///               of its validity not covered by any value-equivalent
-///               s-tuple (IntervalSet::SubtractAll); each output interval
-///               derives from exactly one r tuple (unlike
-///               algebra::VtDifference, which merges value groups).
+///   difference  union-compatible r -ᵗ s, run as the anti join r ▷ᵗ s
+///               with every attribute a join attribute: per r-tuple, the
+///               subintervals of its validity not covered by any
+///               value-equivalent s-tuple (NULL equals NULL); each output
+///               interval derives from exactly one r tuple (unlike
+///               algebra::VtDifference, which merges value groups). The
+///               executor is the planner's (kAuto, whatever `executor`
+///               says): its reads and writes are charged, and its build
+///               side is held to the buffer pages like any join's (the
+///               canonical result is still buffered until it is written).
 ///
 /// `name_prefix` namespaces the temporary files ("<prefix>.n<k>") so
 /// concurrent queries on one disk do not collide.

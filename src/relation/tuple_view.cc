@@ -247,31 +247,4 @@ bool TupleView::EqualOnAttrs(const std::vector<size_t>& mine,
   return true;
 }
 
-bool TupleView::EqualOnAttrs(const std::vector<size_t>& mine,
-                             const std::vector<size_t>& theirs,
-                             const Tuple& other) const {
-  TEMPO_DCHECK(mine.size() == theirs.size());
-  for (size_t i = 0; i < mine.size(); ++i) {
-    size_t a = mine[i];
-    const Value& v = other.value(theirs[i]);
-    bool a_null = is_null(a);
-    if (a_null != v.is_null()) return false;
-    if (a_null) continue;
-    ValueType t = layout_->types[a];
-    if (t != v.type()) return false;
-    switch (t) {
-      case ValueType::kInt64:
-        if (Int64At(a) != v.AsInt64()) return false;
-        break;
-      case ValueType::kDouble:
-        if (DoubleAt(a) != v.AsDouble()) return false;
-        break;
-      case ValueType::kString:
-        if (StringAt(a) != v.AsString()) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 }  // namespace tempo

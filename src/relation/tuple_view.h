@@ -97,11 +97,6 @@ class TupleView {
                     const std::vector<size_t>& theirs,
                     const TupleView& other) const;
 
-  /// Same, against an owning Tuple (`theirs` indexes `other`).
-  bool EqualOnAttrs(const std::vector<size_t>& mine,
-                    const std::vector<size_t>& theirs,
-                    const Tuple& other) const;
-
  private:
   struct Extent {
     uint32_t offset = 0;  // payload offset within the record

@@ -1,7 +1,9 @@
 // Tests for the flat build-side kernel (join/build_area.h): BuildArea's
-// validated copy, purge and byte accounting, and FlatIndex's match order,
-// which must equal HashedTupleIndex's so executors keep their output bytes.
+// validated copy, purge and byte accounting, and FlatIndex's match order
+// (newest row first, or oldest first), on which executors' output bytes
+// depend.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -72,29 +74,29 @@ std::vector<Tuple> KeyTuples(Random& rng, size_t n) {
   return out;
 }
 
-/// Indexes `area`'s rows [begin, end) and checks that the candidates of
-/// each probe — confirmed on the records unless the index holds key words
-/// — are HashedTupleIndex's matches over the same rows, in its order.
-/// Returns whether the index held key words.
-bool MatchesHashedTupleIndex(const Schema& schema, const BuildArea& area,
-                             const std::vector<size_t>& keys,
-                             const std::vector<Tuple>& probes, size_t begin,
-                             size_t end) {
+/// Indexes `area`'s rows [begin, end) with `walk` and checks that the
+/// candidates of each probe — confirmed on the records unless the index
+/// holds key words — are exactly the rows of a brute-force scan of
+/// [begin, end) whose key equals the probe's: in descending row order for
+/// Walk::kNewestFirst, ascending for Walk::kOldestFirst. Returns whether
+/// the index held key words.
+bool MatchesBruteForceScan(const Schema& schema, const BuildArea& area,
+                           const std::vector<size_t>& keys,
+                           const std::vector<Tuple>& probes, size_t begin,
+                           size_t end, FlatIndex::Walk walk) {
   FlatIndex flat;
-  flat.Build(area, begin, end);
-  std::vector<Tuple> range;
-  for (size_t row = begin; row < end; ++row) {
-    range.push_back(area.view(row).Materialize());
-  }
-  HashedTupleIndex hashed(&range, &keys);
+  flat.Build(area, begin, end, walk);
   for (const Tuple& p : probes) {
     std::string rec;
     p.SerializeTo(schema, &rec);
     TupleView y = TupleView::Trusted(schema.layout(), rec.data(), rec.size());
     std::vector<size_t> want;
-    hashed.ForEachMatchIndexed(
-        y, keys,
-        [&](const Tuple&, size_t idx) { want.push_back(begin + idx); });
+    for (size_t row = begin; row < end; ++row) {
+      if (y.EqualOnAttrs(keys, keys, area.view(row))) want.push_back(row);
+    }
+    if (walk == FlatIndex::Walk::kNewestFirst) {
+      std::reverse(want.begin(), want.end());
+    }
     std::vector<size_t> got;
     flat.ForEachCandidate(
         y, keys, y.HashAttrs(keys), [&](const FlatIndex::Entry& e) {
@@ -103,13 +105,28 @@ bool MatchesHashedTupleIndex(const Schema& schema, const BuildArea& area,
             got.push_back(e.row);
           }
         });
-    EXPECT_EQ(got, want) << "rows [" << begin << ", " << end << ") probe "
+    EXPECT_EQ(got, want) << "rows [" << begin << ", " << end << ") walk "
+                         << static_cast<int>(walk) << " probe "
                          << p.ToString();
   }
   return flat.key_words();
 }
 
-TEST(FlatIndexTest, MatchOrderEqualsHashedTupleIndex) {
+/// MatchesBruteForceScan under both walks; true when both held key words
+/// (the mode does not depend on the walk).
+bool MatchesBruteForceScan(const Schema& schema, const BuildArea& area,
+                           const std::vector<size_t>& keys,
+                           const std::vector<Tuple>& probes, size_t begin,
+                           size_t end) {
+  const bool newest = MatchesBruteForceScan(schema, area, keys, probes, begin,
+                                            end, FlatIndex::Walk::kNewestFirst);
+  const bool oldest = MatchesBruteForceScan(schema, area, keys, probes, begin,
+                                            end, FlatIndex::Walk::kOldestFirst);
+  EXPECT_EQ(newest, oldest);
+  return newest && oldest;
+}
+
+TEST(FlatIndexTest, MatchOrderEqualsBruteForceScan) {
   const Schema schema = KeySchema();
   const std::vector<std::vector<size_t>> key_sets = {{0}, {1}, {2}, {0, 1, 2}};
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -127,7 +144,7 @@ TEST(FlatIndexTest, MatchOrderEqualsHashedTupleIndex) {
       for (auto [begin, end] : {std::pair<size_t, size_t>{0, build.size()},
                                 std::pair<size_t, size_t>{150, 420}}) {
         EXPECT_FALSE(
-            MatchesHashedTupleIndex(schema, area, keys, probes, begin, end))
+            MatchesBruteForceScan(schema, area, keys, probes, begin, end))
             << "seed " << seed;
       }
     }
@@ -168,10 +185,9 @@ TEST(FlatIndexTest, MatchOrderEqualsHashedTupleIndex) {
     {
       BuildArea area(&schema, &keys);
       TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
-      EXPECT_TRUE(MatchesHashedTupleIndex(schema, area, keys, probes, 0,
-                                          build.size()));
-      EXPECT_TRUE(MatchesHashedTupleIndex(schema, area, keys, probes, 150,
-                                          420));
+      EXPECT_TRUE(MatchesBruteForceScan(schema, area, keys, probes, 0,
+                                        build.size()));
+      EXPECT_TRUE(MatchesBruteForceScan(schema, area, keys, probes, 150, 420));
     }
     // One NULL build key turns key words off for every range holding it
     // (a NULL probe key then matches it, NULL == NULL), and only there.
@@ -181,10 +197,9 @@ TEST(FlatIndexTest, MatchOrderEqualsHashedTupleIndex) {
     BuildArea area(&schema, &keys);
     TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
     EXPECT_FALSE(
-        MatchesHashedTupleIndex(schema, area, keys, probes, 0, build.size()));
-    EXPECT_FALSE(
-        MatchesHashedTupleIndex(schema, area, keys, probes, 150, 420));
-    EXPECT_TRUE(MatchesHashedTupleIndex(schema, area, keys, probes, 0, 150));
+        MatchesBruteForceScan(schema, area, keys, probes, 0, build.size()));
+    EXPECT_FALSE(MatchesBruteForceScan(schema, area, keys, probes, 150, 420));
+    EXPECT_TRUE(MatchesBruteForceScan(schema, area, keys, probes, 0, 150));
   }
 }
 

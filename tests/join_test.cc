@@ -453,34 +453,6 @@ TEST(SortMergeTest, EmptyInputs) {
 }
 
 // ---------------------------------------------------------------------
-// HashedTupleIndex
-// ---------------------------------------------------------------------
-
-TEST(HashedTupleIndexTest, FindsAllKeyMatches) {
-  std::vector<Tuple> tuples{T(1, "a", 0, 1), T(2, "b", 0, 1), T(1, "c", 5, 9)};
-  std::vector<size_t> key{0};
-  HashedTupleIndex index(&tuples, &key);
-  int found = 0;
-  Tuple probe = S(1, "probe", 0, 100);
-  index.ForEachMatch(probe, {0}, [&](const Tuple& t) {
-    ++found;
-    EXPECT_EQ(t.value(0).AsInt64(), 1);
-  });
-  EXPECT_EQ(found, 2);
-}
-
-TEST(HashedTupleIndexTest, RebuildRebinds) {
-  std::vector<Tuple> a{T(1, "a", 0, 1)};
-  std::vector<Tuple> b{T(2, "b", 0, 1)};
-  std::vector<size_t> key{0};
-  HashedTupleIndex index(&a, &key);
-  index.Rebuild(&b);
-  int found = 0;
-  index.ForEachMatch(S(2, "p", 0, 1), {0}, [&](const Tuple&) { ++found; });
-  EXPECT_EQ(found, 1);
-}
-
-// ---------------------------------------------------------------------
 // PrepareJoinForKind validation
 // ---------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-// Golden suite for the sequenced temporal query layer: ten hand-derived
+// Golden suite for the sequenced temporal query layer: eleven hand-derived
 // SPJ pipelines over small relations, each checked two ways — exact
 // multiset equality against the hand-derived rows, and chronon-exact
 // snapshot reducibility against the nontemporal oracle at every chronon
@@ -88,10 +88,11 @@ class GoldenPipelineTest : public ::testing::Test {
   // base relations' range.
   void ExpectGolden(const QueryPlan& plan,
                     const std::vector<Tuple>& expected,
-                    const std::string& prefix) {
+                    const std::string& prefix,
+                    const QueryOptions& options = {}) {
     TEMPO_ASSERT_OK_AND_ASSIGN(
         QueryResult result,
-        RunSequencedQuery(plan, &disk_, QueryOptions{}, nullptr, prefix));
+        RunSequencedQuery(plan, &disk_, options, nullptr, prefix));
     TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual,
                                result.relation->ReadAll());
     EXPECT_TRUE(SameTupleMultiset(actual, expected))
@@ -184,15 +185,21 @@ TEST_F(GoldenPipelineTest, AntiThenProject) {
 // P8: r -ᵗ r2 — sequenced difference splits intervals per tuple: alice
 // loses [3,20] of her [0,10], bob [0,5] vanishes inside [0,10]; ann
 // (different name) is untouched even where alice's subtrahend overlaps.
+// Run again with the join-node executor set to one that runs no anti
+// join: the difference always plans its anti join with kAuto.
 TEST_F(GoldenPipelineTest, DifferenceSplitsIntervals) {
   auto r2 = MakeRelation(&disk_, TestSchema(),
                          {T(1, "alice", 3, 20), T(2, "bob", 0, 10)}, "r2");
-  ExpectGolden(
-      QueryPlan::Difference(QueryPlan::Scan(r_.get()),
-                            QueryPlan::Scan(r2.get())),
-      {T(1, "alice", 0, 2), T(1, "ann", 5, 15), T(3, "carol", 8, 12),
-       T(4, "dave", 20, 25)},
-      "p8");
+  QueryOptions sort_merge_joins;
+  sort_merge_joins.executor = JoinExecutor::kSortMerge;
+  for (const QueryOptions& options : {QueryOptions{}, sort_merge_joins}) {
+    ExpectGolden(
+        QueryPlan::Difference(QueryPlan::Scan(r_.get()),
+                              QueryPlan::Scan(r2.get())),
+        {T(1, "alice", 0, 2), T(1, "ann", 5, 15), T(3, "carol", 8, 12),
+         T(4, "dave", 20, 25)},
+        "p8", options);
+  }
 }
 
 // P9: σ key=1 (r) ⟕ᵗ s — selection below the preserved side of an outer
@@ -217,6 +224,34 @@ TEST_F(GoldenPipelineTest, DifferenceOfSelects) {
           QueryPlan::Scan(r_.get()).Select(
               Eq("name", Value(std::string("alice"))))),
       {T(1, "ann", 5, 15)}, "p10");
+}
+
+// P11: l -ᵗ l2 with NULL attributes on both sides. NULL equals NULL, so a
+// NULL-valued row cancels its value-equivalent partner: (1, NULL) loses
+// [3,6] of its [0,10], (NULL, x) vanishes under its twin, and (2, b)
+// survives whole because (2, NULL) is not value-equivalent to it.
+TEST_F(GoldenPipelineTest, DifferenceCancelsNullValuedPartners) {
+  auto row = [](Value key, Value name, Chronon vs, Chronon ve) {
+    return Tuple({std::move(key), std::move(name)}, Interval(vs, ve));
+  };
+  const Value one(int64_t{1});
+  const Value two(int64_t{2});
+  const Value x(std::string("x"));
+  auto l = MakeRelation(&disk_, TestSchema(),
+                        {row(one, Value::Null(), 0, 10),
+                         row(Value::Null(), x, 0, 5),
+                         row(two, Value(std::string("b")), 0, 4)},
+                        "l");
+  auto l2 = MakeRelation(&disk_, TestSchema(),
+                         {row(one, Value::Null(), 3, 6),
+                          row(Value::Null(), x, 0, 5),
+                          row(two, Value::Null(), 0, 4)},
+                         "l2");
+  ExpectGolden(QueryPlan::Difference(QueryPlan::Scan(l.get()),
+                                     QueryPlan::Scan(l2.get())),
+               {row(one, Value::Null(), 0, 2), row(one, Value::Null(), 7, 10),
+                row(two, Value(std::string("b")), 0, 4)},
+               "p11");
 }
 
 // ---------------------------------------------------------------------

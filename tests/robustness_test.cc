@@ -139,6 +139,23 @@ TEST(FaultSweepTest, SequencedQueryLeavesNoTempFiles) {
   EXPECT_GT(SweepFaults(&f.disk, query), 10);
 }
 
+// The sequenced difference runs as an anti join, so a select -> difference
+// pipeline writes the selection, Grace partitions and cache spills; a
+// failure at any point must delete all of them.
+TEST(FaultSweepTest, SequencedDifferenceLeavesNoTempFiles) {
+  FaultFixture f;
+  QueryPlan plan = QueryPlan::Difference(
+      QueryPlan::Scan(f.r.get()),
+      QueryPlan::Scan(f.r.get())
+          .Select({"key", CompareOp::kLt, Value(int64_t{20})}));
+  QueryOptions options;
+  options.join.buffer_pages = 12;
+  auto query = [&] {
+    return RunSequencedQuery(plan, &f.disk, options).status();
+  };
+  EXPECT_GT(SweepFaults(&f.disk, query), 10);
+}
+
 TEST(FaultSweepTest, PartitionCoalesceLeavesNoTempFiles) {
   FaultFixture f;
   const uint64_t input_pages = f.disk.TotalPages();

@@ -152,9 +152,7 @@ TEST(TupleViewTest, EqualOnAttrsValueSemantics) {
   const std::vector<size_t> all = {0, 1, 2};
   // NULL == NULL and -0.0 == 0.0, matching Value::operator==.
   EXPECT_TRUE(va.EqualOnAttrs(all, all, vb));
-  EXPECT_TRUE(va.EqualOnAttrs(all, all, b));
   EXPECT_FALSE(va.EqualOnAttrs(all, all, vc));
-  EXPECT_FALSE(va.EqualOnAttrs(all, all, c));
   // Aligned-position remapping: compare our attr 0 with their attr 0 only.
   EXPECT_TRUE(va.EqualOnAttrs({0}, {0}, vc) == false);
   EXPECT_TRUE(va.EqualOnAttrs({2}, {2}, vc));
