@@ -1,6 +1,6 @@
 // Microbenchmarks for the zero-copy record-view hot path: page decode
-// into owning Tuples vs page-backed TupleViews, and join-key hashing
-// throughput over both representations.
+// into page-backed TupleViews, join-key hashing over the views, and
+// interval-only access.
 
 #include <benchmark/benchmark.h>
 
@@ -30,19 +30,6 @@ Page FillPage(const Schema& schema, uint64_t tuple_bytes) {
   return page;
 }
 
-void BM_PageDecodeOwning(benchmark::State& state) {
-  Schema schema = BenchSchema();
-  Page page = FillPage(schema, static_cast<uint64_t>(state.range(0)));
-  std::vector<Tuple> out;
-  for (auto _ : state) {
-    out.clear();
-    auto n = StoredRelation::DecodePageAppend(schema, page, &out);
-    benchmark::DoNotOptimize(n.ok());
-  }
-  state.SetItemsProcessed(state.iterations() * page.num_records());
-}
-BENCHMARK(BM_PageDecodeOwning)->Arg(64)->Arg(256);
-
 void BM_PageDecodeViews(benchmark::State& state) {
   Schema schema = BenchSchema();
   Page page = FillPage(schema, static_cast<uint64_t>(state.range(0)));
@@ -56,26 +43,8 @@ void BM_PageDecodeViews(benchmark::State& state) {
 }
 BENCHMARK(BM_PageDecodeViews)->Arg(64)->Arg(256);
 
-// Key-hash throughput: the probe loop's inner operation. The owning
-// variant pays the full decode (string allocation included) before it
-// can hash; the view variant hashes the record bytes in place.
-
-void BM_KeyHashOwning(benchmark::State& state) {
-  Schema schema = BenchSchema();
-  Page page = FillPage(schema, static_cast<uint64_t>(state.range(0)));
-  const std::vector<size_t> key_attrs = {0};
-  std::vector<Tuple> decoded;
-  for (auto _ : state) {
-    decoded.clear();
-    auto n = StoredRelation::DecodePageAppend(schema, page, &decoded);
-    benchmark::DoNotOptimize(n.ok());
-    size_t h = 0;
-    for (const Tuple& t : decoded) h ^= t.HashAttrs(key_attrs);
-    benchmark::DoNotOptimize(h);
-  }
-  state.SetItemsProcessed(state.iterations() * page.num_records());
-}
-BENCHMARK(BM_KeyHashOwning)->Arg(64)->Arg(256);
+// Key-hash throughput: the probe loop's inner operation, over the record
+// bytes in place.
 
 void BM_KeyHashViews(benchmark::State& state) {
   Schema schema = BenchSchema();
@@ -95,22 +64,6 @@ void BM_KeyHashViews(benchmark::State& state) {
 BENCHMARK(BM_KeyHashViews)->Arg(64)->Arg(256);
 
 // Interval-only access (partition routing reads nothing else).
-
-void BM_IntervalScanOwning(benchmark::State& state) {
-  Schema schema = BenchSchema();
-  Page page = FillPage(schema, 64);
-  std::vector<Tuple> decoded;
-  for (auto _ : state) {
-    decoded.clear();
-    auto n = StoredRelation::DecodePageAppend(schema, page, &decoded);
-    benchmark::DoNotOptimize(n.ok());
-    Chronon acc = 0;
-    for (const Tuple& t : decoded) acc += t.interval().start();
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * page.num_records());
-}
-BENCHMARK(BM_IntervalScanOwning);
 
 void BM_IntervalScanViews(benchmark::State& state) {
   Schema schema = BenchSchema();

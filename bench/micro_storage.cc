@@ -1,10 +1,11 @@
-// Microbenchmarks: record serialization, slotted-page operations and the
-// simulated disk path.
+// Microbenchmarks: record serialization and parsing, slotted-page
+// operations and the simulated disk path.
 
 #include <benchmark/benchmark.h>
 
 #include "micro_util.h"
 
+#include "relation/tuple_view.h"
 #include "storage/disk.h"
 #include "storage/page.h"
 #include "storage/stored_relation.h"
@@ -30,18 +31,18 @@ void BM_TupleSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_TupleSerialize);
 
-void BM_TupleDeserialize(benchmark::State& state) {
+void BM_RecordParse(benchmark::State& state) {
   Schema schema = BenchSchema();
   Tuple t = SampleTuple();
   std::string buf;
   t.SerializeTo(schema, &buf);
   for (auto _ : state) {
-    auto back = Tuple::Deserialize(schema, buf.data(), buf.size());
-    benchmark::DoNotOptimize(back.ok());
+    auto view = TupleView::Make(schema.layout(), buf.data(), buf.size());
+    benchmark::DoNotOptimize(view.ok());
   }
   state.SetBytesProcessed(state.iterations() * buf.size());
 }
-BENCHMARK(BM_TupleDeserialize);
+BENCHMARK(BM_RecordParse);
 
 void BM_PageFill(benchmark::State& state) {
   Schema schema = BenchSchema();
@@ -56,23 +57,6 @@ void BM_PageFill(benchmark::State& state) {
 }
 BENCHMARK(BM_PageFill);
 
-void BM_PageDecode(benchmark::State& state) {
-  Schema schema = BenchSchema();
-  std::string record;
-  SampleTuple().SerializeTo(schema, &record);
-  Page page;
-  while (page.AddRecord(record).has_value()) {
-  }
-  std::vector<Tuple> out;
-  for (auto _ : state) {
-    out.clear();
-    auto st = StoredRelation::DecodePage(schema, page, &out);
-    benchmark::DoNotOptimize(st.ok());
-  }
-  state.SetItemsProcessed(state.iterations() * page.num_records());
-}
-BENCHMARK(BM_PageDecode);
-
 void BM_SequentialScan(benchmark::State& state) {
   Disk disk;
   WorkloadSpec spec;
@@ -81,14 +65,12 @@ void BM_SequentialScan(benchmark::State& state) {
   spec.seed = 5;
   auto rel = GenerateRelation(&disk, spec, "r");
   for (auto _ : state) {
-    auto scan = (*rel)->Scan();
-    Tuple t;
     uint64_t count = 0;
-    while (true) {
-      auto more = scan.Next(&t);
-      if (!more.ok() || !*more) break;
-      ++count;
-    }
+    auto st = (*rel)->ForEachView([&](const TupleView& v) {
+      count += v.interval().start() >= 0;
+      return Status::OK();
+    });
+    benchmark::DoNotOptimize(st.ok());
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * spec.num_tuples);

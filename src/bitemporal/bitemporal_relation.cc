@@ -25,16 +25,6 @@ Tuple BitemporalRelation::ToStored(const Tuple& t, TxTime tx_start,
   return Tuple(std::move(values), t.interval());
 }
 
-void BitemporalRelation::FromStored(const Tuple& stored, Tuple* user,
-                                    TxTime* tx_start, TxTime* tx_end) const {
-  const size_t n = user_schema_.num_attributes();
-  std::vector<Value> values(stored.values().begin(),
-                            stored.values().begin() + n);
-  *user = Tuple(std::move(values), stored.interval());
-  *tx_start = stored.value(n).AsInt64();
-  *tx_end = stored.value(n + 1).AsInt64();
-}
-
 Status BitemporalRelation::CheckClock(TxTime now) {
   if (now == kTxUntilChanged) {
     return Status::InvalidArgument(
@@ -61,31 +51,30 @@ Status BitemporalRelation::Insert(const Tuple& t, TxTime now) {
 Status BitemporalRelation::Delete(const Tuple& t, TxTime now) {
   TEMPO_RETURN_IF_ERROR(CheckClock(now));
   // Find the current version equal to `t` and close its transaction
-  // interval in place: the record layout does not change (tx_end is a
-  // fixed-width attribute), so the page is decoded, patched and written
-  // back — the append-plus-close discipline of transaction time.
+  // interval in place: tx_end is a fixed-width attribute, so the closed
+  // version has the record's size, and its page is rebuilt with every
+  // other record's bytes as they are and written back — the
+  // append-plus-close discipline of transaction time.
+  const Schema& schema = store_->schema();
   const size_t n = user_schema_.num_attributes();
+  PageTupleArena arena;
   for (uint32_t page_no = 0; page_no < store_->num_pages(); ++page_no) {
     TEMPO_ASSIGN_OR_RETURN(PagePin page, store_->PinPage(page_no));
-    std::vector<Tuple> decoded;
-    TEMPO_RETURN_IF_ERROR(
-        StoredRelation::DecodePage(store_->schema(), *page, &decoded));
-    for (size_t slot = 0; slot < decoded.size(); ++slot) {
-      const Tuple& stored = decoded[slot];
-      if (stored.value(n + 1).AsInt64() != kTxUntilChanged) continue;
-      Tuple user(std::vector<Value>(stored.values().begin(),
-                                    stored.values().begin() + n),
-                 stored.interval());
-      if (!(user == t)) continue;
-      // Rebuild the page with the closed version.
+    arena.Clear();
+    TEMPO_RETURN_IF_ERROR(arena.AddPage(schema, std::move(page)).status());
+    const std::vector<TupleView>& versions = arena.views();
+    for (size_t slot = 0; slot < versions.size(); ++slot) {
+      const TupleView& stored = versions[slot];
+      if (stored.Int64At(n + 1) != kTxUntilChanged) continue;
+      if (!(UserTupleOf(stored) == t)) continue;
+      std::string closed;
+      ToStored(t, stored.Int64At(n), now - 1).SerializeTo(schema, &closed);
       Page rebuilt;
-      for (size_t s = 0; s < decoded.size(); ++s) {
-        const Tuple& to_write =
-            s == slot ? ToStored(t, stored.value(n).AsInt64(), now - 1)
-                      : decoded[s];
-        std::string record;
-        to_write.SerializeTo(store_->schema(), &record);
-        TEMPO_CHECK(rebuilt.AddRecord(record).has_value());
+      for (size_t s = 0; s < versions.size(); ++s) {
+        TEMPO_CHECK(
+            rebuilt.AddRecord(s == slot ? std::string_view(closed)
+                                        : versions[s].record())
+                .has_value());
       }
       return disk_->WritePage(store_->file_id(), page_no, rebuilt);
     }
@@ -102,24 +91,14 @@ Status BitemporalRelation::Update(const Tuple& old_t, const Tuple& new_t,
 Status BitemporalRelation::ForEachCurrentVersion(
     TxTime as_of, const std::function<Status(const TupleView&)>& fn) {
   TEMPO_RETURN_IF_ERROR(store_->Flush());
-  const RecordLayout& layout = store_->schema().layout();
   const size_t n = user_schema_.num_attributes();
-  for (uint32_t page_no = 0; page_no < store_->num_pages(); ++page_no) {
-    TEMPO_ASSIGN_OR_RETURN(PagePin page, store_->PinPage(page_no));
-    for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
-      std::string_view rec = page->GetRecord(slot);
-      TEMPO_ASSIGN_OR_RETURN(TupleView v,
-                             TupleView::Make(layout, rec.data(), rec.size()));
-      // The transaction bounds are read in place; most versions are
-      // filtered out here without ever decoding the user payload.
-      TxTime tx_start = v.Int64At(n);
-      TxTime tx_end = v.Int64At(n + 1);
-      if (tx_start <= as_of && as_of <= tx_end) {
-        TEMPO_RETURN_IF_ERROR(fn(v));
-      }
-    }
-  }
-  return Status::OK();
+  return store_->ForEachView([&](const TupleView& v) {
+    // The transaction bounds are read in place; most versions are
+    // filtered out here without ever decoding the user payload.
+    const TxTime tx_start = v.Int64At(n);
+    const TxTime tx_end = v.Int64At(n + 1);
+    return tx_start <= as_of && as_of <= tx_end ? fn(v) : Status::OK();
+  });
 }
 
 Tuple BitemporalRelation::UserTupleOf(const TupleView& stored) const {

@@ -94,9 +94,6 @@ class BitemporalRelation {
  private:
   /// Converts user tuple + tx interval to the stored representation.
   Tuple ToStored(const Tuple& t, TxTime tx_start, TxTime tx_end) const;
-  /// Splits a stored tuple into (user tuple, tx_start, tx_end).
-  void FromStored(const Tuple& stored, Tuple* user, TxTime* tx_start,
-                  TxTime* tx_end) const;
 
   /// Streams every version current at `as_of` as a zero-copy view over
   /// the store's pages (one page in memory at a time, no full-relation

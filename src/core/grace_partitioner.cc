@@ -50,7 +50,6 @@ StatusOr<PartitionedRelation> GracePartition(StoredRelation* input,
         TEMPO_RETURN_IF_ERROR(result.parts[idx]->AppendRecord(rec));
         ++result.tuples_written;
       }
-      ++result.records_routed_zero_copy;
     }
   }
   for (auto& part : result.parts) {

@@ -29,10 +29,6 @@ struct PartitionedRelation {
   /// Tuples written across all partitions (> input cardinality only under
   /// kReplicate — the replication overhead the paper avoids).
   uint64_t tuples_written = 0;
-  /// Input records routed as zero-copy views (raw record bytes appended
-  /// straight to the destination partition, no decode/re-encode). Feeds the
-  /// decode_materializations_avoided metric.
-  uint64_t records_routed_zero_copy = 0;
 
   /// Pages across all partition files.
   uint32_t TotalPages() const {

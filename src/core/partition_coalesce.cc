@@ -77,23 +77,16 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
 
   JoinRunStats stats;
   uint64_t carried_runs = 0;
-  uint64_t views_folded = 0;
-  const RecordLayout& layout = in->schema().layout();
 
-  // Folds every record on `page` into `groups`, viewing each in place;
+  // Folds every record of `rel` into `groups`, viewing each in place;
   // owning values materialize only when a group is first seen.
-  auto fold_page = [&](const Page& page,
-                       std::map<std::string, Group>& groups) -> Status {
-    for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-      std::string_view rec = page.GetRecord(slot);
-      TEMPO_ASSIGN_OR_RETURN(TupleView v,
-                             TupleView::Make(layout, rec.data(), rec.size()));
-      ++views_folded;
+  auto fold = [](StoredRelation* rel, std::map<std::string, Group>& groups) {
+    return rel->ForEachView([&](const TupleView& v) {
       Group& g = groups[ValueKey(v)];
       if (g.values.empty()) g.values = MaterializeValues(v);
       g.intervals.push_back(v.interval());
-    }
-    return Status::OK();
+      return Status::OK();
+    });
   };
 
   // Helper shared by the single- and multi-partition paths: merge one
@@ -122,12 +115,9 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
 
   if (plan.num_partitions <= 1) {
     // Fits in memory: one pass over the input pages, folding records in
-    // place (same page-read sequence as the scanner it replaces).
+    // place.
     std::map<std::string, Group> groups;
-    for (uint32_t p = 0; p < in->num_pages(); ++p) {
-      TEMPO_ASSIGN_OR_RETURN(PagePin page, in->PinPage(p));
-      TEMPO_RETURN_IF_ERROR(fold_page(*page, groups));
-    }
+    TEMPO_RETURN_IF_ERROR(fold(in, groups));
     for (auto& [key, group] : groups) {
       TEMPO_RETURN_IF_ERROR(process_group(group, Interval::All(),
                                           /*last_step=*/true, nullptr, key));
@@ -137,7 +127,6 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
         PartitionedRelation parts,
         GracePartition(in, plan.spec, options.buffer_pages,
                        PlacementPolicy::kLastOverlap, in->name() + ".co"));
-    views_folded += parts.records_routed_zero_copy;
 
     std::map<std::string, Group> carry;
     const size_t n = plan.spec.num_partitions();
@@ -147,11 +136,7 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
       // Fold this partition's tuples into the carried groups.
       std::map<std::string, Group> groups = std::move(carry);
       carry.clear();
-      StoredRelation* part = parts.parts[ii].get();
-      for (uint32_t p = 0; p < part->num_pages(); ++p) {
-        TEMPO_ASSIGN_OR_RETURN(PagePin page, part->PinPage(p));
-        TEMPO_RETURN_IF_ERROR(fold_page(*page, groups));
-      }
+      TEMPO_RETURN_IF_ERROR(fold(parts.parts[ii].get(), groups));
       for (auto& [key, group] : groups) {
         TEMPO_RETURN_IF_ERROR(
             process_group(group, p_i, last_step, &carry, key));
@@ -164,8 +149,6 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
   stats.output_tuples = out->num_tuples();
   stats.Set(Metric::kPartitions, static_cast<double>(plan.num_partitions));
   stats.Set(Metric::kCarriedRuns, static_cast<double>(carried_runs));
-  stats.Set(Metric::kDecodeMaterializationsAvoided,
-            static_cast<double>(views_folded));
   ExportMetrics(stats, ctx);
   return stats;
 }

@@ -167,7 +167,6 @@ class ProbeStream {
 
   /// Streams one raw inner page.
   Status AddPage(PagePin page, bool allow_retain) {
-    views_probed_ += page->num_records();
     arena_.Clear();
     TEMPO_RETURN_IF_ERROR(
         arena_.AddPage(*ctx_.inner_schema, std::move(page)).status());
@@ -180,16 +179,11 @@ class ProbeStream {
   /// Streams probe views over storage that outlives the stream (the tuple
   /// cache's in-memory records).
   Status AddViews(const std::vector<TupleView>& views, bool allow_retain) {
-    views_probed_ += views.size();
     for (const TupleView& y : views) {
       TEMPO_RETURN_IF_ERROR(Probe(y, allow_retain));
     }
     return Status::OK();
   }
-
-  /// Records probed as views (no owning decode); feeds the
-  /// decode_materializations_avoided metric.
-  uint64_t views_probed() const { return views_probed_; }
 
  private:
   /// Emits every area row probe record `y` joins, in FlatIndex order
@@ -222,7 +216,6 @@ class ProbeStream {
   ProbeContext ctx_;
   const FlatIndex* index_;
   PageTupleArena arena_;  // pin+view arena, cleared per page
-  uint64_t views_probed_ = 0;
 };
 
 }  // namespace
@@ -277,7 +270,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   uint64_t cache_pages_spilled = 0;
   uint64_t cache_tuples = 0;
   uint64_t overflow_chunks = 0;
-  uint64_t views_probed = 0;
 
   // Computation proceeds from r_n |X| s_n down to r_1 |X| s_1, serially:
   // partition i's cache generation feeds partition i-1, and each
@@ -373,7 +365,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
               stream.AddPage(std::move(page), migrate && retain));
         }
       }
-      views_probed += stream.views_probed();
       if (total == 0) break;
     }
 
@@ -395,8 +386,6 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
             static_cast<double>(cache_pages_spilled));
   stats.Set(Metric::kCacheTuples, static_cast<double>(cache_tuples));
   stats.Set(Metric::kOverflowChunks, static_cast<double>(overflow_chunks));
-  stats.Set(Metric::kDecodeMaterializationsAvoided,
-            static_cast<double>(views_probed));
   return stats;
 }
 
@@ -473,8 +462,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     TEMPO_RETURN_IF_ERROR(outer.RetireAll());
     if (variant == nullptr) TEMPO_RETURN_IF_ERROR(writer->Finish());
     stats.output_tuples = writer->count();
-    stats.Set(Metric::kDecodeMaterializationsAvoided,
-              static_cast<double>(stream.views_probed()));
   } else {
     // Phase 2: Grace-partition both inputs with the same intervals, r then
     // s, on this thread.
@@ -507,9 +494,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
                        options.tuple_cache_memory_pages, ctx, variant));
     stats.output_tuples = join_stats.output_tuples;
     stats.metrics.Merge(join_stats.metrics);
-    stats.Add(Metric::kDecodeMaterializationsAvoided,
-              static_cast<double>(pr.records_routed_zero_copy +
-                                  ps.records_routed_zero_copy));
   }
 
   stats.Set(Metric::kPartitions, static_cast<double>(plan.num_partitions));

@@ -89,9 +89,8 @@ struct JoinVariant {
 /// extra chunk: that re-reading is precisely the thrashing cost.
 ///
 /// Metrics in JoinRunStats: kCachePagesSpilled, kCacheTuples,
-/// kOverflowChunks, kDecodeMaterializationsAvoided. The metrics are
-/// returned, not exported into `ctx`: the executor run that calls this
-/// exports once (RunJoinContract).
+/// kOverflowChunks. The metrics are returned, not exported into `ctx`: the
+/// executor run that calls this exports once (RunJoinContract).
 ///
 /// The run is serial on the calling thread: generation i's tuple cache
 /// feeds generation i-1, and each partition's probe runs inline with its

@@ -15,12 +15,6 @@ TupleCache::TupleCache(Disk* disk, const Schema& schema, std::string name,
       name_(std::move(name)),
       memory_pages_(memory_pages == 0 ? 1 : memory_pages) {}
 
-Status TupleCache::Add(const Tuple& t) {
-  std::string record;
-  t.SerializeTo(schema_, &record);
-  return AddRecord(record);
-}
-
 Status TupleCache::AddRecord(std::string_view record) {
   size_t bytes = record.size() + kSlotOverhead;
   if (memory_bytes_ + bytes > kPagePayload * memory_pages_ &&
@@ -47,18 +41,6 @@ Status TupleCache::AddRecord(std::string_view record) {
   memory_bytes_ += bytes;
   ++total_tuples_;
   return Status::OK();
-}
-
-std::vector<Tuple> TupleCache::memory_tuples() const {
-  std::vector<Tuple> out;
-  out.reserve(memory_views_.size());
-  for (const TupleView& v : memory_views_) out.push_back(v.Materialize());
-  return out;
-}
-
-StatusOr<std::vector<Tuple>> TupleCache::ReadSpilledPage(uint32_t page_no) {
-  TEMPO_CHECK(spill_ != nullptr);
-  return spill_->ReadPageTuples(page_no);
 }
 
 StatusOr<PagePin> TupleCache::PinSpilledPage(uint32_t page_no) {

@@ -44,11 +44,9 @@ class TupleCache {
   TupleCache(TupleCache&&) = default;
   TupleCache& operator=(TupleCache&&) = default;
 
-  /// Retains a tuple into this generation. Spills a full page to disk.
-  Status Add(const Tuple& t);
-
-  /// Retains an already-serialized record (e.g. TupleView::record()) —
-  /// the zero-copy retention path; only the record bytes are copied.
+  /// Retains an already-serialized record (e.g. TupleView::record()) into
+  /// this generation; only the record bytes are copied. Spills the
+  /// in-memory area to disk when the record does not fit it.
   Status AddRecord(std::string_view record);
 
   /// Views over the records still in the in-memory area (never spilled),
@@ -56,20 +54,13 @@ class TupleCache {
   /// moving the cache preserves them.
   const std::vector<TupleView>& memory_views() const { return memory_views_; }
 
-  /// Materialized copies of the in-memory records (tests and diagnostics;
-  /// the hot path probes memory_views() instead).
-  std::vector<Tuple> memory_tuples() const;
-
   /// Number of spilled pages on disk.
   uint32_t spilled_pages() const {
     return spill_ == nullptr ? 0 : spill_->num_pages();
   }
 
-  /// Reads back one spilled page (charged I/O) and decodes it.
-  StatusOr<std::vector<Tuple>> ReadSpilledPage(uint32_t page_no);
-
-  /// Pins one spilled page (charged I/O) without decoding; callers hold
-  /// the pin in a PageTupleArena and probe views.
+  /// Pins one spilled page (charged I/O); callers hold the pin in a
+  /// PageTupleArena and probe views.
   StatusOr<PagePin> PinSpilledPage(uint32_t page_no);
 
   /// Total tuples in this generation.

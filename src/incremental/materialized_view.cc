@@ -26,16 +26,8 @@ Status ForEachVisiblePage(StoredRelation* part, StoredRelation* cache,
 /// Streams the records of those pages as zero-copy views.
 Status ForEachVisibleView(StoredRelation* part, StoredRelation* cache,
                           const std::function<Status(const TupleView&)>& fn) {
-  const RecordLayout& layout = part->schema().layout();
-  return ForEachVisiblePage(part, cache, [&](const Page& page) -> Status {
-    for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-      std::string_view rec = page.GetRecord(slot);
-      TEMPO_ASSIGN_OR_RETURN(TupleView v,
-                             TupleView::Make(layout, rec.data(), rec.size()));
-      TEMPO_RETURN_IF_ERROR(fn(v));
-    }
-    return Status::OK();
-  });
+  TEMPO_RETURN_IF_ERROR(part->ForEachView(fn));
+  return cache->ForEachView(fn);
 }
 
 }  // namespace
@@ -86,18 +78,15 @@ Status MaterializedVtJoinView::Build(StoredRelation* r, StoredRelation* s,
   // Load base contents: last-overlap placement plus persistent caches for
   // every earlier overlapped partition.
   auto load = [&](Side& side, StoredRelation* input) -> Status {
-    auto scan = input->Scan();
-    Tuple t;
-    while (true) {
-      TEMPO_ASSIGN_OR_RETURN(bool more, scan.Next(&t));
-      if (!more) break;
-      size_t first = spec_.FirstOverlapping(t.interval());
-      size_t last = spec_.LastOverlapping(t.interval());
-      TEMPO_RETURN_IF_ERROR(side.parts[last]->Append(t));
+    TEMPO_RETURN_IF_ERROR(input->ForEachView([&](const TupleView& v) {
+      const size_t first = spec_.FirstOverlapping(v.interval());
+      const size_t last = spec_.LastOverlapping(v.interval());
+      TEMPO_RETURN_IF_ERROR(side.parts[last]->AppendRecord(v.record()));
       for (size_t i = first; i < last; ++i) {
-        TEMPO_RETURN_IF_ERROR(side.caches[i]->Append(t));
+        TEMPO_RETURN_IF_ERROR(side.caches[i]->AppendRecord(v.record()));
       }
-    }
+      return Status::OK();
+    }));
     for (auto& p : side.parts) TEMPO_RETURN_IF_ERROR(p->Flush());
     for (auto& c : side.caches) TEMPO_RETURN_IF_ERROR(c->Flush());
     return Status::OK();

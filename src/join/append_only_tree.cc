@@ -34,20 +34,24 @@ StatusOr<std::unique_ptr<AppendOnlyTree>> AppendOnlyTree::Build(
   std::unique_ptr<AppendOnlyTree> tree(
       new AppendOnlyTree(rel->disk(), name));
   Chronon prev_first = kChrononMin;
+  PageTupleArena arena;
   for (uint32_t p = 0; p < rel->num_pages(); ++p) {
-    TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                           rel->ReadPageTuples(p));
-    if (tuples.empty()) continue;
-    Chronon first = tuples.front().interval().start();
-    for (const Tuple& t : tuples) {
-      if (t.interval().start() < prev_first) {
+    TEMPO_ASSIGN_OR_RETURN(PagePin page, rel->PinPage(p));
+    arena.Clear();
+    TEMPO_RETURN_IF_ERROR(
+        arena.AddPage(rel->schema(), std::move(page)).status());
+    if (arena.views().empty()) continue;
+    for (const TupleView& v : arena.views()) {
+      const Interval iv = v.interval();
+      if (iv.start() < prev_first) {
         return Status::FailedPrecondition(
             "relation is not ordered by interval start");
       }
-      prev_first = t.interval().start();
-      tree->ObserveDuration(t.interval().duration());
+      prev_first = iv.start();
+      tree->ObserveDuration(iv.duration());
     }
-    TEMPO_RETURN_IF_ERROR(tree->AppendPage(first, p));
+    TEMPO_RETURN_IF_ERROR(
+        tree->AppendPage(arena.views().front().interval().start(), p));
   }
   return tree;
 }

@@ -73,9 +73,9 @@ class BuildArea {
   BuildArea(const BuildArea&) = delete;
   BuildArea& operator=(const BuildArea&) = delete;
 
-  /// Validates every record on `page` with TupleView::Make (the checks of
-  /// Tuple::Deserialize) and appends them in slot order. On a corrupt
-  /// record the page's rows are rolled back and Corruption is returned.
+  /// Validates every record on `page` with TupleView::Make and appends
+  /// them in slot order. On a corrupt record the page's rows are rolled
+  /// back and Corruption is returned.
   Status AddPage(const Page& page);
 
   /// Keeps the rows whose interval overlaps `p`, in order, and drops the

@@ -348,7 +348,7 @@ uint32_t StreamChunkPages(uint32_t buffer_pages) {
 }
 
 struct CoSweepStats {
-  uint64_t arrivals = 0;      ///< records probed as zero-copy views
+  uint64_t arrivals = 0;      ///< records read off both streams
   uint64_t active_peak = 0;   ///< sum of both sides' peak live entries
   uint64_t bucket_entries_peak = 0;  ///< sum of both sides' bucket peaks
   uint64_t appends = 0;
@@ -479,8 +479,6 @@ StatusOr<JoinRunStats> SortMergeBody(const NaturalJoinLayout& layout,
   JoinRunStats stats;
   stats.output_tuples = writer.count();
   stats.Set(Metric::kSortIoOps, static_cast<double>(sorted.io.total_ops()));
-  stats.Set(Metric::kDecodeMaterializationsAvoided,
-            static_cast<double>(sorted.records_sorted_zero_copy()));
   stats.Set(Metric::kBackupPageReads,
             static_cast<double>(budget.backup_page_reads()));
   stats.Set(Metric::kMaxActiveTuples, static_cast<double>(sweep.active_peak));
@@ -517,9 +515,6 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
   stats.Set(Metric::kSweepAppends, static_cast<double>(sweep.appends));
   stats.Set(Metric::kSweepCompactions, static_cast<double>(sweep.compactions));
   stats.Set(Metric::kSweepProbeHits, static_cast<double>(sweep.probe_visits));
-  stats.Set(Metric::kDecodeMaterializationsAvoided,
-            static_cast<double>(sorted.records_sorted_zero_copy() +
-                                sweep.arrivals));
   return stats;
 }
 

@@ -1,23 +1,19 @@
 #include "join/external_sort.h"
 
 #include <algorithm>
+#include <deque>
 #include <queue>
 
 namespace tempo {
 
 namespace {
 
-bool TupleVsLess(const Tuple& a, const Tuple& b) {
-  return IntervalStartLess()(a.interval(), b.interval());
-}
-
 bool ViewVsLess(const TupleView& a, const TupleView& b) {
   return IntervalStartLess()(a.interval(), b.interval());
 }
 
 /// One memory-sized chunk of input pinned as views: run formation sorts
-/// the views (same comparator, so stable_sort yields the same permutation
-/// as sorting the decoded tuples) and writes the raw record bytes back.
+/// the views by (Vs, Ve), stably, and writes the raw record bytes back.
 struct ViewChunk {
   PageTupleArena arena;
   std::vector<TupleView> views;
@@ -47,33 +43,34 @@ struct ViewChunk {
 };
 
 /// Reads one run (a Vs-sorted relation) through a multi-page input buffer:
-/// each refill fetches `buffer_pages` consecutive pages (1 random +
-/// (c-1) sequential I/Os).
+/// each refill pins `buffer_pages` consecutive pages into the reader's
+/// arena (1 random + (c-1) sequential I/Os) and hands out views over them.
 class RunReader {
  public:
   RunReader(StoredRelation* run, uint32_t buffer_pages)
       : run_(run), buffer_pages_(buffer_pages == 0 ? 1 : buffer_pages) {}
 
-  /// Fetches the next tuple; returns false at end of run.
-  StatusOr<bool> Next(Tuple* out) {
-    if (pos_ >= buffered_.size()) {
+  /// Fetches a view of the next record, valid until the following call
+  /// (which may refill the arena); returns false at end of run.
+  StatusOr<bool> Next(TupleView* out) {
+    if (pos_ >= arena_.views().size()) {
       TEMPO_RETURN_IF_ERROR(Refill());
-      if (buffered_.empty()) return false;
+      if (arena_.views().empty()) return false;
     }
-    *out = std::move(buffered_[pos_++]);
+    *out = arena_.views()[pos_++];
     return true;
   }
 
  private:
   Status Refill() {
-    buffered_.clear();
+    arena_.Clear();
     pos_ = 0;
-    uint32_t end = next_page_ + buffer_pages_;
-    if (end > run_->num_pages()) end = run_->num_pages();
+    const uint32_t end =
+        std::min(next_page_ + buffer_pages_, run_->num_pages());
     for (; next_page_ < end; ++next_page_) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, run_->PinPage(next_page_));
       TEMPO_RETURN_IF_ERROR(
-          StoredRelation::DecodePage(run_->schema(), *page, &buffered_));
+          arena_.AddPage(run_->schema(), std::move(page)).status());
     }
     return Status::OK();
   }
@@ -81,44 +78,46 @@ class RunReader {
   StoredRelation* run_;
   uint32_t buffer_pages_;
   uint32_t next_page_ = 0;
-  std::vector<Tuple> buffered_;
+  PageTupleArena arena_;
   size_t pos_ = 0;
 };
 
-/// Merges `runs` into `out`. Buffer budget: each input run and the output
-/// each get buffer_pages / (runs + 1) pages (at least 1).
+/// Merges `runs` into `out`, writing each record's bytes as they are.
+/// Buffer budget: each input run and the output each get
+/// buffer_pages / (runs + 1) pages (at least 1).
 Status MergeRuns(const std::vector<TempRelation>& runs, uint32_t buffer_pages,
                  StoredRelation* out) {
   uint32_t per_stream =
       std::max<uint32_t>(1, buffer_pages / (static_cast<uint32_t>(runs.size()) + 1));
-  std::vector<RunReader> readers;
-  readers.reserve(runs.size());
+  std::deque<RunReader> readers;  // each pins its pages: not movable
   for (const auto& run : runs) readers.emplace_back(run.get(), per_stream);
 
   struct HeapEntry {
-    Tuple tuple;
+    TupleView view;
     size_t stream;
   };
   auto heap_greater = [](const HeapEntry& a, const HeapEntry& b) {
-    return TupleVsLess(b.tuple, a.tuple);
+    return ViewVsLess(b.view, a.view);
   };
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       decltype(heap_greater)>
       heap(heap_greater);
 
   for (size_t i = 0; i < readers.size(); ++i) {
-    Tuple t;
-    TEMPO_ASSIGN_OR_RETURN(bool more, readers[i].Next(&t));
-    if (more) heap.push(HeapEntry{std::move(t), i});
+    TupleView v;
+    TEMPO_ASSIGN_OR_RETURN(bool more, readers[i].Next(&v));
+    if (more) heap.push(HeapEntry{v, i});
   }
 
   while (!heap.empty()) {
-    HeapEntry top = heap.top();
+    const HeapEntry top = heap.top();
     heap.pop();
-    TEMPO_RETURN_IF_ERROR(out->Append(top.tuple));
-    Tuple next;
+    // Append before advancing the stream: its Next() may clear the arena
+    // the popped view points into.
+    TEMPO_RETURN_IF_ERROR(out->AppendRecord(top.view.record()));
+    TupleView next;
     TEMPO_ASSIGN_OR_RETURN(bool more, readers[top.stream].Next(&next));
-    if (more) heap.push(HeapEntry{std::move(next), top.stream});
+    if (more) heap.push(HeapEntry{next, top.stream});
   }
   return out->Flush();
 }
@@ -151,13 +150,11 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
     SortedRelation result;
     result.relation = temp_relation(output_name);
     TEMPO_RETURN_IF_ERROR(all.WriteRun(result.relation.get()));
-    result.records_sorted_zero_copy = all.views.size();
     return result;
   }
 
   // --- Run formation: memory-sized sorted runs. -----------------------
   std::vector<TempRelation> runs;
-  uint64_t run_records = 0;
   ViewChunk chunk;
   for (uint32_t start = 0; start < pages; start += buffer_pages) {
     uint32_t end = std::min(pages, start + buffer_pages);
@@ -166,12 +163,10 @@ StatusOr<SortedRelation> ExternalSortByVs(StoredRelation* input,
     runs.push_back(
         temp_relation(output_name + ".run" + std::to_string(runs.size())));
     TEMPO_RETURN_IF_ERROR(chunk.WriteRun(runs.back().get()));
-    run_records += chunk.views.size();
   }
 
   SortedRelation result;
   result.relation = temp_relation(output_name);
-  result.records_sorted_zero_copy = run_records;
   if (runs.empty()) return result;
 
   // --- Merge passes until one fan-in suffices. -------------------------

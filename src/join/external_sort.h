@@ -13,10 +13,6 @@ namespace tempo {
 /// A relation sorted by (Vs, Ve). Its file is deleted with it.
 struct SortedRelation {
   TempRelation relation;
-  /// Input records sorted and written back as zero-copy views during run
-  /// formation (no owning Tuple decode); feeds the
-  /// decode_materializations_avoided metric.
-  uint64_t records_sorted_zero_copy = 0;
 };
 
 /// Externally sorts `input` by validity-interval start (ties by end) using
@@ -45,10 +41,6 @@ struct SortedInputs {
   SortedRelation r;
   SortedRelation s;
   IoStats io;  ///< charged I/O of both sorts
-
-  uint64_t records_sorted_zero_copy() const {
-    return r.records_sorted_zero_copy + s.records_sorted_zero_copy;
-  }
 };
 
 /// The sort prologue of the sort-merge, sweep and indexed executors: sorts

@@ -46,7 +46,6 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 
   ResultWriter writer(out);
   uint64_t inner_pages_scanned = 0;
-  uint64_t views_probed = 0;
   const RecordLayout& s_view_layout = sorted.s.relation->schema().layout();
   const int64_t widen = tree->max_duration();
 
@@ -90,7 +89,6 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
           break;
         }
         const TupleView& y = *y_or;
-        ++views_probed;
         ForEachFlatMatch(outer, probe, y, layout.s_join_attrs,
                          options.predicate, /*dedup=*/nullptr,
                          [&](size_t row, const Interval& common) {
@@ -116,9 +114,6 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   stats.Set(Metric::kSortIoOps, static_cast<double>(sorted.io.total_ops()));
   stats.Set(Metric::kInnerPagesScanned,
             static_cast<double>(inner_pages_scanned));
-  stats.Set(Metric::kDecodeMaterializationsAvoided,
-            static_cast<double>(views_probed +
-                                sorted.records_sorted_zero_copy()));
   return stats;
 }
 

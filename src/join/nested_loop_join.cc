@@ -18,7 +18,6 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
 
   ResultWriter writer(out);
   uint64_t blocks = 0;
-  uint64_t views_probed = 0;
   const RecordLayout& s_layout = s->schema().layout();
 
   BuildArea block(&r->schema(), &layout.r_join_attrs);
@@ -46,7 +45,6 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
         std::string_view rec = page->GetRecord(slot);
         TEMPO_ASSIGN_OR_RETURN(
             TupleView y, TupleView::Make(s_layout, rec.data(), rec.size()));
-        ++views_probed;
         Status status = Status::OK();
         ForEachFlatMatch(block, index, y, layout.s_join_attrs,
                          options.predicate, /*dedup=*/nullptr,
@@ -64,8 +62,6 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
   JoinRunStats stats;
   stats.output_tuples = writer.count();
   stats.Set(Metric::kOuterBlocks, static_cast<double>(blocks));
-  stats.Set(Metric::kDecodeMaterializationsAvoided,
-            static_cast<double>(views_probed));
   return stats;
 }
 

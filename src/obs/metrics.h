@@ -67,10 +67,6 @@ namespace tempo {
     "partition area (sampling-error thrashing).")                             \
   M(CarriedRuns, "carried_runs", "count", "PartitionCoalesce",                \
     "Coalescing runs carried across a partition boundary.")                   \
-  M(DecodeMaterializationsAvoided, "decode_materializations_avoided",         \
-    "tuples", "zero-copy record views",                                       \
-    "Records processed as page-backed TupleViews instead of decoded into "    \
-    "owning Tuples (partition routing plus hash-probe streaming).")           \
   M(MorselsDispatched, "morsels_dispatched", "count", "parallel layer",       \
     "Never set: every phase runs on the query's thread. Declared only "       \
     "because perfbench still reads it.")                                      \

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/page_arena.h"
 
 namespace tempo {
 
@@ -76,17 +75,12 @@ class SequencedExecutor {
                                      schema.ToString());
     }
     Materialized out = NewTemp(schema);
-    PageTupleArena arena;
-    const uint32_t pages = in.rel->num_pages();
-    for (uint32_t p = 0; p < pages; ++p) {
-      TEMPO_ASSIGN_OR_RETURN(PagePin page, in.rel->PinPage(p));
-      arena.Clear();
-      TEMPO_RETURN_IF_ERROR(arena.AddPage(schema, std::move(page)).status());
-      for (const TupleView& v : arena.views()) {
-        if (!EvalAttrPredicate(node.predicate, v.ValueAt(*pos))) continue;
-        TEMPO_RETURN_IF_ERROR(out.rel->AppendRecord(v.record()));
+    TEMPO_RETURN_IF_ERROR(in.rel->ForEachView([&](const TupleView& v) {
+      if (!EvalAttrPredicate(node.predicate, v.ValueAt(*pos))) {
+        return Status::OK();
       }
-    }
+      return out.rel->AppendRecord(v.record());
+    }));
     TEMPO_RETURN_IF_ERROR(out.rel->Flush());
     return out;
   }
@@ -113,17 +107,12 @@ class SequencedExecutor {
     }
     TEMPO_ASSIGN_OR_RETURN(Schema out_schema, Schema::Make(std::move(attrs)));
     Materialized out = NewTemp(out_schema);
-    auto scan = in.rel->Scan();
-    Tuple t;
-    while (true) {
-      TEMPO_ASSIGN_OR_RETURN(bool more, scan.Next(&t));
-      if (!more) break;
+    TEMPO_RETURN_IF_ERROR(in.rel->ForEachView([&](const TupleView& v) {
       std::vector<Value> values;
       values.reserve(positions.size());
-      for (size_t pos : positions) values.push_back(t.value(pos));
-      TEMPO_RETURN_IF_ERROR(
-          out.rel->Append(Tuple(std::move(values), t.interval())));
-    }
+      for (size_t pos : positions) values.push_back(v.ValueAt(pos));
+      return out.rel->Append(Tuple(std::move(values), v.interval()));
+    }));
     TEMPO_RETURN_IF_ERROR(out.rel->Flush());
     return out;
   }
@@ -209,17 +198,8 @@ StatusOr<QueryResult> RunSequencedQuery(const QueryPlan& plan, Disk* disk,
     // Bare scan: materialize a copy so the caller always owns the result.
     TempRelation copy(
         new StoredRelation(disk, m.rel->schema(), name_prefix + ".n.root"));
-    PageTupleArena arena;
-    const uint32_t pages = m.rel->num_pages();
-    for (uint32_t p = 0; p < pages; ++p) {
-      TEMPO_ASSIGN_OR_RETURN(PagePin page, m.rel->PinPage(p));
-      arena.Clear();
-      TEMPO_RETURN_IF_ERROR(
-          arena.AddPage(m.rel->schema(), std::move(page)).status());
-      for (const TupleView& v : arena.views()) {
-        TEMPO_RETURN_IF_ERROR(copy->AppendRecord(v.record()));
-      }
-    }
+    TEMPO_RETURN_IF_ERROR(m.rel->ForEachView(
+        [&](const TupleView& v) { return copy->AppendRecord(v.record()); }));
     TEMPO_RETURN_IF_ERROR(copy->Flush());
     result.relation = std::move(copy);
   }

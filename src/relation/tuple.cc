@@ -12,13 +12,6 @@ void AppendRaw64(std::string* out, uint64_t v) {
   out->append(buf, 8);
 }
 
-bool ReadRaw64(const char*& p, const char* end, uint64_t* v) {
-  if (end - p < 8) return false;
-  std::memcpy(v, p, 8);
-  p += 8;
-  return true;
-}
-
 }  // namespace
 
 size_t Tuple::HashAttrs(const std::vector<size_t>& positions) const {
@@ -102,81 +95,6 @@ void Tuple::SerializeTo(const Schema& schema, std::string* out) const {
       }
     }
   }
-}
-
-StatusOr<Tuple> Tuple::Deserialize(const Schema& schema, const char* data,
-                                   size_t size) {
-  const char* p = data;
-  const char* end = data + size;
-  uint64_t vs_bits, ve_bits;
-  if (!ReadRaw64(p, end, &vs_bits) || !ReadRaw64(p, end, &ve_bits)) {
-    return Status::Corruption("record too short for interval");
-  }
-  Chronon vs = static_cast<Chronon>(vs_bits);
-  Chronon ve = static_cast<Chronon>(ve_bits);
-  auto iv = Interval::Make(vs, ve);
-  if (!iv) return Status::Corruption("record has invalid interval");
-
-  const size_t bitmap_bytes = (schema.num_attributes() + 7) / 8;
-  if (static_cast<size_t>(end - p) < bitmap_bytes) {
-    return Status::Corruption("record too short for null bitmap");
-  }
-  const char* bitmap = p;
-  p += bitmap_bytes;
-  // Padding bits past the last attribute must be zero: set bits there
-  // indicate corruption (and would break round-trip canonicality).
-  for (size_t bit = schema.num_attributes(); bit < bitmap_bytes * 8; ++bit) {
-    if ((bitmap[bit / 8] >> (bit % 8)) & 1) {
-      return Status::Corruption("null bitmap has nonzero padding bits");
-    }
-  }
-
-  std::vector<Value> values;
-  values.reserve(schema.num_attributes());
-  for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    if ((bitmap[i / 8] >> (i % 8)) & 1) {
-      values.push_back(Value::Null());
-      continue;
-    }
-    switch (schema.attribute(i).type) {
-      case ValueType::kInt64: {
-        uint64_t v;
-        if (!ReadRaw64(p, end, &v)) {
-          return Status::Corruption("record too short for int64 attribute");
-        }
-        values.emplace_back(static_cast<int64_t>(v));
-        break;
-      }
-      case ValueType::kDouble: {
-        uint64_t bits;
-        if (!ReadRaw64(p, end, &bits)) {
-          return Status::Corruption("record too short for double attribute");
-        }
-        double d;
-        std::memcpy(&d, &bits, 8);
-        values.emplace_back(d);
-        break;
-      }
-      case ValueType::kString: {
-        if (end - p < 4) {
-          return Status::Corruption("record too short for string length");
-        }
-        uint32_t len;
-        std::memcpy(&len, p, 4);
-        p += 4;
-        if (end - p < static_cast<ptrdiff_t>(len)) {
-          return Status::Corruption("record too short for string payload");
-        }
-        values.emplace_back(std::string(p, len));
-        p += len;
-        break;
-      }
-    }
-  }
-  if (p != end) {
-    return Status::Corruption("record has trailing bytes");
-  }
-  return Tuple(std::move(values), *iv);
 }
 
 }  // namespace tempo

@@ -58,11 +58,13 @@ class Tuple {
   // --- Serialization --------------------------------------------------
   // Record wire format (little-endian):
   //   int64 Vs, int64 Ve,
-  //   for each attribute (schema order):
+  //   null bitmap: ceil(attributes / 8) bytes, bit i set when attribute i
+  //     is NULL, padding bits zero,
+  //   for each non-NULL attribute (schema order):
   //     int64 / double: 8 raw bytes
   //     string: uint32 length + bytes
   // Schemas are stored out-of-band (in the RelationFile metadata); records
-  // carry no type tags.
+  // carry no type tags. TupleView::Make is the one parser of the format.
 
   /// Number of bytes Serialize() will produce under `schema`.
   size_t SerializedSize(const Schema& schema) const;
@@ -70,12 +72,6 @@ class Tuple {
   /// Appends the serialized record to `out`. The tuple must match the
   /// schema (checked in debug builds).
   void SerializeTo(const Schema& schema, std::string* out) const;
-
-  /// Parses one record of `schema` from `data` (exactly `size` bytes of a
-  /// record, as returned by a page slot). Corruption (short buffer,
-  /// trailing bytes, invalid interval) yields a Status error.
-  static StatusOr<Tuple> Deserialize(const Schema& schema, const char* data,
-                                     size_t size);
 
  private:
   std::vector<Value> values_;

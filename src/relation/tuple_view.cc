@@ -56,7 +56,7 @@ StatusOr<TupleView> TupleView::Make(const RecordLayout& layout,
     any_null |= data[RecordLayout::kBitmapOffset + b] != 0;
   }
   // Padding bits past the last attribute must be zero (round-trip
-  // canonicality, as in Tuple::Deserialize).
+  // canonicality).
   for (size_t bit = layout.num_attributes; bit < layout.bitmap_bytes * 8;
        ++bit) {
     if ((data[RecordLayout::kBitmapOffset + bit / 8] >> (bit % 8)) & 1) {

@@ -15,7 +15,7 @@ namespace tempo {
 
 /// A non-owning, zero-copy view of one serialized record.
 ///
-/// Where Tuple decodes a record into a heap-allocated vector of variant
+/// Where a materialized Tuple holds a heap-allocated vector of variant
 /// Values (one string allocation per string attribute), a TupleView
 /// interprets the record bytes in place: interval access is two 8-byte
 /// loads, fixed-width attributes in the no-NULL prefix are direct loads at
@@ -35,9 +35,10 @@ class TupleView {
   TupleView() = default;
 
   /// Validates `size` bytes at `data` as one record of `layout` and
-  /// returns a view over them. Performs exactly the corruption checks of
-  /// Tuple::Deserialize (short buffer, invalid interval, nonzero bitmap
-  /// padding, trailing bytes) in one allocation-free walk.
+  /// returns a view over them: the one parser of the record format. It
+  /// rejects a short buffer, an invalid interval (Vs > Ve), nonzero bitmap
+  /// padding and trailing bytes with Corruption, in one allocation-free
+  /// walk, so it accepts exactly the byte strings SerializeTo writes.
   static StatusOr<TupleView> Make(const RecordLayout& layout,
                                   const char* data, size_t size);
 

@@ -34,19 +34,11 @@ Status RelationSampler::SwitchToScan() {
   if (scanned_) return Status::OK();
   all_intervals_.clear();
   all_intervals_.reserve(population_);
-  // The pages Scanner would read, in the same order, with the same record
-  // checks; only the interval is read off each record.
-  const RecordLayout& layout = relation_->schema().layout();
-  const uint32_t pages = relation_->num_pages();
-  for (uint32_t p = 0; p < pages; ++p) {
-    TEMPO_ASSIGN_OR_RETURN(PagePin page, relation_->PinPage(p));
-    for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
-      const std::string_view rec = page->GetRecord(slot);
-      TEMPO_ASSIGN_OR_RETURN(TupleView view,
-                             TupleView::Make(layout, rec.data(), rec.size()));
-      all_intervals_.push_back(view.interval());
-    }
-  }
+  // One sequential scan; only the interval is read off each record.
+  TEMPO_RETURN_IF_ERROR(relation_->ForEachView([&](const TupleView& v) {
+    all_intervals_.push_back(v.interval());
+    return Status::OK();
+  }));
   TEMPO_CHECK(all_intervals_.size() == population_);
   scanned_ = true;
   return Status::OK();

@@ -30,8 +30,7 @@ namespace tempo {
 /// affect its cost; memory size affects it dramatically — few outer pages
 /// in memory means many scans of the inner relation (Section 4.2).
 ///
-/// Metrics: kOuterBlocks, kDecodeMaterializationsAvoided. Traced as one
-/// kNestedLoop span.
+/// Metrics: kOuterBlocks. Traced as one kNestedLoop span.
 StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
                                       StoredRelation* r, StoredRelation* s,
                                       StoredRelation* out,
@@ -132,7 +131,7 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 ///
 /// Metrics: kSortIoOps, kSweepActivePeak, kSweepAppends,
 /// kSweepCompactions, kSweepProbeHits, kActiveBucketEntriesPeak,
-/// kJoinPredicateMask (always set), kDecodeMaterializationsAvoided.
+/// kJoinPredicateMask (always set).
 /// Traced as kSweepJoin with nested sort r / sort s / sweep pass spans.
 StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
                                  StoredRelation* r, StoredRelation* s,

@@ -18,8 +18,7 @@ namespace tempo {
 /// validated TupleView per record to views(). Nothing is copied; a page
 /// held only as a Page is copied once into a new pin. Clear() drops
 /// everything at a phase boundary; reusing one arena across pages
-/// keeps the capacity of views() warm the same way the owning
-/// DecodePageAppend arena does.
+/// keeps the capacity of views() warm.
 ///
 /// The arena borrows the RecordLayout cached on the Schema passed to
 /// AddPage; that Schema (or a copy sharing its layout) must outlive the

@@ -85,16 +85,12 @@ Status SaveRelation(StoredRelation* rel, const std::string& path) {
   }
   Append64(&out, rel->num_tuples());
 
-  auto scan = rel->Scan();
-  Tuple t;
-  while (true) {
-    TEMPO_ASSIGN_OR_RETURN(bool more, scan.Next(&t));
-    if (!more) break;
-    std::string record;
-    t.SerializeTo(schema, &record);
-    Append32(&out, static_cast<uint32_t>(record.size()));
-    out += record;
-  }
+  // Each record's stored bytes, as parsed (serialization is canonical).
+  TEMPO_RETURN_IF_ERROR(rel->ForEachView([&](const TupleView& v) {
+    Append32(&out, static_cast<uint32_t>(v.record().size()));
+    out += v.record();
+    return Status::OK();
+  }));
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -148,15 +144,16 @@ StatusOr<std::unique_ptr<StoredRelation>> LoadRelation(
   TEMPO_ASSIGN_OR_RETURN(uint64_t tuple_count, reader.Read64());
 
   // Held as a temporary until the last record parses, so a corrupt image
-  // leaves no partial relation on the disk.
+  // leaves no partial relation on the disk. A record that parses is
+  // stored as it is (serialization is canonical).
   TempRelation rel(new StoredRelation(disk, schema, name));
   for (uint64_t i = 0; i < tuple_count; ++i) {
     TEMPO_ASSIGN_OR_RETURN(uint32_t len, reader.Read32());
     TEMPO_ASSIGN_OR_RETURN(std::string_view record, reader.ReadBytes(len));
-    TEMPO_ASSIGN_OR_RETURN(Tuple t,
-                           Tuple::Deserialize(schema, record.data(),
-                                              record.size()));
-    TEMPO_RETURN_IF_ERROR(rel->Append(t));
+    TEMPO_RETURN_IF_ERROR(
+        TupleView::Make(schema.layout(), record.data(), record.size())
+            .status());
+    TEMPO_RETURN_IF_ERROR(rel->AppendRecord(record));
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes in relation image");

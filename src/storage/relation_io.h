@@ -20,7 +20,7 @@ namespace tempo {
 ///   per tuple: u32 record_len, record bytes (the page record format)
 ///
 /// The format embeds the schema, so Load needs no prior knowledge and
-/// verifies integrity via the record decoder.
+/// verifies each record with the record parser (TupleView::Make).
 
 /// Writes `rel` (must be flushed) to `path`.
 Status SaveRelation(StoredRelation* rel, const std::string& path);

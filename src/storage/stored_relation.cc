@@ -75,37 +75,10 @@ Status StoredRelation::ReadPage(uint32_t page_no, Page* out) {
   return disk_->ReadPage(file_, page_no, out);
 }
 
-Status StoredRelation::DecodePage(const Schema& schema, const Page& page,
-                                  std::vector<Tuple>* out) {
-  for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-    std::string_view rec = page.GetRecord(slot);
-    TEMPO_ASSIGN_OR_RETURN(Tuple t,
-                           Tuple::Deserialize(schema, rec.data(), rec.size()));
-    out->push_back(std::move(t));
-  }
-  return Status::OK();
-}
-
-StatusOr<size_t> StoredRelation::DecodePageAppend(const Schema& schema,
-                                                  const Page& page,
-                                                  std::vector<Tuple>* arena) {
-  const size_t before = arena->size();
-  TEMPO_RETURN_IF_ERROR(DecodePage(schema, page, arena));
-  return arena->size() - before;
-}
-
 StatusOr<size_t> StoredRelation::DecodePageViews(const Schema& schema,
                                                  const Page& page,
                                                  PageTupleArena* arena) {
   return arena->AddPage(schema, page);
-}
-
-StatusOr<std::vector<Tuple>> StoredRelation::ReadPageTuples(uint32_t page_no) {
-  TEMPO_ASSIGN_OR_RETURN(PagePin page, PinPage(page_no));
-  std::vector<Tuple> out;
-  out.reserve(page->num_records());
-  TEMPO_RETURN_IF_ERROR(DecodePage(schema_, *page, &out));
-  return out;
 }
 
 uint32_t StoredRelation::TuplesOnPage(uint32_t page_no) const {
@@ -122,63 +95,28 @@ uint32_t StoredRelation::PageOfTuple(uint64_t tuple_index) const {
   return static_cast<uint32_t>((it - cum_tuples_.begin()) - 1);
 }
 
-StatusOr<PagePin> StoredRelation::PinTupleRecord(uint64_t tuple_index,
-                                                 std::string_view* record) {
+StatusOr<Interval> StoredRelation::ReadIntervalRandom(uint64_t tuple_index) {
   if (tuple_index >= cum_tuples_.back()) {
     return Status::OutOfRange("tuple index " + std::to_string(tuple_index) +
                               " not flushed to disk");
   }
-  uint32_t page_no = PageOfTuple(tuple_index);
+  const uint32_t page_no = PageOfTuple(tuple_index);
   TEMPO_ASSIGN_OR_RETURN(PagePin page, PinPage(page_no));
-  uint16_t slot = static_cast<uint16_t>(tuple_index - cum_tuples_[page_no]);
-  *record = page->GetRecord(slot);
-  return page;
-}
-
-StatusOr<Tuple> StoredRelation::ReadTupleRandom(uint64_t tuple_index) {
-  std::string_view rec;
-  TEMPO_ASSIGN_OR_RETURN(PagePin page, PinTupleRecord(tuple_index, &rec));
-  return Tuple::Deserialize(schema_, rec.data(), rec.size());
-}
-
-StatusOr<Interval> StoredRelation::ReadIntervalRandom(uint64_t tuple_index) {
-  std::string_view rec;
-  TEMPO_ASSIGN_OR_RETURN(PagePin page, PinTupleRecord(tuple_index, &rec));
+  const std::string_view rec = page->GetRecord(
+      static_cast<uint16_t>(tuple_index - cum_tuples_[page_no]));
   TEMPO_ASSIGN_OR_RETURN(
       TupleView view,
       TupleView::Make(schema_.layout(), rec.data(), rec.size()));
   return view.interval();
 }
 
-StatusOr<bool> StoredRelation::Scanner::Next(Tuple* out) {
-  while (true) {
-    if (!page_loaded_) {
-      if (page_no_ >= rel_->num_pages()) return false;
-      current_.clear();
-      TEMPO_ASSIGN_OR_RETURN(PagePin page, rel_->PinPage(page_no_));
-      TEMPO_RETURN_IF_ERROR(DecodePage(rel_->schema(), *page, &current_));
-      slot_ = 0;
-      page_loaded_ = true;
-    }
-    if (slot_ < current_.size()) {
-      *out = current_[slot_++];
-      return true;
-    }
-    ++page_no_;
-    page_loaded_ = false;
-  }
-}
-
 StatusOr<std::vector<Tuple>> StoredRelation::ReadAll() {
   std::vector<Tuple> out;
   out.reserve(num_tuples_);
-  Scanner scan = Scan();
-  Tuple t;
-  while (true) {
-    TEMPO_ASSIGN_OR_RETURN(bool more, scan.Next(&t));
-    if (!more) break;
-    out.push_back(t);
-  }
+  TEMPO_RETURN_IF_ERROR(ForEachView([&](const TupleView& v) {
+    out.push_back(v.Materialize());
+    return Status::OK();
+  }));
   return out;
 }
 

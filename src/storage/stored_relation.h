@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
+#include "relation/tuple_view.h"
 #include "storage/disk.h"
 #include "storage/page.h"
 #include "storage/page_arena.h"
@@ -20,11 +22,11 @@ namespace tempo {
 /// a simulated Disk.
 ///
 /// Appends are buffered through a single in-memory page (flushed when full
-/// or on Flush()); the paper's algorithms read the relation either
-/// sequentially (Scanner) or page-at-a-time (ReadPage / ReadPageTuples).
-/// Random tuple access for sampling goes through ReadTupleRandom, which
-/// reads the containing page — one random I/O, the cost the paper assigns
-/// to one sample.
+/// or on Flush()). Every read pins a page (PinPage) and reads its records
+/// in place as TupleViews: page at a time, or sequentially with
+/// ForEachView. Random access for sampling goes through
+/// ReadIntervalRandom, which pins the containing page — one random I/O,
+/// the cost the paper assigns to one sample.
 ///
 /// The tuple directory (tuples-per-page) is in-memory catalog metadata and
 /// is not charged as I/O, mirroring the paper's assumption that |r| and
@@ -57,10 +59,10 @@ class StoredRelation {
   Status Append(const Tuple& tuple);
 
   /// Appends an already-serialized record verbatim (buffered). Because
-  /// serialization is canonical (Deserialize rejects any non-round-trip
-  /// encoding), routing record bytes straight from an input page — e.g.
-  /// through a TupleView — produces the same stored bytes as decoding and
-  /// re-appending the Tuple, without the decode/encode round trip.
+  /// serialization is canonical (TupleView::Make rejects any
+  /// non-round-trip encoding), routing record bytes straight from an input
+  /// page through a TupleView produces the same stored bytes as
+  /// materializing and re-appending the Tuple, without the round trip.
   Status AppendRecord(std::string_view record);
 
   /// Appends a record of `size` bytes (buffered) and returns the address
@@ -88,27 +90,10 @@ class StoredRelation {
   /// Reads a copy of a page (charged I/O, exactly as PinPage).
   Status ReadPage(uint32_t page_no, Page* out);
 
-  /// Reads a page and decodes all its tuples (charged I/O).
-  StatusOr<std::vector<Tuple>> ReadPageTuples(uint32_t page_no);
-
-  /// Decodes every record in `page` under `schema`. No I/O.
-  static Status DecodePage(const Schema& schema, const Page& page,
-                           std::vector<Tuple>* out);
-
-  /// Batch-decode variant for tight loops: appends every record in `page`
-  /// to `*arena` (not cleared), reserving capacity up front so a reused
-  /// arena stops reallocating after the first pages. Returns the number of
-  /// tuples appended. Serial and parallel probe/partition paths reuse one
-  /// arena per worker across pages to avoid per-page vector churn.
-  static StatusOr<size_t> DecodePageAppend(const Schema& schema,
-                                           const Page& page,
-                                           std::vector<Tuple>* arena);
-
-  /// View variant: copies `page` into `*arena` (see PageTupleArena) and
-  /// appends one validated TupleView per record instead of materializing
-  /// owning Tuples. Returns the number of views appended. The views stay
-  /// valid until the arena is cleared. A pinned page goes to
-  /// PageTupleArena::AddPage directly, without the copy.
+  /// Copies `page` into `*arena` (see PageTupleArena) and appends one
+  /// validated TupleView per record. Returns the number of views appended.
+  /// The views stay valid until the arena is cleared. A pinned page goes
+  /// to PageTupleArena::AddPage directly, without the copy.
   static StatusOr<size_t> DecodePageViews(const Schema& schema,
                                           const Page& page,
                                           PageTupleArena* arena);
@@ -120,46 +105,37 @@ class StoredRelation {
   /// lookup; no I/O).
   uint32_t PageOfTuple(uint64_t tuple_index) const;
 
-  /// Reads the tuple with ordinal `tuple_index` by fetching its page —
-  /// one random page read. OutOfRange if the tuple is not flushed.
-  StatusOr<Tuple> ReadTupleRandom(uint64_t tuple_index);
-
-  /// The valid-time interval of tuple `tuple_index`: the same page read
-  /// and record checks as ReadTupleRandom, read off the pinned record
-  /// without decoding an owning Tuple — the random-access path sampling
-  /// uses.
+  /// The valid-time interval of tuple `tuple_index`, read off its record
+  /// in the pinned page — one random page read, the random-access path
+  /// sampling uses. OutOfRange if the tuple is not flushed; Corruption if
+  /// its record does not parse.
   StatusOr<Interval> ReadIntervalRandom(uint64_t tuple_index);
 
-  /// Sequential full-scan cursor. Reads pages in order (1 random +
-  /// (n-1) sequential I/Os if uninterrupted).
-  class Scanner {
-   public:
-    explicit Scanner(StoredRelation* rel) : rel_(rel) {}
-
-    /// Fetches the next tuple into `*out`; returns false at end of
-    /// relation.
-    StatusOr<bool> Next(Tuple* out);
-
-   private:
-    StoredRelation* rel_;
-    uint32_t page_no_ = 0;
-    size_t slot_ = 0;
-    std::vector<Tuple> current_;
-    bool page_loaded_ = false;
-  };
-
-  Scanner Scan() { return Scanner(this); }
+  /// Calls `fn(const TupleView&)`, which returns a Status, on every record
+  /// in page then slot order, pinning one page at a time (1 random +
+  /// (n-1) sequential reads if uninterrupted). A view is valid only during
+  /// its call. Stops at the first corrupt record or failed call.
+  template <typename Fn>
+  Status ForEachView(Fn&& fn) {
+    const RecordLayout& layout = schema_.layout();
+    const uint32_t pages = num_pages();
+    for (uint32_t p = 0; p < pages; ++p) {
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, PinPage(p));
+      for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
+        const std::string_view rec = page->GetRecord(slot);
+        TEMPO_ASSIGN_OR_RETURN(
+            TupleView v, TupleView::Make(layout, rec.data(), rec.size()));
+        TEMPO_RETURN_IF_ERROR(fn(v));
+      }
+    }
+    return Status::OK();
+  }
 
   /// Reads the entire relation into memory (charged as one sequential
-  /// scan). Convenience for tests and small inputs.
+  /// scan). For oracles, tests and small inputs: no executor calls it.
   StatusOr<std::vector<Tuple>> ReadAll();
 
  private:
-  /// Pins the page holding flushed tuple `tuple_index` and returns the
-  /// tuple's record bytes in `*record` (valid while the pin is held).
-  StatusOr<PagePin> PinTupleRecord(uint64_t tuple_index,
-                                   std::string_view* record);
-
   Disk* disk_;
   Schema schema_;
   std::string name_;

@@ -354,7 +354,7 @@ TEST(NullValueTest, SerializationRoundTripWithNulls) {
   t.SerializeTo(schema, &buf);
   EXPECT_EQ(buf.size(), t.SerializedSize(schema));
   TEMPO_ASSERT_OK_AND_ASSIGN(Tuple back,
-                             Tuple::Deserialize(schema, buf.data(), buf.size()));
+                             ::tempo::testing::ParseRecord(schema, buf));
   EXPECT_EQ(back, t);
   EXPECT_TRUE(back.value(1).is_null());
   EXPECT_TRUE(back.value(2).is_null());

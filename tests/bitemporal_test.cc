@@ -134,6 +134,40 @@ TEST_F(BitemporalTest, MaterializeAsOfFeedsDiskOperators) {
   EXPECT_EQ(materialized->schema(), rel_.user_schema());
 }
 
+// The store's pages after deletes were recorded before Delete stopped
+// re-encoding the records it leaves alone. One deleted version is stored
+// with -0.0 and deleted as 0.0: the closed version carries the deleting
+// tuple's values, as it always has.
+TEST(BitemporalStoreTest, DeletePagesMatchGoldenDigest) {
+  Disk disk;
+  const Schema schema({{"k", ValueType::kInt64},
+                       {"s", ValueType::kString},
+                       {"d", ValueType::kDouble}});
+  BitemporalRelation rel(&disk, schema, "bt");
+  auto version = [](int i) {
+    Value s = i % 4 == 0 ? Value::Null() : Value("s" + std::to_string(i));
+    Value d = i % 5 == 0 ? Value::Null()
+                         : i == 7 ? Value(-0.0)
+                                  : Value(i * 0.5);
+    return Tuple({Value(int64_t{i}), s, d}, Interval(i, i + 10));
+  };
+  TxTime now = 1;
+  for (int i = 0; i < 400; ++i) TEMPO_ASSERT_OK(rel.Insert(version(i), now++));
+  ASSERT_GT(rel.store()->num_pages(), 3u);
+  for (int i : {0, 7, 150, 151, 399}) {
+    Tuple t = version(i);
+    if (i == 7) t = Tuple({Value(int64_t{7}), t.value(1), Value(0.0)},
+                          t.interval());
+    TEMPO_ASSERT_OK(rel.Delete(t, now++));
+  }
+  TEMPO_ASSERT_OK(rel.Update(version(200), version(1000), now++));
+  EXPECT_EQ(rel.num_versions(), 401u);
+  EXPECT_EQ(::tempo::testing::PageDigest(rel.store()),
+            2101102400313747354ull);
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto current, rel.SnapshotAsOf(now));
+  EXPECT_EQ(current.size(), 395u);
+}
+
 TEST(BitemporalJoinTest, AsOfJoinMatchesSnapshotOracle) {
   Disk disk;
   Schema r_schema({{"key", ValueType::kInt64}, {"name", ValueType::kString}});

@@ -504,13 +504,22 @@ TEST_F(GracePartitionTest, EveryTupleLandsInItsLastOverlapPartition) {
 // TupleCache
 // ---------------------------------------------------------------------
 
+/// The stored record of T(key, name, vs, ve).
+std::string Record(int64_t key, const std::string& name, Chronon vs,
+                   Chronon ve) {
+  std::string record;
+  T(key, name, vs, ve).SerializeTo(TestSchema(), &record);
+  return record;
+}
+
 TEST(TupleCacheTest, SmallCacheStaysInMemory) {
   Disk disk;
   TupleCache cache(&disk, TestSchema(), "c");
-  TEMPO_ASSERT_OK(cache.Add(T(1, "a", 0, 1)));
-  TEMPO_ASSERT_OK(cache.Add(T(2, "b", 0, 1)));
+  TEMPO_ASSERT_OK(cache.AddRecord(Record(1, "a", 0, 1)));
+  TEMPO_ASSERT_OK(cache.AddRecord(Record(2, "b", 0, 1)));
   EXPECT_EQ(cache.spilled_pages(), 0u);
-  EXPECT_EQ(cache.memory_tuples().size(), 2u);
+  ASSERT_EQ(cache.memory_views().size(), 2u);
+  EXPECT_EQ(cache.memory_views()[1].Materialize(), T(2, "b", 0, 1));
   EXPECT_EQ(cache.num_tuples(), 2u);
 }
 
@@ -520,33 +529,44 @@ TEST(TupleCacheTest, SpillsFullPages) {
   // ~120-byte records: ~34 fit a page.
   std::string pad(100, 'p');
   for (int i = 0; i < 200; ++i) {
-    TEMPO_ASSERT_OK(cache.Add(T(i, pad, 0, 1)));
+    TEMPO_ASSERT_OK(cache.AddRecord(Record(i, pad, 0, 1)));
   }
   EXPECT_GT(cache.spilled_pages(), 3u);
   EXPECT_EQ(cache.num_tuples(), 200u);
-  // Everything is retrievable: memory + spilled pages.
-  uint64_t found = cache.memory_tuples().size();
+  // Everything is retrievable, in retention order: spilled pages, then
+  // the in-memory area.
+  const Schema schema = TestSchema();  // outlives the arena's views
+  PageTupleArena arena;
   for (uint32_t p = 0; p < cache.spilled_pages(); ++p) {
-    TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> page,
-                               cache.ReadSpilledPage(p));
-    found += page.size();
+    TEMPO_ASSERT_OK_AND_ASSIGN(PagePin page, cache.PinSpilledPage(p));
+    TEMPO_ASSERT_OK(arena.AddPage(schema, std::move(page)).status());
   }
-  EXPECT_EQ(found, 200u);
+  std::vector<TupleView> found = arena.views();
+  found.insert(found.end(), cache.memory_views().begin(),
+               cache.memory_views().end());
+  ASSERT_EQ(found.size(), 200u);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(found[i].Materialize(), T(i, pad, 0, 1)) << i;
+  }
 }
 
 // A consumed generation is discarded by move-assigning the next one over
 // it (as the join does) or by destroying it; either way its spill file goes.
-TEST(TupleCacheTest, DiscardDropsSpill) {
+TEST(TupleCacheTest, ReplacedOrDestroyedGenerationDropsSpill) {
   Disk disk;
   std::string pad(100, 'p');
   {
     TupleCache cache(&disk, TestSchema(), "c");
-    for (int i = 0; i < 100; ++i) TEMPO_ASSERT_OK(cache.Add(T(i, pad, 0, 1)));
+    for (int i = 0; i < 100; ++i) {
+      TEMPO_ASSERT_OK(cache.AddRecord(Record(i, pad, 0, 1)));
+    }
     EXPECT_GT(disk.TotalPages(), 0u);
     cache = TupleCache(&disk, TestSchema(), "next");
     EXPECT_EQ(disk.TotalPages(), 0u);
     EXPECT_EQ(cache.num_tuples(), 0u);
-    for (int i = 0; i < 100; ++i) TEMPO_ASSERT_OK(cache.Add(T(i, pad, 0, 1)));
+    for (int i = 0; i < 100; ++i) {
+      TEMPO_ASSERT_OK(cache.AddRecord(Record(i, pad, 0, 1)));
+    }
     EXPECT_GT(disk.TotalPages(), 0u);
   }
   EXPECT_EQ(disk.TotalPages(), 0u);

@@ -59,9 +59,11 @@ TEST(AppendOnlyTreeTest, BoundsBracketEveryProbe) {
   // Collect each page's true first Vs.
   std::vector<Chronon> first_vs;
   for (uint32_t p = 0; p < rel->num_pages(); ++p) {
-    TEMPO_ASSERT_OK_AND_ASSIGN(auto tuples, rel->ReadPageTuples(p));
-    ASSERT_FALSE(tuples.empty());
-    first_vs.push_back(tuples.front().interval().start());
+    TEMPO_ASSERT_OK_AND_ASSIGN(PagePin page, rel->PinPage(p));
+    PageTupleArena arena;
+    TEMPO_ASSERT_OK(arena.AddPage(rel->schema(), std::move(page)).status());
+    ASSERT_FALSE(arena.views().empty());
+    first_vs.push_back(arena.views().front().interval().start());
   }
 
   Random rng(3);

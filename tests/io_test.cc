@@ -226,6 +226,119 @@ TEST(RelationIoTest, LoadRejectsCorruptImages) {
   std::remove(path.c_str());
 }
 
+Schema MixedSchema() {
+  return Schema({{"k", ValueType::kInt64},
+                 {"s", ValueType::kString},
+                 {"d", ValueType::kDouble}});
+}
+
+/// 700 records over several pages, with NULLs in every attribute, empty
+/// and long strings, and -0.0 among the doubles.
+std::vector<Tuple> MixedTuples() {
+  std::vector<Tuple> out;
+  for (int i = 0; i < 700; ++i) {
+    Value k = i % 11 == 0 ? Value::Null() : Value(int64_t{i} - 350);
+    Value s = i % 3 == 0 ? Value::Null()
+                         : Value(std::string(i % 17, static_cast<char>('a' + i % 26)));
+    Value d = i % 5 == 0   ? Value::Null()
+              : i % 7 == 0 ? Value(-0.0)
+                           : Value(i * 0.125);
+    out.push_back(Tuple({k, s, d}, Interval(i, i + i % 9)));
+  }
+  return out;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::string data;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return data;
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, got);
+  std::fclose(f);
+  return data;
+}
+
+void WriteFileBytes(const std::string& path, const std::string& data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(data.data(), 1, data.size(), f);
+  std::fclose(f);
+}
+
+// The image's bytes were recorded before SaveRelation wrote stored records
+// as they are: saving must keep producing the same file.
+TEST(RelationIoTest, SaveImageMatchesGoldenDigest) {
+  Disk disk;
+  auto rel = MakeRelation(&disk, MixedSchema(), MixedTuples(), "mixed");
+  ASSERT_GT(rel->num_pages(), 2u);
+  std::string path = ::testing::TempDir() + "/tempo_rel_golden.bin";
+  TEMPO_ASSERT_OK(SaveRelation(rel.get(), path));
+  const std::string image = ReadFileBytes(path);
+  EXPECT_EQ(image.size(), 29885u);
+  EXPECT_EQ(::tempo::testing::Fnv1a(image), 5321546447593190425ull);
+  std::remove(path.c_str());
+}
+
+/// Offset of record `index`'s length prefix in a relation image of
+/// MixedSchema(): the header is the magic, the attribute list and the
+/// tuple count.
+size_t RecordOffset(const std::string& image, uint64_t index) {
+  size_t pos = 10 + 4;  // magic, attribute count
+  for (const char* name : {"k", "s", "d"}) pos += 1 + 4 + std::strlen(name);
+  pos += 8;  // tuple count
+  for (uint64_t i = 0; i < index; ++i) {
+    uint32_t len;
+    std::memcpy(&len, image.data() + pos, 4);
+    pos += 4 + len;
+  }
+  return pos;
+}
+
+// One corrupt record, the last one, so that earlier pages of the loaded
+// relation are already flushed when the parser meets it: the load fails
+// with Corruption and deletes every file it made on the target disk.
+TEST(RelationIoTest, LoadRejectsCorruptRecordsLeavingNoFile) {
+  Disk disk;
+  const std::vector<Tuple> tuples = MixedTuples();
+  auto rel = MakeRelation(&disk, MixedSchema(), tuples, "mixed");
+  std::string path = ::testing::TempDir() + "/tempo_rel_badrec.bin";
+  TEMPO_ASSERT_OK(SaveRelation(rel.get(), path));
+  const std::string image = ReadFileBytes(path);
+  const size_t last = RecordOffset(image, tuples.size() - 1);
+  uint32_t last_len;
+  std::memcpy(&last_len, image.data() + last, 4);
+  ASSERT_EQ(last + 4 + last_len, image.size());
+  const size_t record = last + 4;
+
+  std::string bad_padding = image;  // 3 attributes: bits 3..7 are padding
+  bad_padding[record + RecordLayout::kBitmapOffset] |= char(0x80);
+  std::string trailing_byte = image + 'x';
+  const uint32_t longer = last_len + 1;
+  std::memcpy(&trailing_byte[last], &longer, 4);
+  std::string inverted = image;
+  const int64_t vs = 99, ve = 1;
+  std::memcpy(&inverted[record], &vs, 8);
+  std::memcpy(&inverted[record + 8], &ve, 8);
+
+  for (const std::string* bad : {&bad_padding, &trailing_byte, &inverted}) {
+    WriteFileBytes(path, *bad);
+    Disk other;
+    EXPECT_EQ(LoadRelation(&other, path, "broken").status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(other.TotalPages(), 0u);
+    const FileId probe = other.CreateFile("probe");
+    for (FileId id = 0; id < probe; ++id) EXPECT_FALSE(other.Exists(id));
+  }
+  // The intact image still loads.
+  WriteFileBytes(path, image);
+  Disk other;
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto loaded, LoadRelation(&other, path, "ok"));
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto back, loaded->ReadAll());
+  EXPECT_EQ(back, tuples);
+  std::remove(path.c_str());
+}
+
 TEST(RelationIoTest, EmptyRelation) {
   Disk disk;
   auto rel = MakeRelation(&disk, TestSchema(), {}, "empty");

@@ -15,6 +15,7 @@ namespace tempo {
 namespace {
 
 using ::tempo::testing::MakeRelation;
+using ::tempo::testing::PageDigest;
 using ::tempo::testing::RandomTuples;
 using ::tempo::testing::T;
 using ::tempo::testing::TestSchema;
@@ -314,6 +315,47 @@ TEST(ExternalSortTest2, SmallBufferCostsMoreThanLarge) {
   IoStats large = disk.accountant().stats();
   EXPECT_GT(small.Cost(CostModel::Ratio(5.0)),
             large.Cost(CostModel::Ratio(5.0)));
+}
+
+// Runs outnumber the merge fan-in at 3 and 4 buffer pages, so the sort
+// takes several merge passes, and most records share their (Vs, Ve) key
+// with others, so the order of ties shows in the output. The digests and
+// charged I/O were recorded before the run merge read records as views:
+// the sorted pages and what reading and writing them costs must not move.
+TEST(ExternalSortTest2, MultiPassMergeMatchesGoldenDigest) {
+  std::vector<Tuple> tuples;
+  Random rng(28);
+  for (int i = 0; i < 3000; ++i) {
+    const Chronon start = rng.UniformRange(0, 19);
+    const Chronon dur = rng.Bernoulli(0.5) ? 0 : 4;
+    tuples.push_back(T(i, "v" + std::to_string(i % 13), start, start + dur));
+  }
+  struct Case {
+    uint32_t buffer_pages;
+    uint64_t digest;
+    IoStats io;
+  };
+  const Case cases[] = {
+      {3, 9307140859478519402ull, IoStats{20, 119, 20, 119}},
+      {4, 15638019021302495794ull, IoStats{11, 69, 11, 69}},
+  };
+  for (const Case& c : cases) {
+    Disk disk;
+    auto rel = MakeRelation(&disk, TestSchema(), tuples, "r");
+    ASSERT_GT(rel->num_pages(), 4 * c.buffer_pages);
+    disk.accountant().Reset();
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        SortedRelation sorted,
+        ExternalSortByVs(rel.get(), c.buffer_pages, "r.s"));
+    const IoStats io = disk.accountant().stats();
+    EXPECT_EQ(PageDigest(sorted.relation.get()), c.digest)
+        << c.buffer_pages << " pages";
+    EXPECT_EQ(io.random_reads, c.io.random_reads) << c.buffer_pages;
+    EXPECT_EQ(io.sequential_reads, c.io.sequential_reads) << c.buffer_pages;
+    EXPECT_EQ(io.random_writes, c.io.random_writes) << c.buffer_pages;
+    EXPECT_EQ(io.sequential_writes, c.io.sequential_writes)
+        << c.buffer_pages;
+  }
 }
 
 // ---------------------------------------------------------------------

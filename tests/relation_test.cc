@@ -8,6 +8,7 @@
 namespace tempo {
 namespace {
 
+using ::tempo::testing::ParseRecord;
 using ::tempo::testing::T;
 using ::tempo::testing::TestSchema;
 
@@ -155,8 +156,7 @@ TEST(TupleTest, SerializationRoundTrip) {
   std::string buf;
   t.SerializeTo(schema, &buf);
   EXPECT_EQ(buf.size(), t.SerializedSize(schema));
-  TEMPO_ASSERT_OK_AND_ASSIGN(Tuple back,
-                             Tuple::Deserialize(schema, buf.data(), buf.size()));
+  TEMPO_ASSERT_OK_AND_ASSIGN(Tuple back, ParseRecord(schema, buf));
   EXPECT_EQ(back, t);
 }
 
@@ -165,18 +165,18 @@ TEST(TupleTest, SerializationEmptyString) {
   Tuple t({Value("")}, Interval(0, 0));
   std::string buf;
   t.SerializeTo(schema, &buf);
-  TEMPO_ASSERT_OK_AND_ASSIGN(Tuple back,
-                             Tuple::Deserialize(schema, buf.data(), buf.size()));
+  TEMPO_ASSERT_OK_AND_ASSIGN(Tuple back, ParseRecord(schema, buf));
   EXPECT_EQ(back, t);
 }
 
+// The record parser is TupleView::Make; the names below predate it.
 TEST(TupleTest, DeserializeRejectsTruncation) {
   Schema schema({{"k", ValueType::kInt64}});
   Tuple t({Value(int64_t{1})}, Interval(0, 0));
   std::string buf;
   t.SerializeTo(schema, &buf);
   for (size_t cut = 0; cut < buf.size(); ++cut) {
-    auto result = Tuple::Deserialize(schema, buf.data(), cut);
+    auto result = TupleView::Make(schema.layout(), buf.data(), cut);
     EXPECT_FALSE(result.ok()) << "cut at " << cut;
     EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
   }
@@ -188,7 +188,7 @@ TEST(TupleTest, DeserializeRejectsTrailingBytes) {
   std::string buf;
   t.SerializeTo(schema, &buf);
   buf.push_back('\0');
-  EXPECT_FALSE(Tuple::Deserialize(schema, buf.data(), buf.size()).ok());
+  EXPECT_EQ(ParseRecord(schema, buf).status().code(), StatusCode::kCorruption);
 }
 
 TEST(TupleTest, DeserializeRejectsInvalidInterval) {
@@ -199,8 +199,8 @@ TEST(TupleTest, DeserializeRejectsInvalidInterval) {
   good.SerializeTo(schema, &buf);
   // Swap start/end: bytes [0,8) and [8,16).
   std::string swapped = buf.substr(8, 8) + buf.substr(0, 8) + buf.substr(16);
-  auto result = Tuple::Deserialize(schema, swapped.data(), swapped.size());
-  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(ParseRecord(schema, swapped).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(TupleTest, HashAttrsConsistent) {

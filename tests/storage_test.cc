@@ -538,8 +538,8 @@ TEST(StoredRelationTest, DirectoryLocatesTuples) {
   auto rel = MakeRelation(&disk, TestSchema(), tuples, "r");
   // Every tuple is found at its ordinal via random access.
   for (uint64_t idx : {uint64_t{0}, uint64_t{1}, uint64_t{250}, uint64_t{499}}) {
-    TEMPO_ASSERT_OK_AND_ASSIGN(Tuple t, rel->ReadTupleRandom(idx));
-    EXPECT_EQ(t.value(0).AsInt64(), static_cast<int64_t>(idx));
+    TEMPO_ASSERT_OK_AND_ASSIGN(Interval iv, rel->ReadIntervalRandom(idx));
+    EXPECT_EQ(iv, tuples[idx].interval());
   }
   // Directory is consistent.
   uint64_t total = 0;
@@ -553,7 +553,7 @@ TEST(StoredRelationTest, RandomReadChargesOneRead) {
   for (int i = 0; i < 500; ++i) tuples.push_back(T(i, "some-name", 0, 1));
   auto rel = MakeRelation(&disk, TestSchema(), tuples, "r");
   disk.accountant().Reset();
-  TEMPO_ASSERT_OK(rel->ReadTupleRandom(400).status());
+  TEMPO_ASSERT_OK(rel->ReadIntervalRandom(400).status());
   EXPECT_EQ(disk.accountant().stats().total_ops(), 1u);
   EXPECT_EQ(disk.accountant().stats().random_reads, 1u);
 }
@@ -570,10 +570,11 @@ TEST(StoredRelationTest, SequentialScanCostsOneRandomRestSequential) {
   EXPECT_EQ(s.sequential_reads, rel->num_pages() - 1);
 }
 
-TEST(StoredRelationTest, ReadTupleRandomOutOfRange) {
+TEST(StoredRelationTest, ReadIntervalRandomOutOfRange) {
   Disk disk;
   auto rel = MakeRelation(&disk, TestSchema(), {T(1, "a", 0, 1)}, "r");
-  EXPECT_FALSE(rel->ReadTupleRandom(5).ok());
+  EXPECT_EQ(rel->ReadIntervalRandom(5).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(StoredRelationTest, FailedFlushKeepsRecordsBufferedForRetry) {
@@ -655,7 +656,7 @@ TEST(StoredRelationTest, OversizeTupleRejected) {
   EXPECT_EQ(rel.Append(big).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(StoredRelationTest, DecodePageAppendReusedArenaMatchesPerPageDecode) {
+TEST(StoredRelationTest, ReusedViewArenaMatchesPerPageViews) {
   // Mixed layout exercising the null bitmap and variable-width payloads:
   // int64, nullable string, nullable double.
   Schema schema({{"k", ValueType::kInt64},
@@ -683,25 +684,28 @@ TEST(StoredRelationTest, DecodePageAppendReusedArenaMatchesPerPageDecode) {
   TEMPO_ASSERT_OK(rel.Flush());
   ASSERT_GT(rel.num_pages(), 2u) << "test must span multiple pages";
 
-  // One arena reused across every page, versus a fresh DecodePage result
-  // per page: contents must be identical, and the append variant must
-  // report exactly the per-page record counts.
-  std::vector<Tuple> arena;
+  // One view arena filled across every page, versus a fresh arena per
+  // page: the views must read the same records, the shared arena must
+  // report exactly the per-page record counts, and every view must
+  // materialize the tuple written.
+  PageTupleArena arena;
   std::vector<Tuple> per_page_all;
   for (uint32_t p = 0; p < rel.num_pages(); ++p) {
-    Page page;
-    TEMPO_ASSERT_OK(rel.ReadPage(p, &page));
-    size_t before = arena.size();
-    TEMPO_ASSERT_OK_AND_ASSIGN(
-        size_t appended, StoredRelation::DecodePageAppend(schema, page, &arena));
-    std::vector<Tuple> fresh;
-    TEMPO_ASSERT_OK(StoredRelation::DecodePage(schema, page, &fresh));
-    EXPECT_EQ(appended, fresh.size());
-    EXPECT_EQ(arena.size() - before, fresh.size());
-    per_page_all.insert(per_page_all.end(), fresh.begin(), fresh.end());
+    TEMPO_ASSERT_OK_AND_ASSIGN(PagePin pin, rel.PinPage(p));
+    const size_t before = arena.views().size();
+    TEMPO_ASSERT_OK_AND_ASSIGN(size_t appended, arena.AddPage(schema, pin));
+    PageTupleArena fresh;
+    TEMPO_ASSERT_OK_AND_ASSIGN(size_t on_page, fresh.AddPage(schema, pin));
+    EXPECT_EQ(appended, on_page);
+    EXPECT_EQ(arena.views().size() - before, on_page);
+    EXPECT_EQ(on_page, rel.TuplesOnPage(p));
+    for (size_t i = 0; i < on_page; ++i) {
+      EXPECT_EQ(arena.views()[before + i].record(), fresh.views()[i].record());
+      per_page_all.push_back(fresh.views()[i].Materialize());
+    }
   }
-  EXPECT_EQ(arena, per_page_all);
-  EXPECT_EQ(arena, written);
+  EXPECT_EQ(arena.num_pages(), rel.num_pages());
+  EXPECT_EQ(per_page_all, written);
 }
 
 }  // namespace

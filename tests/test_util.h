@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "common/random.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
+#include "relation/tuple_view.h"
 #include "storage/disk.h"
 #include "storage/stored_relation.h"
 #include "temporal/interval.h"
@@ -85,6 +87,35 @@ inline std::vector<Tuple> RandomTuples(Random& rng, size_t n,
     out.push_back(T(key, "t" + std::to_string(i), start, end));
   }
   return out;
+}
+
+/// Parses one record with TupleView::Make, the record parser, and
+/// materializes it: the owning Tuple the stored record reads back as.
+inline StatusOr<Tuple> ParseRecord(const Schema& schema,
+                                   std::string_view record) {
+  auto view = TupleView::Make(schema.layout(), record.data(), record.size());
+  if (!view.ok()) return view.status();
+  return view->Materialize();
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+inline uint64_t Fnv1a(std::string_view bytes,
+                      uint64_t h = 0xcbf29ce484222325ull) {
+  for (unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ull;
+  return h;
+}
+
+/// FNV-1a over every page of `rel` (the whole page image, slot directory
+/// and free space included) in page order: equal digests mean
+/// byte-identical files.
+inline uint64_t PageDigest(StoredRelation* rel) {
+  uint64_t h = Fnv1a({});
+  for (uint32_t p = 0; p < rel->num_pages(); ++p) {
+    Page page;
+    EXPECT_TRUE(rel->ReadPage(p, &page).ok());
+    h = Fnv1a({reinterpret_cast<const char*>(&page), sizeof(Page)}, h);
+  }
+  return h;
 }
 
 }  // namespace tempo::testing
