@@ -170,49 +170,43 @@ class ProbeStream {
     arena_.Clear();
     TEMPO_RETURN_IF_ERROR(
         arena_.AddPage(*ctx_.inner_schema, std::move(page)).status());
-    for (const TupleView& y : arena_.views()) {
-      TEMPO_RETURN_IF_ERROR(Probe(y, allow_retain));
-    }
-    return Status::OK();
+    return AddViews(arena_.views(), allow_retain);
   }
 
-  /// Streams probe views over storage that outlives the stream (the tuple
-  /// cache's in-memory records).
-  Status AddViews(const std::vector<TupleView>& views, bool allow_retain) {
-    for (const TupleView& y : views) {
-      TEMPO_RETURN_IF_ERROR(Probe(y, allow_retain));
-    }
-    return Status::OK();
+  /// Streams probe views over storage that outlives the call (a pinned
+  /// page, or the tuple cache's in-memory records). Emits every area row
+  /// each probe record `y` joins, in FlatIndex order (deterministic for a
+  /// fixed index build), folding each dedup-accepted overlap into the
+  /// matched row's coverage under a variant; then retains `y` into the
+  /// next cache generation if it overlaps p_{i-1}. The probe kernel runs
+  /// both steps in the order of a record-at-a-time loop, so the writer
+  /// and the cache see the same sequence.
+  Status AddViews(const std::vector<TupleView>& ys, bool allow_retain) {
+    const bool emit = ctx_.variant == nullptr || ctx_.variant->emit_matches;
+    const bool retain = allow_retain && ctx_.retain_cache != nullptr &&
+                        ctx_.retain_interval != nullptr;
+    const std::vector<size_t>& keys = ctx_.layout->s_join_attrs;
+    return ProbeFlatIndex(
+        *ctx_.area, *index_, ys.size(),
+        [&](size_t i) { return FlatProbe::Of(ys[i], keys); }, keys,
+        ctx_.predicate, ctx_.dedup_interval,
+        [&](size_t i, size_t row, const Interval& common) -> Status {
+          if (ctx_.coverage_area != nullptr) {
+            ctx_.coverage_area->AddCoverage(row, common);
+          }
+          if (!emit) return Status::OK();
+          return ctx_.writer->Emit(*ctx_.layout, ctx_.area->view(row), ys[i],
+                                   common);
+        },
+        [&](size_t i) -> Status {
+          if (!retain || !ys[i].interval().Overlaps(*ctx_.retain_interval)) {
+            return Status::OK();
+          }
+          return ctx_.retain_cache->AddRecord(ys[i].record());
+        });
   }
 
  private:
-  /// Emits every area row probe record `y` joins, in FlatIndex order
-  /// (deterministic for a fixed index build), folding each dedup-accepted
-  /// overlap into the matched row's coverage under a variant; then
-  /// retains `y` into the next cache generation if it overlaps p_{i-1}.
-  Status Probe(const TupleView& y, bool allow_retain) {
-    const bool emit = ctx_.variant == nullptr || ctx_.variant->emit_matches;
-    Status status = Status::OK();
-    ForEachFlatMatch(*ctx_.area, *index_, y, ctx_.layout->s_join_attrs,
-                     ctx_.predicate, ctx_.dedup_interval,
-                     [&](size_t row, const Interval& common) {
-                       if (!status.ok()) return;
-                       if (ctx_.coverage_area != nullptr) {
-                         ctx_.coverage_area->AddCoverage(row, common);
-                       }
-                       if (!emit) return;
-                       status = ctx_.writer->Emit(
-                           *ctx_.layout, ctx_.area->view(row), y, common);
-                     });
-    TEMPO_RETURN_IF_ERROR(status);
-    if (allow_retain && ctx_.retain_cache != nullptr &&
-        ctx_.retain_interval != nullptr &&
-        y.interval().Overlaps(*ctx_.retain_interval)) {
-      TEMPO_RETURN_IF_ERROR(ctx_.retain_cache->AddRecord(y.record()));
-    }
-    return Status::OK();
-  }
-
   ProbeContext ctx_;
   const FlatIndex* index_;
   PageTupleArena arena_;  // pin+view arena, cleared per page

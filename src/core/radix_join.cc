@@ -107,25 +107,25 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
   // --- radix_probe: stream r in input order, emit inline -----------------
   // r rows in order, each one's s matches in ascending s order: exactly
   // the reference join's r-outer/s-inner emission order, so no match is
-  // buffered or sorted. The index holds s, so the predicate is tested on
-  // (s, r) through its converse.
+  // sorted. The probe kernel matches r in groups and prefetches the
+  // matched s records before it emits; the hashes and intervals come from
+  // r's columns. The index holds s, so the predicate is tested on (s, r)
+  // through its converse.
   {
     TraceSpan probe_span = SpanIf(ctx, Phase::kRadixProbe);
     const TemporalPredicate predicate = options.predicate.Converse();
     ResultWriter writer(out);
-    Status status = Status::OK();
-    for (size_t row = 0; row < r_extract.num_rows(); ++row) {
-      const TupleView& x = r_extract.view(row);
-      ForEachFlatMatch(s_extract, s_index, x, r_extract.key_hash(row),
-                       Interval(r_extract.start(row), r_extract.end(row)),
-                       layout.r_join_attrs, predicate, /*dedup=*/nullptr,
-                       [&](size_t s_row, const Interval& overlap) {
-                         if (!status.ok()) return;
-                         status = writer.Emit(layout, x,
-                                              s_extract.view(s_row), overlap);
-                       });
-      TEMPO_RETURN_IF_ERROR(status);
-    }
+    TEMPO_RETURN_IF_ERROR(ProbeFlatIndex(
+        s_extract, s_index, r_extract.num_rows(),
+        [&](size_t row) {
+          return FlatProbe{&r_extract.view(row), r_extract.key_hash(row),
+                           Interval(r_extract.start(row), r_extract.end(row))};
+        },
+        layout.r_join_attrs, predicate, /*dedup=*/nullptr,
+        [&](size_t row, size_t s_row, const Interval& overlap) {
+          return writer.Emit(layout, r_extract.view(row),
+                             s_extract.view(s_row), overlap);
+        }));
     TEMPO_RETURN_IF_ERROR(writer.Finish());
     stats.output_tuples = writer.count();
   }

@@ -5,6 +5,7 @@
 #include "core/determine_part_intervals.h"
 #include "join/build_area.h"
 #include "relation/tuple_view.h"
+#include "storage/page_arena.h"
 
 namespace tempo {
 
@@ -113,19 +114,26 @@ Status MaterializedVtJoinView::RecomputePartitionResult(size_t i) {
   const Interval& p_i = spec_.partition(i);
   const TemporalPredicate overlap;
   ResultWriter writer(results_[i].get());
-  // Probe: s streams as page-backed views; a pair is emitted only in the
-  // partition where its overlap ends (the exactly-once rule).
-  TEMPO_RETURN_IF_ERROR(ForEachVisibleView(
+  // Probe: s streams page by page through the probe kernel, as views into
+  // the pinned page; a pair is emitted only in the partition where its
+  // overlap ends (the exactly-once rule).
+  const RecordLayout& s_layout = s_side_.schema.layout();
+  std::vector<TupleView> views;
+  TEMPO_RETURN_IF_ERROR(ForEachVisiblePage(
       s_side_.parts[i].get(), s_side_.caches[i].get(),
-      [&](const TupleView& y) -> Status {
-        Status status = Status::OK();
-        ForEachFlatMatch(area, index, y, layout_.s_join_attrs, overlap, &p_i,
-                         [&](size_t row, const Interval& common) {
-          if (status.ok()) {
-            status = writer.Emit(layout_, area.view(row), y, common);
-          }
-        });
-        return status;
+      [&](const Page& page) -> Status {
+        views.clear();
+        const Status made = AppendPageViews(s_layout, page, &views);
+        TEMPO_RETURN_IF_ERROR(ProbeFlatIndex(
+            area, index, views.size(),
+            [&](size_t v) {
+              return FlatProbe::Of(views[v], layout_.s_join_attrs);
+            },
+            layout_.s_join_attrs, overlap, &p_i,
+            [&](size_t v, size_t row, const Interval& common) {
+              return writer.Emit(layout_, area.view(row), views[v], common);
+            }));
+        return made;
       }));
   TEMPO_RETURN_IF_ERROR(writer.Finish());
   result_tuples_ += results_[i]->num_tuples();

@@ -267,16 +267,17 @@ class FlatIndex {
 
 static_assert(sizeof(FlatIndex::Entry) == 32);
 
-/// The probe step every build-side executor shares: for probe record `y`
-/// with key hash `y_hash` and interval `y_iv`, invokes `fn(row, overlap)`
-/// for each build row x that joins it, in FlatIndex order. `build`
+/// The filters of one probe, the match phase of ProbeFlatIndex (below),
+/// which is the only caller: for probe record `y` with key hash `y_hash`
+/// and interval `y_iv`, invokes `fn(row, overlap)` for each build row x
+/// that joins it, in FlatIndex order. `build`
 /// provides view(row) and key_attrs(). The filters run cheapest first —
 /// the key word (the key itself for a single non-NULL int64 key, else the
 /// full key hash), interval overlap, the de-duplication rule (the overlap
 /// must end in `dedup`, when given), the temporal predicate — on the index
 /// columns. Only an index of key hashes then reads record bytes, to
 /// confirm the key; under key words the first read of a matched build
-/// record is the caller's emission. The predicate is tested as
+/// record is ProbeFlatIndex's prefetch. The predicate is tested as
 /// predicate(x, y): build row first.
 template <typename Rows, typename Fn>
 void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
@@ -304,15 +305,126 @@ void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
   });
 }
 
-/// Same, hashing `y`'s key and reading its interval from the record.
-template <typename Rows, typename Fn>
-void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
-                      const TupleView& y,
+/// One probe record for ProbeFlatIndex: its view, key hash and interval.
+struct FlatProbe {
+  const TupleView* view;
+  uint64_t hash;
+  Interval interval;
+
+  /// A probe whose hash and interval are read from `y`'s record.
+  static FlatProbe Of(const TupleView& y, const std::vector<size_t>& keys) {
+    return FlatProbe{&y, y.HashAttrs(keys), y.interval()};
+  }
+};
+
+/// Probes ProbeFlatIndex matches as one group before it applies any.
+inline constexpr size_t kFlatProbeGroup = 16;
+/// Matches ProbeFlatIndex buffers between matching and applying them; the
+/// buffer is this fixed size whatever the key skew.
+inline constexpr size_t kFlatMatchCap = 64;
+
+/// Prefetches every cache line of `bytes`, at addresses inside them.
+inline void PrefetchBytes(std::string_view bytes) {
+  constexpr uintptr_t kLineBytes = 64;
+  const uintptr_t end = reinterpret_cast<uintptr_t>(bytes.data()) +
+                        bytes.size();
+  for (uintptr_t a = reinterpret_cast<uintptr_t>(bytes.data()); a < end;
+       a = (a | (kLineBytes - 1)) + 1) {
+    __builtin_prefetch(reinterpret_cast<const void*>(a));
+  }
+}
+
+/// The probe kernel every build-side executor shares: joins probes
+/// [0, num_probes) — `probe_at(i)` returns probe i as a FlatProbe — against
+/// `build` through `index`, and calls `on_match(i, row, overlap)` for each
+/// build row that joins probe i, in FlatIndex order, then
+/// `after_probe(i)`: exactly the calls, in exactly the order, of a loop
+/// that runs ForEachFlatMatch on one probe at a time. Both return Status,
+/// and the first non-OK one is returned with nothing called after it.
+///
+/// The probes go in groups of kFlatProbeGroup, in three phases:
+///   1. match: ForEachFlatMatch's filters on the index columns (and, for
+///      an index of key hashes, the key confirm) append each
+///      (probe, row, overlap) to a match buffer, prefetching the row's
+///      view; nothing is called and nothing written;
+///   2. prefetch: every matched row's record bytes;
+///   3. apply: on_match and after_probe, in order.
+/// So no emission waits alone on its match's cache misses: a group's
+/// misses overlap each other. The buffer holds kFlatMatchCap matches; a
+/// probe that matches more (one hot key can match a whole build area) is
+/// applied in cap-sized pieces, in order.
+template <typename Rows, typename ProbeAt, typename OnMatch,
+          typename AfterProbe>
+Status ProbeFlatIndex(const Rows& build, const FlatIndex& index,
+                      size_t num_probes, ProbeAt&& probe_at,
                       const std::vector<size_t>& probe_keys,
                       const TemporalPredicate& predicate,
-                      const Interval* dedup, Fn&& fn) {
-  ForEachFlatMatch(build, index, y, y.HashAttrs(probe_keys), y.interval(),
-                   probe_keys, predicate, dedup, std::forward<Fn>(fn));
+                      const Interval* dedup, OnMatch&& on_match,
+                      AfterProbe&& after_probe) {
+  struct Match {
+    uint32_t probe;  // offset in the group
+    uint32_t row;
+    Chronon lo;
+    Chronon hi;
+  };
+  Match matches[kFlatMatchCap] = {};
+  size_t buffered = 0;
+  size_t group = 0;    // the group's first probe
+  size_t applied = 0;  // probes whose after_probe has run
+  // Phases 2 and 3 over the buffer; then after_probe for every probe
+  // before `done`, all of whose matches are then applied.
+  auto apply = [&](size_t done) -> Status {
+    for (size_t m = 0; m < buffered; ++m) {
+      PrefetchBytes(build.view(matches[m].row).record());
+    }
+    for (size_t m = 0; m < buffered; ++m) {
+      const Match& match = matches[m];
+      const size_t probe = group + match.probe;
+      while (applied < probe) TEMPO_RETURN_IF_ERROR(after_probe(applied++));
+      TEMPO_RETURN_IF_ERROR(on_match(probe, static_cast<size_t>(match.row),
+                                     Interval(match.lo, match.hi)));
+    }
+    buffered = 0;
+    while (applied < done) TEMPO_RETURN_IF_ERROR(after_probe(applied++));
+    return Status::OK();
+  };
+  Status status = Status::OK();
+  for (; group < num_probes; group += kFlatProbeGroup) {
+    const size_t group_end = std::min(num_probes, group + kFlatProbeGroup);
+    for (size_t i = group; i < group_end; ++i) {
+      const FlatProbe probe = probe_at(i);
+      ForEachFlatMatch(build, index, *probe.view, probe.hash, probe.interval,
+                       probe_keys, predicate, dedup,
+                       [&](size_t row, const Interval& overlap) {
+                         if (!status.ok()) return;
+                         if (buffered == kFlatMatchCap) {
+                           status = apply(i);
+                           if (!status.ok()) return;
+                         }
+                         __builtin_prefetch(&build.view(row));
+                         matches[buffered++] =
+                             Match{static_cast<uint32_t>(i - group),
+                                   static_cast<uint32_t>(row),
+                                   overlap.start(), overlap.end()};
+                       });
+      TEMPO_RETURN_IF_ERROR(status);
+    }
+    TEMPO_RETURN_IF_ERROR(apply(group_end));
+  }
+  return Status::OK();
+}
+
+/// Same, with nothing to do after a probe.
+template <typename Rows, typename ProbeAt, typename OnMatch>
+Status ProbeFlatIndex(const Rows& build, const FlatIndex& index,
+                      size_t num_probes, ProbeAt&& probe_at,
+                      const std::vector<size_t>& probe_keys,
+                      const TemporalPredicate& predicate,
+                      const Interval* dedup, OnMatch&& on_match) {
+  return ProbeFlatIndex(build, index, num_probes,
+                        std::forward<ProbeAt>(probe_at), probe_keys,
+                        predicate, dedup, std::forward<OnMatch>(on_match),
+                        [](size_t) { return Status::OK(); });
 }
 
 }  // namespace tempo

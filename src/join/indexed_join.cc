@@ -4,6 +4,7 @@
 #include "join/build_area.h"
 #include "join/external_sort.h"
 #include "join/join_common.h"
+#include "storage/page_arena.h"
 
 namespace tempo {
 
@@ -51,6 +52,7 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 
   BuildArea outer(&sorted.r.relation->schema(), &layout.r_join_attrs);
   FlatIndex probe;
+  std::vector<TupleView> views;  // the pinned inner page's records
   const uint32_t r_pages = sorted.r.relation->num_pages();
   const uint32_t s_pages = sorted.s.relation->num_pages();
   for (uint32_t rp = 0; rp < r_pages; ++rp) {
@@ -78,26 +80,22 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
       TEMPO_ASSIGN_OR_RETURN(Page * page,
                              data_pool.Pin(sorted.s.relation->file_id(), sp));
       ++inner_pages_scanned;
-      // Probe records in place off the pinned frame; the page stays
-      // pinned until the probe loop is done with its views.
-      Status status = Status::OK();
-      for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
-        std::string_view rec = page->GetRecord(slot);
-        auto y_or = TupleView::Make(s_view_layout, rec.data(), rec.size());
-        if (!y_or.ok()) {
-          status = y_or.status();
-          break;
-        }
-        const TupleView& y = *y_or;
-        ForEachFlatMatch(outer, probe, y, layout.s_join_attrs,
-                         options.predicate, /*dedup=*/nullptr,
-                         [&](size_t row, const Interval& common) {
-                           if (!status.ok()) return;
-                           status = writer.Emit(layout, outer.view(row), y,
-                                                common);
-                         });
-        if (!status.ok()) break;
-      }
+      // Probe records in place off the pinned frame through the probe
+      // kernel; the page stays pinned until the kernel is done with its
+      // views. A corrupt record fails the run after the records before it
+      // are joined.
+      views.clear();
+      Status status = AppendPageViews(s_view_layout, *page, &views);
+      const Status probed = ProbeFlatIndex(
+          outer, probe, views.size(),
+          [&](size_t i) {
+            return FlatProbe::Of(views[i], layout.s_join_attrs);
+          },
+          layout.s_join_attrs, options.predicate, /*dedup=*/nullptr,
+          [&](size_t i, size_t row, const Interval& common) {
+            return writer.Emit(layout, outer.view(row), views[i], common);
+          });
+      if (!probed.ok()) status = probed;
       TEMPO_RETURN_IF_ERROR(
           data_pool.Unpin(sorted.s.relation->file_id(), sp, false));
       TEMPO_RETURN_IF_ERROR(status);

@@ -1,6 +1,7 @@
 #include "join/nested_loop_join.h"
 
 #include "join/build_area.h"
+#include "storage/page_arena.h"
 
 namespace tempo {
 
@@ -22,6 +23,7 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
 
   BuildArea block(&r->schema(), &layout.r_join_attrs);
   FlatIndex index;
+  std::vector<TupleView> views;  // the inner page's records
   for (uint32_t block_start = 0; block_start < pages_r;
        block_start += block_pages) {
     ++blocks;
@@ -36,25 +38,24 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
     }
     index.Build(block, 0, block.size());
 
-    // Scan the inner relation through one page buffer, probing each
-    // record in place off the page; results are assembled from the two
-    // records' bytes.
+    // Scan the inner relation through one page buffer, probing its
+    // records in place off the page through the probe kernel; results are
+    // assembled from the two records' bytes. A corrupt record fails the
+    // run after the records before it are joined.
     for (uint32_t p = 0; p < pages_s; ++p) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, s->PinPage(p));
-      for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
-        std::string_view rec = page->GetRecord(slot);
-        TEMPO_ASSIGN_OR_RETURN(
-            TupleView y, TupleView::Make(s_layout, rec.data(), rec.size()));
-        Status status = Status::OK();
-        ForEachFlatMatch(block, index, y, layout.s_join_attrs,
-                         options.predicate, /*dedup=*/nullptr,
-                         [&](size_t row, const Interval& common) {
-                           if (!status.ok()) return;
-                           status = writer.Emit(layout, block.view(row), y,
-                                                common);
-                         });
-        TEMPO_RETURN_IF_ERROR(status);
-      }
+      views.clear();
+      const Status made = AppendPageViews(s_layout, *page, &views);
+      TEMPO_RETURN_IF_ERROR(ProbeFlatIndex(
+          block, index, views.size(),
+          [&](size_t i) {
+            return FlatProbe::Of(views[i], layout.s_join_attrs);
+          },
+          layout.s_join_attrs, options.predicate, /*dedup=*/nullptr,
+          [&](size_t i, size_t row, const Interval& common) {
+            return writer.Emit(layout, block.view(row), views[i], common);
+          }));
+      TEMPO_RETURN_IF_ERROR(made);
     }
   }
   TEMPO_RETURN_IF_ERROR(writer.Finish());

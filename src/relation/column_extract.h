@@ -53,7 +53,7 @@ inline constexpr uint64_t kColumnRowBytes =
 /// columns and touches record bytes only to read or confirm a key and to
 /// emit.
 ///
-/// The extractor is the row source FlatIndex::Build and ForEachFlatMatch
+/// The extractor is the row source FlatIndex::Build and ProbeFlatIndex
 /// read (key_hash/start/end/view/key_attrs per row), as BuildArea is.
 ///
 /// The schema passed to the constructor must outlive the extractor (its
@@ -86,7 +86,7 @@ class ColumnExtractor {
   /// Row ordinal -> validated view over the pinned record bytes.
   const std::vector<TupleView>& views() const { return views_; }
 
-  // Per-row access in the shape FlatIndex and ForEachFlatMatch read.
+  // Per-row access in the shape FlatIndex and ProbeFlatIndex read.
   const TupleView& view(size_t row) const { return views_[row]; }
   uint64_t key_hash(size_t row) const { return cols_.key_hashes[row]; }
   Chronon start(size_t row) const { return cols_.starts[row]; }

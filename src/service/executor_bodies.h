@@ -152,14 +152,15 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
 ///     low bits of their key hash (a FlatIndex walked oldest first, so a
 ///     slot's rows stay in ascending s order). A single int64 key with no
 ///     NULL in s is stored in the index entry itself.
-///   - radix_probe: r's rows stream in input order, each probing its slot
-///     with the shared cheap-first filters (ForEachFlatMatch: key word,
-///     interval overlap, predicate, then — only when the word is a hash —
-///     key equality on the record bytes); every match is emitted at once,
-///     straight into the output page.
+///   - radix_probe: r's rows stream in input order through the shared
+///     probe kernel (ProbeFlatIndex), which matches a group of 16 r rows
+///     with the cheap-first filters (key word, interval overlap,
+///     predicate, then — only when the word is a hash — key equality on
+///     the record bytes), prefetches the matched s records, and emits the
+///     group's matches in order, straight into the output page.
 ///
 /// Matches therefore come out in (r row, s row) order, the reference
-/// join's r-outer/s-inner order, with no buffer and no sort — pages
+/// join's r-outer/s-inner order, with no sort — pages
 /// byte-identical to the oracle's, and to a standalone run at any number
 /// of concurrent queries, with identical charged IoStats. Every phase
 /// runs on the calling thread.

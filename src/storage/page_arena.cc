@@ -4,19 +4,24 @@
 
 namespace tempo {
 
+Status AppendPageViews(const RecordLayout& layout, const Page& page,
+                       std::vector<TupleView>* views) {
+  for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
+    const std::string_view rec = page.GetRecord(slot);
+    TEMPO_ASSIGN_OR_RETURN(TupleView view,
+                           TupleView::Make(layout, rec.data(), rec.size()));
+    views->push_back(view);
+  }
+  return Status::OK();
+}
+
 StatusOr<size_t> PageTupleArena::AddPage(const Schema& schema, PagePin page) {
-  const Page& pinned = *page;
-  const RecordLayout& layout = schema.layout();
   const size_t before = views_.size();
-  for (uint16_t slot = 0; slot < pinned.num_records(); ++slot) {
-    std::string_view rec = pinned.GetRecord(slot);
-    auto view = TupleView::Make(layout, rec.data(), rec.size());
-    if (!view.ok()) {
-      // Drop the partially decoded page so the arena stays consistent.
-      views_.resize(before);
-      return view.status();
-    }
-    views_.push_back(*view);
+  const Status made = AppendPageViews(schema.layout(), *page, &views_);
+  if (!made.ok()) {
+    // Drop the partially decoded page so the arena stays consistent.
+    views_.resize(before);
+    return made;
   }
   pages_.push_back(std::move(page));
   return views_.size() - before;

@@ -1,7 +1,7 @@
 // Tests for the flat build-side kernel (join/build_area.h): BuildArea's
-// validated copy, purge and byte accounting, and FlatIndex's match order
-// (newest row first, or oldest first), on which executors' output bytes
-// depend.
+// validated copy, purge and byte accounting, FlatIndex's match order
+// (newest row first, or oldest first), and the calls of the grouped probe
+// kernel ProbeFlatIndex, on which executors' output bytes depend.
 
 #include <algorithm>
 #include <cstdint>
@@ -200,6 +200,139 @@ TEST(FlatIndexTest, MatchOrderEqualsBruteForceScan) {
         MatchesBruteForceScan(schema, area, keys, probes, 0, build.size()));
     EXPECT_FALSE(MatchesBruteForceScan(schema, area, keys, probes, 150, 420));
     EXPECT_TRUE(MatchesBruteForceScan(schema, area, keys, probes, 0, 150));
+  }
+}
+
+/// One call ProbeFlatIndex makes: on_match(probe, row, [lo, hi]), or
+/// after_probe(probe) when row is kAfter.
+struct ProbeCall {
+  static constexpr size_t kAfter = SIZE_MAX;
+  size_t probe;
+  size_t row;
+  Chronon lo;
+  Chronon hi;
+  bool operator==(const ProbeCall&) const = default;
+};
+
+/// The calls of a record-at-a-time scan: for each probe, each build row
+/// whose key equals the probe's, in descending row order (the default
+/// walk), that overlaps it with the overlap ending in `dedup` (when given)
+/// and passes `predicate`; then the probe's after call.
+std::vector<ProbeCall> ScanCalls(const BuildArea& area,
+                                 const std::vector<size_t>& keys,
+                                 const std::vector<TupleView>& probes,
+                                 const TemporalPredicate& predicate,
+                                 const Interval* dedup) {
+  std::vector<ProbeCall> calls;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const TupleView& y = probes[i];
+    for (size_t row = area.size(); row-- > 0;) {
+      if (!y.EqualOnAttrs(keys, keys, area.view(row))) continue;
+      const Interval x(area.start(row), area.end(row));
+      const auto common = Overlap(x, y.interval());
+      if (!common || (dedup != nullptr && !dedup->Contains(common->end())) ||
+          !PredicateAdmitsOverlapping(predicate, x, y.interval())) {
+        continue;
+      }
+      calls.push_back({i, row, common->start(), common->end()});
+    }
+    calls.push_back({i, ProbeCall::kAfter, 0, 0});
+  }
+  return calls;
+}
+
+// ProbeFlatIndex makes exactly the calls of a record-at-a-time scan, in
+// the same order: over a hot key whose long-lived rows overflow the match
+// buffer, a probe count that is not a multiple of the group, a whole
+// group of probes that match nothing, with and without a dedup interval
+// and a non-default predicate, under key hashes and key words. The first
+// non-OK status, from either callback, is returned and stops every later
+// call.
+TEST(ProbeFlatIndexTest, CallsFollowARecordAtATimeScan) {
+  const Schema schema = KeySchema();
+  const std::vector<size_t> keys = {0};
+  Random rng(8);
+  std::vector<Tuple> build = KeyTuples(rng, 700);
+  std::vector<Tuple> probes = KeyTuples(rng, 2 * kFlatProbeGroup + 5);
+  // 100 long-lived rows of key 1: every key-1 probe matches more rows
+  // than the match buffer holds.
+  for (size_t i = 0; i < 100; ++i) {
+    build[i * 7] = Tuple({Value(int64_t{1}), Value(std::string("x")),
+                          Value(1.5), Value("long" + std::to_string(i))},
+                         Interval(0, 200));
+  }
+  static_assert(100 > kFlatMatchCap);
+  // The second group's probes match nothing.
+  for (size_t i = kFlatProbeGroup; i < 2 * kFlatProbeGroup; ++i) {
+    std::vector<Value> values = probes[i].values();
+    values[0] = Value(int64_t{9});
+    probes[i] = Tuple(std::move(values), probes[i].interval());
+  }
+  const Interval dedup(30, 90);
+  // The build row strictly contains the probe.
+  const TemporalPredicate contains =
+      TemporalPredicate::Exactly(AllenRelation::kContains);
+  for (bool key_words : {false, true}) {
+    if (key_words) {
+      for (Tuple& t : build) {
+        if (t.value(0).is_null()) {
+          std::vector<Value> values = t.values();
+          values[0] = Value(int64_t{0});
+          t = Tuple(std::move(values), t.interval());
+        }
+      }
+    }
+    BuildArea area(&schema, &keys);
+    TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
+    FlatIndex index;
+    index.Build(area, 0, area.size());
+    ASSERT_EQ(index.key_words(), key_words);
+    std::vector<std::string> records(probes.size());
+    std::vector<TupleView> views;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      probes[i].SerializeTo(schema, &records[i]);
+      views.push_back(TupleView::Trusted(schema.layout(), records[i].data(),
+                                         records[i].size()));
+    }
+    for (const TemporalPredicate& predicate :
+         {TemporalPredicate::Overlap(), contains}) {
+      for (const Interval* d : {static_cast<const Interval*>(nullptr),
+                                &dedup}) {
+        const std::vector<ProbeCall> want =
+            ScanCalls(area, keys, views, predicate, d);
+        // Fail at call `fail_at`: at every one of the first calls, then
+        // sparser, at the last call, and at none (want.size()).
+        std::vector<size_t> fail_points;
+        for (size_t f = 0; f < want.size(); f += 1 + f / 16) {
+          fail_points.push_back(f);
+        }
+        fail_points.push_back(want.size() - 1);
+        fail_points.push_back(want.size());
+        for (size_t fail_at : fail_points) {
+          std::vector<ProbeCall> got;
+          auto record = [&](ProbeCall call) {
+            got.push_back(call);
+            return got.size() - 1 == fail_at ? Status::Internal("stop")
+                                              : Status::OK();
+          };
+          const Status st = ProbeFlatIndex(
+              area, index, views.size(),
+              [&](size_t i) { return FlatProbe::Of(views[i], keys); }, keys,
+              predicate, d,
+              [&](size_t i, size_t row, const Interval& common) {
+                return record({i, row, common.start(), common.end()});
+              },
+              [&](size_t i) {
+                return record({i, ProbeCall::kAfter, 0, 0});
+              });
+          const size_t n = std::min(fail_at + 1, want.size());
+          EXPECT_EQ(st.ok(), fail_at >= want.size());
+          EXPECT_EQ(got, std::vector<ProbeCall>(want.begin(),
+                                                want.begin() + n))
+              << "key words " << key_words << " fail at " << fail_at;
+        }
+      }
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "core/partition_coalesce.h"
 #include "core/partition_join.h"
+#include "join/build_area.h"
 #include "join/reference_join.h"
 #include "obs/exec_context.h"
 #include "service/join_request.h"
@@ -382,6 +383,66 @@ void GoldenInputs(std::vector<Tuple>* r, std::vector<Tuple>* s) {
   }
 }
 
+/// One golden run: an executor, join kind and buffer size, with the
+/// ordered digest over every output page, the output cardinality and the
+/// charged I/O ops it must reproduce.
+struct GoldenCase {
+  const char* name;
+  JoinExecutor executor;
+  JoinKind kind;
+  uint32_t buffer_pages;
+  bool small_r;  // single-partition fast path
+  uint64_t digest;
+  uint64_t output_tuples;
+  uint64_t io_ops;
+  TemporalPredicate predicate = TemporalPredicate::Overlap();
+};
+
+/// Runs `c` over (r, s) through RunJoin and checks its golden values. A
+/// partition run must take the single-partition fast path when
+/// `c.small_r`, and otherwise overflow its partition area and spill the
+/// tuple cache. The radix budget (4 MiB) covers every input used here.
+void ExpectGoldenRun(const GoldenCase& c, const std::vector<Tuple>& r_tuples,
+                     const std::vector<Tuple>& s_tuples) {
+  Disk disk;
+  auto r = MakeRelation(&disk, GoldenRSchema(), r_tuples, "r");
+  auto s = MakeRelation(&disk, GoldenSSchema(), s_tuples, "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      NaturalJoinLayout layout,
+      DeriveNaturalJoinLayout(GoldenRSchema(), GoldenSSchema()));
+  StoredRelation out(
+      &disk, c.kind == JoinKind::kAnti ? GoldenRSchema() : layout.output,
+      "out");
+  JoinRequest req;
+  req.From(r.get(), s.get())
+      .Using(c.executor)
+      .Kind(c.kind)
+      .BufferPages(c.buffer_pages)
+      .Predicate(c.predicate)
+      .RadixBudgetBytes(uint64_t{4} << 20);
+  ExecContext ctx;
+  auto stats = RunJoin(req, &out, &ctx);
+  ASSERT_TRUE(stats.ok()) << c.name << ": " << stats.status().ToString();
+  const std::string what = c.name;
+  if (c.executor == JoinExecutor::kPartition) {
+    if (c.small_r) {
+      EXPECT_EQ(stats->Get(Metric::kPartitions), 1.0) << what;
+    } else {
+      EXPECT_GT(stats->Get(Metric::kOverflowChunks), 0.0) << what;
+      EXPECT_GT(stats->Get(Metric::kCachePagesSpilled), 0.0) << what;
+    }
+  }
+  if (c.executor == JoinExecutor::kSortMerge) {
+    EXPECT_GT(stats->Get(Metric::kBackupPageReads), 0.0) << what;
+  }
+  if (c.predicate.NeedsAdjacency()) {
+    EXPECT_GE(stats->Get(Metric::kSweepCompactions), 2.0) << what;
+  }
+  EXPECT_EQ(PageDigest(&out), c.digest) << what;
+  EXPECT_EQ(stats->output_tuples, c.output_tuples) << what;
+  EXPECT_EQ(stats->io.total_ops(), c.io_ops) << what;
+}
+
 TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
   std::vector<Tuple> r_tuples;
   std::vector<Tuple> s_tuples;
@@ -389,23 +450,12 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
   // The single-partition fast path gets the first 300 r tuples only.
   const std::vector<Tuple> r_small(r_tuples.begin(), r_tuples.begin() + 300);
 
-  struct Case {
-    const char* name;
-    JoinExecutor executor;
-    JoinKind kind;
-    uint32_t buffer_pages;
-    bool small_r;  // single-partition fast path
-    uint64_t digest;
-    uint64_t output_tuples;
-    uint64_t io_ops;
-    TemporalPredicate predicate = TemporalPredicate::Overlap();
-  };
   // A 16-page buffer makes the partition runs overflow the partition area
   // and spill the tuple cache (asserted below); a 64-page buffer over the
   // small r takes the single-partition fast path. Sort-merge's 6-page
   // buffer evicts long-lived active tuples, so it backs up; the sweep under
   // meets takes the adjacency path and compacts its active maps.
-  const std::vector<Case> cases = {
+  const std::vector<GoldenCase> cases = {
       {"partition", JoinExecutor::kPartition, JoinKind::kInner, 16, false,
        0x157c8d7198249851ull, 6946, 388},
       {"partition-fast", JoinExecutor::kPartition, JoinKind::kInner, 64,
@@ -422,6 +472,8 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
        0xad210c6d23a6ea7dull, 6946, 235},
       {"indexed", JoinExecutor::kIndexed, JoinKind::kInner, 16, false,
        0x2fc059c0fd55347eull, 6946, 1057},
+      {"radix", JoinExecutor::kInMemoryRadix, JoinKind::kInner, 16, false,
+       0x963e03204a27bd48ull, 6946, 191},
       {"sort-merge", JoinExecutor::kSortMerge, JoinKind::kInner, 6, false,
        0x6e47e2fceb61a0abull, 6946, 559},
       {"sweep", JoinExecutor::kSweep, JoinKind::kInner, 16, false,
@@ -430,45 +482,92 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
        0x4cd6ab84c1da8f31ull, 42, 317,
        TemporalPredicate::Exactly(AllenRelation::kMeets)},
   };
-  for (const Case& c : cases) {
-    Disk disk;
-    auto r = MakeRelation(&disk, GoldenRSchema(),
-                          c.small_r ? r_small : r_tuples, "r");
-    auto s = MakeRelation(&disk, GoldenSSchema(), s_tuples, "s");
-    TEMPO_ASSERT_OK_AND_ASSIGN(
-        NaturalJoinLayout layout,
-        DeriveNaturalJoinLayout(GoldenRSchema(), GoldenSSchema()));
-    StoredRelation out(
-        &disk, c.kind == JoinKind::kAnti ? GoldenRSchema() : layout.output,
-        "out");
-    JoinRequest req;
-    req.From(r.get(), s.get())
-        .Using(c.executor)
-        .Kind(c.kind)
-        .BufferPages(c.buffer_pages)
-        .Predicate(c.predicate);
-    ExecContext ctx;
-    auto stats = RunJoin(req, &out, &ctx);
-    ASSERT_TRUE(stats.ok()) << c.name << ": " << stats.status().ToString();
-    const std::string what = c.name;
-    if (c.executor == JoinExecutor::kPartition) {
-      if (c.small_r) {
-        EXPECT_EQ(stats->Get(Metric::kPartitions), 1.0) << what;
-      } else {
-        EXPECT_GT(stats->Get(Metric::kOverflowChunks), 0.0) << what;
-        EXPECT_GT(stats->Get(Metric::kCachePagesSpilled), 0.0) << what;
-      }
-    }
-    if (c.executor == JoinExecutor::kSortMerge) {
-      EXPECT_GT(stats->Get(Metric::kBackupPageReads), 0.0) << what;
-    }
-    if (c.predicate.NeedsAdjacency()) {
-      EXPECT_GE(stats->Get(Metric::kSweepCompactions), 2.0) << what;
-    }
-    EXPECT_EQ(PageDigest(&out), c.digest) << what;
-    EXPECT_EQ(stats->output_tuples, c.output_tuples) << what;
-    EXPECT_EQ(stats->io.total_ops(), c.io_ops) << what;
+  for (const GoldenCase& c : cases) {
+    ExpectGoldenRun(c, c.small_r ? r_small : r_tuples, s_tuples);
   }
+}
+
+/// GoldenInputs plus one hot key, (25, "h"), that no other row carries:
+/// 150 rows on each side valid at one chronon (r's at 1000, contiguous in
+/// r; s's at 1001, so no two of them meet) and one row on each side valid
+/// over the whole time line. The long r row matches every hot s row and
+/// the long s row every hot r row, so one probe matches more build rows
+/// than the probe kernel's match buffer holds, on either build side: the
+/// radix index over s, a partition area or nested-loop block over r, and
+/// the indexed join's sorted r page (short records, about 100 a page).
+void HotKeyInputs(std::vector<Tuple>* r, std::vector<Tuple>* s) {
+  GoldenInputs(r, s);
+  const Value key(int64_t{25});
+  const Value tag(std::string("h"));
+  std::vector<Tuple> hot_r;
+  std::vector<Tuple> hot_s;
+  for (int i = 0; i < 150; ++i) {
+    hot_r.push_back(
+        Tuple({key, tag, Value(std::string())}, Interval::At(1000)));
+    hot_s.push_back(Tuple({key, tag, Value(i * 0.5)}, Interval::At(1001)));
+  }
+  hot_r.push_back(Tuple({key, tag, Value(std::string("long"))},
+                        Interval(0, 2999)));
+  hot_s.push_back(Tuple({key, tag, Value(-1.0)}, Interval(0, 2999)));
+  r->insert(r->begin() + 1200, hot_r.begin(), hot_r.end());
+  s->insert(s->begin() + 1100, hot_s.begin(), hot_s.end());
+}
+
+/// GoldenInputs plus a run of 211 r rows (key 26) and 213 s rows (key 27)
+/// that match nothing: 2,611 r and 2,413 s rows, neither a multiple of the
+/// probe group, with whole probe groups and whole probe pages that find
+/// no match.
+void RaggedInputs(std::vector<Tuple>* r, std::vector<Tuple>* s) {
+  GoldenInputs(r, s);
+  std::vector<Tuple> lone_r;
+  std::vector<Tuple> lone_s;
+  for (int i = 0; i < 213; ++i) {
+    const Interval iv(i * 7 % 2000, i * 7 % 2000 + 3);
+    if (i < 211) {
+      lone_r.push_back(Tuple({Value(int64_t{26}), Value(std::string("a")),
+                              Value(std::string(20, 'p'))},
+                             iv));
+    }
+    lone_s.push_back(
+        Tuple({Value(int64_t{27}), Value(std::string("a")), Value(0.25)}, iv));
+  }
+  r->insert(r->begin() + 900, lone_r.begin(), lone_r.end());
+  s->insert(s->begin() + 700, lone_s.begin(), lone_s.end());
+}
+
+// The probe kernel's edges: a probe whose matches overflow the match
+// buffer, and a probe count that is not a multiple of the group, with
+// groups that match nothing. Each build-side executor must write the same
+// bytes in the same order as its one-probe-at-a-time form did.
+TEST(ZeroCopyLockTest, ProbeGroupEdgesMatchGoldenDigests) {
+  std::vector<Tuple> hot_r, hot_s, ragged_r, ragged_s;
+  HotKeyInputs(&hot_r, &hot_s);
+  RaggedInputs(&ragged_r, &ragged_s);
+  static_assert(150 > 2 * kFlatMatchCap);  // the hot key's rows per side
+  ASSERT_NE(ragged_r.size() % kFlatProbeGroup, 0u);
+  ASSERT_NE(ragged_s.size() % kFlatProbeGroup, 0u);
+  const std::vector<GoldenCase> hot = {
+      {"hot-partition", JoinExecutor::kPartition, JoinKind::kInner, 16,
+       false, 0x1995795d8cb9394aull, 7247, 401},
+      {"hot-nested-loop", JoinExecutor::kNestedLoop, JoinKind::kInner, 16,
+       false, 0x4d9d33930e0732a0ull, 7247, 247},
+      {"hot-indexed", JoinExecutor::kIndexed, JoinKind::kInner, 16, false,
+       0x0d34f47fa8d8ee62ull, 7247, 1329},
+      {"hot-radix", JoinExecutor::kInMemoryRadix, JoinKind::kInner, 16, false,
+       0x78cbea4a2ad86bcaull, 7247, 199},
+  };
+  const std::vector<GoldenCase> ragged = {
+      {"ragged-partition", JoinExecutor::kPartition, JoinKind::kInner, 16,
+       false, 0x5f948aa699463d68ull, 6946, 409},
+      {"ragged-nested-loop", JoinExecutor::kNestedLoop, JoinKind::kInner, 16,
+       false, 0xa3ce7b03ed82bb87ull, 6946, 269},
+      {"ragged-indexed", JoinExecutor::kIndexed, JoinKind::kInner, 16, false,
+       0xf41d7620915e4569ull, 6946, 1218},
+      {"ragged-radix", JoinExecutor::kInMemoryRadix, JoinKind::kInner, 16,
+       false, 0x963e03204a27bd48ull, 6946, 197},
+  };
+  for (const GoldenCase& c : hot) ExpectGoldenRun(c, hot_r, hot_s);
+  for (const GoldenCase& c : ragged) ExpectGoldenRun(c, ragged_r, ragged_s);
 }
 
 // Under the single-head model an access is sequential only if it continues

@@ -156,6 +156,28 @@ TEST(FaultSweepTest, SequencedDifferenceLeavesNoTempFiles) {
   EXPECT_GT(SweepFaults(&f.disk, query), 10);
 }
 
+// The build-side executors probe in groups and emit a group's matches only
+// after matching all of them, so a fault can fail an output flush in the
+// middle of a group. Every such run must return the injected error and
+// leave no Grace partition, cache spill, sort run or output page behind.
+TEST(FaultSweepTest, GroupedProbeExecutorsLeaveNoTempFiles) {
+  for (JoinExecutor executor :
+       {JoinExecutor::kPartition, JoinExecutor::kNestedLoop,
+        JoinExecutor::kIndexed, JoinExecutor::kInMemoryRadix}) {
+    FaultFixture f;
+    JoinRequest req;
+    req.From(f.r.get(), f.s.get())
+        .Using(executor)
+        .BufferPages(16)
+        .RadixBudgetBytes(uint64_t{4} << 20);
+    auto join = [&]() -> Status {
+      TempRelation out(new StoredRelation(&f.disk, f.layout.output, "out"));
+      return RunJoin(req, out.get()).status();
+    };
+    EXPECT_GT(SweepFaults(&f.disk, join), 3) << JoinExecutorName(executor);
+  }
+}
+
 TEST(FaultSweepTest, PartitionCoalesceLeavesNoTempFiles) {
   FaultFixture f;
   const uint64_t input_pages = f.disk.TotalPages();
