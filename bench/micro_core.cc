@@ -12,7 +12,7 @@
 #include "core/choose_intervals.h"
 #include "core/estimate_cache.h"
 #include "core/grace_partitioner.h"
-#include "join/build_area.h"
+#include "join/flat_index.h"
 #include "workload/generator.h"
 
 namespace tempo {
@@ -91,7 +91,7 @@ void BM_HashProbeJoinKernel(benchmark::State& state) {
   Random rng(6);
   Schema schema = BenchSchema();
   std::vector<size_t> keys{0};
-  BuildArea area(&schema, &keys);
+  ColumnExtractor area(&schema, &keys);
   Page page;
   std::string rec;
   for (int i = 0; i < 32768; ++i) {
@@ -108,7 +108,7 @@ void BM_HashProbeJoinKernel(benchmark::State& state) {
   }
   TEMPO_CHECK(area.AddPage(page).ok());
   FlatIndex index;
-  index.Build(area, 0, area.size());
+  index.Build(area, 0, area.num_rows());
   std::vector<std::string> probe_recs(4096);
   std::vector<TupleView> probes;
   for (std::string& probe_rec : probe_recs) {

@@ -33,25 +33,18 @@ StatusOr<PartitionedRelation> GracePartition(StoredRelation* input,
   // for a given partition become filled they are flushed to disk". Records
   // are routed straight off the input page: the view reads the interval in
   // place and the raw bytes are re-appended verbatim.
-  const RecordLayout& layout = input->schema().layout();
-  const uint32_t pages = input->num_pages();
-  for (uint32_t p = 0; p < pages; ++p) {
-    TEMPO_ASSIGN_OR_RETURN(PagePin page, input->PinPage(p));
-    for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
-      std::string_view rec = page->GetRecord(slot);
-      TEMPO_ASSIGN_OR_RETURN(TupleView v,
-                             TupleView::Make(layout, rec.data(), rec.size()));
-      const Interval iv = v.interval();
-      const size_t last = spec.LastOverlapping(iv);
-      const size_t first = policy == PlacementPolicy::kLastOverlap
-                               ? last
-                               : spec.FirstOverlapping(iv);
-      for (size_t idx = first; idx <= last; ++idx) {
-        TEMPO_RETURN_IF_ERROR(result.parts[idx]->AppendRecord(rec));
-        ++result.tuples_written;
-      }
+  TEMPO_RETURN_IF_ERROR(input->ForEachView([&](const TupleView& v) -> Status {
+    const Interval iv = v.interval();
+    const size_t last = spec.LastOverlapping(iv);
+    const size_t first = policy == PlacementPolicy::kLastOverlap
+                             ? last
+                             : spec.FirstOverlapping(iv);
+    for (size_t idx = first; idx <= last; ++idx) {
+      TEMPO_RETURN_IF_ERROR(result.parts[idx]->AppendRecord(v.record()));
+      ++result.tuples_written;
     }
-  }
+    return Status::OK();
+  }));
   for (auto& part : result.parts) {
     TEMPO_RETURN_IF_ERROR(part->Flush());
   }

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "core/tuple_cache.h"
-#include "join/build_area.h"
+#include "join/flat_index.h"
 #include "join/join_executor.h"
 #include "temporal/interval_set.h"
 
@@ -37,10 +37,10 @@ Status EmitUncovered(JoinVariant* v, const TupleView& x,
   return Status::OK();
 }
 
-/// The outer partition area: a BuildArea (records plus byte accounting)
-/// with a FlatIndex over its current contents. The index tracks a dirty
-/// flag so a partition that neither purged nor added rows (an empty r_i
-/// under migration) skips the rebuild.
+/// The outer partition area: a ColumnExtractor (pinned pages and purge
+/// survivors, plus byte accounting) with a FlatIndex over its current
+/// contents. The index tracks a dirty flag so a partition that neither
+/// purged nor added rows (an empty r_i under migration) skips the rebuild.
 ///
 /// Under a sequenced outer/anti variant the area additionally carries, per
 /// row, the intervals its key-matching partners covered; a row leaving the
@@ -56,7 +56,7 @@ class OuterArea {
 
   Status Clear() {
     if (variant_ != nullptr) TEMPO_RETURN_IF_ERROR(RetireAll());
-    if (!area_.empty()) dirty_ = true;
+    if (area_.num_rows() != 0) dirty_ = true;
     area_.Clear();
     coverage_.clear();
     return Status::OK();
@@ -85,19 +85,18 @@ class OuterArea {
   /// emits each one's uncovered subintervals.
   Status RetireAll() {
     if (variant_ == nullptr) return Status::OK();
-    for (size_t row = 0; row < area_.size(); ++row) {
+    for (size_t row = 0; row < area_.num_rows(); ++row) {
       TEMPO_RETURN_IF_ERROR(
           EmitUncovered(variant_, area_.view(row), coverage_[row]));
     }
-    coverage_.assign(area_.size(), {});
+    coverage_.assign(area_.num_rows(), {});
     return Status::OK();
   }
 
-  Status AddPage(const Page& page) {
-    const size_t before = area_.size();
-    TEMPO_RETURN_IF_ERROR(area_.AddPage(page));
-    if (area_.size() != before) dirty_ = true;
-    if (variant_ != nullptr) coverage_.resize(area_.size());
+  Status AddPage(PagePin page) {
+    TEMPO_ASSIGN_OR_RETURN(const size_t added, area_.AddPage(std::move(page)));
+    if (added != 0) dirty_ = true;
+    if (variant_ != nullptr) coverage_.resize(area_.num_rows());
     return Status::OK();
   }
 
@@ -109,15 +108,15 @@ class OuterArea {
   /// Rebuilds the probe index if the area changed since the last rebuild.
   void RebuildIndex() {
     if (!dirty_) return;
-    index_.Build(area_, 0, area_.size());
+    index_.Build(area_, 0, area_.num_rows());
     dirty_ = false;
   }
 
-  const BuildArea& area() const { return area_; }
+  const ColumnExtractor& area() const { return area_; }
   const FlatIndex& index() const { return index_; }
 
  private:
-  BuildArea area_;
+  ColumnExtractor area_;
   FlatIndex index_;
   // The index starts empty over an empty area, so it starts clean.
   bool dirty_ = false;
@@ -132,7 +131,7 @@ struct ProbeContext {
   const NaturalJoinLayout* layout = nullptr;
   const Schema* inner_schema = nullptr;
   /// The build rows the index points into.
-  const BuildArea* area = nullptr;
+  const ColumnExtractor* area = nullptr;
   TemporalPredicate predicate;
   /// De-duplication partition p_i: emit only pairs whose overlap ends in
   /// it. Null in the single-partition fast path (no duplicates possible).
@@ -288,13 +287,13 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
       const uint32_t pages = part->num_pages();
       for (uint32_t p = 0; p < pages; ++p) {
         TEMPO_ASSIGN_OR_RETURN(PagePin page, part->PinPage(p));
-        TEMPO_RETURN_IF_ERROR(outer.AddPage(*page));
+        TEMPO_RETURN_IF_ERROR(outer.AddPage(std::move(page)));
       }
     }
 
     // Overflow handling: process the outer area in memory-sized chunks;
     // each chunk beyond the first re-reads the inner inputs (thrashing).
-    const size_t total = outer.area().size();
+    const size_t total = outer.area().num_rows();
     size_t chunk_tuples = total;
     if (outer.area().bytes() > area_bytes && total > 0) {
       double avg = static_cast<double>(outer.area().bytes()) / total;
@@ -429,7 +428,7 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     const uint32_t pages = r->num_pages();
     for (uint32_t p = 0; p < pages; ++p) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, r->PinPage(p));
-      TEMPO_RETURN_IF_ERROR(outer.AddPage(*page));
+      TEMPO_RETURN_IF_ERROR(outer.AddPage(std::move(page)));
     }
     outer.RebuildIndex();
     ResultWriter local_writer(out);

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/env.h"
-#include "join/build_area.h"
+#include "join/flat_index.h"
 
 namespace tempo {
 

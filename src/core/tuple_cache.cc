@@ -18,7 +18,7 @@ TupleCache::TupleCache(Disk* disk, const Schema& schema, std::string name,
 Status TupleCache::AddRecord(std::string_view record) {
   size_t bytes = record.size() + kSlotOverhead;
   if (memory_bytes_ + bytes > kPagePayload * memory_pages_ &&
-      !memory_records_.empty()) {
+      !memory_views_.empty()) {
     // The in-memory cache area is full: flush it to the spill file and
     // start afresh. This invalidates outstanding memory views — spills
     // only happen while a generation is being *built*; the consumption
@@ -26,18 +26,16 @@ Status TupleCache::AddRecord(std::string_view record) {
     if (spill_ == nullptr) {
       spill_.reset(new StoredRelation(disk_, schema_, name_ + ".cache"));
     }
-    for (const std::string& cached : memory_records_) {
-      TEMPO_RETURN_IF_ERROR(spill_->AppendRecord(cached));
+    for (const TupleView& cached : memory_views_) {
+      TEMPO_RETURN_IF_ERROR(spill_->AppendRecord(cached.record()));
     }
     TEMPO_RETURN_IF_ERROR(spill_->Flush());
-    memory_records_.clear();
+    memory_records_.Clear();
     memory_views_.clear();
     memory_bytes_ = 0;
   }
-  memory_records_.emplace_back(record);
-  const std::string& pinned = memory_records_.back();
-  memory_views_.push_back(
-      TupleView::Trusted(schema_.layout(), pinned.data(), pinned.size()));
+  memory_views_.push_back(TupleView::Trusted(
+      schema_.layout(), memory_records_.Copy(record), record.size()));
   memory_bytes_ += bytes;
   ++total_tuples_;
   return Status::OK();

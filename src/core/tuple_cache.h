@@ -1,11 +1,11 @@
 #ifndef TEMPO_CORE_TUPLE_CACHE_H_
 #define TEMPO_CORE_TUPLE_CACHE_H_
 
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/statusor.h"
+#include "relation/column_extract.h"
 #include "relation/tuple_view.h"
 #include "storage/stored_relation.h"
 
@@ -25,8 +25,8 @@ namespace tempo {
 /// every partition it overlaps *without replicating it in the base
 /// relation files* — the paper's central storage-saving device.
 ///
-/// The in-memory area holds *serialized records* (a deque of strings, so
-/// addresses are stable as the cache grows) and hands out zero-copy
+/// The in-memory area holds *serialized records* (copied into a
+/// RecordArena, whose blocks never move) and hands out zero-copy
 /// TupleViews over them: retaining a probe-side view copies only the raw
 /// record bytes, and consuming the generation probes the views in place —
 /// no Tuple is materialized on either side of the cache.
@@ -71,9 +71,9 @@ class TupleCache {
   Schema schema_;
   std::string name_;
   uint32_t memory_pages_;
-  // Serialized records; deque growth never moves existing elements, so
-  // views into them stay valid until the next spill.
-  std::deque<std::string> memory_records_;
+  // Serialized records; arena blocks never move, also when the cache is
+  // moved, so views into them stay valid until the next spill.
+  RecordArena memory_records_;
   std::vector<TupleView> memory_views_;
   size_t memory_bytes_ = 0;
   TempRelation spill_;

@@ -3,9 +3,9 @@
 #include <functional>
 
 #include "core/determine_part_intervals.h"
-#include "join/build_area.h"
+#include "join/flat_index.h"
+#include "relation/column_extract.h"
 #include "relation/tuple_view.h"
-#include "storage/page_arena.h"
 
 namespace tempo {
 
@@ -14,11 +14,11 @@ namespace {
 /// Pins the visible pages of one side of a partition — its partition
 /// file, then its cache file — one at a time, in that order.
 Status ForEachVisiblePage(StoredRelation* part, StoredRelation* cache,
-                          const std::function<Status(const Page&)>& fn) {
+                          const std::function<Status(PagePin)>& fn) {
   for (StoredRelation* rel : {part, cache}) {
     for (uint32_t p = 0; p < rel->num_pages(); ++p) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, rel->PinPage(p));
-      TEMPO_RETURN_IF_ERROR(fn(*page));
+      TEMPO_RETURN_IF_ERROR(fn(std::move(page)));
     }
   }
   return Status::OK();
@@ -105,12 +105,12 @@ Status MaterializedVtJoinView::Build(StoredRelation* r, StoredRelation* s,
 Status MaterializedVtJoinView::RecomputePartitionResult(size_t i) {
   result_tuples_ -= results_[i]->num_tuples();
   TEMPO_RETURN_IF_ERROR(results_[i]->Clear());
-  BuildArea area(&r_side_.schema, &layout_.r_join_attrs);
+  ColumnExtractor area(&r_side_.schema, &layout_.r_join_attrs);
   TEMPO_RETURN_IF_ERROR(ForEachVisiblePage(
       r_side_.parts[i].get(), r_side_.caches[i].get(),
-      [&](const Page& page) { return area.AddPage(page); }));
+      [&](PagePin page) { return area.AddPage(std::move(page)).status(); }));
   FlatIndex index;
-  index.Build(area, 0, area.size());
+  index.Build(area, 0, area.num_rows());
   const Interval& p_i = spec_.partition(i);
   const TemporalPredicate overlap;
   ResultWriter writer(results_[i].get());
@@ -121,9 +121,9 @@ Status MaterializedVtJoinView::RecomputePartitionResult(size_t i) {
   std::vector<TupleView> views;
   TEMPO_RETURN_IF_ERROR(ForEachVisiblePage(
       s_side_.parts[i].get(), s_side_.caches[i].get(),
-      [&](const Page& page) -> Status {
+      [&](PagePin page) -> Status {
         views.clear();
-        const Status made = AppendPageViews(s_layout, page, &views);
+        const Status made = AppendPageViews(s_layout, *page, &views);
         TEMPO_RETURN_IF_ERROR(ProbeFlatIndex(
             area, index, views.size(),
             [&](size_t v) {

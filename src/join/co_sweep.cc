@@ -13,9 +13,9 @@
 #include <utility>
 #include <vector>
 
-#include "join/build_area.h"
 #include "join/external_sort.h"
 #include "join/join_common.h"
+#include "relation/column_extract.h"
 
 namespace tempo {
 
@@ -23,23 +23,21 @@ namespace {
 
 /// Zero-copy sequential cursor over a sorted relation: reads
 /// `chunk_pages` consecutive pages per refill (1 random + (c-1)
-/// sequential I/Os), pins them, and exposes each record as a TupleView
-/// into the pinned page bytes, with the page it came from. Views stay
-/// valid until the next refill — exactly the window the co-sweep needs,
-/// since an arrival is probed, emitted and copied into its active map
-/// before its stream advances.
+/// sequential I/Os), holds them in a PageTupleArena, and exposes each
+/// record as a TupleView into the pinned page bytes, with the page it came
+/// from. Views stay valid until the next refill — exactly the window the
+/// co-sweep needs, since an arrival is probed, emitted and copied into its
+/// active map before its stream advances.
 class SortedStream {
  public:
   SortedStream(StoredRelation* rel, uint32_t chunk_pages)
-      : rel_(rel),
-        layout_(&rel->schema().layout()),
-        chunk_pages_(chunk_pages) {
-    pages_.reserve(chunk_pages_);
+      : rel_(rel), chunk_pages_(chunk_pages) {
+    pins_.reserve(chunk_pages_);
   }
 
   StoredRelation* relation() const { return rel_; }
   bool Exhausted() const { return exhausted_; }
-  const TupleView& Head() const { return views_[pos_]; }
+  const TupleView& Head() const { return arena_.views()[pos_]; }
   uint32_t HeadPage() const { return view_pages_[pos_]; }
 
   /// Loads the first chunk. Must be called once before use.
@@ -53,42 +51,38 @@ class SortedStream {
 
  private:
   Status RefillIfNeeded() {
-    if (pos_ < views_.size()) return Status::OK();
-    views_.clear();
+    if (pos_ < arena_.views().size()) return Status::OK();
+    arena_.Clear();
     view_pages_.clear();
-    pages_.clear();
     pos_ = 0;
     const uint32_t first = next_page_;
-    uint32_t end = std::min(rel_->num_pages(), next_page_ + chunk_pages_);
+    const uint32_t end =
+        std::min(rel_->num_pages(), next_page_ + chunk_pages_);
     if (next_page_ >= end) {
       exhausted_ = true;
       return Status::OK();
     }
+    // Every page of the chunk is pinned before any is parsed.
+    pins_.clear();
     for (; next_page_ < end; ++next_page_) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, rel_->PinPage(next_page_));
-      pages_.push_back(std::move(page));
+      pins_.push_back(std::move(page));
     }
-    for (uint32_t i = 0; i < pages_.size(); ++i) {
-      const Page& page = *pages_[i];
-      for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
-        std::string_view rec = page.GetRecord(slot);
-        TEMPO_ASSIGN_OR_RETURN(
-            TupleView v, TupleView::Make(*layout_, rec.data(), rec.size()));
-        views_.push_back(v);
-        view_pages_.push_back(first + i);
-      }
+    for (uint32_t i = 0; i < pins_.size(); ++i) {
+      TEMPO_RETURN_IF_ERROR(
+          arena_.AddPage(rel_->schema(), std::move(pins_[i])).status());
+      view_pages_.resize(arena_.views().size(), first + i);
     }
     return Status::OK();
   }
 
   StoredRelation* rel_;
-  const RecordLayout* layout_;
   uint32_t chunk_pages_;
   uint32_t next_page_ = 0;
   bool exhausted_ = false;
-  std::vector<PagePin> pages_;  // the current chunk
-  std::vector<TupleView> views_;
-  std::vector<uint32_t> view_pages_;
+  std::vector<PagePin> pins_;  // the chunk's pages until they are parsed
+  PageTupleArena arena_;       // the current chunk's pages and views
+  std::vector<uint32_t> view_pages_;  // each view's page
   size_t pos_ = 0;
 };
 

@@ -1,138 +1,25 @@
-#ifndef TEMPO_JOIN_BUILD_AREA_H_
-#define TEMPO_JOIN_BUILD_AREA_H_
+#ifndef TEMPO_JOIN_FLAT_INDEX_H_
+#define TEMPO_JOIN_FLAT_INDEX_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "join/join_common.h"
-#include "relation/schema.h"
+#include "relation/column_extract.h"
 #include "relation/tuple_view.h"
-#include "storage/page.h"
 #include "temporal/interval.h"
 
 namespace tempo {
 
-/// Append-only record storage in fixed-size blocks, shared by the flat
-/// build side (BuildArea) and the co-sweep's active maps. A block never
-/// reallocates, so a pointer returned by Copy stays valid until Clear().
-/// Clear() keeps the blocks for reuse; a holder that drops rows re-packs
-/// the survivors into a second arena and swaps the two.
-class RecordArena {
- public:
-  /// Block size; a record never exceeds a page, so one always fits.
-  static constexpr size_t kBlockBytes = 16 * kPageSize;
-
-  /// Position marker for Rewind().
-  struct Mark {
-    size_t block = 0;
-    size_t used = 0;
-  };
-
-  /// Copies `record` into the arena and returns the copy's address.
-  const char* Copy(std::string_view record);
-
-  Mark mark() const { return {block_, used_}; }
-
-  /// Drops everything copied since `m` was taken.
-  void Rewind(Mark m) {
-    block_ = m.block;
-    used_ = m.used;
-  }
-
-  void Clear() { Rewind(Mark{}); }
-
- private:
-  std::vector<std::unique_ptr<char[]>> blocks_;
-  size_t block_ = 0;  // index of the block being filled
-  size_t used_ = 0;   // bytes used in blocks_[block_]
-};
-
-/// The memory-resident build side of a join — the partition area of
-/// Figure 3, or a nested-loop / indexed outer block — as flat rows:
-/// validated records copied into a block arena, a TupleView per row over
-/// the copy, and key-hash, start and end columns. No Tuple or Value is
-/// built for a build row.
-///
-/// Byte accounting matches the page layout: each row costs its record
-/// size plus a 4-byte slot, exactly Tuple::SerializedSize + slot overhead
-/// of the decoded tuple.
-class BuildArea {
- public:
-  /// Per-row page overhead charged to bytes() (one slot entry).
-  static constexpr size_t kSlotOverhead = 4;
-
-  /// `schema` and `key_attrs` are borrowed and must outlive the area.
-  BuildArea(const Schema* schema, const std::vector<size_t>* key_attrs)
-      : schema_(schema), key_attrs_(key_attrs) {}
-
-  BuildArea(const BuildArea&) = delete;
-  BuildArea& operator=(const BuildArea&) = delete;
-
-  /// Validates every record on `page` with TupleView::Make and appends
-  /// them in slot order. On a corrupt record the page's rows are rolled
-  /// back and Corruption is returned.
-  Status AddPage(const Page& page);
-
-  /// Keeps the rows whose interval overlaps `p`, in order, and drops the
-  /// rest. `visit(row, kept)` sees every row, in order, before anything
-  /// moves, so a dropped row's view is still readable there; a non-OK
-  /// status aborts the purge with the area unchanged. Survivors are
-  /// re-packed into a second arena that then swaps with the first, so the
-  /// arena in use holds only live rows; both keep their blocks for reuse.
-  template <typename Visit>
-  Status PurgeNotOverlapping(const Interval& p, Visit&& visit) {
-    for (size_t i = 0; i < size(); ++i) {
-      TEMPO_RETURN_IF_ERROR(visit(i, OverlapsRow(i, p)));
-    }
-    Repack(p);
-    return Status::OK();
-  }
-
-  void Clear();
-
-  size_t size() const { return views_.size(); }
-  bool empty() const { return views_.empty(); }
-  size_t bytes() const { return bytes_; }
-
-  const TupleView& view(size_t row) const { return views_[row]; }
-  uint64_t key_hash(size_t row) const { return key_hashes_[row]; }
-  Chronon start(size_t row) const { return starts_[row]; }
-  Chronon end(size_t row) const { return ends_[row]; }
-
-  const std::vector<size_t>& key_attrs() const { return *key_attrs_; }
-
- private:
-  bool OverlapsRow(size_t row, const Interval& p) const {
-    return starts_[row] <= p.end() && p.start() <= ends_[row];
-  }
-
-  /// Appends one row over bytes already in arena_.
-  void PushRow(const TupleView& v);
-
-  /// Moves the rows overlapping `p` into spare_ and swaps the arenas.
-  void Repack(const Interval& p);
-
-  const Schema* schema_;
-  const std::vector<size_t>* key_attrs_;
-  RecordArena arena_;
-  RecordArena spare_;  // re-pack target of PurgeNotOverlapping
-  std::vector<TupleView> views_;
-  std::vector<uint64_t> key_hashes_;
-  std::vector<Chronon> starts_;
-  std::vector<Chronon> ends_;
-  size_t bytes_ = 0;
-};
-
-/// A flat equi-hash index over the rows [begin, end) of a row source — a
-/// BuildArea, or a ColumnExtractor's columns. One counting sort groups
-/// the rows by the low bits of their key hash into a power-of-two slot
-/// table; each entry carries a key word and the row's interval, so a probe
-/// filters on one contiguous run without touching record bytes.
+/// A flat equi-hash index over the rows [begin, end) of a ColumnExtractor,
+/// the one build-side row source. One counting sort groups the rows by the
+/// low bits of their key hash into a power-of-two slot table; each entry
+/// carries a key word and the row's interval, so a probe filters on one
+/// contiguous run without touching record bytes.
 ///
 /// The key word is the key itself when the key is a single int64
 /// attribute that no indexed row leaves NULL (key_words()): a probe then
@@ -159,10 +46,7 @@ class FlatIndex {
   enum class Walk { kNewestFirst, kOldestFirst };
 
   /// Indexes `rows`' rows [begin, end), replacing any previous contents.
-  /// `Rows` provides key_hash(row), start(row), end(row), view(row) and
-  /// key_attrs().
-  template <typename Rows>
-  void Build(const Rows& rows, size_t begin, size_t end,
+  void Build(const ColumnExtractor& rows, size_t begin, size_t end,
              Walk walk = Walk::kNewestFirst) {
     TEMPO_DCHECK(begin <= end);
     TEMPO_DCHECK(end <= UINT32_MAX);
@@ -270,8 +154,7 @@ static_assert(sizeof(FlatIndex::Entry) == 32);
 /// The filters of one probe, the match phase of ProbeFlatIndex (below),
 /// which is the only caller: for probe record `y` with key hash `y_hash`
 /// and interval `y_iv`, invokes `fn(row, overlap)` for each build row x
-/// that joins it, in FlatIndex order. `build`
-/// provides view(row) and key_attrs(). The filters run cheapest first —
+/// that joins it, in FlatIndex order. The filters run cheapest first —
 /// the key word (the key itself for a single non-NULL int64 key, else the
 /// full key hash), interval overlap, the de-duplication rule (the overlap
 /// must end in `dedup`, when given), the temporal predicate — on the index
@@ -279,8 +162,8 @@ static_assert(sizeof(FlatIndex::Entry) == 32);
 /// confirm the key; under key words the first read of a matched build
 /// record is ProbeFlatIndex's prefetch. The predicate is tested as
 /// predicate(x, y): build row first.
-template <typename Rows, typename Fn>
-void ForEachFlatMatch(const Rows& build, const FlatIndex& index,
+template <typename Fn>
+void ForEachFlatMatch(const ColumnExtractor& build, const FlatIndex& index,
                       const TupleView& y, uint64_t y_hash,
                       const Interval& y_iv,
                       const std::vector<size_t>& probe_keys,
@@ -353,9 +236,8 @@ inline void PrefetchBytes(std::string_view bytes) {
 /// misses overlap each other. The buffer holds kFlatMatchCap matches; a
 /// probe that matches more (one hot key can match a whole build area) is
 /// applied in cap-sized pieces, in order.
-template <typename Rows, typename ProbeAt, typename OnMatch,
-          typename AfterProbe>
-Status ProbeFlatIndex(const Rows& build, const FlatIndex& index,
+template <typename ProbeAt, typename OnMatch, typename AfterProbe>
+Status ProbeFlatIndex(const ColumnExtractor& build, const FlatIndex& index,
                       size_t num_probes, ProbeAt&& probe_at,
                       const std::vector<size_t>& probe_keys,
                       const TemporalPredicate& predicate,
@@ -415,8 +297,8 @@ Status ProbeFlatIndex(const Rows& build, const FlatIndex& index,
 }
 
 /// Same, with nothing to do after a probe.
-template <typename Rows, typename ProbeAt, typename OnMatch>
-Status ProbeFlatIndex(const Rows& build, const FlatIndex& index,
+template <typename ProbeAt, typename OnMatch>
+Status ProbeFlatIndex(const ColumnExtractor& build, const FlatIndex& index,
                       size_t num_probes, ProbeAt&& probe_at,
                       const std::vector<size_t>& probe_keys,
                       const TemporalPredicate& predicate,
@@ -429,4 +311,4 @@ Status ProbeFlatIndex(const Rows& build, const FlatIndex& index,
 
 }  // namespace tempo
 
-#endif  // TEMPO_JOIN_BUILD_AREA_H_
+#endif  // TEMPO_JOIN_FLAT_INDEX_H_

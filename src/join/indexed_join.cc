@@ -1,10 +1,9 @@
 #include <algorithm>
 
 #include "join/append_only_tree.h"
-#include "join/build_area.h"
 #include "join/external_sort.h"
+#include "join/flat_index.h"
 #include "join/join_common.h"
-#include "storage/page_arena.h"
 
 namespace tempo {
 
@@ -50,7 +49,7 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   const RecordLayout& s_view_layout = sorted.s.relation->schema().layout();
   const int64_t widen = tree->max_duration();
 
-  BuildArea outer(&sorted.r.relation->schema(), &layout.r_join_attrs);
+  ColumnExtractor outer(&sorted.r.relation->schema(), &layout.r_join_attrs);
   FlatIndex probe;
   std::vector<TupleView> views;  // the pinned inner page's records
   const uint32_t r_pages = sorted.r.relation->num_pages();
@@ -58,14 +57,14 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   for (uint32_t rp = 0; rp < r_pages; ++rp) {
     TEMPO_ASSIGN_OR_RETURN(PagePin r_page, sorted.r.relation->PinPage(rp));
     outer.Clear();
-    TEMPO_RETURN_IF_ERROR(outer.AddPage(*r_page));
-    if (outer.empty()) continue;
-    probe.Build(outer, 0, outer.size());
+    TEMPO_RETURN_IF_ERROR(outer.AddPage(std::move(r_page)).status());
+    if (outer.num_rows() == 0) continue;
+    probe.Build(outer, 0, outer.num_rows());
     // The inner range this outer page can match: tuples with
     // Vs in [min Vs - maxDuration, max Ve].
     Chronon lo = outer.start(0);
     Chronon hi = outer.end(0);
-    for (size_t row = 1; row < outer.size(); ++row) {
+    for (size_t row = 1; row < outer.num_rows(); ++row) {
       lo = std::min(lo, outer.start(row));
       hi = std::max(hi, outer.end(row));
     }

@@ -41,31 +41,6 @@ Tuple MakeAntiTuple(const Tuple& x, const Interval& uncovered) {
 
 namespace {
 
-/// Appends to `*runs` the payloads of `v`'s attributes `positions`, in
-/// order: one piece per run of consecutive positions, merged into the
-/// previous piece when its bytes continue it. Returns the bytes added.
-size_t CollectRuns(const TupleView& v, const std::vector<size_t>& positions,
-                   std::vector<std::string_view>* runs) {
-  size_t bytes = 0;
-  for (size_t i = 0; i < positions.size();) {
-    size_t j = i + 1;
-    while (j < positions.size() && positions[j] == positions[j - 1] + 1) ++j;
-    const std::string_view run =
-        v.PayloadRun(positions[i], positions[j - 1] + 1);
-    i = j;
-    if (run.empty()) continue;
-    bytes += run.size();
-    if (!runs->empty() &&
-        runs->back().data() + runs->back().size() == run.data()) {
-      runs->back() = std::string_view(runs->back().data(),
-                                      runs->back().size() + run.size());
-    } else {
-      runs->push_back(run);
-    }
-  }
-  return bytes;
-}
-
 /// Sets bit `out` + k of the NULL bitmap at `bitmap` for each NULL
 /// positions[k] of `v`; returns the output index after the last one.
 size_t MarkNulls(const TupleView& v, const std::vector<size_t>& positions,
@@ -84,11 +59,23 @@ Status ResultWriter::Emit(const NaturalJoinLayout& layout, const TupleView& x,
   // The wire format of Tuple::SerializeTo: interval, NULL bitmap, then
   // the non-NULL payloads in output-attribute order (A, B, C).
   const RecordLayout& out_layout = layout.output.layout();
+  // One piece per source run; an empty (all-NULL) piece adds nothing, and
+  // a piece whose bytes continue the previous one merges into it.
   runs_.clear();
   size_t size = out_layout.values_offset;
-  size += CollectRuns(x, layout.r_join_attrs, &runs_);
-  size += CollectRuns(x, layout.r_rest, &runs_);
-  size += CollectRuns(y, layout.s_rest, &runs_);
+  for (const NaturalJoinLayout::SourceRun& run : layout.output_runs) {
+    const std::string_view piece =
+        (run.from_r ? x : y).PayloadRun(run.begin, run.end);
+    if (piece.empty()) continue;
+    size += piece.size();
+    if (!runs_.empty() &&
+        runs_.back().data() + runs_.back().size() == piece.data()) {
+      runs_.back() = std::string_view(runs_.back().data(),
+                                      runs_.back().size() + piece.size());
+    } else {
+      runs_.push_back(piece);
+    }
+  }
   TEMPO_ASSIGN_OR_RETURN(char* const dst, Reserve(size));
 
   const uint64_t bounds[2] = {static_cast<uint64_t>(overlap.start()),

@@ -1,7 +1,6 @@
 #include "join/nested_loop_join.h"
 
-#include "join/build_area.h"
-#include "storage/page_arena.h"
+#include "join/flat_index.h"
 
 namespace tempo {
 
@@ -21,7 +20,7 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
   uint64_t blocks = 0;
   const RecordLayout& s_layout = s->schema().layout();
 
-  BuildArea block(&r->schema(), &layout.r_join_attrs);
+  ColumnExtractor block(&r->schema(), &layout.r_join_attrs);
   FlatIndex index;
   std::vector<TupleView> views;  // the inner page's records
   for (uint32_t block_start = 0; block_start < pages_r;
@@ -34,9 +33,9 @@ StatusOr<JoinRunStats> NestedLoopBody(const NaturalJoinLayout& layout,
     block.Clear();
     for (uint32_t p = block_start; p < block_end; ++p) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, r->PinPage(p));
-      TEMPO_RETURN_IF_ERROR(block.AddPage(*page));
+      TEMPO_RETURN_IF_ERROR(block.AddPage(std::move(page)).status());
     }
-    index.Build(block, 0, block.size());
+    index.Build(block, 0, block.num_rows());
 
     // Scan the inner relation through one page buffer, probing its
     // records in place off the page through the probe kernel; results are

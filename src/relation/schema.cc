@@ -94,6 +94,17 @@ StatusOr<NaturalJoinLayout> DeriveNaturalJoinLayout(const Schema& r,
     }
   }
   layout.output = Schema(std::move(out_attrs));
+  auto add_runs = [&layout](bool from_r, const std::vector<size_t>& pos) {
+    for (size_t i = 0; i < pos.size();) {
+      size_t j = i + 1;
+      while (j < pos.size() && pos[j] == pos[j - 1] + 1) ++j;
+      layout.output_runs.push_back({from_r, pos[i], pos[j - 1] + 1});
+      i = j;
+    }
+  };
+  add_runs(true, layout.r_join_attrs);
+  add_runs(true, layout.r_rest);
+  add_runs(false, layout.s_rest);
   return layout;
 }
 

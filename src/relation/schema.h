@@ -74,6 +74,19 @@ struct NaturalJoinLayout {
   std::vector<size_t> s_rest;
   /// Output schema: A1..An, B1..Bk, C1..Cm (valid time implicit).
   Schema output;
+
+  /// One run of consecutive source attributes [begin, end) of r (from_r)
+  /// or of s.
+  struct SourceRun {
+    bool from_r;
+    size_t begin;
+    size_t end;
+  };
+  /// The output's attributes as source runs, in output order: the
+  /// positions of A, of B (both in r) and of C (in s), each split where
+  /// they stop being consecutive. Derived once with the layout, so a
+  /// result record copies each run's payloads in one piece.
+  std::vector<SourceRun> output_runs;
 };
 
 /// Derives the natural-join layout of two schemas. Fails with

@@ -4,17 +4,12 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "relation/column_extract.h"
 #include "relation/schema.h"
 #include "relation/tuple_view.h"
 #include "storage/page.h"
 
 namespace tempo {
-
-/// Appends a view of each record on `page` to `views`, in slot order, up
-/// to the first record TupleView::Make rejects, whose error it returns;
-/// the views made before it stay. They borrow `page`'s bytes and `layout`.
-Status AppendPageViews(const RecordLayout& layout, const Page& page,
-                       std::vector<TupleView>* views);
 
 /// Holds pinned pages so TupleViews over them stay valid for the lifetime
 /// of a processing phase (one partition pass, one probed page).

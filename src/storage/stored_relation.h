@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "relation/column_extract.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
 #include "relation/tuple_view.h"
@@ -117,16 +118,14 @@ class StoredRelation {
   /// its call. Stops at the first corrupt record or failed call.
   template <typename Fn>
   Status ForEachView(Fn&& fn) {
-    const RecordLayout& layout = schema_.layout();
     const uint32_t pages = num_pages();
+    std::vector<TupleView> views;
     for (uint32_t p = 0; p < pages; ++p) {
       TEMPO_ASSIGN_OR_RETURN(PagePin page, PinPage(p));
-      for (uint16_t slot = 0; slot < page->num_records(); ++slot) {
-        const std::string_view rec = page->GetRecord(slot);
-        TEMPO_ASSIGN_OR_RETURN(
-            TupleView v, TupleView::Make(layout, rec.data(), rec.size()));
-        TEMPO_RETURN_IF_ERROR(fn(v));
-      }
+      views.clear();
+      const Status made = AppendPageViews(schema_.layout(), *page, &views);
+      for (const TupleView& v : views) TEMPO_RETURN_IF_ERROR(fn(v));
+      TEMPO_RETURN_IF_ERROR(made);
     }
     return Status::OK();
   }

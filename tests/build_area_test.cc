@@ -1,17 +1,19 @@
-// Tests for the flat build-side kernel (join/build_area.h): BuildArea's
-// validated copy, purge and byte accounting, FlatIndex's match order
-// (newest row first, or oldest first), and the calls of the grouped probe
-// kernel ProbeFlatIndex, on which executors' output bytes depend.
+// Tests for the flat build-side kernel: a ColumnExtractor as a join's
+// build area (relation/column_extract.h) — validated pinning, purge and
+// byte accounting — FlatIndex's match order (newest row first, or oldest
+// first), and the calls of the grouped probe kernel ProbeFlatIndex
+// (join/flat_index.h), on which executors' output bytes depend.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "join/build_area.h"
+#include "join/flat_index.h"
 #include "join/reference_join.h"
 #include "service/join_request.h"
 #include "test_util.h"
@@ -39,8 +41,10 @@ std::vector<Page> Paginate(const Schema& schema,
   return pages;
 }
 
-Status FillArea(BuildArea* area, const std::vector<Page>& pages) {
-  for (const Page& page : pages) TEMPO_RETURN_IF_ERROR(area->AddPage(page));
+Status FillArea(ColumnExtractor* area, const std::vector<Page>& pages) {
+  for (const Page& page : pages) {
+    TEMPO_RETURN_IF_ERROR(area->AddPage(page).status());
+  }
   return Status::OK();
 }
 
@@ -80,7 +84,7 @@ std::vector<Tuple> KeyTuples(Random& rng, size_t n) {
 /// [begin, end) whose key equals the probe's: in descending row order for
 /// Walk::kNewestFirst, ascending for Walk::kOldestFirst. Returns whether
 /// the index held key words.
-bool MatchesBruteForceScan(const Schema& schema, const BuildArea& area,
+bool MatchesBruteForceScan(const Schema& schema, const ColumnExtractor& area,
                            const std::vector<size_t>& keys,
                            const std::vector<Tuple>& probes, size_t begin,
                            size_t end, FlatIndex::Walk walk) {
@@ -114,7 +118,7 @@ bool MatchesBruteForceScan(const Schema& schema, const BuildArea& area,
 
 /// MatchesBruteForceScan under both walks; true when both held key words
 /// (the mode does not depend on the walk).
-bool MatchesBruteForceScan(const Schema& schema, const BuildArea& area,
+bool MatchesBruteForceScan(const Schema& schema, const ColumnExtractor& area,
                            const std::vector<size_t>& keys,
                            const std::vector<Tuple>& probes, size_t begin,
                            size_t end) {
@@ -135,9 +139,9 @@ TEST(FlatIndexTest, MatchOrderEqualsBruteForceScan) {
     const std::vector<Tuple> probes = KeyTuples(rng, 200);
     const std::vector<Page> pages = Paginate(schema, build);
     for (const std::vector<size_t>& keys : key_sets) {
-      BuildArea area(&schema, &keys);
+      ColumnExtractor area(&schema, &keys);
       TEMPO_ASSERT_OK(FillArea(&area, pages));
-      ASSERT_EQ(area.size(), build.size());
+      ASSERT_EQ(area.num_rows(), build.size());
       // The whole area, and an overflow-chunk-style row range in place.
       // Every key here is composite, not int64, or NULL in some row, so
       // the index holds key hashes.
@@ -183,7 +187,7 @@ TEST(FlatIndexTest, MatchOrderEqualsBruteForceScan) {
       probes[i] = Tuple(std::move(values), probes[i].interval());
     }
     {
-      BuildArea area(&schema, &keys);
+      ColumnExtractor area(&schema, &keys);
       TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
       EXPECT_TRUE(MatchesBruteForceScan(schema, area, keys, probes, 0,
                                         build.size()));
@@ -194,7 +198,7 @@ TEST(FlatIndexTest, MatchOrderEqualsBruteForceScan) {
     std::vector<Value> values = build[300].values();
     values[0] = Value::Null();
     build[300] = Tuple(std::move(values), build[300].interval());
-    BuildArea area(&schema, &keys);
+    ColumnExtractor area(&schema, &keys);
     TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
     EXPECT_FALSE(
         MatchesBruteForceScan(schema, area, keys, probes, 0, build.size()));
@@ -218,7 +222,7 @@ struct ProbeCall {
 /// whose key equals the probe's, in descending row order (the default
 /// walk), that overlaps it with the overlap ending in `dedup` (when given)
 /// and passes `predicate`; then the probe's after call.
-std::vector<ProbeCall> ScanCalls(const BuildArea& area,
+std::vector<ProbeCall> ScanCalls(const ColumnExtractor& area,
                                  const std::vector<size_t>& keys,
                                  const std::vector<TupleView>& probes,
                                  const TemporalPredicate& predicate,
@@ -226,7 +230,7 @@ std::vector<ProbeCall> ScanCalls(const BuildArea& area,
   std::vector<ProbeCall> calls;
   for (size_t i = 0; i < probes.size(); ++i) {
     const TupleView& y = probes[i];
-    for (size_t row = area.size(); row-- > 0;) {
+    for (size_t row = area.num_rows(); row-- > 0;) {
       if (!y.EqualOnAttrs(keys, keys, area.view(row))) continue;
       const Interval x(area.start(row), area.end(row));
       const auto common = Overlap(x, y.interval());
@@ -282,10 +286,10 @@ TEST(ProbeFlatIndexTest, CallsFollowARecordAtATimeScan) {
         }
       }
     }
-    BuildArea area(&schema, &keys);
+    ColumnExtractor area(&schema, &keys);
     TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, build)));
     FlatIndex index;
-    index.Build(area, 0, area.size());
+    index.Build(area, 0, area.num_rows());
     ASSERT_EQ(index.key_words(), key_words);
     std::vector<std::string> records(probes.size());
     std::vector<TupleView> views;
@@ -408,15 +412,15 @@ TEST(BuildAreaTest, ColumnsAndBytesMatchTheDecodedTuples) {
   const std::vector<size_t> keys = {0, 1, 2};
   Random rng(5);
   const std::vector<Tuple> tuples = KeyTuples(rng, 400);
-  BuildArea area(&schema, &keys);
+  ColumnExtractor area(&schema, &keys);
   TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, tuples)));
-  ASSERT_EQ(area.size(), tuples.size());
+  ASSERT_EQ(area.num_rows(), tuples.size());
   size_t bytes = 0;
   for (size_t i = 0; i < tuples.size(); ++i) {
     EXPECT_EQ(area.view(i).Materialize(), tuples[i]);
     EXPECT_EQ(area.key_hash(i), tuples[i].HashAttrs(keys));
     EXPECT_EQ(Interval(area.start(i), area.end(i)), tuples[i].interval());
-    bytes += tuples[i].SerializedSize(schema) + BuildArea::kSlotOverhead;
+    bytes += tuples[i].SerializedSize(schema) + ColumnExtractor::kSlotOverhead;
   }
   EXPECT_EQ(area.bytes(), bytes);
 }
@@ -427,7 +431,7 @@ TEST(BuildAreaTest, PurgeKeepsOverlappingRowsInOrderAcrossTwoPurges) {
   Random rng(11);
   // Enough rows to span several arena blocks.
   std::vector<Tuple> live = RandomTuples(rng, 3000, 40, 600, 0.3);
-  BuildArea area(&schema, &keys);
+  ColumnExtractor area(&schema, &keys);
   TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, live)));
 
   const std::vector<Tuple> added = RandomTuples(rng, 1000, 40, 600, 0.3);
@@ -451,13 +455,13 @@ TEST(BuildAreaTest, PurgeKeepsOverlappingRowsInOrderAcrossTwoPurges) {
     live = kept;
     live.insert(live.end(), added.begin(), added.end());
     TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, added)));
-    ASSERT_EQ(area.size(), live.size());
+    ASSERT_EQ(area.num_rows(), live.size());
     size_t bytes = 0;
     for (size_t i = 0; i < live.size(); ++i) {
       ASSERT_EQ(area.view(i).Materialize(), live[i]) << "row " << i;
       EXPECT_EQ(area.key_hash(i), live[i].HashAttrs(keys));
       EXPECT_EQ(Interval(area.start(i), area.end(i)), live[i].interval());
-      bytes += live[i].SerializedSize(schema) + BuildArea::kSlotOverhead;
+      bytes += live[i].SerializedSize(schema) + ColumnExtractor::kSlotOverhead;
     }
     EXPECT_EQ(area.bytes(), bytes);
   }
@@ -467,15 +471,116 @@ TEST(BuildAreaTest, FailedVisitLeavesTheAreaUnchanged) {
   const Schema schema = TestSchema();
   const std::vector<size_t> keys = {0};
   const std::vector<Tuple> tuples = {T(1, "a", 0, 5), T(2, "b", 10, 20)};
-  BuildArea area(&schema, &keys);
+  ColumnExtractor area(&schema, &keys);
   TEMPO_ASSERT_OK(FillArea(&area, Paginate(schema, tuples)));
   Status st = area.PurgeNotOverlapping(
       Interval(0, 1), [](size_t, bool keep) -> Status {
         return keep ? Status::OK() : Status::Internal("stop");
       });
   EXPECT_EQ(st.code(), StatusCode::kInternal);
-  ASSERT_EQ(area.size(), 2u);
+  ASSERT_EQ(area.num_rows(), 2u);
   EXPECT_EQ(area.view(1).Materialize(), tuples[1]);
+}
+
+/// Checks that `area` holds exactly `live`, in order: views, columns and
+/// bytes().
+void ExpectRows(const Schema& schema, const std::vector<size_t>& keys,
+                const ColumnExtractor& area, const std::vector<Tuple>& live) {
+  ASSERT_EQ(area.num_rows(), live.size());
+  size_t bytes = 0;
+  for (size_t i = 0; i < live.size(); ++i) {
+    ASSERT_EQ(area.view(i).Materialize(), live[i]) << "row " << i;
+    EXPECT_EQ(area.key_hash(i), live[i].HashAttrs(keys));
+    EXPECT_EQ(Interval(area.start(i), area.end(i)), live[i].interval());
+    bytes += live[i].SerializedSize(schema) + ColumnExtractor::kSlotOverhead;
+  }
+  EXPECT_EQ(area.bytes(), bytes);
+}
+
+TEST(BuildAreaTest, PurgeDropsEveryPagePin) {
+  Disk disk;
+  const Schema schema = TestSchema();
+  const std::vector<size_t> keys = {0};
+  Random rng(13);
+  const std::vector<Tuple> tuples = RandomTuples(rng, 600, 20, 300, 0.3);
+  auto rel = MakeRelation(&disk, schema, tuples, "r");
+  ASSERT_GE(rel->num_pages(), 3u);
+  ColumnExtractor area(&schema, &keys);
+  std::vector<std::weak_ptr<const Page>> stored;
+  for (uint32_t p = 0; p < rel->num_pages(); ++p) {
+    TEMPO_ASSERT_OK_AND_ASSIGN(PagePin page, rel->PinPage(p));
+    stored.push_back(page);
+    TEMPO_ASSERT_OK(area.AddPage(std::move(page)).status());
+  }
+  ASSERT_EQ(area.num_pages(), rel->num_pages());
+
+  const Interval p(100, 200);
+  std::vector<Tuple> kept;
+  for (const Tuple& t : tuples) {
+    if (t.interval().Overlaps(p)) kept.push_back(t);
+  }
+  ASSERT_FALSE(kept.empty());
+  ASSERT_LT(kept.size(), tuples.size());
+  TEMPO_ASSERT_OK(area.PurgeNotOverlapping(
+      p, [](size_t, bool) { return Status::OK(); }));
+  EXPECT_EQ(area.num_pages(), 0u);
+
+  // Rewrite a page of the source, then delete its file: the disk drops
+  // every page it stored, and nothing else holds one.
+  TEMPO_ASSERT_OK(disk.WritePage(rel->file_id(), 0, Page()));
+  TEMPO_ASSERT_OK(disk.DeleteFile(rel->file_id()));
+  for (const std::weak_ptr<const Page>& page : stored) {
+    EXPECT_TRUE(page.expired());
+  }
+  // A weak_ptr keeps a make_shared block's memory; release it too, so a
+  // view left pointing into a page reads freed memory.
+  stored.clear();
+  ExpectRows(schema, keys, area, kept);
+}
+
+TEST(BuildAreaTest, PinnedRowsFollowTheSurvivorsAcrossThreePurges) {
+  Disk disk;
+  const Schema schema = TestSchema();
+  const std::vector<size_t> keys = {0};
+  Random rng(17);
+  ColumnExtractor area(&schema, &keys);
+  std::vector<std::unique_ptr<StoredRelation>> sources;
+  std::vector<Tuple> live;  // what the area must hold, in order
+  // Pins every page of a fresh relation of 800 rows into the area.
+  auto load = [&] {
+    const std::vector<Tuple> batch = RandomTuples(rng, 800, 40, 600, 0.3);
+    sources.push_back(MakeRelation(&disk, schema, batch,
+                                   "r" + std::to_string(sources.size())));
+    StoredRelation* rel = sources.back().get();
+    for (uint32_t p = 0; p < rel->num_pages(); ++p) {
+      TEMPO_ASSERT_OK_AND_ASSIGN(PagePin page, rel->PinPage(p));
+      TEMPO_ASSERT_OK(area.AddPage(std::move(page)).status());
+    }
+    EXPECT_EQ(area.num_pages(), rel->num_pages());
+    live.insert(live.end(), batch.begin(), batch.end());
+  };
+  load();
+  ExpectRows(schema, keys, area, live);
+  for (const Interval& p :
+       {Interval(100, 500), Interval(200, 450), Interval(300, 320)}) {
+    std::vector<Tuple> kept;
+    size_t visited = 0;
+    TEMPO_ASSERT_OK(area.PurgeNotOverlapping(
+        p, [&](size_t row, bool keep) -> Status {
+          EXPECT_EQ(row, visited++);
+          EXPECT_EQ(keep, live[row].interval().Overlaps(p));
+          if (keep) kept.push_back(live[row]);
+          return Status::OK();
+        }));
+    EXPECT_EQ(visited, live.size());
+    ASSERT_FALSE(kept.empty());
+    EXPECT_EQ(area.num_pages(), 0u);
+    live = kept;
+    ExpectRows(schema, keys, area, live);
+    // The arena's survivors, then the newly pinned rows.
+    load();
+    ExpectRows(schema, keys, area, live);
+  }
 }
 
 /// Rewrites page `page_no` of `rel` with its record `slot`'s interval
@@ -504,23 +609,23 @@ TEST(BuildAreaTest, CorruptRecordRollsBackThePage) {
                           "r");
   ASSERT_GE(rel->num_pages(), 3u);
   CorruptRecord(rel.get(), 1, 4);
-  BuildArea area(&schema, &keys);
+  ColumnExtractor area(&schema, &keys);
   Page page;
   TEMPO_ASSERT_OK(rel->ReadPage(0, &page));
-  TEMPO_ASSERT_OK(area.AddPage(page));
-  const size_t rows = area.size();
+  TEMPO_ASSERT_OK(area.AddPage(page).status());
+  const size_t rows = area.num_rows();
   const size_t bytes = area.bytes();
   const Tuple first = area.view(0).Materialize();
 
   TEMPO_ASSERT_OK(rel->ReadPage(1, &page));
-  EXPECT_EQ(area.AddPage(page).code(), StatusCode::kCorruption);
-  EXPECT_EQ(area.size(), rows);
+  EXPECT_EQ(area.AddPage(page).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(area.num_rows(), rows);
   EXPECT_EQ(area.bytes(), bytes);
 
   // The area stays usable: the next page lands right after page 0's rows.
   TEMPO_ASSERT_OK(rel->ReadPage(2, &page));
-  TEMPO_ASSERT_OK(area.AddPage(page));
-  EXPECT_EQ(area.size(), rows + page.num_records());
+  TEMPO_ASSERT_OK(area.AddPage(page).status());
+  EXPECT_EQ(area.num_rows(), rows + page.num_records());
   EXPECT_EQ(area.view(0).Materialize(), first);
 }
 

@@ -550,6 +550,31 @@ TEST(TupleCacheTest, SpillsFullPages) {
   }
 }
 
+// The join moves each finished generation into place (cache =
+// std::move(next_gen)) and then probes its in-memory views: a move keeps
+// the records where they are.
+TEST(TupleCacheTest, MovedGenerationKeepsItsViews) {
+  Disk disk;
+  const std::string pad(100, 'p');
+  TupleCache next_gen(&disk, TestSchema(), "next");
+  for (int i = 0; i < 50; ++i) {
+    TEMPO_ASSERT_OK(next_gen.AddRecord(Record(i, pad, 0, 1)));
+  }
+  ASSERT_GT(next_gen.spilled_pages(), 0u);
+  const std::vector<TupleView> before = next_gen.memory_views();
+  ASSERT_FALSE(before.empty());
+  TupleCache cache(&disk, TestSchema(), "consumed");
+  cache = std::move(next_gen);
+  ASSERT_EQ(cache.memory_views().size(), before.size());
+  const int first = 50 - static_cast<int>(before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(cache.memory_views()[i].record().data(),
+              before[i].record().data());
+    EXPECT_EQ(before[i].Materialize(),
+              T(first + static_cast<int>(i), pad, 0, 1));
+  }
+}
+
 // A consumed generation is discarded by move-assigning the next one over
 // it (as the join does) or by destroying it; either way its spill file goes.
 TEST(TupleCacheTest, ReplacedOrDestroyedGenerationDropsSpill) {

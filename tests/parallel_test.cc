@@ -13,7 +13,7 @@
 
 #include "core/partition_coalesce.h"
 #include "core/partition_join.h"
-#include "join/build_area.h"
+#include "join/flat_index.h"
 #include "join/reference_join.h"
 #include "obs/exec_context.h"
 #include "service/join_request.h"
