@@ -148,9 +148,9 @@ int Run() {
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
       "inner output grows with the match rate; anti output shrinks.\n"
-      "left/full outer pay one extra sorted-emission pass (canonical "
-      "sequenced order);\nfull outer additionally re-partitions the probe "
-      "side for the swapped pass.\n");
+      "left/full outer add their unmatched subintervals to the streamed "
+      "output;\nfull outer additionally re-partitions the probe side for "
+      "the swapped pass.\n");
   return out.Finish();
 }
 

@@ -252,8 +252,8 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
       kPagePayload;
   const bool migrate = placement == PlacementPolicy::kLastOverlap;
 
-  // Variant passes share the caller's canonical writer (the full outer
-  // feeds two passes into one writer); the caller finishes it.
+  // Variant passes share the caller's writer (the full outer feeds two
+  // passes into one writer); the caller finishes it.
   ResultWriter local_writer(out);
   ResultWriter* writer = variant != nullptr ? variant->writer : &local_writer;
   OuterArea outer(&r_schema, &layout.r_join_attrs);
@@ -520,11 +520,9 @@ StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
         "outer/anti join variants require last-overlap placement");
   }
 
-  // One canonical writer across all passes: emission is buffered and
-  // sorted at Finish, so output bytes are a pure function of the result
-  // multiset — identical to the oracle's, and to a standalone run at any
-  // number of concurrent queries.
-  ResultWriter writer = ResultWriter::Canonical(out);
+  // One writer across all passes: the full outer's second pass appends
+  // its unmatched s rows after pass 1's output.
+  ResultWriter writer(out);
   JoinVariant pass1;
   pass1.kind = options.join_kind;
   pass1.emit_matches = options.join_kind != JoinKind::kAnti;

@@ -55,8 +55,8 @@ struct JoinVariant {
   /// unmatched rows. The swapped full-outer pass runs the probe machinery
   /// under the (s, r) layout but emits unmatched rows under this one.
   const NaturalJoinLayout* emit_layout = nullptr;
-  /// Canonical writer shared by match and unmatched emission (and, for
-  /// the full outer, by both passes). The caller finishes it.
+  /// Writer shared by match and unmatched emission (and, for the full
+  /// outer, by both passes). The caller finishes it.
   ResultWriter* writer = nullptr;
 
   /// Preserved-side tuples that retired with a non-empty uncovered set.

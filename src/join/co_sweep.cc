@@ -492,7 +492,7 @@ StatusOr<JoinRunStats> SweepBody(const NaturalJoinLayout& layout,
       SortInputsByVs(r, s, options.buffer_pages, ctx));
   TraceSpan sweep_span = SpanIf(ctx, Phase::kSweepPass);
 
-  ResultWriter writer = ResultWriter::Canonical(out);
+  ResultWriter writer(out);
   TEMPO_ASSIGN_OR_RETURN(CoSweepStats sweep,
                          CoSweep(layout, sorted, options.buffer_pages,
                                  options.predicate, nullptr, &writer));

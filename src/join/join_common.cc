@@ -1,6 +1,5 @@
 #include "join/join_common.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace tempo {
@@ -76,7 +75,7 @@ Status ResultWriter::Emit(const NaturalJoinLayout& layout, const TupleView& x,
       runs_.push_back(piece);
     }
   }
-  TEMPO_ASSIGN_OR_RETURN(char* const dst, Reserve(size));
+  TEMPO_ASSIGN_OR_RETURN(char* const dst, out_->ReserveRecord(size));
 
   const uint64_t bounds[2] = {static_cast<uint64_t>(overlap.start()),
                               static_cast<uint64_t>(overlap.end())};
@@ -95,30 +94,6 @@ Status ResultWriter::Emit(const NaturalJoinLayout& layout, const TupleView& x,
   TEMPO_DCHECK(TupleView::Make(out_layout, dst, size).ok());
   ++count_;
   return Status::OK();
-}
-
-StatusOr<char*> ResultWriter::Reserve(size_t size) {
-  if (!canonical_) return out_->ReserveRecord(size);
-  buffered_.emplace_back(size, '\0');
-  return buffered_.back().data();
-}
-
-Status ResultWriter::EmitSerialized(std::string_view record) {
-  TEMPO_ASSIGN_OR_RETURN(char* const dst, Reserve(record.size()));
-  if (!record.empty()) std::memcpy(dst, record.data(), record.size());
-  ++count_;
-  return Status::OK();
-}
-
-Status ResultWriter::Finish() {
-  if (canonical_) {
-    std::sort(buffered_.begin(), buffered_.end());
-    for (const std::string& record : buffered_) {
-      TEMPO_RETURN_IF_ERROR(out_->AppendRecord(record));
-    }
-    buffered_.clear();
-  }
-  return out_->Flush();
 }
 
 StatusOr<NaturalJoinLayout> PrepareJoinForKind(StoredRelation* r,

@@ -78,71 +78,41 @@ Tuple MakeUnmatchedTuple(const NaturalJoinLayout& layout, bool preserved_is_r,
 /// restricted to the uncovered subinterval.
 Tuple MakeAntiTuple(const Tuple& x, const Interval& uncovered);
 
-/// Buffered writer appending join results to an output relation. The
-/// output page is the paper's dedicated result buffer page (Figure 3).
-///
-/// Canonical mode (the sequenced outer/anti variants): emitted tuples are
-/// buffered as serialized records and appended in lexicographic byte order
-/// at Finish(). Serialization is canonical, so two runs producing the same
-/// result *multiset* — the partition variant, alone or beside other
-/// queries, and the brute-force oracle — write byte-identical output
-/// pages, which is what the parity tests assert. The buffering trades the
-/// streaming result page for exact verifiability; all output I/O is still charged identically
-/// (same bytes, same page count) regardless of emission order.
+/// Writer appending join results, in the executor's emission order, to an
+/// output relation through its one output page: the paper's dedicated
+/// result buffer page (Figure 3).
 class ResultWriter {
  public:
   explicit ResultWriter(StoredRelation* out) : out_(out) {}
 
-  /// A writer that defers appends and sorts the serialized records at
-  /// Finish() — the canonical sequenced result order.
-  static ResultWriter Canonical(StoredRelation* out) {
-    ResultWriter w(out);
-    w.canonical_ = true;
-    return w;
-  }
-
   /// Both sides zero-copy, as every executor emits a match. The result
   /// record — the overlap interval, a fresh NULL bitmap, then the payloads
   /// of A and B from x and of C from y — is sized from the two views and
-  /// written straight into its place in the output page (or, canonical,
-  /// into its buffered string), each run of consecutive source attributes
-  /// with one copy. No Tuple or Value is built, and the bytes equal
-  /// MakeJoinTuple(...).SerializeTo. Streaming, an oversize result fails
-  /// with InvalidArgument before anything is written (canonical: at
-  /// Finish(), as for EmitAssembled).
+  /// written straight into its place in the output page, each run of
+  /// consecutive source attributes with one copy. No Tuple or Value is
+  /// built, and the bytes equal MakeJoinTuple(...).SerializeTo. An
+  /// oversize result fails with InvalidArgument before anything is
+  /// written.
   Status Emit(const NaturalJoinLayout& layout, const TupleView& x,
               const TupleView& y, const Interval& overlap);
 
   /// Appends an already-assembled result tuple.
   Status EmitAssembled(const Tuple& t) {
-    record_.clear();
-    t.SerializeTo(out_->schema(), &record_);
-    return EmitSerialized(record_);
+    TEMPO_RETURN_IF_ERROR(out_->Append(t));
+    ++count_;
+    return Status::OK();
   }
 
-  /// Streaming mode: flushes the partial output page. Canonical mode:
-  /// sorts the buffered records, appends them all, then flushes.
-  Status Finish();
+  /// Flushes the partial output page.
+  Status Finish() { return out_->Flush(); }
 
   /// Number of successfully emitted result tuples; a failed Append is
   /// not counted.
   uint64_t count() const { return count_; }
 
  private:
-  /// Appends (streaming) or buffers (canonical) one serialized result
-  /// record.
-  Status EmitSerialized(std::string_view record);
-
-  /// The bytes of one more result record of `size` bytes, for the caller
-  /// to write in full: a slot in the output page (streaming) or a new
-  /// buffered string (canonical).
-  StatusOr<char*> Reserve(size_t size);
-
   StoredRelation* out_;
   uint64_t count_ = 0;
-  bool canonical_ = false;
-  std::vector<std::string> buffered_;
-  std::string record_;  // EmitAssembled's serialization scratch
   std::vector<std::string_view> runs_;  // Emit's payload runs, reused
 };
 

@@ -23,10 +23,8 @@ namespace tempo {
 ///                 (no padding; the sequenced NOT EXISTS).
 ///
 /// Only the partition executor and the reference oracle evaluate the
-/// non-inner kinds; their output is emitted in the canonical sequenced
-/// result order (sorted serialized records) so an executor run is
-/// byte-identical to the oracle's, and to a standalone run at any number
-/// of concurrent queries.
+/// non-inner kinds. Both stream their output; the two write the same
+/// result multiset, in different orders.
 enum class JoinKind : uint8_t {
   kInner = 0,
   kLeftOuter = 1,

@@ -132,10 +132,8 @@ std::string JoinKindLine(const MetricsRegistry& metrics) {
   if (!metrics.Has(Metric::kSequencedJoinKind)) return "";
   const int kind = static_cast<int>(metrics.Get(Metric::kSequencedJoinKind));
   if (kind == 0) return "";  // inner: the default, not worth a line
-  std::string line = "join kind: ";
-  line += JoinKindName(static_cast<JoinKind>(kind));
-  line += " (canonical sequenced result order)\n";
-  return line;
+  return std::string("join kind: ") +
+         JoinKindName(static_cast<JoinKind>(kind)) + "\n";
 }
 
 std::string AlignRows(const std::vector<Row>& rows) {

@@ -56,8 +56,8 @@ struct QueryResult {
 ///               algebra::VtDifference, which merges value groups). The
 ///               executor is the planner's (kAuto, whatever `executor`
 ///               says): its reads and writes are charged, and its build
-///               side is held to the buffer pages like any join's (the
-///               canonical result is still buffered until it is written).
+///               side is held to the buffer pages like any join's, and
+///               its result streams through one output page.
 ///
 /// `name_prefix` namespaces the temporary files ("<prefix>.n<k>") so
 /// concurrent queries on one disk do not collide.

@@ -123,11 +123,11 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 /// entry ending one chronon before the sweep survives to meet its adjacent
 /// partner.
 ///
-/// Output is written in canonical order (ResultWriter::Canonical), so a
-/// sweep run is byte-identical to the reference oracle — and to a
-/// standalone run at any number of concurrent queries — for every
-/// supported predicate. Result stamps come
-/// from PredicateResultInterval (intersection, else span).
+/// Output streams in the sweep's emission order, which is deterministic:
+/// a run writes the same pages alone or beside other queries, and the
+/// same result multiset as the reference oracle for every supported
+/// predicate. Result stamps come from PredicateResultInterval
+/// (intersection, else span).
 ///
 /// Metrics: kSortIoOps, kSweepActivePeak, kSweepAppends,
 /// kSweepCompactions, kSweepProbeHits, kActiveBucketEntriesPeak,

@@ -13,12 +13,9 @@ namespace tempo {
 namespace {
 
 /// The oracle as an executor body: both inputs read fully (charged as
-/// sequential scans), joined in memory, results appended through the
-/// canonical writer (sorted serialized records). Canonical order makes an
-/// oracle run byte-identical to any executor run of the same request —
-/// the partition executor's sequenced variants and the sweep executor
-/// write the same canonical order — and to itself regardless of the
-/// predicate. Inner joins evaluate the request's TemporalPredicate via
+/// sequential scans), joined in memory, results appended in the order the
+/// reference join returns them. Inner joins evaluate the request's
+/// TemporalPredicate via
 /// ReferenceTemporalJoin (the single ground truth for every executor x
 /// predicate pair); the sequenced outer/anti kinds are defined over the
 /// default overlap predicate, which ValidateExecOptions guarantees here.
@@ -41,11 +38,7 @@ StatusOr<JoinRunStats> ReferenceBody(StoredRelation* r, StoredRelation* s,
         result, ReferenceSequencedJoin(r->schema(), r_tuples, s->schema(),
                                        s_tuples, kind));
   }
-  ResultWriter writer = ResultWriter::Canonical(out);
-  for (const Tuple& t : result) {
-    TEMPO_RETURN_IF_ERROR(writer.EmitAssembled(t));
-  }
-  TEMPO_RETURN_IF_ERROR(writer.Finish());
+  TEMPO_RETURN_IF_ERROR(out->AppendAll(result));
   JoinRunStats stats;
   stats.output_tuples = result.size();
   if (kind != JoinKind::kInner) {

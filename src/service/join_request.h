@@ -67,9 +67,8 @@ struct JoinRequest {
   /// Selects the sequenced join variant. Non-inner kinds run on the
   /// partition executor (kAuto routes there) or the reference oracle;
   /// naming any other executor is InvalidArgument (see
-  /// ValidateExecOptions). Their output is the canonical sequenced result
-  /// order, so an executor run and an oracle run of the same request are
-  /// byte-identical.
+  /// ValidateExecOptions). An executor run and an oracle run of the same
+  /// request write the same result multiset, each in its own order.
   JoinRequest& Kind(JoinKind kind) {
     options.join_kind = kind;
     return *this;

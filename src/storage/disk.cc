@@ -1,5 +1,8 @@
 #include "storage/disk.h"
 
+#include <sanitizer/asan_interface.h>
+
+#include <atomic>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -20,6 +23,37 @@ IoAccountant* FindBinding(const Disk* disk) {
     if (it->first == disk) return it->second;
   }
   return nullptr;
+}
+
+/// The spare page frames every Disk shares (see Disk's class comment).
+struct FramePool {
+  std::mutex mu;
+  std::vector<std::shared_ptr<Page>> frames;
+};
+
+FramePool& Frames() {
+  // Never destroyed, so a Disk that outlives main() can still give back.
+  static FramePool* const pool = new FramePool;
+  return *pool;
+}
+
+/// Clears `pages`, a file's pages, keeping as spares the frames no reader
+/// pins. The caller holds the disk's lock (or is destroying the disk),
+/// and pins are copied only under it, so an unheld frame stays unheld.
+void GiveFrames(std::vector<PagePin>* pages) {
+  FramePool& pool = Frames();
+  std::lock_guard<std::mutex> lock(pool.mu);
+  for (PagePin& page : *pages) {
+    if (page.use_count() != 1) continue;
+    // Orders the last reader's use of the bytes, released with its pin,
+    // before the frame is written again.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    // Every stored page was allocated non-const (NewPage), so writing it
+    // again is well defined.
+    pool.frames.push_back(std::const_pointer_cast<Page>(std::move(page)));
+    ASAN_POISON_MEMORY_REGION(pool.frames.back().get(), sizeof(Page));
+  }
+  pages->clear();
 }
 
 }  // namespace
@@ -62,12 +96,29 @@ StatusOr<Disk::File*> Disk::Find(FileId id) {
   return &it->second;
 }
 
+Disk::~Disk() {
+  for (auto& [id, f] : files_) GiveFrames(&f.pages);
+}
+
+std::shared_ptr<Page> Disk::NewPage() {
+  FramePool& pool = Frames();
+  std::unique_lock<std::mutex> lock(pool.mu);
+  if (pool.frames.empty()) return std::make_shared<Page>();
+  std::shared_ptr<Page> frame = std::move(pool.frames.back());
+  pool.frames.pop_back();
+  lock.unlock();
+  ASAN_UNPOISON_MEMORY_REGION(frame.get(), sizeof(Page));
+  frame->Reset();
+  return frame;
+}
+
 Status Disk::DeleteFile(FileId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(id);
   if (it == files_.end()) {
     return Status::NotFound("no such file: " + std::to_string(id));
   }
+  GiveFrames(&it->second.pages);
   files_.erase(it);
   return Status::OK();
 }
@@ -75,7 +126,7 @@ Status Disk::DeleteFile(FileId id) {
 Status Disk::Truncate(FileId id) {
   std::lock_guard<std::mutex> lock(mu_);
   TEMPO_ASSIGN_OR_RETURN(File * f, Find(id));
-  f->pages.clear();
+  GiveFrames(&f->pages);
   return Status::OK();
 }
 
@@ -144,7 +195,8 @@ Status Disk::ReadPage(FileId id, uint32_t page_no, Page* out) {
 }
 
 Status Disk::WritePage(FileId id, uint32_t page_no, const Page& page) {
-  auto copy = std::make_shared<const Page>(page);
+  std::shared_ptr<Page> copy = NewPage();
+  *copy = page;
   std::lock_guard<std::mutex> lock(mu_);
   TEMPO_ASSIGN_OR_RETURN(File * f, Find(id));
   if (page_no >= f->pages.size()) {
@@ -158,7 +210,8 @@ Status Disk::WritePage(FileId id, uint32_t page_no, const Page& page) {
 }
 
 StatusOr<uint32_t> Disk::AppendPage(FileId id, const Page& page) {
-  auto copy = std::make_shared<Page>(page);
+  std::shared_ptr<Page> copy = NewPage();
+  *copy = page;
   return AppendPage(id, &copy);
 }
 

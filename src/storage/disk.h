@@ -40,9 +40,15 @@ using FileId = uint64_t;
 /// copy-on-write — WritePage installs a fresh page and Truncate/DeleteFile
 /// drop the disk's reference — so a held pin never sees a torn or changed
 /// page, and its bytes live until the last pin is released.
+///
+/// Page frames come from one process-wide pool (NewPage). DeleteFile,
+/// Truncate and ~Disk give back each frame no reader pins, so each
+/// query's temporary files reuse frames instead of faulting in fresh
+/// memory. A spare frame is poisoned for AddressSanitizer until reused.
 class Disk {
  public:
   Disk() = default;
+  ~Disk();
 
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
@@ -50,11 +56,15 @@ class Disk {
   /// Creates an empty file. Names are for debugging; duplicates allowed.
   FileId CreateFile(std::string name);
 
-  /// Deletes a file and frees its pages. Ids are never reused.
+  /// Deletes a file and drops its pages. Ids are never reused.
   Status DeleteFile(FileId id);
 
   /// Drops all pages of the file but keeps the id valid.
   Status Truncate(FileId id);
+
+  /// An empty page frame for a writer to fill and hand to AppendPage: a
+  /// spare frame from the pool when there is one, else a new allocation.
+  static std::shared_ptr<Page> NewPage();
 
   /// Marks whether accesses to this file are charged to the accountant.
   Status SetCharged(FileId id, bool charged);

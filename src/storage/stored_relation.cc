@@ -34,9 +34,10 @@ StatusOr<char*> StoredRelation::ReserveRecord(size_t size) {
     return Status::InvalidArgument("record exceeds page capacity (" +
                                    std::to_string(size) + " bytes)");
   }
-  if (!append_buffer_->Fits(size)) {
+  if (append_buffer_ != nullptr && !append_buffer_->Fits(size)) {
     TEMPO_RETURN_IF_ERROR(Flush());
   }
+  if (append_buffer_ == nullptr) append_buffer_ = Disk::NewPage();
   char* dst = append_buffer_->ReserveRecord(size);
   TEMPO_CHECK(dst != nullptr);
   ++append_buffer_count_;
@@ -57,14 +58,13 @@ Status StoredRelation::Flush() {
   // retried Flush writes the same records.
   TEMPO_RETURN_IF_ERROR(disk_->AppendPage(file_, &append_buffer_).status());
   cum_tuples_.push_back(cum_tuples_.back() + append_buffer_count_);
-  append_buffer_ = std::make_shared<Page>();
   append_buffer_count_ = 0;
   return Status::OK();
 }
 
 Status StoredRelation::Clear() {
   TEMPO_RETURN_IF_ERROR(disk_->Truncate(file_));
-  append_buffer_->Reset();
+  append_buffer_.reset();
   append_buffer_count_ = 0;
   num_tuples_ = 0;
   cum_tuples_.assign(1, 0);

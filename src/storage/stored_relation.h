@@ -140,9 +140,9 @@ class StoredRelation {
   std::string name_;
   FileId file_;
 
-  // The page being filled, never shared; Flush hands it to the disk and
-  // starts a new one.
-  std::shared_ptr<Page> append_buffer_ = std::make_shared<Page>();
+  // The page being filled, never shared: null until a record arrives,
+  // and handed to the disk by Flush.
+  std::shared_ptr<Page> append_buffer_;
   uint32_t append_buffer_count_ = 0;
 
   uint64_t num_tuples_ = 0;

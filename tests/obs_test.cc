@@ -4,7 +4,6 @@
 // for every executor, two runs render identical I/O columns, and a null
 // ExecContext leaves execution byte-identical.
 
-#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -546,57 +545,51 @@ TEST(ResultWriterTest, ViewEmitIsByteIdenticalToOwningTuplePath) {
   };
 
   // Forty rounds of the nine pairs, each round shifted in time, fill
-  // several output pages. Streaming and canonical writers alike must write
-  // exactly the pages Page::AddRecord fills from the owning-tuple records
-  // (sorted, for canonical): all 4 KiB of each, so header, slots, the zero
-  // gap and the records.
+  // several output pages. The writer must write exactly the pages
+  // Page::AddRecord fills from the owning-tuple records: all 4 KiB of
+  // each, so header, slots, the zero gap and the records.
   auto shifted = [](const Tuple& t, Chronon by) {
     return Tuple(t.values(), Interval(t.interval().start() + by,
                                       t.interval().end() + by));
   };
-  for (const bool canonical : {false, true}) {
-    const char* mode = canonical ? "canonical" : "streaming";
-    Disk disk;
-    StoredRelation out(&disk, layout.output, "out");
-    ResultWriter writer =
-        canonical ? ResultWriter::Canonical(&out) : ResultWriter(&out);
-    std::vector<std::string> expected;
-    std::string r_bytes;
-    std::string s_bytes;
-    for (Chronon shift = 0; shift < 40 * 3; shift += 3) {
-      for (const Tuple& r_tuple : rs) {
-        for (const Tuple& s_tuple : ss) {
-          const Tuple x = shifted(r_tuple, shift);
-          const Tuple y = shifted(s_tuple, shift);
-          const Interval overlap = *Overlap(x.interval(), y.interval());
-          const TupleView xv = ViewOf(r_schema, x, &r_bytes);
-          const TupleView yv = ViewOf(s_schema, y, &s_bytes);
-          TEMPO_ASSERT_OK(writer.Emit(layout, xv, yv, overlap));
-          expected.emplace_back();
-          MakeJoinTuple(layout, x, y, overlap)
-              .SerializeTo(layout.output, &expected.back());
-        }
+  Disk disk;
+  StoredRelation out(&disk, layout.output, "out");
+  ResultWriter writer(&out);
+  std::vector<std::string> expected;
+  std::string r_bytes;
+  std::string s_bytes;
+  for (Chronon shift = 0; shift < 40 * 3; shift += 3) {
+    for (const Tuple& r_tuple : rs) {
+      for (const Tuple& s_tuple : ss) {
+        const Tuple x = shifted(r_tuple, shift);
+        const Tuple y = shifted(s_tuple, shift);
+        const Interval overlap = *Overlap(x.interval(), y.interval());
+        const TupleView xv = ViewOf(r_schema, x, &r_bytes);
+        const TupleView yv = ViewOf(s_schema, y, &s_bytes);
+        TEMPO_ASSERT_OK(writer.Emit(layout, xv, yv, overlap));
+        expected.emplace_back();
+        MakeJoinTuple(layout, x, y, overlap)
+            .SerializeTo(layout.output, &expected.back());
       }
     }
-    TEMPO_ASSERT_OK(writer.Finish());
-    EXPECT_EQ(writer.count(), expected.size()) << mode;
+  }
+  TEMPO_ASSERT_OK(writer.Finish());
+  EXPECT_EQ(writer.count(), expected.size());
 
-    if (canonical) std::sort(expected.begin(), expected.end());
-    std::vector<Page> want(1);
-    for (const std::string& record : expected) {
-      if (!want.back().AddRecord(record).has_value()) {
-        want.emplace_back();
-        ASSERT_TRUE(want.back().AddRecord(record).has_value());
-      }
+  std::vector<Page> want(1);
+  for (const std::string& record : expected) {
+    if (!want.back().AddRecord(record).has_value()) {
+      want.emplace_back();
+      ASSERT_TRUE(want.back().AddRecord(record).has_value());
     }
-    ASSERT_GE(want.size(), 3u);
-    ASSERT_EQ(out.num_pages(), want.size()) << mode;
-    Page page;
-    for (uint32_t p = 0; p < out.num_pages(); ++p) {
-      TEMPO_ASSERT_OK(out.ReadPage(p, &page));
-      EXPECT_EQ(std::memcmp(page.data(), want[p].data(), kPageSize), 0)
-          << mode << " page " << p;
-    }
+  }
+  ASSERT_GE(want.size(), 3u);
+  ASSERT_EQ(out.num_pages(), want.size());
+  Page page;
+  for (uint32_t p = 0; p < out.num_pages(); ++p) {
+    TEMPO_ASSERT_OK(out.ReadPage(p, &page));
+    EXPECT_EQ(std::memcmp(page.data(), want[p].data(), kPageSize), 0)
+        << "page " << p;
   }
 }
 

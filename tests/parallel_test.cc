@@ -25,6 +25,7 @@ namespace {
 
 using ::tempo::testing::MakeRelation;
 using ::tempo::testing::PageDigest;
+using ::tempo::testing::SortedPageDigest;
 using ::tempo::testing::RandomTuples;
 using ::tempo::testing::T;
 using ::tempo::testing::TestSchema;
@@ -384,8 +385,9 @@ void GoldenInputs(std::vector<Tuple>* r, std::vector<Tuple>* s) {
 }
 
 /// One golden run: an executor, join kind and buffer size, with the
-/// ordered digest over every output page, the output cardinality and the
-/// charged I/O ops it must reproduce.
+/// ordered digest over every output page (PageDigest), the output
+/// cardinality and the charged I/O ops it must reproduce, and, when set,
+/// the digest of its results in sorted byte order (SortedPageDigest).
 struct GoldenCase {
   const char* name;
   JoinExecutor executor;
@@ -395,6 +397,7 @@ struct GoldenCase {
   uint64_t digest;
   uint64_t output_tuples;
   uint64_t io_ops;
+  uint64_t sorted_digest = 0;
   TemporalPredicate predicate = TemporalPredicate::Overlap();
 };
 
@@ -439,6 +442,9 @@ void ExpectGoldenRun(const GoldenCase& c, const std::vector<Tuple>& r_tuples,
     EXPECT_GE(stats->Get(Metric::kSweepCompactions), 2.0) << what;
   }
   EXPECT_EQ(PageDigest(&out), c.digest) << what;
+  if (c.sorted_digest != 0) {
+    EXPECT_EQ(SortedPageDigest(&out), c.sorted_digest) << what;
+  }
   EXPECT_EQ(stats->output_tuples, c.output_tuples) << what;
   EXPECT_EQ(stats->io.total_ops(), c.io_ops) << what;
 }
@@ -454,20 +460,25 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
   // and spill the tuple cache (asserted below); a 64-page buffer over the
   // small r takes the single-partition fast path. Sort-merge's 6-page
   // buffer evicts long-lived active tuples, so it backs up; the sweep under
-  // meets takes the adjacency path and compacts its active maps.
+  // meets takes the adjacency path and compacts its active maps. The
+  // outer, anti and sweep cases also pin their results in sorted byte
+  // order.
   const std::vector<GoldenCase> cases = {
       {"partition", JoinExecutor::kPartition, JoinKind::kInner, 16, false,
        0x157c8d7198249851ull, 6946, 388},
       {"partition-fast", JoinExecutor::kPartition, JoinKind::kInner, 64,
        true, 0x402a893c895a3260ull, 896, 44},
       {"partition-left-outer", JoinExecutor::kPartition,
-       JoinKind::kLeftOuter, 16, false, 0xf8a18673b0a26c40ull, 8073, 407},
+       JoinKind::kLeftOuter, 16, false, 0xf8b14add1db991a1ull, 8073, 407,
+       0xf8a18673b0a26c40ull},
       {"partition-full-outer", JoinExecutor::kPartition,
-       JoinKind::kFullOuter, 16, false, 0x2955a1d4dcf78cc1ull, 9290, 665},
+       JoinKind::kFullOuter, 16, false, 0xc4aab97f3da4d004ull, 9290, 665,
+       0x2955a1d4dcf78cc1ull},
       {"partition-anti", JoinExecutor::kPartition, JoinKind::kAnti, 16,
-       false, 0x2c11069bc5cfd822ull, 1127, 278},
+       false, 0x3184098d1a04677dull, 1127, 278, 0x2c11069bc5cfd822ull},
       {"partition-fast-left-outer", JoinExecutor::kPartition,
-       JoinKind::kLeftOuter, 64, true, 0x1c63925ef05b8a4cull, 1041, 47},
+       JoinKind::kLeftOuter, 64, true, 0xdbc18a85e666731cull, 1041, 47,
+       0x1c63925ef05b8a4cull},
       {"nested-loop", JoinExecutor::kNestedLoop, JoinKind::kInner, 16, false,
        0xad210c6d23a6ea7dull, 6946, 235},
       {"indexed", JoinExecutor::kIndexed, JoinKind::kInner, 16, false,
@@ -477,9 +488,10 @@ TEST(ZeroCopyLockTest, OutputPagesMatchGoldenDigests) {
       {"sort-merge", JoinExecutor::kSortMerge, JoinKind::kInner, 6, false,
        0x6e47e2fceb61a0abull, 6946, 559},
       {"sweep", JoinExecutor::kSweep, JoinKind::kInner, 16, false,
-       0xa216c4463445725aull, 6946, 445},
+       0x65be8222570d9eabull, 6946, 445,
+       0xa216c4463445725aull},
       {"sweep-meets", JoinExecutor::kSweep, JoinKind::kInner, 16, false,
-       0x4cd6ab84c1da8f31ull, 42, 317,
+       0x8a2208283d5f1c09ull, 42, 317, 0x4cd6ab84c1da8f31ull,
        TemporalPredicate::Exactly(AllenRelation::kMeets)},
   };
   for (const GoldenCase& c : cases) {

@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,8 +25,11 @@
 namespace tempo {
 namespace {
 
+using ::tempo::testing::ExpectSameRun;
+using ::tempo::testing::ImageOf;
 using ::tempo::testing::MakeRelation;
 using ::tempo::testing::RandomTuples;
+using ::tempo::testing::RunImage;
 using ::tempo::testing::T;
 using ::tempo::testing::TestSchema;
 
@@ -497,37 +499,8 @@ TEST(QueryServiceTest, CreateStartsNoWorkerThreads) {
 // queries are in flight. This is the test the TSan job hammers.
 // ---------------------------------------------------------------------
 
-struct RunImage {
-  std::vector<Page> pages;
-  IoStats io;
-  uint64_t output_tuples = 0;
-};
-
-RunImage ImageOf(const JoinRunStats& stats, StoredRelation* out) {
-  RunImage image;
-  image.io = stats.io;
-  image.output_tuples = stats.output_tuples;
-  image.pages.resize(out->num_pages());
-  for (uint32_t p = 0; p < out->num_pages(); ++p) {
-    auto st = out->ReadPage(p, &image.pages[p]);
-    if (!st.ok()) ADD_FAILURE() << st.ToString();
-  }
-  return image;
-}
-
 RunImage ImageOf(QueryHandle* handle) {
-  return ImageOf(handle->stats(), handle->output());
-}
-
-void ExpectSameImage(const RunImage& a, const RunImage& b, const char* what) {
-  EXPECT_EQ(a.output_tuples, b.output_tuples) << what;
-  EXPECT_TRUE(a.io == b.io) << what << ": " << a.io.ToString() << " vs "
-                            << b.io.ToString();
-  ASSERT_EQ(a.pages.size(), b.pages.size()) << what;
-  for (size_t p = 0; p < a.pages.size(); ++p) {
-    EXPECT_EQ(std::memcmp(&a.pages[p], &b.pages[p], sizeof(Page)), 0)
-        << what << ": output page " << p << " differs";
-  }
+  return ImageOf(handle->output(), handle->stats());
 }
 
 TEST(QueryServiceTest, ConcurrentRunsByteIdenticalToSerialAtAnyThreadCount) {
@@ -571,10 +544,9 @@ TEST(QueryServiceTest, ConcurrentRunsByteIdenticalToSerialAtAnyThreadCount) {
   for (size_t i = 0; i < handles.size(); ++i) {
     TEMPO_ASSERT_OK(handles[i]->Wait());
     RunImage image = ImageOf(handles[i].get());
-    ExpectSameImage(reference[i], image,
-                    (std::string(JoinExecutorName(executors[i])) +
-                     " concurrent")
-                        .c_str());
+    ExpectSameRun(reference[i], image,
+                  std::string(JoinExecutorName(executors[i])) +
+                      " concurrent");
   }
 }
 
@@ -592,7 +564,7 @@ TEST(QueryServiceTest, AntiJoinSubmitMatchesRunJoin) {
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats direct_stats,
                              RunJoin(request, &direct_out));
   ASSERT_GT(direct_stats.output_tuples, 0u);
-  const RunImage direct = ImageOf(direct_stats, &direct_out);
+  const RunImage direct = ImageOf(&direct_out, direct_stats);
 
   QueryServiceOptions options;
   options.pool_pages = 8;
@@ -602,7 +574,7 @@ TEST(QueryServiceTest, AntiJoinSubmitMatchesRunJoin) {
   TEMPO_ASSERT_OK_AND_ASSIGN(auto handle, session.Submit(request));
   TEMPO_ASSERT_OK(handle->Wait());
   EXPECT_TRUE(handle->output()->schema() == f.r->schema());
-  ExpectSameImage(direct, ImageOf(handle.get()), "anti join");
+  ExpectSameRun(direct, ImageOf(handle.get()), "anti join");
 }
 
 // ---------------------------------------------------------------------
@@ -694,10 +666,9 @@ TEST(QueryServiceTest, TelemetryOnLeavesOutputAndIoStatsByteIdentical) {
   std::vector<RunImage> on = run_all(/*telemetry=*/true);
   ASSERT_EQ(off.size(), on.size());
   for (size_t i = 0; i < off.size(); ++i) {
-    ExpectSameImage(off[i], on[i],
-                    (std::string(JoinExecutorName(executors[i])) +
-                     " telemetry on/off")
-                        .c_str());
+    ExpectSameRun(off[i], on[i],
+                  std::string(JoinExecutorName(executors[i])) +
+                      " telemetry on/off");
   }
 
   // The fully-enabled runs also produced a parseable JSONL stream and a

@@ -1,6 +1,7 @@
 #ifndef TEMPO_TESTS_TEST_UTIL_H_
 #define TEMPO_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "join/join_common.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
 #include "relation/tuple_view.h"
@@ -116,6 +118,66 @@ inline uint64_t PageDigest(StoredRelation* rel) {
     h = Fnv1a({reinterpret_cast<const char*>(&page), sizeof(Page)}, h);
   }
   return h;
+}
+
+/// Copies the records of `rel`, in sorted byte order, into a fresh
+/// relation on a scratch disk and returns the copy's PageDigest. Join
+/// results are a multiset, so two outputs holding the same records in
+/// different orders digest alike, and the copy's pages are those of a
+/// writer that sorted its results before appending them.
+inline uint64_t SortedPageDigest(StoredRelation* rel) {
+  std::vector<std::string> records;
+  records.reserve(rel->num_tuples());
+  const Status read = rel->ForEachView([&](const TupleView& v) {
+    records.emplace_back(v.record());
+    return Status::OK();
+  });
+  EXPECT_TRUE(read.ok()) << read.ToString();
+  std::sort(records.begin(), records.end());
+  Disk disk;
+  StoredRelation copy(&disk, rel->schema(), rel->name() + ".sorted");
+  for (const std::string& record : records) {
+    const Status st = copy.AppendRecord(record);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_TRUE(copy.Flush().ok());
+  return PageDigest(&copy);
+}
+
+/// What one join run left behind, for comparing two runs: its results as
+/// a multiset (SortedPageDigest), its output pages as written
+/// (PageDigest), its charged I/O and its result count.
+struct RunImage {
+  uint64_t sorted_digest = 0;
+  uint64_t digest = 0;
+  IoStats io;
+  uint64_t output_tuples = 0;
+};
+
+inline RunImage ImageOf(StoredRelation* out, const JoinRunStats& stats) {
+  RunImage image;
+  image.sorted_digest = SortedPageDigest(out);
+  image.digest = PageDigest(out);
+  image.io = stats.io;
+  image.output_tuples = stats.output_tuples;
+  return image;
+}
+
+/// Expects `b` to hold the same results as `a`, in any order.
+inline void ExpectSameResults(const RunImage& a, const RunImage& b,
+                              const std::string& what) {
+  EXPECT_EQ(a.output_tuples, b.output_tuples) << what;
+  EXPECT_EQ(a.sorted_digest, b.sorted_digest) << what << ": results differ";
+}
+
+/// Expects `b` to repeat run `a` exactly: the same results written to the
+/// same pages in the same order, at the same charged I/O.
+inline void ExpectSameRun(const RunImage& a, const RunImage& b,
+                          const std::string& what) {
+  ExpectSameResults(a, b, what);
+  EXPECT_EQ(a.digest, b.digest) << what << ": output pages differ";
+  EXPECT_TRUE(a.io == b.io) << what << ": " << a.io.ToString() << " vs "
+                            << b.io.ToString();
 }
 
 }  // namespace tempo::testing
