@@ -25,8 +25,8 @@ namespace {
 
 using ::tempo::testing::MakeRelation;
 using ::tempo::testing::PageDigest;
-using ::tempo::testing::SortedPageDigest;
 using ::tempo::testing::RandomTuples;
+using ::tempo::testing::SortedPageDigest;
 using ::tempo::testing::T;
 using ::tempo::testing::TestSchema;
 
