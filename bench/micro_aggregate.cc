@@ -1,12 +1,11 @@
-// Microbenchmarks: the valid-time algebra operators.
+// Microbenchmarks: temporal aggregation (the endpoint sweep).
 
 #include <benchmark/benchmark.h>
 
 #include "micro_util.h"
 
-#include "algebra/aggregation.h"
-#include "algebra/operators.h"
 #include "common/random.h"
+#include "query/temporal_aggregate.h"
 
 namespace tempo {
 namespace {
@@ -27,25 +26,6 @@ std::vector<Tuple> MakeTuples(size_t n, int64_t keys, uint64_t seed) {
   }
   return out;
 }
-
-void BM_Coalesce(benchmark::State& state) {
-  auto tuples = MakeTuples(static_cast<size_t>(state.range(0)), 50, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Coalesce(tuples).size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Coalesce)->Arg(1024)->Arg(16384);
-
-void BM_Timeslice(benchmark::State& state) {
-  auto tuples = MakeTuples(16384, 50, 2);
-  Chronon t = 50000;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Timeslice(tuples, t).size());
-  }
-  state.SetItemsProcessed(state.iterations() * 16384);
-}
-BENCHMARK(BM_Timeslice);
 
 void BM_TemporalAggregateCount(benchmark::State& state) {
   auto tuples = MakeTuples(static_cast<size_t>(state.range(0)), 10, 3);
@@ -73,17 +53,7 @@ void BM_TemporalAggregateMin(benchmark::State& state) {
 }
 BENCHMARK(BM_TemporalAggregateMin);
 
-void BM_VtDifference(benchmark::State& state) {
-  auto a = MakeTuples(8192, 20, 5);
-  auto b = MakeTuples(8192, 20, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(VtDifference(a, b).size());
-  }
-  state.SetItemsProcessed(state.iterations() * 16384);
-}
-BENCHMARK(BM_VtDifference);
-
 }  // namespace
 }  // namespace tempo
 
-TEMPO_MICRO_MAIN("micro_algebra")
+TEMPO_MICRO_MAIN("micro_aggregate")

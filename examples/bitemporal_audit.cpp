@@ -11,8 +11,8 @@
 
 #include <cstdio>
 
-#include "algebra/aggregation.h"
 #include "bitemporal/bitemporal_relation.h"
+#include "query/temporal_aggregate.h"
 
 using namespace tempo;
 

@@ -6,12 +6,14 @@
 // employee id: one for salary history, one for position history. This
 // example rebuilds the combined history with the valid-time natural join,
 // asks point-in-time questions with the timeslice operator, coalesces
-// redundant history, and uses the TE-outerjoin to find stretches where an
-// employee drew a salary without an assigned position.
+// redundant history with PartitionCoalesce, and uses the TE-outerjoin to
+// find stretches where an employee drew a salary without an assigned
+// position.
 
 #include <cstdio>
 
-#include "algebra/operators.h"
+#include "core/partition_coalesce.h"
+#include "join/reference_join.h"
 #include "service/join_request.h"
 #include "storage/disk.h"
 #include "storage/stored_relation.h"
@@ -81,9 +83,13 @@ int main() {
   Print("timeslice at day 150:", Timeslice(*combined_tuples, 150));
 
   // --- Coalescing: employee 2's split-but-identical salary rows merge. --
-  auto salary_tuples = salaries.ReadAll();
-  TEMPO_CHECK(salary_tuples.ok());
-  Print("salary history, coalesced:", Coalesce(*salary_tuples));
+  StoredRelation coalesced(&disk, salary_schema, "salaries.coalesced");
+  PartitionJoinOptions coalesce_options;
+  coalesce_options.buffer_pages = 64;
+  TEMPO_CHECK(PartitionCoalesce(&salaries, &coalesced, coalesce_options).ok());
+  auto coalesced_tuples = coalesced.ReadAll();
+  TEMPO_CHECK(coalesced_tuples.ok());
+  Print("salary history, coalesced:", *coalesced_tuples);
 
   // --- TE-outerjoin (sequenced left outer): salaried time without a
   // position. ------------------------------------------------------------

@@ -1,19 +1,21 @@
-// The wider valid-time join family (paper Section 4.1) and the algebra
-// operators, on a reservation-system scenario.
+// The wider valid-time join family (paper Section 4.1) and sequenced
+// queries, on a reservation-system scenario.
 //
 // `bookings` holds room reservations; `maintenance` holds maintenance
 // windows per room. We answer:
 //  - which reservations clash with maintenance at all (overlap join),
 //  - which maintenance windows fall entirely inside one reservation
 //    (contain join, evaluated through the partition framework),
-//  - which bookings contain a maintenance window (contain-semijoin),
-//  - the rooms' total booked time (coalescing + projection), and
-//  - union/difference of two booking calendars.
+//  - the rooms' total booked time (projection, then coalescing), and
+//  - the booked time net of maintenance (sequenced difference of the
+//    two room projections, then coalescing).
 
 #include <cstdio>
+#include <string>
 
-#include "algebra/operators.h"
-#include "algebra/temporal_joins.h"
+#include "core/partition_coalesce.h"
+#include "query/query_plan.h"
+#include "query/sequenced_exec.h"
 #include "service/join_request.h"
 #include "storage/disk.h"
 #include "storage/stored_relation.h"
@@ -81,7 +83,9 @@ int main() {
     Print("reservation/maintenance clashes (overlap join):", *tuples);
   }
 
-  // --- Contain join: maintenance wholly inside one reservation. --------
+  // --- Contain join: maintenance wholly inside one reservation. Its r
+  // side is also the answer to "which bookings contain a maintenance
+  // window" (the contain-semijoin). -------------------------------------
   {
     StoredRelation out(&disk, layout->output, "contained");
     req.Predicate(TemporalPredicate::ContainJoin());
@@ -93,40 +97,33 @@ int main() {
           *tuples);
   }
 
-  // --- Contain-semijoin: the bookings that contain maintenance. --------
-  {
-    auto booked = bookings.ReadAll();
-    auto maint = maintenance.ReadAll();
-    TEMPO_CHECK(booked.ok());
-    TEMPO_CHECK(maint.ok());
-    auto semi = ContainSemiJoin(booking_schema, *booked, maint_schema,
-                                *maint);
-    TEMPO_CHECK(semi.ok());
-    Print("bookings containing a maintenance window (contain-semijoin):",
-          *semi);
+  // Runs `plan`, coalesces its result into maximal intervals per value and
+  // prints the rows.
+  auto print_coalesced = [&](const char* title, const QueryPlan& plan,
+                             const std::string& name) {
+    auto result = RunSequencedQuery(plan, &disk, QueryOptions{}, nullptr,
+                                    name);
+    TEMPO_CHECK(result.ok());
+    StoredRelation coalesced(&disk, result->relation->schema(),
+                             name + ".coalesced");
+    PartitionJoinOptions options;
+    options.buffer_pages = 32;
+    TEMPO_CHECK(
+        PartitionCoalesce(result->relation.get(), &coalesced, options).ok());
+    auto tuples = coalesced.ReadAll();
+    TEMPO_CHECK(tuples.ok());
+    Print(title, *tuples);
+  };
 
-    // --- Occupancy per room: project to room, coalesce. -----------------
-    auto occupancy = Project(booking_schema, *booked, {0});
-    TEMPO_CHECK(occupancy.ok());
-    Print("room occupancy (projection + coalescing):", occupancy->second);
+  // --- Occupancy per room: project to room, coalesce. -------------------
+  print_coalesced("room occupancy (projection + coalescing):",
+                  QueryPlan::Scan(&bookings).Project({"room"}), "occupancy");
 
-    // --- Allen selection: bookings strictly inside the month [0, 50]. ---
-    Print("bookings during [0, 50]:",
-          SelectAllen(*booked, AllenRelation::kDuring, Interval(0, 50)));
-
-    // --- Calendar algebra: bookings not blocked by maintenance. ---------
-    std::vector<Tuple> blocked;
-    for (const Tuple& m : *maint) {
-      // Rebuild maintenance rows in the booking schema by room to compare
-      // value-equivalence per room id only.
-      blocked.push_back(Tuple({m.value(0), Value("")}, m.interval()));
-    }
-    auto rooms_only = Project(booking_schema, *booked, {0});
-    auto blocked_only = Project(booking_schema, blocked, {0});
-    TEMPO_CHECK(rooms_only.ok());
-    TEMPO_CHECK(blocked_only.ok());
-    Print("bookable-and-booked time net of maintenance (difference):",
-          VtDifference(rooms_only->second, blocked_only->second));
-  }
+  // --- Calendar arithmetic: booked time not blocked by maintenance. -----
+  print_coalesced(
+      "booked time net of maintenance (difference + coalescing):",
+      QueryPlan::Difference(QueryPlan::Scan(&bookings).Project({"room"}),
+                            QueryPlan::Scan(&maintenance).Project({"room"})),
+      "net");
   return 0;
 }

@@ -12,27 +12,13 @@ namespace tempo {
 
 namespace {
 
-/// Value-equivalence key: the serialized explicit attributes. Built from
-/// the record view through the same Value::ToString per attribute, so the
-/// key bytes — and hence the std::map iteration (output) order — are
-/// identical to keying the decoded tuple.
-std::string ValueKey(const TupleView& v) {
-  std::string key;
-  for (size_t i = 0; i < v.num_values(); ++i) {
-    key += v.ValueAt(i).ToString();
-    key.push_back('\x1f');
-  }
-  return key;
-}
+/// Value-equivalence groups: the explicit attributes (Value order, NULL
+/// equal to NULL) mapped to the validity intervals seen so far. The map's
+/// key order is the output order.
+using Groups = std::map<std::vector<Value>, std::vector<Interval>>;
 
-struct Group {
-  std::vector<Value> values;
-  std::vector<Interval> intervals;
-};
-
-/// Owning values of one record, materialized only when its group is first
-/// seen.
-std::vector<Value> MaterializeValues(const TupleView& v) {
+/// Owning values of one record: the group key.
+std::vector<Value> ValueKey(const TupleView& v) {
   std::vector<Value> out;
   out.reserve(v.num_values());
   for (size_t i = 0; i < v.num_values(); ++i) out.push_back(v.ValueAt(i));
@@ -78,49 +64,42 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
   JoinRunStats stats;
   uint64_t carried_runs = 0;
 
-  // Folds every record of `rel` into `groups`, viewing each in place;
-  // owning values materialize only when a group is first seen.
-  auto fold = [](StoredRelation* rel, std::map<std::string, Group>& groups) {
+  // Folds every record of `rel` into `groups`, viewing each in place.
+  auto fold = [](StoredRelation* rel, Groups& groups) {
     return rel->ForEachView([&](const TupleView& v) {
-      Group& g = groups[ValueKey(v)];
-      if (g.values.empty()) g.values = MaterializeValues(v);
-      g.intervals.push_back(v.interval());
+      groups[ValueKey(v)].push_back(v.interval());
       return Status::OK();
     });
   };
 
   // Helper shared by the single- and multi-partition paths: merge one
-  // bucket of tuples and split the merged runs into emitted / carried.
-  auto process_group = [&](Group& group, const Interval& p_i, bool last_step,
-                           std::map<std::string, Group>* carry,
-                           const std::string& key) -> Status {
-    IntervalSet merged(std::move(group.intervals));
+  // group's intervals and split the merged runs into emitted / carried.
+  auto process_group = [&](const std::vector<Value>& values,
+                           std::vector<Interval>& intervals,
+                           const Interval& p_i, bool last_step,
+                           Groups* carry) -> Status {
+    IntervalSet merged(std::move(intervals));
     std::vector<Interval> kept;
     for (const Interval& run : merged.intervals()) {
       if (last_step || run.start() > p_i.start()) {
-        TEMPO_RETURN_IF_ERROR(out->Append(Tuple(group.values, run)));
+        TEMPO_RETURN_IF_ERROR(out->Append(Tuple(values, run)));
       } else {
         kept.push_back(run);
         ++carried_runs;
       }
     }
-    if (!kept.empty()) {
-      Group g;
-      g.values = std::move(group.values);
-      g.intervals = std::move(kept);
-      (*carry)[key] = std::move(g);
-    }
+    if (!kept.empty()) (*carry)[values] = std::move(kept);
     return Status::OK();
   };
 
   if (plan.num_partitions <= 1) {
     // Fits in memory: one pass over the input pages, folding records in
     // place.
-    std::map<std::string, Group> groups;
+    Groups groups;
     TEMPO_RETURN_IF_ERROR(fold(in, groups));
-    for (auto& [key, group] : groups) {
-      TEMPO_RETURN_IF_ERROR(process_group(group, Interval::All(),
-                                          /*last_step=*/true, nullptr, key));
+    for (auto& [values, intervals] : groups) {
+      TEMPO_RETURN_IF_ERROR(process_group(values, intervals, Interval::All(),
+                                          /*last_step=*/true, nullptr));
     }
   } else {
     TEMPO_ASSIGN_OR_RETURN(
@@ -128,18 +107,18 @@ StatusOr<JoinRunStats> PartitionCoalesce(StoredRelation* in,
         GracePartition(in, plan.spec, options.buffer_pages,
                        PlacementPolicy::kLastOverlap, in->name() + ".co"));
 
-    std::map<std::string, Group> carry;
+    Groups carry;
     const size_t n = plan.spec.num_partitions();
     for (size_t ii = n; ii-- > 0;) {
       const Interval& p_i = plan.spec.partition(ii);
       const bool last_step = ii == 0;
       // Fold this partition's tuples into the carried groups.
-      std::map<std::string, Group> groups = std::move(carry);
+      Groups groups = std::move(carry);
       carry.clear();
       TEMPO_RETURN_IF_ERROR(fold(parts.parts[ii].get(), groups));
-      for (auto& [key, group] : groups) {
+      for (auto& [values, intervals] : groups) {
         TEMPO_RETURN_IF_ERROR(
-            process_group(group, p_i, last_step, &carry, key));
+            process_group(values, intervals, p_i, last_step, &carry));
       }
     }
   }

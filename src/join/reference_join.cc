@@ -1,38 +1,13 @@
 #include "join/reference_join.h"
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "join/join_common.h"
 #include "temporal/interval_set.h"
 
 namespace tempo {
-
-StatusOr<std::vector<Tuple>> ReferenceValidTimeJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s) {
-  return ReferenceTemporalJoin(r_schema, r, s_schema, s,
-                               TemporalPredicate::Overlap());
-}
-
-StatusOr<std::vector<Tuple>> ReferenceTemporalJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s,
-    const TemporalPredicate& predicate) {
-  TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
-                         DeriveNaturalJoinLayout(r_schema, s_schema));
-  std::vector<Tuple> out;
-  for (const Tuple& x : r) {
-    for (const Tuple& y : s) {
-      if (!x.EqualOnAttrs(layout.r_join_attrs, layout.s_join_attrs, y)) {
-        continue;
-      }
-      if (!predicate.Matches(x.interval(), y.interval())) continue;
-      out.push_back(MakeJoinTuple(
-          layout, x, y, PredicateResultInterval(x.interval(), y.interval())));
-    }
-  }
-  return out;
-}
 
 namespace {
 
@@ -66,22 +41,58 @@ void AppendUnmatched(const NaturalJoinLayout& layout, bool preserved_is_r,
 
 }  // namespace
 
-StatusOr<std::vector<Tuple>> ReferenceSequencedJoin(
+StatusOr<std::vector<Tuple>> ReferenceJoin(
     const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s, JoinKind kind) {
-  if (kind == JoinKind::kInner) {
-    return ReferenceValidTimeJoin(r_schema, r, s_schema, s);
+    const Schema& s_schema, const std::vector<Tuple>& s, JoinKind kind,
+    TemporalPredicate predicate) {
+  if (kind != JoinKind::kInner && !predicate.IsOverlapDefault()) {
+    return Status::InvalidArgument(
+        std::string(JoinKindName(kind)) + " join with predicate '" +
+        predicate.Name() +
+        "': sequenced outer/anti semantics are defined over the default "
+        "overlap predicate only");
   }
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout,
                          DeriveNaturalJoinLayout(r_schema, s_schema));
   std::vector<Tuple> out;
   if (kind != JoinKind::kAnti) {
-    TEMPO_ASSIGN_OR_RETURN(
-        out, ReferenceValidTimeJoin(r_schema, r, s_schema, s));
+    for (const Tuple& x : r) {
+      for (const Tuple& y : s) {
+        if (!x.EqualOnAttrs(layout.r_join_attrs, layout.s_join_attrs, y)) {
+          continue;
+        }
+        if (!predicate.Matches(x.interval(), y.interval())) continue;
+        out.push_back(MakeJoinTuple(
+            layout, x, y,
+            PredicateResultInterval(x.interval(), y.interval())));
+      }
+    }
   }
+  if (kind == JoinKind::kInner) return out;
   AppendUnmatched(layout, /*preserved_is_r=*/true, r, s, kind, &out);
   if (kind == JoinKind::kFullOuter) {
     AppendUnmatched(layout, /*preserved_is_r=*/false, s, r, kind, &out);
+  }
+  return out;
+}
+
+std::vector<Tuple> ReferenceCoalesce(const std::vector<Tuple>& tuples) {
+  std::map<std::vector<Value>, std::vector<Interval>> groups;
+  for (const Tuple& t : tuples) groups[t.values()].push_back(t.interval());
+  std::vector<Tuple> out;
+  for (auto& [values, intervals] : groups) {
+    const IntervalSet merged(std::move(intervals));
+    for (const Interval& iv : merged.intervals()) out.emplace_back(values, iv);
+  }
+  return out;
+}
+
+std::vector<Tuple> Timeslice(const std::vector<Tuple>& tuples, Chronon t) {
+  std::vector<Tuple> out;
+  for (const Tuple& x : tuples) {
+    if (x.interval().Contains(t)) {
+      out.emplace_back(x.values(), Interval::At(t));
+    }
   }
   return out;
 }

@@ -10,41 +10,46 @@
 
 namespace tempo {
 
-/// Straight transcription of the paper's tuple-relational-calculus
-/// definition of r ⋈ᵥ s (Section 2): for every pair (x, y) agreeing on the
-/// shared attributes with overlap(x[V], y[V]) ≠ ⊥, emit z = (A, B, C)
-/// stamped with the overlap. O(|r|·|s|), entirely in memory.
-///
-/// This is the testing oracle: every disk-based executor must produce
-/// exactly this multiset of tuples (in any order).
-StatusOr<std::vector<Tuple>> ReferenceValidTimeJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s);
+/// The in-memory ground truths every paged operator is checked against.
+/// All are O(input size) or worse, entirely in memory: testing and the
+/// reference executor only.
 
-/// Generalized oracle over any TemporalPredicate: for every key-matching
-/// pair (x, y) whose Allen relation belongs to `predicate`, emit z =
-/// (A, B, C) stamped with PredicateResultInterval(x[V], y[V]) — the
+/// Straight transcription of the paper's tuple-relational-calculus
+/// definition of r ⋈ᵥ s (Section 2), generalized over the join kind and
+/// the temporal predicate. For every pair (x, y) agreeing on the shared
+/// attributes whose Allen relation belongs to `predicate`, emit z =
+/// (A, B, C) stamped with PredicateResultInterval(x[V], y[V]): the
 /// intersection for chronon-sharing pairs, the covering span for the
-/// adjacency/disjoint relations. ReferenceValidTimeJoin is the special
-/// case predicate == overlap. This is the single ground truth for every
-/// executor × predicate pair. O(|r|·|s|), entirely in memory.
-StatusOr<std::vector<Tuple>> ReferenceTemporalJoin(
+/// adjacency/disjoint relations. O(|r|·|s|).
+///
+/// The sequenced outer kinds additionally emit, per preserved-side tuple,
+/// the subintervals of its validity not overlapped by any key-matching
+/// partner (IntervalSet::SubtractAll), NULL-padding the other side's
+/// private attributes; kAnti emits *only* the unmatched r subintervals in
+/// r's own schema. The outer and anti kinds are defined over the default
+/// overlap predicate only: any other predicate with a non-inner kind is
+/// InvalidArgument, as ValidateExecOptions rules.
+///
+/// Every executor × predicate × kind must produce exactly this multiset
+/// of tuples (in any order).
+StatusOr<std::vector<Tuple>> ReferenceJoin(
     const Schema& r_schema, const std::vector<Tuple>& r,
     const Schema& s_schema, const std::vector<Tuple>& s,
-    const TemporalPredicate& predicate);
+    JoinKind kind = JoinKind::kInner,
+    TemporalPredicate predicate = TemporalPredicate::Overlap());
 
-/// Brute-force oracle for the sequenced join variants. kInner reduces to
-/// ReferenceValidTimeJoin. The outer kinds additionally emit, per
-/// preserved-side tuple, the subintervals of its validity not overlapped
-/// by any key-matching partner (IntervalSet::SubtractAll), NULL-padding
-/// the other side's private attributes; kAnti emits *only* the unmatched
-/// r subintervals in r's own schema. O(|r|·|s|), entirely in memory.
-StatusOr<std::vector<Tuple>> ReferenceSequencedJoin(
-    const Schema& r_schema, const std::vector<Tuple>& r,
-    const Schema& s_schema, const std::vector<Tuple>& s, JoinKind kind);
+/// Coalescing [JSS92a]: merges value-equivalent tuples (equal on all
+/// explicit attributes, NULL equal to NULL) whose validity intervals
+/// overlap or are adjacent into maximal-interval tuples. The oracle of
+/// PartitionCoalesce; output is grouped by value (Value order), intervals
+/// ascending.
+std::vector<Tuple> ReferenceCoalesce(const std::vector<Tuple>& tuples);
 
-/// Multiset equality of tuple vectors, ignoring order. Used by tests and
-/// the executors' self-check mode.
+/// Valid-timeslice τ_t(r): the tuples valid at chronon `t`, their
+/// timestamps collapsed to [t, t], in input order.
+std::vector<Tuple> Timeslice(const std::vector<Tuple>& tuples, Chronon t);
+
+/// Multiset equality of tuple vectors, ignoring order.
 bool SameTupleMultiset(std::vector<Tuple> a, std::vector<Tuple> b);
 
 }  // namespace tempo

@@ -21,8 +21,8 @@ const char* CompareOpName(CompareOp op);
 /// values. Restricting selections to this form keeps every pipeline
 /// snapshot reducible by construction: the predicate never inspects the
 /// timestamp, so selecting then timeslicing equals timeslicing then
-/// selecting. (Timestamp selections — Allen predicates — live in
-/// src/algebra and are deliberately NOT part of the sequenced layer.)
+/// selecting. (Timestamp conditions — Allen predicates — belong to join
+/// nodes as a TemporalPredicate, outside snapshot reducibility.)
 struct AttrPredicate {
   std::string attr;
   CompareOp op = CompareOp::kEq;

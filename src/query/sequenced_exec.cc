@@ -87,8 +87,9 @@ class SequencedExecutor {
 
   /// Change-preserving projection: keeps the named attributes (in the
   /// given order) and the interval of every input tuple, duplicates and
-  /// all. Deliberately no coalescing — algebra::Project's coalesce would
-  /// merge value-equivalent rows and destroy per-tuple lineage.
+  /// all. Deliberately no coalescing — merging value-equivalent rows
+  /// would destroy per-tuple lineage; PartitionCoalesce does it on
+  /// request.
   StatusOr<Materialized> RunProject(const QueryNode& node) {
     TEMPO_ASSIGN_OR_RETURN(Materialized in, Run(*node.children[0]));
     TraceSpan span = SpanIf(ctx_, Phase::kQueryProject);
@@ -144,8 +145,8 @@ class SequencedExecutor {
   /// with every attribute a join attribute. Each l tuple keeps the
   /// subintervals of its validity that no value-equivalent r tuple covers,
   /// one row each; duplicates in l each produce their own rows, and no two
-  /// l tuples are ever merged (change preservation; contrast
-  /// algebra::VtDifference, which coalesces per value group). Always
+  /// l tuples are ever merged (change preservation: bag semantics, no
+  /// coalescing per value group). Always
   /// planned with kAuto: QueryOptions::executor names the executor for
   /// join nodes, and the planner sends the anti kind to the partition
   /// executor.

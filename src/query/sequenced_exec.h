@@ -43,8 +43,8 @@ struct QueryResult {
 ///   select      attr-op-literal filter; rows pass through byte-identical
 ///               (zero-copy record append).
 ///   project     keeps named attributes in the given order; intervals
-///               untouched, duplicates kept (unlike algebra::Project,
-///               which coalesces).
+///               untouched, duplicates kept; merging value-equivalent
+///               rows is an explicit PartitionCoalesce.
 ///   join        the sequenced join variants via RunJoin: inner, or the
 ///               partition executor's left-outer / full-outer / anti with
 ///               uncovered-subinterval emission.
@@ -52,8 +52,8 @@ struct QueryResult {
 ///               with every attribute a join attribute: per r-tuple, the
 ///               subintervals of its validity not covered by any
 ///               value-equivalent s-tuple (NULL equals NULL); each output
-///               interval derives from exactly one r tuple (unlike
-///               algebra::VtDifference, which merges value groups). The
+///               interval derives from exactly one r tuple (bag
+///               semantics: value groups are never merged). The
 ///               executor is the planner's (kAuto, whatever `executor`
 ///               says): its reads and writes are charged, and its build
 ///               side is held to the buffer pages like any join's, and

@@ -107,11 +107,7 @@ StatusOr<std::vector<Tuple>> SnapshotEval(const QueryNode& node, Chronon t) {
         return Status::InvalidArgument("scan node has no relation");
       }
       TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> all, node.scan->ReadAll());
-      std::vector<Tuple> out;
-      for (const Tuple& x : all) {
-        if (x.interval().Contains(t)) out.emplace_back(x.values(), at);
-      }
-      return out;
+      return Timeslice(all, t);
     }
     case QueryOp::kSelect: {
       TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> in,
@@ -226,12 +222,7 @@ Status CheckSnapshotReducible(const QueryNode& plan,
                               const std::vector<Tuple>& result, Chronon lo,
                               Chronon hi) {
   for (Chronon t = lo; t <= hi; ++t) {
-    std::vector<Tuple> sliced;
-    for (const Tuple& x : result) {
-      if (x.interval().Contains(t)) {
-        sliced.emplace_back(x.values(), Interval(t, t));
-      }
-    }
+    const std::vector<Tuple> sliced = Timeslice(result, t);
     TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> expected, SnapshotEval(plan, t));
     if (!SameTupleMultiset(sliced, expected)) {
       return Status::FailedPrecondition(

@@ -1,4 +1,4 @@
-#include "algebra/aggregation.h"
+#include "query/temporal_aggregate.h"
 
 #include <algorithm>
 #include <map>
@@ -38,7 +38,9 @@ void SweepGroup(const std::vector<const Tuple*>& group,
   for (const Tuple* t : group) {
     int64_t v = 0;
     if (spec.fn != AggregateFn::kCount) {
-      v = t->value(spec.value_attr).AsInt64();
+      const Value& value = t->value(spec.value_attr);
+      if (value.is_null()) continue;  // SQL aggregates skip NULLs
+      v = value.AsInt64();
     }
     events.push_back({t->interval().start(), true, v});
     if (t->interval().end() != kChrononMax) {
@@ -138,24 +140,17 @@ StatusOr<std::pair<Schema, std::vector<Tuple>>> TemporalAggregate(
   TEMPO_ASSIGN_OR_RETURN(Schema out_schema,
                          Schema::Make(std::move(out_attrs)));
 
-  // Group tuples by the group-by values (deterministic order).
-  std::map<std::string, std::vector<const Tuple*>> groups;
+  // Group tuples by the group-by values (deterministic Value order).
+  std::map<std::vector<Value>, std::vector<const Tuple*>> groups;
   for (const Tuple& t : tuples) {
-    std::string key;
-    for (size_t pos : spec.group_by) {
-      key += t.value(pos).ToString();
-      key.push_back('\x1f');
-    }
-    groups[key].push_back(&t);
+    std::vector<Value> key;
+    key.reserve(spec.group_by.size());
+    for (size_t pos : spec.group_by) key.push_back(t.value(pos));
+    groups[std::move(key)].push_back(&t);
   }
 
   std::vector<Tuple> out;
-  for (auto& [key, group] : groups) {
-    std::vector<Value> group_values;
-    group_values.reserve(spec.group_by.size());
-    for (size_t pos : spec.group_by) {
-      group_values.push_back(group.front()->value(pos));
-    }
+  for (const auto& [group_values, group] : groups) {
     SweepGroup(group, spec, group_values, &out);
   }
   return std::make_pair(std::move(out_schema), std::move(out));

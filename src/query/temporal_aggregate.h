@@ -1,5 +1,5 @@
-#ifndef TEMPO_ALGEBRA_AGGREGATION_H_
-#define TEMPO_ALGEBRA_AGGREGATION_H_
+#ifndef TEMPO_QUERY_TEMPORAL_AGGREGATE_H_
+#define TEMPO_QUERY_TEMPORAL_AGGREGATE_H_
 
 #include <vector>
 
@@ -18,6 +18,10 @@ namespace tempo {
 /// each distinct endpoint once.)
 ///
 /// Example: COUNT over {[0,4], [2,6]} is (1)@[0,1], (2)@[2,4], (1)@[5,6].
+///
+/// As in SQL, kSum/kMin/kMax skip tuples whose aggregated value is NULL
+/// (e.g. the padded side of an outer-join result), so a stretch covered
+/// only by NULLs yields no row; kCount counts every tuple.
 enum class AggregateFn {
   kCount,  ///< number of valid tuples
   kSum,    ///< sum of an int64 attribute over valid tuples
@@ -39,7 +43,8 @@ struct AggregationSpec {
 
 /// Computes the temporal aggregate of `tuples` under `schema`.
 /// Returns the output schema (group-by attributes + "<fn>" int64 column)
-/// and the result tuples: for each group, one tuple per maximal interval
+/// and the result tuples: for each group (groups in Value order of their
+/// group-by values, NULL equal to NULL), one tuple per maximal interval
 /// of constant aggregate value, ascending in time. Instants covered by
 /// no tuple of a group produce no output (COUNT never reports 0).
 ///
@@ -52,4 +57,4 @@ StatusOr<std::pair<Schema, std::vector<Tuple>>> TemporalAggregate(
 
 }  // namespace tempo
 
-#endif  // TEMPO_ALGEBRA_AGGREGATION_H_
+#endif  // TEMPO_QUERY_TEMPORAL_AGGREGATE_H_

@@ -1,6 +1,7 @@
 #ifndef TEMPO_RELATION_VALUE_H_
 #define TEMPO_RELATION_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -65,7 +66,18 @@ class Value {
 
   bool operator==(const Value& other) const { return v_ == other.v_; }
   bool operator!=(const Value& other) const { return !(*this == other); }
-  bool operator<(const Value& other) const { return v_ < other.v_; }
+  /// Strict weak order: by type (NULL last), then by value. NaN sorts after
+  /// every other double and all NaNs are equivalent, so a map keyed by
+  /// values (coalescing, aggregate groups) keeps NaN apart from numbers.
+  bool operator<(const Value& other) const {
+    if (v_.index() == 1 && other.v_.index() == 1) {
+      const double a = std::get<double>(v_);
+      const double b = std::get<double>(other.v_);
+      if (std::isnan(a) || std::isnan(b)) return !std::isnan(a);
+      return a < b;
+    }
+    return v_ < other.v_;
+  }
 
   /// Hash suitable for join-key hashing; values of different types never
   /// compare equal, so mixing the index is fine.

@@ -14,12 +14,9 @@ namespace {
 
 /// The oracle as an executor body: both inputs read fully (charged as
 /// sequential scans), joined in memory, results appended in the order the
-/// reference join returns them. Inner joins evaluate the request's
-/// TemporalPredicate via
-/// ReferenceTemporalJoin (the single ground truth for every executor x
-/// predicate pair); the sequenced outer/anti kinds are defined over the
-/// default overlap predicate, which ValidateExecOptions guarantees here.
-/// Traced as one kReferenceJoin span.
+/// reference join returns them, by ReferenceJoin over the request's join
+/// kind and TemporalPredicate (the single ground truth for every executor
+/// x predicate x kind). Traced as one kReferenceJoin span.
 StatusOr<JoinRunStats> ReferenceBody(StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
                                      const ExecOptions& options,
@@ -28,16 +25,10 @@ StatusOr<JoinRunStats> ReferenceBody(StoredRelation* r, StoredRelation* s,
   JoinKind kind = options.join_kind;
   TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples, r->ReadAll());
   TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> s_tuples, s->ReadAll());
-  std::vector<Tuple> result;
-  if (kind == JoinKind::kInner) {
-    TEMPO_ASSIGN_OR_RETURN(
-        result, ReferenceTemporalJoin(r->schema(), r_tuples, s->schema(),
-                                      s_tuples, options.predicate));
-  } else {
-    TEMPO_ASSIGN_OR_RETURN(
-        result, ReferenceSequencedJoin(r->schema(), r_tuples, s->schema(),
-                                       s_tuples, kind));
-  }
+  TEMPO_ASSIGN_OR_RETURN(
+      std::vector<Tuple> result,
+      ReferenceJoin(r->schema(), r_tuples, s->schema(), s_tuples, kind,
+                    options.predicate));
   TEMPO_RETURN_IF_ERROR(out->AppendAll(result));
   JoinRunStats stats;
   stats.output_tuples = result.size();

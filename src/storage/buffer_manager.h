@@ -40,9 +40,8 @@ struct BufferCounters {
 /// The paper's join algorithms manage their buffer budget explicitly (outer
 /// partition area, inner page, tuple cache, result page — Figure 3), so the
 /// join executors talk to the Disk directly and enforce their own page
-/// budget. BufferManager serves the rest of the system: the algebra
-/// operators, incremental view maintenance, and applications that want
-/// ordinary cached access.
+/// budget. BufferManager serves the rest of the system: incremental view
+/// maintenance and applications that want ordinary cached access.
 ///
 /// Usage:
 ///   TEMPO_ASSIGN_OR_RETURN(Page* p, buf.Pin(file, 3));

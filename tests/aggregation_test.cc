@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "algebra/aggregation.h"
+#include "query/temporal_aggregate.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -116,6 +116,34 @@ TEST(TemporalAggregateTest, RejectsBadSpecs) {
   str_spec.fn = AggregateFn::kSum;
   str_spec.value_attr = 1;
   EXPECT_FALSE(TemporalAggregate(TestSchema(), {}, str_spec).ok());
+}
+
+// As in SQL, kSum/kMin/kMax skip a NULL aggregated value (e.g. the padded
+// side of an outer-join result): a stretch covered only by NULLs yields
+// no row. kCount still counts the tuple.
+TEST(TemporalAggregateTest, NullValuesAreSkipped) {
+  std::vector<Tuple> in{N(1, 5, 0, 9),
+                        Tuple({Value(int64_t{1}), Value::Null()},
+                              Interval(5, 14))};
+  for (AggregateFn fn :
+       {AggregateFn::kSum, AggregateFn::kMin, AggregateFn::kMax}) {
+    AggregationSpec spec;
+    spec.fn = fn;
+    spec.value_attr = 1;
+    TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
+                               TemporalAggregate(NumSchema(), in, spec));
+    ASSERT_EQ(result.second.size(), 1u) << AggregateFnName(fn);
+    EXPECT_EQ(result.second[0], Tuple({Value(int64_t{5})}, Interval(0, 9)))
+        << AggregateFnName(fn);
+  }
+  AggregationSpec count;
+  count.value_attr = 1;
+  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
+                             TemporalAggregate(NumSchema(), in, count));
+  ASSERT_EQ(result.second.size(), 3u);
+  EXPECT_EQ(result.second[0], Tuple({Value(int64_t{1})}, Interval(0, 4)));
+  EXPECT_EQ(result.second[1], Tuple({Value(int64_t{2})}, Interval(5, 9)));
+  EXPECT_EQ(result.second[2], Tuple({Value(int64_t{1})}, Interval(10, 14)));
 }
 
 // Property: the sweep agrees with a per-chronon brute force over a small

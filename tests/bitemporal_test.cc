@@ -212,7 +212,7 @@ TEST(BitemporalJoinTest, AsOfJoinMatchesSnapshotOracle) {
   TEMPO_ASSERT_OK_AND_ASSIGN(auto s_snap, s.SnapshotAsOf(as_of));
   TEMPO_ASSERT_OK_AND_ASSIGN(
       auto expected,
-      ReferenceValidTimeJoin(r_schema, r_snap, s_schema, s_snap));
+      ReferenceJoin(r_schema, r_snap, s_schema, s_snap));
   TEMPO_ASSERT_OK_AND_ASSIGN(auto actual, out.ReadAll());
   EXPECT_EQ(stats.output_tuples, expected.size());
   EXPECT_TRUE(SameTupleMultiset(actual, expected));

@@ -640,7 +640,7 @@ TEST_P(PartitionJoinOracleTest, MatchesReferenceJoin) {
 
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_EQ(stats.output_tuples, expected.size());
   EXPECT_TRUE(SameTupleMultiset(actual, expected))
@@ -802,7 +802,7 @@ TEST(PartitionJoinTest, OverflowChunksKeepCorrectness) {
   EXPECT_GT(stats.Get(Metric::kOverflowChunks), 0.0);
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_TRUE(SameTupleMultiset(actual, expected));
 }

@@ -44,7 +44,7 @@ class ViewTest : public ::testing::Test {
   void ExpectViewMatchesOracle() {
     TEMPO_ASSERT_OK_AND_ASSIGN(
         std::vector<Tuple> expected,
-        ReferenceValidTimeJoin(TestSchema(), r_tuples_, SSchema(), s_tuples_));
+        ReferenceJoin(TestSchema(), r_tuples_, SSchema(), s_tuples_));
     TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual,
                                view_->ReadResult());
     EXPECT_TRUE(SameTupleMultiset(actual, expected))

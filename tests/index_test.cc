@@ -146,7 +146,7 @@ TEST_P(IndexedJoinOracleTest, MatchesReferenceJoin) {
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_EQ(stats.output_tuples, expected.size());
   EXPECT_TRUE(SameTupleMultiset(actual, expected));

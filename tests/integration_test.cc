@@ -93,8 +93,7 @@ TEST_P(AllExecutorsTest, AgreeOnGeneratedWorkload) {
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> s_all, setup->s->ReadAll());
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> oracle,
-      ReferenceValidTimeJoin(setup->r->schema(), r_all, setup->s->schema(),
-                             s_all));
+      ReferenceJoin(setup->r->schema(), r_all, setup->s->schema(), s_all));
   EXPECT_TRUE(SameTupleMultiset(nl, oracle));
 }
 

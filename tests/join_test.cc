@@ -47,7 +47,7 @@ TEST(ReferenceJoinTest, MatchesOnKeyAndOverlap) {
   std::vector<Tuple> s{S(1, "x", 5, 15), S(2, "y", 20, 30), S(3, "z", 0, 10)};
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> out,
-      ReferenceValidTimeJoin(TestSchema(), r, SSchema(), s));
+      ReferenceJoin(TestSchema(), r, SSchema(), s));
   // Only (1,a)x(1,x) matches: same key AND overlapping time.
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].value(0).AsInt64(), 1);
@@ -61,7 +61,7 @@ TEST(ReferenceJoinTest, ResultIntervalIsMaximalOverlap) {
   std::vector<Tuple> s{S(1, "x", 0, 7)};
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> out,
-      ReferenceValidTimeJoin(TestSchema(), r, SSchema(), s));
+      ReferenceJoin(TestSchema(), r, SSchema(), s));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].interval(), Interval(3, 7));
 }
@@ -71,7 +71,7 @@ TEST(ReferenceJoinTest, TouchingEndpointsJoin) {
   std::vector<Tuple> s{S(1, "x", 5, 9)};
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> out,
-      ReferenceValidTimeJoin(TestSchema(), r, SSchema(), s));
+      ReferenceJoin(TestSchema(), r, SSchema(), s));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].interval(), Interval(5, 5));
 }
@@ -81,7 +81,7 @@ TEST(ReferenceJoinTest, AdjacentIntervalsDoNotJoin) {
   std::vector<Tuple> s{S(1, "x", 5, 9)};
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> out,
-      ReferenceValidTimeJoin(TestSchema(), r, SSchema(), s));
+      ReferenceJoin(TestSchema(), r, SSchema(), s));
   EXPECT_TRUE(out.empty());
 }
 
@@ -90,7 +90,7 @@ TEST(ReferenceJoinTest, DuplicateTuplesMultiplyOut) {
   std::vector<Tuple> s{S(1, "x", 0, 5), S(1, "x", 0, 5)};
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> out,
-      ReferenceValidTimeJoin(TestSchema(), r, SSchema(), s));
+      ReferenceJoin(TestSchema(), r, SSchema(), s));
   EXPECT_EQ(out.size(), 4u);
 }
 
@@ -152,7 +152,7 @@ TEST_P(ExecutorOracleTest, MatchesReferenceJoin) {
 
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_EQ(stats.output_tuples, expected.size());
   EXPECT_TRUE(SameTupleMultiset(actual, expected))
@@ -519,6 +519,95 @@ TEST(PrepareJoinTest, RejectsUnflushedInput) {
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------
+// Temporal join family through the partition framework
+// ---------------------------------------------------------------------
+
+// The four family members Section 4.1 names, as the test parameter.
+enum class FamilyJoin { kOverlap, kContains, kContainedIn, kEqual };
+
+struct FamilyMember {
+  TemporalPredicate predicate;
+  const char* name;
+};
+
+FamilyMember MemberOf(FamilyJoin j) {
+  static const FamilyMember kMembers[] = {
+      {TemporalPredicate::Overlap(), "overlap"},
+      {TemporalPredicate::ContainJoin(), "contains"},
+      {TemporalPredicate::ContainedJoin(), "contained_in"},
+      {TemporalPredicate::EqualJoin(), "equal"}};
+  return kMembers[static_cast<int>(j)];
+}
+
+class PredicateJoinTest : public ::testing::TestWithParam<FamilyJoin> {};
+
+TEST_P(PredicateJoinTest, MatchesInMemoryOracle) {
+  const TemporalPredicate pred = MemberOf(GetParam()).predicate;
+  Random rng(55);
+  std::vector<Tuple> r_tuples = RandomTuples(rng, 300, 20, 400, 0.3);
+  std::vector<Tuple> s_tuples;
+  for (const Tuple& t : RandomTuples(rng, 300, 20, 400, 0.3)) {
+    s_tuples.push_back(S(t.value(0).AsInt64(), t.value(1).AsString(),
+                         t.interval().start(), t.interval().end()));
+  }
+
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
+  auto s = MakeRelation(&disk, SSchema(), s_tuples, "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+  StoredRelation out(&disk, layout.output, "out");
+  JoinRequest req;
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kPartition)
+      .BufferPages(12)
+      .Predicate(pred);
+  TEMPO_ASSERT_OK(RunJoin(req, &out).status());
+
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> expected,
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples,
+                    JoinKind::kInner, pred));
+  TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
+  EXPECT_TRUE(SameTupleMultiset(actual, expected))
+      << pred.Name() << ": got " << actual.size() << ", want "
+      << expected.size();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Predicates, PredicateJoinTest,
+    ::testing::Values(FamilyJoin::kOverlap, FamilyJoin::kContains,
+                      FamilyJoin::kContainedIn, FamilyJoin::kEqual),
+    [](const ::testing::TestParamInfo<FamilyJoin>& info) {
+      return std::string(MemberOf(info.param).name);
+    });
+
+// The contain-semijoin [LM92] (the r tuples containing a key-matching s
+// tuple) is the contain join's r side: (1,a) contains [4,6] with a
+// matching key; (2,c) contains it but the key differs; (1,b) does not
+// contain it.
+TEST(ContainSemiJoinTest, KeepsContainingTuples) {
+  std::vector<Tuple> r{T(1, "a", 0, 10), T(1, "b", 2, 3), T(2, "c", 0, 10)};
+  std::vector<Tuple> s{S(1, "x", 4, 6)};
+  Disk disk;
+  auto r_rel = MakeRelation(&disk, TestSchema(), r, "r");
+  auto s_rel = MakeRelation(&disk, SSchema(), s, "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+  StoredRelation out(&disk, layout.output, "out");
+  JoinRequest req;
+  req.From(r_rel.get(), s_rel.get())
+      .Using(JoinExecutor::kPartition)
+      .BufferPages(12)
+      .Predicate(TemporalPredicate::ContainJoin());
+  TEMPO_ASSERT_OK(RunJoin(req, &out).status());
+  TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> joined, out.ReadAll());
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].value(1).AsString(), "a");
+  EXPECT_EQ(joined[0].interval(), Interval(4, 6));
 }
 
 }  // namespace

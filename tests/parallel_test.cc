@@ -59,7 +59,7 @@ TEST(ParallelJoinTest, OverflowChunksMatchReferenceAcrossThreadCounts) {
   }
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
 
   Disk disk;
   auto r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
@@ -180,7 +180,7 @@ TEST(ParallelJoinTest, SortMergeAgreesAcrossThreadCounts) {
   }
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
 
   IoStats serial_io;
   for (bool traced : {false, true}) {

@@ -1,6 +1,9 @@
+#include <cmath>
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
-#include "algebra/operators.h"
 #include "core/partition_coalesce.h"
 #include "join/reference_join.h"
 #include "test_util.h"
@@ -12,6 +15,74 @@ using ::tempo::testing::MakeRelation;
 using ::tempo::testing::RandomTuples;
 using ::tempo::testing::T;
 using ::tempo::testing::TestSchema;
+
+// ---------------------------------------------------------------------
+// The in-memory coalescing and timeslice oracles
+// ---------------------------------------------------------------------
+
+TEST(CoalesceTest, MergesAdjacentValueEquivalentTuples) {
+  std::vector<Tuple> in{T(1, "a", 0, 4), T(1, "a", 5, 9), T(1, "a", 20, 25)};
+  std::vector<Tuple> out = ReferenceCoalesce(in);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].interval(), Interval(0, 9));
+  EXPECT_EQ(out[1].interval(), Interval(20, 25));
+}
+
+TEST(CoalesceTest, MergesOverlapping) {
+  std::vector<Tuple> in{T(1, "a", 0, 10), T(1, "a", 5, 20)};
+  std::vector<Tuple> out = ReferenceCoalesce(in);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].interval(), Interval(0, 20));
+}
+
+TEST(CoalesceTest, KeepsDistinctValuesApart) {
+  std::vector<Tuple> in{T(1, "a", 0, 10), T(1, "b", 5, 20), T(2, "a", 0, 10)};
+  std::vector<Tuple> out = ReferenceCoalesce(in);
+  EXPECT_EQ(out.size(), 3u);
+}
+
+TEST(CoalesceTest, Idempotent) {
+  Random rng(3);
+  std::vector<Tuple> in = RandomTuples(rng, 200, 5, 100, 0.4);
+  std::vector<Tuple> once = ReferenceCoalesce(in);
+  std::vector<Tuple> twice = ReferenceCoalesce(once);
+  EXPECT_TRUE(SameTupleMultiset(once, twice));
+}
+
+TEST(CoalesceTest, PreservesSnapshots) {
+  // Snapshot equivalence: the timeslice at every chronon is unchanged.
+  Random rng(4);
+  std::vector<Tuple> in = RandomTuples(rng, 100, 4, 60, 0.5);
+  std::vector<Tuple> out = ReferenceCoalesce(in);
+  for (Chronon t = 0; t < 60; t += 7) {
+    // Compare value multisets at time t (duplicates collapse under
+    // coalescing, so compare *sets* of values).
+    auto values_at = [t](const std::vector<Tuple>& rel) {
+      std::set<std::string> vals;
+      for (const Tuple& tup : Timeslice(rel, t)) {
+        std::string key;
+        for (const Value& v : tup.values()) key += v.ToString() + "|";
+        vals.insert(key);
+      }
+      return vals;
+    };
+    EXPECT_EQ(values_at(in), values_at(out)) << "at chronon " << t;
+  }
+}
+
+TEST(TimesliceTest, PicksValidTuples) {
+  std::vector<Tuple> in{T(1, "a", 0, 5), T(2, "b", 3, 8), T(3, "c", 6, 9)};
+  std::vector<Tuple> out = Timeslice(in, 4);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].interval(), Interval::At(4));
+  EXPECT_EQ(out[0].value(0).AsInt64(), 1);
+  EXPECT_EQ(out[1].value(0).AsInt64(), 2);
+}
+
+// ---------------------------------------------------------------------
+// PartitionCoalesce
+// ---------------------------------------------------------------------
+
 
 TEST(PartitionCoalesceTest, MergesAcrossPartitionBoundaries) {
   Disk disk;
@@ -29,7 +100,7 @@ TEST(PartitionCoalesceTest, MergesAcrossPartitionBoundaries) {
   TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
                              PartitionCoalesce(in.get(), &out, options));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> result, out.ReadAll());
-  std::vector<Tuple> expected = Coalesce(tuples);
+  std::vector<Tuple> expected = ReferenceCoalesce(tuples);
   EXPECT_TRUE(SameTupleMultiset(result, expected));
   EXPECT_EQ(stats.output_tuples, expected.size());
 }
@@ -56,6 +127,79 @@ TEST(PartitionCoalesceTest, SchemaMismatchRejected) {
   StoredRelation out(&disk, other, "out");
   PartitionJoinOptions options;
   EXPECT_FALSE(PartitionCoalesce(in.get(), &out, options).ok());
+}
+
+// Runs the coalescing oracle and PartitionCoalesce (one partition and
+// three) over two tuples whose values differ, and requires both rows back
+// from each: value groups are keyed by the values, not by their printed
+// form.
+void ExpectKeptApart(const Schema& schema, const std::vector<Tuple>& tuples) {
+  EXPECT_TRUE(SameTupleMultiset(ReferenceCoalesce(tuples), tuples));
+  for (uint32_t partitions : {0u, 3u}) {
+    Disk disk;
+    auto in = MakeRelation(&disk, schema, tuples, "in");
+    StoredRelation out(&disk, schema, "out");
+    PartitionJoinOptions options;
+    options.buffer_pages = 8;
+    options.forced_num_partitions = partitions;
+    TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
+                               PartitionCoalesce(in.get(), &out, options));
+    EXPECT_EQ(stats.output_tuples, 2u) << partitions << " partitions";
+    TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> result, out.ReadAll());
+    EXPECT_TRUE(SameTupleMultiset(result, tuples))
+        << partitions << " partitions";
+  }
+}
+
+TEST(PartitionCoalesceTest, KeepsNearlyEqualDoublesApart) {
+  // Both doubles print as 1 under %g.
+  Schema schema({{"key", ValueType::kInt64}, {"x", ValueType::kDouble}});
+  ExpectKeptApart(
+      schema, {Tuple({Value(int64_t{1}), Value(1.0000001)}, Interval(0, 4)),
+               Tuple({Value(int64_t{1}), Value(1.0000002)}, Interval(5, 9))});
+}
+
+TEST(PartitionCoalesceTest, KeepsStringsThatPrintAlikeApart) {
+  // Each string printed in quotes and followed by '\x1f', both pairs read
+  // "x"␟"y"␟"z"␟.
+  Schema schema({{"a", ValueType::kString}, {"b", ValueType::kString}});
+  ExpectKeptApart(schema,
+                  {Tuple({Value("x\"\x1f\"y"), Value("z")}, Interval(0, 4)),
+                   Tuple({Value("x"), Value("y\"\x1f\"z")}, Interval(5, 9))});
+}
+
+TEST(PartitionCoalesceTest, GroupsNaNApartFromNumbers) {
+  // NaN compares false against every double, so an order that used plain
+  // `<` would put (1, 1.0) in the NaN group and merge all three rows.
+  const double nan = std::nan("");
+  Schema schema({{"key", ValueType::kInt64}, {"x", ValueType::kDouble}});
+  std::vector<Tuple> tuples{
+      Tuple({Value(int64_t{1}), Value(nan)}, Interval(0, 4)),
+      Tuple({Value(int64_t{1}), Value(1.0)}, Interval(5, 9)),
+      Tuple({Value(int64_t{1}), Value(nan)}, Interval(5, 9))};
+  auto expect_nan_run_and_number = [](const std::vector<Tuple>& rows) {
+    ASSERT_EQ(rows.size(), 2u);
+    for (const Tuple& t : rows) {
+      if (std::isnan(t.value(1).AsDouble())) {
+        EXPECT_EQ(t.interval(), Interval(0, 9));
+      } else {
+        EXPECT_EQ(t.value(1).AsDouble(), 1.0);
+        EXPECT_EQ(t.interval(), Interval(5, 9));
+      }
+    }
+  };
+  expect_nan_run_and_number(ReferenceCoalesce(tuples));
+  for (uint32_t partitions : {0u, 3u}) {
+    Disk disk;
+    auto in = MakeRelation(&disk, schema, tuples, "in");
+    StoredRelation out(&disk, schema, "out");
+    PartitionJoinOptions options;
+    options.buffer_pages = 8;
+    options.forced_num_partitions = partitions;
+    TEMPO_ASSERT_OK(PartitionCoalesce(in.get(), &out, options).status());
+    TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> result, out.ReadAll());
+    expect_nan_run_and_number(result);
+  }
 }
 
 struct CoalesceCase {
@@ -87,11 +231,11 @@ TEST_P(PartitionCoalesceOracleTest, MatchesInMemoryCoalesce) {
   options.seed = c.seed;
   TEMPO_ASSERT_OK(PartitionCoalesce(in.get(), &out, options).status());
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> result, out.ReadAll());
-  std::vector<Tuple> expected = Coalesce(tuples);
+  std::vector<Tuple> expected = ReferenceCoalesce(tuples);
   EXPECT_TRUE(SameTupleMultiset(result, expected))
       << "got " << result.size() << ", want " << expected.size();
   // Output must itself be coalesced (idempotence).
-  EXPECT_TRUE(SameTupleMultiset(Coalesce(result), result));
+  EXPECT_TRUE(SameTupleMultiset(ReferenceCoalesce(result), result));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -132,7 +132,7 @@ TEST(PlannerTest, ExecuteProducesCorrectResultAndAnnotations) {
 
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_TRUE(SameTupleMultiset(actual, expected));
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/partition_coalesce.h"
 #include "join/reference_join.h"
 #include "obs/explain.h"
 #include "query/query_plan.h"
@@ -120,7 +121,7 @@ TEST_F(GoldenPipelineTest, SelectOnScan) {
 
 // P2: π key (r) — value-equal rows with overlapping intervals stay
 // separate rows: [0,10] and [5,15] for key 1 must NOT merge into [0,15]
-// (change preservation; algebra::Project would coalesce them).
+// (change preservation; only an explicit PartitionCoalesce merges them).
 TEST_F(GoldenPipelineTest, ProjectKeepsDuplicatesAndIntervals) {
   ExpectGolden(QueryPlan::Scan(r_.get()).Project({"key"}),
                {K(1, 0, 10), K(1, 5, 15), K(2, 0, 5), K(3, 8, 12),
@@ -389,6 +390,85 @@ TEST_F(GoldenPipelineTest, ExplainAnalyzeShowsOperatorTreeAndJoinKind) {
     EXPECT_NE(text.find("join kind: full-outer"), std::string::npos) << text;
     EXPECT_NE(text.find("outer pass"), std::string::npos) << text;
   }
+}
+
+// ---------------------------------------------------------------------
+// The paged select, project and difference cover the in-memory operators
+// they replace: each case asks for the rows the in-memory operator gave,
+// with coalescing as an explicit PartitionCoalesce.
+// ---------------------------------------------------------------------
+
+StatusOr<std::vector<Tuple>> RunToRows(const QueryPlan& plan, Disk* disk) {
+  TEMPO_ASSIGN_OR_RETURN(QueryResult result, RunSequencedQuery(plan, disk));
+  return result.relation->ReadAll();
+}
+
+TEST(SelectTest, ArbitraryPredicate) {
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(),
+                        {T(1, "a", 0, 1), T(5, "b", 0, 1)}, "r");
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      RunToRows(QueryPlan::Scan(r.get()).Select(
+                    {"key", CompareOp::kGt, Value(int64_t{2})}),
+                &disk));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].value(0).AsInt64(), 5);
+}
+
+TEST(ProjectTest, DropsAttributesAndCoalesces) {
+  // Distinct names with the same key become value-equivalent after
+  // projecting to {key}: the projection keeps both rows, and coalescing
+  // the projection merges them.
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(),
+                        {T(1, "alice", 0, 4), T(1, "bob", 5, 9)}, "r");
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      QueryResult projected,
+      RunSequencedQuery(QueryPlan::Scan(r.get()).Project({"key"}), &disk));
+  EXPECT_EQ(projected.relation->schema().ToString(), "(key:int64)");
+  EXPECT_EQ(projected.output_tuples, 2u);
+  StoredRelation out(&disk, projected.relation->schema(), "out");
+  TEMPO_ASSERT_OK(PartitionCoalesce(projected.relation.get(), &out,
+                                    PartitionJoinOptions{})
+                      .status());
+  TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, out.ReadAll());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].interval(), Interval(0, 9));
+}
+
+TEST(ProjectTest, OutOfRangeFails) {
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), {}, "r");
+  EXPECT_FALSE(
+      RunSequencedQuery(QueryPlan::Scan(r.get()).Project({"nope"}), &disk)
+          .ok());
+}
+
+TEST(VtDifferenceTest, SubtractsCoveredTime) {
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), {T(1, "a", 0, 10)}, "r");
+  auto s = MakeRelation(&disk, TestSchema(), {T(1, "a", 3, 5)}, "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      RunToRows(QueryPlan::Difference(QueryPlan::Scan(r.get()),
+                                      QueryPlan::Scan(s.get())),
+                &disk));
+  EXPECT_TRUE(SameTupleMultiset(out, {T(1, "a", 0, 2), T(1, "a", 6, 10)}))
+      << out.size() << " rows";
+}
+
+TEST(VtDifferenceTest, DifferentValuesUntouched) {
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), {T(1, "a", 0, 10)}, "r");
+  auto s = MakeRelation(&disk, TestSchema(), {T(1, "b", 0, 10)}, "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      RunToRows(QueryPlan::Difference(QueryPlan::Scan(r.get()),
+                                      QueryPlan::Scan(s.get())),
+                &disk));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].interval(), Interval(0, 10));
 }
 
 }  // namespace

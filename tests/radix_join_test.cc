@@ -81,7 +81,7 @@ ExecRun ReferenceRun(Disk* disk, StoredRelation* r, StoredRelation* s,
   EXPECT_TRUE(r_tuples.ok() && s_tuples.ok());
   run.io = disk->accountant().stats();
   auto expected =
-      ReferenceValidTimeJoin(r->schema(), *r_tuples, s->schema(), *s_tuples);
+      ReferenceJoin(r->schema(), *r_tuples, s->schema(), *s_tuples);
   EXPECT_TRUE(expected.ok());
   StoredRelation out(disk, out_schema, "ref.out");
   EXPECT_TRUE(out.SetCharged(false).ok());
@@ -283,8 +283,8 @@ TEST(RadixJoinTest, OrderedPassMatchesReferenceOnSharedHashNullKeysLongLived) {
     reference.io = disk.accountant().stats();
     TEMPO_ASSERT_OK_AND_ASSIGN(
         std::vector<Tuple> expected,
-        ReferenceTemporalJoin(r->schema(), *r_tuples, s->schema(), *s_tuples,
-                              predicate));
+        ReferenceJoin(r->schema(), *r_tuples, s->schema(), *s_tuples,
+                      JoinKind::kInner, predicate));
     reference.output_tuples = expected.size();
     ASSERT_GT(reference.output_tuples, 0u) << predicate.Name();
     StoredRelation ref_out(&disk, layout.output, "ref.out");
@@ -368,7 +368,7 @@ TEST(RadixJoinTest, ExecuteFallsBackToPagedGraceWhenBudgetExceeded) {
 
   TEMPO_ASSERT_OK_AND_ASSIGN(
       std::vector<Tuple> expected,
-      ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_TRUE(SameTupleMultiset(actual, expected));
 

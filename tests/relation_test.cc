@@ -216,5 +216,29 @@ TEST(TupleTest, ToStringMentionsValuesAndInterval) {
   EXPECT_NE(s.find("[1, 4]"), std::string::npos);
 }
 
+TEST(NullValueTest, SerializationRoundTripWithNulls) {
+  Schema schema({{"a", ValueType::kInt64},
+                 {"b", ValueType::kString},
+                 {"c", ValueType::kDouble}});
+  Tuple t({Value(int64_t{5}), Value::Null(), Value::Null()}, Interval(0, 3));
+  std::string buf;
+  t.SerializeTo(schema, &buf);
+  EXPECT_EQ(buf.size(), t.SerializedSize(schema));
+  TEMPO_ASSERT_OK_AND_ASSIGN(Tuple back,
+                             ::tempo::testing::ParseRecord(schema, buf));
+  EXPECT_EQ(back, t);
+  EXPECT_TRUE(back.value(1).is_null());
+  EXPECT_TRUE(back.value(2).is_null());
+  EXPECT_EQ(back.value(0).AsInt64(), 5);
+}
+
+TEST(NullValueTest, NullEqualityAndPrinting) {
+  EXPECT_EQ(Value::Null(), Value::Null());
+  EXPECT_NE(Value::Null(), Value(int64_t{0}));
+  EXPECT_EQ(Value::Null().ToString(), "NULL");
+  EXPECT_TRUE(Value::Null().is_null());
+  EXPECT_FALSE(Value(int64_t{0}).is_null());
+}
+
 }  // namespace
 }  // namespace tempo

@@ -178,6 +178,39 @@ TEST(FaultSweepTest, GroupedProbeExecutorsLeaveNoTempFiles) {
   }
 }
 
+// Sort-merge and the sweep write sort runs; the partition executor's
+// outer and anti kinds also emit uncovered stretches, and full-outer runs
+// a second, swapped pass. Every failed run must return the injected error
+// and leave no sort run, Grace partition, cache spill or output page
+// behind.
+TEST(FaultSweepTest, SortedAndOuterExecutorsLeaveNoTempFiles) {
+  struct Run {
+    JoinExecutor executor;
+    JoinKind kind;
+  };
+  for (const Run& run : {Run{JoinExecutor::kSortMerge, JoinKind::kInner},
+                         Run{JoinExecutor::kSweep, JoinKind::kInner},
+                         Run{JoinExecutor::kPartition, JoinKind::kLeftOuter},
+                         Run{JoinExecutor::kPartition, JoinKind::kFullOuter},
+                         Run{JoinExecutor::kPartition, JoinKind::kAnti}}) {
+    const std::string label = std::string(JoinExecutorName(run.executor)) +
+                              "/" + JoinKindName(run.kind);
+    FaultFixture f;
+    const Schema out_schema =
+        run.kind == JoinKind::kAnti ? TestSchema() : f.layout.output;
+    JoinRequest req;
+    req.From(f.r.get(), f.s.get())
+        .Using(run.executor)
+        .Kind(run.kind)
+        .BufferPages(16);
+    auto join = [&]() -> Status {
+      TempRelation out(new StoredRelation(&f.disk, out_schema, "out"));
+      return RunJoin(req, out.get()).status();
+    };
+    EXPECT_GT(SweepFaults(&f.disk, join), 3) << label;
+  }
+}
+
 TEST(FaultSweepTest, PartitionCoalesceLeavesNoTempFiles) {
   FaultFixture f;
   const uint64_t input_pages = f.disk.TotalPages();

@@ -149,8 +149,8 @@ FacadeInputs MakeFacadeInputs() {
     in.s_tuples.push_back(S(t.value(0).AsInt64(), t.value(1).AsString(),
                             t.interval().start(), t.interval().end()));
   }
-  auto expected = ReferenceValidTimeJoin(TestSchema(), in.r_tuples, SSchema(),
-                                         in.s_tuples);
+  auto expected =
+      ReferenceJoin(TestSchema(), in.r_tuples, SSchema(), in.s_tuples);
   if (expected.ok()) in.expected = *std::move(expected);
   return in;
 }
@@ -309,7 +309,7 @@ struct ServiceFixture {
     r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
     s = MakeRelation(&disk, SSchema(), s_tuples, "s");
     auto expected_or =
-        ReferenceValidTimeJoin(TestSchema(), r_tuples, SSchema(), s_tuples);
+        ReferenceJoin(TestSchema(), r_tuples, SSchema(), s_tuples);
     if (expected_or.ok()) expected = *std::move(expected_or);
   }
 };

@@ -332,8 +332,8 @@ TEST(PredicateExecutorParityTest, AllExecutorsMatchOracleOnSharedChronon) {
     auto ors = MakeRelation(&odisk, SSchema(), in.s_tuples, "s");
     TEMPO_ASSERT_OK_AND_ASSIGN(
         std::vector<Tuple> expected,
-        ReferenceTemporalJoin(TestSchema(), in.r_tuples, SSchema(),
-                              in.s_tuples, pred));
+        ReferenceJoin(TestSchema(), in.r_tuples, SSchema(), in.s_tuples,
+                      JoinKind::kInner, pred));
     for (JoinExecutor exec : executors) {
       Disk disk;
       auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
