@@ -7,10 +7,10 @@
 // Reported per executor class: summed output cardinality and charged I/O
 // ops, which are deterministic (each query runs against a private
 // accountant, so concurrency cannot perturb them — bench_compare gates
-// these). Reported for the service: queries/sec and p50/p99 query latency
-// and admission wait from the service's LogHistogram metrics, plus the
-// admission queue peak — all timing-dependent, named so the regression
-// gate skips them as volatile.
+// these), and the planner's pick for the auto queries. Reported for the
+// service: queries/sec and p50/p99 query latency and admission wait from
+// the service's LogHistogram metrics, plus the admission queue peak — all
+// timing-dependent, named so the regression gate skips them as volatile.
 
 #include <fstream>
 #include <string>
@@ -18,6 +18,7 @@
 
 #include "bench_util.h"
 #include "common/histogram.h"
+#include "core/planner.h"
 #include "service/query_service.h"
 
 namespace tempo::bench {
@@ -103,6 +104,9 @@ int Run() {
 
   std::vector<double> tuples_by_mix(4, 0.0);
   std::vector<double> io_ops_by_mix(4, 0.0);
+  // The planner's pick for the auto queries (JoinAlgorithm's encoding), so
+  // the regression gate sees a silent change of kAuto's choice.
+  double auto_pick = -1.0;
   for (size_t q = 0; q < handles.size(); ++q) {
     Status st = handles[q]->Wait();
     if (!st.ok()) {
@@ -113,6 +117,9 @@ int Run() {
     tuples_by_mix[q % 4] +=
         static_cast<double>(handles[q]->stats().output_tuples);
     io_ops_by_mix[q % 4] += handles[q]->stats().io.total_ops();
+    if (mixes[q % 4].executor == JoinExecutor::kAuto) {
+      auto_pick = handles[q]->stats().Get(Metric::kPlannedAlgorithm);
+    }
   }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -129,10 +136,15 @@ int Run() {
     const std::string label = mixes[m].label;
     out.Add(label, "output_tuples", tuples_by_mix[m]);
     out.Add(label, "io_ops", io_ops_by_mix[m]);
+    if (mixes[m].executor == JoinExecutor::kAuto) {
+      out.Add(label, "planned_algorithm", auto_pick);
+    }
     table.AddRow({label, std::to_string(kQueries / 4),
                   Fmt(tuples_by_mix[m]), Fmt(io_ops_by_mix[m])});
   }
   std::printf("%s\n", table.ToString().c_str());
+  std::printf("auto queries planned: %s\n",
+              JoinAlgorithmName(static_cast<JoinAlgorithm>(auto_pick)));
 
   out.Add("service", "queries_completed",
           metrics.Get(Metric::kQueriesCompleted));

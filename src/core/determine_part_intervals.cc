@@ -27,10 +27,33 @@ double PartitionComponent(uint32_t num_partitions, uint32_t part_size,
 double CacheComponent(const std::vector<uint64_t>& cache_pages,
                       const CostModel& model) {
   double cost = 0.0;
-  for (uint64_t m : cache_pages) {
-    if (m == 0) continue;
-    cost += 2.0 * (model.random_weight +
-                   static_cast<double>(m - 1) * model.sequential_weight);
+  for (uint64_t m : cache_pages) cost += 2.0 * model.PassCost(m);
+  return cost;
+}
+
+/// Overflow component of C_join (Section 3.4, Appendix A.1). Joining
+/// partition i holds r_i plus the retained outer tuples that overlap p_i
+/// from later partitions, which are the tuples the cache estimate counts,
+/// in the buffSize - 3 page area. Each chunk beyond the first re-reads s_i
+/// (as large as r_i, by the similarity assumption) and p_i's cache pages.
+/// Adds the extra chunks to `*chunks`.
+double OverflowComponent(const std::vector<double>& stored_tuples,
+                         const std::vector<double>& cached_tuples,
+                         const std::vector<uint64_t>& cache_pages,
+                         double tuples_per_page, uint32_t area_pages,
+                         const CostModel& model, uint64_t* chunks) {
+  auto pages = [&](double tuples) {
+    return static_cast<uint64_t>(std::ceil(tuples / tuples_per_page));
+  };
+  double cost = 0.0;
+  for (size_t i = 0; i < stored_tuples.size(); ++i) {
+    const uint64_t held = pages(stored_tuples[i] + cached_tuples[i]);
+    if (held <= area_pages) continue;
+    const uint64_t extra = (held + area_pages - 1) / area_pages - 1;
+    *chunks += extra;
+    cost += static_cast<double>(extra) *
+            (model.PassCost(pages(stored_tuples[i])) +
+             model.PassCost(cache_pages[i]));
   }
   return cost;
 }
@@ -144,10 +167,31 @@ class CandidateSweep {
     return index_->Choose(num_partitions);
   }
 
-  RelationSampler& sampler() { return sampler_; }
-  double tuples_per_page() const { return tuples_per_page_; }
+  /// The plan of `k` partitions chosen from every sample drawn, carrying
+  /// the estimates of the candidate `point` that chose it. The plan takes
+  /// the samples, so this is the sweep's last call.
+  PartitionPlan Plan(uint32_t k, const PartitionCostPoint& point) {
+    PartitionPlan plan;
+    plan.spec = Choose(k);
+    plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
+    plan.part_size_pages = point.part_size_pages;
+    plan.samples_drawn = sampler_.num_drawn();
+    plan.sampled_by_scan = sampler_.scanned();
+    plan.est_sample_cost = point.c_sample;
+    plan.est_join_cost = point.c_partition + point.c_cache;
+    const std::vector<Interval>& samples = sampler_.samples();
+    plan.est_cache_pages =
+        EstimateCacheSizes(samples, tuples_, tuples_per_page_, plan.spec);
+    plan.est_overflow_cost = OverflowComponent(
+        EstimateStoredTuples(samples, tuples_, plan.spec),
+        EstimateCachedTuples(samples, tuples_, plan.spec),
+        plan.est_cache_pages, tuples_per_page_, options_.buffer_pages - 3,
+        options_.cost_model, &plan.est_overflow_chunks);
+    plan.samples = sampler_.TakeSamples();
+    return plan;
+  }
+
   uint32_t pages() const { return pages_; }
-  uint64_t tuples() const { return tuples_; }
 
  private:
   const PartitionPlanOptions& options_;
@@ -201,18 +245,7 @@ StatusOr<PartitionPlan> DeterminePartIntervals(
     uint32_t k = options.forced_num_partitions;
     uint32_t part_size = (sweep.pages() + k - 1) / k;
     TEMPO_ASSIGN_OR_RETURN(PartitionCostPoint point, sweep.Evaluate(part_size));
-    PartitionPlan plan;
-    plan.spec = sweep.Choose(k);
-    plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
-    plan.part_size_pages = part_size;
-    plan.samples_drawn = sweep.sampler().num_drawn();
-    plan.sampled_by_scan = sweep.sampler().scanned();
-    plan.est_sample_cost = point.c_sample;
-    plan.est_join_cost = point.c_partition + point.c_cache;
-    plan.est_cache_pages =
-        EstimateCacheSizes(sweep.sampler().samples(), sweep.tuples(),
-                           sweep.tuples_per_page(), plan.spec);
-    return plan;
+    return sweep.Plan(k, point);
   }
 
   double best_cost = std::numeric_limits<double>::infinity();
@@ -230,20 +263,9 @@ StatusOr<PartitionPlan> DeterminePartIntervals(
   // Re-choose the winning spec from the full sample set (a free
   // refinement: every sample has been paid for by now, and the index
   // already covers them).
-  uint32_t k = (sweep.pages() + best.part_size_pages - 1) /
-               best.part_size_pages;
-  PartitionPlan plan;
-  plan.spec = sweep.Choose(k);
-  plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
-  plan.part_size_pages = best.part_size_pages;
-  plan.samples_drawn = sweep.sampler().num_drawn();
-  plan.sampled_by_scan = sweep.sampler().scanned();
-  plan.est_sample_cost = best.c_sample;
-  plan.est_join_cost = best.c_partition + best.c_cache;
-  plan.est_cache_pages =
-      EstimateCacheSizes(sweep.sampler().samples(), sweep.tuples(),
-                         sweep.tuples_per_page(), plan.spec);
-  return plan;
+  return sweep.Plan((sweep.pages() + best.part_size_pages - 1) /
+                        best.part_size_pages,
+                    best);
 }
 
 StatusOr<std::vector<PartitionCostPoint>> PartitionCostCurve(

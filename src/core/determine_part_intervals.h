@@ -43,8 +43,16 @@ struct PartitionPlan {
   bool sampled_by_scan = false;
   double est_sample_cost = 0.0;       ///< C_sample of the chosen plan
   double est_join_cost = 0.0;         ///< C_join of the chosen plan
+  /// Re-reads of the estimated overflow chunks (Section 3.4), and their
+  /// count; not part of est_join_cost (see DeterminePartIntervals).
+  double est_overflow_cost = 0.0;
+  uint64_t est_overflow_chunks = 0;
   /// Estimated tuple-cache pages per partition (EstimateCacheSizes).
   std::vector<uint64_t> est_cache_pages;
+  /// The sampled validity intervals of the outer relation, in draw order
+  /// (a uniformly random order); the planner prices sort-merge's back-ups
+  /// from them.
+  std::vector<Interval> samples;
 };
 
 /// Algorithm determinePartIntervals (Appendix A.2): examines candidate
@@ -60,6 +68,16 @@ struct PartitionPlan {
 /// i.e. write+read of the outer partitions plus write+read of the tuple
 /// caches. (Grace partitioning's input-scan cost is the same for every
 /// candidate and is omitted, as in the paper.)
+///
+/// The chosen plan also carries the cost of its overflow chunks
+/// (Section 3.4), which the argmin leaves out: partition i's area holds
+/// r_i plus the retained outer tuples that overlap p_i from later
+/// partitions (estimated like its cache, m_i pages), and every chunk of
+/// buffSize - 3 pages beyond the first re-reads s_i (~ r_i by the
+/// similarity assumption) and the cache. Minimising with that term moves
+/// the Figure 7 choices toward more, smaller partitions whose tuple cache
+/// costs more than the overflow saved, so only the planner adds it, when
+/// it compares the partition join with the other executors.
 ///
 /// Implementation refinements over the pseudocode, documented in DESIGN.md:
 /// only partition sizes that change ceil(pages/partSize) are examined (the

@@ -39,6 +39,20 @@ std::vector<uint64_t> EstimateCacheSizes(const std::vector<Interval>& samples,
                                          double tuples_per_page,
                                          const PartitionSpec& spec);
 
+/// The estimates EstimateCacheSizes rounds up to pages: per partition,
+/// the relation's tuples that overlap it but are stored in a later one,
+/// scaled by |relation| / |samples|.
+std::vector<double> EstimateCachedTuples(const std::vector<Interval>& samples,
+                                         uint64_t relation_tuples,
+                                         const PartitionSpec& spec);
+
+/// Per partition, the relation's tuples Grace partitioning stores in it
+/// under last-overlap placement: each sample counts toward the partition
+/// holding its end, scaled by |relation| / |samples|.
+std::vector<double> EstimateStoredTuples(const std::vector<Interval>& samples,
+                                         uint64_t relation_tuples,
+                                         const PartitionSpec& spec);
+
 }  // namespace tempo
 
 #endif  // TEMPO_CORE_ESTIMATE_CACHE_H_

@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/assert.h"
 #include "core/tuple_cache.h"
 #include "join/flat_index.h"
 #include "join/join_executor.h"
@@ -382,40 +383,57 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   return stats;
 }
 
+StatusOr<PartitionPlan> PlanPartitions(StoredRelation* r,
+                                       const PartitionJoinOptions& options,
+                                       ExecContext* ctx) {
+  PartitionPlanOptions plan_options;
+  plan_options.buffer_pages = options.buffer_pages;
+  plan_options.cost_model = options.cost_model;
+  plan_options.forced_num_partitions = options.forced_num_partitions;
+  Random rng(options.seed);
+  return DeterminePartIntervals(r, plan_options, &rng, ctx);
+}
+
 namespace {
 
 /// One full partition-executor pass — plan, (maybe) Grace partition, join —
 /// over (r, s) with r as the build/outer side. `layout` is the natural-join
 /// layout of (r, s) *as passed*: the swapped full-outer pass hands in the
-/// (s, r) layout. Validation is RunJoinContract's job.
+/// (s, r) layout. A non-null `handed_plan` is r's partitioning, already
+/// drawn by PlanPartitions. Validation is RunJoinContract's job.
 StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
                                         StoredRelation* out,
                                         const NaturalJoinLayout& layout,
                                         const PartitionJoinOptions& options,
                                         ExecContext* ctx,
-                                        JoinVariant* variant) {
+                                        JoinVariant* variant,
+                                        const PartitionPlan* handed_plan) {
   TraceSpan root_span = SpanIf(ctx, Phase::kPartitionJoin);
-  Random rng(options.seed);
 
-  // Phase 1: determine the partitioning intervals (samples are charged).
-  PartitionPlanOptions plan_options;
-  plan_options.buffer_pages = options.buffer_pages;
-  plan_options.cost_model = options.cost_model;
-  plan_options.forced_num_partitions = options.forced_num_partitions;
-  StatusOr<PartitionPlan> plan_or = Status::Internal("unset");
-  {
-    TraceSpan plan_span = SpanIf(ctx, Phase::kChooseIntervals);
-    plan_or = DeterminePartIntervals(r, plan_options, &rng, ctx);
+  // Phase 1: determine the partitioning intervals (samples are charged),
+  // unless the planner already drew them.
+  PartitionPlan own_plan;
+  if (handed_plan == nullptr) {
+    StatusOr<PartitionPlan> plan_or = Status::Internal("unset");
+    {
+      TraceSpan plan_span = SpanIf(ctx, Phase::kChooseIntervals);
+      plan_or = PlanPartitions(r, options, ctx);
+    }
+    TEMPO_ASSIGN_OR_RETURN(own_plan, std::move(plan_or));
   }
-  TEMPO_RETURN_IF_ERROR(plan_or.status());
-  PartitionPlan plan = std::move(plan_or).value();
+  const PartitionPlan& plan =
+      handed_plan != nullptr ? *handed_plan : own_plan;
   if (ctx != nullptr) {
     // The optimizer's cost split maps onto the span tree: C_sample onto
     // the sampling phase, C_join onto joinPartitions (which re-reads the
-    // partitions and pages the tuple cache), their sum onto the root.
+    // partitions and pages the tuple cache), their sum onto the root. A
+    // handed plan's sampling ran under the planner's span, and the root
+    // keeps the planner's estimate.
     ctx->AnnotateEstimate(Phase::kSampling, plan.est_sample_cost);
     ctx->AnnotateEstimate(Phase::kJoinPartitions, plan.est_join_cost);
-    root_span.SetEstimate(plan.est_sample_cost + plan.est_join_cost);
+    if (handed_plan == nullptr) {
+      root_span.SetEstimate(plan.est_sample_cost + plan.est_join_cost);
+    }
   }
 
   JoinRunStats stats;
@@ -506,10 +524,14 @@ StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
                                      StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
                                      const PartitionJoinOptions& options,
-                                     ExecContext* ctx) {
+                                     ExecContext* ctx,
+                                     const PartitionPlan* plan) {
   if (options.join_kind == JoinKind::kInner) {
-    return RunPartitionPass(r, s, out, layout, options, ctx, nullptr);
+    return RunPartitionPass(r, s, out, layout, options, ctx, nullptr, plan);
   }
+  // r's partitioning would not fit the full outer's swapped pass; the
+  // planner forces these kinds without sampling.
+  TEMPO_DCHECK(plan == nullptr);
 
   // Sequenced outer/anti variant. The uncovered-subinterval arithmetic
   // assumes every key-matching overlap is observed exactly once, which the
@@ -531,7 +553,7 @@ StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
   pass1.writer = &writer;
   TEMPO_ASSIGN_OR_RETURN(
       JoinRunStats stats,
-      RunPartitionPass(r, s, out, layout, options, ctx, &pass1));
+      RunPartitionPass(r, s, out, layout, options, ctx, &pass1, nullptr));
   uint64_t unmatched = pass1.unmatched_tuples;
   uint64_t uncovered = pass1.uncovered_subintervals;
 
@@ -550,7 +572,7 @@ StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
     pass2.writer = &writer;
     TEMPO_ASSIGN_OR_RETURN(
         JoinRunStats pass2_stats,
-        RunPartitionPass(s, r, out, swapped, options, ctx, &pass2));
+        RunPartitionPass(s, r, out, swapped, options, ctx, &pass2, nullptr));
     stats.metrics.Merge(pass2_stats.metrics);
     unmatched += pass2.unmatched_tuples;
     uncovered += pass2.uncovered_subintervals;
@@ -576,7 +598,7 @@ StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
   return RunJoinContract(JoinExecutor::kPartition, r, s, out, options, ctx,
                          [&](const NaturalJoinLayout& layout) {
                            return PartitionBody(layout, r, s, out, options,
-                                                ctx);
+                                                ctx, nullptr);
                          });
 }
 

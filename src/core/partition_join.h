@@ -108,6 +108,16 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
                                       ExecContext* ctx = nullptr,
                                       JoinVariant* variant = nullptr);
 
+/// Phase 1 of the partition executor: determinePartIntervals over r under
+/// `options` (buffSize, cost model, forced partition count), drawing its
+/// samples with the executor's own RNG, seeded from options.seed. The
+/// planner's sampled stage calls it too and hands the plan to the
+/// executor, so one query draws one sample, and the charged I/O and the
+/// intervals are those of an explicit partition run.
+StatusOr<PartitionPlan> PlanPartitions(StoredRelation* r,
+                                       const PartitionJoinOptions& options,
+                                       ExecContext* ctx = nullptr);
+
 /// The paper's contribution, end to end (Figure 2):
 ///
 ///   partInterals  <- determinePartIntervals(buffSize, |r|, |s|)

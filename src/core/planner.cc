@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "core/radix_join.h"
 #include "join/nested_loop_join.h"
@@ -93,6 +95,103 @@ double EstimatePartitionJoinCost(uint32_t pages_r, uint32_t pages_s,
   return sampling + partition_io;
 }
 
+namespace {
+
+std::string Rounded(double cost) { return std::to_string(std::llround(cost)); }
+
+/// Sorts the candidates cheapest first, keeping list order among equal
+/// costs, and picks the first.
+void Rank(JoinPlan* plan) {
+  std::stable_sort(plan->candidates.begin(), plan->candidates.end(),
+                   [](const JoinEstimate& a, const JoinEstimate& b) {
+                     return a.estimated_cost < b.estimated_cost;
+                   });
+  plan->algorithm = plan->candidates.front().algorithm;
+}
+
+}  // namespace
+
+double EstimateBackupPages(const std::vector<Interval>& samples,
+                           uint64_t tuples_r, uint64_t tuples_s,
+                           uint32_t pages_r, uint32_t pages_s,
+                           uint32_t buffer_pages) {
+  if (samples.empty() || pages_r == 0 || tuples_r == 0) return 0.0;
+  // Samples come in draw order, which is uniformly random, so a prefix is
+  // a uniform subsample; this many still give every run of the replay
+  // its 32 samples, at a fraction of the cost of a whole scanned relation.
+  constexpr size_t kMaxReplaySamples = 4096;
+  const size_t m = std::min(samples.size(), kMaxReplaySamples);
+  const double tuples_per_page =
+      static_cast<double>(tuples_r) / static_cast<double>(pages_r);
+  const double capacity = static_cast<double>(MergeWindowPages(buffer_pages)) *
+                          tuples_per_page * static_cast<double>(m) /
+                          static_cast<double>(tuples_r + tuples_s);
+  std::vector<Interval> order(samples.begin(), samples.begin() + m);
+  std::sort(order.begin(), order.end(), IntervalStartLess());
+  // Replays RetentionBudget: an arrival first expires every retained
+  // tuple ending before it, then joins the retained set, which sheds its
+  // latest-ending members while over capacity. Two heaps over (end, sweep
+  // position) find the earliest and the latest end; an entry that left
+  // the set through the other heap is skipped when it surfaces.
+  enum State : uint8_t { kRetained, kEvicted, kExpired };
+  std::vector<State> state(m, kRetained);
+  using Entry = std::pair<Chronon, size_t>;
+  std::vector<Entry> earliest;  // min-heap
+  std::vector<Entry> latest;    // max-heap
+  earliest.reserve(m);
+  latest.reserve(m);
+  const auto later = std::less<Entry>();
+  const auto sooner = std::greater<Entry>();
+  size_t retained = 0;
+  for (size_t i = 0; i < m; ++i) {
+    const Chronon sweep = order[i].start();
+    while (!earliest.empty() && earliest.front().first < sweep) {
+      const size_t gone = earliest.front().second;
+      std::pop_heap(earliest.begin(), earliest.end(), sooner);
+      earliest.pop_back();
+      if (state[gone] == kRetained) {
+        state[gone] = kExpired;
+        --retained;
+      }
+    }
+    earliest.emplace_back(order[i].end(), i);
+    std::push_heap(earliest.begin(), earliest.end(), sooner);
+    latest.emplace_back(order[i].end(), i);
+    std::push_heap(latest.begin(), latest.end(), later);
+    ++retained;
+    while (static_cast<double>(retained) > capacity) {
+      const size_t victim = latest.front().second;
+      std::pop_heap(latest.begin(), latest.end(), later);
+      latest.pop_back();
+      if (state[victim] == kRetained) {
+        state[victim] = kEvicted;
+        --retained;
+      }
+    }
+  }
+  // A run needs enough samples to estimate its evicted fraction: one
+  // evicted sample among few would list its whole run, or none of it.
+  constexpr size_t kSamplesPerRun = 32;
+  const size_t runs =
+      std::max<size_t>(1, std::min<size_t>(pages_r, m / kSamplesPerRun));
+  const double pages_per_run =
+      static_cast<double>(pages_r + pages_s) / static_cast<double>(runs);
+  double pages = 0.0;
+  for (size_t run = 0; run < runs; ++run) {
+    const size_t begin = run * m / runs;
+    const size_t end = (run + 1) * m / runs;
+    size_t run_evicted = 0;
+    for (size_t i = begin; i < end; ++i) {
+      run_evicted += state[i] == kEvicted ? 1 : 0;
+    }
+    if (run_evicted == 0) continue;
+    const double e = static_cast<double>(run_evicted) /
+                     static_cast<double>(end - begin);
+    pages += pages_per_run * (1.0 - std::pow(1.0 - e, tuples_per_page));
+  }
+  return pages;
+}
+
 double EstimateRadixJoinCost(uint32_t pages_r, uint32_t pages_s,
                              const CostModel& model) {
   return model.Cost(2, pages_r + pages_s >= 2 ? pages_r + pages_s - 2 : 0);
@@ -153,10 +252,11 @@ JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
          "blocks(r) x scan(s); exact closed form"});
     plan.candidates.push_back(
         {JoinAlgorithm::kSortMerge, EstimateSortMergeCost(pr, ps, b, m),
-         "sort both + co-scan; back-up not modelled"});
+         "catalog: sort both + co-scan; back-ups need a sample"});
     plan.candidates.push_back(
         {JoinAlgorithm::kPartition, EstimatePartitionJoinCost(pr, ps, b, m),
-         "sample + Grace partition both + join scan; cache not modelled"});
+         "catalog lower bound: sample scan + Grace both; cache and "
+         "overflow need a sample"});
   } else {
     plan.candidates.push_back({JoinAlgorithm::kNestedLoop,
                                std::numeric_limits<double>::infinity(),
@@ -177,14 +277,78 @@ JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
        sweep_eligible ? EstimateSweepJoinCost(pr, ps, b, m)
                       : std::numeric_limits<double>::infinity(),
        sweep_eligible
-           ? "sort both + one sweep; active maps are in-memory"
+           ? "catalog: sort both + one sweep; active maps not bounded "
+             "by buffSize"
            : "ineligible: predicate '" + pred.Name() +
                  "' contains before/after (reference oracle only)"});
-  std::stable_sort(plan.candidates.begin(), plan.candidates.end(),
-                   [](const JoinEstimate& a, const JoinEstimate& b2) {
-                     return a.estimated_cost < b2.estimated_cost;
-                   });
-  plan.algorithm = plan.candidates.front().algorithm;
+  Rank(&plan);
+  return plan;
+}
+
+JoinPlan RepriceFromSample(const JoinPlan& catalog, StoredRelation* r,
+                           StoredRelation* s, const ExecOptions& options,
+                           const PartitionPlan& sampled, double sample_cost) {
+  // A trivial plan drew no sample: the catalog's in-memory price stands.
+  if (sampled.num_partitions <= 1) return catalog;
+  const uint32_t pr = r->num_pages();
+  const uint32_t ps = s->num_pages();
+  const uint32_t b = options.buffer_pages;
+  const CostModel& m = options.cost_model;
+  const uint32_t k = sampled.num_partitions;
+
+  // Grace scans both inputs and writes + reads s's partitions; C_join
+  // already counts r's.
+  const double grace =
+      m.PassCost(pr) + m.PassCost(ps) +
+      2.0 * (static_cast<double>(k) * m.random_weight +
+             static_cast<double>(ps > k ? ps - k : 0) * m.sequential_weight);
+  const double partition =
+      grace + sampled.est_join_cost + sampled.est_overflow_cost;
+  const double backups = EstimateBackupPages(
+      sampled.samples, r->num_tuples(), s->num_tuples(), pr, ps, b);
+  // A back-up moves its sorted file's head, so the stream's next refill of
+  // StreamChunkPages pages seeks again.
+  const double backup_cost =
+      backups * (m.random_weight + (m.random_weight - m.sequential_weight) /
+                                       StreamChunkPages(b));
+  const double sort_merge = EstimateSortMergeCost(pr, ps, b, m) + backup_cost;
+  const std::string paid = "C_sample " + Rounded(sample_cost) + " paid + ";
+  const std::string backed =
+      " + " + Rounded(backups) + " back-up pages " + Rounded(backup_cost);
+
+  JoinPlan plan;
+  for (JoinEstimate c : catalog.candidates) {
+    if (std::isfinite(c.estimated_cost)) {
+      switch (c.algorithm) {
+        case JoinAlgorithm::kPartition:
+          c.estimated_cost = partition;
+          c.rationale = "sampled: " + paid + "Grace " + Rounded(grace) +
+                        " + C_join " + Rounded(sampled.est_join_cost) +
+                        " + " + std::to_string(sampled.est_overflow_chunks) +
+                        " overflow chunks " +
+                        Rounded(sampled.est_overflow_cost);
+          break;
+        case JoinAlgorithm::kSortMerge:
+          c.estimated_cost = sort_merge;
+          c.rationale = "sampled: " + paid + "sort both + co-scan" + backed;
+          break;
+        case JoinAlgorithm::kSweep:
+          c.estimated_cost = sort_merge;
+          c.rationale = "sampled: " + paid +
+                        "priced as sort-merge; active maps not bounded by "
+                        "buffSize" +
+                        backed;
+          break;
+        case JoinAlgorithm::kNestedLoop:
+        case JoinAlgorithm::kInMemoryRadix:
+          c.rationale = paid + c.rationale;
+          break;
+      }
+      c.estimated_cost += sample_cost;
+    }
+    plan.candidates.push_back(std::move(c));
+  }
+  Rank(&plan);
   return plan;
 }
 

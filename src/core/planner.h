@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "core/determine_part_intervals.h"
 #include "join/join_common.h"
 
 namespace tempo {
@@ -34,19 +35,17 @@ struct JoinPlan {
   std::vector<JoinEstimate> candidates;
 };
 
-/// Analytic I/O cost estimates, catalog-only (no data access):
+/// Analytic I/O cost estimates of the catalog stage (no data access):
 ///
 ///  - nested-loops: the paper's exact closed form
 ///    (NestedLoopAnalyticCost);
-///  - sort-merge: run formation + merge passes + co-scan, assuming no
-///    back-up (optimistic for long-lived-heavy data — the planner cannot
-///    see interval distributions without sampling, which is exactly the
-///    partition join's own planning trick);
+///  - sort-merge: run formation + merge passes + co-scan, without
+///    back-ups (the catalog cannot see interval distributions);
 ///  - partition join: one sampling scan bound + Grace write/read of both
-///    inputs + inner scan (cache traffic unknown, omitted; also
-///    optimistic, to the same degree).
+///    inputs, without tuple-cache traffic or overflow chunks.
 ///
-/// The estimates are deliberately cheap and coarse; tests pin their
+/// Both sort-merge and partition are lower bounds that the sampled stage
+/// (RepriceFromSample) completes when partition wins here. Tests pin the
 /// regime behaviour (nested-loops wins when an input fits in memory,
 /// partition join wins in the paper's big-inputs/modest-memory regime).
 double EstimateNestedLoopCost(uint32_t pages_r, uint32_t pages_s,
@@ -75,18 +74,60 @@ double EstimateRadixJoinCost(uint32_t pages_r, uint32_t pages_s,
 double EstimateSweepJoinCost(uint32_t pages_r, uint32_t pages_s,
                              uint32_t buffer_pages, const CostModel& model);
 
-/// Ranks the algorithms for r |X|_v s under `options` and returns the
-/// full ranking (the in-memory radix path included; when its estimated
-/// footprint exceeds the memory budget it is ranked last at infinite cost
-/// with the footprint-vs-budget rationale). The ranking is predicate-
-/// aware: predicates whose relations all imply a shared chronon admit
-/// every executor; adjacency predicates (meets/met-by) rank every
-/// non-sweep executor ineligible at infinite cost; predicates containing
-/// before/after are not plannable at all (RunJoin rejects them — only
-/// the reference oracle evaluates those). RunJoin's kAuto branch runs
-/// the chosen algorithm.
+/// The catalog stage: ranks the algorithms for r |X|_v s under `options`
+/// from page counts alone and returns the full ranking (the in-memory
+/// radix path included; when its estimated footprint exceeds the memory
+/// budget it is ranked last at infinite cost with the footprint-vs-budget
+/// rationale). The ranking is predicate-aware: predicates whose relations
+/// all imply a shared chronon admit every executor; adjacency predicates
+/// (meets/met-by) rank every non-sweep executor ineligible at infinite
+/// cost; predicates containing before/after are not plannable at all
+/// (RunJoin rejects them — only the reference oracle evaluates those).
+///
+/// RunJoin's kAuto branch runs this first. When it picks partition (which
+/// implies radix is ineligible: radix is listed first and never costs
+/// more), RunJoin draws the partition executor's own sample and re-ranks
+/// with RepriceFromSample.
 JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
                     const ExecOptions& options);
+
+/// Pages sort-merge is expected to re-read (back-ups, paper Section 4.3,
+/// the Figure 7 effect), from validity intervals sampled from r, in draw
+/// order, and representative of both inputs. The retention policy of the
+/// merge window (buffSize less one result page and the two stream
+/// buffers; evict the latest-ending tuple first) is replayed over the
+/// first 4,096 samples in sweep order, each standing for
+/// (|r| + |s|) / |replayed samples| tuples. The sorted files are then cut
+/// into runs of 32 consecutive samples (at most one run per page of r); a
+/// run whose evicted fraction is e puts each of its pages on the back-up
+/// list with probability 1 - (1 - e)^tuples_per_page. Each listed page is
+/// re-read once, whether or not a later arrival matches its evicted
+/// tuples, so this is an upper bound in key-sparse data.
+double EstimateBackupPages(const std::vector<Interval>& samples,
+                           uint64_t tuples_r, uint64_t tuples_s,
+                           uint32_t pages_r, uint32_t pages_s,
+                           uint32_t buffer_pages);
+
+/// The sampled stage: re-prices `catalog` from `sampled`, the partition
+/// optimizer's plan for r drawn with the partition executor's own RNG,
+/// and returns the re-ranked plan. `sample_cost` is what drawing that
+/// sample charged; it is already paid, so every finite candidate carries
+/// it and the ranking is over the remaining cost:
+///
+///  - partition: Grace (both input scans plus write+read of s's
+///    partitions, the half C_join omits) + C_join + the overflow chunks
+///    (PartitionPlan::est_overflow_cost);
+///  - sort-merge: the catalog estimate plus EstimateBackupPages back-ups,
+///    each a random read that also makes its stream's next refill seek;
+///  - sweep: priced as sort-merge, back-ups included. Its active set is
+///    not bounded by buffSize, so it is credited with no back-ups only
+///    when that set fits the merge window, and then sort-merge backs up
+///    no page either. The tie keeps sort-merge, listed first;
+///  - nested-loops keeps its exact catalog price; radix, ineligible when
+///    partition wins the catalog stage, stays infinite.
+JoinPlan RepriceFromSample(const JoinPlan& catalog, StoredRelation* r,
+                           StoredRelation* s, const ExecOptions& options,
+                           const PartitionPlan& sampled, double sample_cost);
 
 }  // namespace tempo
 

@@ -334,13 +334,6 @@ class RetentionBudget {
   uint64_t backup_page_reads_ = 0;
 };
 
-/// Each sorted stream gets a multi-page read buffer so its refills are
-/// mostly sequential; an eighth of the budget each is a reasonable split
-/// that leaves the bulk of memory to the window and active maps.
-uint32_t StreamChunkPages(uint32_t buffer_pages) {
-  return std::max<uint32_t>(1, buffer_pages / 8);
-}
-
 struct CoSweepStats {
   uint64_t arrivals = 0;      ///< records read off both streams
   uint64_t active_peak = 0;   ///< sum of both sides' peak live entries
@@ -457,13 +450,9 @@ StatusOr<JoinRunStats> SortMergeBody(const NaturalJoinLayout& layout,
       SortInputsByVs(r, s, options.buffer_pages, ctx));
   TraceSpan sweep_span = SpanIf(ctx, Phase::kMergeSweep);
 
-  // One result page and a stream buffer per input; the remainder is the
-  // merge window, whose bytes bound the retained active tuples.
-  const uint32_t streams = 2 * StreamChunkPages(options.buffer_pages);
-  const uint32_t window_pages = options.buffer_pages > streams + 1
-                                    ? options.buffer_pages - streams - 1
-                                    : 1;
-  RetentionBudget budget(static_cast<size_t>(window_pages) * kPageSize);
+  RetentionBudget budget(
+      static_cast<size_t>(MergeWindowPages(options.buffer_pages)) *
+      kPageSize);
   ResultWriter writer(out);
   TEMPO_ASSIGN_OR_RETURN(CoSweepStats sweep,
                          CoSweep(layout, sorted, options.buffer_pages,

@@ -249,7 +249,9 @@ Status ProbeFlatIndex(const ColumnExtractor& build, const FlatIndex& index,
     Chronon lo;
     Chronon hi;
   };
-  Match matches[kFlatMatchCap] = {};
+  // Left uninitialised: only matches[0, buffered) is read, and every entry
+  // there was written first (zeroing it cost a 1.5 KiB store per call).
+  Match matches[kFlatMatchCap];
   size_t buffered = 0;
   size_t group = 0;    // the group's first probe
   size_t applied = 0;  // probes whose after_probe has run

@@ -1,6 +1,7 @@
 #ifndef TEMPO_JOIN_JOIN_COMMON_H_
 #define TEMPO_JOIN_JOIN_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -122,6 +123,21 @@ inline const Schema& JoinOutputSchema(const Schema& r_schema,
                                       const NaturalJoinLayout& layout,
                                       JoinKind kind) {
   return kind == JoinKind::kAnti ? r_schema : layout.output;
+}
+
+/// Sort-merge's merge-phase buffer layout. Each sorted stream gets a
+/// multi-page read buffer so its refills are mostly sequential; an eighth
+/// of the budget each leaves the bulk of memory to the window and active
+/// maps.
+inline uint32_t StreamChunkPages(uint32_t buffer_pages) {
+  return std::max<uint32_t>(1, buffer_pages / 8);
+}
+
+/// The merge window: buffSize less one result page and the two stream
+/// buffers. Its bytes bound the active tuples sort-merge retains.
+inline uint32_t MergeWindowPages(uint32_t buffer_pages) {
+  const uint32_t streams = 2 * StreamChunkPages(buffer_pages);
+  return buffer_pages > streams + 1 ? buffer_pages - streams - 1 : 1;
 }
 
 /// Checks the inputs of one join run — all three relations present,

@@ -99,8 +99,9 @@ std::vector<Tuple> Timeslice(const std::vector<Tuple>& tuples, Chronon t) {
 
 namespace {
 
-// Total order over tuples for canonical sorting; only used to compare
-// multisets, so any consistent order works.
+// Strict weak order over tuples for canonical sorting, by interval and
+// then value by value under Value's order, in which all NaNs of an
+// attribute are equivalent; only used to compare multisets.
 bool TupleLess(const Tuple& a, const Tuple& b) {
   if (a.interval().start() != b.interval().start()) {
     return a.interval().start() < b.interval().start();
@@ -110,7 +111,8 @@ bool TupleLess(const Tuple& a, const Tuple& b) {
   }
   size_t n = std::min(a.num_values(), b.num_values());
   for (size_t i = 0; i < n; ++i) {
-    if (a.value(i) != b.value(i)) return a.value(i) < b.value(i);
+    if (a.value(i) < b.value(i)) return true;
+    if (b.value(i) < a.value(i)) return false;
   }
   return a.num_values() < b.num_values();
 }
@@ -121,7 +123,12 @@ bool SameTupleMultiset(std::vector<Tuple> a, std::vector<Tuple> b) {
   if (a.size() != b.size()) return false;
   std::sort(a.begin(), a.end(), TupleLess);
   std::sort(b.begin(), b.end(), TupleLess);
-  return a == b;
+  // Equivalence under TupleLess, not Tuple::operator==: a NaN payload
+  // equals the NaN of the same attribute, as in coalescing and grouping.
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (TupleLess(a[i], b[i]) || TupleLess(b[i], a[i])) return false;
+  }
+  return true;
 }
 
 }  // namespace tempo

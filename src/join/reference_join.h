@@ -49,7 +49,10 @@ std::vector<Tuple> ReferenceCoalesce(const std::vector<Tuple>& tuples);
 /// timestamps collapsed to [t, t], in input order.
 std::vector<Tuple> Timeslice(const std::vector<Tuple>& tuples, Chronon t);
 
-/// Multiset equality of tuple vectors, ignoring order.
+/// Multiset equality of tuple vectors, ignoring order. Values compare
+/// under Value's order, so NaN payloads of the same attribute are equal,
+/// as coalescing and grouping treat them (Value::operator== and NaN join
+/// keys keep IEEE semantics: NaN matches nothing).
 bool SameTupleMultiset(std::vector<Tuple> a, std::vector<Tuple> b);
 
 }  // namespace tempo

@@ -77,7 +77,8 @@ namespace tempo {
     "Algorithm the planner chose: 0 = nested-loops, 1 = sort-merge, 2 = "     \
     "partition, 3 = in-memory radix, 4 = endpoint sweep.")                    \
   M(PlannedCost, "planned_cost", "cost", "RunJoin",                           \
-    "Planner-estimated I/O cost of the chosen algorithm.")                    \
+    "Planner-estimated I/O cost of the chosen algorithm, including the "      \
+    "sample its sampled stage drew.")                                         \
   M(RadixPasses, "radix_passes", "count", "in-memory-radix",                  \
     "Counting-sort passes that group s's columns by key-hash slot: 1, or 0 "  \
     "when s is empty. r is streamed in input order, never grouped.")          \

@@ -2,6 +2,7 @@
 #define TEMPO_SAMPLING_RELATION_SAMPLER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -47,6 +48,9 @@ class RelationSampler {
 
   /// All sample intervals drawn so far, in draw order.
   const std::vector<Interval>& samples() const { return drawn_; }
+
+  /// Moves the sample set out, leaving the sampler with none.
+  std::vector<Interval> TakeSamples() { return std::move(drawn_); }
 
   /// I/O (in random-read units under `random_weight`:1 weighting) that
   /// drawing `additional` more samples would cost in the current mode.

@@ -179,12 +179,15 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
 /// kinds, which require last-overlap placement.
 ///
 /// Every phase (sampling, Grace partitioning, joinPartitions) runs on the
-/// calling thread in the paper's order.
+/// calling thread in the paper's order. A non-null `plan` (inner joins
+/// only) is r's partitioning from PlanPartitions, which the planner drew:
+/// the body then skips phase 1.
 StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,
                                      StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
                                      const PartitionJoinOptions& options,
-                                     ExecContext* ctx);
+                                     ExecContext* ctx,
+                                     const PartitionPlan* plan = nullptr);
 
 }  // namespace tempo
 

@@ -1,6 +1,7 @@
 #include "service/join_request.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/partition_join.h"
 #include "core/planner.h"
@@ -75,7 +76,8 @@ Status ValidateJoinAttrs(const JoinRequest& req) {
 /// executor bodies, for named requests and for the planner's pick alike.
 StatusOr<JoinRunStats> RunBody(JoinExecutor executor, const JoinRequest& req,
                                const NaturalJoinLayout& layout,
-                               StoredRelation* out, ExecContext* ctx) {
+                               StoredRelation* out, ExecContext* ctx,
+                               const PartitionPlan* partition_plan) {
   StoredRelation* r = req.r;
   StoredRelation* s = req.s;
   const ExecOptions& options = req.options;
@@ -91,7 +93,7 @@ StatusOr<JoinRunStats> RunBody(JoinExecutor executor, const JoinRequest& req,
     case JoinExecutor::kPartition: {
       PartitionJoinOptions part;
       static_cast<ExecOptions&>(part) = options;
-      return PartitionBody(layout, r, s, out, part, ctx);
+      return PartitionBody(layout, r, s, out, part, ctx, partition_plan);
     }
     case JoinExecutor::kReference:
       return ReferenceBody(r, s, out, options, ctx);
@@ -105,16 +107,18 @@ StatusOr<JoinRunStats> RunBody(JoinExecutor executor, const JoinRequest& req,
 
 /// Runs `executor` on `req` under the run contract. `planned` — the
 /// planner's metrics of a kAuto run, or null — joins the run's metrics
-/// before the contract exports them.
-StatusOr<JoinRunStats> RunExecutor(JoinExecutor executor,
-                                   const JoinRequest& req, StoredRelation* out,
-                                   ExecContext* ctx,
-                                   const MetricsRegistry* planned = nullptr) {
+/// before the contract exports them; `partition_plan` is the partitioning
+/// the planner's sampled stage handed over, or null.
+StatusOr<JoinRunStats> RunExecutor(
+    JoinExecutor executor, const JoinRequest& req, StoredRelation* out,
+    ExecContext* ctx, const MetricsRegistry* planned = nullptr,
+    const PartitionPlan* partition_plan = nullptr) {
   return RunJoinContract(
       executor, req.r, req.s, out, req.options, ctx,
       [&](const NaturalJoinLayout& layout) -> StatusOr<JoinRunStats> {
-        TEMPO_ASSIGN_OR_RETURN(JoinRunStats stats,
-                               RunBody(executor, req, layout, out, ctx));
+        TEMPO_ASSIGN_OR_RETURN(
+            JoinRunStats stats,
+            RunBody(executor, req, layout, out, ctx, partition_plan));
         if (planned != nullptr) stats.metrics.Merge(*planned);
         return stats;
       });
@@ -143,8 +147,37 @@ PlannedRoute RouteOf(JoinAlgorithm a) {
   return {JoinExecutor::kPartition, Phase::kPartitionJoin};
 }
 
-/// RunJoin's kAuto branch: plans with PlanVtJoin, then runs the pick
-/// through RunExecutor (the contract is documented on RunJoin).
+/// The planner's two stages under one kPlan span. The catalog stage
+/// (PlanVtJoin) reads page counts only. When it picks partition, the
+/// sampled stage draws the partition executor's own sample
+/// (PlanPartitions) and re-ranks with RepriceFromSample; the sample's
+/// charged I/O lands in `*sample_io`, and if partition still wins its
+/// partitioning lands in `*handover`.
+StatusOr<JoinPlan> PlanTwoStages(const JoinRequest& req, ExecContext* ctx,
+                                 IoStats* sample_io,
+                                 std::optional<PartitionPlan>* handover) {
+  TraceSpan plan_span = SpanIf(ctx, Phase::kPlan);
+  JoinPlan plan = PlanVtJoin(req.r, req.s, req.options);
+  if (plan.algorithm != JoinAlgorithm::kPartition) return plan;
+  PartitionJoinOptions part;
+  static_cast<ExecOptions&>(part) = req.options;
+  IoAccountant& acct = req.r->disk()->accountant();
+  const IoStats before = acct.stats();
+  TEMPO_ASSIGN_OR_RETURN(PartitionPlan sampled,
+                         PlanPartitions(req.r, part, ctx));
+  *sample_io = acct.stats() - before;
+  const double sample_cost = sample_io->Cost(req.options.cost_model);
+  plan_span.SetEstimate(sample_cost);
+  plan = RepriceFromSample(plan, req.r, req.s, req.options, sampled,
+                           sample_cost);
+  if (plan.algorithm == JoinAlgorithm::kPartition) {
+    *handover = std::move(sampled);
+  }
+  return plan;
+}
+
+/// RunJoin's kAuto branch: plans in two stages (PlanTwoStages), then runs
+/// the pick through RunExecutor (the contract is documented on RunJoin).
 StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
                                   ExecContext* ctx) {
   TEMPO_RETURN_IF_ERROR(ValidateExecOptions(JoinExecutor::kAuto, req.options));
@@ -162,18 +195,19 @@ StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
     planned.Set(Metric::kPlannedAlgorithm, partition);
     return RunExecutor(JoinExecutor::kPartition, req, out, ctx, &planned);
   }
-  JoinPlan plan;
-  {
-    TraceSpan plan_span = SpanIf(ctx, Phase::kPlan);
-    plan = PlanVtJoin(req.r, req.s, req.options);
-  }
+  IoStats sample_io;
+  std::optional<PartitionPlan> handover;
+  TEMPO_ASSIGN_OR_RETURN(const JoinPlan plan,
+                         PlanTwoStages(req, ctx, &sample_io, &handover));
   const PlannedRoute route = RouteOf(plan.algorithm);
   const double est = plan.candidates.front().estimated_cost;
   if (ctx != nullptr) {
-    // Pre-annotate the chosen executor's root span, and record the
+    // Pre-annotate the chosen executor's root span with its own share of
+    // the estimate (the sample ran under the plan span), and record the
     // footprint-vs-budget decision inputs whichever path was chosen, so
     // EXPLAIN ANALYZE can show why the radix path was (not) taken.
-    ctx->AnnotateEstimate(route.root, est);
+    ctx->AnnotateEstimate(route.root,
+                          est - sample_io.Cost(req.options.cost_model));
     SetMetric(ctx, Metric::kRadixEstFootprintBytes,
               static_cast<double>(EstimateRadixFootprintBytes(
                   req.r->num_pages(), req.s->num_pages())));
@@ -184,7 +218,8 @@ StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
               static_cast<double>(static_cast<int>(plan.algorithm)));
   planned.Set(Metric::kPlannedCost, est);
   StatusOr<JoinRunStats> stats =
-      RunExecutor(route.executor, req, out, ctx, &planned);
+      RunExecutor(route.executor, req, out, ctx, &planned,
+                  handover.has_value() ? &*handover : nullptr);
   if (route.executor == JoinExecutor::kInMemoryRadix && !stats.ok() &&
       stats.status().code() == StatusCode::kResourceExhausted) {
     // The optimistic plan-time footprint was wrong: extraction hit the
@@ -194,6 +229,9 @@ StatusOr<JoinRunStats> RunPlanned(const JoinRequest& req, StoredRelation* out,
     planned.Set(Metric::kRadixFallback, 1.0);
     stats = RunExecutor(JoinExecutor::kPartition, req, out, ctx, &planned);
   }
+  // The sample is part of the query: its I/O joins the run's IoStats, as
+  // its span joins the run's span tree.
+  if (stats.ok()) stats->io = stats->io + sample_io;
   return stats;
 }
 

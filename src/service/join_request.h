@@ -92,14 +92,19 @@ struct JoinRequest {
 /// present, out distinct from the inputs, and — when expected_join_attrs
 /// is set — the derived shared attributes match. RunJoin is the single
 /// point that picks and runs an executor: a named executor runs as is;
-/// kAuto plans with PlanVtJoin and runs the chosen algorithm, forcing the
+/// kAuto plans in two stages and runs the chosen algorithm, forcing the
 /// partition executor for non-inner kinds and falling back from radix to
-/// partition when extraction exceeds the radix budget. Every executor run
-/// goes through RunJoinContract (join/join_executor.h), which validates,
-/// measures the charged IoStats and exports the metrics once. A planned
-/// run additionally reports kPlannedAlgorithm (JoinAlgorithm's encoding),
-/// kPlannedCost and kRadixFallback, opens a kPlan span, and annotates the
-/// planner's estimate onto the chosen executor's root span.
+/// partition when extraction exceeds the radix budget. The catalog stage
+/// is PlanVtJoin; when it picks partition, the sampled stage draws the
+/// partition executor's own sample, re-ranks with RepriceFromSample, and
+/// hands the partitioning to the executor if partition still wins
+/// (core/planner.h). Every executor run goes through RunJoinContract
+/// (join/join_executor.h), which validates, measures the charged IoStats
+/// and exports the metrics once. A planned run additionally reports
+/// kPlannedAlgorithm (JoinAlgorithm's encoding), kPlannedCost and
+/// kRadixFallback, opens a kPlan span (holding the sample's spans), and
+/// annotates the planner's estimate onto the chosen executor's root span.
+/// The sample's charged I/O is part of the returned IoStats.
 ///
 /// Every phase runs on the calling thread, and all charged I/O lands on
 /// the accountant `Disk::accountant()` resolves for that thread — so

@@ -26,6 +26,12 @@ struct CostModel {
     return static_cast<double>(random_ops) * random_weight +
            static_cast<double>(sequential_ops) * sequential_weight;
   }
+
+  /// One pass over `pages` pages of one file: a seek, then sequential
+  /// I/O.
+  double PassCost(uint64_t pages) const {
+    return pages == 0 ? 0.0 : Cost(1, pages - 1);
+  }
 };
 
 /// Raw I/O counters. Subtractable so callers can measure a phase:

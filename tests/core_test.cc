@@ -323,6 +323,20 @@ TEST(EstimateCacheTest, EmptySamples) {
   EXPECT_EQ(pages, std::vector<uint64_t>({0, 0}));
 }
 
+TEST(EstimateCacheTest, StoredTuplesCountEachSampleWhereItEnds) {
+  TEMPO_ASSERT_OK_AND_ASSIGN(PartitionSpec spec,
+                             PartitionSpec::FromBoundaries({10, 20}));
+  // Stored in partitions 2, 0, 0 and 1: a tuple lives where it ends. The
+  // first also overlaps partitions 0 and 1, so it is cached for them.
+  std::vector<Interval> samples{Interval(5, 25), Interval::At(3),
+                                Interval::At(7), Interval(12, 18)};
+  // 400 tuples / 4 samples = 100 tuples per sample.
+  EXPECT_EQ(EstimateStoredTuples(samples, 400, spec),
+            std::vector<double>({200.0, 100.0, 100.0}));
+  EXPECT_EQ(EstimateCachedTuples(samples, 400, spec),
+            std::vector<double>({100.0, 100.0, 0.0}));
+}
+
 // ---------------------------------------------------------------------
 // DeterminePartIntervals
 // ---------------------------------------------------------------------
@@ -350,6 +364,33 @@ TEST_F(DeterminePlanTest, FittingRelationGetsTrivialPlan) {
   EXPECT_EQ(plan.num_partitions, 1u);
   EXPECT_EQ(plan.samples_drawn, 0u);
   EXPECT_EQ(plan.spec.num_partitions(), 1u);
+}
+
+// Long-lived tuples retained in a small area overflow it. The chosen plan
+// prices those chunks from its sample (outside est_join_cost, which stays
+// the paper's C_join), and the executor running that plan processes about
+// as many.
+TEST_F(DeterminePlanTest, OverflowEstimateTracksExecutorChunks) {
+  auto r = MakeBig(0.3, 5);
+  auto s = MakeBig(0.3, 6);
+  PartitionJoinOptions options;
+  options.buffer_pages = 6;
+  TEMPO_ASSERT_OK_AND_ASSIGN(PartitionPlan plan,
+                             PlanPartitions(r.get(), options));
+  ASSERT_GT(plan.num_partitions, 1u);
+  EXPECT_GT(plan.est_overflow_chunks, 0u);
+  EXPECT_GT(plan.est_overflow_cost, 0.0);
+  EXPECT_EQ(plan.samples.size(), plan.samples_drawn);
+
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(r->schema(), s->schema()));
+  StoredRelation out(&disk_, layout.output, "out");
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats, PartitionVtJoin(r.get(), s.get(), &out, options));
+  EXPECT_EQ(stats.Get(Metric::kEstJoinCost), plan.est_join_cost);
+  const double actual = stats.Get(Metric::kOverflowChunks);
+  EXPECT_GT(static_cast<double>(plan.est_overflow_chunks), 0.75 * actual);
+  EXPECT_LT(static_cast<double>(plan.est_overflow_chunks), 1.25 * actual);
 }
 
 TEST_F(DeterminePlanTest, BigRelationGetsMultiplePartitions) {

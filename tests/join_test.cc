@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -104,6 +105,21 @@ TEST(SameTupleMultisetTest, DetectsEqualityAndDifference) {
   std::vector<Tuple> c{T(1, "a", 0, 1), T(1, "a", 0, 1)};
   std::vector<Tuple> d{T(1, "a", 0, 1), T(2, "b", 2, 3)};
   EXPECT_FALSE(SameTupleMultiset(c, d));
+}
+
+TEST(SameTupleMultisetTest, NaNPayloadsOfOneAttributeAreEqual) {
+  const double nan = std::nan("");
+  auto row = [](double x, const char* s) {
+    return Tuple({Value(int64_t{1}), Value(x), Value(s)}, Interval(0, 4));
+  };
+  EXPECT_TRUE(SameTupleMultiset({row(nan, "a"), row(2.0, "b")},
+                                {row(2.0, "b"), row(nan, "a")}));
+  // Values after a NaN still count, and NaN is no number.
+  EXPECT_FALSE(SameTupleMultiset({row(nan, "a")}, {row(nan, "b")}));
+  EXPECT_FALSE(SameTupleMultiset({row(nan, "a")}, {row(1.0, "a")}));
+  // Value equality and NaN join keys keep IEEE semantics.
+  const Value nan_value(nan);
+  EXPECT_FALSE(nan_value == nan_value);
 }
 
 // ---------------------------------------------------------------------

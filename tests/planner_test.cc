@@ -7,6 +7,7 @@
 #include "join/reference_join.h"
 #include "service/join_request.h"
 #include "test_util.h"
+#include "workload/generator.h"
 
 namespace tempo {
 namespace {
@@ -190,34 +191,209 @@ TEST(PlannerTest, DisjointPredicateIsNotPlannable) {
   EXPECT_NE(st.message().find("before"), std::string::npos);
 }
 
-// The planner's estimates should track reality within an order of
-// magnitude across regimes — they are coarse, but they must rank.
-TEST(PlannerTest, EstimatesTrackMeasuredCosts) {
+// Generated inputs of the benchmark's shape: 128-byte records over a
+// 10^6-chronon lifespan, about ten tuples per key, `long_lived` of each
+// relation's `tuples` half a lifespan long.
+struct GeneratedInputs {
   Disk disk;
-  Random rng(4);
-  std::vector<Tuple> r_tuples = RandomTuples(rng, 8000, 200, 4000, 0.0);
-  std::vector<Tuple> s_tuples;
-  for (const Tuple& t : RandomTuples(rng, 8000, 200, 4000, 0.0)) {
-    s_tuples.push_back(Tuple({t.value(0), t.value(1)}, t.interval()));
-  }
-  auto r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
-  auto s = MakeRelation(&disk, SSchema(), s_tuples, "s");
-  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
-                             DeriveNaturalJoinLayout(TestSchema(), SSchema()));
-  ExecOptions options;
-  options.buffer_pages = r->num_pages() / 8;
+  std::unique_ptr<StoredRelation> r, s;
+};
 
-  JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
-  StoredRelation out(&disk, layout.output, "out");
-  TEMPO_ASSERT_OK(out.SetCharged(false));
+std::unique_ptr<GeneratedInputs> Generate(uint64_t tuples,
+                                          uint64_t long_lived) {
+  auto in = std::make_unique<GeneratedInputs>();
+  WorkloadSpec spec;
+  spec.num_tuples = tuples;
+  spec.num_long_lived = long_lived;
+  spec.distinct_keys = tuples / 10;
+  spec.tuple_bytes = 128;
+  spec.seed = 3;
+  in->r = GenerateRelation(&in->disk, spec, "r").value();
+  spec.seed = 4;
+  in->s = GenerateRelation(&in->disk, spec, "s").value();
+  return in;
+}
+
+// Runs `executor` over the inputs into an uncharged output, so the stats
+// hold the join's own I/O.
+JoinRunStats RunOn(GeneratedInputs* in, JoinExecutor executor,
+                   uint32_t buffer_pages, ExecContext* ctx = nullptr) {
+  StoredRelation out(
+      &in->disk,
+      DeriveNaturalJoinLayout(in->r->schema(), in->s->schema())->output,
+      "out");
+  EXPECT_TRUE(out.SetCharged(false).ok());
   JoinRequest req;
-  req.From(r.get(), s.get());
-  req.options = options;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats, RunJoin(req, &out));
-  double measured = stats.Cost(options.cost_model);
-  double estimated = plan.candidates.front().estimated_cost;
-  EXPECT_GT(estimated, measured / 10.0);
-  EXPECT_LT(estimated, measured * 10.0);
+  req.From(in->r.get(), in->s.get()).Using(executor).BufferPages(buffer_pages);
+  StatusOr<JoinRunStats> stats = RunJoin(req, &out, ctx);
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(in->disk.DeleteFile(out.file_id()).ok());
+  return stats.ok() ? *stats : JoinRunStats{};
+}
+
+JoinAlgorithm Planned(const JoinRunStats& stats) {
+  return static_cast<JoinAlgorithm>(
+      static_cast<int>(stats.Get(Metric::kPlannedAlgorithm)));
+}
+
+// The back-up estimate follows the Figure 7 curve: nothing while the
+// long-lived tuples' active set fits the merge window, then more pages as
+// their share grows, and nothing again when the buffer holds them all.
+TEST(PlannerEstimateTest, BackupPagesFollowLongLivedShare) {
+  double previous = -1.0;
+  for (uint64_t long_lived : {0, 512, 2048, 4096, 8192}) {
+    auto in = Generate(16384, long_lived);
+    Random rng(5);
+    PartitionPlanOptions options;
+    options.buffer_pages = 16;
+    TEMPO_ASSERT_OK_AND_ASSIGN(
+        PartitionPlan plan,
+        DeterminePartIntervals(in->r.get(), options, &rng));
+    const uint32_t pages = in->r->num_pages();
+    const double backups =
+        EstimateBackupPages(plan.samples, in->r->num_tuples(),
+                            in->s->num_tuples(), pages, pages, 16);
+    if (long_lived == 0) {
+      EXPECT_EQ(backups, 0.0);
+    } else {
+      EXPECT_GT(backups, previous) << long_lived << " long-lived";
+    }
+    EXPECT_LE(backups, 2.0 * pages);
+    EXPECT_EQ(EstimateBackupPages(plan.samples, in->r->num_tuples(),
+                                  in->s->num_tuples(), pages, pages,
+                                  4 * pages),
+              0.0)
+        << long_lived << " long-lived";
+    previous = backups;
+  }
+}
+
+// The tight-memory regime: a 16-page buffer, inputs over 30 times larger,
+// a quarter of the tuples long-lived. The catalog stage prefers partition,
+// whose lower bound leaves out the retained long-lived tuples that
+// overflow every partition's 13-page area. The sampled stage prices those
+// chunks and sort-merge's back-ups, and runs sort-merge: not partition,
+// and not the sweep, whose active set buffSize does not bound.
+TEST(PlannerSampledStageTest, TightMemoryPicksSortMergeOverPartition) {
+  auto in = Generate(16384, 4096);
+  ASSERT_GE(in->r->num_pages(), 30u * 16);
+  ExecOptions options;
+  options.buffer_pages = 16;
+  EXPECT_EQ(PlanVtJoin(in->r.get(), in->s.get(), options).algorithm,
+            JoinAlgorithm::kPartition);
+
+  ExecContext ctx;
+  const JoinRunStats autorun = RunOn(in.get(), JoinExecutor::kAuto, 16, &ctx);
+  EXPECT_EQ(Planned(autorun), JoinAlgorithm::kSortMerge);
+  // The sample is the query's: one break-even scan of r joins the sort-
+  // merge run's I/O, and the span tree (EXPLAIN's TOTAL row) holds it.
+  const JoinRunStats sort_merge =
+      RunOn(in.get(), JoinExecutor::kSortMerge, 16);
+  const IoStats sample = autorun.io - sort_merge.io;
+  EXPECT_EQ(sample.random_reads, 1u);
+  EXPECT_EQ(sample.sequential_reads, in->r->num_pages() - 1);
+  EXPECT_EQ(sample.random_writes + sample.sequential_writes, 0u);
+  EXPECT_TRUE(ctx.tracer().TotalIo() == autorun.io)
+      << "tree " << ctx.tracer().TotalIo().ToString() << " run "
+      << autorun.io.ToString();
+  const SpanNode* plan_span = ctx.tracer().root().FindPhase(Phase::kPlan);
+  ASSERT_NE(plan_span, nullptr);
+  ASSERT_NE(plan_span->FindPhase(Phase::kSampling), nullptr);
+  EXPECT_TRUE(plan_span->InclusiveIo() == sample);
+
+  const CostModel& model = options.cost_model;
+  const JoinRunStats partition =
+      RunOn(in.get(), JoinExecutor::kPartition, 16);
+  EXPECT_LT(autorun.Cost(model), 0.6 * partition.Cost(model));
+}
+
+// The paper's regime: inputs 16 times the buffer, few long-lived tuples.
+// The sampled partition price still wins, and the executor takes the
+// planner's partitioning instead of sampling again: the query's charged
+// I/O is exactly that of an explicit partition run.
+TEST(PlannerSampledStageTest, PaperRegimeHandsThePartitioningOver) {
+  auto in = Generate(16384, 1024);
+  const uint32_t buffer = in->r->num_pages() / 16;
+  ExecContext ctx;
+  const JoinRunStats autorun =
+      RunOn(in.get(), JoinExecutor::kAuto, buffer, &ctx);
+  EXPECT_EQ(Planned(autorun), JoinAlgorithm::kPartition);
+  const JoinRunStats partition =
+      RunOn(in.get(), JoinExecutor::kPartition, buffer);
+  EXPECT_TRUE(autorun.io == partition.io)
+      << "auto " << autorun.io.ToString() << " partition "
+      << partition.io.ToString();
+  EXPECT_EQ(autorun.Get(Metric::kSamples), partition.Get(Metric::kSamples));
+  EXPECT_EQ(autorun.Get(Metric::kPartitions),
+            partition.Get(Metric::kPartitions));
+  EXPECT_TRUE(ctx.tracer().TotalIo() == autorun.io);
+  // One sample: it ran under the plan span, and the executor chose no
+  // intervals of its own.
+  const SpanNode& root = ctx.tracer().root();
+  ASSERT_NE(root.FindPhase(Phase::kPlan), nullptr);
+  EXPECT_NE(root.FindPhase(Phase::kPlan)->FindPhase(Phase::kSampling),
+            nullptr);
+  EXPECT_EQ(root.FindPhase(Phase::kChooseIntervals), nullptr);
+}
+
+// Inputs 4 times the buffer: nested loops reads s five times, which its
+// exact closed form prices below the partition join's sampled price (two
+// Grace passes, the partitions' re-read and the tuple cache), so kAuto
+// runs nested loops after paying for the sample.
+TEST(PlannerSampledStageTest, AmpleMemoryPicksNestedLoopsOverPartition) {
+  auto in = Generate(16384, 2000);
+  const uint32_t buffer = in->r->num_pages() / 4;
+  ExecOptions options;
+  options.buffer_pages = buffer;
+  EXPECT_EQ(PlanVtJoin(in->r.get(), in->s.get(), options).algorithm,
+            JoinAlgorithm::kPartition);
+  const JoinRunStats autorun = RunOn(in.get(), JoinExecutor::kAuto, buffer);
+  EXPECT_EQ(Planned(autorun), JoinAlgorithm::kNestedLoop);
+  const JoinRunStats nested = RunOn(in.get(), JoinExecutor::kNestedLoop,
+                                    buffer);
+  const JoinRunStats partition =
+      RunOn(in.get(), JoinExecutor::kPartition, buffer);
+  EXPECT_LT(autorun.Cost(options.cost_model),
+            partition.Cost(options.cost_model));
+  EXPECT_GT(autorun.Cost(options.cost_model),
+            nested.Cost(options.cost_model));
+}
+
+// When both inputs fit the radix budget the catalog stage picks radix and
+// no sample is drawn: the run's I/O is the radix run's.
+TEST(PlannerSampledStageTest, RadixFittingInputDrawsNoSample) {
+  auto in = Generate(2048, 128);
+  ExecContext ctx;
+  const JoinRunStats autorun =
+      RunOn(in.get(), JoinExecutor::kAuto, 1024, &ctx);
+  EXPECT_EQ(Planned(autorun), JoinAlgorithm::kInMemoryRadix);
+  EXPECT_EQ(ctx.tracer().root().FindPhase(Phase::kSampling), nullptr);
+  const JoinRunStats radix =
+      RunOn(in.get(), JoinExecutor::kInMemoryRadix, 1024);
+  EXPECT_TRUE(autorun.io == radix.io);
+}
+
+// The picked plan's estimate (kPlannedCost, sample included) is within a
+// factor of two of the run's charged cost in both paged regimes: ample
+// memory without long-lived tuples, and the tight-memory, long-lived-heavy
+// regime where the catalog stage alone is off by about seven.
+TEST(PlannerTest, EstimatesTrackMeasuredCosts) {
+  struct Regime {
+    uint64_t tuples;
+    uint64_t long_lived;
+    uint32_t buffer_divisor;
+  };
+  for (const Regime& regime : {Regime{16384, 0, 8}, Regime{16384, 4096, 33}}) {
+    auto in = Generate(regime.tuples, regime.long_lived);
+    const uint32_t buffer = in->r->num_pages() / regime.buffer_divisor;
+    const JoinRunStats stats = RunOn(in.get(), JoinExecutor::kAuto, buffer);
+    const double measured = stats.Cost(CostModel::Ratio(5.0));
+    const double estimated = stats.Get(Metric::kPlannedCost);
+    EXPECT_GT(estimated, measured / 2.0)
+        << JoinAlgorithmName(Planned(stats)) << " at " << buffer << " pages";
+    EXPECT_LT(estimated, measured * 2.0)
+        << JoinAlgorithmName(Planned(stats)) << " at " << buffer << " pages";
+  }
 }
 
 }  // namespace

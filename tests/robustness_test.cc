@@ -8,11 +8,13 @@
 #include <functional>
 
 #include "core/partition_coalesce.h"
+#include "core/planner.h"
 #include "incremental/materialized_view.h"
 #include "join/external_sort.h"
 #include "query/sequenced_exec.h"
 #include "service/join_request.h"
 #include "test_util.h"
+#include "workload/generator.h"
 
 namespace tempo {
 namespace {
@@ -208,6 +210,46 @@ TEST(FaultSweepTest, SortedAndOuterExecutorsLeaveNoTempFiles) {
       return RunJoin(req, out.get()).status();
     };
     EXPECT_GT(SweepFaults(&f.disk, join), 3) << label;
+  }
+}
+
+// kAuto draws the partition executor's sample before it chooses. With a
+// 6-page buffer partition still wins and runs on the planner's
+// partitioning; with 4 pages the sample prices the overflow chunks above
+// sort-merge and the run switches. A fault in the planner's sample or in
+// either run must return the injected error and leave no sort run, Grace
+// partition, cache spill or output page behind.
+TEST(FaultSweepTest, PlannedRunsLeaveNoTempFiles) {
+  struct Case {
+    uint32_t buffer_pages;
+    JoinAlgorithm planned;
+  };
+  for (const Case& c : {Case{6, JoinAlgorithm::kPartition},
+                        Case{4, JoinAlgorithm::kSortMerge}}) {
+    Disk disk;
+    WorkloadSpec spec;
+    spec.num_tuples = 2048;
+    spec.num_long_lived = 40;
+    spec.distinct_keys = 204;
+    spec.tuple_bytes = 128;
+    spec.seed = 3;
+    auto r = GenerateRelation(&disk, spec, "r").value();
+    spec.seed = 4;
+    auto s = GenerateRelation(&disk, spec, "s").value();
+    const Schema out_schema =
+        DeriveNaturalJoinLayout(r->schema(), s->schema())->output;
+    JoinRequest req;
+    req.From(r.get(), s.get()).BufferPages(c.buffer_pages);
+    double planned = -1.0;
+    auto join = [&]() -> Status {
+      TempRelation out(new StoredRelation(&disk, out_schema, "out"));
+      StatusOr<JoinRunStats> stats = RunJoin(req, out.get());
+      if (stats.ok()) planned = stats->Get(Metric::kPlannedAlgorithm);
+      return stats.status();
+    };
+    EXPECT_GT(SweepFaults(&disk, join), 10) << c.buffer_pages << " pages";
+    EXPECT_EQ(planned, static_cast<double>(static_cast<int>(c.planned)))
+        << c.buffer_pages << " pages";
   }
 }
 
