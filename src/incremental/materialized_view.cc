@@ -227,58 +227,41 @@ Status MaterializedVtJoinView::DeleteFrom(Side& side, const Tuple& t,
   return Status::OK();
 }
 
-StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::InsertR(
-    const Tuple& t, ExecContext* ctx) {
+StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::Update(
+    bool insert, bool side_is_r, const Tuple& t, ExecContext* ctx) {
   if (ctx != nullptr && ctx->accountant() == nullptr) {
     ctx->BindAccountant(&disk_->accountant());
   }
   UpdateStats stats;
   IoStats before = disk_->accountant().stats();
-  TraceSpan span = SpanIf(ctx, Phase::kViewInsert, "r");
-  TEMPO_RETURN_IF_ERROR(
-      InsertInto(r_side_, s_side_, /*side_is_r=*/true, t, &stats));
+  TraceSpan span = SpanIf(ctx, insert ? Phase::kViewInsert : Phase::kViewDelete,
+                          side_is_r ? "r" : "s");
+  Side& side = side_is_r ? r_side_ : s_side_;
+  Side& other = side_is_r ? s_side_ : r_side_;
+  TEMPO_RETURN_IF_ERROR(insert ? InsertInto(side, other, side_is_r, t, &stats)
+                               : DeleteFrom(side, t, &stats));
   stats.io = disk_->accountant().stats() - before;
   return stats;
+}
+
+StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::InsertR(
+    const Tuple& t, ExecContext* ctx) {
+  return Update(/*insert=*/true, /*side_is_r=*/true, t, ctx);
 }
 
 StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::InsertS(
     const Tuple& t, ExecContext* ctx) {
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&disk_->accountant());
-  }
-  UpdateStats stats;
-  IoStats before = disk_->accountant().stats();
-  TraceSpan span = SpanIf(ctx, Phase::kViewInsert, "s");
-  TEMPO_RETURN_IF_ERROR(
-      InsertInto(s_side_, r_side_, /*side_is_r=*/false, t, &stats));
-  stats.io = disk_->accountant().stats() - before;
-  return stats;
+  return Update(/*insert=*/true, /*side_is_r=*/false, t, ctx);
 }
 
 StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::DeleteR(
     const Tuple& t, ExecContext* ctx) {
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&disk_->accountant());
-  }
-  UpdateStats stats;
-  IoStats before = disk_->accountant().stats();
-  TraceSpan span = SpanIf(ctx, Phase::kViewDelete, "r");
-  TEMPO_RETURN_IF_ERROR(DeleteFrom(r_side_, t, &stats));
-  stats.io = disk_->accountant().stats() - before;
-  return stats;
+  return Update(/*insert=*/false, /*side_is_r=*/true, t, ctx);
 }
 
 StatusOr<MaterializedVtJoinView::UpdateStats> MaterializedVtJoinView::DeleteS(
     const Tuple& t, ExecContext* ctx) {
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&disk_->accountant());
-  }
-  UpdateStats stats;
-  IoStats before = disk_->accountant().stats();
-  TraceSpan span = SpanIf(ctx, Phase::kViewDelete, "s");
-  TEMPO_RETURN_IF_ERROR(DeleteFrom(s_side_, t, &stats));
-  stats.io = disk_->accountant().stats() - before;
-  return stats;
+  return Update(/*insert=*/false, /*side_is_r=*/false, t, ctx);
 }
 
 StatusOr<std::vector<Tuple>> MaterializedVtJoinView::ReadResult() {

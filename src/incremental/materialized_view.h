@@ -94,6 +94,11 @@ class MaterializedVtJoinView {
     std::vector<TempRelation> caches;
   };
 
+  /// The one update path behind InsertR/InsertS/DeleteR/DeleteS: binds
+  /// the disk's accountant to an unbound `ctx`, opens the view insert or
+  /// delete span labelled with the side, and returns the update's I/O.
+  StatusOr<UpdateStats> Update(bool insert, bool side_is_r, const Tuple& t,
+                               ExecContext* ctx);
   Status InsertInto(Side& side, Side& other, bool side_is_r, const Tuple& t,
                     UpdateStats* stats);
   Status DeleteFrom(Side& side, const Tuple& t, UpdateStats* stats);

@@ -24,6 +24,29 @@ void DecodeEntry(std::string_view rec, Chronon* key, uint32_t* child) {
 
 }  // namespace
 
+PagePinLru::PagePinLru(Disk* disk, size_t capacity)
+    : disk_(disk), capacity_(capacity) {
+  TEMPO_CHECK(disk != nullptr);
+  TEMPO_CHECK(capacity > 0);
+}
+
+StatusOr<PagePin> PagePinLru::Pin(FileId file, uint32_t page_no) {
+  const Key key{file, page_no};
+  auto it = where_.find(key);
+  if (it != where_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second;
+  }
+  TEMPO_ASSIGN_OR_RETURN(PagePin page, disk_->PinPage(file, page_no));
+  if (lru_.size() == capacity_) {
+    where_.erase(lru_.back().first);
+    lru_.pop_back();
+  }
+  lru_.emplace_front(key, page);
+  where_.emplace(key, lru_.begin());
+  return page;
+}
+
 AppendOnlyTree::AppendOnlyTree(Disk* disk, std::string name)
     : disk_(disk), name_(std::move(name)) {
   file_ = disk_->CreateFile(name_ + ".aptree");
@@ -126,29 +149,28 @@ int LastEntryAtMost(const Page& node, Chronon t) {
 
 }  // namespace
 
-StatusOr<uint32_t> AppendOnlyTree::UpperBoundPage(
-    Chronon t, BufferManager* buffers) const {
+StatusOr<uint32_t> AppendOnlyTree::UpperBoundPage(Chronon t,
+                                                  PagePinLru* nodes) const {
   if (height_ == 0) {
     return Status::FailedPrecondition("empty index");
   }
   uint32_t page_no = root_page_;
   for (uint32_t level = height_; level-- > 0;) {
-    TEMPO_ASSIGN_OR_RETURN(Page * node, buffers->Pin(file_, page_no));
+    TEMPO_ASSIGN_OR_RETURN(PagePin node, nodes->Pin(file_, page_no));
     int idx = LastEntryAtMost(*node, t);
     if (idx < 0) idx = 0;  // descend leftmost
     Chronon key;
     uint32_t child;
     DecodeEntry(node->GetRecord(static_cast<uint16_t>(idx)), &key, &child);
-    TEMPO_RETURN_IF_ERROR(buffers->Unpin(file_, page_no, false));
     page_no = child;
     if (level == 0) return child;  // leaf entry = data page
   }
   return page_no;
 }
 
-StatusOr<uint32_t> AppendOnlyTree::LowerBoundPage(
-    Chronon t, BufferManager* buffers) const {
-  TEMPO_ASSIGN_OR_RETURN(uint32_t page, UpperBoundPage(t, buffers));
+StatusOr<uint32_t> AppendOnlyTree::LowerBoundPage(Chronon t,
+                                                  PagePinLru* nodes) const {
+  TEMPO_ASSIGN_OR_RETURN(uint32_t page, UpperBoundPage(t, nodes));
   // Step back one data page: the preceding page may contain tuples with
   // Vs == t at its tail.
   return page > 0 ? page - 1 : 0;

@@ -1,15 +1,40 @@
 #ifndef TEMPO_JOIN_APPEND_ONLY_TREE_H_
 #define TEMPO_JOIN_APPEND_ONLY_TREE_H_
 
+#include <list>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
-#include "storage/buffer_manager.h"
 #include "storage/stored_relation.h"
 
 namespace tempo {
+
+/// A fixed number of pinned pages with least-recently-used replacement:
+/// the indexed join keeps its index nodes and inner data pages in two of
+/// these within its page budget. A hit shares the held pin and charges
+/// nothing; a miss pins through the disk (one charged read) and, when
+/// full, drops the least recently used pin.
+class PagePinLru {
+ public:
+  PagePinLru(Disk* disk, size_t capacity);
+
+  PagePinLru(const PagePinLru&) = delete;
+  PagePinLru& operator=(const PagePinLru&) = delete;
+
+  StatusOr<PagePin> Pin(FileId file, uint32_t page_no);
+
+ private:
+  using Key = std::pair<FileId, uint32_t>;
+
+  Disk* disk_;
+  size_t capacity_;
+  std::list<std::pair<Key, PagePin>> lru_;  // front = most recently used
+  std::map<Key, std::list<std::pair<Key, PagePin>>::iterator> where_;
+};
 
 /// The append-only tree of Gunadhi & Segev [SG89, GS91] — the auxiliary
 /// access path the paper's related work uses and the paper's own
@@ -50,12 +75,14 @@ class AppendOnlyTree {
   /// First data page that could contain a tuple with Vs >= `t` — i.e.
   /// the page before the first leaf key > t (earlier pages end below t).
   /// Also the natural lower bound for "pages with min Vs <= t" scans.
-  /// Charges one node read per level through `buffers`.
-  StatusOr<uint32_t> LowerBoundPage(Chronon t, BufferManager* buffers) const;
+  /// Reads one node per level through `nodes`, so a cached node charges
+  /// nothing.
+  StatusOr<uint32_t> LowerBoundPage(Chronon t, PagePinLru* nodes) const;
 
   /// Last data page whose first Vs is <= `t` (pages after it start past
-  /// t). Charges one node read per level.
-  StatusOr<uint32_t> UpperBoundPage(Chronon t, BufferManager* buffers) const;
+  /// t). Reads one node per level through `nodes`. FailedPrecondition on
+  /// an empty index.
+  StatusOr<uint32_t> UpperBoundPage(Chronon t, PagePinLru* nodes) const;
 
   uint32_t height() const { return height_; }
   uint32_t num_node_pages() const;

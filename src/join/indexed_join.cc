@@ -33,16 +33,15 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   IoStats build_end = acct.stats();
   TraceSpan probe_span = SpanIf(ctx, Phase::kIndexProbe);
 
-  // Buffer split: a few frames pin index nodes, the rest cache inner
-  // data pages; one page streams the outer, one holds the result.
-  const uint32_t node_frames = std::max<uint32_t>(2, tree->height() + 1);
-  BufferManager node_pool(disk, node_frames);
-  uint32_t data_frames = options.buffer_pages > node_frames + 2
-                             ? options.buffer_pages - node_frames - 2
-                             : 1;
-  BufferManager data_pool(disk, data_frames);
-  ScopedPoolRegistration node_reg(ctx, &node_pool);
-  ScopedPoolRegistration data_reg(ctx, &data_pool);
+  // Buffer split: a few pages cache index nodes, the rest cache inner
+  // data pages; one page streams the outer, one holds the result. The
+  // caches are declared after `sorted` and `tree`, so they drop their pins
+  // before those files are deleted and the frames go back to the disk.
+  const uint32_t node_pages = std::max<uint32_t>(2, tree->height() + 1);
+  PagePinLru nodes(disk, node_pages);
+  PagePinLru data(disk, options.buffer_pages > node_pages + 2
+                            ? options.buffer_pages - node_pages - 2
+                            : 1);
 
   ResultWriter writer(out);
   uint64_t inner_pages_scanned = 0;
@@ -52,7 +51,9 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
   ColumnExtractor outer(&sorted.r.relation->schema(), &layout.r_join_attrs);
   FlatIndex probe;
   std::vector<TupleView> views;  // the pinned inner page's records
-  const uint32_t r_pages = sorted.r.relation->num_pages();
+  // An empty inner matches nothing and leaves an empty index.
+  const uint32_t r_pages =
+      tree->num_data_pages() == 0 ? 0 : sorted.r.relation->num_pages();
   const uint32_t s_pages = sorted.s.relation->num_pages();
   for (uint32_t rp = 0; rp < r_pages; ++rp) {
     TEMPO_ASSIGN_OR_RETURN(PagePin r_page, sorted.r.relation->PinPage(rp));
@@ -71,16 +72,16 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
     Chronon lo_bound =
         lo > kChrononMin + widen ? lo - widen : kChrononMin;
     TEMPO_ASSIGN_OR_RETURN(uint32_t first,
-                           tree->LowerBoundPage(lo_bound, &node_pool));
+                           tree->LowerBoundPage(lo_bound, &nodes));
     TEMPO_ASSIGN_OR_RETURN(uint32_t last,
-                           tree->UpperBoundPage(hi, &node_pool));
+                           tree->UpperBoundPage(hi, &nodes));
     if (last >= s_pages) last = s_pages - 1;
     for (uint32_t sp = first; sp <= last && sp < s_pages; ++sp) {
-      TEMPO_ASSIGN_OR_RETURN(Page * page,
-                             data_pool.Pin(sorted.s.relation->file_id(), sp));
+      TEMPO_ASSIGN_OR_RETURN(PagePin page,
+                             data.Pin(sorted.s.relation->file_id(), sp));
       ++inner_pages_scanned;
-      // Probe records in place off the pinned frame through the probe
-      // kernel; the page stays pinned until the kernel is done with its
+      // Probe records in place off the pinned page through the probe
+      // kernel; `page` keeps it pinned until the kernel is done with its
       // views. A corrupt record fails the run after the records before it
       // are joined.
       views.clear();
@@ -95,8 +96,6 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
             return writer.Emit(layout, outer.view(row), views[i], common);
           });
       if (!probed.ok()) status = probed;
-      TEMPO_RETURN_IF_ERROR(
-          data_pool.Unpin(sorted.s.relation->file_id(), sp, false));
       TEMPO_RETURN_IF_ERROR(status);
     }
   }

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/buffer_manager.h"
 #include "storage/io_accountant.h"
 
 namespace tempo {
@@ -20,9 +19,9 @@ class Scheduler;
 /// is bit-identical to a run without the context.
 ///
 /// The context carries
-///   - a Tracer of phase-scoped spans (wall-clock, exclusive charged I/O
-///     split random/sequential — each span's delta of the bound
-///     accountant — and buffer hit/miss deltas),
+///   - a Tracer of phase-scoped spans (wall-clock and exclusive charged
+///     I/O split random/sequential — each span's delta of the bound
+///     accountant),
 ///   - a MetricsRegistry of typed counters and log-bucketed histograms,
 /// and feeds the ExplainAnalyze renderer.
 class ExecContext {
@@ -88,25 +87,6 @@ class ExecContext {
   Tracer tracer_;
   MetricsRegistry metrics_;
   IoAccountant* accountant_ = nullptr;
-};
-
-/// RAII registration of a buffer pool with a (possibly null) context's
-/// tracer, so spans report the pool's hit/miss deltas.
-class ScopedPoolRegistration {
- public:
-  ScopedPoolRegistration(ExecContext* ctx, const BufferManager* pool)
-      : ctx_(ctx), pool_(pool) {
-    if (ctx_ != nullptr) ctx_->tracer().RegisterBufferPool(pool_);
-  }
-  ~ScopedPoolRegistration() {
-    if (ctx_ != nullptr) ctx_->tracer().UnregisterBufferPool(pool_);
-  }
-  ScopedPoolRegistration(const ScopedPoolRegistration&) = delete;
-  ScopedPoolRegistration& operator=(const ScopedPoolRegistration&) = delete;
-
- private:
-  ExecContext* ctx_;
-  const BufferManager* pool_;
 };
 
 /// Null-safe span helper: an inert TraceSpan when `ctx` is null.

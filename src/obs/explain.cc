@@ -42,16 +42,8 @@ std::vector<const SpanNode*> SortedChildren(const SpanNode& node) {
   return out;
 }
 
-bool AnyBuffers(const SpanNode& node) {
-  if (node.stats.buffers.total() != 0) return true;
-  for (const auto& child : node.children) {
-    if (AnyBuffers(*child)) return true;
-  }
-  return false;
-}
-
 void RenderNode(const SpanNode& node, int depth, const ExplainOptions& options,
-                bool with_buffers, std::vector<Row>* rows) {
+                std::vector<Row>* rows) {
   Row row;
   std::string name(2 * depth, ' ');
   name += PhaseName(node.phase);
@@ -69,17 +61,13 @@ void RenderNode(const SpanNode& node, int depth, const ExplainOptions& options,
   row.cells.push_back(FormatDouble(inclusive.Cost(options.cost_model), 1));
   row.cells.push_back(FormatDouble(inclusive.total_random(), 0));
   row.cells.push_back(FormatDouble(inclusive.total_sequential(), 0));
-  if (with_buffers) {
-    row.cells.push_back(FormatDouble(node.stats.buffers.hits, 0));
-    row.cells.push_back(FormatDouble(node.stats.buffers.misses, 0));
-  }
   if (options.include_timing) {
     row.cells.push_back(FormatDouble(node.stats.wall_seconds * 1e3, 2));
   }
   rows->push_back(std::move(row));
 
   for (const SpanNode* child : SortedChildren(node)) {
-    RenderNode(*child, depth + 1, options, with_buffers, rows);
+    RenderNode(*child, depth + 1, options, rows);
   }
 }
 
@@ -168,22 +156,17 @@ std::string AlignRows(const std::vector<Row>& rows) {
 std::string ExplainAnalyze(const ExecContext& ctx,
                            const ExplainOptions& options) {
   const SpanNode& root = ctx.tracer().root();
-  const bool with_buffers = AnyBuffers(root);
 
   std::vector<Row> rows;
   Row header;
   header.cells = {"phase", "est cost", "act cost", "random", "seq"};
-  if (with_buffers) {
-    header.cells.push_back("buf hit");
-    header.cells.push_back("buf miss");
-  }
   if (options.include_timing) {
     header.cells.push_back("wall ms");
   }
   rows.push_back(std::move(header));
 
   for (const SpanNode* child : SortedChildren(root)) {
-    RenderNode(*child, 0, options, with_buffers, &rows);
+    RenderNode(*child, 0, options, &rows);
   }
 
   // TOTAL: the tree's inclusive I/O. When every phase of the run executed
@@ -193,11 +176,6 @@ std::string ExplainAnalyze(const ExecContext& ctx,
   total_row.cells = {"TOTAL", "-", FormatDouble(total.Cost(options.cost_model), 1),
                      FormatDouble(total.total_random(), 0),
                      FormatDouble(total.total_sequential(), 0)};
-  if (with_buffers) {
-    const BufferCounters buffers = ctx.tracer().TotalBufferCounters();
-    total_row.cells.push_back(FormatDouble(buffers.hits, 0));
-    total_row.cells.push_back(FormatDouble(buffers.misses, 0));
-  }
   if (options.include_timing) {
     double wall = 0.0;
     for (const auto& child : root.children) {

@@ -23,8 +23,7 @@ struct ExplainOptions {
 
 /// Renders the span tree as an EXPLAIN ANALYZE table: one row per phase,
 /// indented by nesting, with planner-estimated cost next to the actual
-/// (inclusive) charged-I/O cost, the random/sequential split, buffer
-/// hit/miss deltas (omitted when no pool was registered), and — unless
+/// (inclusive) charged-I/O cost, the random/sequential split and — unless
 /// include_timing is off — a wall-clock column. Sibling
 /// rows are ordered by (phase, label), not begin order, so trees built by
 /// concurrent threads render deterministically. Ends with a TOTAL row

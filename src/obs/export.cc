@@ -83,12 +83,6 @@ struct Exporter {
     args.Set("cost_excl", node.stats.io.Cost(options.cost_model));
     args.Set("cost_incl", node.InclusiveIo().Cost(options.cost_model));
     if (node.estimated_cost >= 0.0) args.Set("est_cost", node.estimated_cost);
-    if (node.stats.buffers.total() != 0) {
-      Json buffers = Json::Object();
-      buffers.Set("hits", node.stats.buffers.hits);
-      buffers.Set("misses", node.stats.buffers.misses);
-      args.Set("buffers", std::move(buffers));
-    }
     e.Set("args", std::move(args));
     return e;
   }

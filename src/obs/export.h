@@ -33,7 +33,7 @@ struct TraceExportOptions {
 ///   - one "X" (complete) event per span node, nested via the synthetic
 ///     timeline, with args carrying phase, label, entry count, exclusive
 ///     charged I/O split random/sequential, priced exclusive+inclusive
-///     cost, planner estimate and buffer hit/miss deltas;
+///     cost and planner estimate;
 ///   - "M" metadata naming the process and the span-tree thread;
 ///   - non-event top-level keys (ignored by trace viewers): the schema
 ///     version, export config, the run's metrics snapshot

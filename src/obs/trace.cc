@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-
 #include "common/assert.h"
 #include "obs/telemetry.h"
 
@@ -137,7 +135,6 @@ SpanNode* Tracer::Begin(Phase phase, std::string label,
     node = FindOrCreateChildLocked(parent, phase, label);
     ++node->stats.entered;
     open_.push_back(Frame{node, accountant, io_at_begin,
-                          TotalBufferCountersLocked(),
                           std::chrono::steady_clock::now(), IoStats{}});
   }
   live_phase_.store(static_cast<uint8_t>(phase), std::memory_order_relaxed);
@@ -165,8 +162,6 @@ void Tracer::End(SpanNode* node) {
   node->stats.wall_seconds +=
       std::chrono::duration<double>(now - frame.start).count();
   node->stats.io = node->stats.io + (inclusive - frame.children_io);
-  node->stats.buffers = node->stats.buffers +
-                        (TotalBufferCountersLocked() - frame.buffers_at_begin);
   // A parent counting a different ledger (or none) does not see this I/O.
   if (!open_.empty() && open_.back().accountant == frame.accountant) {
     open_.back().children_io = open_.back().children_io + inclusive;
@@ -185,30 +180,6 @@ void Tracer::AnnotateEstimate(Phase phase, double cost) {
     return;
   }
   pending_estimates_[static_cast<uint8_t>(phase)] = cost;
-}
-
-void Tracer::RegisterBufferPool(const BufferManager* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pools_.push_back(pool);
-}
-
-void Tracer::UnregisterBufferPool(const BufferManager* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::find(pools_.begin(), pools_.end(), pool);
-  if (it == pools_.end()) return;
-  retired_ = retired_ + pool->counters();
-  pools_.erase(it);
-}
-
-BufferCounters Tracer::TotalBufferCounters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return TotalBufferCountersLocked();
-}
-
-BufferCounters Tracer::TotalBufferCountersLocked() const {
-  BufferCounters total = retired_;
-  for (const BufferManager* pool : pools_) total = total + pool->counters();
-  return total;
 }
 
 IoStats Tracer::TotalIo() const {

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/buffer_manager.h"
 #include "storage/io_accountant.h"
 
 namespace tempo {
@@ -74,10 +73,6 @@ struct SpanStats {
   /// Charged I/O of the span's accountant while the span was open, less
   /// the I/O of its nested spans.
   IoStats io;
-  /// Buffer-pool hit/miss delta over the span's duration, across the
-  /// pools registered with the tracer. Duration-based, so unlike `io` it
-  /// is inclusive of nested spans.
-  BufferCounters buffers;
 };
 
 /// One node of the span tree. Nodes are created by Tracer::Begin and are
@@ -104,16 +99,15 @@ struct SpanNode {
 
 /// Owns the span tree and the stack of open spans. A query opens and
 /// closes its spans on the one thread that runs it, so the innermost open
-/// span is the parent of the next one. The tree, the estimates and the
-/// registered pools are guarded by a mutex, so other threads may read
+/// span is the parent of the next one. The tree and the estimates are
+/// guarded by a mutex, so other threads may read
 /// them (QueryHandle::Progress, DumpStats) while the query runs.
 ///
 /// A span's I/O is a delta of the accountant it opened against: on close,
 /// the accountant's counters minus their value at begin is the span's
 /// inclusive I/O; less the inclusive I/O of its closed children it is the
 /// span's exclusive I/O, and the inclusive figure is handed up to the
-/// parent. Buffer hit/miss deltas are taken the same way over the
-/// registered pools.
+/// parent.
 class Tracer {
  public:
   Tracer();
@@ -129,7 +123,7 @@ class Tracer {
   SpanNode* Begin(Phase phase, std::string label, IoAccountant* accountant);
 
   /// Closes the innermost open span, which must be `node`, and folds its
-  /// wall-clock, I/O and buffer deltas into the node.
+  /// wall-clock and I/O deltas into the node.
   void End(SpanNode* node);
 
   /// Sets the planner estimate on `node` (thread-safe).
@@ -140,15 +134,6 @@ class Tracer {
   /// when that phase first begins. Lets the planner annotate phases that
   /// have not started yet (est_sample_cost before sampling runs).
   void AnnotateEstimate(Phase phase, double cost);
-
-  /// Registers a buffer pool so spans can report hit/miss deltas.
-  /// Unregister before destroying the pool; its final counters are folded
-  /// into a retired total so deltas stay monotonic.
-  void RegisterBufferPool(const BufferManager* pool);
-  void UnregisterBufferPool(const BufferManager* pool);
-
-  /// Combined counters of all pools ever registered (live + retired).
-  BufferCounters TotalBufferCounters() const;
 
   /// The synthetic root. Its children are the executor root spans.
   const SpanNode& root() const { return *root_; }
@@ -177,7 +162,6 @@ class Tracer {
     SpanNode* node;
     IoAccountant* accountant;  ///< null: the span reports zero I/O
     IoStats io_at_begin;
-    BufferCounters buffers_at_begin;
     std::chrono::steady_clock::time_point start;
     /// Inclusive I/O of the closed children charged to `accountant`.
     IoStats children_io;
@@ -186,14 +170,11 @@ class Tracer {
   SpanNode* FindOrCreateChildLocked(SpanNode* parent, Phase phase,
                                     const std::string& label);
   SpanNode* FindPhaseLocked(SpanNode* node, Phase phase);
-  BufferCounters TotalBufferCountersLocked() const;
 
   mutable std::mutex mu_;
   std::unique_ptr<SpanNode> root_;
   std::unordered_map<uint8_t, double> pending_estimates_;
   std::vector<Frame> open_;
-  std::vector<const BufferManager*> pools_;
-  BufferCounters retired_;
 
   /// Flight hook: set once before execution, read by Begin.
   std::atomic<FlightRecorder*> flight_{nullptr};

@@ -113,9 +113,8 @@ class Disk {
   IoAccountant& accountant();
   const IoAccountant& accountant() const;
 
-  /// The disk's own accountant, ignoring any thread binding. Aggregate
-  /// observers (TotalBufferCounters-style dashboards, tests asserting the
-  /// unbound default) read this.
+  /// The disk's own accountant, ignoring any thread binding. The query
+  /// service reads its head model to configure each per-query accountant.
   IoAccountant& base_accountant() { return accountant_; }
   const IoAccountant& base_accountant() const { return accountant_; }
 

@@ -8,7 +8,6 @@
 #include "join/nested_loop_join.h"
 #include "core/partition_spec.h"
 #include "service/join_request.h"
-#include "storage/buffer_manager.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -30,48 +29,6 @@ TEST(ValueExtrasTest, OrderingIsTypeThenValue) {
   EXPECT_LT(Value(int64_t{1}), Value(int64_t{2}));
   EXPECT_LT(Value("a"), Value("b"));
   EXPECT_FALSE(Value("b") < Value("a"));
-}
-
-TEST(PinnedPageTest, RaiiUnpinsOnDestruction) {
-  Disk disk;
-  FileId file = disk.CreateFile("f");
-  Page p;
-  p.AddRecord("x");
-  TEMPO_ASSERT_OK(disk.AppendPage(file, p).status());
-
-  BufferManager buf(&disk, 1);
-  {
-    TEMPO_ASSERT_OK_AND_ASSIGN(Page * raw, buf.Pin(file, 0));
-    PinnedPage pinned(&buf, file, 0, raw);
-    EXPECT_EQ(pinned->GetRecord(0), "x");
-    // Re-pinning the same page is a hit even while the guard holds it.
-    TEMPO_ASSERT_OK(buf.Pin(file, 0).status());
-    TEMPO_ASSERT_OK(buf.Unpin(file, 0, false));
-  }
-  // After the guard died, the frame is evictable: pinning another page
-  // must succeed by evicting it.
-  Page q;
-  TEMPO_ASSERT_OK(disk.AppendPage(file, q).status());
-  TEMPO_ASSERT_OK(buf.Pin(file, 1).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file, 1, false));
-}
-
-TEST(PinnedPageTest, DirtyMarkWritesBack) {
-  Disk disk;
-  FileId file = disk.CreateFile("f");
-  Page p;
-  TEMPO_ASSERT_OK(disk.AppendPage(file, p).status());
-  BufferManager buf(&disk, 1);
-  {
-    TEMPO_ASSERT_OK_AND_ASSIGN(Page * raw, buf.Pin(file, 0));
-    PinnedPage pinned(&buf, file, 0, raw);
-    pinned->AddRecord("dirty");
-    pinned.MarkDirty();
-  }
-  TEMPO_ASSERT_OK(buf.FlushAll());
-  Page back;
-  TEMPO_ASSERT_OK(disk.ReadPage(file, 0, &back));
-  EXPECT_EQ(back.GetRecord(0), "dirty");
 }
 
 TEST(PartitionSpecPropertyTest, IndexOfAgreesWithLinearScan) {

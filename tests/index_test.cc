@@ -31,6 +31,58 @@ std::unique_ptr<StoredRelation> MakeSorted(Disk* disk, size_t n,
   return MakeRelation(disk, TestSchema(), tuples, name);
 }
 
+// The indexed join's page cache (PagePinLru). The suite keeps the name
+// of the buffer pool it replaced.
+class BufferManagerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    file_ = disk_.CreateFile("buf");
+    for (int i = 0; i < 8; ++i) {
+      Page p;
+      p.AddRecord("page" + std::to_string(i));
+      TEMPO_ASSERT_OK(disk_.AppendPage(file_, p).status());
+    }
+  }
+
+  uint64_t Reads() const {
+    const IoStats io = disk_.accountant().stats();
+    return io.random_reads + io.sequential_reads;
+  }
+
+  Disk disk_;
+  FileId file_;
+};
+
+TEST_F(BufferManagerTest, PinReadsThrough) {
+  PagePinLru cache(&disk_, 4);
+  TEMPO_ASSERT_OK_AND_ASSIGN(PagePin page, cache.Pin(file_, 2));
+  EXPECT_EQ(page->GetRecord(0), "page2");
+}
+
+TEST_F(BufferManagerTest, HitAvoidsDiskRead) {
+  PagePinLru cache(&disk_, 4);
+  const uint64_t before_miss = Reads();
+  TEMPO_ASSERT_OK_AND_ASSIGN(PagePin miss, cache.Pin(file_, 1));
+  EXPECT_EQ(Reads(), before_miss + 1);
+  TEMPO_ASSERT_OK_AND_ASSIGN(PagePin hit, cache.Pin(file_, 1));
+  EXPECT_EQ(Reads(), before_miss + 1);
+  // A hit shares the cached page instead of copying it.
+  EXPECT_EQ(hit.get(), miss.get());
+}
+
+TEST_F(BufferManagerTest, EvictsLruUnpinned) {
+  PagePinLru cache(&disk_, 2);
+  TEMPO_ASSERT_OK(cache.Pin(file_, 0).status());
+  TEMPO_ASSERT_OK(cache.Pin(file_, 1).status());
+  TEMPO_ASSERT_OK(cache.Pin(file_, 0).status());  // page 1 is now the LRU
+  TEMPO_ASSERT_OK(cache.Pin(file_, 2).status());  // evicts page 1
+  const uint64_t before = Reads();
+  TEMPO_ASSERT_OK(cache.Pin(file_, 0).status());  // the survivor: a hit
+  EXPECT_EQ(Reads(), before);
+  TEMPO_ASSERT_OK(cache.Pin(file_, 1).status());  // the victim: a miss
+  EXPECT_EQ(Reads(), before + 1);
+}
+
 TEST(AppendOnlyTreeTest, BuildsOverSortedRelation) {
   Disk disk;
   auto rel = MakeSorted(&disk, 3000, 0.2, 1, "r");
@@ -54,7 +106,7 @@ TEST(AppendOnlyTreeTest, BoundsBracketEveryProbe) {
   Disk disk;
   auto rel = MakeSorted(&disk, 5000, 0.1, 2, "r");
   TEMPO_ASSERT_OK_AND_ASSIGN(auto tree, AppendOnlyTree::Build(rel.get(), "r"));
-  BufferManager pool(&disk, 8);
+  PagePinLru pool(&disk, 8);
 
   // Collect each page's true first Vs.
   std::vector<Chronon> first_vs;
@@ -94,7 +146,7 @@ TEST(AppendOnlyTreeTest, IncrementalAppendsExtendTheIndex) {
     TEMPO_ASSERT_OK(tree->AppendPage(10000 + i, pages_before + i));
   }
   EXPECT_EQ(tree->num_data_pages(), pages_before + 500);
-  BufferManager pool(&disk, 8);
+  PagePinLru pool(&disk, 8);
   TEMPO_ASSERT_OK_AND_ASSIGN(uint32_t page,
                              tree->UpperBoundPage(10250, &pool));
   EXPECT_EQ(page, pages_before + 250);

@@ -495,19 +495,38 @@ TEST(CoSweepTest, DisjointKeyDomainsKeepActiveBucketsBoundedByLiveTuples) {
   }
 }
 
+// Every executor joins an empty r, an empty s, or both to zero rows.
 TEST(SortMergeTest, EmptyInputs) {
-  Disk disk;
-  auto r = MakeRelation(&disk, TestSchema(), {}, "r");
-  auto s = MakeRelation(&disk, SSchema(), {}, "s");
-  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
-                             DeriveNaturalJoinLayout(r->schema(), s->schema()));
-  StoredRelation out(&disk, layout.output, "out");
-  ExecOptions options;
-  options.buffer_pages = 8;
-  TEMPO_ASSERT_OK_AND_ASSIGN(
-      JoinRunStats stats,
-      RunNamed(JoinExecutor::kSortMerge, r.get(), s.get(), &out, options));
-  EXPECT_EQ(stats.output_tuples, 0u);
+  const std::vector<Tuple> some_r{T(1, "a", 0, 10), T(2, "b", 5, 20)};
+  const std::vector<Tuple> some_s{S(1, "x", 5, 15), S(2, "y", 0, 30)};
+  for (auto [r_tuples, s_tuples] :
+       {std::pair{std::vector<Tuple>{}, some_s},
+        std::pair{some_r, std::vector<Tuple>{}},
+        std::pair{std::vector<Tuple>{}, std::vector<Tuple>{}}}) {
+    for (JoinExecutor executor :
+         {JoinExecutor::kAuto, JoinExecutor::kNestedLoop,
+          JoinExecutor::kSortMerge, JoinExecutor::kIndexed,
+          JoinExecutor::kPartition, JoinExecutor::kReference,
+          JoinExecutor::kInMemoryRadix, JoinExecutor::kSweep}) {
+      SCOPED_TRACE(std::string(JoinExecutorName(executor)) + " r=" +
+                   std::to_string(r_tuples.size()) +
+                   " s=" + std::to_string(s_tuples.size()));
+      Disk disk;
+      auto r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
+      auto s = MakeRelation(&disk, SSchema(), s_tuples, "s");
+      TEMPO_ASSERT_OK_AND_ASSIGN(
+          NaturalJoinLayout layout,
+          DeriveNaturalJoinLayout(r->schema(), s->schema()));
+      StoredRelation out(&disk, layout.output, "out");
+      ExecOptions options;
+      options.buffer_pages = 8;
+      TEMPO_ASSERT_OK_AND_ASSIGN(
+          JoinRunStats stats,
+          RunNamed(executor, r.get(), s.get(), &out, options));
+      EXPECT_EQ(stats.output_tuples, 0u);
+      EXPECT_EQ(out.num_tuples(), 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

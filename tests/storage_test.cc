@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "storage/buffer_manager.h"
 #include "storage/disk.h"
 #include "storage/io_accountant.h"
 #include "storage/page.h"
@@ -386,124 +385,6 @@ TEST(PagePinTest, FaultsAndPastEofFailPinPage) {
   disk.ClearFault();
   TEMPO_ASSERT_OK_AND_ASSIGN(PagePin pin, disk.PinPage(f, 1));
   EXPECT_EQ(pin->GetRecord(0), "p1");
-}
-
-// ---------------------------------------------------------------------
-// BufferManager
-// ---------------------------------------------------------------------
-
-class BufferManagerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    file_ = disk_.CreateFile("buf");
-    for (int i = 0; i < 8; ++i) {
-      Page p;
-      p.AddRecord("page" + std::to_string(i));
-      auto st = disk_.AppendPage(file_, p);
-      TEMPO_ASSERT_OK(st.status());
-    }
-  }
-
-  Disk disk_;
-  FileId file_;
-};
-
-TEST_F(BufferManagerTest, PinReadsThrough) {
-  BufferManager buf(&disk_, 4);
-  TEMPO_ASSERT_OK_AND_ASSIGN(Page * p, buf.Pin(file_, 2));
-  EXPECT_EQ(p->GetRecord(0), "page2");
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 2, false));
-}
-
-TEST_F(BufferManagerTest, HitAvoidsDiskRead) {
-  BufferManager buf(&disk_, 4);
-  TEMPO_ASSERT_OK(buf.Pin(file_, 1).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 1, false));
-  uint64_t reads_before = disk_.accountant().stats().random_reads +
-                          disk_.accountant().stats().sequential_reads;
-  TEMPO_ASSERT_OK(buf.Pin(file_, 1).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 1, false));
-  uint64_t reads_after = disk_.accountant().stats().random_reads +
-                         disk_.accountant().stats().sequential_reads;
-  EXPECT_EQ(reads_before, reads_after);
-  EXPECT_EQ(buf.hits(), 1u);
-  EXPECT_EQ(buf.misses(), 1u);
-}
-
-TEST_F(BufferManagerTest, EvictsLruUnpinned) {
-  BufferManager buf(&disk_, 2);
-  TEMPO_ASSERT_OK(buf.Pin(file_, 0).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 0, false));
-  TEMPO_ASSERT_OK(buf.Pin(file_, 1).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 1, false));
-  TEMPO_ASSERT_OK(buf.Pin(file_, 2).status());  // evicts page 0
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 2, false));
-  EXPECT_EQ(buf.num_cached(), 2u);
-}
-
-TEST_F(BufferManagerTest, AllPinnedExhausts) {
-  BufferManager buf(&disk_, 2);
-  TEMPO_ASSERT_OK(buf.Pin(file_, 0).status());
-  TEMPO_ASSERT_OK(buf.Pin(file_, 1).status());
-  auto third = buf.Pin(file_, 2);
-  EXPECT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST_F(BufferManagerTest, DirtyWriteBackOnEviction) {
-  BufferManager buf(&disk_, 1);
-  TEMPO_ASSERT_OK_AND_ASSIGN(Page * p, buf.Pin(file_, 0));
-  p->Reset();
-  p->AddRecord("modified");
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 0, true));
-  // Force eviction.
-  TEMPO_ASSERT_OK(buf.Pin(file_, 1).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 1, false));
-  Page back;
-  TEMPO_ASSERT_OK(disk_.ReadPage(file_, 0, &back));
-  EXPECT_EQ(back.GetRecord(0), "modified");
-}
-
-TEST_F(BufferManagerTest, FlushAllWritesDirty) {
-  BufferManager buf(&disk_, 4);
-  TEMPO_ASSERT_OK_AND_ASSIGN(Page * p, buf.Pin(file_, 3));
-  p->Reset();
-  p->AddRecord("dirty3");
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 3, true));
-  TEMPO_ASSERT_OK(buf.FlushAll());
-  Page back;
-  TEMPO_ASSERT_OK(disk_.ReadPage(file_, 3, &back));
-  EXPECT_EQ(back.GetRecord(0), "dirty3");
-}
-
-TEST_F(BufferManagerTest, UnpinErrors) {
-  BufferManager buf(&disk_, 2);
-  EXPECT_EQ(buf.Unpin(file_, 0, false).code(),
-            StatusCode::kFailedPrecondition);
-  TEMPO_ASSERT_OK(buf.Pin(file_, 0).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 0, false));
-  EXPECT_EQ(buf.Unpin(file_, 0, false).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(BufferManagerTest, NewPageAppendsAndPins) {
-  BufferManager buf(&disk_, 2);
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto pair, buf.NewPage(file_));
-  EXPECT_EQ(pair.second, 8u);
-  pair.first->AddRecord("fresh");
-  TEMPO_ASSERT_OK(buf.Unpin(file_, pair.second, true));
-  TEMPO_ASSERT_OK(buf.FlushAll());
-  Page back;
-  TEMPO_ASSERT_OK(disk_.ReadPage(file_, 8, &back));
-  EXPECT_EQ(back.GetRecord(0), "fresh");
-}
-
-TEST_F(BufferManagerTest, FlushAndEvictFile) {
-  BufferManager buf(&disk_, 4);
-  TEMPO_ASSERT_OK(buf.Pin(file_, 0).status());
-  TEMPO_ASSERT_OK(buf.Unpin(file_, 0, true));
-  TEMPO_ASSERT_OK(buf.FlushAndEvictFile(file_));
-  EXPECT_EQ(buf.num_cached(), 0u);
 }
 
 // ---------------------------------------------------------------------
