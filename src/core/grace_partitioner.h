@@ -39,6 +39,13 @@ struct PartitionedRelation {
 
   /// Deletes the partition files from disk before this is destroyed.
   void Drop() { parts.clear(); }
+
+  /// The partition files, in partition order.
+  std::vector<StoredRelation*> Files() const {
+    std::vector<StoredRelation*> files;
+    for (const auto& p : parts) files.push_back(p.get());
+    return files;
+  }
 };
 
 /// Grace partitioning (Section 3.2, [KTMo83]): scans `input` once through

@@ -13,7 +13,8 @@ namespace tempo {
 ///
 /// The input is Grace-partitioned by validity interval with last-overlap
 /// placement and processed from the latest partition to the earliest,
-/// exactly like joinPartitions. Within a step, value-equivalent tuples
+/// exactly like joinPartitions; a plan of one partition folds the input
+/// itself, without a Grace pass. Within a step, value-equivalent tuples
 /// merge into maximal runs. A run is *emitted* once no tuple in an
 /// earlier partition could extend it — every potential extender ends at
 /// run.start-1 or later, so once run.start-1 lies inside the current

@@ -1,8 +1,8 @@
 #include "core/partition_join.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/assert.h"
 #include "core/tuple_cache.h"
@@ -82,8 +82,8 @@ class OuterArea {
     return Status::OK();
   }
 
-  /// Retires every remaining row (end of the partition loop / fast path):
-  /// emits each one's uncovered subintervals.
+  /// Retires every remaining row (end of the partition loop): emits each
+  /// one's uncovered subintervals.
   Status RetireAll() {
     if (variant_ == nullptr) return Status::OK();
     for (size_t row = 0; row < area_.num_rows(); ++row) {
@@ -127,106 +127,18 @@ class OuterArea {
   std::vector<std::vector<Interval>> coverage_;
 };
 
-/// Shared parameters of one probe pass (one chunk of one partition).
-struct ProbeContext {
-  const NaturalJoinLayout* layout = nullptr;
-  const Schema* inner_schema = nullptr;
-  /// The build rows the index points into.
-  const ColumnExtractor* area = nullptr;
-  TemporalPredicate predicate;
-  /// De-duplication partition p_i: emit only pairs whose overlap ends in
-  /// it. Null in the single-partition fast path (no duplicates possible).
-  const Interval* dedup_interval = nullptr;
-  /// Previous partition p_{i-1}; probe tuples overlapping it are retained
-  /// into `retain_cache`. Null disables retention.
-  const Interval* retain_interval = nullptr;
-  ResultWriter* writer = nullptr;
-  TupleCache* retain_cache = nullptr;
-  /// Sequenced outer/anti variant of this run (null = inner join). When
-  /// set, every dedup-accepted overlap is folded into `coverage_area`'s
-  /// coverage of the matched area row, and match emission is gated on
-  /// variant->emit_matches.
-  JoinVariant* variant = nullptr;
-  OuterArea* coverage_area = nullptr;
-};
-
-/// Streams probe-side input — raw inner pages and tuple-cache views —
-/// against a read-only flat index over the build area, inline on the
-/// calling thread in arrival order. Every probe runs on a zero-copy
-/// TupleView: pages are pinned in a PageTupleArena and their records
-/// hashed/compared in place; cache records are probed as views over the
-/// cache's own memory. Result records are assembled straight from the
-/// build and probe record bytes.
-class ProbeStream {
- public:
-  ProbeStream(const ProbeContext& ctx, const FlatIndex* index)
-      : ctx_(ctx), index_(index) {}
-
-  ProbeStream(const ProbeStream&) = delete;
-  ProbeStream& operator=(const ProbeStream&) = delete;
-
-  /// Streams one raw inner page.
-  Status AddPage(PagePin page, bool allow_retain) {
-    arena_.Clear();
-    TEMPO_RETURN_IF_ERROR(
-        arena_.AddPage(*ctx_.inner_schema, std::move(page)).status());
-    return AddViews(arena_.views(), allow_retain);
-  }
-
-  /// Streams probe views over storage that outlives the call (a pinned
-  /// page, or the tuple cache's in-memory records). Emits every area row
-  /// each probe record `y` joins, in FlatIndex order (deterministic for a
-  /// fixed index build), folding each dedup-accepted overlap into the
-  /// matched row's coverage under a variant; then retains `y` into the
-  /// next cache generation if it overlaps p_{i-1}. The probe kernel runs
-  /// both steps in the order of a record-at-a-time loop, so the writer
-  /// and the cache see the same sequence.
-  Status AddViews(const std::vector<TupleView>& ys, bool allow_retain) {
-    const bool emit = ctx_.variant == nullptr || ctx_.variant->emit_matches;
-    const bool retain = allow_retain && ctx_.retain_cache != nullptr &&
-                        ctx_.retain_interval != nullptr;
-    const std::vector<size_t>& keys = ctx_.layout->s_join_attrs;
-    return ProbeFlatIndex(
-        *ctx_.area, *index_, ys.size(),
-        [&](size_t i) { return FlatProbe::Of(ys[i], keys); }, keys,
-        ctx_.predicate, ctx_.dedup_interval,
-        [&](size_t i, size_t row, const Interval& common) -> Status {
-          if (ctx_.coverage_area != nullptr) {
-            ctx_.coverage_area->AddCoverage(row, common);
-          }
-          if (!emit) return Status::OK();
-          return ctx_.writer->Emit(*ctx_.layout, ctx_.area->view(row), ys[i],
-                                   common);
-        },
-        [&](size_t i) -> Status {
-          if (!retain || !ys[i].interval().Overlaps(*ctx_.retain_interval)) {
-            return Status::OK();
-          }
-          return ctx_.retain_cache->AddRecord(ys[i].record());
-        });
-  }
-
- private:
-  ProbeContext ctx_;
-  const FlatIndex* index_;
-  PageTupleArena arena_;  // pin+view arena, cleared per page
-};
-
-}  // namespace
-
-StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
-                                      const PartitionSpec& spec,
-                                      PartitionedRelation* pr,
-                                      PartitionedRelation* ps,
-                                      StoredRelation* out,
-                                      uint32_t buffer_pages,
-                                      PlacementPolicy placement,
-                                      TemporalPredicate predicate,
-                                      uint32_t cache_memory_pages,
-                                      ExecContext* ctx,
-                                      JoinVariant* variant) {
+/// joinPartitions proper (see JoinPartitions) over one file per partition:
+/// `r_parts[i]` and `s_parts[i]` hold r_i and s_i. A plan of one partition
+/// passes r and s themselves.
+StatusOr<JoinRunStats> JoinPartitionFiles(
+    const NaturalJoinLayout& layout, const PartitionSpec& spec,
+    const std::vector<StoredRelation*>& r_parts,
+    const std::vector<StoredRelation*>& s_parts, StoredRelation* out,
+    uint32_t buffer_pages, PlacementPolicy placement,
+    TemporalPredicate predicate, uint32_t cache_memory_pages,
+    ExecContext* ctx, JoinVariant* variant) {
   const size_t n = spec.num_partitions();
-  if (pr->parts.size() != n || ps->parts.size() != n) {
+  if (r_parts.size() != n || s_parts.size() != n) {
     return Status::InvalidArgument(
         "partitioned relations do not match the partition spec");
   }
@@ -239,10 +151,9 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   IoStats before = acct.stats();
   TraceSpan join_span = SpanIf(ctx, Phase::kJoinPartitions);
 
-  const Schema& r_schema = pr->parts.empty() ? out->schema()
-                                             : pr->parts[0]->schema();
-  const Schema& s_schema = ps->parts.empty() ? out->schema()
-                                             : ps->parts[0]->schema();
+  // A spec always holds at least one partition.
+  const Schema& r_schema = r_parts[0]->schema();
+  const Schema& s_schema = s_parts[0]->schema();
   if (cache_memory_pages == 0) cache_memory_pages = 1;
   // Figure 3 layout: one inner page, one result page, cache_memory_pages
   // for the tuple cache (normally 1), and the rest is partition area.
@@ -257,6 +168,8 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   // passes into one writer); the caller finishes it.
   ResultWriter local_writer(out);
   ResultWriter* writer = variant != nullptr ? variant->writer : &local_writer;
+  const bool emit = variant == nullptr || variant->emit_matches;
+  const std::vector<size_t>& keys = layout.s_join_attrs;
   OuterArea outer(&r_schema, &layout.r_join_attrs);
   if (variant != nullptr) outer.TrackCoverage(variant);
   TupleCache cache(disk, s_schema, out->name() + ".gen",
@@ -283,13 +196,9 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
       // last-overlap placement, so no coverage retires here).
       TEMPO_RETURN_IF_ERROR(outer.Clear());
     }
-    {
-      StoredRelation* part = pr->parts[ii].get();
-      const uint32_t pages = part->num_pages();
-      for (uint32_t p = 0; p < pages; ++p) {
-        TEMPO_ASSIGN_OR_RETURN(PagePin page, part->PinPage(p));
-        TEMPO_RETURN_IF_ERROR(outer.AddPage(std::move(page)));
-      }
+    for (uint32_t p = 0; p < r_parts[ii]->num_pages(); ++p) {
+      TEMPO_ASSIGN_OR_RETURN(PagePin page, r_parts[ii]->PinPage(p));
+      TEMPO_RETURN_IF_ERROR(outer.AddPage(std::move(page)));
     }
 
     // Overflow handling: process the outer area in memory-sized chunks;
@@ -321,43 +230,60 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
         outer.RebuildIndex();  // no-op when the area is unchanged
       }
 
-      ProbeContext probe_ctx;
-      probe_ctx.layout = &layout;
-      probe_ctx.inner_schema = &s_schema;
-      probe_ctx.area = &outer.area();
-      probe_ctx.predicate = predicate;
-      probe_ctx.dedup_interval = &p_i;
-      probe_ctx.retain_interval = p_prev;
-      probe_ctx.writer = writer;
-      probe_ctx.retain_cache = &next_gen;
-      if (variant != nullptr) {
-        probe_ctx.variant = variant;
-        probe_ctx.coverage_area = &outer;
-      }
-      ProbeStream stream(probe_ctx, index);
+      // Probes views over storage that outlives the call (a pinned page,
+      // or the tuple cache's in-memory records) against the chunk. Emits
+      // every area row each probe record `y` joins, in FlatIndex order
+      // (deterministic for a fixed index build), keeping only overlaps
+      // that end in p_i (the dedup rule) and folding each into the matched
+      // row's coverage under a variant; then, if `retain`, keeps `y` for
+      // the next cache generation when it overlaps p_{i-1}. The probe
+      // kernel runs both steps in the order of a record-at-a-time loop, so
+      // the writer and the cache see the same sequence.
+      auto probe = [&](const std::vector<TupleView>& ys,
+                       bool retain) -> Status {
+        return ProbeFlatIndex(
+            outer.area(), *index, ys.size(),
+            [&](size_t i) { return FlatProbe::Of(ys[i], keys); }, keys,
+            predicate, &p_i,
+            [&](size_t i, size_t row, const Interval& common) -> Status {
+              if (variant != nullptr) outer.AddCoverage(row, common);
+              if (!emit) return Status::OK();
+              return writer->Emit(layout, outer.area().view(row), ys[i],
+                                  common);
+            },
+            [&](size_t i) -> Status {
+              if (!retain || !ys[i].interval().Overlaps(*p_prev)) {
+                return Status::OK();
+              }
+              return next_gen.AddRecord(ys[i].record());
+            });
+      };
+      // Probes one raw inner page, its records viewed in place.
+      PageTupleArena arena;
+      auto probe_page = [&](PagePin page, bool retain) -> Status {
+        arena.Clear();
+        TEMPO_RETURN_IF_ERROR(
+            arena.AddPage(s_schema, std::move(page)).status());
+        return probe(arena.views(), retain);
+      };
 
       // 2. Join with the in-memory cache page of the consumed generation,
       //    probing its records in place.
       const bool retain = first_chunk && has_prev;
       if (migrate) {
-        TEMPO_RETURN_IF_ERROR(stream.AddViews(cache.memory_views(), retain));
+        TEMPO_RETURN_IF_ERROR(probe(cache.memory_views(), retain));
         // 3. Join with each spilled page of the consumed generation (read
         //    raw; records are viewed, never decoded).
         for (uint32_t c = 0; c < cache.spilled_pages(); ++c) {
           TEMPO_ASSIGN_OR_RETURN(PagePin cached, cache.PinSpilledPage(c));
-          TEMPO_RETURN_IF_ERROR(stream.AddPage(std::move(cached), retain));
+          TEMPO_RETURN_IF_ERROR(probe_page(std::move(cached), retain));
         }
       }
 
       // 4. Join with each page of s_i.
-      {
-        StoredRelation* part = ps->parts[ii].get();
-        const uint32_t pages = part->num_pages();
-        for (uint32_t p = 0; p < pages; ++p) {
-          TEMPO_ASSIGN_OR_RETURN(PagePin page, part->PinPage(p));
-          TEMPO_RETURN_IF_ERROR(
-              stream.AddPage(std::move(page), migrate && retain));
-        }
+      for (uint32_t p = 0; p < s_parts[ii]->num_pages(); ++p) {
+        TEMPO_ASSIGN_OR_RETURN(PagePin page, s_parts[ii]->PinPage(p));
+        TEMPO_RETURN_IF_ERROR(probe_page(std::move(page), migrate && retain));
       }
       if (total == 0) break;
     }
@@ -381,6 +307,24 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
   stats.Set(Metric::kCacheTuples, static_cast<double>(cache_tuples));
   stats.Set(Metric::kOverflowChunks, static_cast<double>(overflow_chunks));
   return stats;
+}
+
+}  // namespace
+
+StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
+                                      const PartitionSpec& spec,
+                                      PartitionedRelation* pr,
+                                      PartitionedRelation* ps,
+                                      StoredRelation* out,
+                                      uint32_t buffer_pages,
+                                      PlacementPolicy placement,
+                                      TemporalPredicate predicate,
+                                      uint32_t cache_memory_pages,
+                                      ExecContext* ctx,
+                                      JoinVariant* variant) {
+  return JoinPartitionFiles(layout, spec, pr->Files(), ps->Files(), out,
+                            buffer_pages, placement, predicate,
+                            cache_memory_pages, ctx, variant);
 }
 
 StatusOr<PartitionPlan> PlanPartitions(StoredRelation* r,
@@ -436,76 +380,43 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     }
   }
 
+  // Phase 2: Grace-partition both inputs with the same intervals, r then
+  // s, on this thread. A plan of one partition joins r and s themselves.
   JoinRunStats stats;
-  if (plan.num_partitions <= 1) {
-    // The outer relation fits in the partition area: no partitioning I/O;
-    // read r into memory and stream s past it.
-    TraceSpan fast_span = SpanIf(ctx, Phase::kJoinPartitions);
-    OuterArea outer(&r->schema(), &layout.r_join_attrs);
-    if (variant != nullptr) outer.TrackCoverage(variant);
-    const uint32_t pages = r->num_pages();
-    for (uint32_t p = 0; p < pages; ++p) {
-      TEMPO_ASSIGN_OR_RETURN(PagePin page, r->PinPage(p));
-      TEMPO_RETURN_IF_ERROR(outer.AddPage(std::move(page)));
-    }
-    outer.RebuildIndex();
-    ResultWriter local_writer(out);
-    ResultWriter* writer =
-        variant != nullptr ? variant->writer : &local_writer;
-
-    ProbeContext probe_ctx;
-    probe_ctx.layout = &layout;
-    probe_ctx.inner_schema = &s->schema();
-    probe_ctx.area = &outer.area();
-    probe_ctx.predicate = options.predicate;
-    probe_ctx.writer = writer;
-    if (variant != nullptr) {
-      probe_ctx.variant = variant;
-      probe_ctx.coverage_area = &outer;
-    }
-    ProbeStream stream(probe_ctx, &outer.index());
-    const uint32_t s_pages = s->num_pages();
-    for (uint32_t p = 0; p < s_pages; ++p) {
-      TEMPO_ASSIGN_OR_RETURN(PagePin page, s->PinPage(p));
-      TEMPO_RETURN_IF_ERROR(
-          stream.AddPage(std::move(page), /*allow_retain=*/false));
-    }
-    TEMPO_RETURN_IF_ERROR(outer.RetireAll());
-    if (variant == nullptr) TEMPO_RETURN_IF_ERROR(writer->Finish());
-    stats.output_tuples = writer->count();
-  } else {
-    // Phase 2: Grace-partition both inputs with the same intervals, r then
-    // s, on this thread.
-    StatusOr<PartitionedRelation> pr_or = Status::Internal("unset");
+  PartitionedRelation pr;
+  PartitionedRelation ps;
+  std::vector<StoredRelation*> r_parts = {r};
+  std::vector<StoredRelation*> s_parts = {s};
+  if (plan.num_partitions > 1) {
     {
       TraceSpan r_span = SpanIf(ctx, Phase::kPartitionR);
-      pr_or = GracePartition(r, plan.spec, options.buffer_pages,
-                             options.placement, r->name());
+      TEMPO_ASSIGN_OR_RETURN(pr, GracePartition(r, plan.spec,
+                                                options.buffer_pages,
+                                                options.placement, r->name()));
     }
-    TEMPO_RETURN_IF_ERROR(pr_or.status());
-    PartitionedRelation pr = std::move(pr_or).value();
-    StatusOr<PartitionedRelation> ps_or = Status::Internal("unset");
     {
       TraceSpan s_span = SpanIf(ctx, Phase::kPartitionS);
-      ps_or = GracePartition(s, plan.spec, options.buffer_pages,
-                             options.placement, s->name());
+      TEMPO_ASSIGN_OR_RETURN(ps, GracePartition(s, plan.spec,
+                                                options.buffer_pages,
+                                                options.placement, s->name()));
     }
-    TEMPO_RETURN_IF_ERROR(ps_or.status());
-    PartitionedRelation ps = std::move(ps_or).value();
+    r_parts = pr.Files();
+    s_parts = ps.Files();
     stats.Set(Metric::kPartitionPagesWritten,
               static_cast<double>(pr.TotalPages() + ps.TotalPages()));
     stats.Set(Metric::kTuplesWritten,
               static_cast<double>(pr.tuples_written + ps.tuples_written));
-
-    // Phase 3: join corresponding partitions.
-    TEMPO_ASSIGN_OR_RETURN(
-        JoinRunStats join_stats,
-        JoinPartitions(layout, plan.spec, &pr, &ps, out, options.buffer_pages,
-                       options.placement, options.predicate,
-                       options.tuple_cache_memory_pages, ctx, variant));
-    stats.output_tuples = join_stats.output_tuples;
-    stats.metrics.Merge(join_stats.metrics);
   }
+
+  // Phase 3: join corresponding partitions.
+  TEMPO_ASSIGN_OR_RETURN(
+      JoinRunStats join_stats,
+      JoinPartitionFiles(layout, plan.spec, r_parts, s_parts, out,
+                         options.buffer_pages, options.placement,
+                         options.predicate, options.tuple_cache_memory_pages,
+                         ctx, variant));
+  stats.output_tuples = join_stats.output_tuples;
+  stats.metrics.Merge(join_stats.metrics);
 
   stats.Set(Metric::kPartitions, static_cast<double>(plan.num_partitions));
   stats.Set(Metric::kPartSizePages,

@@ -88,6 +88,9 @@ struct JoinVariant {
 /// in area-sized chunks, re-reading s_i and the spilled cache for each
 /// extra chunk: that re-reading is precisely the thrashing cost.
 ///
+/// The partition executor runs the same loop, over r and s themselves
+/// for a plan of one partition.
+///
 /// Metrics in JoinRunStats: kCachePagesSpilled, kCacheTuples,
 /// kOverflowChunks. The metrics are returned, not exported into `ctx`: the
 /// executor run that calls this exports once (RunJoinContract).
@@ -113,7 +116,8 @@ StatusOr<JoinRunStats> JoinPartitions(const NaturalJoinLayout& layout,
 /// samples with the executor's own RNG, seeded from options.seed. The
 /// planner's sampled stage calls it too and hands the plan to the
 /// executor, so one query draws one sample, and the charged I/O and the
-/// intervals are those of an explicit partition run.
+/// intervals are those of an explicit partition run. PartitionCoalesce
+/// and MaterializedVtJoinView::Build draw their plans with it as well.
 StatusOr<PartitionPlan> PlanPartitions(StoredRelation* r,
                                        const PartitionJoinOptions& options,
                                        ExecContext* ctx = nullptr);
@@ -125,9 +129,12 @@ StatusOr<PartitionPlan> PlanPartitions(StoredRelation* r,
 ///   s_parts       <- doPartitioning(s, partIntervals)
 ///   return joinPartitions(r_parts, s_parts, partIntervals)
 ///
-/// A relation that fits in memory short-circuits to a single in-memory
-/// pass (no partitioning I/O at all). All sampling, partitioning and join
-/// I/O is charged to the disk's accountant and reported in the returned
+/// A plan of one partition (r fits the partition area, or its sample
+/// collapses to one partition) skips Grace partitioning: joinPartitions
+/// runs over r and s themselves and, once r exceeds the area, probes it
+/// in area-sized chunks, re-reading s for each further chunk, as it does
+/// for any overflowing partition. All sampling, partitioning and join I/O
+/// is charged to the disk's accountant and reported in the returned
 /// stats. Non-inner kinds (options.join_kind) run the sequenced
 /// outer/anti variants, which require last-overlap placement.
 ///
@@ -142,8 +149,9 @@ StatusOr<PartitionPlan> PlanPartitions(StoredRelation* r,
 ///
 /// With a non-null `ctx`, execution is traced as a span tree
 /// (chooseIntervals with nested sampling, partitioning r, partitioning s,
-/// joinPartitions); with a null `ctx`, charged I/O and output bytes are
-/// bit-identical to a run without observability.
+/// joinPartitions; a plan of one partition has no partitioning spans);
+/// with a null `ctx`, charged I/O and output bytes are bit-identical to a
+/// run without observability.
 StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
                                        StoredRelation* out,
                                        const PartitionJoinOptions& options,

@@ -289,7 +289,7 @@ JoinPlan RepriceFromSample(const JoinPlan& catalog, StoredRelation* r,
                            StoredRelation* s, const ExecOptions& options,
                            const PartitionPlan& sampled, double sample_cost) {
   // A trivial plan drew no sample: the catalog's in-memory price stands.
-  if (sampled.num_partitions <= 1) return catalog;
+  if (sampled.samples_drawn == 0) return catalog;
   const uint32_t pr = r->num_pages();
   const uint32_t ps = s->num_pages();
   const uint32_t b = options.buffer_pages;
@@ -297,13 +297,17 @@ JoinPlan RepriceFromSample(const JoinPlan& catalog, StoredRelation* r,
   const uint32_t k = sampled.num_partitions;
 
   // Grace scans both inputs and writes + reads s's partitions; C_join
-  // already counts r's.
+  // already counts r's. A sample that collapsed to one partition skips
+  // Grace and the tuple cache: one pass over each input, plus its chunks.
+  const bool one_pass = k <= 1;
+  const double scans = m.PassCost(pr) + m.PassCost(ps);
   const double grace =
-      m.PassCost(pr) + m.PassCost(ps) +
-      2.0 * (static_cast<double>(k) * m.random_weight +
-             static_cast<double>(ps > k ? ps - k : 0) * m.sequential_weight);
-  const double partition =
-      grace + sampled.est_join_cost + sampled.est_overflow_cost;
+      one_pass ? 0.0
+               : scans + 2.0 * (static_cast<double>(k) * m.random_weight +
+                                static_cast<double>(ps > k ? ps - k : 0) *
+                                    m.sequential_weight);
+  const double join = one_pass ? scans : sampled.est_join_cost;
+  const double partition = grace + join + sampled.est_overflow_cost;
   const double backups = EstimateBackupPages(
       sampled.samples, r->num_tuples(), s->num_tuples(), pr, ps, b);
   // A back-up moves its sorted file's head, so the stream's next refill of
@@ -322,8 +326,11 @@ JoinPlan RepriceFromSample(const JoinPlan& catalog, StoredRelation* r,
       switch (c.algorithm) {
         case JoinAlgorithm::kPartition:
           c.estimated_cost = partition;
-          c.rationale = "sampled: " + paid + "Grace " + Rounded(grace) +
-                        " + C_join " + Rounded(sampled.est_join_cost) +
+          c.rationale = "sampled: " + paid +
+                        (one_pass ? "one partition, one pass over each " +
+                                        Rounded(join)
+                                  : "Grace " + Rounded(grace) + " + C_join " +
+                                        Rounded(join)) +
                         " + " + std::to_string(sampled.est_overflow_chunks) +
                         " overflow chunks " +
                         Rounded(sampled.est_overflow_cost);

@@ -112,11 +112,14 @@ double EstimateBackupPages(const std::vector<Interval>& samples,
 /// optimizer's plan for r drawn with the partition executor's own RNG,
 /// and returns the re-ranked plan. `sample_cost` is what drawing that
 /// sample charged; it is already paid, so every finite candidate carries
-/// it and the ranking is over the remaining cost:
+/// it and the ranking is over the remaining cost. A plan that drew no
+/// sample (r fits the partition area) returns `catalog` unchanged.
 ///
 ///  - partition: Grace (both input scans plus write+read of s's
 ///    partitions, the half C_join omits) + C_join + the overflow chunks
-///    (PartitionPlan::est_overflow_cost);
+///    (PartitionPlan::est_overflow_cost). A sample that collapsed to one
+///    partition is priced as the executor runs it: one pass over each
+///    input plus the overflow chunks, with no Grace pass and no C_join;
 ///  - sort-merge: the catalog estimate plus EstimateBackupPages back-ups,
 ///    each a random read that also makes its stream's next refill seek;
 ///  - sweep: priced as sort-merge, back-ups included. Its active set is

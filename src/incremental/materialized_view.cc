@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "core/determine_part_intervals.h"
 #include "join/flat_index.h"
 #include "relation/column_extract.h"
 #include "relation/tuple_view.h"
@@ -50,11 +49,11 @@ Status MaterializedVtJoinView::Build(StoredRelation* r, StoredRelation* s,
                          DeriveNaturalJoinLayout(r->schema(), s->schema()));
 
   // Plan the partitioning (sampling charged, as in the join itself).
-  Random rng(seed);
-  PartitionPlanOptions plan_options;
+  PartitionJoinOptions plan_options;
   plan_options.buffer_pages = buffer_pages;
+  plan_options.seed = seed;
   TEMPO_ASSIGN_OR_RETURN(PartitionPlan plan,
-                         DeterminePartIntervals(r, plan_options, &rng, ctx));
+                         PlanPartitions(r, plan_options, ctx));
   spec_ = plan.spec;
   const size_t n = spec_.num_partitions();
 

@@ -81,16 +81,16 @@ StatusOr<JoinRunStats> SortMergeBody(const NaturalJoinLayout& layout,
 /// tuples).
 ///
 /// Charged I/O includes the sorts, the index build (node writes), every
-/// probe's node reads (through a small pinned-node buffer pool) and the
-/// inner data reads (through an LRU pool of `buffer_pages`). The
+/// probe's node reads and the inner data reads. Both reads go through a
+/// PagePinLru (join/append_only_tree.h) within `buffer_pages`: a hit
+/// charges nothing, a miss one read. The
 /// index-vs-partition ablation uses this executor to quantify the paper's
 /// argument that the partition join "does not require sort orderings or
 /// auxiliary access paths, each with additional update costs".
 ///
 /// Metrics: kIndexNodePages, kIndexBuildIoOps, kSortIoOps,
 /// kInnerPagesScanned. Traced as kIndexed with nested sort r / sort s /
-/// index build / index probe spans; the node and data buffer pools are
-/// registered so the probe span reports hit/miss deltas.
+/// index build / index probe spans.
 StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
                                    StoredRelation* r, StoredRelation* s,
                                    StoredRelation* out,
@@ -100,11 +100,10 @@ StatusOr<JoinRunStats> IndexedBody(const NaturalJoinLayout& layout,
 /// Endpoint-sorted sweep evaluation of the generalized temporal join,
 /// after Piatov, Helmer, Dignös and Persia (arXiv 2008.12665): both
 /// relations are externally sorted by (Vs, Ve) — the same sort prologue as
-/// sort-merge, so the sort I/O is charged identically and is
-/// thread-invariant — then joined in ONE forward sweep over the merged
-/// arrival order. The sweep is sort-merge's co-sweep (join/co_sweep.cc)
-/// without a retention budget: every active tuple stays in memory, so it
-/// never backs up.
+/// sort-merge, so the sort I/O is charged identically — then joined in
+/// ONE forward sweep over the merged arrival order. The sweep is
+/// sort-merge's co-sweep (join/co_sweep.cc) without a retention budget:
+/// every active tuple stays in memory, so it never backs up.
 ///
 /// Each side keeps a *gapless append-only active map*: flat parallel
 /// arrays (interval ends, tuples, pages, arrival numbers) plus hash
@@ -179,7 +178,8 @@ StatusOr<JoinRunStats> RadixBody(const NaturalJoinLayout& layout,
 /// kinds, which require last-overlap placement.
 ///
 /// Every phase (sampling, Grace partitioning, joinPartitions) runs on the
-/// calling thread in the paper's order. A non-null `plan` (inner joins
+/// calling thread in the paper's order; a plan of one partition skips
+/// Grace and joins r and s in the same loop. A non-null `plan` (inner joins
 /// only) is r's partitioning from PlanPartitions, which the planner drew:
 /// the body then skips phase 1.
 StatusOr<JoinRunStats> PartitionBody(const NaturalJoinLayout& layout,

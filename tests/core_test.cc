@@ -869,5 +869,143 @@ TEST(PartitionJoinTest, PartitionFilesAreDroppedAfterJoin) {
   EXPECT_EQ(disk.TotalPages(), base_pages + out.num_pages());
 }
 
+// ---------------------------------------------------------------------
+// One-partition plans: joinPartitions over r and s themselves
+// ---------------------------------------------------------------------
+
+struct OnePartitionInputs {
+  std::vector<Tuple> r_tuples;
+  std::vector<Tuple> s_tuples;
+};
+
+// 2,000 r and 2,000 s tuples, every one stamped [5, 5]. Both exceed the
+// partition area at every buffer tested, so each is sampled, and every
+// sample covers the one chronon, so the plan collapses to one partition.
+// Some keys of each side have no partner on the other.
+OnePartitionInputs CollapsedInputs() {
+  Random rng(91);
+  OnePartitionInputs in;
+  for (int i = 0; i < 2000; ++i) {
+    in.r_tuples.push_back(T(static_cast<int64_t>(rng.Uniform(400)),
+                            "r" + std::to_string(i), 5, 5));
+  }
+  for (int i = 0; i < 2000; ++i) {
+    in.s_tuples.push_back(S(static_cast<int64_t>(rng.Uniform(500)),
+                            "s" + std::to_string(i), 5, 5));
+  }
+  return in;
+}
+
+// Inputs of at most buffSize - 3 pages each: the plan is the trivial one
+// and draws no sample. Intervals vary, so outer rows are matched fully,
+// partly or not at all.
+OnePartitionInputs FittingInputs(uint32_t buffer_pages) {
+  Random rng(92);
+  const size_t n = 60 * (buffer_pages - 3);
+  OnePartitionInputs in;
+  in.r_tuples = RandomTuples(rng, n, 40, 60, 0.3);
+  for (const Tuple& t : RandomTuples(rng, n, 40, 60, 0.3)) {
+    in.s_tuples.push_back(S(t.value(0).AsInt64(), "d", t.interval().start(),
+                            t.interval().end()));
+  }
+  return in;
+}
+
+// Every join kind of the partition executor, at buffers 4, 8 and 16 with a
+// tuple cache of 1 and 4 pages, on a collapsed and on a fitting input. The
+// plan has one partition, and joinPartitions chunks r exactly when it
+// exceeds the area left beside the inner, result and cache pages, also
+// when r fits buffSize - 3 pages. Under the outer and anti kinds the rows
+// of every chunk retire with their coverage. Each output equals the
+// reference join's.
+TEST(OnePartitionLoopTest, EveryKindMatchesReferenceJoin) {
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+  int fitting_runs_chunked = 0;
+  for (bool collapsed : {true, false}) {
+    for (uint32_t buffer : {4u, 8u, 16u}) {
+      const OnePartitionInputs in =
+          collapsed ? CollapsedInputs() : FittingInputs(buffer);
+      for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftOuter,
+                            JoinKind::kFullOuter, JoinKind::kAnti}) {
+        TEMPO_ASSERT_OK_AND_ASSIGN(
+            std::vector<Tuple> expected,
+            ReferenceJoin(TestSchema(), in.r_tuples, SSchema(), in.s_tuples,
+                          kind));
+        for (uint32_t cache_pages : {1u, 4u}) {
+          const std::string label =
+              std::string(collapsed ? "collapsed" : "fitting") + " " +
+              JoinKindName(kind) + " buffer " + std::to_string(buffer) +
+              " cache " + std::to_string(cache_pages);
+          Disk disk;
+          auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
+          auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
+          if (!collapsed) {
+            ASSERT_LE(r->num_pages(), buffer - 3) << label;
+            ASSERT_LE(s->num_pages(), buffer - 3) << label;
+          }
+          StoredRelation out(
+              &disk, JoinOutputSchema(TestSchema(), layout, kind), "out");
+          PartitionJoinOptions options;
+          options.buffer_pages = buffer;
+          options.join_kind = kind;
+          options.tuple_cache_memory_pages = cache_pages;
+          TEMPO_ASSERT_OK_AND_ASSIGN(
+              JoinRunStats stats,
+              PartitionVtJoin(r.get(), s.get(), &out, options));
+          // The full outer's swapped pass reports its own plan over s.
+          EXPECT_EQ(stats.Get(Metric::kPartitions), 1.0) << label;
+          EXPECT_EQ(stats.Get(Metric::kSamples) > 0.0, collapsed) << label;
+          const uint32_t area_pages =
+              buffer > 2 + cache_pages ? buffer - 2 - cache_pages : 1;
+          const uint32_t outer_pages =
+              kind == JoinKind::kFullOuter ? s->num_pages() : r->num_pages();
+          if (outer_pages <= area_pages) {
+            EXPECT_EQ(stats.Get(Metric::kOverflowChunks), 0.0) << label;
+          } else if (outer_pages > area_pages + 1) {
+            EXPECT_GE(stats.Get(Metric::kOverflowChunks), 1.0) << label;
+          }
+          if (!collapsed && stats.Get(Metric::kOverflowChunks) > 0.0) {
+            ++fitting_runs_chunked;
+          }
+          TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
+          EXPECT_EQ(stats.output_tuples, expected.size()) << label;
+          EXPECT_TRUE(SameTupleMultiset(actual, expected)) << label;
+        }
+      }
+    }
+  }
+  // A 4-page cache leaves a fitting r more than its area at 8 pages.
+  EXPECT_GT(fitting_runs_chunked, 0);
+}
+
+// The collapsed input at 8 pages: one partition of 18 pages in a 5-page
+// area. joinPartitions holds at most the area at a time and re-reads s
+// for each further chunk, as Section 3.4 prescribes for an overflowing
+// partition.
+TEST(OnePartitionLoopTest, CollapsedPlanChunksInBuffSize) {
+  const OnePartitionInputs in = CollapsedInputs();
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
+  auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+  StoredRelation out(&disk, layout.output, "out");
+  TEMPO_ASSERT_OK(out.SetCharged(false));
+  PartitionJoinOptions options;
+  options.buffer_pages = 8;
+  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
+                             PartitionVtJoin(r.get(), s.get(), &out, options));
+  EXPECT_EQ(stats.Get(Metric::kPartitions), 1.0);
+  const double chunks = stats.Get(Metric::kOverflowChunks);
+  EXPECT_GE(chunks, static_cast<double>(r->num_pages() / 5 - 1));
+  // One scan of r for the sample, one to fill the area chunk by chunk, and
+  // one scan of s per chunk; no Grace pass and no tuple cache.
+  EXPECT_EQ(stats.io.total_ops(),
+            2 * r->num_pages() +
+                static_cast<uint64_t>(chunks + 1) * s->num_pages());
+  EXPECT_EQ(stats.Get(Metric::kPartitionPagesWritten), 0.0);
+}
+
 }  // namespace
 }  // namespace tempo

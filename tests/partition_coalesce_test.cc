@@ -245,5 +245,47 @@ INSTANTIATE_TEST_SUITE_P(
              "_s" + std::to_string(c.seed);
     });
 
+// Inputs whose plan has one partition, at buffers 4, 8 and 16: 2,000
+// tuples all stamped [5, 5], which are sampled and collapse to one
+// partition, and an input of at most buffSize - 3 pages, which is not
+// sampled. The one-partition loop folds the input itself.
+TEST(PartitionCoalesceTest, OnePartitionPlansMatchReferenceCoalesce) {
+  for (uint32_t buffer : {4u, 8u, 16u}) {
+    Random rng(93);
+    std::vector<Tuple> collapsed;
+    for (int i = 0; i < 2000; ++i) {
+      collapsed.push_back(T(static_cast<int64_t>(rng.Uniform(400)),
+                            "v" + std::to_string(i % 3), 5, 5));
+    }
+    std::vector<Tuple> fitting;
+    for (const Tuple& t :
+         RandomTuples(rng, 60 * (buffer - 3), 8, 100, 0.3)) {
+      fitting.push_back(T(t.value(0).AsInt64(), "v", t.interval().start(),
+                          t.interval().end()));
+    }
+    for (const std::vector<Tuple>* tuples : {&collapsed, &fitting}) {
+      const std::string label =
+          std::string(tuples == &collapsed ? "collapsed" : "fitting") +
+          " buffer " + std::to_string(buffer);
+      Disk disk;
+      auto in = MakeRelation(&disk, TestSchema(), *tuples, "in");
+      if (tuples == &collapsed) {
+        ASSERT_GT(in->num_pages(), buffer - 3) << label;
+      } else {
+        ASSERT_LE(in->num_pages(), buffer - 3) << label;
+      }
+      StoredRelation out(&disk, TestSchema(), "out");
+      PartitionJoinOptions options;
+      options.buffer_pages = buffer;
+      TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
+                                 PartitionCoalesce(in.get(), &out, options));
+      EXPECT_EQ(stats.Get(Metric::kPartitions), 1.0) << label;
+      TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> result, out.ReadAll());
+      EXPECT_TRUE(SameTupleMultiset(result, ReferenceCoalesce(*tuples)))
+          << label;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tempo

@@ -373,6 +373,47 @@ TEST(PlannerSampledStageTest, RadixFittingInputDrawsNoSample) {
   EXPECT_TRUE(autorun.io == radix.io);
 }
 
+// 20,000 r and 20,000 s tuples, all stamped [5, 5]: r's sample covers one
+// chronon and collapses to one partition, which the partition executor
+// joins in chunks of its area, re-reading s for each. The sampled stage
+// prices that plan as one pass over each input plus its overflow chunks,
+// so kAuto runs sort-merge at 8 pages and nested loops at 16, each below
+// the explicit partition run even with the sample paid.
+TEST(PlannerSampledStageTest, CollapsedSampleIsPricedWithItsChunks) {
+  GeneratedInputs in;
+  std::vector<Tuple> r_tuples;
+  std::vector<Tuple> s_tuples;
+  for (int64_t i = 0; i < 20000; ++i) {
+    r_tuples.push_back(T(i, "r" + std::to_string(i) + "...........", 5, 5));
+    s_tuples.push_back(
+        Tuple({Value(i), Value("s" + std::to_string(i) + "...........")},
+              Interval(5, 5)));
+  }
+  in.r = MakeRelation(&in.disk, TestSchema(), r_tuples, "r");
+  in.s = MakeRelation(&in.disk, SSchema(), s_tuples, "s");
+  struct Case {
+    uint32_t buffer_pages;
+    JoinAlgorithm planned;
+  };
+  for (const Case& c : {Case{8, JoinAlgorithm::kSortMerge},
+                        Case{16, JoinAlgorithm::kNestedLoop}}) {
+    ExecOptions options;
+    options.buffer_pages = c.buffer_pages;
+    EXPECT_EQ(PlanVtJoin(in.r.get(), in.s.get(), options).algorithm,
+              JoinAlgorithm::kPartition);
+    const JoinRunStats partition =
+        RunOn(&in, JoinExecutor::kPartition, c.buffer_pages);
+    EXPECT_EQ(partition.Get(Metric::kPartitions), 1.0);
+    EXPECT_GT(partition.Get(Metric::kOverflowChunks), 0.0);
+    const JoinRunStats autorun =
+        RunOn(&in, JoinExecutor::kAuto, c.buffer_pages);
+    EXPECT_EQ(Planned(autorun), c.planned) << c.buffer_pages << " pages";
+    EXPECT_LT(autorun.Cost(options.cost_model),
+              partition.Cost(options.cost_model))
+        << c.buffer_pages << " pages";
+  }
+}
+
 // The picked plan's estimate (kPlannedCost, sample included) is within a
 // factor of two of the run's charged cost in both paged regimes: ample
 // memory without long-lived tuples, and the tight-memory, long-lived-heavy

@@ -270,6 +270,60 @@ TEST(FaultSweepTest, PartitionCoalesceLeavesNoTempFiles) {
   EXPECT_GT(SweepFaults(&f.disk, coalesce), 3);
 }
 
+// Every r and s tuple stamped [5, 5]: r's sample collapses to one
+// partition, which 8 buffer pages join in several chunks (and the full
+// outer's swapped pass likewise over s). A failure at any chunk must
+// return the injected error and leave no cache generation or output page
+// behind.
+TEST(FaultSweepTest, OnePartitionLoopLeavesNoTempFiles) {
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kFullOuter}) {
+    Disk disk;
+    std::vector<Tuple> r_tuples;
+    std::vector<Tuple> s_tuples;
+    for (int64_t i = 0; i < 2000; ++i) {
+      r_tuples.push_back(T(i % 400, "r" + std::to_string(i), 5, 5));
+      s_tuples.push_back(
+          Tuple({Value(i % 500), Value("s" + std::to_string(i))},
+                Interval(5, 5)));
+    }
+    auto r = MakeRelation(&disk, TestSchema(), r_tuples, "r");
+    auto s = MakeRelation(&disk, SSchema(), s_tuples, "s");
+    const Schema out_schema =
+        DeriveNaturalJoinLayout(TestSchema(), SSchema())->output;
+    JoinRequest req;
+    req.From(r.get(), s.get())
+        .Using(JoinExecutor::kPartition)
+        .Kind(kind)
+        .BufferPages(8);
+    double chunks = -1.0;
+    auto join = [&]() -> Status {
+      TempRelation out(new StoredRelation(&disk, out_schema, "out"));
+      StatusOr<JoinRunStats> stats = RunJoin(req, out.get());
+      if (stats.ok()) chunks = stats->Get(Metric::kOverflowChunks);
+      return stats.status();
+    };
+    EXPECT_GT(SweepFaults(&disk, join), 10) << JoinKindName(kind);
+    EXPECT_GE(chunks, 2.0) << JoinKindName(kind);
+  }
+}
+
+// The view's build samples r, writes every partition, cache and result
+// file, and recomputes each partition's result; a failure at any point
+// must delete all of them with the view. A built view is deleted with the
+// lambda's scope too, so the disk ends as it began.
+TEST(FaultSweepTest, ViewBuildLeavesNoTempFiles) {
+  FaultFixture f;
+  size_t partitions = 0;
+  auto build = [&]() -> Status {
+    MaterializedVtJoinView view(&f.disk, "view");
+    TEMPO_RETURN_IF_ERROR(view.Build(f.r.get(), f.s.get(), 8));
+    partitions = view.num_partitions();
+    return Status::OK();
+  };
+  EXPECT_GT(SweepFaults(&f.disk, build), 10);
+  EXPECT_GT(partitions, 1u);
+}
+
 TEST(FaultTest, FaultAfterCompletionIsHarmless) {
   FaultFixture f;
   StoredRelation out(&f.disk, f.layout.output, "out");
